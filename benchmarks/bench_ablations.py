@@ -174,7 +174,7 @@ class TestModeOrdering:
 class TestChunking:
     def test_report_chunk_effect(self, benchmark, write_report):
         """The per-call overhead the chunked flat tree removes: one
-        tpqrt per block vs one per ~512-column chunk."""
+        tpqrt per block vs one per ~2048-column run."""
         rng = np.random.default_rng(3)
         X = DenseTensor(rng.standard_normal((30, 30, 30, 30)))
         rows_dim = 30

@@ -26,11 +26,10 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..instrument import FlopCounter, PhaseTimer, PHASE_GRAM, PHASE_LQ, PHASE_SVD, PHASE_EVD, PHASE_TTM
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
-from ..linalg.flops import gram_flops, lq_flops, tpqrt_flops
+from ..linalg.flops import gram_flops
 from ..linalg.gram import gram_matrix
-from ..linalg.qr import gelq
+from ..linalg.qr import flat_tree_lq
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
-from ..linalg.tpqrt import tpqrt
 from ..tensor.ttm import ttm_flops
 from .ordering import resolve_mode_order
 from .sthosvd import SthosvdResult
@@ -67,34 +66,13 @@ def ooc_tensor_lq(
 ) -> np.ndarray:
     """Flat-tree LQ of the mode-``n`` unfolding from streamed chunks.
 
-    First chunks accumulate until the working matrix is short-fat, one
-    ``gelq`` seeds the triangle, then each further chunk is annihilated
-    with the structured ``tpqrt`` — Alg. 2 with disk chunks as blocks.
+    Alg. 2 with disk chunks as blocks: the same
+    :func:`~repro.linalg.qr.flat_tree_lq` loop the in-memory
+    ``tensor_lq`` runs, fed from the file.
     """
-    rows = ooc.shape[n]
-    pending: list[np.ndarray] = []
-    pending_cols = 0
-    Rt: np.ndarray | None = None
-    for chunk in ooc.iter_unfolding_chunks(n, max_elements):
-        if Rt is None:
-            pending.append(chunk)
-            pending_cols += chunk.shape[1]
-            if pending_cols >= rows:
-                first = np.concatenate(pending, axis=1) if len(pending) > 1 else pending[0]
-                L = gelq(first, counter=counter, mode=n)
-                if L.shape[0] != L.shape[1]:
-                    # degenerate: whole unfolding was consumed while tall
-                    return L
-                Rt = np.ascontiguousarray(np.triu(L.T))
-                pending = []
-        else:
-            work = np.ascontiguousarray(chunk.T)
-            tpqrt(Rt, work, structure="rect", counter=counter, mode=n)
-    if Rt is None:
-        # Entire unfolding has fewer columns than rows.
-        first = np.concatenate(pending, axis=1) if len(pending) > 1 else pending[0]
-        return gelq(first, counter=counter, mode=n)
-    return np.ascontiguousarray(np.tril(Rt.T))
+    runs = (chunk[None] for chunk in ooc.iter_unfolding_chunks(n, max_elements))
+    return flat_tree_lq("gelq", runs, ooc.shape[n], ooc.dtype,
+                        counter=counter, mode=n)
 
 
 def sthosvd_out_of_core(

@@ -10,7 +10,7 @@ from .householder import (
     form_q_lq,
 )
 from .tpqrt import tpqrt, tpqrt_reduce_triangles
-from .qr import geqr, gelq, BACKENDS
+from .qr import geqr, gelq, flat_tree_lq, block_runs, BACKENDS
 from .gram import gram_matrix, tensor_gram
 from .tensor_lq import tensor_lq, tensor_lq_binary_tree
 from .svd import (
@@ -45,6 +45,8 @@ __all__ = [
     "tpqrt_reduce_triangles",
     "geqr",
     "gelq",
+    "flat_tree_lq",
+    "block_runs",
     "BACKENDS",
     "gram_matrix",
     "tensor_gram",

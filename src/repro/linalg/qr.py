@@ -2,34 +2,40 @@
 
 The paper calls LAPACK's driver routines for any row- or column-major
 submatrix and reserves the structured ``tpqrt`` kernel for the tree
-steps (Sec. 4.2.1).  We mirror that split: these drivers delegate to
-LAPACK (through SciPy) by default for performance, with our own
-Householder kernels available as a backend both for validation and for
-platforms where the vendor library is untrusted.  Both backends produce
-a valid triangular factor (they may differ by row/column signs, which is
-immaterial to the SVD that consumes them).
+steps (Sec. 4.2.1).  Here every driver is the same flat tree
+(:func:`flat_tree_lq`, Alg. 2): the matrix is consumed about
+``2048`` columns at a time, LAPACK ``geqrf`` factors the first chunk and
+``tpqrt`` folds each later one into the single live triangle, so the
+working set stays in cache whatever the layout and no full-size
+temporary is made.  Our own Householder kernels remain available as a
+backend both for validation and for platforms where the vendor library
+is untrusted.  Both backends produce a valid triangular factor (they
+may differ by row/column signs, which is immaterial to the SVD that
+consumes them).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.linalg
+from typing import Iterable, Iterator
 
-from ..errors import ConfigurationError, ShapeError
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+
+from ..errors import ConfigurationError, ReproError, ShapeError
 from ..faults.injector import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
-from .flops import qr_flops, lq_flops
-from .householder import qr_r, lq_l
+from .flops import qr_flops
+from .householder import qr_r
+from .tpqrt import tpqrt
 
-__all__ = ["geqr", "gelq", "BACKENDS"]
+__all__ = ["geqr", "gelq", "flat_tree_lq", "block_runs", "BACKENDS"]
 
 BACKENDS = ("lapack", "householder", "blocked")
 
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
+# Unfolding columns folded per LAPACK call: a 2048 x 64 float32 chunk and
+# its triangle fit in L2, and the per-call overhead is amortized.
+_CHUNK_COLS = 2048
 
 
 def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
@@ -38,6 +44,107 @@ def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
     if inj is not None:
         M, _ = inj.kernel_fault(kernel, M)
     return M
+
+
+def _first_triangle(work, backend, counter, mode) -> np.ndarray:
+    """Upper-trapezoidal R of the packed first chunk (destroys ``work``)."""
+    if backend == "householder":
+        return qr_r(work, counter=counter, mode=mode)
+    if backend == "blocked":
+        from .blocked import qr_r_blocked
+
+        return qr_r_blocked(work, counter=counter, mode=mode)
+    m, n = work.shape
+    geqrf, geqrf_lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), (work,))
+    lwork, info = geqrf_lwork(m, n)
+    if info == 0:
+        work, _, _, info = geqrf(work, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise ReproError(f"LAPACK {geqrf.typecode}geqrf failed with info={info}")
+    if counter is not None:
+        counter.add(qr_flops(max(m, n), min(m, n)), phase=PHASE_LQ, mode=mode)
+    # Reflectors below the diagonal stay: tpqrt never reads them and the
+    # final np.tril drops them.
+    return work[: min(m, n)].copy(order="F")
+
+
+def flat_tree_lq(
+    kernel: str,
+    runs: Iterable[np.ndarray],
+    rows: int,
+    dtype,
+    *,
+    backend: str = "lapack",
+    counter: FlopCounter | None = None,
+    mode: int | None = None,
+) -> np.ndarray:
+    """Flat-tree LQ (paper Alg. 2) of an unfolding given as block runs.
+
+    ``runs`` yields, in column order, arrays of shape ``(k, rows,
+    bcols)`` with any strides: ``k`` consecutive row-major column blocks
+    of the ``rows``-row unfolding (a plain ``rows x c`` matrix chunk is
+    the ``k = 1`` case).  Each run is packed, transposed, into one reused
+    Fortran-ordered buffer; the first is QR-factored and every later one
+    is annihilated against the live triangle with ``tpqrt``.  Leading
+    runs with fewer than ``rows`` columns are merged first, so the input
+    is never modified and any chunking is accepted.
+
+    Returns the ``rows x rows`` lower-triangular ``L`` (``rows x cols``
+    lower trapezoid when the whole unfolding has ``cols < rows``).
+    ``kernel`` (``"gelq"`` or ``"geqr"``) names the span and the
+    fault-injection hook, which fires once on the result.
+    """
+    if backend not in BACKENDS:
+        raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    # Working precision as DenseTensor picks it: float32 stays, all else float64.
+    dtype = np.dtype(dtype if dtype == np.float32 else np.float64)
+    with trace_span(kernel, phase=PHASE_LQ, mode=mode, rows=rows, backend=backend):
+        buf = np.empty(0, dtype=dtype)
+        Rt = head = None
+        for run in runs:
+            if Rt is None and (head is not None or run.shape[0] * run.shape[2] < rows):
+                flat = run.transpose(1, 0, 2).reshape(rows, -1)
+                head = flat if head is None else np.concatenate([head, flat], axis=1)
+                if head.shape[1] < rows:
+                    continue
+                run, head = head[None], None
+            buf, work = _pack(run, buf)
+            if Rt is None:
+                Rt = _first_triangle(work, backend, counter, mode)
+            else:
+                tpqrt(Rt, work, backend=backend, counter=counter, mode=mode,
+                      keep_reflectors=True)
+        if head is not None:  # the whole unfolding has fewer columns than rows
+            Rt = _first_triangle(_pack(head[None], buf)[1], backend, counter, mode)
+        if Rt is None:  # no columns at all
+            return _inject(kernel, np.zeros((rows, 0), dtype=dtype))
+        return _inject(kernel, np.ascontiguousarray(np.tril(Rt.T)))
+
+
+def block_runs(blocks: np.ndarray) -> Iterator[np.ndarray]:
+    """Cut ``(nblocks, rows, bcols)`` column blocks into runs for
+    :func:`flat_tree_lq`: zero-copy views of about ``_CHUNK_COLS``
+    columns (at least ``rows``) — several whole blocks when they are
+    narrow, a column slice of one block when it is wide."""
+    nblocks, rows, bcols = blocks.shape
+    if blocks.size == 0:
+        return
+    width = max(_CHUNK_COLS, rows)
+    k = -(-width // bcols)
+    for j in range(0, nblocks, k):
+        for c in range(0, bcols, width):
+            yield blocks[j : j + k, :, c : c + width]
+
+
+def _pack(run: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``run`` transposed into ``buf`` (regrown if too small); returns
+    the buffer and its Fortran-ordered ``(k * bcols, rows)`` prefix."""
+    k, rows, bcols = run.shape
+    if buf.size < run.size:
+        buf = np.empty(run.size, dtype=buf.dtype)
+    work = buf[: run.size].reshape((k * bcols, rows), order="F")
+    np.copyto(work.T.reshape(rows, k, bcols), run.transpose(1, 0, 2))
+    return buf, work
 
 
 def geqr(
@@ -53,25 +160,13 @@ def geqr(
     natural operation — e.g. the transposed row-major last-mode
     unfolding.
     """
-    _check_backend(backend)
     A = np.asarray(A)
     if A.ndim != 2:
         raise ShapeError("geqr expects a matrix")
-    m, n = A.shape
-    with trace_span("geqr", phase=PHASE_LQ, mode=mode, rows=m, cols=n,
-                    backend=backend):
-        if backend == "householder":
-            return _inject("geqr", qr_r(A, counter=counter, mode=mode))
-        if backend == "blocked":
-            from .blocked import qr_r_blocked
-
-            return _inject("geqr", qr_r_blocked(A, counter=counter, mode=mode))
-        R = scipy.linalg.qr(A, mode="r", check_finite=False)[0]
-        R = np.ascontiguousarray(R[: min(m, n), :])
-        if counter is not None:
-            k = min(m, n)
-            counter.add(qr_flops(max(m, n), k), phase=PHASE_LQ, mode=mode)
-        return _inject("geqr", R)
+    # R of A is the transposed L of A^T.
+    L = flat_tree_lq("geqr", block_runs(A.T[None]), A.shape[1], A.dtype,
+                     backend=backend, counter=counter, mode=mode)
+    return np.ascontiguousarray(L.T)
 
 
 def gelq(
@@ -86,25 +181,8 @@ def gelq(
     The short-fat case (``m <= n``) returns the ``m x m`` lower triangle
     whose SVD yields the left singular vectors of ``A`` (Sec. 3.1).
     """
-    _check_backend(backend)
     A = np.asarray(A)
     if A.ndim != 2:
         raise ShapeError("gelq expects a matrix")
-    m, n = A.shape
-    with trace_span("gelq", phase=PHASE_LQ, mode=mode, rows=m, cols=n,
-                    backend=backend):
-        if backend == "householder":
-            return _inject("gelq", lq_l(A, counter=counter, mode=mode))
-        if backend == "blocked":
-            from .blocked import qr_r_blocked
-
-            R = qr_r_blocked(A.T, counter=counter, mode=mode)
-            return _inject("gelq", np.ascontiguousarray(R.T))
-        # LQ(A) = QR(A^T)^T; A.T is a zero-copy view, and LAPACK handles
-        # either memory order.
-        R = scipy.linalg.qr(A.T, mode="r", check_finite=False)[0]
-        L = np.ascontiguousarray(R[: min(m, n), :].T)
-        if counter is not None:
-            k = min(m, n)
-            counter.add(lq_flops(k, max(m, n)), phase=PHASE_LQ, mode=mode)
-        return _inject("gelq", L)
+    return flat_tree_lq("gelq", block_runs(A[None]), A.shape[0], A.dtype,
+                        backend=backend, counter=counter, mode=mode)

@@ -1,22 +1,18 @@
 """Sequential LQ of a tensor unfolding — paper Algorithm 2.
 
 The mode-``n`` unfolding of a natural-layout tensor is a sequence of
-contiguous row-major column blocks.  TensorLQ reduces it to a single
-``I_n x I_n`` lower-triangular factor with a flat-tree TSQR:
-
-* ``n == 0``: the unfolding is one column-major matrix — direct ``gelq``;
-* ``n == N-1``: one row-major matrix — direct ``geqr`` of the transposed
-  view (the paper calls ``geqr`` because it respects the layout);
-* otherwise: LQ of the first block group, then one ``tpqrt`` update per
-  remaining block, streaming through the tensor exactly once.
-
-If the first block is not short-fat, as many blocks as necessary are
-combined before the first factorization (Sec. 3.3, last paragraph).
+contiguous row-major ``I_n x prod_before`` column blocks.  TensorLQ
+reduces it to a single ``I_n x I_n`` lower-triangular factor with a
+flat-tree TSQR, the same loop for every mode: the blocks are cut into
+runs of about 2048 unfolding columns (many one-column blocks for mode
+0, slices of the single block for the last mode), the first run is
+QR-factored and each later one is folded into the live triangle with
+``tpqrt`` (:func:`repro.linalg.qr.flat_tree_lq`), streaming through
+the tensor exactly once.  The first run has at least ``I_n`` columns
+whenever the unfolding does (Sec. 3.3, last paragraph).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,8 +20,7 @@ from ..errors import ShapeError
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from ..tensor.dense import DenseTensor
-from .qr import geqr, gelq
-from .tpqrt import tpqrt
+from .qr import block_runs, flat_tree_lq, gelq
 
 __all__ = ["tensor_lq", "tensor_lq_binary_tree"]
 
@@ -110,70 +105,12 @@ def tensor_lq(
     if not 0 <= n < ndim:
         raise ShapeError(f"mode {n} out of range for {ndim}-mode tensor")
     with trace_span("tensor_lq", phase=PHASE_LQ, mode=n):
-        return _tensor_lq_impl(tensor, n, backend=backend, counter=counter)
-
-
-def _tensor_lq_impl(
-    tensor: DenseTensor,
-    n: int,
-    *,
-    backend: str,
-    counter: FlopCounter | None,
-) -> np.ndarray:
-    ndim = tensor.ndim
-    rows = tensor.shape[n]
-
-    if tensor.size == 0:
-        # Degenerate local blocks occur in distributed runs when a mode's
-        # rank is smaller than its processor-fiber size: the unfolding
-        # has zero columns (or zero rows) and contributes an empty L
-        # (padded to a zero triangle by the parallel reduction).
-        cols = 0 if rows else tensor.size
-        return np.zeros((rows, min(rows, cols)), dtype=tensor.dtype)
-
-    if n == 0:
-        # Column-major unfolding: direct LQ driver call.
-        return gelq(tensor.unfold(0), backend=backend, counter=counter, mode=0)
-
-    nblocks = tensor.num_column_blocks(n)
-    bcols = tensor.size // (rows * nblocks)  # prod_before
-
-    if n == ndim - 1:
-        # Row-major unfolding (single block): QR of the transposed view.
-        block = tensor.column_block(n, 0)
-        R = geqr(block.T, backend=backend, counter=counter, mode=n)
-        return np.ascontiguousarray(R.T)
-
-    # General case: flat-tree TSQR over the column blocks.
-    # Combine enough leading blocks that the first factorization sees a
-    # short-fat (or square) matrix.
-    k0 = min(nblocks, max(1, math.ceil(rows / bcols)))
-    first = np.concatenate(
-        [tensor.column_block(n, j) for j in range(k0)], axis=1
-    )
-    L = gelq(first, backend=backend, counter=counter, mode=n)
-    if k0 == nblocks:
-        return L
-    if L.shape[0] != L.shape[1]:
-        # Whole-unfolding-tall case already excluded by k0 logic; a
-        # non-square L here means rows > k0*bcols with k0 == nblocks,
-        # unreachable, but guard for safety.
-        raise ShapeError("first block group did not produce a triangular factor")
-
-    # Maintain R = L^T (upper triangular) and annihilate the remaining
-    # blocks via QR of [R; B^T] = LQ of [L  B].  Several consecutive
-    # blocks are folded into each tpqrt call: the flat tree is
-    # indifferent to the pentagon height, and wider chunks amortize the
-    # per-call overhead (the cache-blocking knob of the sequential TSQR).
-    Rt = np.ascontiguousarray(np.triu(L.T))
-    chunk_blocks = max(1, -(-max(rows, 512) // bcols))  # ceil division
-    j = k0
-    while j < nblocks:
-        j1 = min(j + chunk_blocks, nblocks)
-        run = tensor.column_block_range(n, j, j1)  # (j1-j, rows, bcols) view
-        # .copy() (never a view): tpqrt annihilates its B argument in
-        # place and must not touch the caller's tensor data.
-        work = run.transpose(0, 2, 1).copy().reshape((j1 - j) * bcols, rows)
-        tpqrt(Rt, work, structure="rect", counter=counter, mode=n)
-        j = j1
-    return np.ascontiguousarray(np.tril(Rt.T))
+        # The paper's driver names: geqr for the row-major last mode,
+        # gelq elsewhere (span name and fault-injection hook).  An empty
+        # local block (distributed runs where a mode's rank is smaller
+        # than its processor-fiber size) has no runs and yields an empty
+        # L, padded to a zero triangle by the parallel reduction.
+        kernel = "geqr" if n == ndim - 1 else "gelq"
+        blocks = tensor.column_block_range(n, 0, tensor.num_column_blocks(n))
+        return flat_tree_lq(kernel, block_runs(blocks), tensor.shape[n],
+                            tensor.dtype, backend=backend, counter=counter, mode=n)

@@ -33,6 +33,7 @@ reuse the same arithmetic:
 from __future__ import annotations
 
 import json
+import mmap
 import pickle
 import socket
 import struct
@@ -70,6 +71,9 @@ _FRAME_DEADLINE = 30.0
 # an arbitrarily large frame, so the length prefix is checked against
 # this before a single payload byte is read.
 _JSON_FRAME_MAX = 65536
+
+# Largest receive buffer taken from the heap (see FramedSocket._read_exact).
+_HEAP_MAX = 65536
 
 _LEN = struct.Struct("<I")
 
@@ -245,14 +249,27 @@ class FramedSocket:
             raise LinkClosed(f"socket send failed: {exc}") from None
 
     # -- recv -----------------------------------------------------------
-    def _read_exact(self, n: int, deadline: float | None) -> bytearray:
+    def _read_exact(self, n: int, deadline: float | None):
         """Read exactly ``n`` bytes (buffered), honoring ``deadline``.
 
         Returns a *mutable* buffer: received arrays are materialized
         over it directly, and a payload that was writeable on the
-        sender side must stay writeable on arrival.
+        sender side must stay writeable on arrival.  The buffer is
+        allocated once and filled in place; above ``_HEAP_MAX`` it is an
+        anonymous mapping, which goes back to the OS when the array over
+        it dies — a heap block that size, freed by a per-world reader
+        thread, stays in that thread's malloc arena and the master's
+        resident set grows with every world.
         """
-        while len(self._rbuf) < n:
+        if n <= _HEAP_MAX:
+            out = bytearray(n)
+        else:
+            out = mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        view = memoryview(out)
+        got = min(len(self._rbuf), n)
+        view[:got] = self._rbuf[:got]
+        del self._rbuf[:got]
+        while got < n:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -263,16 +280,14 @@ class FramedSocket:
             else:
                 self._sock.settimeout(None)
             try:
-                chunk = self._sock.recv(65536)
+                count = self._sock.recv_into(view[got:])
             except socket.timeout:
                 continue
             except OSError as exc:
                 raise LinkClosed(f"socket recv failed: {exc}") from None
-            if not chunk:
+            if not count:
                 raise LinkClosed("socket closed by peer")
-            self._rbuf += chunk
-        out = self._rbuf[:n]
-        del self._rbuf[:n]
+            got += count
         return out
 
     def recv(self, timeout: float | None = None):

@@ -478,6 +478,9 @@ class _SockLink:
         self.rank = rank
         self.ctl: FramedSocket | None = None
         self.data: FramedSocket | None = None
+        # A reconnect that arrived while ``data`` still had frames to
+        # drain: it takes over when the reader retires ``data``.
+        self.next_data: FramedSocket | None = None
         self.data_gen = 0
         self.cond = threading.Condition()  # guards ctl/data attachment
         self.send_lock = threading.Lock()  # serializes ctl replies + oob
@@ -496,21 +499,34 @@ class _SockLink:
         with self.cond:
             if purpose == "ctl":
                 self.ctl = fs
-            else:
+            elif self.data is None:
                 self.data = fs
                 self.data_gen += 1
                 self.last_rx = time.monotonic()
+            else:
+                # The worker reconnected before the reader saw the old
+                # socket's EOF/reset.  Frames it shipped before the reset
+                # may still sit unread in the old socket: switching now
+                # would lose them, so the newcomer waits its turn.
+                if self.next_data is not None:
+                    self.next_data.close()
+                self.next_data = fs
             self.cond.notify_all()
 
     def retire_data(self, gen: int) -> None:
-        """Drop the data socket of generation ``gen`` (reset/EOF seen).
+        """Drop the data socket of generation ``gen`` (reset/EOF seen, or
+        drained and silent with a successor waiting); the successor, if
+        any, takes over.
 
         A replacement attached concurrently has a newer generation and
         is left alone.
         """
         with self.cond:
             if self.data_gen == gen:
-                self.data = None
+                self.data, self.next_data = self.next_data, None
+                if self.data is not None:
+                    self.data_gen += 1
+                    self.last_rx = time.monotonic()
 
     def wait_ready(self, deadline: float) -> bool:
         with self.cond:
@@ -522,7 +538,7 @@ class _SockLink:
             return True
 
     def close(self) -> None:
-        for fs in (self.ctl, self.data):
+        for fs in (self.ctl, self.data, self.next_data):
             if fs is not None:
                 fs.close()
 
@@ -1022,6 +1038,11 @@ class SocketTransport(WorldServerMixin, Transport):
             try:
                 header, arrays = fs.recv(timeout=_DATA_TICK)
             except LinkTimeout:
+                if link.next_data is not None:
+                    # Nothing left on a socket the worker has abandoned
+                    # (a black-holed link never delivers its EOF).
+                    link.retire_data(gen)
+                    continue
                 if self._liveness_expired(link):
                     self._declare_lost(
                         link, context,

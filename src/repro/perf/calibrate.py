@@ -4,7 +4,7 @@ The shipped machine models are calibrated to the paper's platforms; to
 *predict this machine's* wall times (e.g. before a long out-of-core
 run), measure its sustained kernel rates directly.  The microbenchmarks
 time the same kernels the pipeline uses — gemm (TTM), syrk (Gram), the
-LAPACK QR driver (LQ/TensorLQ), our structured tpqrt, and the small
+LAPACK QR driver (LQ/TensorLQ), the structured tpqrt, and the small
 gesvd/eigh — in both precisions, and assemble a :class:`MachineModel`
 whose efficiency entries reproduce the measured rates.
 

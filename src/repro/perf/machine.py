@@ -76,6 +76,9 @@ class MachineModel:
 # Andes" — MKL on AMD) and notes QR-SVD's GFLOPS are "slightly better".
 # This calibration yields the paper's headline ratios: Gram-single ~2x
 # Gram-double, QR-single ~30% faster than Gram-double.
+# tpqrt (the butterfly's triangle-on-triangle steps) is 0.45x the geqr
+# efficiency on both machines: perf.calibrate measures LAPACK's tpqrt at
+# 0.42-0.49 of the geqrf rate (docs/performance-model.md).
 ANDES = MachineModel(
     name="andes",
     cores_per_node=32,
@@ -84,7 +87,7 @@ ANDES = MachineModel(
     efficiency={
         "geqr": 0.135,
         "gelq": 0.135,
-        "tpqrt": 0.10,
+        "tpqrt": 0.06,
         "syrk": 0.11,
         "svd": 0.02,
         "evd": 0.02,
@@ -102,7 +105,7 @@ CASCADE_LAKE = MachineModel(
     efficiency={
         "geqr": 0.16,
         "gelq": 0.08,
-        "tpqrt": 0.10,
+        "tpqrt": 0.07,
         "syrk": 0.24,
         "svd": 0.02,
         "evd": 0.02,

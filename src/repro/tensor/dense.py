@@ -179,7 +179,15 @@ class DenseTensor:
     def norm(self) -> float:
         """Frobenius norm; accumulation always in float64 for reliability."""
         flat = self.flat_view()
-        return float(np.linalg.norm(flat.astype(np.float64, copy=False)))
+        if flat.dtype == np.float64:
+            return float(np.linalg.norm(flat))
+        # float32: widen one cache-sized slice at a time instead of
+        # allocating a float64 copy of the whole tensor.
+        total, step = 0.0, 1 << 15
+        for i in range(0, flat.size, step):
+            piece = flat[i : i + step].astype(np.float64)
+            total += float(piece @ piece)
+        return float(np.sqrt(total))
 
     def norm_squared(self) -> float:
         """Squared Frobenius norm (float64 accumulation)."""

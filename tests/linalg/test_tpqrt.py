@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ShapeError
+from repro.errors import ReproError, ShapeError
 from repro.instrument import FlopCounter
 from repro.linalg import tpqrt, tpqrt_reduce_triangles
 from repro.linalg.flops import tpqrt_flops
@@ -138,3 +140,86 @@ def test_tpqrt_gram_invariant_property(n, m, seed):
     stacked_gram = R.T @ R + B.T @ B
     out = tpqrt(R.copy(), B.copy())
     np.testing.assert_allclose(out.T @ out, stacked_gram, atol=1e-9)
+
+
+def _case(rng, n, m, structure, dtype, order):
+    R = np.triu(rng.standard_normal((n, n))) + np.tril(np.full((n, n), 7.0), -1)
+    B = rng.standard_normal((m, n))
+    if structure == "tri":
+        B = np.triu(B) + np.tril(np.full((n, n), 9.0), -1)
+    return (np.array(R, dtype=dtype, order=order),
+            np.array(B, dtype=dtype, order=order))
+
+
+class TestLapackKernel:
+    """LAPACK ``{s,d}tpqrt`` against the Python column loop."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "structure,n,m",
+        [("rect", 6, 40), ("rect", 6, 6), ("rect", 9, 4), ("rect", 5, 0),
+         ("rect", 20, 33), ("tri", 1, 1), ("tri", 7, 7), ("tri", 20, 20)],
+    )
+    def test_agrees_with_householder(self, rng, structure, n, m, dtype, order):
+        R, B = _case(rng, n, m, structure, dtype, order)
+        outs = {}
+        for backend in ("lapack", "householder"):
+            r, b = R.copy(order=order), B.copy(order=order)
+            out = tpqrt(r, b, structure=structure, backend=backend)
+            assert out is r and r.dtype == dtype
+            # R's strict lower triangle is ignored and left alone.
+            np.testing.assert_array_equal(np.tril(r, -1), np.tril(R, -1))
+            if structure == "rect":
+                np.testing.assert_array_equal(b, 0)
+            else:  # only the upper triangle of a triangular B is eliminated
+                np.testing.assert_array_equal(np.triu(b), 0)
+                np.testing.assert_array_equal(np.tril(b, -1), np.tril(B, -1))
+            outs[backend] = np.triu(r).astype(np.float64)
+        tol = 50 * np.finfo(dtype).eps * max(n, m)
+        scale = max(1.0, float(np.abs(_gram(outs["householder"])).max()))
+        np.testing.assert_allclose(
+            _gram(outs["lapack"]), _gram(outs["householder"]), atol=tol * scale)
+        stacked = np.vstack([np.triu(R), np.triu(B) if structure == "tri" else B])
+        np.testing.assert_allclose(
+            _gram(outs["lapack"]), _gram(stacked.astype(np.float64)), atol=tol * scale)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("structure", ["rect", "tri"])
+    def test_keep_reflectors(self, rng, structure, order):
+        R, B = _case(rng, 5, 5, structure, np.float64, order)
+        b = B.copy(order=order)
+        tpqrt(R.copy(order=order), b, structure=structure, keep_reflectors=True)
+        assert np.any(np.triu(b) != 0)
+        if structure == "tri":
+            np.testing.assert_array_equal(np.tril(b, -1), np.tril(B, -1))
+
+    @pytest.mark.parametrize("backend", ["lapack", "householder"])
+    def test_all_zero_b_leaves_r_bitwise(self, rng, backend):
+        R = np.triu(rng.standard_normal((6, 6))).astype(np.float32)
+        R[2, 2] = -R[2, 2]  # a negative diagonal must survive too
+        out = tpqrt(R.copy(), np.zeros((9, 6), dtype=np.float32), backend=backend)
+        np.testing.assert_array_equal(out, R)
+
+    def test_nonzero_info_raises(self, rng, monkeypatch):
+        # ``repro.linalg.tpqrt`` the attribute is the function, not the module.
+        mod = sys.modules["repro.linalg.tpqrt"]
+
+        def failing(names, arrays):
+            def fn(l, nb, a, b, **kw):
+                return a, b, None, -4
+            fn.typecode = "d"
+            return (fn,)
+
+        monkeypatch.setattr(mod, "get_lapack_funcs", failing)
+        with pytest.raises(ReproError, match="info=-4"):
+            tpqrt(np.eye(3), rng.standard_normal((4, 3)))
+
+    def test_reduce_triangles_is_c_contiguous_upper(self, rng):
+        R1 = rng.standard_normal((6, 6))  # lower parts must be ignored
+        R2 = rng.standard_normal((6, 6))
+        out = tpqrt_reduce_triangles(R1, R2)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(np.tril(out, -1), 0)
+        ref = np.linalg.qr(np.vstack([np.triu(R1), np.triu(R2)]))[1]
+        np.testing.assert_allclose(_gram(out), _gram(ref), atol=1e-10)

@@ -1,4 +1,9 @@
-"""Machine-model calibration tests (timing-based: assertions stay loose)."""
+"""Machine-model calibration tests.
+
+Timing-based, so nothing here compares two measured times: tier-1 must
+be green on any host, and which kernel family is fastest at 128^2 is a
+property of the host (BLAS thread warm-up alone reorders gemm and svd).
+"""
 
 from __future__ import annotations
 
@@ -30,11 +35,6 @@ class TestMeasurement:
             assert m.gflops > 0
             assert m.seconds > 0
             assert m.gflops < 1e4  # < 10 TFLOPS on one host: sanity
-
-    def test_gemm_is_fastest_family(self, rates):
-        by = {(m.kernel, m.dtype): m.gflops for m in rates}
-        assert by[("gemm", "float64")] >= by[("svd", "float64")]
-        assert by[("gemm", "float64")] >= by[("tpqrt", "float64")]
 
 
 class TestCalibratedModel:
