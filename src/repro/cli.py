@@ -114,19 +114,12 @@ def _cmd_compress(args) -> int:
         print(f"auto-selected: {choice.label} "
               f"(floor {choice.floor:.1e}, margin {choice.margin:.0f}x)")
     if args.out_of_core:
-        progress = None
-        if args.verbose:
-            def progress(info):
-                print(
-                    f"  mode {info['mode']} done "
-                    f"({info['step']}/{info['total_steps']}), "
-                    f"rank {info['rank']}, {info['seconds']:.1f}s elapsed"
-                )
         res = sthosvd_out_of_core(
             args.input, shape, dtype=args.file_dtype, precision=precision,
             tol=args.tol, ranks=tuple(args.ranks) if args.ranks else None,
             method=method, mode_order=args.order,
-            checkpoint_dir=args.checkpoint_dir, progress=progress,
+            checkpoint_dir=args.checkpoint_dir,
+            progress=_print_progress if args.verbose else None,
         )
     else:
         X = load_raw(args.input, shape=shape, dtype=args.file_dtype)
@@ -267,7 +260,8 @@ def _print_progress(info):
     print(
         f"  mode {info['mode']} done "
         f"({info['step']}/{info['total_steps']}), "
-        f"ranks {info['ranks']}, {info['seconds']:.3f}s"
+        f"rank {info['rank']}, ranks {info['ranks']}, "
+        f"{info['seconds']:.3f}s ({info['elapsed']:.1f}s elapsed)"
     )
 
 

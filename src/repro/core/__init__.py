@@ -3,6 +3,10 @@
 from .tucker import TuckerTensor
 from .truncation import choose_rank, error_budget_per_mode, tail_energy
 from .ordering import resolve_mode_order, greedy_order
+from .modeloop import (
+    ModeLoop, open_loop, resolve_truncation, pick_rank, solve_mode,
+    truncate_mode, truncated_loop, factors_then_core, hooi_sweeps,
+)
 from .sthosvd import sthosvd, SthosvdResult, METHODS
 from .sthosvd_parallel import sthosvd_parallel, ParallelSthosvdResult
 from .hosvd import hosvd
@@ -22,6 +26,8 @@ from .ft import (
 from . import checkpoint
 
 __all__ = [
+    "ModeLoop", "open_loop", "resolve_truncation", "pick_rank", "solve_mode",
+    "truncate_mode", "truncated_loop", "factors_then_core", "hooi_sweeps",
     "hosvd",
     "hooi",
     "HooiResult",

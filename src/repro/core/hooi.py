@@ -21,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer, PHASE_TTM
-from ..precision import Precision, resolve_precision
+from ..instrument import FlopCounter, PhaseTimer
+from ..precision import Precision
 from ..tensor.dense import DenseTensor
-from ..tensor.ttm import ttm, ttm_flops
-from .sthosvd import sthosvd, _mode_svd
+from .modeloop import dense_input, hooi_sweeps, open_loop
+from .sthosvd import sthosvd
 from .tucker import TuckerTensor
 
 __all__ = ["HooiResult", "hooi"]
@@ -87,78 +87,36 @@ def hooi(
     fit_tol:
         Stop when the fit improves by less than this between sweeps.
     """
-    if not isinstance(tensor, DenseTensor):
-        tensor = DenseTensor(tensor)
-    if precision is not None:
-        prec = resolve_precision(precision)
-        if tensor.dtype != prec.dtype:
-            tensor = tensor.astype(prec.dtype)
-    ndim = tensor.ndim
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != ndim:
-        raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-    for n, (r, i) in enumerate(zip(ranks, tensor.shape)):
-        if not 1 <= r <= i:
-            raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
     if init not in ("sthosvd", "random"):
         raise ConfigurationError(f"init must be 'sthosvd' or 'random', got {init!r}")
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-    norm_x = tensor.norm()
-
+    tensor = dense_input(tensor, precision)
+    loop = open_loop(tensor, method=method, ranks=ranks, backend=backend)
     if init == "sthosvd":
-        seed_res = sthosvd(tensor, ranks=ranks, method=method, backend=backend)
-        factors = list(seed_res.tucker.factors)
-        counter.merge(seed_res.flops)
+        seed_res = sthosvd(tensor, ranks=loop.ranks, method=method, backend=backend)
+        loop.factors = list(seed_res.tucker.factors)
+        loop.counter.merge(seed_res.flops)
     else:
         from ..data.synthetic import random_orthonormal
 
         rng = np.random.default_rng(0)
-        factors = [
+        loop.factors = [
             random_orthonormal(i, r, rng, dtype=tensor.dtype)
-            for i, r in zip(tensor.shape, ranks)
+            for i, r in zip(tensor.shape, loop.ranks)
         ]
 
     fits: list[float] = []
-    converged = False
-    core = None
-    for iteration in range(max_iters):
-        for n in range(ndim):
-            # Contract every mode but n with the current factors.
-            partial = tensor
-            for k in range(ndim):
-                if k == n:
-                    continue
-                with timer.phase(PHASE_TTM, k):
-                    counter.add(
-                        ttm_flops(partial.shape, k, ranks[k]), phase=PHASE_TTM, mode=k
-                    )
-                    partial = ttm(partial, factors[k], k, transpose=True)
-            U, _sigma = _mode_svd(method, partial, n, backend, counter, timer,
-                                  rank_hint=ranks[n])
-            factors[n] = np.ascontiguousarray(U[:, : ranks[n]])
-            # The last mode's contraction gives the core for free.
-            if n == ndim - 1:
-                with timer.phase(PHASE_TTM, n):
-                    core = ttm(partial, factors[n], n, transpose=True)
-        assert core is not None
-        fit = core.norm() / norm_x if norm_x > 0 else 1.0
-        fits.append(float(fit))
-        if iteration > 0 and abs(fits[-1] - fits[-2]) < fit_tol:
-            converged = True
-            break
-
+    core, converged = hooi_sweeps(
+        loop, tensor, fits, max_iters=max_iters, fit_tol=fit_tol)
     return HooiResult(
-        tucker=TuckerTensor(core=core, factors=tuple(factors)),
+        tucker=TuckerTensor(core=core, factors=tuple(loop.factors)),
         fits=fits,
         converged=converged,
         iterations=len(fits),
         method=method,
         precision=tensor.precision,
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
+        norm_x=loop.norm_x,
+        flops=loop.counter,
+        timer=loop.timer,
     )

@@ -11,26 +11,16 @@ no rank ever disagrees about when to stop.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..instrument import (
-    FlopCounter,
-    PhaseTimer,
-    PHASE_TTM,
-    PHASE_LQ,
-    PHASE_GRAM,
-    PHASE_COMM,
-)
-from ..obs.tracer import current_tracer, trace_span
+from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..dist.dtensor import DistributedTensor
-from ..dist.ttm import par_ttm_truncate
-from ..faults.guards import guarded_mode_svd
+from .modeloop import hooi_sweeps, open_loop
 from .sthosvd_parallel import sthosvd_parallel
 from .tucker import TuckerTensor
 
@@ -88,9 +78,9 @@ def hooi_parallel(
     bitwise-identical factors through the adaptive collective engine.
 
     ``progress`` is called on rank 0 only, once per refreshed mode,
-    with ``{"step", "total_steps", "iteration", "mode", "ranks",
-    "seconds"}`` (``total_steps`` assumes ``max_iters`` full sweeps;
-    early convergence just stops emitting).
+    with ``{"step", "total_steps", "iteration", "mode", "rank",
+    "ranks", "seconds", "elapsed"}`` (``total_steps`` assumes
+    ``max_iters`` full sweeps; early convergence just stops emitting).
 
     ``checkpoint`` is an optional
     :class:`~repro.faults.DistributedCheckpoint` saved once per
@@ -102,134 +92,57 @@ def hooi_parallel(
     :func:`repro.core.ft.hooi_fault_tolerant` for the full recovery
     loop.
     """
-    if method not in ("qr", "gram"):
-        raise ConfigurationError(
-            f"parallel HOOI supports methods ('qr', 'gram'), got {method!r}"
-        )
     if init not in ("sthosvd",):
         raise ConfigurationError("parallel HOOI supports init='sthosvd'")
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
-    ndim = dt.ndim
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != ndim:
-        raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-    for n, (r, i) in enumerate(zip(ranks, dt.global_shape)):
-        if not 1 <= r <= i:
-            raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-
-    recoveries: list = []
+    # Restored state replays the interrupted sweep exactly: the
+    # recorded norm keeps fit values (and hence the convergence
+    # decision) identical to what the unfailed run would produce.
+    loop = open_loop(
+        dt, method=method, ranks=ranks, backend=backend,
+        svd_strategy=svd_strategy,
+        norm_sq=None if resume is None else float(resume["norm_x_sq"]),
+        progress=progress if dt.comm.rank == 0 else None,
+    )
     if resume is not None:
-        # Restored state replays the interrupted sweep exactly: the
-        # recorded norm keeps fit values (and hence the convergence
-        # decision) identical to what the unfailed run would produce.
-        norm_x = float(resume["norm_x"])
-        factors = [np.asarray(f) for f in resume["factors"]]
+        loop.factors = [np.asarray(f) for f in resume["factors"]]
         fits = [float(f) for f in resume["fits"]]
-        start_iter = int(resume["iteration"])
-        recoveries = list(resume.get("numeric_recoveries", []))
+        loop.recoveries = list(resume.get("numeric_recoveries", []))
     else:
-        norm_x = dt.norm()
         seed = sthosvd_parallel(
-            dt, ranks=ranks, method=method, backend=backend,
+            dt, ranks=loop.ranks, method=method, backend=backend,
             svd_strategy=svd_strategy,
         )
-        factors = list(seed.factors)
-        counter.merge(seed.flops)
+        loop.factors = list(seed.factors)
+        loop.counter.merge(seed.flops)
         fits = []
-        start_iter = 0
 
-    def ckpt_meta(iteration: int) -> dict:
-        return {
+    def save_sweep(iteration: int) -> None:
+        checkpoint.save(dt, iteration, meta={
             "iteration": iteration,
-            "factors": list(factors),
+            "factors": list(loop.factors),
             "fits": list(fits),
-            "norm_x": norm_x,
-            "numeric_recoveries": list(recoveries),
-        }
+            "norm_x_sq": loop.norm_sq,
+            "numeric_recoveries": list(loop.recoveries),
+        })
 
     if checkpoint is not None:
-        checkpoint.save(dt, start_iter, meta=ckpt_meta(start_iter))
-
-    tracer = current_tracer()
-    svd_phase = PHASE_LQ if method == "qr" else PHASE_GRAM
-    converged = False
-    core: DistributedTensor | None = None
-    for iteration in range(start_iter, max_iters):
-        for n in range(ndim):
-            mode_start = time.perf_counter()
-            with trace_span("hooi.mode", mode=n, iteration=iteration):
-                partial = dt
-                for k in range(ndim):
-                    if k == n:
-                        continue
-                    mark = tracer.local_mark() if tracer is not None else 0
-                    with timer.phase(PHASE_TTM, k):
-                        partial = par_ttm_truncate(
-                            partial, factors[k], k, counter=counter
-                        )
-                    if tracer is not None:
-                        timer.attribute_comm(
-                            tracer.local_phase_seconds(PHASE_COMM, since=mark),
-                            PHASE_TTM, k,
-                        )
-                mark = tracer.local_mark() if tracer is not None else 0
-                with timer.phase(svd_phase, n):
-                    U, _sigma, recovered = guarded_mode_svd(
-                        partial, n, method=method, backend=backend,
-                        svd_strategy=svd_strategy, counter=counter,
-                    )
-                recoveries.extend(
-                    f"iter{iteration}:mode{n}:{action}" for action in recovered
-                )
-                if tracer is not None:
-                    timer.attribute_comm(
-                        tracer.local_phase_seconds(PHASE_COMM, since=mark),
-                        svd_phase, n,
-                    )
-                factors[n] = np.ascontiguousarray(U[:, : ranks[n]])
-                if n == ndim - 1:
-                    mark = tracer.local_mark() if tracer is not None else 0
-                    with timer.phase(PHASE_TTM, n):
-                        core = par_ttm_truncate(
-                            partial, factors[n], n, counter=counter
-                        )
-                    if tracer is not None:
-                        timer.attribute_comm(
-                            tracer.local_phase_seconds(PHASE_COMM, since=mark),
-                            PHASE_TTM, n,
-                        )
-            if progress is not None and dt.comm.rank == 0:
-                progress({
-                    "step": iteration * ndim + n + 1,
-                    "total_steps": max_iters * ndim,
-                    "iteration": iteration,
-                    "mode": n,
-                    "ranks": tuple(ranks),
-                    "seconds": time.perf_counter() - mode_start,
-                })
-        assert core is not None
-        fit = core.norm() / norm_x if norm_x > 0 else 1.0
-        fits.append(float(fit))
-        if checkpoint is not None:
-            checkpoint.save(dt, iteration + 1, meta=ckpt_meta(iteration + 1))
-        if iteration > 0 and abs(fits[-1] - fits[-2]) < fit_tol:
-            converged = True
-            break
-
+        save_sweep(len(fits))
+    core, converged = hooi_sweeps(
+        loop, dt, fits, max_iters=max_iters, fit_tol=fit_tol,
+        after_sweep=save_sweep if checkpoint is not None else None,
+    )
     return ParallelHooiResult(
         core=core,
-        factors=tuple(factors),
+        factors=tuple(loop.factors),
         fits=fits,
         converged=converged,
         iterations=len(fits),
         method=method,
         precision=resolve_precision(dt.dtype),
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-        numeric_recoveries=recoveries,
+        norm_x=loop.norm_x,
+        flops=loop.counter,
+        timer=loop.timer,
+        numeric_recoveries=loop.recoveries,
     )

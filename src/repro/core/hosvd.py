@@ -14,14 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer, PHASE_TTM
-from ..precision import resolve_precision
 from ..tensor.dense import DenseTensor
-from ..tensor.ttm import ttm, ttm_flops
-from .sthosvd import SthosvdResult, _mode_svd, METHODS
-from .truncation import choose_rank, error_budget_per_mode
-from .tucker import TuckerTensor
+from .modeloop import dense_input, factors_then_core, open_loop
+from .sthosvd import SthosvdResult
 
 __all__ = ["hosvd"]
 
@@ -41,67 +36,7 @@ def hosvd(
     except ``mode_order`` (ordering is irrelevant when nothing is
     truncated between modes) and returns the same result type.
     """
-    if method not in METHODS:
-        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
-    if tol is not None and ranks is not None:
-        raise ConfigurationError("pass either tol or ranks, not both")
-    if method == "randomized" and ranks is None:
-        raise ConfigurationError(
-            "method='randomized' sketches to a target rank: pass ranks="
-        )
-    if not isinstance(tensor, DenseTensor):
-        tensor = DenseTensor(tensor)
-    if precision is not None:
-        prec = resolve_precision(precision)
-        if tensor.dtype != prec.dtype:
-            tensor = tensor.astype(prec.dtype)
-    ndim = tensor.ndim
-    if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != ndim:
-            raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-        for n, (r, i) in enumerate(zip(ranks, tensor.shape)):
-            if not 1 <= r <= i:
-                raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-    norm_x = tensor.norm()
-    budget = (
-        error_budget_per_mode(norm_x * norm_x, tol, ndim) if tol is not None else None
-    )
-
-    factors: list = [None] * ndim
-    sigmas: dict[int, np.ndarray] = {}
-    for n in range(ndim):
-        rank_hint = ranks[n] if ranks is not None else None
-        U, sigma = _mode_svd(
-            method, tensor, n, backend, counter, timer, rank_hint=rank_hint
-        )
-        sigmas[n] = sigma
-        if budget is not None:
-            r = choose_rank(sigma, budget)
-        elif ranks is not None:
-            r = ranks[n]
-        else:
-            r = min(tensor.shape[n], U.shape[1])
-        factors[n] = np.ascontiguousarray(U[:, :r])
-
-    core = tensor
-    for n in range(ndim):
-        with timer.phase(PHASE_TTM, n):
-            counter.add(
-                ttm_flops(core.shape, n, factors[n].shape[1]), phase=PHASE_TTM, mode=n
-            )
-            core = ttm(core, factors[n], n, transpose=True)
-
-    return SthosvdResult(
-        tucker=TuckerTensor(core=core, factors=tuple(factors)),
-        sigmas=sigmas,
-        mode_order=tuple(range(ndim)),
-        method=method,
-        precision=tensor.precision,
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-    )
+    tensor = dense_input(tensor, precision)
+    loop = open_loop(tensor, method=method, tol=tol, ranks=ranks, backend=backend)
+    core = factors_then_core(loop, tensor)
+    return SthosvdResult._from_loop(loop, core, range(tensor.ndim))

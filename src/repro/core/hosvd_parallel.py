@@ -13,16 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer, PHASE_LQ, PHASE_GRAM, PHASE_TTM
-from ..precision import resolve_precision
 from ..dist.dtensor import DistributedTensor
-from ..dist.svd import par_tensor_gram_svd, par_tensor_qr_svd
-from ..dist.ttm import par_ttm_truncate
+from .modeloop import factors_then_core, open_loop
 from .sthosvd_parallel import ParallelSthosvdResult
-from .truncation import choose_rank, error_budget_per_mode
 
 __all__ = ["hosvd_parallel"]
 
@@ -40,58 +33,6 @@ def hosvd_parallel(
     Arguments as :func:`repro.core.sthosvd_parallel.sthosvd_parallel`
     minus ``mode_order`` (irrelevant without sequential truncation).
     """
-    if method not in ("qr", "gram"):
-        raise ConfigurationError(
-            f"parallel HOSVD supports methods ('qr', 'gram'), got {method!r}"
-        )
-    if tol is not None and ranks is not None:
-        raise ConfigurationError("pass either tol or ranks, not both")
-    ndim = dt.ndim
-    if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != ndim:
-            raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-        for n, (r, i) in enumerate(zip(ranks, dt.global_shape)):
-            if not 1 <= r <= i:
-                raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-    norm_sq = dt.norm_squared()
-    norm_x = float(np.sqrt(norm_sq))
-    budget = error_budget_per_mode(norm_sq, tol, ndim) if tol is not None else None
-
-    factors: list = [None] * ndim
-    sigmas: dict[int, np.ndarray] = {}
-    for n in range(ndim):
-        if method == "qr":
-            with timer.phase(PHASE_LQ, n):
-                U, sigma = par_tensor_qr_svd(dt, n, backend=backend, counter=counter)
-        else:
-            with timer.phase(PHASE_GRAM, n):
-                U, sigma = par_tensor_gram_svd(dt, n, counter=counter)
-        sigmas[n] = sigma
-        if budget is not None:
-            r = choose_rank(sigma, budget)
-        elif ranks is not None:
-            r = ranks[n]
-        else:
-            r = min(dt.global_shape[n], U.shape[1])
-        factors[n] = np.ascontiguousarray(U[:, :r])
-
-    core = dt
-    for n in range(ndim):
-        with timer.phase(PHASE_TTM, n):
-            core = par_ttm_truncate(core, factors[n], n, counter=counter)
-
-    return ParallelSthosvdResult(
-        core=core,
-        factors=tuple(factors),
-        sigmas=sigmas,
-        mode_order=tuple(range(ndim)),
-        method=method,
-        precision=resolve_precision(dt.dtype),
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-    )
+    loop = open_loop(dt, method=method, tol=tol, ranks=ranks, backend=backend)
+    core = factors_then_core(loop, dt)
+    return ParallelSthosvdResult._from_loop(loop, core, range(dt.ndim))

@@ -1,0 +1,394 @@
+"""The one mode loop every Tucker driver is composed from.
+
+The paper changes *one step* of ST-HOSVD's mode loop (Alg. 1: Gram-SVD
+becomes QR-SVD), and every driver here — sequential, out-of-core,
+distributed; ST-HOSVD, HOSVD, HOOI — is that loop over a different kind
+of tensor.  This module owns it once:
+
+* the **truncation rule**: :func:`resolve_truncation` checks the
+  ``tol``-xor-``ranks`` configuration, :func:`pick_rank` applies it;
+* the **mode solver**: :func:`solve_mode` gives ``(U, sigma)`` of a mode
+  unfolding of a ``DenseTensor``, ``OutOfCoreTensor`` or
+  ``DistributedTensor``; ``SUPPORTED_METHODS`` says which has which;
+* the **truncation**: :func:`truncate_mode`, the kind's TTM, flop-counted
+  and phase-timed;
+* the three **loop shapes** built from them: :func:`truncated_loop`
+  (ST-HOSVD), :func:`factors_then_core` (HOSVD), :func:`hooi_sweeps`.
+
+A driver opens a :class:`ModeLoop`, calls one loop shape and adds its
+own side effects (scratch files, checkpoints) through ``after_mode`` /
+``after_sweep``.  A new per-mode solver is one more ``SUPPORTED_METHODS``
+entry plus its branch in :func:`solve_mode`; every driver then has it.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..errors import ConfigurationError
+from ..instrument import (
+    FlopCounter, PhaseTimer,
+    PHASE_SVD, PHASE_EVD, PHASE_TTM, PHASE_LQ, PHASE_GRAM, PHASE_COMM,
+)
+from ..obs.tracer import current_tracer, trace_span
+from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
+from ..dist.dtensor import DistributedTensor
+from ..dist.ttm import par_ttm_truncate
+from ..faults.guards import guarded_mode_svd
+from ..linalg.gram import tensor_gram
+from ..linalg.svd import left_svd_of_triangle, svd_from_gram
+from ..linalg.tensor_lq import tensor_lq
+from ..tensor.dense import DenseTensor
+from ..tensor.ttm import ttm, ttm_flops
+from .truncation import choose_rank, error_budget_per_mode
+
+__all__ = [
+    "METHODS", "SUPPORTED_METHODS", "ModeLoop", "dense_input", "open_loop",
+    "resolve_truncation", "pick_rank", "solve_mode", "truncate_mode",
+    "truncated_loop", "factors_then_core", "hooi_sweeps",
+]
+
+# "qr" and "gram" are the paper's two algorithms; "gram-mixed" (float64
+# accumulation of a float32 Gram) and "randomized" (HMT sketch; requires
+# explicit ranks) implement the future-work extensions of its Sec. 5.
+METHODS = ("qr", "gram", "gram-mixed", "randomized")
+
+# Which solvers each tensor kind has.  Distributed comes first here and
+# in every dispatch below: the static verifier takes the first arm of a
+# branch it cannot decide, and that must be the one that communicates.
+SUPPORTED_METHODS = (
+    (DistributedTensor, ("qr", "gram")),
+    (OutOfCoreTensor, ("qr", "gram")),
+    (DenseTensor, METHODS),
+)
+
+
+@dataclass
+class ModeLoop:
+    """What one run carries from mode to mode.
+
+    ``method`` plus the solver options (``backend`` .. ``workdir``) pick
+    and tune the per-mode solver.  ``ranks``/``budget`` are the checked
+    truncation rule: fixed ranks, or the per-mode error ``budget``
+    taken from ``norm_sq``, the squared norm of the original input (a
+    checkpoint stores this very number); ``norm_x`` is its square root.
+    ``factors``/``sigmas``/``recoveries`` fill in as modes complete;
+    ``counter``/``timer`` are the run's flop and phase breakdown;
+    ``progress`` receives one event per completed mode.
+    """
+
+    method: str
+    ranks: tuple[int, ...] | None = None
+    budget: float | None = None
+    norm_sq: float = 0.0
+    norm_x: float = 0.0
+    backend: str = "lapack"
+    svd_options: dict | None = None
+    svd_strategy: str = "replicated"
+    max_elements: int = DEFAULT_CHUNK_ELEMENTS
+    workdir: str | None = None
+    progress: Callable[[dict], None] | None = None
+    factors: list = field(default_factory=list)
+    sigmas: dict = field(default_factory=dict)
+    recoveries: list = field(default_factory=list)
+    counter: FlopCounter = field(default_factory=FlopCounter)
+    timer: PhaseTimer = field(default_factory=PhaseTimer)
+
+
+def dense_input(tensor, precision=None) -> DenseTensor:
+    """``tensor`` as a ``DenseTensor`` in the working precision."""
+    if not isinstance(tensor, DenseTensor):
+        tensor = DenseTensor(tensor)
+    return tensor if precision is None else tensor.astype(precision)
+
+
+def _shape(work) -> tuple[int, ...]:
+    if isinstance(work, DistributedTensor):
+        return work.global_shape
+    return work.shape
+
+
+def resolve_truncation(
+    shape: Sequence[int], tol: float | None, ranks: Sequence[int] | None
+) -> tuple[int, ...] | None:
+    """Validate a run's rank rule; returns ``ranks`` as a checked tuple.
+
+    Exactly one of ``tol``/``ranks`` may be given (neither means no
+    truncation), and fixed ranks need one entry per mode, each within
+    ``1..I_n``.
+    """
+    if tol is not None and ranks is not None:
+        raise ConfigurationError("pass either tol or ranks, not both")
+    if ranks is None:
+        return None
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != len(shape):
+        raise ConfigurationError(f"need {len(shape)} ranks, got {len(ranks)}")
+    for n, (r, i) in enumerate(zip(ranks, shape)):
+        if not 1 <= r <= i:
+            raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
+    return ranks
+
+
+def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
+              **options) -> ModeLoop:
+    """Check ``method`` and the rank rule against ``work``; open its loop.
+
+    The input norm is measured here (collective on a distributed
+    tensor) unless ``norm_sq`` hands it in: a resumed run's ``work`` is
+    already truncated, and its budget must come from the number the
+    interrupted run used.
+    """
+    kind, allowed = next(
+        (k, m) for k, m in SUPPORTED_METHODS if isinstance(work, k))
+    if method not in allowed:
+        raise ConfigurationError(
+            f"{kind.__name__} drivers support methods {allowed}, got {method!r}"
+        )
+    if method == "randomized" and ranks is None:
+        raise ConfigurationError(
+            "method='randomized' sketches to a target rank: pass ranks="
+        )
+    shape = _shape(work)
+    loop = ModeLoop(method=method, ranks=resolve_truncation(shape, tol, ranks),
+                    factors=[None] * len(shape), **options)
+    if norm_sq is None and kind is DenseTensor:
+        loop.norm_x = work.norm()
+        loop.norm_sq = loop.norm_x * loop.norm_x
+    else:
+        loop.norm_sq = work.norm_squared() if norm_sq is None else norm_sq
+        loop.norm_x = float(np.sqrt(loop.norm_sq))
+    if tol is not None:
+        loop.budget = error_budget_per_mode(loop.norm_sq, tol, len(shape))
+    return loop
+
+
+def pick_rank(loop: ModeLoop, sigma: np.ndarray, n: int) -> int:
+    """Rank kept for mode ``n`` given its singular values.
+
+    With a tolerance, the smallest rank whose discarded tail fits the
+    per-mode budget; with fixed ranks, ``ranks[n]``; with neither,
+    everything.
+    """
+    if loop.budget is not None:
+        return choose_rank(sigma, loop.budget)
+    if loop.ranks is not None:
+        return loop.ranks[n]
+    return len(sigma)
+
+
+def _comm_mark():
+    """Position in this thread's span buffer, or None without a tracer."""
+    tracer = current_tracer()
+    return None if tracer is None else tracer.local_mark()
+
+
+def _attribute_comm(timer: PhaseTimer, mark, phase: str, n: int) -> None:
+    """Move the comm time measured since ``mark`` into the Comm row.
+
+    The span tracer knows exactly how long this thread spent inside
+    communicator operations; that time comes out of the kernel's bucket.
+    """
+    if mark is not None:
+        seconds = current_tracer().local_phase_seconds(PHASE_COMM, since=mark)
+        timer.attribute_comm(seconds, phase, n)
+
+
+def _triangle_svd(L, svd_options, counter, n):
+    solver = (svd_options or {}).get("triangle_solver", "lapack")
+    if solver == "jacobi":
+        from ..linalg.jacobi import jacobi_left_svd
+
+        return jacobi_left_svd(L, counter=counter, mode=n)
+    if solver != "lapack":
+        raise ConfigurationError(
+            f"triangle_solver must be 'lapack' or 'jacobi', got {solver!r}"
+        )
+    return left_svd_of_triangle(L, counter=counter, mode=n)
+
+
+def solve_mode(
+    loop: ModeLoop, work, n: int, label: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and values of ``work``'s mode-``n`` unfolding.
+
+    The reduction (LQ or Gram) and the small decomposition (SVD or EVD)
+    are timed as separate phases — the paper's breakdown — except on a
+    distributed tensor, where one LQ/Gram block covers the guarded
+    solve (:func:`~repro.faults.guards.guarded_mode_svd`, collective)
+    and its measured comm time moves to the Comm row.  Escalations the
+    guard took are appended to ``loop.recoveries`` under ``label``.
+    """
+    method, counter, timer = loop.method, loop.counter, loop.timer
+    if isinstance(work, DistributedTensor):
+        phase = PHASE_LQ if method == "qr" else PHASE_GRAM
+        mark = _comm_mark()
+        with timer.phase(phase, n):
+            U, sigma, recovered = guarded_mode_svd(
+                work, n, method=method, backend=loop.backend,
+                svd_strategy=loop.svd_strategy, counter=counter,
+            )
+        _attribute_comm(timer, mark, phase, n)
+        loop.recoveries.extend(f"{label}mode{n}:{action}" for action in recovered)
+        return U, sigma
+    if method == "randomized":
+        from ..linalg.randomized import tensor_randomized_svd
+
+        opts = dict(loop.svd_options or {})
+        opts.setdefault("rng", n)
+        with timer.phase(PHASE_SVD, n):
+            return tensor_randomized_svd(
+                work, n, loop.ranks[n], counter=counter, **opts)
+    # Looked up at call time: outofcore.py imports this module.
+    from . import outofcore
+
+    streamed = isinstance(work, OutOfCoreTensor)
+    if method == "qr":
+        with timer.phase(PHASE_LQ, n):
+            if streamed:
+                L = outofcore.ooc_tensor_lq(
+                    work, n, max_elements=loop.max_elements, counter=counter)
+            else:
+                L = tensor_lq(work, n, backend=loop.backend, counter=counter)
+        with timer.phase(PHASE_SVD, n):
+            return _triangle_svd(L, loop.svd_options, counter, n)
+    with timer.phase(PHASE_GRAM, n):
+        if streamed:
+            G = outofcore.ooc_tensor_gram(
+                work, n, max_elements=loop.max_elements, counter=counter)
+        else:
+            accumulate = "double" if method == "gram-mixed" else None
+            G = tensor_gram(work, n, counter=counter, accumulate=accumulate)
+    with timer.phase(PHASE_EVD, n):
+        return svd_from_gram(G, counter=counter, mode=n)
+
+
+def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
+    """``work x_n U^T``: mode ``n`` shrinks to ``U.shape[1]``.
+
+    Dense tensors use :func:`~repro.tensor.ttm.ttm`; out-of-core ones
+    stream to ``<loop.workdir>/mode<n>.bin``; distributed ones use the
+    collective :func:`~repro.dist.ttm.par_ttm_truncate`, whose measured
+    comm time moves to the Comm row.
+    """
+    counter, timer = loop.counter, loop.timer
+    if isinstance(work, DistributedTensor):
+        mark = _comm_mark()
+        with timer.phase(PHASE_TTM, n):
+            out = par_ttm_truncate(work, U, n, counter=counter)
+        _attribute_comm(timer, mark, PHASE_TTM, n)
+        return out
+    with timer.phase(PHASE_TTM, n):
+        counter.add(ttm_flops(work.shape, n, U.shape[1]), phase=PHASE_TTM, mode=n)
+        if isinstance(work, OutOfCoreTensor):
+            return work.ttm_truncate_to_file(
+                U, n, os.path.join(loop.workdir, f"mode{n}.bin"),
+                max_elements=loop.max_elements,
+            )
+        return ttm(work, U, n, transpose=True)
+
+
+def _factor(loop: ModeLoop, work, n: int, label: str = "") -> np.ndarray:
+    """Solve mode ``n``, record its sigmas, keep the picked leading columns."""
+    U, sigma = solve_mode(loop, work, n, label)
+    loop.sigmas[n] = sigma
+    loop.factors[n] = np.ascontiguousarray(U[:, : pick_rank(loop, sigma, n)])
+    return loop.factors[n]
+
+
+def _report(loop: ModeLoop, began: float, mode_began: float, n: int, ranks,
+            step: int, total_steps: int, **extra) -> None:
+    """The one progress event every driver with ``progress=`` emits."""
+    if loop.progress is None:
+        return
+    now = time.perf_counter()
+    loop.progress({
+        "step": step,
+        "total_steps": total_steps,
+        **extra,
+        "mode": n,
+        "rank": int(loop.factors[n].shape[1]),
+        "ranks": tuple(ranks),
+        "seconds": now - mode_began,
+        "elapsed": now - began,
+    })
+
+
+def truncated_loop(loop: ModeLoop, work, order: Sequence[int], *,
+                   start: int = 0, after_mode=None):
+    """Sequentially-truncated shape (ST-HOSVD, Alg. 1); returns the core.
+
+    For each mode of ``order`` from step ``start``: solve, pick the
+    rank, truncate, move on with the shrunk tensor.  ``after_mode(step,
+    work)`` runs after each completed step (1-based) with the tensor
+    that step produced — the drivers' scratch rotation and checkpoints.
+    """
+    began = time.perf_counter()
+    for step, n in enumerate(order):
+        if step < start:
+            continue
+        mode_began = time.perf_counter()
+        with trace_span("sthosvd.mode", mode=n, step=step):
+            U_n = _factor(loop, work, n)
+            work = truncate_mode(loop, work, U_n, n)
+            if after_mode is not None:
+                after_mode(step + 1, work)
+        _report(loop, began, mode_began, n, _shape(work), step + 1, len(order))
+    return work
+
+
+def factors_then_core(loop: ModeLoop, tensor):
+    """All-factors-then-core shape (classic HOSVD); returns the core.
+
+    Every factor comes from the original ``tensor``; the core is the
+    chain of truncations at the end.
+    """
+    modes = range(len(loop.factors))
+    for n in modes:
+        _factor(loop, tensor, n)
+    core = tensor
+    for n in modes:
+        core = truncate_mode(loop, core, loop.factors[n], n)
+    return core
+
+
+def hooi_sweeps(loop: ModeLoop, tensor, fits: list, *,
+                max_iters: int, fit_tol: float, after_sweep=None):
+    """HOOI sweeps until the fit stalls; returns ``(core, converged)``.
+
+    Each sweep refreshes every factor from ``tensor`` contracted with
+    all the *other* current factors (``loop.factors``, fixed
+    ``loop.ranks``); the last mode's contraction yields the core.  The
+    fit ``||core|| / loop.norm_x`` is appended to ``fits`` — sweeps resume at
+    ``len(fits)`` — and ``after_sweep(sweeps_done)`` runs before the
+    convergence test, so a checkpoint taken there replays it exactly.
+    """
+    began = time.perf_counter()
+    ndim = len(loop.factors)
+    core = None
+    for iteration in range(len(fits), max_iters):
+        for n in range(ndim):
+            mode_began = time.perf_counter()
+            with trace_span("hooi.mode", mode=n, iteration=iteration):
+                partial = tensor
+                for k in range(ndim):
+                    if k != n:
+                        partial = truncate_mode(loop, partial, loop.factors[k], k)
+                _factor(loop, partial, n, f"iter{iteration}:")
+                # The last mode's contraction gives the core for free.
+                if n == ndim - 1:
+                    core = truncate_mode(loop, partial, loop.factors[n], n)
+            _report(loop, began, mode_began, n, loop.ranks,
+                    iteration * ndim + n + 1, max_iters * ndim,
+                    iteration=iteration)
+        fits.append(float(core.norm() / loop.norm_x if loop.norm_x > 0 else 1.0))
+        if after_sweep is not None:
+            after_sweep(iteration + 1)
+        if iteration > 0 and abs(fits[-1] - fits[-2]) < fit_tol:
+            return core, True
+    return core, False

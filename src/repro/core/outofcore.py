@@ -23,18 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer, PHASE_GRAM, PHASE_LQ, PHASE_SVD, PHASE_EVD, PHASE_TTM
+from ..instrument import FlopCounter, PHASE_GRAM
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
 from ..linalg.flops import gram_flops
-from ..linalg.gram import gram_matrix
 from ..linalg.qr import flat_tree_lq
-from ..linalg.svd import left_svd_of_triangle, svd_from_gram
-from ..tensor.ttm import ttm_flops
+from .checkpoint import _fingerprint, clear_checkpoint, load_checkpoint, save_checkpoint
+from .modeloop import open_loop, truncated_loop
 from .ordering import resolve_mode_order
 from .sthosvd import SthosvdResult
-from .truncation import choose_rank, error_budget_per_mode
-from .tucker import TuckerTensor
 
 __all__ = ["ooc_tensor_gram", "ooc_tensor_lq", "sthosvd_out_of_core"]
 
@@ -107,133 +103,58 @@ def sthosvd_out_of_core(
     mode.  The checkpoint is cleared on successful completion.
 
     ``progress``, if given, is called after each completed mode with a
-    dict ``{step, total_steps, mode, rank, seconds}`` — multi-terabyte
-    compressions take hours per mode and deserve a heartbeat.
+    dict ``{step, total_steps, mode, rank, ranks, seconds, elapsed}``
+    (``seconds`` for this mode, ``elapsed`` since the run started) —
+    multi-terabyte compressions take hours per mode and deserve a
+    heartbeat.
     """
-    if method not in ("qr", "gram"):
-        raise ConfigurationError(
-            f"out-of-core driver supports methods ('qr', 'gram'), got {method!r}"
-        )
-    if tol is not None and ranks is not None:
-        raise ConfigurationError("pass either tol or ranks, not both")
     ooc = OutOfCoreTensor(path, shape, dtype, work_dtype=precision)
-    ndim = ooc.ndim
-    order = resolve_mode_order(mode_order, ndim)
-    if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != ndim:
-            raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-        for n, (r, i) in enumerate(zip(ranks, ooc.shape)):
-            if not 1 <= r <= i:
-                raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-    norm_sq = ooc.norm_squared()
-    norm_x = float(np.sqrt(norm_sq))
-    budget = error_budget_per_mode(norm_sq, tol, ndim) if tol is not None else None
-
-    fingerprint = None
-    resume = None
+    order = resolve_mode_order(mode_order, ooc.ndim)
+    resume = fingerprint = None
     if checkpoint_dir is not None:
-        from .checkpoint import load_checkpoint, _fingerprint
-
         fingerprint = _fingerprint(ooc.shape, ooc.dtype, tol, ranks, method, order)
         resume = load_checkpoint(checkpoint_dir, fingerprint)
+    # A resumed run budgets from the very number the interrupted one used.
+    loop = open_loop(
+        ooc, method=method, tol=tol, ranks=ranks, max_elements=max_elements,
+        norm_sq=None if resume is None else resume.norm_sq, progress=progress,
+    )
+    current, start = ooc, 0
+    if resume is not None:
+        current, start = resume.current, resume.completed_steps
+        for mode, U in resume.factors.items():
+            loop.factors[mode] = U
+        loop.sigmas.update(resume.sigmas)
+
+    scratch: list[str] = []
+
+    def after_mode(step: int, current: OutOfCoreTensor) -> None:
+        # The previous scratch file is no longer needed.
+        while scratch:
+            os.unlink(scratch.pop())
+        scratch.append(current.path)
+        if checkpoint_dir is not None:
+            done = {m: U for m, U in enumerate(loop.factors) if U is not None}
+            save_checkpoint(
+                checkpoint_dir,
+                step=step,
+                factors=done,
+                sigmas=loop.sigmas,
+                ranks_chosen={m: U.shape[1] for m, U in done.items()},
+                current=current,
+                norm_sq=loop.norm_sq,
+                fingerprint=fingerprint,
+            )
 
     own_workdir = workdir is None
-    if own_workdir:
-        workdir = tempfile.mkdtemp(prefix="repro-ooc-")
+    loop.workdir = tempfile.mkdtemp(prefix="repro-ooc-") if own_workdir else workdir
     try:
-        current = ooc
-        scratch: list[str] = []
-        factors: list = [None] * ndim
-        sigmas: dict[int, np.ndarray] = {}
-        skip_steps = 0
-        if resume is not None:
-            skip_steps = resume.completed_steps
-            for mode, U in resume.factors.items():
-                factors[mode] = U
-            sigmas.update(resume.sigmas)
-            current = resume.current
-            norm_sq = resume.norm_sq
-            norm_x = float(np.sqrt(norm_sq))
-            budget = (
-                error_budget_per_mode(norm_sq, tol, ndim) if tol is not None else None
-            )
-        for step, n in enumerate(order):
-            if step < skip_steps:
-                continue
-            if method == "qr":
-                with timer.phase(PHASE_LQ, n):
-                    L = ooc_tensor_lq(current, n, max_elements=max_elements,
-                                      counter=counter)
-                with timer.phase(PHASE_SVD, n):
-                    U, sigma = left_svd_of_triangle(L, counter=counter, mode=n)
-            else:
-                with timer.phase(PHASE_GRAM, n):
-                    G = ooc_tensor_gram(current, n, max_elements=max_elements,
-                                        counter=counter)
-                with timer.phase(PHASE_EVD, n):
-                    U, sigma = svd_from_gram(G, counter=counter, mode=n)
-            sigmas[n] = sigma
-            if budget is not None:
-                r = choose_rank(sigma, budget)
-            elif ranks is not None:
-                r = ranks[n]
-            else:
-                r = min(current.shape[n], U.shape[1])
-            U_n = np.ascontiguousarray(U[:, :r])
-            factors[n] = U_n
-            out_path = os.path.join(workdir, f"step{step}.bin")
-            with timer.phase(PHASE_TTM, n):
-                counter.add(ttm_flops(current.shape, n, r), phase=PHASE_TTM, mode=n)
-                current = current.ttm_truncate_to_file(
-                    U_n, n, out_path, max_elements=max_elements
-                )
-            # Previous scratch file is no longer needed.
-            while scratch:
-                os.unlink(scratch.pop())
-            scratch.append(out_path)
-            if progress is not None:
-                progress({
-                    "step": step + 1,
-                    "total_steps": ndim,
-                    "mode": n,
-                    "rank": r,
-                    "seconds": timer.total,
-                })
-            if checkpoint_dir is not None:
-                from .checkpoint import save_checkpoint
-
-                save_checkpoint(
-                    checkpoint_dir,
-                    step=step + 1,
-                    factors={m: U for m, U in enumerate(factors) if U is not None},
-                    sigmas=sigmas,
-                    ranks_chosen={m: U.shape[1] for m, U in enumerate(factors)
-                                  if U is not None},
-                    current=current,
-                    norm_sq=norm_x * norm_x,
-                    fingerprint=fingerprint,
-                )
-
+        current = truncated_loop(loop, current, order, start=start,
+                                 after_mode=after_mode)
         core = current.to_dense()
         if checkpoint_dir is not None:
-            from .checkpoint import clear_checkpoint
-
             clear_checkpoint(checkpoint_dir)
     finally:
         if own_workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    return SthosvdResult(
-        tucker=TuckerTensor(core=core, factors=tuple(factors)),
-        sigmas=sigmas,
-        mode_order=order,
-        method=method,
-        precision=core.precision,
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-    )
+            shutil.rmtree(loop.workdir, ignore_errors=True)
+    return SthosvdResult._from_loop(loop, core, order)

@@ -63,10 +63,7 @@ def recompress(
     """
     if ranks is not None:
         ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != tucker.ndim:
-            raise ConfigurationError(
-                f"need {tucker.ndim} ranks, got {len(ranks)}"
-            )
+        # The rank count and range are sthosvd's to check.
         for n, (r, cur) in enumerate(zip(ranks, tucker.ranks)):
             if r > cur:
                 raise ConfigurationError(

@@ -15,24 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer, PHASE_SVD, PHASE_EVD, PHASE_TTM, PHASE_LQ, PHASE_GRAM
-from ..precision import Precision, resolve_precision
+from ..instrument import FlopCounter, PhaseTimer
+from ..precision import Precision
 from ..tensor.dense import DenseTensor
-from ..tensor.ttm import ttm, ttm_flops
-from ..linalg.gram import tensor_gram
-from ..linalg.svd import left_svd_of_triangle, svd_from_gram
-from ..linalg.tensor_lq import tensor_lq
+from .modeloop import METHODS, ModeLoop, dense_input, open_loop, truncated_loop
 from .ordering import resolve_mode_order
-from .truncation import choose_rank, error_budget_per_mode
+from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
 
 __all__ = ["SthosvdResult", "sthosvd", "METHODS"]
-
-# "qr" and "gram" are the paper's two algorithms; "gram-mixed" (float64
-# accumulation of a float32 Gram) and "randomized" (HMT sketch; requires
-# explicit ranks) implement the future-work extensions of its Sec. 5.
-METHODS = ("qr", "gram", "gram-mixed", "randomized")
 
 
 @dataclass
@@ -77,47 +68,20 @@ class SthosvdResult:
         The squared truncation errors of the modes are orthogonal, so
         their sum bounds the squared approximation error [28].
         """
-        if self.norm_x == 0:
-            return 0.0
-        total = 0.0
-        for n, sigma in self.sigmas.items():
-            r = self.tucker.ranks[n]
-            tail = np.asarray(sigma[r:], dtype=np.float64)
-            total += float(np.sum(tail * tail))
-        return float(np.sqrt(total) / self.norm_x)
+        return truncation_rel_error(self.sigmas, self.tucker.ranks, self.norm_x)
 
-
-def _mode_svd(method, tensor, n, backend, counter, timer, rank_hint=None, svd_options=None):
-    """Per-mode SVD with the reduction and small-decomposition phases
-    timed separately (the paper's LQ/Gram vs SVD/EVD breakdown)."""
-    if method == "qr":
-        with timer.phase(PHASE_LQ, n):
-            L = tensor_lq(tensor, n, backend=backend, counter=counter)
-        solver = (svd_options or {}).get("triangle_solver", "lapack")
-        with timer.phase(PHASE_SVD, n):
-            if solver == "jacobi":
-                from ..linalg.jacobi import jacobi_left_svd
-
-                return jacobi_left_svd(L, counter=counter, mode=n)
-            if solver != "lapack":
-                raise ConfigurationError(
-                    f"triangle_solver must be 'lapack' or 'jacobi', got {solver!r}"
-                )
-            return left_svd_of_triangle(L, counter=counter, mode=n)
-    if method == "randomized":
-        from ..linalg.randomized import tensor_randomized_svd
-
-        opts = dict(svd_options or {})
-        opts.setdefault("rng", n)
-        with timer.phase(PHASE_SVD, n):
-            return tensor_randomized_svd(
-                tensor, n, rank_hint, counter=counter, **opts
-            )
-    accumulate = "double" if method == "gram-mixed" else None
-    with timer.phase(PHASE_GRAM, n):
-        G = tensor_gram(tensor, n, counter=counter, accumulate=accumulate)
-    with timer.phase(PHASE_EVD, n):
-        return svd_from_gram(G, counter=counter, mode=n)
+    @classmethod
+    def _from_loop(cls, loop: ModeLoop, core: DenseTensor, order):
+        return cls(
+            tucker=TuckerTensor(core=core, factors=tuple(loop.factors)),
+            sigmas=loop.sigmas,
+            mode_order=tuple(order),
+            method=loop.method,
+            precision=core.precision,
+            norm_x=loop.norm_x,
+            flops=loop.counter,
+            timer=loop.timer,
+        )
 
 
 def sthosvd(
@@ -164,67 +128,9 @@ def sthosvd(
     -------
     SthosvdResult
     """
-    if method not in METHODS:
-        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
-    if tol is not None and ranks is not None:
-        raise ConfigurationError("pass either tol or ranks, not both")
-    if method == "randomized" and ranks is None:
-        raise ConfigurationError(
-            "method='randomized' sketches to a target rank: pass ranks="
-        )
-    if not isinstance(tensor, DenseTensor):
-        tensor = DenseTensor(tensor)
-    if precision is not None:
-        prec = resolve_precision(precision)
-        if tensor.dtype != prec.dtype:
-            tensor = tensor.astype(prec.dtype)
-    prec = tensor.precision
-    ndim = tensor.ndim
-    order = resolve_mode_order(mode_order, ndim)
-    if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != ndim:
-            raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-        for n, (r, i) in enumerate(zip(ranks, tensor.shape)):
-            if not 1 <= r <= i:
-                raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
-    norm_x = tensor.norm()
-    budget = (
-        error_budget_per_mode(norm_x * norm_x, tol, ndim) if tol is not None else None
-    )
-
-    current = tensor
-    factors: list = [None] * ndim
-    sigmas: dict[int, np.ndarray] = {}
-    for n in order:
-        rank_hint = ranks[n] if ranks is not None else None
-        U, sigma = _mode_svd(
-            method, current, n, backend, counter, timer,
-            rank_hint=rank_hint, svd_options=svd_options,
-        )
-        sigmas[n] = sigma
-        if budget is not None:
-            r = choose_rank(sigma, budget)
-        elif ranks is not None:
-            r = ranks[n]
-        else:
-            r = min(current.shape[n], U.shape[1])
-        U_n = np.ascontiguousarray(U[:, :r])
-        factors[n] = U_n
-        with timer.phase(PHASE_TTM, n):
-            counter.add(ttm_flops(current.shape, n, r), phase=PHASE_TTM, mode=n)
-            current = ttm(current, U_n, n, transpose=True)
-
-    return SthosvdResult(
-        tucker=TuckerTensor(core=current, factors=tuple(factors)),
-        sigmas=sigmas,
-        mode_order=order,
-        method=method,
-        precision=prec,
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-    )
+    tensor = dense_input(tensor, precision)
+    order = resolve_mode_order(mode_order, tensor.ndim)
+    loop = open_loop(tensor, method=method, tol=tol, ranks=ranks,
+                     backend=backend, svd_options=svd_options)
+    core = truncated_loop(loop, tensor, order)
+    return SthosvdResult._from_loop(loop, core, order)

@@ -18,31 +18,17 @@ Run it from an SPMD function launched with :func:`repro.mpi.run_spmd`:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..instrument import (
-    FlopCounter,
-    PhaseTimer,
-    PHASE_SVD,
-    PHASE_EVD,
-    PHASE_TTM,
-    PHASE_LQ,
-    PHASE_GRAM,
-    PHASE_COMM,
-)
-from ..obs.tracer import current_tracer, trace_span
+from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..dist.dtensor import DistributedTensor
-from ..dist.ttm import par_ttm_truncate
-from ..faults.guards import guarded_mode_svd
+from .modeloop import ModeLoop, open_loop, truncated_loop
 from .ordering import resolve_mode_order
-from .sthosvd import METHODS
-from .truncation import choose_rank, error_budget_per_mode
+from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
 
 __all__ = ["ParallelSthosvdResult", "sthosvd_parallel"]
@@ -74,14 +60,22 @@ class ParallelSthosvdResult:
 
     def estimated_rel_error(self) -> float:
         """Truncation-based error estimate (see sequential counterpart)."""
-        if self.norm_x == 0:
-            return 0.0
-        total = 0.0
-        for n, sigma in self.sigmas.items():
-            r = self.ranks[n]
-            tail = np.asarray(sigma[r:], dtype=np.float64)
-            total += float(np.sum(tail * tail))
-        return float(np.sqrt(total) / self.norm_x)
+        return truncation_rel_error(self.sigmas, self.ranks, self.norm_x)
+
+    @classmethod
+    def _from_loop(cls, loop: ModeLoop, core: DistributedTensor, order):
+        return cls(
+            core=core,
+            factors=tuple(loop.factors),
+            sigmas=loop.sigmas,
+            mode_order=tuple(order),
+            method=loop.method,
+            precision=resolve_precision(core.dtype),
+            norm_x=loop.norm_x,
+            flops=loop.counter,
+            timer=loop.timer,
+            numeric_recoveries=loop.recoveries,
+        )
 
     def compression_ratio(self) -> float:
         """Original element count over stored parameters (global)."""
@@ -121,8 +115,9 @@ def sthosvd_parallel(
     factors).
 
     ``progress`` is called on rank 0 only, once per completed mode,
-    with ``{"step", "total_steps", "mode", "ranks", "seconds"}`` —
-    the same event shape the out-of-core driver emits.
+    with ``{"step", "total_steps", "mode", "rank", "ranks", "seconds",
+    "elapsed"}`` (``seconds`` for this mode, ``elapsed`` since the run
+    started) — the same event shape the out-of-core driver emits.
 
     ``checkpoint`` is an optional
     :class:`~repro.faults.DistributedCheckpoint`: the partially
@@ -135,115 +130,37 @@ def sthosvd_parallel(
     sthosvd_fault_tolerant` drives the full
     crash-shrink-recover-resume loop.
     """
-    if method not in ("qr", "gram"):
-        raise ConfigurationError(
-            f"parallel driver supports methods ('qr', 'gram'), got {method!r}"
-        )
-    if tol is not None and ranks is not None:
-        raise ConfigurationError("pass either tol or ranks, not both")
-    ndim = dt.ndim
-    order = resolve_mode_order(mode_order, ndim)
-    if ranks is not None:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != ndim:
-            raise ConfigurationError(f"need {ndim} ranks, got {len(ranks)}")
-        for n, (r, i) in enumerate(zip(ranks, dt.global_shape)):
-            if not 1 <= r <= i:
-                raise ConfigurationError(f"rank {r} invalid for mode {n} of size {i}")
-
-    counter = FlopCounter()
-    timer = PhaseTimer()
+    order = resolve_mode_order(mode_order, dt.ndim)
+    # On resume the original tensor's norm drives the error budget; the
+    # recovered `dt` is already truncated, so never recompute it.
+    loop = open_loop(
+        dt, method=method, tol=tol, ranks=ranks, backend=backend,
+        svd_strategy=svd_strategy,
+        norm_sq=None if resume is None else float(resume["norm_x_sq"]),
+        progress=progress if dt.comm.rank == 0 else None,
+    )
+    start = 0
     if resume is not None:
-        # The original tensor's norm drives the error budget; the
-        # recovered `dt` is already truncated, so never recompute it.
-        norm_x_sq = float(resume["norm_x_sq"])
-        start_step = int(resume["completed_steps"])
-        factors = [None if f is None else np.asarray(f) for f in resume["factors"]]
-        sigmas = {int(k): np.asarray(v) for k, v in resume["sigmas"].items()}
-        recoveries = list(resume.get("numeric_recoveries", []))
-    else:
-        norm_x_sq = dt.norm_squared()
-        start_step = 0
-        factors = [None] * ndim
-        sigmas = {}
-        recoveries = []
-    norm_x = float(np.sqrt(norm_x_sq))
-    budget = error_budget_per_mode(norm_x_sq, tol, ndim) if tol is not None else None
+        start = int(resume["completed_steps"])
+        loop.factors = [None if f is None else np.asarray(f)
+                        for f in resume["factors"]]
+        loop.sigmas = {int(k): np.asarray(v) for k, v in resume["sigmas"].items()}
+        loop.recoveries = list(resume.get("numeric_recoveries", []))
 
-    def ckpt_meta(completed: int) -> dict:
-        return {
+    def save_step(completed: int, current: DistributedTensor) -> None:
+        checkpoint.save(current, completed, meta={
             "completed_steps": completed,
-            "factors": list(factors),
-            "sigmas": dict(sigmas),
-            "norm_x_sq": norm_x_sq,
-            "numeric_recoveries": list(recoveries),
-        }
+            "factors": list(loop.factors),
+            "sigmas": dict(loop.sigmas),
+            "norm_x_sq": loop.norm_sq,
+            "numeric_recoveries": list(loop.recoveries),
+        })
 
-    tracer = current_tracer()
-    current = dt
     if checkpoint is not None:
         # Entry save doubles as the post-recovery re-replication: on a
         # fresh epoch every surviving rank re-seeds its buddy, so a
         # *second* failure still finds a complete step.
-        checkpoint.save(current, start_step, meta=ckpt_meta(start_step))
-    for step, n in enumerate(order):
-        if step < start_step:
-            continue
-        mode_start = time.perf_counter()
-        with trace_span("sthosvd.mode", mode=n, step=step):
-            svd_phase = PHASE_LQ if method == "qr" else PHASE_GRAM
-            mark = tracer.local_mark() if tracer is not None else 0
-            with timer.phase(svd_phase, n):
-                U, sigma, recovered = guarded_mode_svd(
-                    current, n, method=method, backend=backend,
-                    svd_strategy=svd_strategy, counter=counter,
-                )
-            recoveries.extend(f"mode{n}:{action}" for action in recovered)
-            if tracer is not None:
-                # Pull the measured comm time out of the kernel bucket
-                # into the Comm row (span tracer knows exactly how long
-                # this thread spent inside communicator operations).
-                timer.attribute_comm(
-                    tracer.local_phase_seconds(PHASE_COMM, since=mark),
-                    svd_phase, n,
-                )
-            sigmas[n] = sigma
-            if budget is not None:
-                r = choose_rank(sigma, budget)
-            elif ranks is not None:
-                r = ranks[n]
-            else:
-                r = min(current.global_shape[n], U.shape[1])
-            U_n = np.ascontiguousarray(U[:, :r])
-            factors[n] = U_n
-            mark = tracer.local_mark() if tracer is not None else 0
-            with timer.phase(PHASE_TTM, n):
-                current = par_ttm_truncate(current, U_n, n, counter=counter)
-            if tracer is not None:
-                timer.attribute_comm(
-                    tracer.local_phase_seconds(PHASE_COMM, since=mark),
-                    PHASE_TTM, n,
-                )
-            if checkpoint is not None:
-                checkpoint.save(current, step + 1, meta=ckpt_meta(step + 1))
-        if progress is not None and dt.comm.rank == 0:
-            progress({
-                "step": step + 1,
-                "total_steps": ndim,
-                "mode": n,
-                "ranks": tuple(current.global_shape),
-                "seconds": time.perf_counter() - mode_start,
-            })
-
-    return ParallelSthosvdResult(
-        core=current,
-        factors=tuple(factors),
-        sigmas=sigmas,
-        mode_order=order,
-        method=method,
-        precision=resolve_precision(dt.dtype),
-        norm_x=norm_x,
-        flops=counter,
-        timer=timer,
-        numeric_recoveries=recoveries,
-    )
+        save_step(start, dt)
+    core = truncated_loop(loop, dt, order, start=start,
+                          after_mode=save_step if checkpoint is not None else None)
+    return ParallelSthosvdResult._from_loop(loop, core, order)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["error_budget_per_mode", "choose_rank", "tail_energy"]
+__all__ = ["error_budget_per_mode", "choose_rank", "tail_energy", "truncation_rel_error"]
 
 
 def error_budget_per_mode(norm_x_squared: float, tol: float, n_modes: int) -> float:
@@ -62,3 +62,20 @@ def choose_rank(sigma: np.ndarray, budget: float) -> int:
     candidates = np.nonzero(tails <= budget)[0]
     r = int(candidates[0]) if candidates.size else len(sigma)
     return max(r, 1)
+
+
+def truncation_rel_error(sigmas: dict, ranks, norm_x: float) -> float:
+    """Relative error implied by the discarded singular values.
+
+    ``sigmas[n]`` are mode ``n``'s singular values and ``ranks[n]`` the
+    rank kept.  The squared truncation errors of the modes are
+    orthogonal, so their sum bounds the squared approximation error
+    [28] — an estimate that is free at runtime.
+    """
+    if norm_x == 0:
+        return 0.0
+    total = 0.0
+    for n, sigma in sigmas.items():
+        tail = np.asarray(sigma[ranks[n]:], dtype=np.float64)
+        total += float(np.sum(tail * tail))
+    return float(np.sqrt(total) / norm_x)

@@ -65,19 +65,18 @@ def tpqrt_flops(n: int, m: int, l: int = 0) -> int:
     * triangular ``B`` (``l = m = n``): ``~(2/3) n^3`` flops, the TSQR
       tree-reduction cost.
     """
+    n, m, l = int(n), int(m), int(l)  # Python ints: no fixed-width wraparound
     if l < 0 or l > min(m, n):
         raise ValueError("pentagonal height l must satisfy 0 <= l <= min(m, n)")
-    total = 0
-    for j in range(n):
-        if l == 0:
-            rows = m
-        else:
-            # rows of B with structural nonzeros in column j: the m - l
-            # rectangular rows plus up to j+1 rows of the trapezoid.
-            rows = (m - l) + min(j + 1, l)
-        # reflector formation ~3*rows, trailing update 4*rows per column
-        total += 3 * rows + 4 * rows * (n - j - 1)
-    return int(total)
+    # Column j costs rows_j * (3 + 4 (n - j - 1)) — reflector formation
+    # plus the trailing update — where rows_j counts B's structural
+    # nonzeros in that column: the m - l rectangular rows plus
+    # min(j + 1, l) rows of the trapezoid.  Summed in closed form: the
+    # rectangular rows, the trapezoid's ramp (j < l), its plateau.
+    rect = (m - l) * n * (2 * n + 1)
+    ramp = (4 * n + 3) * l * (l + 1) // 2 - 2 * l * (l + 1) * (2 * l + 1) // 3
+    plateau = l * (n - l) * (2 * (n - l) + 1)
+    return int(rect + ramp + plateau)
 
 
 def eigh_flops(n: int) -> int:

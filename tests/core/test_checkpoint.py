@@ -60,6 +60,43 @@ class TestResume:
         assert res.ranks == mem.ranks
         assert res.tucker.rel_error(X) <= 1.2e-6
 
+    @pytest.mark.parametrize("precision", [None, "single"])
+    def test_resumed_run_is_bitwise_the_uninterrupted_one(
+            self, raw, tmp_path, monkeypatch, precision):
+        """The checkpoint stores the very norm the budget was computed
+        from (not its square root re-squared), so a resumed run picks
+        the same ranks from the same budget and lands on the same bits."""
+        from repro.data.outofcore import OutOfCoreTensor
+
+        # Scaled so that sqrt(norm_sq)**2 != norm_sq in both precisions.
+        X = raw[0].data * 1.3
+        path = str(tmp_path / "scaled.bin")
+        save_raw(X, path)
+        ck = str(tmp_path / "ckpt")
+        kwargs = dict(tol=3e-7, precision=precision, max_elements=500)
+        clean = sthosvd_out_of_core(path, X.shape, **kwargs)
+
+        _crash_after(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            sthosvd_out_of_core(path, X.shape, checkpoint_dir=ck, **kwargs)
+        monkeypatch.undo()
+
+        ooc = OutOfCoreTensor(path, X.shape, np.float64, work_dtype=precision)
+        fp = _fingerprint(X.shape, ooc.dtype, 3e-7, None, "qr", (0, 1, 2, 3))
+        state = load_checkpoint(ck, fp)
+        assert state.completed_steps == 2
+        assert np.sqrt(ooc.norm_squared()) ** 2 != ooc.norm_squared()
+        assert state.norm_sq == ooc.norm_squared()  # bit for bit
+
+        res = sthosvd_out_of_core(path, X.shape, checkpoint_dir=ck, **kwargs)
+        assert res.ranks == clean.ranks
+        assert res.norm_x == clean.norm_x
+        for n in range(X.ndim):
+            assert res.sigmas[n].tobytes() == clean.sigmas[n].tobytes()
+            assert (res.tucker.factors[n].tobytes()
+                    == clean.tucker.factors[n].tobytes())
+        assert res.tucker.core.data.tobytes() == clean.tucker.core.data.tobytes()
+
     def test_checkpoint_cleared_on_success(self, raw, tmp_path):
         X, path = raw
         ck = str(tmp_path / "ck2")

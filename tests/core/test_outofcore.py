@@ -142,5 +142,12 @@ class TestProgressCallback:
         assert [e["step"] for e in events] == list(range(1, X.ndim + 1))
         assert all(e["total_steps"] == X.ndim for e in events)
         assert [e["mode"] for e in events] == list(range(X.ndim))
-        assert all(e["rank"] >= 1 for e in events)
-        assert events[-1]["seconds"] >= events[0]["seconds"]
+        # One event shape on every driver that has progress=.
+        for e in events:
+            assert set(e) == {"step", "total_steps", "mode", "rank", "ranks",
+                              "seconds", "elapsed"}
+            assert e["rank"] >= 1 and e["rank"] == e["ranks"][e["mode"]]
+            assert 0.0 < e["seconds"] <= e["elapsed"]
+        # seconds is per mode, elapsed runs since the start.
+        assert [e["elapsed"] for e in events] == sorted(e["elapsed"] for e in events)
+        assert events[-1]["elapsed"] >= sum(e["seconds"] for e in events) - 1e-6

@@ -91,3 +91,37 @@ def test_out_of_core_driver(n, dtype, tmp_path):
     )
     assert res.tucker.core.dtype == dtype
     assert _error_in_eps(res.sigmas[n], sigma, dtype) < FLOOR_CONSTANT
+
+
+@pytest.mark.parametrize("n,dtype", CASES)
+def test_recovered_run_keeps_the_floor(n, dtype):
+    """A rank dies inside the first mode (P = 4 -> 3); the survivors
+    recover from the entry checkpoint and recompute that mode's SVD on
+    the shrunk world.  Theorem 1 must hold for what they compute."""
+    from repro.core import sthosvd_fault_tolerant
+    from repro.faults import CrashRule, FaultPlan
+
+    X, sigma, order = _problem(n, dtype)
+
+    def prog(comm):
+        res = sthosvd_fault_tolerant(
+            comm, X.data if comm.rank == 0 else None,
+            ranks=SHAPE, method="qr", mode_order=order,
+        )
+        return res.comm.size, res.events, res.result.sigmas, res.result.factors
+
+    plan = FaultPlan(seed=1, crashes=(CrashRule(rank=2, at_op=12),))
+    out = run_spmd(prog, 4, backend="threads", faults=plan, resilience=True)
+    assert out.failed_ranks == [2]
+    done = [v for v in out.values if v is not None]
+    assert len(done) == 3
+    size, events, sigmas0, factors0 = done[0]
+    assert size == 3
+    (kind, detail), = events
+    assert kind == "rank_failure" and detail["resumed_step"] == 0
+    assert sigmas0[n].dtype == dtype
+    assert _error_in_eps(sigmas0[n], sigma, dtype) < FLOOR_CONSTANT
+    for _, _, sigmas, factors in done[1:]:
+        for m in range(len(SHAPE)):
+            assert sigmas[m].tobytes() == sigmas0[m].tobytes()
+            assert factors[m].tobytes() == factors0[m].tobytes()

@@ -120,6 +120,46 @@ class TestNumericDegradation:
         assert tracer.metrics.counter("ft.numeric_recoveries").value > 0
         assert any(s.name == "ft.numeric_recovery" for s in tracer.spans)
 
+    def test_hosvd_parallel_escalates_like_the_other_drivers(self):
+        """A NaN injected into one gesvd call must trip the same guard
+        in ``hosvd_parallel`` (it used to call the kernels unguarded and
+        return poisoned factors), with the Comm row attributed."""
+        from repro.core import hosvd_parallel
+        from repro.dist import DistributedTensor, GridComms, ProcessorGrid
+        from repro.instrument import PHASE_COMM
+
+        def prog(comm):
+            comms = GridComms(
+                comm, ProcessorGrid.for_size(comm.size, len(SHAPE)))
+            dt = DistributedTensor.from_full(comms, FULL)
+            res = hosvd_parallel(dt, ranks=RANKS, method="qr")
+            return {
+                "finite": all(bool(np.isfinite(U).all()) for U in res.factors),
+                "factors": res.factors,
+                "numeric": res.numeric_recoveries,
+                "comm_s": res.timer.by_phase.get(PHASE_COMM, 0.0),
+            }
+
+        tracer = Tracer()
+        plan = FaultPlan(seed=0, kernels=(
+            KernelFaultRule("gesvd", 1, kind="nan"),
+        ))
+        base = run_spmd(prog, 4)
+        res = run_spmd(prog, 4, faults=plan, tracer=tracer)
+        assert res.failed_ranks == []
+        for got, want in zip(res.values, base.values):
+            assert got["finite"]
+            assert got["numeric"] == ["mode1:qr->jacobi"]
+            assert got["comm_s"] > 0.0
+            # Untouched modes are the same bits; the repaired one is the
+            # same subspace from a different triangle solver.
+            for n in (0, 2):
+                assert got["factors"][n].tobytes() == want["factors"][n].tobytes()
+            proj = got["factors"][1] @ got["factors"][1].T
+            ref = want["factors"][1] @ want["factors"][1].T
+            np.testing.assert_allclose(proj, ref, atol=1e-8)
+        assert tracer.metrics.counter("ft.numeric_recoveries").value > 0
+
     def test_persistent_nan_exhausts_ladder(self):
         from repro.dist import DistributedTensor, GridComms
         from repro.dist.grid import ProcessorGrid

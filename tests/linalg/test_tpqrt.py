@@ -223,3 +223,38 @@ class TestLapackKernel:
         np.testing.assert_array_equal(np.tril(out, -1), 0)
         ref = np.linalg.qr(np.vstack([np.triu(R1), np.triu(R2)]))[1]
         np.testing.assert_allclose(_gram(out), _gram(ref), atol=1e-10)
+
+
+def _tpqrt_flops_by_column(n: int, m: int, l: int) -> int:
+    """The per-column sum ``tpqrt_flops`` states in closed form."""
+    total = 0
+    for j in range(n):
+        rows = m if l == 0 else (m - l) + min(j + 1, l)
+        # reflector formation ~3*rows, trailing update 4*rows per column
+        total += 3 * rows + 4 * rows * (n - j - 1)
+    return total
+
+
+class TestFlopFormula:
+    def test_closed_form_equals_the_column_sum(self):
+        sizes = [0, 1, 2, 3, 5, 8, 16, 33, 64, 257]
+        checked = 0
+        for n in sizes:
+            for m in sizes:
+                top = min(m, n)
+                for l in sorted({0, 1, top // 2, top - 1, top} & set(range(top + 1))):
+                    got = tpqrt_flops(n, m, l)
+                    assert isinstance(got, int)
+                    assert got == _tpqrt_flops_by_column(n, m, l), (n, m, l)
+                    checked += 1
+        assert checked > 300
+
+    def test_numpy_integers_and_big_shapes_stay_exact(self):
+        n, m = np.int32(2048), np.int32(70000)
+        assert tpqrt_flops(n, m, 0) == _tpqrt_flops_by_column(2048, 70000, 0)
+        assert tpqrt_flops(n, n, n) == _tpqrt_flops_by_column(2048, 2048, 2048)
+
+    @pytest.mark.parametrize("l", [-1, 4])
+    def test_pentagon_height_is_checked(self, l):
+        with pytest.raises(ValueError):
+            tpqrt_flops(3, 5, l)

@@ -114,11 +114,12 @@ class TestSthosvdTrace:
         for r in range(1, P):
             assert by_rank[r]["events"] == []
         for i, ev in enumerate(events):
-            assert set(ev) == {"step", "total_steps", "mode", "ranks",
-                               "seconds"}
+            assert set(ev) == {"step", "total_steps", "mode", "rank",
+                               "ranks", "seconds", "elapsed"}
             assert ev["step"] == i + 1
             assert ev["total_steps"] == 3
-            assert ev["seconds"] > 0.0
+            assert ev["rank"] == ev["ranks"][ev["mode"]]
+            assert 0.0 < ev["seconds"] <= ev["elapsed"]
         assert [ev["mode"] for ev in events] == [0, 1, 2]
         # The last event reports the final core shape.
         assert events[-1]["ranks"] == by_rank[0]["ranks"]
@@ -164,8 +165,10 @@ class TestHooiTrace:
         iters = by_rank[0]["iters"]
         assert len(events) == 3 * iters
         for ev in events:
-            assert set(ev) == {"step", "total_steps", "iteration",
-                               "mode", "ranks", "seconds"}
+            assert set(ev) == {"step", "total_steps", "iteration", "mode",
+                               "rank", "ranks", "seconds", "elapsed"}
+            assert ev["rank"] == ev["ranks"][ev["mode"]] == (3, 4, 2)[ev["mode"]]
+            assert 0.0 < ev["seconds"] <= ev["elapsed"]
         assert events[0]["iteration"] == 0
         for r in range(1, P):
             assert by_rank[r]["events"] == []
