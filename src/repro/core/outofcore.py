@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..instrument import FlopCounter, PHASE_GRAM
+from ..instrument import FlopCounter
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
-from ..linalg.flops import gram_flops
+from ..linalg.gram import streamed_gram
 from ..linalg.qr import flat_tree_lq
 from .checkpoint import _fingerprint, clear_checkpoint, load_checkpoint, save_checkpoint
 from .modeloop import open_loop, truncated_loop
@@ -42,15 +42,11 @@ def ooc_tensor_gram(
     max_elements: int = DEFAULT_CHUNK_ELEMENTS,
     counter: FlopCounter | None = None,
 ) -> np.ndarray:
-    """Gram matrix of the mode-``n`` unfolding from streamed chunks."""
-    rows = ooc.shape[n]
-    G = np.zeros((rows, rows), dtype=ooc.dtype)
-    for chunk in ooc.iter_unfolding_chunks(n, max_elements):
-        G += chunk @ chunk.T
-    G = (G + G.T) * G.dtype.type(0.5)
-    if counter is not None:
-        counter.add(gram_flops(rows, ooc.size // rows), phase=PHASE_GRAM, mode=n)
-    return G
+    """Gram matrix of the mode-``n`` unfolding from streamed chunks: the
+    :func:`~repro.linalg.gram.streamed_gram` loop of the in-memory
+    ``tensor_gram``, fed from the file."""
+    runs = (chunk[None] for chunk in ooc.iter_unfolding_chunks(n, max_elements))
+    return streamed_gram(runs, ooc.shape[n], ooc.dtype, counter=counter, mode=n)
 
 
 def ooc_tensor_lq(

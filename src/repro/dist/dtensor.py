@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import DistributionError
 from ..mpi.cart import CartComm
 from ..mpi.communicator import Communicator
-from ..tensor.dense import DenseTensor
+from ..tensor.dense import DenseTensor, sum_of_squares
 from .distribution import block_range
 from .grid import ProcessorGrid
 
@@ -264,8 +264,7 @@ class DistributedTensor:
         Local blocks accumulate in float64 and a deterministic
         allreduce combines them, so the result is bitwise replicated.
         """
-        flat = self._local.flat_view().astype(np.float64, copy=False)
-        local = np.array([float(np.dot(flat, flat))])
+        local = np.array([sum_of_squares(self._local.flat_view())])
         local.flags.writeable = False
         return float(self.comm.allreduce(local)[0])
 

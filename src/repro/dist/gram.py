@@ -4,7 +4,7 @@ The mode-``n`` Gram matrix ``G = Y_(n) Y_(n)^T`` is assembled by
 letting each rank syrk its share of the unfolding's columns and
 summing the partial products with one deterministic allreduce, so the
 replicated ``G`` is bitwise identical everywhere.  When the mode fiber
-is trivial (``P_n == 1``) the blockwise local kernel runs directly on
+is trivial (``P_n == 1``) the streamed local kernel runs directly on
 the block — no redistribution, no staging copies.
 """
 
@@ -34,11 +34,10 @@ def par_tensor_gram(
     ranks.
     """
     comm = dt.comm
-    grid = dt.grid
     with trace_span("gram", phase=PHASE_GRAM, mode=n,
                     rows=dt.global_shape[n]), comm.phase(PHASE_GRAM, n):
         tmp = FlopCounter()
-        if grid.dims[n] == 1:
+        if dt.grid.dims[n] == 1:
             G_local = tensor_gram(dt.local, n, counter=tmp)
         else:
             slab = redistribute_unfolding_to_columns(dt, n)
@@ -46,6 +45,5 @@ def par_tensor_gram(
         comm.account_flops(tmp.total, dt.dtype)
         if counter is not None:
             counter.merge(tmp)
-        G_local = np.ascontiguousarray(G_local)
         G_local.flags.writeable = False
         return comm.allreduce(G_local)

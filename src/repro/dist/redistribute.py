@@ -74,27 +74,25 @@ def redistribute_unfolding_to_columns(dt: DistributedTensor, n: int) -> np.ndarr
     The returned slab has all ``I_n`` global rows and this fiber rank's
     contiguous share of the columns.  When ``P_n == 1`` the local
     unfolding already is the slab and no messages are exchanged.
-    Staged pieces are frozen and moved, not copied.
+
+    Nothing is staged in another layout: column ranges of the
+    Fortran-ordered local unfolding are contiguous and are moved
+    (frozen, not copied) as the views they are; only the row-major last
+    mode's are strided and get compacted.  A mode-0 piece aliases the
+    sender's live block, so what arrives is copied into the slab here
+    and never handed out.
     """
-    grid = dt.grid
-    p_n = grid.dims[n]
+    p_n = dt.grid.dims[n]
     M = dt.local.unfold(n)
     if p_n == 1:
         return M
     with trace_span("redistribute", mode=n, rows=M.shape[0], cols=M.shape[1]):
         fiber = dt.comms.fiber(n)
-        me = fiber.rank
-        cols_local = M.shape[1]
-        pieces = []
-        for q in range(p_n):
-            c0, c1 = block_range(cols_local, p_n, q)
-            piece = np.ascontiguousarray(M[:, c0:c1])
-            piece.flags.writeable = False
-            pieces.append(piece)
-        received = fiber.alltoall(pieces, copy=False)
+        pieces = [
+            M[:, slice(*block_range(M.shape[1], p_n, q))] for q in range(p_n)
+        ]
+        if not M.flags.f_contiguous:  # the row-major last mode
+            pieces = [piece.copy() for piece in pieces]
         # Fiber rank p holds the mode-n row block block_range(I_n, P_n, p)
         # of the global unfolding; stack in rank order to recover all rows.
-        c0, c1 = block_range(cols_local, p_n, me)
-        if c1 == c0:
-            return np.zeros((dt.global_shape[n], 0), dtype=dt.dtype)
-        return np.concatenate(received, axis=0)
+        return np.concatenate(fiber.alltoall(pieces, copy=False), axis=0)

@@ -35,8 +35,10 @@ def par_ttm_truncate(
     ``U`` is the replicated ``I_n x R_n`` factor; the result has global
     mode-``n`` extent ``R_n`` and the same block layout rule on the
     same grid.  Local partials are combined with a fiber
-    reduce-scatter (skipped when ``P_n == 1``); staged pieces are
-    frozen and moved rather than copied.  Collective.
+    reduce-scatter (skipped when ``P_n == 1``).  Each destination's
+    piece is its own product with the matching columns of ``U``: born
+    Fortran-contiguous, moved (thereby frozen) rather than copied, and
+    the reduced block already is the next mode's local block.  Collective.
     """
     U = np.asarray(U)
     if U.ndim != 2 or U.shape[0] != dt.global_shape[n]:
@@ -45,31 +47,23 @@ def par_ttm_truncate(
             f"got {U.shape}"
         )
     comm = dt.comm
-    grid = dt.grid
-    p_n = grid.dims[n]
+    p_n = dt.grid.dims[n]
     r_out = U.shape[1]
     new_shape = list(dt.global_shape)
     new_shape[n] = r_out
     with trace_span("ttm", phase=PHASE_TTM, mode=n, out_dim=r_out), \
             comm.phase(PHASE_TTM, n):
         r0, r1 = block_range(U.shape[0], p_n, dt.coords[n])
-        partial = ttm(dt.local, U[r0:r1, :], n, transpose=True)
-        comm.account_flops(ttm_flops(dt.local.shape, n, r_out), dt.dtype)
+        pieces = [
+            ttm(dt.local, U[r0:r1, slice(*block_range(r_out, p_n, q))], n,
+                transpose=True).data
+            for q in range(p_n)
+        ]
+        flops = ttm_flops(dt.local.shape, n, r_out)
+        comm.account_flops(flops, dt.dtype)
         if counter is not None:
-            counter.add(
-                ttm_flops(dt.local.shape, n, r_out), phase=PHASE_TTM, mode=n
-            )
-        if p_n == 1:
-            return DistributedTensor(dt.comms, partial, tuple(new_shape))
-        fiber = dt.comms.fiber(n)
-        pieces = []
-        for q in range(p_n):
-            q0, q1 = block_range(r_out, p_n, q)
-            idx = [slice(None)] * dt.ndim
-            idx[n] = slice(q0, q1)
-            piece = np.ascontiguousarray(partial.data[tuple(idx)])
-            piece.flags.writeable = False
-            pieces.append(piece)
-        block = fiber.reduce_scatter(pieces)
-        local = DenseTensor(np.asfortranarray(block))
-        return DistributedTensor(dt.comms, local, tuple(new_shape))
+            counter.add(flops, phase=PHASE_TTM, mode=n)
+        block = pieces[0]
+        if p_n > 1:
+            block = dt.comms.fiber(n).reduce_scatter(pieces, copy=False)
+        return DistributedTensor(dt.comms, DenseTensor(block), tuple(new_shape))

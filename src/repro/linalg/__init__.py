@@ -11,7 +11,7 @@ from .householder import (
 )
 from .tpqrt import tpqrt, tpqrt_reduce_triangles
 from .qr import geqr, gelq, flat_tree_lq, block_runs, BACKENDS
-from .gram import gram_matrix, tensor_gram
+from .gram import gram_matrix, tensor_gram, streamed_gram
 from .tensor_lq import tensor_lq, tensor_lq_binary_tree
 from .svd import (
     svd_from_gram,
@@ -50,6 +50,7 @@ __all__ = [
     "BACKENDS",
     "gram_matrix",
     "tensor_gram",
+    "streamed_gram",
     "tensor_lq",
     "tensor_lq_binary_tree",
     "svd_from_gram",

@@ -19,7 +19,22 @@ from ..precision import Precision, resolve_precision
 from ..util.validation import check_axis
 from . import layout
 
-__all__ = ["DenseTensor"]
+__all__ = ["DenseTensor", "sum_of_squares"]
+
+
+def sum_of_squares(flat: np.ndarray) -> float:
+    """Sum of squares of a 1-D buffer, accumulated in float64.
+
+    float64 is one ``np.dot``; float32 is widened one cache-sized slice
+    at a time instead of allocating a float64 copy of the whole buffer.
+    """
+    if flat.dtype == np.float64:
+        return float(np.dot(flat, flat))
+    total, step = 0.0, 1 << 15
+    for i in range(0, flat.size, step):
+        piece = flat[i : i + step].astype(np.float64)
+        total += float(piece @ piece)
+    return total
 
 
 class DenseTensor:
@@ -128,9 +143,9 @@ class DenseTensor:
         copy (which is exactly why Alg. 2 works block-wise instead).
         """
         n = check_axis(n, self.ndim)
-        rows = self.shape[n]
         moved = np.moveaxis(self._data, n, 0)
-        return moved.reshape(rows, -1, order="F")
+        # Explicit column count: -1 cannot be inferred for an empty mode.
+        return moved.reshape(layout.unfolding_shape(self.shape, n), order="F")
 
     def num_column_blocks(self, n: int) -> int:
         """Number of contiguous row-major column blocks of unfolding ``n``."""
@@ -178,16 +193,7 @@ class DenseTensor:
     # ------------------------------------------------------------------
     def norm(self) -> float:
         """Frobenius norm; accumulation always in float64 for reliability."""
-        flat = self.flat_view()
-        if flat.dtype == np.float64:
-            return float(np.linalg.norm(flat))
-        # float32: widen one cache-sized slice at a time instead of
-        # allocating a float64 copy of the whole tensor.
-        total, step = 0.0, 1 << 15
-        for i in range(0, flat.size, step):
-            piece = flat[i : i + step].astype(np.float64)
-            total += float(piece @ piece)
-        return float(np.sqrt(total))
+        return float(np.sqrt(sum_of_squares(self.flat_view())))
 
     def norm_squared(self) -> float:
         """Squared Frobenius norm (float64 accumulation)."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..util.validation import check_axis
+from . import layout
 from .dense import DenseTensor
 
 __all__ = ["ttm", "multi_ttm", "ttm_flops"]
@@ -72,8 +73,7 @@ def ttm(tensor: DenseTensor, matrix: np.ndarray, n: int, *, transpose: bool = Fa
         return out
 
     nblocks = tensor.num_column_blocks(n)
-    rows = tensor.shape[n]
-    bcols = tensor.size // (rows * nblocks)
+    rows, bcols = layout.block_shape(tensor.shape, n)
     # Each input block is (I_n x prod_before) row-major; the matching
     # output block is (out_dim x prod_before).  Blocks are batched into
     # chunks and handled by one broadcasted matmul writing straight into
