@@ -1,12 +1,12 @@
 """Socket-transport overhead snapshot: sockets vs procs on loopback.
 
-Measures what the framed-TCP wire costs relative to the shared-memory
-rings of the procs backend, with identical worker processes and the
-same master-resident world on both sides:
+Measures what the framed-TCP wire costs relative to the ``AF_UNIX``
+links of the procs backend, with identical worker processes, the same
+worker-to-worker data plane and the same master-side control plane on
+both sides:
 
 * **launch** — world spin-up + teardown of a trivial 4-rank program
-  (fork + rendezvous handshake on sockets, fork + pipe plumbing on
-  procs);
+  (fork + rendezvous handshake on both);
 * **pingpong** — rank 0 <-> rank 1 round-trip latency at 8 B and
   64 KiB (framing + syscall cost per message);
 * **allreduce** — a 1 MiB allreduce across 4 ranks (bulk-payload
@@ -20,7 +20,7 @@ report pins the loopback overhead so a transport change that bloats
 framing or serializes sends fails CI as a perf regression.  All times
 are best-of-reps, lower is better; ``overhead`` holds the
 sockets/procs wall ratios (also lower-is-better; a ratio near 1 means
-the TCP wire is keeping up with shared memory).
+the TCP wire is keeping up with the local sockets).
 
 Usage::
 
@@ -92,8 +92,6 @@ def _pingpong_program(comm, nbytes, iters):
     elif comm.rank == 1:
         for i in range(iters):
             got = comm.recv(0, tag=i)
-            # copy before echoing: on the procs backend the received
-            # array can be a zero-copy view into a recyclable ring slot
             comm.send(got.copy(), 0, tag=i)
     comm.barrier()
     return rtt
@@ -190,10 +188,11 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        "note": "loopback socket transport vs shared-memory procs "
-                "transport; identical forked workers and master-resident "
-                "world, only the wire differs; best-of-reps walls, "
-                "overhead ratios are sockets/procs (lower is better).",
+        "note": "loopback TCP socket transport vs AF_UNIX procs "
+                "transport; identical forked workers, peer links and "
+                "control plane, only the socket family differs; "
+                "best-of-reps walls, overhead ratios are sockets/procs "
+                "(lower is better).",
         "config": {
             "nprocs": NPROCS,
             "pingpong_iters": PINGPONG_ITERS,

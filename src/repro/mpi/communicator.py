@@ -495,8 +495,8 @@ class Communicator:
             origin=origin, seq=seq, checksum=checksum,
         )
         # The transport seam: the threads backend appends to the shared
-        # in-process mailbox, the process backend stages the payload
-        # into a shared-memory ring toward the master-resident mailbox.
+        # in-process mailbox, the process backends write the payload on
+        # the link to the destination worker, which owns the mailbox.
         if asynchronous:
             return self._context.deliver_async(
                 self._comm_id, self._members[dest], self._rank, tag, env
@@ -579,18 +579,6 @@ class Communicator:
         active sanitizer, drives the wait-for-graph deadlock watchdog.
         """
         ctx = self._context
-        if getattr(ctx, "remote_recv", False):
-            # Process backend: the canonical blocked-receive protocol —
-            # failed-partner fast-fail, revocation checks, sanitizer
-            # wait-graph bookkeeping — runs master-side inside the RPC
-            # this proxy get issues; the worker just blocks on the reply.
-            try:
-                return box.get(source, tag, ctx.recv_timeout)
-            except CommRevokedError:
-                # A blocking wait is a deterministic observation point:
-                # arm this rank's entry-point revocation checks.
-                ctx.note_revocation_seen(self.world_rank)
-                raise
         san = ctx.sanitizer
         me = self.world_rank
         src_world = self._members[source]
@@ -667,14 +655,12 @@ class Communicator:
         """Nonblocking send; completion means the payload is staged.
 
         On the threads backend staging *is* delivery (a mailbox
-        append), so the request comes back already complete.  On the
-        process backend the payload still has to travel through the
-        shared-memory ring to the master, and the request completes
-        only once that buffer handoff finishes — ``test()`` reports the
-        true staging state instead of pretending the send was
-        instantaneous.  Either way, completion never implies the
-        receiver has *matched* the message (MPI buffered-send
-        semantics).
+        append); on the process backends it is the write on the link
+        to the destination, done before this returns.  Either way the
+        request comes back complete — unless the write failed, in
+        which case ``wait()``/``test()`` raise the failure — and
+        completion never implies the receiver has *matched* the
+        message (MPI buffered-send semantics).
         """
         from .request import Request
 

@@ -429,10 +429,16 @@ class SpmdContext:
         # instead of deadlocking until the receive timeout.
         self._rank_status = ["running"] * world_size
         self._status_lock = threading.Lock()
-        # Transport hooks: run on abort / revocation so backends with
-        # out-of-process ranks can propagate the state change promptly.
+        # Transport hooks: run on abort, and on every change of the
+        # world table a blocked receive consults (rank status, the
+        # recovering set, the revocation threshold), so backends with
+        # out-of-process ranks can push the change to their workers.
         self._abort_hooks: list = []
-        self._revoke_hooks: list = []
+        self._state_hooks: list = []
+        # Pending-inbox summaries of out-of-process ranks (their
+        # mailboxes live in the workers): world rank -> rows shaped like
+        # pending_messages() yields.  Written by the transport.
+        self.inbox_reports: dict[int, list[dict]] = {}
         # Elastic recovery: the transport installs a respawner so a
         # replace rendezvous can relaunch failed ranks at their original
         # position; the context tracks incarnations and a recovery log
@@ -464,6 +470,27 @@ class SpmdContext:
         """Snapshot of ``((comm_id, world_rank), mailbox)`` pairs."""
         with self._mailbox_lock:
             return list(self._mailboxes.items())
+
+    def pending_messages(self) -> list[dict]:
+        """One row per undelivered message in the world, sender order
+        kept within each ``(comm_id, dest, source, tag)``.
+
+        What the finalize-time leak report and the postmortem's
+        ``in_flight`` section read: this process's mailboxes, plus the
+        summaries out-of-process ranks reported of theirs.
+        """
+        rows = []
+        for (comm_id, dest_world), box in self.mailboxes():
+            for (source, tag), envs in sorted(box.pending_envelopes().items()):
+                rows.extend(
+                    {"comm_id": comm_id, "dest": dest_world, "source": source,
+                     "tag": tag, "nbytes": env.nbytes, "moved": env.moved,
+                     "origin": env.origin}
+                    for env in envs
+                )
+        for rank in sorted(self.inbox_reports):
+            rows.extend(self.inbox_reports[rank])
+        return rows
 
     # -- delivery (routed through the transport) -----------------------
     def deliver(self, comm_id: int, dest_world: int, source: int,
@@ -513,12 +540,14 @@ class SpmdContext:
             if self._rank_status[world_rank] == "running":
                 self._rank_status[world_rank] = "finalized"
         self.wake_all_mailboxes()
+        self._state_changed()
 
     def mark_failed(self, world_rank: int) -> None:
         """Record a rank's death (exception) and wake blocked receivers."""
         with self._status_lock:
             self._rank_status[world_rank] = "failed"
         self.wake_all_mailboxes()
+        self._state_changed()
 
     def set_respawner(self, respawner) -> None:
         """Install ``respawner(world_rank)`` for elastic replacement.
@@ -582,6 +611,7 @@ class SpmdContext:
                 incarnation=incarnation,
             )
         self.wake_all_mailboxes()
+        self._state_changed()
 
     def failed_ranks(self) -> list[int]:
         """World ranks currently marked failed."""
@@ -601,15 +631,24 @@ class SpmdContext:
     def add_abort_hook(self, hook) -> None:
         """Register ``hook(reason)`` to run on :meth:`abort`.
 
-        The process transport uses this to push the abort out-of-band
-        to every worker process, whose local abort mirrors would
-        otherwise only learn of it at their next RPC.
+        The process transports use this to push the abort out-of-band
+        to every worker process.
         """
         self._abort_hooks.append(hook)
 
-    def add_revoke_hook(self, hook) -> None:
-        """Register ``hook(threshold, reason)`` to run on a revocation."""
-        self._revoke_hooks.append(hook)
+    def add_state_hook(self, hook) -> None:
+        """Register ``hook()`` to run after each world-table change.
+
+        The table is what a blocked receive consults: every rank's
+        status and incarnation, the recovering set, the revocation
+        threshold.  The process transports push a snapshot of it to
+        their workers from here.
+        """
+        self._state_hooks.append(hook)
+
+    def _state_changed(self) -> None:
+        for hook in self._state_hooks:
+            hook()
 
     def abort(self, reason: str) -> None:
         """Mark the world dead and wake every blocked receiver."""
@@ -760,6 +799,7 @@ class SpmdContext:
             # committed — nobody is "recovering" any more, so the next
             # failure round starts with a clean visibility slate.
             self._recovering.clear()
+            self._state_changed()
             return self.allocate_comm_id()
 
         interval = self.fault_poll_interval or 0.25
@@ -797,6 +837,7 @@ class SpmdContext:
 
         def allocate() -> int:
             self._recovering.clear()
+            self._state_changed()
             new_id = self.allocate_comm_id()
             self.log_recovery(
                 "replace_commit", round=table.round_no, comm_id=new_id,
@@ -860,8 +901,7 @@ class SpmdContext:
             self._recovering.add(world_rank)
             self.note_revocation_seen(world_rank)
         self.wake_all_mailboxes()
-        for hook in self._revoke_hooks:
-            hook(self.revoked_below, reason)
+        self._state_changed()
 
     def check_revoked(self, comm_id: int) -> None:
         """Raise CommRevokedError when ``comm_id`` belongs to a revoked epoch."""
@@ -885,6 +925,10 @@ class SpmdContext:
     def is_recovering(self, world_rank: int) -> bool:
         """True between a rank's revoke() and the next rendezvous freeze."""
         return world_rank in self._recovering
+
+    def recovering_ranks(self) -> list[int]:
+        """World ranks currently between revoke() and a rendezvous freeze."""
+        return sorted(self._recovering)
 
     # -- fault-tolerance plumbing --------------------------------------
     @property

@@ -136,14 +136,15 @@ def run_spmd(
     backend:
         Rank transport: ``"threads"`` (default — ranks as threads of
         this process, shared address space), ``"procs"`` (ranks as
-        forked worker processes exchanging ndarray payloads through
-        shared-memory rings — true multi-core execution for GIL-bound
-        code; requires ``fn``, its arguments, and its return values to
-        be fork-inheritable / picklable-modulo-ndarrays), or
-        ``"sockets"`` (the procs execution model over framed TCP
-        connections hardened with connect retries, heartbeats, and
-        liveness deadlines; workers may also be spawned as fresh
-        processes for multi-host layouts).  A prebuilt
+        forked worker processes exchanging ndarray payloads over
+        direct worker-to-worker ``AF_UNIX`` links — true multi-core
+        execution for GIL-bound code; requires ``fn``, its arguments,
+        and its return values to be fork-inheritable /
+        picklable-modulo-ndarrays), or ``"sockets"`` (the procs
+        execution model over framed TCP connections hardened with
+        connect retries, heartbeats, and liveness deadlines; workers
+        may also be spawned as fresh processes for multi-host
+        layouts).  A prebuilt
         :class:`~repro.mpi.transport.Transport` instance is accepted
         for transports with constructor knobs, e.g.
         ``backend=SocketTransport(liveness_timeout=2.0)``.  ``None``

@@ -2,9 +2,9 @@
 
 ``isend`` completion means the payload has been *staged* out of the
 sender's hands.  On the threads backend staging is a direct mailbox
-append, so send requests come back already complete; on the process
-backend the payload still has to travel through the shared-memory ring
-to the master, and the request tracks that buffer handoff
+append; on the process backends it is a write on the link to the
+destination, done inline — either way send requests come back already
+complete, except one whose write failed, which carries the failure
 (:meth:`Request.from_token`).  ``irecv`` returns a request whose
 :meth:`Request.wait` performs the blocking matched receive;
 :meth:`Request.test` polls without blocking.  ``waitall`` completes a
@@ -99,10 +99,8 @@ class Request:
         """A request tracking a transport handoff token.
 
         ``token`` is ``threading.Event``-like: ``is_set()`` reports
-        whether the handoff resolved, ``wait()`` blocks for it.  The
-        process and socket backends return one per ``isend`` so
-        completion reflects the true wire handoff.  A token carrying
-        an ``error`` attribute (:class:`~repro.mpi.transport.
+        whether the handoff resolved, ``wait()`` blocks for it.  A
+        token carrying an ``error`` attribute (:class:`~repro.mpi.transport.
         worldproxy.SendToken`) resolved by *failing* to stage: the
         request re-raises instead of reporting a successful send.
         """

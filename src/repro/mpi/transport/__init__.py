@@ -5,12 +5,13 @@ and exchange envelopes*: :class:`~repro.mpi.transport.threads.
 ThreadTransport` (the default) runs ranks as threads of one process
 sharing the world's mailboxes directly, while :class:`~repro.mpi.
 transport.procs.ProcessTransport` runs each rank as a forked worker
-process that talks to a master-resident world through shared-memory
-ring buffers — true multi-core execution for the GIL-bound portions of
-the kernels.  :class:`~repro.mpi.transport.sockets.SocketTransport`
-reaches the same master-resident world over framed TCP connections
-hardened with retry policies, heartbeats, and liveness deadlines, and
-can launch workers as separate processes (``hosts=...``).  Select one
+process that owns its mailboxes and exchanges payloads with its peers
+over direct ``AF_UNIX`` links, the master keeping the control plane
+only — true multi-core execution for the GIL-bound portions of the
+kernels.  :class:`~repro.mpi.transport.sockets.SocketTransport` is the
+same world over framed TCP connections hardened with retry policies,
+heartbeats, and liveness deadlines, and can launch workers as separate
+processes (``hosts=...``).  Select one
 with ``run_spmd(..., backend="threads"|"procs"|"sockets")`` or the
 ``REPRO_SPMD_BACKEND`` environment variable; transports with
 constructor knobs can be passed as instances

@@ -9,16 +9,16 @@ two seams:
 * :class:`~repro.mpi.transport.threads.ThreadTransport` — ranks are
   threads of the calling process; ``deliver`` is a direct in-memory
   mailbox append.  Shared address space, zero serialization.
-* :class:`~repro.mpi.transport.procs.ProcessTransport` — ranks are
-  forked worker processes; the authoritative world state (mailboxes,
-  rendezvous tables, node store, sanitizer) lives in the master, and
-  ndarray payloads travel through shared-memory ring buffers without
-  pickling their data.
-* :class:`~repro.mpi.transport.sockets.SocketTransport` — the same
-  master-resident world reached over framed TCP connections, with
-  retry/heartbeat/liveness hardening against real network failure;
-  workers may also be launched as separate processes on other hosts
+* :class:`~repro.mpi.transport.sockets.SocketTransport` — ranks are
+  worker processes that own their mailboxes and exchange payloads over
+  direct worker-to-worker framed TCP links (ndarray data is never
+  pickled); the master keeps the control plane only (lifecycle,
+  rendezvous tables, node store, sanitizer, liveness).  Hardened with
+  retry/heartbeat/liveness against real network failure; workers may
+  also be launched as separate processes on other hosts
   (``hosts=...``).
+* :class:`~repro.mpi.transport.procs.ProcessTransport` — the same
+  world on one host: forked workers joined by ``AF_UNIX`` links.
 
 A transport also owns the rank *lifecycle*: :meth:`Transport.execute`
 spawns the ranks, runs the SPMD program on each, funnels per-rank

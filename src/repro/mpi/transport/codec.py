@@ -1,16 +1,16 @@
 """Shared wire codec for the cross-process transports.
 
 Every backend that moves messages between address spaces — the
-shared-memory process transport (:mod:`repro.mpi.transport.procs`) and
-the TCP socket transport (:mod:`repro.mpi.transport.sockets`) — speaks
-the same two-layer encoding:
+process transport (:mod:`repro.mpi.transport.procs`) and the TCP socket
+transport (:mod:`repro.mpi.transport.sockets`) — speaks the same
+two-layer encoding:
 
 * The **array codec** (:func:`split_arrays` / :func:`join_arrays` /
   :func:`prepare_arrays` / :func:`materialize_array`) lifts ndarrays
   out of arbitrarily nested tuples/lists/dicts, replacing each with a
   positional :class:`ArrayRef`.  Only the array-free *skeleton* is
-  pickled; raw array bytes travel out-of-band (a shared-memory ring, a
-  socket frame body) described by compact ``(dtype, shape, order,
+  pickled; raw array bytes travel out-of-band (a socket frame body)
+  described by compact ``(dtype, shape, order,
   writeable)`` descriptors.  Array *data* is never pickled, and moved
   (frozen) payloads rebuild read-only, preserving the zero-copy move
   contract across the process boundary.
@@ -21,9 +21,9 @@ the same two-layer encoding:
   number, checksum, and the sanitizer's move-origin call site — into
   plain picklable tuples that survive any wire.
 
-The codec is pure data-in/data-out: it owns no sockets, pipes, or
-rings, so both transports (and their tests) can round-trip payloads
-bitwise without standing up a world.
+The codec is pure data-in/data-out: it owns no sockets, so the
+transports (and their tests) can round-trip payloads bitwise without
+standing up a world.
 """
 
 from __future__ import annotations

@@ -1,50 +1,67 @@
-"""Socket transport: the master-resident world over framed TCP links.
+"""Socket transport: ranks as processes joined by framed stream links.
 
-The same execution model as the procs backend — rank workers in their
-own processes, the authoritative world (mailboxes, rendezvous, rank
-status, store, sanitizer) resident in the master, everything above the
-wire shared via :mod:`~repro.mpi.transport.worldproxy` — but the wire
-is TCP, hardened against the failure modes real networks have and
-pipes do not:
+The execution model of both process backends (``procs`` is this module
+over ``AF_UNIX``, see :mod:`~repro.mpi.transport.procs`): every rank is
+a worker process holding its own mailboxes; payloads travel **worker to
+worker**, one hop; the master runs the control plane and never sees a
+payload.  Everything above the wire is shared via
+:mod:`~repro.mpi.transport.worldproxy`; this module owns the sockets.
+
+Each worker keeps three kinds of connection:
+
+* a duplex **ctl** link to the master — blocking RPCs one way, the
+  master's out-of-band pushes (world table, abort, bye) the other,
+  applied by a reader thread so a rank blocked on its own mailbox
+  still hears of a dead partner;
+* a one-way **data** link to the master, for telemetry heartbeats,
+  liveness pings and injected-fault notices *only*;
+* one directed **peer** link per ordered pair of ranks, opened lazily
+  on the first send, carrying ``put`` frames.  The sender writes on
+  the rank's own thread; the receiver runs one reader thread per
+  inbound link that decodes frames straight into the local mailbox
+  and blocks on nothing but its socket (mailboxes are unbounded),
+  which is what makes a blocking send safe against the symmetric-send
+  deadlock.  Per-source FIFO order is the link's.
 
 * **Rendezvous handshake.**  The master binds a listener and hands each
-  worker an address book entry ``(host, port, token, rank)``.  Every
-  connection opens with a pickle-free JSON ``hello`` control frame
-  (purpose, rank, token, connect bookkeeping — primitive fields only);
-  the master verifies the token with a constant-time comparison
-  *before* deserializing anything else from the connection, then
-  acknowledges (JSON again) and wires the connection into the rank's
-  link — the pickled envelope framing starts only after this
-  authentication.  Each worker keeps two connections:
-  a duplex **ctl** link (blocking RPCs plus out-of-band abort/revoke
-  pushes) and a one-way **data** link (message deliveries, telemetry
-  heartbeats, liveness pings, injected-fault notices).
+  worker ``(address, token, rank)``; each worker binds a listener of
+  its own and reports it in its data hello; once every worker has
+  raised both links the master hands out the **address book** with
+  the world table
+  (and again when a rank is respawned, under its new incarnation).
+  Every connection — to the master or to a peer — opens with a
+  pickle-free JSON ``hello`` control frame (purpose, rank, token,
+  connect bookkeeping — primitive fields only); the accepting side
+  verifies the token with a constant-time comparison *before*
+  deserializing anything else from the connection, then acknowledges
+  (JSON again) — the pickled framing starts only after this
+  authentication.
 
 * **Framing and codec.**  Frames are length-prefixed
   (:class:`~repro.mpi.transport.net.FramedSocket`): a pickled
   array-free header plus the raw bytes of its ndarrays via the shared
   :mod:`~repro.mpi.transport.codec` — array data is never pickled,
-  matching the shm rings byte for byte, which is why results are
-  bitwise identical across backends.
+  which is why results are bitwise identical across backends.
 
 * **Retry with backoff.**  Connects and reconnects run under a
   :class:`~repro.mpi.transport.net.RetryPolicy` (bounded exponential
   backoff with jitter against reconnect stampedes).  A mid-stream
-  reset of the data link is survived transparently: the pump
+  reset of a peer link is survived transparently: the sender
   reconnects under the policy, re-hellos with a bumped generation, and
-  retransmits the frame the reset interrupted.  Retry counts travel in
-  the hello ``info`` and land in
-  :meth:`~repro.mpi.tracing.CommTrace.record_connect_retry` and the
-  transport's ``net_health``.
+  retransmits the frame the reset interrupted; the receiver parks the
+  newcomer until the old socket is drained and retired.  A peer that
+  stays unreachable while the master still calls it running poisons
+  that one path: the loss is reported at the next send to it and with
+  the lifecycle report.  Frames for a rank the master has declared
+  gone are dropped, as an MPI send to a dead process would be.
 
 * **Heartbeats and liveness.**  Workers always run a ping thread on
-  the data path (interval ``heartbeat_interval``); the master stamps
+  the data link (interval ``heartbeat_interval``); the master stamps
   ``last_rx`` on every arriving frame and declares a worker lost when
   the link stays silent past ``liveness_timeout`` — surfacing
   :class:`~repro.errors.RankFailedError` to blocked partners instead
   of hanging.  OS-level TCP keepalive backs the application
-  heartbeats.  A worker that dies with an EOF (crash, SIGKILL) is
-  detected the same way the procs backend does, just over sockets.
+  heartbeats.
 
 * **Graceful degradation.**  A worker lost to an *injected* network
   partition (see :class:`~repro.faults.NetworkFaultRule`) is recorded
@@ -54,13 +71,14 @@ pipes do not:
   world.  Because injection is simulated, the victim ships its
   ``FaultEvent`` record in-band just before going dark, which is how
   the master attributes the silence to the partition in the
-  postmortem's ``network`` section.
+  postmortem's ``network`` section.  Injected faults count the rank's
+  ``put`` frames in program order, whichever link carries them.
 
 Two launch modes share all of the above:
 
-* default — workers are **forked** (like procs) and connect back over
-  loopback TCP, so closures and caller objects work unchanged and the
-  whole conformance suite runs on real sockets;
+* default — workers are **forked** and connect back over loopback, so
+  closures and caller objects work unchanged and the whole conformance
+  suite runs on real sockets;
 * ``hosts=[...]`` — workers are **spawned** via ``python -m
   repro.mpi.transport.sockworker`` and receive a pickled boot blob
   (program + world config) over the ctl link after the handshake.
@@ -68,7 +86,8 @@ Two launch modes share all of the above:
   objects that cannot cross degrade to worker-local ``None`` (their
   master-side halves still work).  Remote hosts are reached by
   running the same command there by hand or any launcher you like —
-  the handshake only needs TCP to ``(host, port)``.
+  the handshake only needs TCP to ``(host, port)``, and the workers
+  TCP to each other.
 """
 
 from __future__ import annotations
@@ -92,14 +111,12 @@ from ...errors import (
     WorldAbortedError,
 )
 from ...faults.network import NetworkFaultState
-from ..context import Envelope
 from .base import Transport
 from .codec import (
     decode_exception,
-    decode_origin,
     descr_nbytes,
+    encode_envelope,
     encode_exception,
-    encode_origin,
     join_arrays,
     prepare_arrays,
     split_arrays,
@@ -113,8 +130,7 @@ from .net import (
     LinkTimeout,
     RetryPolicy,
 )
-from .threads import WORLD_COMM_ID
-from .worldproxy import SendToken, WorkerConfig, WorldServerMixin, run_worker
+from .worldproxy import WorkerConfig, WorldServerMixin, run_worker
 
 __all__ = ["SocketTransport"]
 
@@ -128,7 +144,8 @@ HEARTBEAT_ENV_VAR = "REPRO_SOCKETS_HEARTBEAT"
 #: secret to every user on the host.
 TOKEN_ENV_VAR = "REPRO_SOCKETS_TOKEN"
 
-# Seconds the master's data thread sleeps between liveness checks.
+# Seconds a link reader sleeps between looks at its link's state (a
+# successor waiting behind a black-holed socket, the liveness deadline).
 _DATA_TICK = 0.2
 # Seconds a half-open connection gets to complete its hello.
 _HELLO_TIMEOUT = 10.0
@@ -145,41 +162,67 @@ def _env_float(name: str, fallback: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Connection establishment (both sides)
+# Connection establishment (every side)
 # ----------------------------------------------------------------------
-def _connect_framed(addr, purpose: str, rank: int, token: str,
-                    policy: RetryPolicy, netstate, counters: dict,
-                    generation: int = 1) -> FramedSocket:
-    """Dial the master and complete the hello handshake, with retry.
+def _dial(addr) -> socket.socket:
+    """Connect to a listener: ``(host, port)`` is TCP, a path ``AF_UNIX``."""
+    if isinstance(addr, str):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(_HELLO_TIMEOUT)
+            sock.connect(addr)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+    return socket.create_connection(tuple(addr), timeout=_HELLO_TIMEOUT)
 
-    ``netstate`` (when present) gets a crack at every attempt first —
-    injected ``connect_refused`` rules raise the same
-    ``ConnectionRefusedError`` a closed port would, and the policy
-    rides them out exactly like the real thing.  ``counters`` tallies
-    attempts/retries for the hello info the master's health table and
-    ``CommTrace.record_connect_retry`` are fed from.
+
+def _listen_near(addr) -> socket.socket:
+    """A listener of the family of ``addr``, reachable where it is: a
+    sibling path for ``AF_UNIX``, the same host for TCP."""
+    if isinstance(addr, str):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.bind(f"{addr}.{os.getpid()}")
+        sock.listen()
+        return sock
+    return socket.create_server((addr[0], 0))
+
+
+def _connect_framed(addr, hello: dict, policy: RetryPolicy, netstate,
+                    counters: dict, sleep=time.sleep) -> FramedSocket:
+    """Dial a listener and complete the hello handshake, with retry.
+
+    ``addr`` is the address or a callable that looks it up before each
+    attempt (and may raise to give up).  ``netstate`` (when present)
+    gets a crack at every attempt first — injected ``connect_refused``
+    rules raise the same ``ConnectionRefusedError`` a closed port
+    would, and the policy rides them out exactly like the real thing.
+    ``counters`` tallies attempts/retries for the hello info the
+    master's health table and ``CommTrace.record_connect_retry`` are
+    fed from.
 
     The hello exchange is pickle-free in both directions (JSON control
     frames, :meth:`~repro.mpi.transport.net.FramedSocket.send_json`):
-    the pickled framing only starts after the master has verified the
-    token and acknowledged, so an unauthenticated peer never gets to
-    feed either side a pickle.
+    the pickled framing only starts after the accepting side has
+    verified the token and acknowledged, so an unauthenticated peer
+    never gets to feed either side a pickle.
     """
     def attempt() -> socket.socket:
+        target = addr() if callable(addr) else addr
         counters["attempts"] += 1
         if netstate is not None:
-            netstate.on_connect_attempt(purpose)
-        return socket.create_connection(addr, timeout=_HELLO_TIMEOUT)
+            netstate.on_connect_attempt(hello["purpose"])
+        return _dial(target)
 
     def on_retry(_attempt: int, _exc: BaseException) -> None:
         counters["retries"] += 1
 
-    sock = policy.run(attempt, retry_on=(OSError,), on_retry=on_retry)
+    sock = policy.run(attempt, retry_on=(OSError,), on_retry=on_retry,
+                      sleep=sleep)
     fs = FramedSocket(sock)
-    fs.send_json({"kind": "hello", "purpose": purpose, "rank": rank,
-                  "token": token, "generation": generation,
-                  "attempts": counters["attempts"],
-                  "retries": counters["retries"]})
+    fs.send_json(dict(hello, kind="hello", attempts=counters["attempts"],
+                      retries=counters["retries"]))
     try:
         reply = fs.recv_json(timeout=_HELLO_TIMEOUT)
     except (LinkClosed, LinkTimeout):
@@ -187,292 +230,68 @@ def _connect_framed(addr, purpose: str, rank: int, token: str,
     if not (isinstance(reply, dict) and reply.get("kind") == "ok"):
         fs.close()
         raise CommunicatorError(
-            f"socket handshake rejected for rank {rank} ({purpose})"
+            f"socket handshake rejected for rank {hello['rank']} "
+            f"({hello['purpose']})"
         )
     return fs
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-class _SockChannel:
-    """Worker-side RPC client over the ctl link.
+def _serve_hellos(listener, token: str, nranks: int, purposes: tuple,
+                  attach, shutdown: threading.Event) -> None:
+    """Accept connections and authenticate their hellos until shut down.
 
-    Single caller (the rank's main thread), so requests never
-    interleave; out-of-band abort/revoke pushes arriving while a reply
-    is awaited are applied and skipped.  After an injected partition
-    the control link is as unreachable as the data link: calls raise
-    :class:`~repro.errors.RankKilledError`, which the rank-program
-    harness reports as an injected death.
+    Blocks in ``accept`` — whoever sets ``shutdown`` wakes it with
+    :func:`_wake_listener`.  The hello is a bounded JSON frame —
+    nothing from a connection is unpickled (or even trusted as a
+    tuple) until the token has passed a constant-time comparison.  A
+    stray or hostile client gets its socket closed, never a
+    ``pickle.loads`` of its bytes.  ``attach(fs, hello)`` acknowledges
+    and takes ownership of an authenticated connection.
     """
-
-    def __init__(self, fs: FramedSocket, netstate) -> None:
-        self._fs = fs
-        self._net = netstate
-        self.state = None  # the WorkerContext, set by run_worker
-
-    def _check_dark(self) -> None:
-        if self._net is not None and self._net.dark:
-            raise RankKilledError(
-                "injected network partition severed the control link"
-            )
-
-    def call(self, method: str, *args) -> Any:
-        self._check_dark()
-        skeleton, arrays = split_arrays(args)
-        views, descrs = prepare_arrays(arrays)
+    while True:
         try:
-            self._fs.send(("rpc", method, skeleton), descrs, views)
-        except LinkClosed as exc:
-            raise WorldAbortedError(
-                f"SPMD master is gone ({method} RPC failed: {exc})"
-            ) from None
-        while True:
-            try:
-                header, arrays = self._fs.recv(None)
-            except LinkClosed:
-                self._check_dark()
-                raise WorldAbortedError(
-                    f"SPMD master is gone (no reply to {method})"
-                ) from None
-            if header[0] == "oob":
-                self.state.apply_oob(header)
-                continue
-            break
-        if header[0] == "err":
-            raise decode_exception(header[1])
-        _, skeleton = header
-        return join_arrays(skeleton, arrays)
-
-    def drain_oob(self) -> None:
-        """Apply any queued abort/revoke pushes without blocking."""
+            sock, _peer = listener.accept()
+        except OSError:  # listener closed
+            return
+        if shutdown.is_set():
+            sock.close()
+            return
+        fs = FramedSocket(sock)
         try:
-            while self._fs.poll(0):
-                header, _ = self._fs.recv(timeout=1.0)
-                if header[0] == "oob":
-                    self.state.apply_oob(header)
-        except (LinkClosed, LinkTimeout):  # pragma: no cover - master gone
-            pass
-
-    def close(self) -> None:
-        self._fs.close()
-
-
-class _SockPump:
-    """Owns the worker's data link: a daemon thread draining a queue.
-
-    Mirrors the procs send pump (buffered-send semantics, completion
-    tokens, single-writer data path) and adds the network robustness:
-    every frame passes through the injected-fault engine, a reset
-    closes-with-RST then reconnects under the retry policy and
-    retransmits, a partition drops everything after shipping its
-    fault record, and real send failures get one reconnect-and-resend
-    before the pump declares the path broken.
-    """
-
-    def __init__(self, fs: FramedSocket, addr, token: str, rank: int,
-                 policy: RetryPolicy, netstate, counters: dict) -> None:
-        self._fs = fs
-        self._addr = addr
-        self._token = token
-        self._rank = rank
-        self._policy = policy
-        self._net = netstate
-        self._counters = counters
-        self._generation = 1
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.sent = 0  # deliveries accepted; shipped with the lifecycle RPC
-        self.failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="spmd-sock-pump"
-        )
-        self._thread.start()
-
-    def enqueue(self, comm_id: int, dest_world: int, source: int, tag: int,
-                env: Envelope) -> threading.Event:
-        if self.failure is not None:
-            raise CommunicatorError(
-                f"socket send path failed: {self.failure}"
-            )
-        skeleton, arrays = split_arrays(env.payload)
-        views, descrs = prepare_arrays(arrays)
-        meta = (env.send_time, env.moved, env.nbytes, env.seq, env.checksum,
-                encode_origin(env.origin))
-        header = ("put", comm_id, dest_world, source, tag, meta, skeleton)
-        token = SendToken()
-        self._queue.put((header, descrs, views, token))
-        self.sent += 1
-        return token
-
-    def enqueue_raw(self, header: tuple) -> None:
-        """Stage a bookkeeping frame (heartbeat, ping) on the pump."""
-        if self.failure is not None:
-            return  # telemetry is best-effort; the rank path reports it
-        self._queue.put((header, (), (), None))
-
-    def flush(self, timeout: float | None = None) -> None:
-        """Block until every frame staged so far shipped or failed.
-
-        Run before the lifecycle report so ``failure`` is
-        authoritative: without it a rank could finalize while the pump
-        thread is still discovering that its frames will never ship.
-        """
-        token = SendToken()
-        self._queue.put((None, (), (), token))
-        token.wait(timeout)
-
-    def _run(self) -> None:
-        while True:
-            header, descrs, views, token = self._queue.get()
-            err = self.failure
-            if err is None and header is not None:
-                try:
-                    self._ship(header, descrs, views)
-                except BaseException as exc:  # noqa: BLE001 - report once
-                    self.failure = err = exc
-            if token is not None:
-                # A frame that never shipped must not report a clean
-                # stage: the waiter re-raises the error instead.
-                token.error = err
-                token.set()
-
-    def _ship(self, header, descrs, views) -> None:
-        net = self._net
-        if net is None:
-            self._send_resilient(header, descrs, views)
-            return
-        if net.dark:
-            return  # partitioned: frames vanish into the void
-        nbytes = sum(descr_nbytes(d) for d in descrs)
-        action = net.on_frame(nbytes, countable=(header[0] == "put"))
-        events = net.drain_events()
-        if action == "dark":
-            # Injection is simulated, so the victim may tell the master
-            # *why* it is about to go silent (the master could never
-            # learn this over a real partition) — then never speak
-            # again.  The master still waits out the liveness deadline
-            # before declaring the rank dead, so detection timing stays
-            # honest; only the root-cause attribution is deus ex.
-            try:
-                self._fs.send(("netfault", events))
-            except LinkClosed:  # pragma: no cover - already gone
-                pass
-            self._fs.close()
-            return
-        if action == "reset":
-            # The "network" killed the data link mid-stream: abort with
-            # an RST, reconnect under the retry policy, retransmit.
-            self._fs.close(reset=True)
-            self._reconnect()
-            if events:
-                self._fs.send(("netfault", events))
-            self._send_resilient(header, descrs, views)
-            return
-        if events:
-            self._fs.send(("netfault", events))
-        self._send_resilient(header, descrs, views)
-
-    def _send_resilient(self, header, descrs, views) -> None:
+            hello = fs.recv_json(timeout=_HELLO_TIMEOUT)
+        except (LinkClosed, LinkTimeout):
+            fs.close()
+            continue
+        peer_token = hello.get("token")
+        rank = hello.get("rank")
+        if not (hello.get("kind") == "hello"
+                and isinstance(peer_token, str)
+                and hmac.compare_digest(peer_token, token)
+                and isinstance(rank, int) and 0 <= rank < nranks
+                and hello.get("purpose") in purposes):
+            fs.close()  # wrong token / stray connection: reject
+            continue
         try:
-            self._fs.send(header, descrs, views)
+            attach(fs, hello)
         except LinkClosed:
-            # Real transient failure: one reconnect under the policy,
-            # then retransmit.  A second failure surfaces to the rank.
-            self._reconnect()
-            self._fs.send(header, descrs, views)
-
-    def _reconnect(self) -> None:
-        self._generation += 1
-        self._fs = _connect_framed(
-            self._addr, "data", self._rank, self._token, self._policy,
-            self._net, self._counters, generation=self._generation,
-        )
-
-    def close(self) -> None:
-        self._fs.close()
+            fs.close()
 
 
-class _Pinger:
-    """Always-on liveness pings on the data path.
-
-    Unlike the telemetry :class:`~repro.mpi.transport.worldproxy.
-    Heartbeat` (which only runs when a recorder/hub is attached), the
-    socket transport needs periodic traffic unconditionally — silence
-    is its failure detector.
-    """
-
-    def __init__(self, pump: _SockPump, rank: int, interval: float) -> None:
-        self._pump = pump
-        self._rank = rank
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=f"spmd-sock-ping-{rank}"
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            self._pump.enqueue_raw(("ping", self._rank, time.time()))
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-
-def _run_sock_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
-                     ctl: FramedSocket, data: FramedSocket, addr,
-                     token: str, netstate, knobs: dict,
-                     counters: dict) -> None:
-    """Worker core shared by the forked and spawned entry points."""
-    channel = _SockChannel(ctl, netstate)
-    pump = _SockPump(data, addr, token, rank, knobs["connect_policy"],
-                     netstate, counters)
-    pinger = _Pinger(pump, rank, knobs["heartbeat_interval"])
+def _wake_listener(listener) -> None:
+    """Unblock a thread sitting in ``listener.accept()``."""
     try:
-        run_worker(cfg, rank, fn, args, kwargs, channel, pump)
-    finally:
-        pinger.stop()
-        # The lifecycle RPC only returns after the master's drain
-        # barrier confirmed every delivery, so closing here loses
-        # nothing; a partitioned worker closed its links already.
-        channel.close()
-        pump.close()
+        _dial(listener.getsockname()).close()
+    except OSError:
+        pass
 
 
-def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
-                 cfg: WorkerConfig, netrules, knobs: dict,
-                 listener=None) -> None:
-    """Entry point of a forked socket worker (default launch mode)."""
-    if listener is not None:
-        # fd hygiene: drop the forked copy of the master's rendezvous
-        # listener so the port is released the moment the master
-        # closes its own.
-        try:
-            listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    netstate = NetworkFaultState(netrules, rank) if netrules else None
-    if netstate is not None and not netstate.active:
-        netstate = None
-    counters = {"attempts": 0, "retries": 0}
-    policy = knobs["connect_policy"]
-    try:
-        ctl = _connect_framed(addr, "ctl", rank, token, policy, netstate,
-                              counters)
-        data = _connect_framed(addr, "data", rank, token, policy, netstate,
-                               counters)
-    except BaseException:  # noqa: BLE001 - the master's connect grace
-        return  # surfaces this as "never connected"
-    _run_sock_worker(cfg, rank, fn, args, kwargs, ctl, data, addr, token,
-                     netstate, knobs, counters)
-
-
-# ----------------------------------------------------------------------
-# Master side
-# ----------------------------------------------------------------------
 class _SockLink:
-    """Master-side state of one worker's pair of connections."""
+    """Receiving-side state of one remote rank's connections.
+
+    The master keeps one per worker (its ctl and data links); a worker
+    keeps one per peer that sends to it (the inbound peer link, as
+    ``data``).
+    """
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -484,11 +303,11 @@ class _SockLink:
         self.data_gen = 0
         self.cond = threading.Condition()  # guards ctl/data attachment
         self.send_lock = threading.Lock()  # serializes ctl replies + oob
-        self.put_cond = threading.Condition()
-        self.puts_received = 0
         self.last_rx = time.monotonic()
+        self.incarnation = 0  # of the remote rank
+        self.received = 0  # put frames filed from this link (worker side)
         self.partitioned = False
-        self.finished = False  # lifecycle RPC fully processed
+        self.finished = False  # lifecycle RPC processed, or declared lost
         self.proc = None  # Process (fork) or Popen (spawn)
         # Set when a replacement superseded this link: the dead
         # incarnation's teardown (EOF, liveness expiry) must not fail
@@ -504,7 +323,7 @@ class _SockLink:
                 self.data_gen += 1
                 self.last_rx = time.monotonic()
             else:
-                # The worker reconnected before the reader saw the old
+                # The sender reconnected before the reader saw the old
                 # socket's EOF/reset.  Frames it shipped before the reset
                 # may still sit unread in the old socket: switching now
                 # would lose them, so the newcomer waits its turn.
@@ -534,20 +353,499 @@ class _SockLink:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-                self.cond.wait(min(remaining, 0.5))
+                self.cond.wait(remaining)
             return True
 
     def close(self) -> None:
-        for fs in (self.ctl, self.data, self.next_data):
-            if fs is not None:
-                fs.close()
+        """Close every socket and wake the link's reader."""
+        with self.cond:
+            for fs in (self.ctl, self.data, self.next_data):
+                if fs is not None:
+                    fs.close()
+            self.cond.notify_all()
+
+    def drain(self, handle, stop=lambda: False, lost=lambda: False,
+              at_eof=lambda: None) -> None:
+        """Read ``data`` frame by frame into ``handle(header, arrays)``.
+
+        The reader of one link, on its own thread.  A socket that hits
+        EOF or a reset is retired and its parked successor (if any)
+        takes over; a silent socket with a successor waiting is retired
+        too (a black-holed link never delivers its EOF).  ``stop()`` is
+        looked at between frames; ``lost()`` whenever the link is
+        silent or has no socket — returning True ends the reader;
+        ``at_eof()`` runs after a socket is retired.
+        """
+        while not stop():
+            with self.cond:
+                fs, gen = self.data, self.data_gen
+            if fs is None:
+                if lost():
+                    return
+                with self.cond:
+                    if self.data is None and not stop():
+                        self.cond.wait(_DATA_TICK)
+                continue
+            try:
+                header, arrays = fs.recv(timeout=_DATA_TICK)
+            except LinkTimeout:
+                if self.next_data is not None:
+                    self.retire_data(gen)
+                elif lost():
+                    return
+                continue
+            except LinkClosed:
+                self.retire_data(gen)
+                at_eof()
+                continue
+            self.last_rx = time.monotonic()
+            handle(header, arrays)
 
 
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+class _SockChannel:
+    """Worker-side RPC client over the ctl link.
+
+    One caller (the rank's main thread), so requests never interleave;
+    one reader thread, which hands replies to the caller and applies
+    the master's pushes as they arrive — also while the rank is blocked
+    on its own mailbox or busy computing.  After an injected partition
+    the control link is as unreachable as every other: calls raise
+    :class:`~repro.errors.RankKilledError`, which the rank-program
+    harness reports as an injected death.
+    """
+
+    def __init__(self, fs: FramedSocket, netstate) -> None:
+        self._fs = fs
+        self._net = netstate
+        self._replies: queue.SimpleQueue = queue.SimpleQueue()
+        self._bye = threading.Event()
+        self._expected: dict | None = None
+
+    def start(self, state) -> None:
+        threading.Thread(target=self._read, args=(state,), daemon=True,
+                         name="spmd-sock-ctl").start()
+
+    def _read(self, state) -> None:
+        while True:
+            try:
+                header, arrays = self._fs.recv(None)
+            except LinkClosed:
+                # The master is gone: fail the pending call, end the
+                # linger, and stop the rank wherever it is blocked.
+                state.apply_oob(("oob", "abort", "SPMD master is gone"))
+                self._replies.put(None)
+                self._bye.set()
+                return
+            if header[0] != "oob":
+                self._replies.put((header, arrays))
+            elif header[1] == "bye":
+                self._expected = header[2]
+                self._bye.set()
+            else:
+                state.apply_oob(header)
+
+    def _check_dark(self) -> None:
+        if self._net is not None and self._net.dark:
+            raise RankKilledError(
+                "injected network partition severed the control link"
+            )
+
+    def call(self, method: str, *args) -> Any:
+        self._check_dark()
+        skeleton, arrays = split_arrays(args)
+        views, descrs = prepare_arrays(arrays)
+        try:
+            self._fs.send(("rpc", method, skeleton), descrs, views)
+        except LinkClosed as exc:
+            raise WorldAbortedError(
+                f"SPMD master is gone ({method} RPC failed: {exc})"
+            ) from None
+        reply = self._replies.get()
+        if reply is None:
+            self._replies.put(None)  # and for every call after this one
+            self._check_dark()
+            raise WorldAbortedError(
+                f"SPMD master is gone (no reply to {method})"
+            )
+        header, arrays = reply
+        if header[0] == "err":
+            raise decode_exception(header[1])
+        return join_arrays(header[1], arrays)
+
+    def wait_bye(self) -> dict | None:
+        """Block until the master closes the world; the frames to take
+        in first (``{source: count}``), or ``None`` with no master."""
+        if self._net is not None and self._net.dark:
+            return None
+        self._bye.wait()
+        return self._expected
+
+    def close(self) -> None:
+        self._fs.close()
+
+
+class _OutLink:
+    """Sending end of the peer link to one destination rank."""
+
+    __slots__ = ("fs", "incarnation", "generation", "sent")
+
+    def __init__(self, incarnation: int) -> None:
+        self.fs: FramedSocket | None = None
+        self.incarnation = incarnation  # of the destination
+        self.generation = 0  # connections opened so far
+        self.sent = 0  # frames the socket took whole
+
+
+class _PeerGone(Exception):
+    """The destination stopped running while a send was trying to reach it."""
+
+
+class _PeerWire:
+    """A worker's data plane: peer links out and in, and the data link
+    up to the master.
+
+    Outbound, :meth:`send_put` runs on the rank's thread: it writes the
+    frame on the link to the destination, opening it on first use,
+    passing every frame through the injected-fault engine (a reset
+    closes-with-RST then reconnects and retransmits, a partition ships
+    its fault record and severs everything), and giving a real send
+    failure one reconnect-and-resend before the path is declared
+    broken.  Inbound, an accept thread authenticates peers and starts a
+    reader per link that files frames into the context's mailboxes.
+    """
+
+    def __init__(self, rank: int, incarnation: int, token: str,
+                 listener: socket.socket, master: FramedSocket, master_addr,
+                 master_hello: dict, policy: RetryPolicy, netstate,
+                 counters: dict) -> None:
+        self.rank = rank
+        self._incarnation = incarnation
+        self._token = token
+        self._listener = listener
+        self._master = master
+        self._master_addr = master_addr
+        self._master_hello = master_hello
+        self._master_gen = 1
+        self._policy = policy
+        self._net = netstate
+        self._counters = counters
+        self._ctx = None
+        self._out: dict[int, _OutLink] = {}
+        self._in: dict[int, _SockLink] = {}
+        self._in_lock = threading.Lock()
+        # path failures: dest -> [frames lost, "Type: message"]
+        self._lost: dict[int, list] = {}
+        # The fault engine and the master data link are shared by the
+        # rank thread (puts, fault notices), the pinger and the
+        # heartbeat thread.
+        self._master_lock = threading.Lock()
+
+    def start(self, ctx) -> None:
+        self._ctx = ctx
+        threading.Thread(
+            target=_serve_hellos,
+            args=(self._listener, self._token, ctx.world_size, ("peer",),
+                  self._attach_peer, threading.Event()),
+            daemon=True, name="spmd-sock-peers",
+        ).start()
+
+    # -- inbound ---------------------------------------------------------
+    def _attach_peer(self, fs: FramedSocket, hello: dict) -> None:
+        source = hello["rank"]
+        incarnation = int(hello.get("incarnation", 0))
+        fs.send_json({"kind": "ok"})
+        with self._in_lock:
+            link = self._in.get(source)
+            if link is None or link.incarnation < incarnation:
+                # First contact, or a replacement of the source: its
+                # frames are counted from zero.
+                link = self._in[source] = _SockLink(source)
+                link.incarnation = incarnation
+                ctx = self._ctx
+                threading.Thread(
+                    target=link.drain,
+                    kwargs={"handle": lambda h, a: ctx.accept_put(link, h, a),
+                            "at_eof": ctx.wake_all_mailboxes},
+                    daemon=True, name=f"spmd-sock-from-{source}",
+                ).start()
+            elif link.incarnation > incarnation:
+                fs.close()  # a straggler of a replaced incarnation
+                return
+        link.attach("data", fs)
+
+    def received(self, source: int, incarnation: int) -> tuple:
+        """``(frames filed, link at EOF)`` for one source incarnation."""
+        with self._in_lock:
+            link = self._in.get(source)
+        if link is None or link.incarnation != incarnation:
+            return 0, True
+        return link.received, link.data is None
+
+    def counts(self) -> tuple:
+        sent = {dest: (out.incarnation, out.sent)
+                for dest, out in list(self._out.items())}
+        with self._in_lock:
+            received = {src: (link.incarnation, link.received)
+                        for src, link in self._in.items()}
+        return sent, received
+
+    def report(self) -> dict:
+        return {"sent": self.counts()[0],
+                "lost": {dest: tuple(entry)
+                         for dest, entry in self._lost.items()}}
+
+    # -- outbound --------------------------------------------------------
+    def send_put(self, dest: int, comm_id: int, source: int, tag: int,
+                 env) -> BaseException | None:
+        skeleton, arrays = split_arrays(encode_envelope(env))
+        views, descrs = prepare_arrays(arrays)
+        header = ("put", comm_id, source, tag, skeleton)
+        reset = False
+        if self._net is not None:
+            nbytes = sum(descr_nbytes(d) for d in descrs)
+            reset = self._inject(nbytes)
+        lost = self._lost.get(dest)
+        if lost is not None:
+            if self._ctx.true_status(dest) != "running":
+                return None  # unreachable and gone: dropped
+            raise CommunicatorError(
+                f"socket send path to rank {dest} failed: {lost[1]}"
+            )
+        try:
+            out = self._out_link(dest)
+            if reset:
+                # The "network" killed the link mid-stream: abort with
+                # an RST, reconnect under the retry policy, retransmit.
+                out.fs.close(reset=True)
+                out.fs = None
+                out = self._out_link(dest)
+            try:
+                out.fs.send(header, descrs, views)
+            except LinkClosed:
+                # Real transient failure: one reconnect under the
+                # policy, then retransmit.  A second failure is final.
+                out.fs = None
+                out = self._out_link(dest)
+                out.fs.send(header, descrs, views)
+            out.sent += 1
+            return None
+        except _PeerGone:
+            return None  # the master called the destination gone: dropped
+        except (OSError, CommunicatorError) as exc:
+            self._lost[dest] = [1, f"{type(exc).__name__}: {exc}"]
+            return CommunicatorError(f"socket send path failed: {exc}")
+
+    def _out_link(self, dest: int) -> _OutLink:
+        """The connected link to ``dest``'s current incarnation."""
+        ctx = self._ctx
+        out = self._out.get(dest)
+        if (out is not None and out.fs is not None
+                and out.incarnation == ctx.incarnation_of(dest)):
+            return out
+
+        attempts = 0
+
+        def entry() -> tuple:
+            # A rank that has left the world keeps its listener up until
+            # the world closes (what reaches it then is reported as
+            # undelivered), so its status only matters once a connect
+            # has failed: then the master calling it gone ends the
+            # retries, and the frame is dropped.
+            nonlocal attempts
+            found = ctx.peer_address(dest)
+            if found is None or (attempts > 1
+                                 and ctx.true_status(dest) != "running"):
+                raise _PeerGone()
+            attempts += 1
+            return found
+
+        incarnation = entry()[1]
+        if out is None or out.incarnation != incarnation:
+            if out is not None and out.fs is not None:
+                out.fs.close()
+            out = self._out[dest] = _OutLink(incarnation)
+        out.fs = _connect_framed(
+            lambda: entry()[0],
+            {"purpose": "peer", "rank": self.rank, "token": self._token,
+             "incarnation": self._incarnation,
+             "generation": out.generation + 1},
+            self._policy, self._net, self._counters, sleep=ctx.wait_table,
+        )
+        out.generation += 1
+        return out
+
+    def _inject(self, nbytes: int) -> bool:
+        """Pass one ``put`` frame through the fault engine; True when the
+        frame's link is to be reset first."""
+        net = self._net
+        with self._master_lock:
+            action = net.on_frame(nbytes, countable=True)
+            events = net.drain_events()
+            if action == "dark":
+                # Injection is simulated, so the victim may tell the
+                # master *why* it is about to go silent (the master
+                # could never learn this over a real partition) — then
+                # never speak again.  The master still waits out the
+                # liveness deadline before declaring the rank dead, so
+                # detection timing stays honest; only the root-cause
+                # attribution is deus ex.
+                try:
+                    if events:
+                        self._master.send(("netfault", events))
+                except LinkClosed:  # pragma: no cover - already gone
+                    pass
+                self._master.close()
+                for out in self._out.values():
+                    if out.fs is not None:
+                        out.fs.close()
+            elif events:
+                self._send_master(("netfault", events))
+        if action == "dark":
+            raise RankKilledError(
+                "injected network partition severed every link of this rank"
+            )
+        return action == "reset"
+
+    def _send_master(self, header: tuple) -> None:
+        """One frame up the master data link (caller holds the lock)."""
+        try:
+            self._master.send(header)
+        except LinkClosed:
+            # One reconnect under the policy, then give up quietly: the
+            # link carries bookkeeping only, and a master that stops
+            # hearing pings declares this rank lost on its own.
+            self._master_gen += 1
+            try:
+                self._master = _connect_framed(
+                    self._master_addr,
+                    dict(self._master_hello, generation=self._master_gen),
+                    self._policy, self._net, self._counters,
+                )
+                self._master.send(header)
+            except (OSError, CommunicatorError):
+                pass
+
+    def notify_master(self, header: tuple) -> None:
+        """Best-effort bookkeeping frame (heartbeat, ping) to the master."""
+        with self._master_lock:
+            if self._net is not None:
+                if self._net.on_frame(0, countable=False) == "dark":
+                    return  # partitioned: frames vanish into the void
+            self._send_master(header)
+
+    def close(self) -> None:
+        self._master.close()
+        for out in self._out.values():
+            if out.fs is not None:
+                out.fs.close()
+        self._listener.close()
+
+
+class _Pinger:
+    """Always-on liveness pings on the data link.
+
+    Unlike the telemetry :class:`~repro.mpi.transport.worldproxy.
+    Heartbeat` (which only runs when a recorder/hub is attached), the
+    transport needs periodic traffic unconditionally — silence is its
+    failure detector.
+    """
+
+    def __init__(self, wire: _PeerWire, rank: int, interval: float) -> None:
+        self._wire = wire
+        self._rank = rank
+        self._interval = interval
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, daemon=True, name=f"spmd-sock-ping-{rank}"
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while not self._stop.wait(self._interval):
+            self._wire.notify_master(("ping", self._rank, time.time()))
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=2.0)
+
+
+def _run_sock_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
+                     ctl: FramedSocket, addr, token: str, netstate,
+                     knobs: dict, counters: dict) -> None:
+    """Worker core shared by the forked and spawned entry points.
+
+    With the ctl link up, bind the listener the peers will dial — next
+    to the master's for ``AF_UNIX``, on the interface the ctl link left
+    by for TCP — and report it in the data link's hello.
+    """
+    listener = _listen_near(addr if isinstance(addr, str) else ctl.local)
+    listen = listener.getsockname()
+    hello = {"purpose": "data", "rank": rank, "token": token,
+             "listen": listen if isinstance(listen, str) else list(listen[:2])}
+    policy = knobs["connect_policy"]
+    data = _connect_framed(addr, dict(hello, generation=1), policy, netstate,
+                           counters)
+    incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
+    channel = _SockChannel(ctl, netstate)
+    wire = _PeerWire(rank, incarnation, token, listener, data, addr, hello,
+                     policy, netstate, counters)
+    pinger = _Pinger(wire, rank, knobs["heartbeat_interval"])
+    try:
+        run_worker(cfg, rank, fn, args, kwargs, channel, wire)
+    finally:
+        pinger.stop()
+        channel.close()
+        wire.close()
+        if isinstance(listen, str):
+            try:
+                os.unlink(listen)
+            except OSError:
+                pass
+
+
+def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
+                 cfg: WorkerConfig, netrules, knobs: dict, listener) -> None:
+    """Entry point of a forked worker (default launch mode)."""
+    # fd hygiene: drop the forked copy of the master's rendezvous
+    # listener so the address is released the moment the master closes
+    # its own.  (The master's link sockets a replacement inherits need
+    # no such care: FramedSocket.close shuts a connection down, which
+    # reaches the peer whoever else holds a copy of the descriptor.)
+    try:
+        listener.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
+    netstate = NetworkFaultState(netrules, rank) if netrules else None
+    if netstate is not None and not netstate.active:
+        netstate = None
+    counters = {"attempts": 0, "retries": 0}
+    try:
+        ctl = _connect_framed(
+            addr, {"purpose": "ctl", "rank": rank, "token": token,
+                   "generation": 1},
+            knobs["connect_policy"], netstate, counters,
+        )
+        _run_sock_worker(cfg, rank, fn, args, kwargs, ctl, addr, token,
+                         netstate, knobs, counters)
+    except (OSError, CommunicatorError):
+        return  # the master's connect grace surfaces "never connected"
+
+
+# ----------------------------------------------------------------------
+# Master side
+# ----------------------------------------------------------------------
 class SocketTransport(WorldServerMixin, Transport):
-    """Ranks as processes reached over hardened framed-TCP links."""
+    """Ranks as processes joined by hardened framed-TCP links."""
 
     name = "sockets"
     shared_world = False
+    # Whether a worker whose links hit EOF is dead on the spot.  Over
+    # TCP an EOF may be a reset the worker is about to ride out, so the
+    # verdict waits for the liveness deadline.
+    eof_is_death = False
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  hosts=None, connect_policy: RetryPolicy | None = None,
@@ -575,28 +873,21 @@ class SocketTransport(WorldServerMixin, Transport):
         )
         self.python = python or sys.executable
         self.net_health: dict[int, dict] = {}
-        self._comm_members: dict[int, list[int]] = {}
-        self._members_lock = threading.Lock()
-        self._values: list = []
-        self._clocks: list = []
-        self._errors: list = []
         self._shutdown = threading.Event()
         self._boot_blobs: dict[int, bytes] | None = None
 
     # -- transport interface --------------------------------------------
-    def deliver(self, context, comm_id: int, dest_world: int, source: int,
-                tag: int, envelope) -> None:
-        # Master-side deliveries (none in normal operation) are local.
-        context.mailbox(comm_id, dest_world).put(source, tag, envelope)
+    # (no ``deliver``: the master is not a rank and sends no messages)
+    def _open_listener(self) -> socket.socket:
+        return socket.create_server((self.host, self.port))
+
+    def _close_listener(self, listener) -> None:
+        listener.close()
 
     def execute(self, context, fn, args: tuple, kwargs: dict):
         nprocs = context.world_size
-        self._values = [None] * nprocs
-        self._clocks = [None] * nprocs
-        self._errors = [None] * nprocs
+        self.reset_world(context)
         self._shutdown = threading.Event()
-        with self._members_lock:
-            self._comm_members = {WORLD_COMM_ID: list(range(nprocs))}
         self.net_health = {
             r: {"connect_attempts": 0, "retries": 0, "reconnects": 0,
                 "heartbeat_age": None, "disconnect": None, "faults": []}
@@ -607,17 +898,17 @@ class SocketTransport(WorldServerMixin, Transport):
         context.net_health = self.net_health
 
         token = os.urandom(16).hex()
-        listener = socket.create_server((self.host, self.port))
-        addr = listener.getsockname()[:2]
+        listener = self._open_listener()
+        addr = listener.getsockname()
+        if not isinstance(addr, str):
+            addr = addr[:2]
         links = [_SockLink(r) for r in range(nprocs)]
+        self._world_cond = threading.Condition()
 
         context.add_abort_hook(
             lambda reason: self._broadcast(links, ("oob", "abort", reason))
         )
-        context.add_revoke_hook(
-            lambda threshold, reason: self._broadcast(
-                links, ("oob", "revoke", threshold, reason))
-        )
+        context.add_state_hook(lambda: self.push_world(context, links))
 
         cfg = WorkerConfig(context)
         netrules = (
@@ -633,12 +924,12 @@ class SocketTransport(WorldServerMixin, Transport):
         # early connects queue in the accept backlog — and the connect
         # RetryPolicy rides out a full backlog — until the accept
         # thread starts right after.
-        if self.hosts is None:
-            self._fork_workers(links, addr, token, fn, args, kwargs, cfg,
-                               netrules, knobs, listener)
-        else:
-            self._spawn_workers(links, addr, token, fn, args, kwargs, cfg,
-                                netrules, knobs)
+        launch = self._fork_worker if self.hosts is None else self._spawn_worker
+        if self.hosts is not None:
+            self._boot_blobs = {}
+        for link in links:
+            launch(link, addr, token, fn, args, kwargs, cfg, netrules, knobs,
+                   listener)
 
         accept_thread = threading.Thread(
             target=self._accept_loop, args=(listener, links, token, context),
@@ -646,9 +937,10 @@ class SocketTransport(WorldServerMixin, Transport):
         )
         accept_thread.start()
 
-        threads: list = []
-        procs: list = []
-        spawn_lock = threading.Lock()
+        # Every process and service thread the run ever starts —
+        # original or replacement — lands here exactly once.
+        threads: list = [accept_thread]
+        procs: list = [link.proc for link in links]
 
         def serve_link(link: _SockLink) -> None:
             for target, label in ((self._serve_ctl, "ctl"),
@@ -658,20 +950,24 @@ class SocketTransport(WorldServerMixin, Transport):
                     name=f"spmd-sock-{label}-{link.rank}",
                 )
                 thread.start()
-                with spawn_lock:
-                    threads.append(thread)
+                threads.append(thread)
 
         def respawn(rank: int) -> None:
-            # Elastic replacement: retire the dead incarnation's link,
-            # forget its error (the replacement's lifecycle overwrites
-            # the slot), and relaunch the worker through the same
-            # rendezvous the original used — the accept loop indexes
-            # ``links`` at hello time, so the replacement's connections
-            # attach to the fresh link.
+            # Elastic replacement: retire the dead incarnation's link
+            # (closing it also ends that worker's linger), forget its
+            # error (the replacement's lifecycle overwrites the slot),
+            # and relaunch the worker through the same rendezvous the
+            # original used — the accept loop indexes ``links`` at
+            # hello time, so the replacement's connections attach to
+            # the fresh link, and its hello re-issues the rank's
+            # address-book entry under the new incarnation.
             old = links[rank]
             old.replaced = True
-            old.close()  # unblocks the old serve threads via LinkClosed
+            old.close()
             self._errors[rank] = None
+            self._sent[rank] = {}
+            self._received[rank] = {}
+            context.inbox_reports.pop(rank, None)
             new_link = _SockLink(rank)
             links[rank] = new_link
             rcfg = WorkerConfig(context)
@@ -684,39 +980,19 @@ class SocketTransport(WorldServerMixin, Transport):
                 "revoked_below": context.revoked_below,
                 "revoke_reason": context.revoke_reason,
             }
-            incarnation = rcfg.respawn_info["incarnation"]
             self.net_health[rank]["reconnects"] += 1
-            if self.hosts is None:
-                mp_ctx = multiprocessing.get_context("fork")
-                proc = mp_ctx.Process(
-                    target=_worker_main,
-                    args=(addr, token, rank, fn, args, kwargs, rcfg,
-                          netrules, knobs, listener),
-                    name=f"spmd-sock-rank-{rank}-i{incarnation}",
-                    daemon=True,
-                )
-                proc.start()
-            else:
-                if self._boot_blobs is not None:
-                    self._boot_blobs[rank] = self._boot_blob(
-                        rank, fn, args, kwargs, rcfg, netrules, knobs)
-                env = dict(os.environ)
-                env[TOKEN_ENV_VAR] = token
-                proc = subprocess.Popen(
-                    [self.python, "-m", "repro.mpi.transport.sockworker",
-                     "--addr", f"{addr[0]}:{addr[1]}",
-                     "--rank", str(rank)],
-                    stdin=subprocess.DEVNULL,
-                    env=env,
-                )
-            new_link.proc = proc
-            with spawn_lock:
-                procs.append(proc)
+            launch(new_link, addr, token, fn, args, kwargs, rcfg, netrules,
+                   knobs, listener)
+            procs.append(new_link.proc)
 
             def boot() -> None:
                 ok = new_link.wait_ready(
                     time.monotonic() + self.connect_grace)
                 if ok:
+                    # The survivors learn the replacement's address
+                    # before it can contribute to the rendezvous that
+                    # releases them.
+                    self.push_world(context, links)
                     serve_link(new_link)
                 else:
                     self._declare_lost(
@@ -727,112 +1003,105 @@ class SocketTransport(WorldServerMixin, Transport):
 
             threading.Thread(
                 target=boot, daemon=True,
-                name=f"spmd-sock-boot-{rank}-i{incarnation}",
+                name=f"spmd-sock-boot-{rank}-i{rcfg.respawn_info['incarnation']}",
             ).start()
 
-        # The initial incarnations are collected before the respawner
-        # is registered, so every process the run ever launched —
-        # original or replacement — lands in ``procs`` exactly once.
-        procs.extend(link.proc for link in links if link.proc is not None)
         context.set_respawner(respawn)
 
         # Rendezvous: every worker must raise both links within the
         # grace window (injected connect refusals burn into it).
         deadline = time.monotonic() + self.connect_grace
+        ready = [link for link in list(links) if link.wait_ready(deadline)]
+        # Hello carried each worker's listener: hand out the address
+        # book (with the world table) before serving the first RPC.
+        self.push_world(context, links)
         for link in list(links):
-            if not link.wait_ready(deadline):
+            if link in ready:
+                serve_link(link)
+            else:
                 self._declare_lost(
                     link, context,
                     f"never connected within {self.connect_grace:.0f}s",
                 )
-                continue
-            serve_link(link)
 
-        # Join by index: a replace rendezvous may append replacement
-        # workers (and their serve threads) while earlier ones are
-        # still being joined; every incarnation must be reaped.
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(procs):
-                    break
-                proc = procs[i]
-            i += 1
+        # The world is over once every rank's current incarnation has
+        # reported or been declared lost.  The workers are still up —
+        # a finished rank keeps taking in what its peers send it — so
+        # close the world: tell each what to drain to, collect its
+        # pending-inbox summary, let it go.
+        with self._world_cond:
+            while not all(link.finished for link in links):
+                self._world_cond.wait()
+        for link in list(links):
+            self._push(link, ("oob", "bye", self.expected_frames(link.rank)))
+
+        # No rank is left to ask for a replacement, so both lists are
+        # final: reap every incarnation, then wake and join the service
+        # threads (no one sleeps out a poll tick).
+        for proc in procs:
             if hasattr(proc, "join"):
                 proc.join()
             else:  # Popen
                 proc.wait()
-        self._shutdown.set()
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(threads):
-                    break
-                thread = threads[i]
-            i += 1
-            thread.join(timeout=10.0)
-        accept_thread.join(timeout=5.0)
-        try:
-            listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self._stop_accepting(listener)
         now = time.monotonic()
         for link in links:
             self.net_health[link.rank]["heartbeat_age"] = round(
                 now - link.last_rx, 3)
             link.close()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        self._close_listener(listener)
         self._boot_blobs = None
         return self._values, self._clocks, self._errors
 
+    def _stop_accepting(self, listener) -> None:
+        """End the accept loop now, not at its next wake-up."""
+        self._shutdown.set()
+        _wake_listener(listener)
+
     # -- worker launch ---------------------------------------------------
-    def _fork_workers(self, links, addr, token, fn, args, kwargs, cfg,
-                      netrules, knobs, listener) -> None:
+    def _fork_worker(self, link, addr, token, fn, args, kwargs, cfg,
+                     netrules, knobs, listener) -> None:
         try:
             mp_ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
             raise CommunicatorError(
-                "backend='sockets' forks its workers by default (POSIX "
-                "only); pass hosts=[...] to spawn them instead"
+                f"backend={self.name!r} forks its workers (POSIX only); "
+                f"use backend='threads' on this platform"
             ) from None
-        for link in links:
-            # The fork start method passes args by reference, so the
-            # child gets the listener object to close its inherited fd
-            # copy — otherwise every worker would keep the rendezvous
-            # port bound after the master closes it.
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(addr, token, link.rank, fn, args, kwargs, cfg,
-                      netrules, knobs, listener),
-                name=f"spmd-sock-rank-{link.rank}",
-                daemon=True,
-            )
-            proc.start()
-            link.proc = proc
+        incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
+        # The fork start method passes args by reference, so the child
+        # gets the listener object to close its inherited fd copy.
+        link.proc = mp_ctx.Process(
+            target=_worker_main,
+            args=(addr, token, link.rank, fn, args, kwargs, cfg,
+                  netrules, knobs, listener),
+            name=f"spmd-{self.name}-rank-{link.rank}-i{incarnation}",
+            daemon=True,
+        )
+        link.proc.start()
 
-    def _spawn_workers(self, links, addr, token, fn, args, kwargs, cfg,
-                       netrules, knobs) -> None:
-        self._boot_blobs = {
-            link.rank: self._boot_blob(link.rank, fn, args, kwargs, cfg,
-                                       netrules, knobs)
-            for link in links
-        }
+    def _spawn_worker(self, link, addr, token, fn, args, kwargs, cfg,
+                      netrules, knobs, listener) -> None:
+        self._boot_blobs[link.rank] = self._boot_blob(
+            link.rank, fn, args, kwargs, cfg, netrules, knobs)
         host, port = addr
         env = dict(os.environ)
         env[TOKEN_ENV_VAR] = token
-        for link in links:
-            # Single-host loopback launch; the hosts entries label the
-            # layout (and are recorded in net_health).  Reaching a real
-            # remote host means running this exact command there — the
-            # handshake only needs TCP to (host, port) plus the token
-            # in the environment (argv would leak it via ps/procfs).
-            label = self.hosts[link.rank % len(self.hosts)]
-            self.net_health[link.rank]["host"] = label
-            link.proc = subprocess.Popen(
-                [self.python, "-m", "repro.mpi.transport.sockworker",
-                 "--addr", f"{host}:{port}", "--rank", str(link.rank)],
-                stdin=subprocess.DEVNULL,
-                env=env,
-            )
+        # Single-host loopback launch; the hosts entries label the
+        # layout (and are recorded in net_health).  Reaching a real
+        # remote host means running this exact command there — the
+        # handshake only needs TCP to (host, port) plus the token in
+        # the environment (argv would leak it via ps/procfs).
+        self.net_health[link.rank]["host"] = (
+            self.hosts[link.rank % len(self.hosts)])
+        link.proc = subprocess.Popen(
+            [self.python, "-m", "repro.mpi.transport.sockworker",
+             "--addr", f"{host}:{port}", "--rank", str(link.rank)],
+            stdin=subprocess.DEVNULL,
+            env=env,
+        )
 
     @staticmethod
     def _demote_main(fn):
@@ -871,8 +1140,8 @@ class SocketTransport(WorldServerMixin, Transport):
         state = {slot: getattr(cfg, slot) for slot in WorkerConfig.__slots__}
         # Observability objects are worker-local copies; ones that
         # cannot cross the spawn boundary degrade to None (the
-        # master-side halves — mailbox protocol, postmortems — still
-        # work, the worker just ships no shards for them).
+        # master-side halves — postmortems, telemetry — still work,
+        # the worker just ships no shards for them).
         for opt in ("comm_trace", "tracer", "recorder"):
             try:
                 pickle.dumps(state[opt], protocol=4)
@@ -892,85 +1161,69 @@ class SocketTransport(WorldServerMixin, Transport):
 
     # -- rendezvous/accept loop ------------------------------------------
     def _accept_loop(self, listener, links, token: str, context) -> None:
-        listener.settimeout(0.2)
-        while not self._shutdown.is_set():
-            try:
-                sock, _peer = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # pragma: no cover - listener closed
-                return
-            fs = FramedSocket(sock)
-            # The hello is a bounded JSON frame — nothing from this
-            # connection is unpickled (or even trusted as a tuple)
-            # until the token has passed a constant-time comparison.
-            # A stray or hostile client gets its socket closed, never
-            # a pickle.loads of its bytes.
-            try:
-                hello = fs.recv_json(timeout=_HELLO_TIMEOUT)
-            except (LinkClosed, LinkTimeout):
-                fs.close()
-                continue
-            peer_token = hello.get("token")
-            if not (hello.get("kind") == "hello"
-                    and isinstance(peer_token, str)
-                    and hmac.compare_digest(peer_token, token)):
-                fs.close()  # wrong token / stray connection: reject
-                continue
-            purpose = hello.get("purpose")
-            rank = hello.get("rank")
-            if not (isinstance(rank, int) and 0 <= rank < len(links)
-                    and purpose in ("ctl", "data")):
-                fs.close()
-                continue
-            info = {key: hello.get(key, 0)
-                    for key in ("generation", "attempts", "retries")}
+        def attach(fs: FramedSocket, hello: dict) -> None:
+            purpose, rank = hello["purpose"], hello["rank"]
             link = links[rank]
-            self._note_hello(context, link, purpose, info)
-            try:
-                fs.send_json({"kind": "ok", "world": len(links)})
-                if purpose == "ctl" and self._boot_blobs is not None:
-                    fs.send(("boot", self._boot_blobs[rank]))
-            except LinkClosed:
-                fs.close()
-                continue
+            self._note_hello(context, link, hello)
+            fs.send_json({"kind": "ok", "world": len(links)})
+            if purpose == "ctl" and self._boot_blobs is not None:
+                fs.send(("boot", self._boot_blobs[rank]))
             link.attach(purpose, fs)
 
-    def _note_hello(self, context, link: _SockLink, purpose: str,
-                    info: dict) -> None:
-        """Fold a hello's connect bookkeeping into health + comm trace."""
+        _serve_hellos(listener, token, len(links), ("ctl", "data"), attach,
+                      self._shutdown)
+
+    def _note_hello(self, context, link: _SockLink, hello: dict) -> None:
+        """Fold a hello's bookkeeping into health, comm trace and book."""
         h = self.net_health[link.rank]
         h["connect_attempts"] = max(h["connect_attempts"],
-                                    int(info.get("attempts", 0)))
-        new_retries = int(info.get("retries", 0)) - h["retries"]
+                                    int(hello.get("attempts", 0)))
+        new_retries = int(hello.get("retries", 0)) - h["retries"]
         if new_retries > 0:
             h["retries"] += new_retries
             trace = context.comm_trace
             if trace is not None:
                 for _ in range(new_retries):
                     trace.record_connect_retry(link.rank)
-        if purpose == "data" and int(info.get("generation", 1)) > 1:
+        listen = hello.get("listen")
+        if listen is not None:
+            self._book[link.rank] = (
+                listen if isinstance(listen, str) else tuple(listen),
+                context.rank_incarnations[link.rank],
+            )
+        generation = int(hello.get("generation", 1))
+        if hello["purpose"] == "data" and generation > 1:
             h["reconnects"] += 1
-        recorder = getattr(context, "recorder", None)
-        if recorder is not None and int(info.get("generation", 1)) > 1:
-            # Safe to write master-side: reconnect bookkeeping is rare
-            # and the recorder merges by max sequence either way; the
-            # authoritative per-rank op stream still comes from the
-            # worker's shipped deltas.
             h.setdefault("reconnect_log", []).append(round(time.time(), 3))
 
     # -- out-of-band push ------------------------------------------------
     @staticmethod
-    def _broadcast(links, header: tuple) -> None:
-        for link in links:
-            fs = link.ctl
-            if fs is None:
-                continue
-            with link.send_lock:
-                try:
-                    fs.send(header)
-                except LinkClosed:
-                    pass  # worker already gone
+    def _push(link: _SockLink, header: tuple) -> None:
+        fs = link.ctl
+        if fs is None:
+            return
+        with link.send_lock:
+            try:
+                fs.send(header)
+            except LinkClosed:
+                pass  # worker already gone
+
+    def _broadcast(self, links, header: tuple) -> None:
+        for link in list(links):
+            self._push(link, header)
+
+    def push_world(self, context, links) -> None:
+        """Hand the current world table to every rank still running.
+
+        Snapshot and sends happen under one lock, so tables reach each
+        worker in the order they were taken.  A rank that has reported
+        runs no more receives; it is skipped.
+        """
+        with self._push_lock:
+            header = ("oob", "world", self.world_table(context))
+            for link in list(links):
+                if not link.finished:
+                    self._push(link, header)
 
     # -- master service threads -----------------------------------------
     def _reply(self, link: _SockLink, value) -> None:
@@ -983,6 +1236,11 @@ class SocketTransport(WorldServerMixin, Transport):
         with link.send_lock:
             link.ctl.send(("err", encode_exception(exc)))
 
+    def _mark_finished(self, link: _SockLink) -> None:
+        with self._world_cond:
+            link.finished = True
+            self._world_cond.notify_all()
+
     def _serve_ctl(self, link: _SockLink, context) -> None:
         """Serve one worker's blocking RPCs until it disconnects."""
         fs = link.ctl
@@ -990,7 +1248,7 @@ class SocketTransport(WorldServerMixin, Transport):
             try:
                 header, arrays = fs.recv(None)
             except LinkClosed:
-                return
+                break
             if header[0] != "rpc":  # pragma: no cover - protocol noise
                 continue
             _, method, skeleton = header
@@ -1001,82 +1259,55 @@ class SocketTransport(WorldServerMixin, Transport):
                 try:
                     self._reply_err(link, exc)
                 except LinkClosed:
-                    return
+                    break
                 continue
             try:
                 self._reply(link, value)
             except LinkClosed:
-                return
+                break
             if method in ("finalize", "rank_killed", "rank_error"):
-                link.finished = True
-                return
+                self._mark_finished(link)
+        if self.eof_is_death and not link.finished:
+            self._declare_lost(link, context, "worker process died unexpectedly")
 
     def _serve_data(self, link: _SockLink, context) -> None:
-        """Drain one worker's data frames; silence is its death certificate.
+        """Drain one worker's bookkeeping frames; silence is its death
+        certificate.
 
-        The recv loop wakes every ``_DATA_TICK`` seconds to check the
-        liveness deadline, so a partitioned or frozen worker surfaces
-        as a failed rank within ``liveness_timeout`` — never a hang.
-        An EOF (reset or process death) retires the socket but starts
-        no new clock: either a reconnect replaces it or the liveness
-        deadline (running since the last received frame) expires.
+        The reader wakes every ``_DATA_TICK`` seconds of silence to
+        check the liveness deadline, so a partitioned or frozen worker
+        surfaces as a failed rank within ``liveness_timeout`` — never a
+        hang.  An EOF (reset or process death) retires the socket but
+        starts no new clock: either a reconnect replaces it or the
+        liveness deadline (running since the last received frame)
+        expires.
         """
-        while True:
-            if link.finished or link.replaced or self._shutdown.is_set():
-                return
-            with link.cond:
-                fs = link.data
-                gen = link.data_gen
-            if fs is None:
-                if self._liveness_expired(link):
-                    self._declare_lost(link, context,
-                                       "data link lost and not re-established")
-                    return
-                with link.cond:
-                    link.cond.wait(_DATA_TICK)
-                continue
-            try:
-                header, arrays = fs.recv(timeout=_DATA_TICK)
-            except LinkTimeout:
-                if link.next_data is not None:
-                    # Nothing left on a socket the worker has abandoned
-                    # (a black-holed link never delivers its EOF).
-                    link.retire_data(gen)
-                    continue
-                if self._liveness_expired(link):
-                    self._declare_lost(
-                        link, context,
-                        f"liveness deadline exceeded "
-                        f"({self.liveness_timeout:.1f}s of silence)",
-                    )
-                    return
-                continue
-            except LinkClosed:
-                link.retire_data(gen)
-                continue
-            link.last_rx = time.monotonic()
+        def handle(header: tuple, _arrays: list) -> None:
             kind = header[0]
-            if kind == "put":
-                _, comm_id, dest_world, source, tag, meta, skeleton = header
-                payload = join_arrays(skeleton, arrays)
-                send_time, moved, nbytes, seq, checksum, origin = meta
-                env = Envelope(payload=payload, send_time=send_time,
-                               moved=moved, nbytes=nbytes,
-                               origin=decode_origin(origin), seq=seq,
-                               checksum=checksum)
-                context.mailbox(comm_id, dest_world).put(source, tag, env)
-                with link.put_cond:
-                    link.puts_received += 1
-                    link.put_cond.notify_all()
-            elif kind == "hb":
+            if kind == "hb":
                 self._ingest_heartbeat(context, header[1], header[2],
                                        header[3])
             elif kind == "netfault":
                 self._absorb_netfault(context, link, header[1])
             # "ping" frames carry nothing; stamping last_rx was the point.
 
-    def _liveness_expired(self, link: _SockLink) -> bool:
-        return time.monotonic() - link.last_rx > self.liveness_timeout
+        def lost() -> bool:
+            if (link.finished
+                    or time.monotonic() - link.last_rx <= self.liveness_timeout):
+                return False
+            self._declare_lost(
+                link, context,
+                f"liveness deadline exceeded "
+                f"({self.liveness_timeout:.1f}s of silence)"
+                if link.data is not None
+                else "data link lost and not re-established",
+            )
+            return True
+
+        link.drain(
+            handle, lost=lost,
+            stop=lambda: link.replaced or self._shutdown.is_set(),
+        )
 
     def _absorb_netfault(self, context, link: _SockLink, events) -> None:
         """Fold a worker's injected-network-fault records into the run."""
@@ -1102,26 +1333,32 @@ class SocketTransport(WorldServerMixin, Transport):
             # The rank status now describes the replacement; this link
             # belongs to an incarnation already recovered from.
             return
-        if context.rank_status(rank) != "running":
-            return
-        if link.partitioned and context.faults is not None:
-            err: CommunicatorError = RankKilledError(
-                f"injected network partition: rank {rank} went silent "
-                f"({why}; last frame {age:.2f}s ago)"
-            )
-        else:
-            err = RankFailedError(
-                f"rank {rank} socket worker lost: {why} "
-                f"(last frame {age:.2f}s ago)"
-            )
-        if self._errors[rank] is None:
-            self._errors[rank] = err
-        recorder = getattr(context, "recorder", None)
-        if recorder is not None:
-            # The worker can ship no more deltas (its link is gone), so
-            # a master-side record cannot collide with absorb_events.
-            try:
-                recorder.record(rank, "fault", name="net:lost", reason=why)
-            except Exception:  # pragma: no cover - telemetry best-effort
-                pass
-        context.mark_failed(rank)
+        if context.rank_status(rank) == "running":
+            if link.partitioned and context.faults is not None:
+                err: CommunicatorError = RankKilledError(
+                    f"injected network partition: rank {rank} went silent "
+                    f"({why}; last frame {age:.2f}s ago)"
+                )
+            elif self.eof_is_death:
+                err = RankFailedError(f"rank {rank} {why}")
+            else:
+                err = RankFailedError(
+                    f"rank {rank} socket worker lost: {why} "
+                    f"(last frame {age:.2f}s ago)"
+                )
+            if self._errors[rank] is None:
+                self._errors[rank] = err
+            recorder = getattr(context, "recorder", None)
+            if recorder is not None:
+                # The worker can ship no more deltas (its link is
+                # gone), so a master-side record cannot collide with
+                # absorb_events.
+                try:
+                    recorder.record(rank, "fault", name="net:lost",
+                                    reason=why)
+                except Exception:  # pragma: no cover - best-effort
+                    pass
+            # It died without a report: peers drain its links to EOF.
+            self._sent[rank] = None
+            context.mark_failed(rank)
+        self._mark_finished(link)

@@ -4,13 +4,14 @@
 --addr HOST:PORT --rank R`` dials the master's rendezvous listener,
 completes the hello handshake on the ctl link, receives its boot blob
 (the SPMD program, its arguments, and the world configuration,
-pickled), raises the data link, and runs the rank to completion.  This
-is what ``SocketTransport(hosts=[...])`` launches instead of forking —
-a fresh interpreter with no inherited state, the shape a real
-multi-host deployment has.  Running the same command by hand on
-another machine (with ``--addr`` pointing back at the master) joins
-that host to the world; the handshake needs nothing but TCP
-reachability and the shared token.  The token travels in the
+pickled), binds the listener its peers will dial, raises the data link
+(whose hello reports that listener), and runs the rank to completion.  This is what
+``SocketTransport(hosts=[...])`` launches instead of forking — a fresh
+interpreter with no inherited state, the shape a real multi-host
+deployment has.  Running the same command by hand on another machine
+(with ``--addr`` pointing back at the master) joins that host to the
+world; the handshake needs nothing but TCP reachability — to the
+master and between the workers — and the shared token.  The token travels in the
 ``REPRO_SOCKETS_TOKEN`` environment variable, not argv — command
 lines are world-readable via ps/procfs, and the secret must not be.
 """
@@ -58,12 +59,15 @@ def main(argv=None) -> int:
 
     # The ctl link comes up first and carries the boot blob; injected
     # connect-refusal rules (which ride in the blob) therefore apply
-    # only to the data connect in spawn mode.
+    # only to the connects after it in spawn mode.
     counters = {"attempts": 0, "retries": 0}
     from .net import DEFAULT_CONNECT_POLICY
 
-    ctl = _connect_framed(addr, "ctl", rank, token,
-                          DEFAULT_CONNECT_POLICY, None, counters)
+    ctl = _connect_framed(
+        addr, {"purpose": "ctl", "rank": rank, "token": token,
+               "generation": 1},
+        DEFAULT_CONNECT_POLICY, None, counters,
+    )
     header, _ = ctl.recv(timeout=_BOOT_TIMEOUT)
     if not (isinstance(header, tuple) and header and header[0] == "boot"):
         raise CommunicatorError(
@@ -78,10 +82,8 @@ def main(argv=None) -> int:
     netstate = NetworkFaultState(netrules, rank) if netrules else None
     if netstate is not None and not netstate.active:
         netstate = None
-    data = _connect_framed(addr, "data", rank, token,
-                           knobs["connect_policy"], netstate, counters)
-    _run_sock_worker(cfg, rank, fn, args, kwargs, ctl, data, addr,
-                     token, netstate, knobs, counters)
+    _run_sock_worker(cfg, rank, fn, args, kwargs, ctl, addr, token,
+                     netstate, knobs, counters)
     return 0
 
 

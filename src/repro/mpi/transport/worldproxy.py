@@ -1,45 +1,64 @@
-"""Wire-agnostic worker/master halves of a master-resident world.
+"""The two halves of a world whose ranks are processes.
 
-The procs and sockets backends share one execution model: rank workers
-in their own processes, the *world* (mailboxes, rendezvous, rank
-status, node-local store, sanitizer) resident in the master, reached
-through a per-rank duplex RPC channel plus a one-way data path for
-message deliveries.  What differs is only the wire — pipes and
-shared-memory rings for forked local workers, framed TCP sockets for
-networked ones.
+The procs and sockets backends share one execution model: every rank
+is a worker process that owns its *mailboxes* and exchanges payloads
+with its peers over direct worker-to-worker links (the data plane,
+:mod:`~repro.mpi.transport.sockets`); the master keeps the **control
+plane** only — rank lifecycle and result slots, the split / shrink /
+replace rendezvous, revocation and abort fan-out, the node-local
+store, the sanitizer's collective matching and wait-for graph,
+liveness, telemetry and postmortem assembly.  No payload crosses the
+master.
 
-This module holds everything *above* the wire:
+This module holds everything above the wire:
 
 * the worker side — :class:`WorkerContext` (the rank-local
-  ``SpmdContext`` stand-in), :class:`MailboxProxy`,
-  :class:`WorkerSanitizer`, the observability shard
-  machinery (:func:`delta_shards` / :func:`collect_shards` /
-  :class:`Heartbeat`), and :func:`run_worker`, the worker main loop;
-* the master side — :class:`WorldServerMixin`, the RPC dispatch table
-  with the canonical blocked-receive protocol, the delivery-drain
-  lifecycle barrier, and the telemetry/shard merge paths.
+  ``SpmdContext`` stand-in: real mailboxes, a copy of the world table,
+  RPCs for what is world state), :class:`WorkerSanitizer`, the
+  observability shard machinery (:func:`delta_shards` /
+  :func:`collect_shards` / :class:`Heartbeat`), and :func:`run_worker`,
+  the worker main loop;
+* the master side — :class:`WorldServerMixin`, the RPC dispatch table,
+  the world-table push, the lifecycle bookkeeping and the shard merge
+  paths.
+
+**The world table.**  A blocked receive runs the one canonical protocol
+(``Communicator._recv_blocking``) in the worker and asks its context
+three things: a partner's status, whether it is recovering, and the
+revocation threshold.  A worker answers from its copy of the table,
+which the master pushes out-of-band on the ctl link after every change
+(:meth:`WorldServerMixin.push_world`); the ctl reader applies a push and
+wakes the local mailboxes, so a blocked receive learns of a dead or
+finalized partner without asking.
+
+**Drain by count.**  "Partner gone and nothing matching in my box" may
+only end a receive once every frame the partner sent has arrived.  The
+table therefore carries, for each rank that can send no more (its
+lifecycle report, its ``revoke``), how many frames it sent to each
+peer; the receiver holds the partner's status at ``running`` until it
+has counted as many off the partner's link (``DRAIN_TIMEOUT`` bounds
+the wait; a partner that died without a report is drained when its
+link hits EOF).
 
 A transport supplies two duck-typed worker objects:
 
 ``channel``
     ``call(method, *args)`` — blocking RPC returning the master's
-    reply (raising its error); ``drain_oob()`` — apply queued
-    abort/revoke pushes without blocking; a ``state`` attribute the
-    worker context is assigned to (for out-of-band dispatch).
-``pump``
-    ``enqueue(comm_id, dest_world, source, tag, env)`` — stage a
-    delivery, returning a :class:`SendToken` completion token (set
-    once staged, carrying the staging error if the wire failed);
-    ``enqueue_raw(header)`` — stage a bookkeeping message
-    (heartbeat, netfault) outside the drain barrier; ``sent`` — count
-    of deliveries accepted; ``failure`` — the first staging error (or
-    ``None``), shipped with the lifecycle RPC so the master can skip
-    the drain barrier for puts that will never arrive and attribute
-    the loss to the send path instead of a clean finalize.
+    reply (raising its error); ``start(state)`` — begin applying the
+    master's pushes to ``state.apply_oob``; ``wait_bye()`` — block
+    until the master closes the world, returning the frame counts to
+    drain (``None`` when the master is gone).
+``wire``
+    ``send_put(dest_world, comm_id, source, tag, env)`` — ship one
+    envelope to a peer, returning ``None`` or the error that lost it;
+    ``notify_master(header)`` — best-effort bookkeeping frame
+    (heartbeat, ping); ``counts()`` — frames per peer, ``({dest:
+    (dest incarnation, sent)}, {source: (source incarnation,
+    received)})``; ``report()`` — ``{"sent": <as counts()[0]>, "lost":
+    {dest: (frames, why)}}`` for the lifecycle RPC; ``received(source,
+    incarnation)`` — ``(frames, link_at_eof)``; ``start(context)``.
 
-and, master-side, per-rank ``link`` objects carrying ``rank``,
-``put_cond`` (a condition), and ``puts_received`` (deliveries folded
-into mailboxes so far) for the drain barrier.
+and, master-side, per-rank ``link`` objects carrying ``rank``.
 """
 
 from __future__ import annotations
@@ -47,7 +66,6 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from typing import Any
 
 from ...errors import (
     CommunicatorError,
@@ -55,15 +73,21 @@ from ...errors import (
     RankFailedError,
     WorldAbortedError,
 )
-from ..context import Envelope
-from .codec import decode_envelope, decode_exception, encode_envelope, encode_exception
+from ..context import Envelope, _Mailbox
+from .codec import (
+    decode_envelope,
+    decode_exception,
+    decode_origin,
+    encode_exception,
+    encode_origin,
+    join_arrays,
+)
 from .threads import WORLD_COMM_ID, run_rank_program
 
 __all__ = [
     "DRAIN_TIMEOUT",
     "SendToken",
     "WorkerConfig",
-    "MailboxProxy",
     "WorkerSanitizer",
     "WorkerContext",
     "delta_shards",
@@ -73,18 +97,23 @@ __all__ = [
     "WorldServerMixin",
 ]
 
-# Seconds the master waits for a finishing worker's in-flight
-# deliveries to drain before processing its lifecycle message.
+# Seconds a receiver waits for the frames a departed partner reported
+# sending before it accepts that they will never arrive.
 DRAIN_TIMEOUT = 30.0
+
+# Pending-inbox rows a heartbeat carries at most (the closing report of
+# a rank is complete).
+_HEARTBEAT_INBOX_ROWS = 256
 
 
 class SendToken(threading.Event):
-    """``isend`` completion token the send pumps hand out.
+    """``isend`` completion token of a send that did not reach the wire.
 
-    Set once the payload has been staged onto the wire — or once the
-    pump knows it never will be, in which case ``error`` carries the
-    staging failure and the waiter (:meth:`~repro.mpi.request.Request.
-    from_token`) re-raises it instead of reporting a successful stage.
+    Sends are written inline on the rank's thread, so a send that
+    succeeded needs no token.  One that failed hands back a token that
+    is already set and carries the staging failure in ``error``; the
+    waiter (:meth:`~repro.mpi.request.Request.from_token`) re-raises it
+    instead of reporting a successful stage.
     """
 
     def __init__(self) -> None:
@@ -138,73 +167,50 @@ class WorkerConfig:
         # "revoke_reason"}.  Tells the worker which incarnation it is
         # (so the fault injector counts its operations from zero) and
         # seeds its local revocation threshold, because the replacement
-        # missed the out-of-band revoke push the survivors received.
+        # joins a world whose current epoch is already revoked.
         self.respawn_info = None
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class MailboxProxy:
-    """Worker-side view of one master mailbox (receive RPCs)."""
-
-    __slots__ = ("_channel", "_comm_id", "_world_rank")
-
-    def __init__(self, channel, comm_id: int, world_rank: int) -> None:
-        self._channel = channel
-        self._comm_id = comm_id
-        self._world_rank = world_rank
-
-    def get(self, source: int, tag: int, timeout: float,
-            poll=None, interval=None) -> Envelope:
-        # poll/interval are intentionally unused: the canonical blocked-
-        # receive protocol (dead-partner fast-fail, revocation, deadlock
-        # watchdog) runs master-side inside this RPC.
-        return decode_envelope(self._channel.call(
-            "box_get", self._comm_id, self._world_rank, source, tag
-        ))
-
-    def try_get(self, source: int, tag: int) -> Envelope | None:
-        return decode_envelope(self._channel.call(
-            "box_try_get", self._comm_id, self._world_rank, source, tag
-        ))
-
-    def has(self, source: int, tag: int) -> bool:
-        return bool(self._channel.call(
-            "box_has", self._comm_id, self._world_rank, source, tag
-        ))
-
-
 class WorkerSanitizer:
     """Worker-side sanitizer proxy.
 
-    Collective matching is world state and forwards to the master's
-    sanitizer; the blocked-receive hooks (wait graph, stall watchdog,
-    failed-partner diagnosis) run master-side inside ``box_get`` and
-    are no-ops here.  Move-ownership tracking is *rank-local* state:
-    a worker-resident :class:`~repro.sanitize.Sanitizer` ledger
-    registers every buffer this rank relinquishes or receives frozen —
-    with the real call sites, since moves originate in this very
-    address space (receive-side origins arrive in the envelope wire
-    metadata) — so use-after-move enforcement raises with the true
-    send site instead of degrading to a bare NumPy ``ValueError``.
-    The ledger's findings ship home with the lifecycle shards.
+    Collective matching and the wait-for graph are world state and
+    forward to the master's sanitizer: one RPC per collective, and two
+    small ones per receive that actually blocks (one more per watchdog
+    tick while it stays blocked).  Each wait notice carries this rank's
+    frame counts, sent and received per peer, which is how the master
+    tells a starved cycle from one whose message is still on a link.
+    Move-ownership tracking and the failed-partner diagnosis are
+    *rank-local*: a worker-resident :class:`~repro.sanitize.Sanitizer`
+    ledger registers every buffer this rank relinquishes or receives
+    frozen — with the real call sites, since moves originate in this
+    very address space (receive-side origins arrive in the envelope
+    wire metadata) — and inspects the rank's own mailbox.  The ledger's
+    findings ship home with the lifecycle shards.
     """
 
-    def __init__(self, channel, watchdog_interval: float) -> None:
+    def __init__(self, channel, wire, watchdog_interval: float) -> None:
         from ...sanitize import Sanitizer
 
         self._channel = channel
+        self._wire = wire
         self.watchdog_interval = watchdog_interval
         # Rank-local move/provenance ledger; never finalized (leak
         # reporting is master-side world state).
         self._local = Sanitizer(strict=False,
                                 watchdog_interval=watchdog_interval)
+        self._wait: tuple | None = None  # the blocked receive: (edge, box)
+        self._registered = False  # whether the master knows of it
 
     def check_collective(self, comm_id, seq, world_rank, op, signature,
                          comm_size) -> None:
+        from ...sanitize.diagnostics import capture_call_site
+
         self._channel.call("check_collective", comm_id, seq, world_rank, op,
-                           tuple(signature), comm_size)
+                           tuple(signature), comm_size, capture_call_site())
 
     # Move/provenance hooks: the rank-local ledger.
     def note_send(self, world_rank):
@@ -219,33 +225,55 @@ class WorkerSanitizer:
     def explain_readonly_write(self, exc, rank):
         return self._local.explain_readonly_write(exc, rank)
 
+    def describe_failed_partner(self, *args, **kwargs):
+        return self._local.describe_failed_partner(*args, **kwargs)
+
     def local_findings(self) -> list:
         """Diagnostics recorded by the rank-local ledger (for shipping)."""
         return list(self._local.findings)
 
-    def begin_wait(self, *a, **k) -> None:  # pragma: no cover - unused
-        pass
+    # Wait-for graph: notices to the master.
+    def _notice(self, stalled: bool) -> None:
+        edge, box = self._wait
+        # Counts first, mailbox second: a frame the counts include has
+        # been put (the reader puts, then counts), so "counted and not
+        # in the box" can only mean it is not the awaited message.
+        counts = self._wire.counts()
+        if not box.has(edge[2], edge[3]):
+            self._channel.call("wait", edge, counts, stalled)
+            self._registered = True
 
-    def end_wait(self, world_rank) -> None:  # pragma: no cover - unused
-        pass
+    def begin_wait(self, world_rank, target_world, source_comm_rank, tag,
+                   comm_id, mailbox) -> None:
+        from ...sanitize.diagnostics import capture_call_site
 
-    def on_stall(self, world_rank) -> None:  # pragma: no cover - unused
-        pass
+        edge = (world_rank, target_world, source_comm_rank, tag, comm_id,
+                capture_call_site())
+        self._wait = (edge, mailbox)
+        self._notice(stalled=False)
+
+    def on_stall(self, world_rank) -> None:
+        self._notice(stalled=True)
+
+    def end_wait(self, world_rank) -> None:
+        if self._registered:
+            self._registered = False
+            self._channel.call("end_wait", world_rank)
 
 
 class WorkerContext:
     """Rank-local stand-in for :class:`SpmdContext` inside a worker.
 
-    World-authoritative operations (receive matching, rendezvous, rank
-    status, the node-local store) are RPCs to the master; per-rank
-    observability writes go to local copies shipped home as deltas at
-    finalize.  ``remote_recv`` tells the communicator's blocking
-    receive to defer its dead-partner/watchdog protocol to the master.
+    Holds what belongs to the rank — its mailboxes, fed by the inbound
+    peer links — and a copy of the world table the master keeps current
+    (see the module docstring).  What is world state (rendezvous, the
+    node-local store, abort and revoke requests) is an RPC to the
+    master; per-rank observability writes go to local copies shipped
+    home as deltas at finalize.
     """
 
-    remote_recv = True
-
-    def __init__(self, cfg: WorkerConfig, channel, pump) -> None:
+    def __init__(self, cfg: WorkerConfig, rank: int, channel, wire) -> None:
+        self.rank = rank
         self.world_size = cfg.world_size
         self.cost_model = cfg.cost_model
         self.recv_timeout = cfg.recv_timeout
@@ -256,7 +284,7 @@ class WorkerContext:
         self.tracer = cfg.tracer
         self.recorder = cfg.recorder
         self.sanitizer = (
-            WorkerSanitizer(channel, cfg.watchdog_interval)
+            WorkerSanitizer(channel, wire, cfg.watchdog_interval)
             if cfg.has_sanitizer else None
         )
         self.abort_event = threading.Event()
@@ -264,14 +292,15 @@ class WorkerContext:
         self.revoked_below = 0
         self.revoke_reason: str | None = None
         # Observed threshold for entry-point checks: ``revoked_below``
-        # is pushed asynchronously by master OOB messages, so gating
-        # ops on it directly would interrupt this worker at a
-        # timing-dependent op.  ``revoked_seen`` advances only at
-        # deterministic points — a blocking wait that raised, our own
-        # revoke(), or the respawn seed below.
+        # is pushed asynchronously by the master, so gating ops on it
+        # directly would interrupt this worker at a timing-dependent
+        # op.  ``revoked_seen`` advances only at deterministic points —
+        # a blocking wait that raised, our own revoke(), or the respawn
+        # seed below.
         self.revoked_seen = 0
-        info = getattr(cfg, "respawn_info", None)
-        if info is not None:
+        info = cfg.respawn_info or {}
+        self.incarnation = info.get("incarnation", 0)
+        if info:
             # A replacement joins a world whose current epoch is already
             # revoked; without this seed its first operation would try a
             # real exchange on the poisoned world communicator.
@@ -279,18 +308,115 @@ class WorkerContext:
             self.revoke_reason = info.get("revoke_reason")
             self.revoked_seen = self.revoked_below
         self._channel = channel
-        self._pump = pump
-        self._proxies: dict = {}
+        self._wire = wire
+        self._boxes: dict[int, _Mailbox] = {}
+        self._box_lock = threading.Lock()
+        # The world table, replaced whole by each push; the condition
+        # wakes senders waiting for an address or a verdict on a peer.
+        self._table = {
+            "status": ["running"] * cfg.world_size,
+            "incarnation": [0] * cfg.world_size,
+            "recovering": (),
+            "sent": {},
+            "book": {},
+        }
+        self._table_cond = threading.Condition()
+        # When each departed partner was first found short of frames.
+        self._drain_started: dict[int, float] = {}
+        self._lingering = False  # program over, collecting late frames
 
-    # -- out-of-band state pushed by the master -------------------------
+    # -- state pushed by the master -------------------------------------
     def apply_oob(self, msg: tuple) -> None:
-        if msg[1] == "abort":
-            self.abort_reason = msg[2]
-            self.abort_event.set()
-        elif msg[1] == "revoke":
-            if msg[2] > self.revoked_below:
-                self.revoked_below = msg[2]
-                self.revoke_reason = msg[3]
+        """Apply one master push (called on the ctl reader thread)."""
+        with self._table_cond:
+            if msg[1] == "abort":
+                self.abort_reason = msg[2]
+                self.abort_event.set()
+            elif msg[1] == "world":
+                self._table = table = msg[2]
+                if table["revoked_below"] > self.revoked_below:
+                    self.revoked_below = table["revoked_below"]
+                    self.revoke_reason = table["revoke_reason"]
+            self._table_cond.notify_all()
+        self.wake_all_mailboxes()
+
+    def wait_table(self, timeout: float) -> None:
+        """Sleep up to ``timeout`` seconds, less if a push arrives."""
+        with self._table_cond:
+            self._table_cond.wait(timeout)
+
+    def peer_address(self, dest: int) -> tuple | None:
+        """``(address, incarnation)`` of ``dest``'s listener.
+
+        Blocks until the master has handed the entry out (it does once
+        every worker has said hello, and again for a replacement);
+        ``None`` when there will be none — ``dest`` was declared lost
+        before it ever said hello, or the world was aborted.
+        """
+        deadline = time.monotonic() + self.recv_timeout
+        with self._table_cond:
+            while True:
+                table = self._table
+                entry = table["book"].get(dest)
+                if entry is not None and entry[1] == table["incarnation"][dest]:
+                    return entry
+                if (table["status"][dest] != "running"
+                        or self.abort_event.is_set()):
+                    return None
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise CommunicatorError(
+                        f"rank {self.rank} never learned rank {dest}'s "
+                        f"address from the master"
+                    )
+                self._table_cond.wait(remaining)
+
+    def true_status(self, world_rank: int) -> str:
+        """The master's word on ``world_rank``, drained or not."""
+        return self._table["status"][world_rank]
+
+    def incarnation_of(self, world_rank: int) -> int:
+        return self._table["incarnation"][world_rank]
+
+    def _drained(self, table: dict, partner: int) -> bool:
+        """Whether every frame ``partner`` sent this rank has arrived."""
+        incarnation = table["incarnation"][partner]
+        sent = table["sent"].get(partner)
+        got, at_eof = self._wire.received(partner, incarnation)
+        if sent is None:
+            # Died without a report: its link's EOF is the last word.
+            done = at_eof
+        else:
+            to_me = sent.get(self.rank)
+            done = (to_me is None or to_me[0] != self.incarnation
+                    or got >= to_me[1])
+        if done:
+            self._drain_started.pop(partner, None)
+            return True
+        started = self._drain_started.get(partner)
+        if started is None:
+            started = self._drain_started[partner] = time.monotonic()
+            # The blocked receive recounts when a frame or a push wakes
+            # it; if neither ever comes, this does.
+            alarm = threading.Timer(DRAIN_TIMEOUT + 0.1,
+                                    self.wake_all_mailboxes)
+            alarm.daemon = True
+            alarm.start()
+        return time.monotonic() - started > DRAIN_TIMEOUT
+
+    def rank_status(self, world_rank: int) -> str:
+        """``world_rank``'s status *as this receiver may act on it*:
+        ``"running"`` until the frames it sent have all arrived."""
+        table = self._table
+        status = table["status"][world_rank]
+        if status != "running" and not self._drained(table, world_rank):
+            return "running"
+        return status
+
+    def is_recovering(self, world_rank: int) -> bool:
+        table = self._table
+        return (world_rank in table["recovering"]
+                and self._drained(table, world_rank))
 
     def check_alive(self) -> None:
         if self.abort_event.is_set():
@@ -321,23 +447,84 @@ class WorkerContext:
         return None
 
     # -- message paths ---------------------------------------------------
-    def mailbox(self, comm_id: int, world_rank: int) -> MailboxProxy:
-        key = (comm_id, world_rank)
-        proxy = self._proxies.get(key)
-        if proxy is None:
-            proxy = MailboxProxy(self._channel, comm_id, world_rank)
-            self._proxies[key] = proxy
-        return proxy
+    def mailbox(self, comm_id: int, world_rank: int | None = None) -> _Mailbox:
+        """This rank's (lazily created) mailbox in one communicator."""
+        with self._box_lock:
+            box = self._boxes.get(comm_id)
+            if box is None:
+                box = self._boxes[comm_id] = _Mailbox(self.abort_event)
+            return box
+
+    def wake_all_mailboxes(self) -> None:
+        with self._box_lock:
+            boxes = list(self._boxes.values())
+        for box in boxes:
+            box.wake_all()
+
+    def accept_put(self, link, header: tuple, arrays: list) -> None:
+        """File one inbound ``put`` frame (called on a link's reader)."""
+        _, comm_id, source, tag, skeleton = header
+        env = decode_envelope(join_arrays(skeleton, arrays))
+        self.mailbox(comm_id).put(source, tag, env)
+        # Put first, count second (see _drained / WorkerSanitizer._notice).
+        link.received += 1
+        table = self._table
+        if (table["status"][link.rank] != "running"
+                or link.rank in table["recovering"]):
+            # A receive held back by the drain rule may be blocked on
+            # another communicator's mailbox: wake them all to recount.
+            self.wake_all_mailboxes()
+        if self._lingering:
+            with self._table_cond:
+                self._table_cond.notify_all()
+
+    def pending_rows(self, limit: int | None = None) -> list:
+        """Wire summary of this rank's undelivered messages."""
+        with self._box_lock:
+            boxes = sorted(self._boxes.items())
+        rows = []
+        for comm_id, box in boxes:
+            for (source, tag), envs in sorted(box.pending_envelopes().items()):
+                for env in envs:
+                    rows.append((comm_id, source, tag, env.nbytes, env.moved,
+                                 encode_origin(env.origin)))
+                    if limit is not None and len(rows) >= limit:
+                        return rows
+        return rows
+
+    def await_frames(self, expected: dict) -> None:
+        """Wait (bounded) until ``expected[source]`` frames arrived from
+        each source: what the peers reported sending, at world's end."""
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        incarnations = self._table["incarnation"]
+        with self._table_cond:
+            self._lingering = True
+            while not all(
+                    self._wire.received(src, incarnations[src])[0] >= count
+                    for src, count in expected.items()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._table_cond.wait(remaining)
 
     def deliver(self, comm_id: int, dest_world: int, source: int, tag: int,
                 envelope: Envelope) -> None:
-        self._channel.drain_oob()
-        self._pump.enqueue(comm_id, dest_world, source, tag, envelope)
+        # Buffered-send semantics: a frame the wire lost is reported at
+        # the next send to that peer and with the lifecycle report.
+        self.deliver_async(comm_id, dest_world, source, tag, envelope)
 
     def deliver_async(self, comm_id: int, dest_world: int, source: int,
-                      tag: int, envelope: Envelope) -> threading.Event:
-        self._channel.drain_oob()
-        return self._pump.enqueue(comm_id, dest_world, source, tag, envelope)
+                      tag: int, envelope: Envelope) -> SendToken | None:
+        if dest_world == self.rank:
+            self.mailbox(comm_id).put(source, tag, envelope)
+            return None
+        error = self._wire.send_put(dest_world, comm_id, source, tag, envelope)
+        if error is None:
+            return None
+        token = SendToken()
+        token.error = error
+        token.set()
+        return token
 
     # -- world-authoritative operations (RPC) ----------------------------
     def split_rendezvous(self, parent_comm_id, seqno, size, rank, value,
@@ -358,9 +545,6 @@ class WorkerContext:
         new_id, round_no = self._channel.call("replace", world_rank)
         return new_id, round_no
 
-    def rank_status(self, world_rank: int) -> str:
-        return self._channel.call("rank_status", world_rank)
-
     def running_world_ranks(self) -> set:
         return set(self._channel.call("running_world_ranks"))
 
@@ -377,8 +561,10 @@ class WorkerContext:
 
     def revoke_current(self, reason: str,
                        world_rank: int | None = None) -> None:
-        threshold, why = self._channel.call("revoke_current", reason,
-                                            world_rank)
+        # The frame counts ride along: peers may stop waiting for this
+        # rank once they hold everything it sent before revoking.
+        threshold, why = self._channel.call(
+            "revoke_current", reason, world_rank, self._wire.counts()[0])
         if threshold > self.revoked_below:
             self.revoked_below = threshold
             self.revoke_reason = why
@@ -394,28 +580,18 @@ class WorkerContext:
     def store_delete(self, holder: int, key) -> None:
         self._channel.call("store_delete", holder, key)
 
-    # Rank lifecycle is reported through the worker main's lifecycle
-    # RPC, not these (the master owns the status table).
-    def mark_finalized(self, world_rank: int) -> None:
-        pass
 
-    def mark_failed(self, world_rank: int) -> None:
-        pass
-
-    def wake_all_mailboxes(self) -> None:  # pragma: no cover - master-side
-        pass
-
-    def wake_rendezvous(self) -> None:  # pragma: no cover - master-side
-        pass
-
-
-def delta_shards(cfg: WorkerConfig, rank: int, baselines: dict) -> dict:
+def delta_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
+                 baselines: dict) -> dict:
     """Metrics/comm/recorder deltas since ``baselines``; advances them.
 
     The streaming slice of the observability shards: safe to call from
-    the heartbeat thread (all three sources are lock-protected or
+    the heartbeat thread (all sources are lock-protected or
     append-only), unlike spans — ``tracer.local_spans`` is bound to the
-    rank's main thread — which stay finalize-only.
+    rank's main thread — which stay finalize-only.  When someone will
+    read it (a sanitizer or a recorder is attached), a bounded summary
+    of the rank's pending inbox rides along, so the master still knows
+    roughly what a rank that dies without a report was holding.
     """
     from ...obs.metrics import MetricsRegistry
     from ..tracing import CommTrace
@@ -438,13 +614,15 @@ def delta_shards(cfg: WorkerConfig, rank: int, baselines: dict) -> dict:
         if events:
             baselines["recorder_seq"] = events[-1][0] + 1
             delta["recorder"] = events
+    if cfg.recorder is not None or cfg.has_sanitizer:
+        delta["inbox"] = ctx.pending_rows(limit=_HEARTBEAT_INBOX_ROWS)
     return delta
 
 
 def collect_shards(cfg: WorkerConfig, ctx: WorkerContext, comm, rank: int,
                    baselines: dict) -> dict:
     """Post-fork observability deltas to ship with the lifecycle RPC."""
-    shards = delta_shards(cfg, rank, baselines)
+    shards = delta_shards(cfg, ctx, rank, baselines)
     if comm is not None and comm.clock is not None:
         shards["clock"] = comm.clock
     if cfg.tracer is not None:
@@ -467,18 +645,19 @@ class Heartbeat:
     """Worker-side telemetry streamer: ships deltas every interval.
 
     A daemon thread that periodically computes the streaming shard
-    delta (:func:`delta_shards`) and stages a ``("hb", rank, ts,
-    delta)`` header on the send pump — the data path's single writer —
-    so the master can fold mid-run state into the caller's
-    CommTrace/metrics/recorder and stamp the rank's heartbeat.  Stopped
-    (and joined) before the finalize shard is computed, so baselines
-    are never raced and nothing is double-counted.
+    delta (:func:`delta_shards`) and sends a ``("hb", rank, ts,
+    delta)`` frame up the data link to the master, so the master can
+    fold mid-run state into the caller's CommTrace/metrics/recorder and
+    stamp the rank's heartbeat.  Stopped (and joined) before the
+    finalize shard is computed, so baselines are never raced and
+    nothing is double-counted.
     """
 
-    def __init__(self, cfg: WorkerConfig, pump, rank: int,
-                 baselines: dict, interval: float) -> None:
+    def __init__(self, cfg: WorkerConfig, ctx: WorkerContext, wire,
+                 rank: int, baselines: dict, interval: float) -> None:
         self._cfg = cfg
-        self._pump = pump
+        self._ctx = ctx
+        self._wire = wire
         self._rank = rank
         self._baselines = baselines
         self._interval = interval
@@ -491,10 +670,11 @@ class Heartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             try:
-                delta = delta_shards(self._cfg, self._rank, self._baselines)
+                delta = delta_shards(self._cfg, self._ctx, self._rank,
+                                     self._baselines)
             except Exception:  # pragma: no cover - telemetry best-effort
                 continue
-            self._pump.enqueue_raw(("hb", self._rank, time.time(), delta))
+            self._wire.notify_master(("hb", self._rank, time.time(), delta))
 
     def stop(self) -> None:
         self._stop.set()
@@ -502,12 +682,12 @@ class Heartbeat:
 
 
 def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
-               channel, pump) -> None:
-    """The worker main loop, from first baseline to lifecycle report.
+               channel, wire) -> None:
+    """The worker main loop, from first baseline to the closing report.
 
-    Wire-agnostic: the transport's ``_worker_main`` builds the channel
-    and pump over whatever wire it owns (pipes+rings, sockets), does
-    its fd hygiene, then hands off here.
+    Wire-agnostic: the transport's worker entry point builds the
+    channel and the peer wire over the sockets it owns, does its fd
+    hygiene, then hands off here.
     """
     from ..communicator import Communicator
 
@@ -526,9 +706,10 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
         # context label it inherited.
         cfg.comm_trace.set_context(None)
 
-    ctx = WorkerContext(cfg, channel, pump)
-    channel.state = ctx
-    info = getattr(cfg, "respawn_info", None)
+    ctx = WorkerContext(cfg, rank, channel, wire)
+    wire.start(ctx)
+    channel.start(ctx)
+    info = cfg.respawn_info
     if info is not None and cfg.faults is not None:
         # Fresh incarnation: operations count from zero so crash-rule
         # calibration means the same thing for every incarnation, and
@@ -541,7 +722,7 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
 
     heartbeat = None
     if cfg.heartbeat_interval is not None:
-        heartbeat = Heartbeat(cfg, pump, rank, baselines,
+        heartbeat = Heartbeat(cfg, ctx, wire, rank, baselines,
                               cfg.heartbeat_interval)
 
     comm = None
@@ -576,24 +757,14 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
         shards = {}
     payload = (outcome["value"] if outcome["kind"] == "finalize"
                else encode_exception(outcome["exc"]))
-    # The lifecycle message carries the pump's health alongside the
-    # delivery count: a send path that failed can never drain its
-    # remaining puts, and the master must know that rather than wait
-    # out the drain barrier and let partners see a clean finalize.
-    # Flush first so the pump has resolved every staged frame and
-    # ``failure`` is authoritative, not a race with the pump thread.
-    flush = getattr(pump, "flush", None)
-    if flush is not None:
-        try:
-            flush(timeout=DRAIN_TIMEOUT)
-        except Exception:  # pragma: no cover - never lose the lifecycle msg
-            pass
-    failure = getattr(pump, "failure", None)
-    sent_info = (pump.sent,
-                 None if failure is None
-                 else f"{type(failure).__name__}: {failure}")
+    # The lifecycle message carries the wire's account of itself: how
+    # many frames went to each peer (what their drain rule counts up
+    # to) and which were lost to a failed path (so the master can name
+    # the send path as the cause instead of letting partners see a
+    # clean finalize).
+    report = wire.report()
     try:
-        channel.call(outcome["kind"], payload, shards, sent_info)
+        channel.call(outcome["kind"], payload, shards, report)
     except (pickle.PicklingError, TypeError, ValueError,
             AttributeError) as exc:
         # The return value would not cross the process boundary (e.g.
@@ -607,73 +778,134 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
             f"detach cleanly on pickle"
         )
         try:
-            channel.call("rank_error", encode_exception(err), shards,
-                         sent_info)
+            channel.call("rank_error", encode_exception(err), shards, report)
+        except BaseException:  # noqa: BLE001 - master gone
+            return
+    except BaseException:  # noqa: BLE001 - master gone; nothing to report to
+        return
+    # The rank is done but its process is not: peers may still be
+    # sending to it, and what lands in its mailboxes unreceived is what
+    # the leak report and the postmortem's in-flight section list.  So
+    # the worker keeps its links open until the master closes the
+    # world, takes in the frames its peers reported sending, and hands
+    # over the summary of what nobody received.
+    expected = channel.wait_bye()
+    if expected is not None:
+        ctx.await_frames(expected)
+        try:
+            channel.call("inbox", ctx.pending_rows())
         except BaseException:  # noqa: BLE001 - master gone
             pass
-    except BaseException:  # noqa: BLE001 - master gone; nothing to report to
-        pass
 
 
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
-class WorldServerMixin:
-    """Master-side world service shared by master-resident transports.
+class _OnTheWire:
+    """What the master's wait-for graph asks of a waiter's mailbox.
 
-    The deriving transport owns the wire (service threads, reply path)
-    and provides ``self._values`` / ``self._clocks`` / ``self._errors``
-    result slots, ``self._comm_members`` + ``self._members_lock`` for
-    the comm-membership mirror, and per-rank link objects with
-    ``rank`` / ``put_cond`` / ``puts_received`` for the drain barrier.
+    The mailbox itself is in the waiter's process; the waiter only
+    registers a wait after finding it empty of the awaited message, so
+    the one thing left to know is whether a frame from the awaited rank
+    is still on the link — which the two ranks' frame counts answer.
     """
+
+    __slots__ = ("_server", "_waiter", "_target")
+
+    def __init__(self, server, waiter: int, target: int) -> None:
+        self._server = server
+        self._waiter = waiter
+        self._target = target
+
+    def has(self, source: int, tag: int) -> bool:
+        return self._server.frames_on_the_wire(self._target, self._waiter)
+
+
+class WorldServerMixin:
+    """Master-side world service shared by the process transports.
+
+    The deriving transport owns the wire (service threads, reply path,
+    pushes) and provides ``self._values`` / ``self._clocks`` /
+    ``self._errors`` result slots and per-rank link objects with
+    ``rank``.  :meth:`reset_world` must run before each world.
+    """
+
+    def reset_world(self, context) -> None:
+        nprocs = context.world_size
+        self._values = [None] * nprocs
+        self._clocks = [None] * nprocs
+        self._errors = [None] * nprocs
+        # Frame counts as last reported: rank -> {peer: (peer
+        # incarnation, frames)}.  ``_sent[r] is None`` marks a rank
+        # that died without reporting.
+        self._sent: dict = {r: {} for r in range(nprocs)}
+        self._received: dict = {r: {} for r in range(nprocs)}
+        self._incarnations = context.rank_incarnations  # live view
+        self._book: dict = {}
+        self._push_lock = threading.Lock()
+
+    # -- the world table -------------------------------------------------
+    def world_table(self, context) -> dict:
+        """Snapshot of what a worker's blocked receive consults."""
+        nprocs = context.world_size
+        return {
+            "status": [context.rank_status(r) for r in range(nprocs)],
+            "incarnation": list(context.rank_incarnations),
+            "recovering": tuple(context.recovering_ranks()),
+            "revoked_below": context.revoked_below,
+            "revoke_reason": context.revoke_reason,
+            "sent": dict(self._sent),
+            "book": dict(self._book),
+        }
+
+    def frames_on_the_wire(self, source: int, dest: int) -> bool:
+        """Whether ``source`` reported more frames sent to ``dest`` than
+        ``dest`` reported received (current incarnations only)."""
+        sent = (self._sent.get(source) or {}).get(dest)
+        if sent is None or sent[0] != self._incarnations[dest]:
+            return False
+        got = self._received[dest].get(source)
+        if got is None or got[0] != self._incarnations[source]:
+            return sent[1] > 0
+        return sent[1] > got[1]
 
     # -- RPC dispatch ----------------------------------------------------
     def _dispatch(self, context, link, method: str, args: tuple):
-        if method == "box_get":
-            comm_id, world_rank, source, tag = args
-            return encode_envelope(
-                self._blocking_get(context, comm_id, world_rank, source, tag)
-            )
-        if method == "box_try_get":
-            comm_id, world_rank, source, tag = args
-            return encode_envelope(
-                context.mailbox(comm_id, world_rank).try_get(source, tag)
-            )
-        if method == "box_has":
-            comm_id, world_rank, source, tag = args
-            return context.mailbox(comm_id, world_rank).has(source, tag)
         if method == "split":
             parent_comm_id, seqno, size, rank, value, members, world_rank = args
-            result = context.split_rendezvous(
+            return context.split_rendezvous(
                 parent_comm_id, seqno, size, rank, tuple(value),
                 list(members), world_rank,
             )
-            with self._members_lock:
-                for new_id, world_members, _old in result.values():
-                    self._comm_members[new_id] = list(world_members)
-            return result
         if method == "shrink":
             parent_comm_id, seqno, rank, world_rank, members = args
-            new_id, ordered_old = context.shrink_rendezvous(
+            return context.shrink_rendezvous(
                 parent_comm_id, seqno, rank, world_rank, list(members)
             )
-            with self._members_lock:
-                self._comm_members[new_id] = [members[i] for i in ordered_old]
-            return (new_id, ordered_old)
         if method == "replace":
-            new_id, round_no = context.replace_rendezvous(args[0])
-            with self._members_lock:
-                self._comm_members[new_id] = list(range(context.world_size))
-            return (new_id, round_no)
+            return context.replace_rendezvous(args[0])
         if method == "check_collective":
-            comm_id, seq, world_rank, op, signature, comm_size = args
+            comm_id, seq, world_rank, op, signature, comm_size, site = args
             context.sanitizer.check_collective(
-                comm_id, seq, world_rank, op, tuple(signature), comm_size
+                comm_id, seq, world_rank, op, tuple(signature), comm_size,
+                site=site,
             )
             return None
-        if method == "rank_status":
-            return context.rank_status(args[0])
+        if method == "wait":
+            (me, target, source, tag, comm_id, site), counts, stalled = args
+            self._sent[me], self._received[me] = counts
+            # Registering again on a stall tick re-runs the cycle check
+            # with the fresh counts.
+            context.sanitizer.begin_wait(
+                me, target, source, tag, comm_id,
+                _OnTheWire(self, me, target), site=site,
+            )
+            if stalled:
+                context.sanitizer.on_stall(me)
+            return None
+        if method == "end_wait":
+            context.sanitizer.end_wait(args[0])
+            return None
         if method == "running_world_ranks":
             return sorted(context.running_world_ranks())
         if method == "failed_ranks":
@@ -684,8 +916,10 @@ class WorldServerMixin:
             context.abort(args[0])
             return None
         if method == "revoke_current":
-            context.revoke_current(args[0],
-                                   args[1] if len(args) > 1 else None)
+            reason, world_rank, sent = args
+            if world_rank is not None:
+                self._sent[world_rank] = sent
+            context.revoke_current(reason, world_rank)
             return (context.revoked_below, context.revoke_reason)
         if method == "store_put":
             holder, key, value = args
@@ -697,112 +931,41 @@ class WorldServerMixin:
             context.store_delete(args[0], args[1])
             return None
         if method in ("finalize", "rank_killed", "rank_error"):
-            payload, shards, sent_info = args
-            if isinstance(sent_info, tuple):
-                puts_sent, send_failure = sent_info
-            else:  # a pump that ships a bare count has a healthy path
-                puts_sent, send_failure = sent_info, None
-            return self._finish_rank(context, link, method, payload, shards,
-                                     puts_sent, send_failure)
+            payload, shards, report = args
+            self._finish_rank(context, link, method, payload, shards, report)
+            return None
+        if method == "inbox":
+            self._note_inbox(context, link.rank, args[0])
+            return None
         raise CommunicatorError(f"unknown transport RPC {method!r}")
 
-    def _blocking_get(self, context, comm_id: int, me: int, source: int,
-                      tag: int) -> Envelope:
-        """The canonical blocked receive, run master-side for a worker.
-
-        Mirrors ``Communicator._recv_blocking`` on the threads backend:
-        dead-partner fast-fail with sanitizer diagnosis, revocation
-        checks, and wait-for-graph bookkeeping, all against the
-        master's authoritative world state.
-        """
-        box = context.mailbox(comm_id, me)
-        san = context.sanitizer
-        with self._members_lock:
-            members = self._comm_members.get(comm_id)
-        src_world = members[source] if members is not None else source
-
-        def poll() -> None:
-            status = context.rank_status(src_world)
-            # Mirror of the threads-backend poll: on a revoked epoch,
-            # raise only once the awaited message can never arrive
-            # (partner dead, finalized, or recovering), so the worker's
-            # interrupt point is program-determined and fault traces
-            # replay identically.
-            if (comm_id < context.revoked_below
-                    and not box.has(source, tag)
-                    and (status != "running"
-                         or context.is_recovering(src_world))):
-                context.note_revocation_seen(me)
-                context.check_revoked(comm_id)
-            if status != "running" and not box.has(source, tag):
-                if san is not None:
-                    diag = san.describe_failed_partner(
-                        me, src_world, source, tag, status, box,
-                        expected=(context.faults is not None
-                                  and status == "failed"),
-                    )
-                    raise RankFailedError(diag.message, diagnostic=diag)
-                where = (
-                    f"recv(source={source}, tag={tag})" if tag >= 0
-                    else f"a collective exchange with rank {source}"
-                )
-                raise RankFailedError(
-                    f"rank {me} blocked in {where} "
-                    f"but rank {src_world} already {status}"
-                )
-            if san is not None:
-                san.on_stall(me)
-
-        interval = (
-            san.watchdog_interval if san is not None
-            else context.fault_poll_interval
-        )
-        if san is not None:
-            san.begin_wait(me, src_world, source, tag, comm_id, box)
-        try:
-            poll()  # the partner may already be gone
-            return box.get(
-                source, tag, context.recv_timeout, poll=poll,
-                interval=interval,
-            )
-        finally:
-            if san is not None:
-                san.end_wait(me)
-
     def _finish_rank(self, context, link, method: str, payload,
-                     shards: dict, puts_sent: int,
-                     send_failure: str | None = None) -> bool:
-        # Delivery-drain barrier: the rank is not done until every
-        # payload it handed to the wire sits in a mailbox — otherwise a
-        # partner could observe "failed with an empty queue" and raise
-        # RankFailedError for a message that was actually sent.  A rank
-        # whose send pump already failed can never drain its missing
-        # puts: skip the doomed wait and attribute the loss below.
-        with link.put_cond:
-            if send_failure is None:
-                deadline = time.monotonic() + DRAIN_TIMEOUT
-                while (link.puts_received < puts_sent
-                       and time.monotonic() < deadline):
-                    link.put_cond.wait(timeout=0.1)
-            lost = puts_sent - link.puts_received
-        self._merge_shards(context, link.rank, shards)
+                     shards: dict, report: dict) -> None:
         rank = link.rank
+        # Recorded before the status changes: the push that announces
+        # the rank's departure carries the counts its peers drain to.
+        self._sent[rank] = report["sent"]
+        self._merge_shards(context, rank, shards)
         if method == "finalize":
-            if send_failure is not None and lost > 0:
-                # The program completed but some accepted deliveries
-                # never reached a mailbox; a clean finalize would make
-                # the blocked receivers' diagnosis ("rank already
-                # finalized with an empty queue") a lie.  Fail the rank
-                # with the send path as the named cause instead.
-                err = RankFailedError(
+            # Frames lost toward a rank that has itself failed were
+            # undeliverable anyway; toward a live one they are why a
+            # receiver is about to block for good.
+            lost = {dest: entry for dest, entry in report["lost"].items()
+                    if context.rank_status(dest) != "failed"}
+            if lost:
+                # A clean finalize would make the blocked receivers'
+                # diagnosis ("rank already finalized with an empty
+                # queue") a lie.  Fail the rank with the send path as
+                # the named cause instead.
+                dest, (count, why) = sorted(lost.items())[0]
+                self._errors[rank] = RankFailedError(
                     f"rank {rank} finished its program but its send "
-                    f"path failed before {lost} staged "
-                    f"{'delivery' if lost == 1 else 'deliveries'} "
-                    f"reached the master ({send_failure})"
+                    f"path failed before {count} staged "
+                    f"{'delivery' if count == 1 else 'deliveries'} "
+                    f"reached rank {dest} ({why})"
                 )
-                self._errors[rank] = err
                 context.mark_failed(rank)
-                return True
+                return
             self._values[rank] = payload
             context.mark_finalized(rank)
         elif method == "rank_killed":
@@ -813,7 +976,26 @@ class WorldServerMixin:
             self._errors[rank] = exc
             context.mark_failed(rank)
             context.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-        return True
+
+    def expected_frames(self, rank: int) -> dict:
+        """Frames each peer reported sending to ``rank``'s incarnation."""
+        incarnation = self._incarnations[rank]
+        expected = {}
+        for source, sent in self._sent.items():
+            entry = (sent or {}).get(rank)
+            if entry is not None and entry[0] == incarnation:
+                expected[source] = entry[1]
+        return expected
+
+    @staticmethod
+    def _note_inbox(context, rank: int, rows: list) -> None:
+        """Keep a rank's pending-inbox summary where the leak report and
+        the postmortem read it (``SpmdContext.pending_messages``)."""
+        context.inbox_reports[rank] = [
+            {"comm_id": comm_id, "dest": rank, "source": source, "tag": tag,
+             "nbytes": nbytes, "moved": moved, "origin": decode_origin(origin)}
+            for comm_id, source, tag, nbytes, moved, origin in rows
+        ]
 
     def _ingest_heartbeat(self, context, rank: int, ts: float,
                           delta: dict) -> None:
@@ -824,10 +1006,10 @@ class WorldServerMixin:
             if hub is not None:
                 hub.beat(rank, ts)
         except Exception:  # pragma: no cover - telemetry must not kill
-            pass  # the data thread; deliveries matter more
+            pass  # the data thread
 
     def _merge_telemetry(self, context, rank: int, shards: dict) -> None:
-        """Merge the streaming shard slice (metrics/comm/recorder)."""
+        """Merge the streaming shard slice (metrics/comm/recorder/inbox)."""
         tracer = context.tracer
         if tracer is not None and shards.get("metrics"):
             tracer.metrics.merge_snapshot(shards["metrics"])
@@ -837,6 +1019,8 @@ class WorldServerMixin:
         recorder = getattr(context, "recorder", None)
         if recorder is not None and shards.get("recorder"):
             recorder.absorb_events(rank, shards["recorder"])
+        if "inbox" in shards:
+            self._note_inbox(context, rank, shards["inbox"])
 
     def _merge_shards(self, context, rank: int, shards: dict) -> None:
         clock = shards.get("clock")

@@ -109,28 +109,21 @@ def _in_flight_messages(context) -> List[Dict[str, Any]]:
     """Snapshot of every queued envelope, with sender origins when known."""
     out: List[Dict[str, Any]] = []
     try:
-        boxes = context.mailboxes()
+        pending = context.pending_messages()
     except Exception:
         return out
-    for (comm_id, dest_world), box in boxes:
-        try:
-            pending = box.pending_envelopes()
-        except Exception:
-            continue
-        for (source, tag), envelopes in sorted(pending.items()):
-            for env in envelopes:
-                entry: Dict[str, Any] = {
-                    "comm_id": comm_id,
-                    "dest_world_rank": dest_world,
-                    "source_rank": source,
-                    "tag": tag,
-                    "nbytes": getattr(env, "nbytes", 0),
-                    "moved": bool(getattr(env, "moved", False)),
-                }
-                origin = getattr(env, "origin", None)
-                if origin is not None:
-                    entry["origin"] = str(origin)
-                out.append(entry)
+    for message in pending:
+        entry: Dict[str, Any] = {
+            "comm_id": message["comm_id"],
+            "dest_world_rank": message["dest"],
+            "source_rank": message["source"],
+            "tag": message["tag"],
+            "nbytes": message["nbytes"],
+            "moved": bool(message["moved"]),
+        }
+        if message["origin"] is not None:
+            entry["origin"] = str(message["origin"])
+        out.append(entry)
     return out
 
 

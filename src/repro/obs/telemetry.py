@@ -8,7 +8,7 @@ span stacks, and communication totals — or :meth:`TelemetryHub.render`
 for the ``repro top`` text table.
 
 Heartbeats: on the process backend each worker ships periodic deltas to
-the master (see ``repro.mpi.transport.procs``) and the master calls
+the master (see ``repro.mpi.transport.worldproxy``) and the master calls
 :meth:`beat`; on the thread backend ranks share the master's address
 space, so the last flight-recorder event timestamp doubles as the
 heartbeat.  ``heartbeat_age_s`` is the freshest of the two signals.

@@ -35,6 +35,7 @@ one attribute read per operation.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import weakref
@@ -173,13 +174,16 @@ class Sanitizer:
         op: str,
         signature: tuple,
         comm_size: int,
+        site: CallSite | None = None,
     ) -> None:
         """Verify this rank's collective call against the first arrival.
 
         The first rank to reach collective slot ``(comm_id, seq)``
         registers ``(op, signature)``; every later arrival must match
         both.  Entries are purged once all ``comm_size`` ranks arrived,
-        so the ledger stays bounded.
+        so the ledger stays bounded.  ``site`` is the caller's call site
+        when the call was made in another process (captured here
+        otherwise).
         """
         key = (comm_id, seq)
         with self._lock:
@@ -192,7 +196,8 @@ class Sanitizer:
                 if entry.arrivals >= comm_size:
                     del self._collectives[key]
                 return
-        site = capture_call_site()
+        if site is None:
+            site = capture_call_site()
         with self._lock:
             entry = self._collectives.get(key)
             if entry is None:
@@ -254,12 +259,20 @@ class Sanitizer:
         tag: int,
         comm_id: int,
         mailbox,
+        site: CallSite | None = None,
     ) -> None:
-        """Register a blocked receive and check for a wait-for cycle."""
+        """Register a blocked receive and check for a wait-for cycle.
+
+        ``mailbox`` answers ``has(source, tag)``: whether the awaited
+        message is already on its way.  ``site`` is the receive's call
+        site when it blocks in another process (captured here
+        otherwise).
+        """
         edge = _WaitEdge(
             rank=world_rank, target=target_world,
             source_comm_rank=source_comm_rank, tag=tag, comm_id=comm_id,
-            site=capture_call_site(), mailbox=mailbox,
+            site=site if site is not None else capture_call_site(),
+            mailbox=mailbox,
         )
         with self._lock:
             self._waits[world_rank] = edge
@@ -590,7 +603,7 @@ class Sanitizer:
     # Prong 1d: finalize-time leak report
     # ------------------------------------------------------------------
     def finalize_world(self, context) -> list[Diagnostic]:
-        """Scan mailboxes for undelivered messages after all ranks returned.
+        """Report the messages left undelivered after all ranks returned.
 
         Each (destination, source, tag) with pending envelopes yields one
         ``message-leak`` diagnostic attributed to the sender (with the
@@ -604,36 +617,37 @@ class Sanitizer:
         failed = context.failed_ranks() if hasattr(context, "failed_ranks") else []
         severity = WARNING if failed else ERROR
         leaks: list[Diagnostic] = []
-        for (comm_id, dest_world), box in context.mailboxes():
-            for (source, tag), envs in box.pending_envelopes().items():
-                if not envs:
-                    continue
-                first = envs[0]
-                origin = getattr(first, "origin", None)
-                site = origin.site if origin is not None else None
-                sender = origin.rank if origin is not None else None
-                nbytes = sum(e.nbytes for e in envs)
-                msg = (
-                    f"{len(envs)} undelivered message(s) "
-                    f"(source comm-rank {source}, tag {tag}, {nbytes} bytes) "
-                    f"left in rank {dest_world}'s mailbox on communicator "
-                    f"{comm_id} at finalize"
+        channels = itertools.groupby(
+            context.pending_messages(),
+            key=lambda m: (m["comm_id"], m["dest"], m["source"], m["tag"]),
+        )
+        for (comm_id, dest_world, source, tag), rows in channels:
+            rows = list(rows)
+            origin = rows[0]["origin"]
+            site = origin.site if origin is not None else None
+            sender = origin.rank if origin is not None else None
+            nbytes = sum(m["nbytes"] for m in rows)
+            msg = (
+                f"{len(rows)} undelivered message(s) "
+                f"(source comm-rank {source}, tag {tag}, {nbytes} bytes) "
+                f"left in rank {dest_world}'s mailbox on communicator "
+                f"{comm_id} at finalize"
+            )
+            if site is not None:
+                msg += f"; first sent at {site}"
+            if failed:
+                msg += (
+                    f" (rank(s) {failed} died — expected residue of "
+                    f"a failed/recovered run)"
                 )
-                if site is not None:
-                    msg += f"; first sent at {site}"
-                if failed:
-                    msg += (
-                        f" (rank(s) {failed} died — expected residue of "
-                        f"a failed/recovered run)"
-                    )
-                leaks.append(Diagnostic(
-                    kind="message-leak", message=msg, severity=severity,
-                    file=site.file if site else None,
-                    line=site.line if site else None,
-                    rank=sender,
-                    extra={"dest": dest_world, "tag": tag,
-                           "count": len(envs), "nbytes": nbytes},
-                ))
+            leaks.append(Diagnostic(
+                kind="message-leak", message=msg, severity=severity,
+                file=site.file if site else None,
+                line=site.line if site else None,
+                rank=sender,
+                extra={"dest": dest_world, "tag": tag,
+                       "count": len(rows), "nbytes": nbytes},
+            ))
         for d in leaks:
             self._record(d)
         if leaks and self.strict and not failed:

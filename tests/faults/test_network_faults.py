@@ -149,21 +149,23 @@ def test_reset_does_not_corrupt_or_duplicate_messages():
 
 
 def test_dead_send_path_is_attributed_not_a_clean_finalize():
-    """A rank whose data link dies permanently (reconnects refused)
-    must not finalize clean: the master skips the doomed drain wait
-    and fails the rank with the send path as the named cause, so the
-    blocked receiver's diagnosis is the lost delivery — not a
-    misleading 'rank already finalized with an empty queue'."""
+    """A rank whose link to a peer dies permanently (reconnects refused)
+    must not finalize clean: the master fails the rank with the send
+    path as the named cause, so the blocked receiver's diagnosis is the
+    lost delivery — not a misleading 'rank already finalized with an
+    empty queue'."""
     def prog(comm):
         if comm.rank == 0:
+            comm.send(np.zeros(1), 1, tag=6)  # raises the peer link
             # Sabotage the worker's own data path: kill the socket and
             # point reconnects at a port nothing listens on, so the
-            # staged delivery below can never ship.
-            pump = comm.context._pump
-            pump._fs.close()
-            pump._addr = ("127.0.0.1", 1)
+            # delivery below can never ship.
+            ctx = comm.context
+            ctx._wire._out[1].fs.close()
+            ctx._table["book"][1] = (("127.0.0.1", 1), 0)
             comm.send(np.ones(4), 1, tag=7)
             return "finished"
+        comm.recv(0, tag=6)
         return comm.recv(0, tag=7)
 
     transport = SocketTransport(connect_policy=RetryPolicy(
@@ -173,7 +175,7 @@ def test_dead_send_path_is_attributed_not_a_clean_finalize():
     t0 = time.monotonic()
     with pytest.raises(RankFailedError, match="send path failed"):
         run_spmd(prog, 2, recv_timeout=60, backend=transport)
-    # the master must not sit out the 30 s drain barrier first
+    # nobody may sit out the 30 s drain bound first
     assert time.monotonic() - t0 < 15.0
 
 
@@ -272,9 +274,10 @@ def test_rendezvous_rejects_pickle_and_bad_token_preauth(tmp_path):
             reply = json.loads(raw[4:4 + length])
             assert reply["kind"] == "ok" and reply["world"] == 1
     finally:
-        transport._shutdown.set()
+        transport._stop_accepting(listener)
         thread.join(timeout=5)
         listener.close()
+    assert not thread.is_alive()
     assert links[0].ctl is not None  # the authenticated hello attached
 
 

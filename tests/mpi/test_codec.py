@@ -1,6 +1,6 @@
 """The shared transport codec must round-trip payloads bitwise.
 
-Every non-threads backend (shm rings, framed sockets) routes ndarray
+Every non-threads backend (framed sockets, TCP or AF_UNIX) routes ndarray
 payloads through :mod:`repro.mpi.transport.codec`: arrays are split out
 of the payload skeleton, shipped as raw bytes, and re-materialized on
 the far side.  Bitwise fidelity here is what makes results

@@ -83,6 +83,56 @@ def test_frames_of_every_size_back_to_back(link):
     assert not right.poll(0.0)
 
 
+class _CountingSocket:
+    """A socket that counts the write calls made on it."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self.writes: list = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._sock, name)
+        if name in ("send", "sendall", "sendmsg", "sendto"):
+            def counted(*args, **kwargs):
+                self.writes.append(name)
+                return attr(*args, **kwargs)
+            return counted
+        return attr
+
+
+def test_one_frame_is_one_write():
+    """Length prefix, header and every array view leave in a single
+    ``sendmsg``: an 8-byte message is one segment on a TCP_NODELAY
+    socket, not three, and a multi-megabyte one is still one call."""
+    a, b = socket.socketpair()
+    counting = _CountingSocket(a)
+    left, right = FramedSocket(counting), FramedSocket(b)
+    frames = [
+        ({"k": 0}, []),
+        ({"k": 1}, [np.zeros(1)]),
+        ({"k": 2}, [np.arange(5.0), np.arange(3, dtype=np.int32), np.zeros(0)]),
+        ({"k": 3}, [np.ones(300_000)]),
+    ]
+    try:
+        for header, arrays in frames:
+            counting.writes.clear()
+            sender = _send_all(left, [(header, arrays)])
+            got_header, got = right.recv(timeout=10)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            assert got_header == header
+            for want, have in zip(arrays, got):
+                np.testing.assert_array_equal(have, want)
+            assert counting.writes == ["sendmsg"], (header, counting.writes)
+        counting.writes.clear()
+        left.send_json({"kind": "hello"})
+        assert right.recv_json(timeout=10) == {"kind": "hello"}
+        assert counting.writes == ["sendmsg"]
+    finally:
+        left.close()
+        right.close()
+
+
 def test_large_payload_lives_in_its_own_mapping(link):
     """Above 64 KiB the array sits on an anonymous mapping (returned to
     the OS when the array dies), at or below it on the heap; both stay

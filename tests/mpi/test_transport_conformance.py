@@ -344,6 +344,115 @@ def test_procs_hard_worker_death_surfaces_rank_failed():
         run_spmd(prog, 2, recv_timeout=30, backend="procs")
 
 
+# ----------------------------------------------------------------------
+# Drain contract: what a rank sent before it left is always delivered
+# ----------------------------------------------------------------------
+_DRAIN_K = 6
+
+
+def _drain_prog(comm):
+    """Rank 0 sends k messages and leaves while rank 1 sleeps; rank 1
+    then receives: all k must be there, and only the (k+1)-th receive
+    may report the partner gone."""
+    if comm.rank == 0:
+        for i in range(_DRAIN_K):
+            comm.send(np.full(2000 * (i + 1), float(i)), 1, tag=i % 2)
+        return "sent"
+    time.sleep(0.3)  # rank 0 is long gone when the first receive starts
+    got = []
+    for i in range(_DRAIN_K):
+        msg = comm.recv(0, tag=i % 2)
+        got.append((msg.size, float(msg[0]), float(msg[-1])))
+    with pytest.raises(RankFailedError, match="rank 0 already"):
+        comm.recv(0, tag=0)
+    return got
+
+
+_DRAINED = [(2000 * (i + 1), float(i), float(i)) for i in range(_DRAIN_K)]
+
+
+def test_messages_sent_before_a_clean_finalize_are_delivered(backend):
+    res = run_spmd(_drain_prog, 2, recv_timeout=20, backend=backend)
+    assert res.values == ["sent", _DRAINED]
+
+
+def test_messages_sent_before_an_injected_kill_are_delivered(backend):
+    """The kill fires inside rank 0's (k+1)-th operation: its k sends
+    are on the wire, its lifecycle report says so, and the receiver
+    gets all k before the failure."""
+    def prog(comm):
+        if comm.rank == 0:
+            _drain_prog(comm)
+            comm.barrier()  # op k+1: dies here
+        return _drain_prog(comm)
+
+    plan = FaultPlan(seed=1, crashes=(CrashRule(rank=0, at_op=_DRAIN_K + 1),))
+    res = run_spmd(prog, 2, faults=plan, recv_timeout=20, backend=backend)
+    assert res.failed_ranks == [0]
+    assert res.values[1] == _DRAINED
+
+
+@pytest.mark.parametrize("backend", ["procs", "sockets"])
+def test_sigkilled_partner_fails_a_blocked_receive(backend, tmp_path):
+    """A worker killed with SIGKILL says nothing on its way out: the
+    master declares it lost (at once on procs, where an EOF is a death;
+    after the liveness deadline on sockets) and the blocked receive
+    raises with the usual message."""
+    import os
+    import signal
+
+    from repro.mpi.transport import SocketTransport
+
+    seen = tmp_path / "rank1.txt"
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.send(np.ones(3), 1, tag=1)
+            comm.recv(1, tag=2)  # rank 1 has the message before the kill
+            os.kill(os.getpid(), signal.SIGKILL)
+        first = comm.recv(0, tag=1)
+        comm.send(first, 0, tag=2)
+        try:
+            comm.recv(0, tag=3)  # never sent
+        except RankFailedError as exc:
+            seen.write_text(str(exc))
+            raise
+
+    transport = (SocketTransport(liveness_timeout=1.5)
+                 if backend == "sockets" else backend)
+    t0 = time.monotonic()
+    with pytest.raises(RankFailedError, match="rank 0"):
+        run_spmd(prog, 2, recv_timeout=60, backend=transport)
+    assert time.monotonic() - t0 < 30
+    assert seen.read_text() == ("rank 1 blocked in recv(source=0, tag=3) "
+                                "but rank 0 already failed")
+
+
+@pytest.mark.parametrize("backend", ["procs", "sockets"])
+def test_teardown_wakes_its_threads_instead_of_waiting_out_a_tick(
+        backend, monkeypatch):
+    """Every sockets world used to pay 200 ms on the way out: the accept
+    thread and the data readers slept out their poll interval after the
+    last rank was done.  With the interval stretched to a minute, a
+    trivial world must still launch, finish and leave no transport
+    thread behind — anything that waits for a tick instead of being
+    woken shows up as a hang, not as a few hundred milliseconds."""
+    import threading
+
+    from repro.mpi.transport import sockets
+
+    monkeypatch.setattr(sockets, "_DATA_TICK", 60.0)
+    before = set(threading.enumerate())
+    t0 = time.monotonic()
+    res = run_spmd(lambda comm: comm.allreduce(np.ones(2))[0], 2,
+                   backend=backend, recv_timeout=20)
+    assert res.values == [2.0, 2.0]
+    assert time.monotonic() - t0 < 20
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.is_alive()]
+    assert left == []
+
+
 def test_backend_env_var_fallback(monkeypatch):
     from repro.mpi.transport import make_transport
 
