@@ -42,22 +42,30 @@ import numpy as np
 
 from .core import sthosvd, sthosvd_out_of_core, validate_tucker, core_statistics
 from .core.tucker import TuckerTensor
-from .data.io import load_raw, save_raw
+from .data.io import load_raw, raw_files, save_raw
 from .tensor.dense import DenseTensor
+from .util.durable import commit_manifest, write_files
 
 __all__ = ["main", "save_archive", "load_archive"]
 
 MANIFEST = "manifest.json"
+_ARCHIVE_SCHEMA = "repro-tucker-archive-v1"
 
 
 def save_archive(tucker: TuckerTensor, directory: str, extra: dict | None = None) -> None:
-    """Write a Tucker archive: core.bin, factor<n>.npy, manifest.json."""
+    """Write a Tucker archive: core.bin, factor<n>.npy, manifest.json.
+
+    Crash-safe: every file is staged and only then renamed into place,
+    the manifest last, so a failed save leaves a previous archive in
+    ``directory`` as it was and a fresh directory without a manifest.
+    """
     os.makedirs(directory, exist_ok=True)
-    save_raw(tucker.core, os.path.join(directory, "core.bin"))
+    files = raw_files(tucker.core, "core.bin")
     for n, U in enumerate(tucker.factors):
-        np.save(os.path.join(directory, f"factor{n}.npy"), U)
+        files[f"factor{n}.npy"] = lambda f, U=U: np.save(f, U)
+    write_files(directory, files)
     manifest = {
-        "format": "repro-tucker-archive-v1",
+        "format": _ARCHIVE_SCHEMA,
         "shape": list(tucker.shape),
         "ranks": list(tucker.ranks),
         "dtype": tucker.dtype.name,
@@ -65,8 +73,8 @@ def save_archive(tucker: TuckerTensor, directory: str, extra: dict | None = None
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(directory, MANIFEST), "w") as f:
-        json.dump(manifest, f, indent=2)
+    commit_manifest(os.path.join(directory, MANIFEST), manifest,
+                    _ARCHIVE_SCHEMA)
 
 
 def load_archive(directory: str) -> tuple[TuckerTensor, dict]:
@@ -229,33 +237,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _backend_arg(args):
-    """Resolve ``--backend``/``--hosts`` into a run_spmd backend value.
-
-    Plain ``--backend NAME`` passes the name through.  ``--hosts``
-    switches the socket transport into spawn mode: workers are launched
-    as ``python -m repro.mpi.transport.sockworker`` subprocesses that
-    join the master over the address-book TCP handshake — which is why
-    the CLI rank programs are module-level functions (they must pickle
-    into the boot blob).
-    """
-    hosts = getattr(args, "hosts", None)
-    if not hosts:
-        return args.backend
-    if args.backend not in (None, "sockets"):
-        raise SystemExit(f"--hosts requires --backend sockets, "
-                         f"got --backend {args.backend}")
-    from .mpi.transport import SocketTransport
-
-    return SocketTransport(hosts=list(hosts))
-
-
-def _backend_name(args) -> str:
-    if getattr(args, "hosts", None):
-        return "sockets"
-    return args.backend or os.environ.get("REPRO_SPMD_BACKEND", "threads")
-
-
 def _print_progress(info):
     print(
         f"  mode {info['mode']} done "
@@ -266,8 +247,7 @@ def _print_progress(info):
 
 
 def _trace_program(comm, X, grid, tol, ranks, method, mode_order, verbose):
-    """Rank program of ``repro trace`` (module-level: picklable for
-    socket-transport spawn mode)."""
+    """Rank program of ``repro trace``."""
     from .core.sthosvd_parallel import sthosvd_parallel
     from .dist import DistributedTensor, GridComms
     from .dist.grid import ProcessorGrid
@@ -282,8 +262,7 @@ def _trace_program(comm, X, grid, tol, ranks, method, mode_order, verbose):
 
 def _chaos_program(comm, X, tol, ranks, method, recover="shrink",
                    ckpt_dir=None):
-    """Rank program of ``repro chaos`` (module-level: picklable for
-    socket-transport spawn mode)."""
+    """Rank program of ``repro chaos``."""
     from .core.ft import sthosvd_fault_tolerant
 
     res = sthosvd_fault_tolerant(
@@ -316,6 +295,7 @@ def _cmd_trace(args) -> int:
     from .data.synthetic import tensor_with_mode_spectra
     from .mpi import run_spmd
     from .mpi.tracing import CommTrace
+    from .mpi.transport import resolve_backend
     from .obs import (
         Tracer,
         chrome_trace,
@@ -362,7 +342,7 @@ def _cmd_trace(args) -> int:
             X, grid, args.tol, ranks, args.method, args.order,
             bool(args.verbose),
             tracer=tracer, comm_trace=comm_trace,
-            sanitize=args.sanitize, backend=_backend_arg(args),
+            sanitize=args.sanitize, backend=args.backend,
             recorder=recorder,
         )
     except Exception:
@@ -386,7 +366,7 @@ def _cmd_trace(args) -> int:
             chrome_trace(
                 tracer, comm_trace=comm_trace,
                 metadata={
-                    "backend": _backend_name(args),
+                    "backend": resolve_backend(args.backend),
                     "start_unix": start_unix,
                 },
             ),
@@ -465,7 +445,7 @@ def _cmd_chaos(args) -> int:
                             X, args.tol, ranks, args.method,
                             args.recover, ckpt_dir,
                             faults=plan, resilience=True,
-                            backend=_backend_arg(args), recorder=recorder)
+                            backend=args.backend, recorder=recorder)
         except Exception:
             if recorder is not None and recorder.last_postmortem_path:
                 print(f"postmortem: {recorder.last_postmortem_path}",
@@ -831,10 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--backend", default=None,
                     choices=["threads", "procs", "sockets"],
                     help="SPMD transport (default: REPRO_SPMD_BACKEND or threads)")
-    tr.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                    help="sockets backend only: spawn workers as "
-                         "subprocesses joining over TCP (one address-book "
-                         "entry per rank, cycled over HOSTs)")
     tr.add_argument("--sanitize", action="store_true",
                     help="run under the SPMD sanitizer (collective matching, "
                          "deadlock detection, move enforcement)")
@@ -877,9 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--backend", default=None,
                     choices=["threads", "procs", "sockets"],
                     help="SPMD transport (default: REPRO_SPMD_BACKEND or threads)")
-    ch.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                    help="sockets backend only: spawn workers as "
-                         "subprocesses joining over TCP")
     ch.add_argument("--postmortem-dir", default=None,
                     help="enable the flight recorder; if a scenario escapes "
                          "recovery and aborts the world, write a postmortem "
@@ -949,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln = sub.add_parser(
         "lint",
         help="static SPMD lint: rank-divergent collectives, use-after-move, "
-             "tag mismatches, raw LAPACK calls",
+             "tag mismatches, raw LAPACK calls, deserializers off the wire",
     )
     ln.add_argument("paths", nargs="*",
                     help="files or directories (default: the repro package "
@@ -959,6 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--rules", nargs="+", default=None,
                     metavar="RULE",
                     help="subset of rules to run (default: all of "
+                         "repro.sanitize.lint.DEFAULT_RULES, e.g. "
                          "rank-divergent-collective, use-after-move, "
                          "tag-mismatch, raw-lapack)")
     ln.set_defaults(fn=_cmd_lint)

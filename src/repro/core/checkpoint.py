@@ -3,9 +3,11 @@
 Compressing a multi-terabyte dump takes hours per mode; an interrupted
 run should resume after the last completed mode instead of restarting.
 A checkpoint directory holds, after each completed mode: the factors and
-singular values computed so far, the partially truncated tensor (the
-current scratch file), and a JSON manifest tying them together with the
-run's configuration.  ``sthosvd_out_of_core(..., checkpoint_dir=...)``
+singular values computed so far (one checksummed shard), the partially
+truncated tensor (a copy of the current scratch file), and a JSON
+manifest tying them together with the run's configuration — all
+written through :mod:`repro.util.durable`, manifest last.
+``sthosvd_out_of_core(..., checkpoint_dir=...)``
 writes checkpoints as it goes; rerunning the identical call resumes.
 
 The manifest stores the configuration fingerprint (shape, dtype, tol or
@@ -15,40 +17,26 @@ configuration is refused rather than silently blended.
 
 from __future__ import annotations
 
-import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..data.outofcore import OutOfCoreTensor
+from ..util.durable import (
+    commit_manifest,
+    load_manifest,
+    read_shard,
+    write_files,
+    write_shard,
+)
 
 __all__ = ["CheckpointState", "save_checkpoint", "load_checkpoint", "clear_checkpoint"]
 
 MANIFEST = "checkpoint.json"
-
-
-def _library_version() -> str:
-    # Deferred: the top-level package imports this module at init time.
-    import repro
-
-    return repro.__version__
-
-
-def _write_atomic(path: str, write) -> None:
-    """Write a file via tmp + rename so a crash never leaves a torn file.
-
-    A checkpoint interrupted *while saving* must not destroy the
-    previous valid checkpoint: every artifact lands under its final
-    name only once fully written and flushed.
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        write(f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+_SCHEMA = "repro-ooc-ckpt/2"
 
 
 @dataclass
@@ -91,49 +79,30 @@ def save_checkpoint(
     (it will be deleted by the driver's normal scratch rotation).
     """
     os.makedirs(directory, exist_ok=True)
-    tensor_path = os.path.join(directory, f"state{step}.bin")
+    tensor_file, modes_file = f"state{step}.bin", f"modes{step}.bin"
 
     def copy_scratch(dst):
-        # Copy the scratch file (streamed).
         with open(current.path, "rb") as src:
-            while True:
-                buf = src.read(1 << 24)
-                if not buf:
-                    break
-                dst.write(buf)
+            shutil.copyfileobj(src, dst, 1 << 24)  # streamed, 16 MiB a time
 
-    _write_atomic(tensor_path, copy_scratch)
-    for mode, U in factors.items():
-        _write_atomic(
-            os.path.join(directory, f"factor{mode}.npy"),
-            lambda f, U=U: np.save(f, U),
-        )
-    for mode, s in sigmas.items():
-        _write_atomic(
-            os.path.join(directory, f"sigma{mode}.npy"),
-            lambda f, s=s: np.save(f, s),
-        )
-    manifest = {
+    write_files(directory, {tensor_file: copy_scratch})
+    modes_check = write_shard(os.path.join(directory, modes_file),
+                              {"factors": factors, "sigmas": sigmas})
+    commit_manifest(os.path.join(directory, MANIFEST), {
         "completed_steps": step,
-        "tensor_file": os.path.basename(tensor_path),
+        "tensor_file": tensor_file,
         "tensor_shape": list(current.shape),
         "tensor_dtype": np.dtype(current.dtype).name,
+        "modes_file": modes_file,
+        "modes_check": modes_check,
         "norm_sq": norm_sq,
-        "modes_done": sorted(factors),
         "ranks_chosen": {str(k): int(v) for k, v in ranks_chosen.items()},
         "fingerprint": fingerprint,
-        "library_version": _library_version(),
-    }
-    # The manifest lands last: its rename is the commit point that makes
-    # the already-written artifacts the checkpoint of record.
-    _write_atomic(
-        os.path.join(directory, MANIFEST),
-        lambda f: f.write(json.dumps(manifest).encode()),
-    )
-    # Drop the previous step's tensor copy.
-    prev = os.path.join(directory, f"state{step - 1}.bin")
-    if os.path.exists(prev):
-        os.unlink(prev)
+    }, _SCHEMA)
+    # Drop the previous step's files.
+    for prev in (f"state{step - 1}.bin", f"modes{step - 1}.bin"):
+        if os.path.exists(os.path.join(directory, prev)):
+            os.unlink(os.path.join(directory, prev))
 
 
 def load_checkpoint(directory: str, fingerprint: dict) -> CheckpointState | None:
@@ -144,12 +113,14 @@ def load_checkpoint(directory: str, fingerprint: dict) -> CheckpointState | None
     ConfigurationError
         If a checkpoint exists but was written by a different run
         configuration.
+    CheckpointError
+        If it was written under another on-disk schema, or its stored
+        factors fail their checksum.
     """
     path = os.path.join(directory, MANIFEST)
     if not os.path.exists(path):
         return None
-    with open(path) as f:
-        manifest = json.load(f)
+    manifest = load_manifest(path, _SCHEMA)
     stored = manifest["fingerprint"]
     if stored != fingerprint:
         # Name the mismatched fields — "different configuration" alone
@@ -179,11 +150,8 @@ def load_checkpoint(directory: str, fingerprint: dict) -> CheckpointState | None
             f"checkpoint manifest is inconsistent: tensor file is "
             f"{tensor_dtype} but the run fingerprint says {stored['dtype']}"
         )
-    factors = {}
-    sigmas = {}
-    for mode in manifest["modes_done"]:
-        factors[mode] = np.load(os.path.join(directory, f"factor{mode}.npy"))
-        sigmas[mode] = np.load(os.path.join(directory, f"sigma{mode}.npy"))
+    modes = read_shard(os.path.join(directory, manifest["modes_file"]),
+                       *manifest["modes_check"])
     current = OutOfCoreTensor(
         os.path.join(directory, manifest["tensor_file"]),
         manifest["tensor_shape"],
@@ -191,8 +159,8 @@ def load_checkpoint(directory: str, fingerprint: dict) -> CheckpointState | None
     )
     return CheckpointState(
         completed_steps=int(manifest["completed_steps"]),
-        factors=factors,
-        sigmas=sigmas,
+        factors={int(k): v for k, v in modes["factors"].items()},
+        sigmas={int(k): v for k, v in modes["sigmas"].items()},
         ranks_chosen={int(k): v for k, v in manifest["ranks_chosen"].items()},
         current=current,
         norm_sq=float(manifest["norm_sq"]),

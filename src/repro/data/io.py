@@ -21,22 +21,30 @@ from ..errors import ShapeError
 from ..precision import resolve_precision
 from ..tensor.dense import DenseTensor
 
-__all__ = ["save_raw", "load_raw"]
+__all__ = ["save_raw", "load_raw", "raw_files"]
 
 
 def _sidecar(path: str) -> str:
     return path + ".meta.json"
 
 
-def save_raw(tensor: DenseTensor, path: str) -> None:
-    """Write the tensor's buffer in natural order plus a JSON sidecar."""
+def raw_files(tensor: DenseTensor, name: str) -> dict:
+    """The two files of a raw tensor, as ``{file name: write(f)}``: the
+    buffer in natural order under ``name``, and its JSON sidecar."""
     if not isinstance(tensor, DenseTensor):
         tensor = DenseTensor(tensor)
-    with open(path, "wb") as f:
-        tensor.flat_view().tofile(f)
     meta = {"shape": list(tensor.shape), "dtype": tensor.dtype.name}
-    with open(_sidecar(path), "w") as f:
-        json.dump(meta, f)
+    return {
+        name: tensor.flat_view().tofile,
+        _sidecar(name): lambda f: f.write(json.dumps(meta).encode()),
+    }
+
+
+def save_raw(tensor: DenseTensor, path: str) -> None:
+    """Write the tensor's buffer in natural order plus a JSON sidecar."""
+    for file_path, write in raw_files(tensor, path).items():
+        with open(file_path, "wb") as f:
+            write(f)
 
 
 def load_raw(

@@ -22,36 +22,50 @@ blocks saved before and after a shrink never mix: a complete set is
 ``nprocs`` entries from one epoch, any epoch.
 
 The optional **durable tier** (``ckpt_dir=``) additionally lands every
-shard on disk — each rank writes its own block and the buddy copy it
-holds, then rank 0 commits a versioned JSON manifest using the same
-tmp + rename discipline as :mod:`repro.core.checkpoint` — so a *total*
-world crash (every rank dead, the master gone) can be survived by a new
-``run_spmd`` invocation resuming from the directory.
+shard on disk through :mod:`repro.util.durable` — each rank writes its
+own block and the buddy copy it holds as checksummed shards, then
+rank 0 commits a versioned JSON manifest naming every shard with its
+length and CRC32 — so a *total* world crash (every rank dead, the
+master gone) can be survived by a new ``run_spmd`` invocation resuming
+from the directory.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 from typing import Any
 
 import numpy as np
 
 from ..errors import CheckpointError
 from ..obs.recorder import record_event as _record_event
-from ..core.checkpoint import _write_atomic
+from ..util.durable import (
+    commit_manifest,
+    load_manifest,
+    read_shard,
+    write_shard,
+)
 
 __all__ = ["DistributedCheckpoint"]
 
 #: Manifest schema tag; bump on incompatible layout changes.
-_MANIFEST_SCHEMA = "repro-dckpt/1"
+_MANIFEST_SCHEMA = "repro-dckpt/2"
 
 # User tag reserved for the buddy-copy exchange.  Drivers communicate
 # through collectives (negative internal tags), so any non-negative tag
 # is free on their communicators; picking a large one keeps accidental
 # collision with test programs' small hand-picked tags unlikely.
 _BUDDY_TAG = 988_000
+
+
+def _paste(shape, dtype, blocks) -> np.ndarray:
+    """The full tensor from ``(slices, block)`` pairs: every block lands
+    at the global coordinates it was saved with, whatever grid wrote it."""
+    full = np.zeros(tuple(int(s) for s in shape), dtype=np.dtype(dtype),
+                    order="F")
+    for slices, block in blocks:
+        full[tuple(slice(a, b) for a, b in slices)] = block
+    return full
 
 
 class DistributedCheckpoint:
@@ -142,7 +156,7 @@ class DistributedCheckpoint:
                     kind: str) -> str:
         return os.path.join(
             self.ckpt_dir,
-            f"{self.name}-s{step:06d}-e{epoch}-{kind}-{owner:04d}.pkl",
+            f"{self.name}-s{step:06d}-e{epoch}-{kind}-{owner:04d}.shard",
         )
 
     def _manifest_path(self, epoch: int, step: int) -> str:
@@ -156,25 +170,24 @@ class DistributedCheckpoint:
         """Land this step's shards durably; rank 0 commits the manifest.
 
         Every rank writes its own block and the buddy copy it holds
-        (two independent copies of every shard on disk), then a barrier
-        guarantees all shards are durable before rank 0 renames the
-        manifest into place — the manifest is the commit point, so a
-        crash mid-save leaves at worst an uncommitted pile of shards
-        and the previous manifest still wins.
+        (two independent copies of every shard on disk) and reports
+        each file's length and checksum to rank 0 — a gather, so rank 0
+        knows all shards are durable before it renames the manifest
+        into place.  The manifest is the commit point: a crash mid-save
+        leaves at worst an uncommitted pile of shards and the previous
+        manifest still wins.
         """
         os.makedirs(self.ckpt_dir, exist_ok=True)
         epoch, step = entry["epoch"], entry["step"]
+        written = {}
         for kind, shard in (("own", entry), ("buddy", buddy_entry)):
-            if shard is None:
-                continue
-            path = self._shard_path(
-                shard["epoch"], shard["step"], shard["owner"], kind)
-            _write_atomic(
-                path, lambda f, s=shard: pickle.dump(s, f, protocol=4))
-        comm.barrier()
+            if shard is not None:
+                path = self._shard_path(
+                    shard["epoch"], shard["step"], shard["owner"], kind)
+                written[os.path.basename(path)] = write_shard(path, shard)
+        reports = comm.gather(written, root=0)
         if comm.rank == 0:
-            manifest = {
-                "schema": _MANIFEST_SCHEMA,
+            commit_manifest(self._manifest_path(epoch, step), {
                 "name": self.name,
                 "step": int(step),
                 "epoch": int(epoch),
@@ -197,11 +210,10 @@ class DistributedCheckpoint:
                     }
                     for o in range(entry["nprocs"])
                 },
-            }
-            _write_atomic(
-                self._manifest_path(epoch, step),
-                lambda f: f.write(json.dumps(manifest, indent=1).encode()),
-            )
+                # file -> [nbytes, crc32], as each writer measured it
+                "checks": {f: c for report in reports
+                           for f, c in report.items()},
+            }, _MANIFEST_SCHEMA)
             self._prune_disk(step)
 
     def _prune_disk(self, current_step: int) -> None:
@@ -250,7 +262,9 @@ class DistributedCheckpoint:
         Collective over ``comm`` (typically the brand-new world of a
         restarted ``run_spmd`` invocation).  Returns ``(step, meta,
         full)`` with the reassembled tensor on rank 0 (None elsewhere),
-        or None when the directory holds no committed manifest.
+        or None when the directory holds no committed manifest.  Arrays
+        in ``meta`` come back bitwise; the rest went through JSON
+        (tuples are lists, dict keys strings).
 
         ``full`` — the caller's input tensor on rank 0 — anchors the
         refusal checks: a manifest whose dtype or global shape does not
@@ -296,15 +310,9 @@ class DistributedCheckpoint:
             return ("none",)
         step, epoch, path = committed[-1]
         try:
-            with open(path, "rb") as f:
-                manifest = json.load(f)
-        except (OSError, ValueError) as exc:
-            return ("err", f"checkpoint {self.name!r}: unreadable "
-                           f"manifest {os.path.basename(path)}: {exc}")
-        if manifest.get("schema") != _MANIFEST_SCHEMA:
-            return ("err", f"checkpoint {self.name!r}: manifest schema "
-                           f"{manifest.get('schema')!r} is not "
-                           f"{_MANIFEST_SCHEMA!r}")
+            manifest = load_manifest(path, _MANIFEST_SCHEMA)
+        except (OSError, CheckpointError) as exc:
+            return ("err", f"checkpoint {self.name!r}: {exc}")
         if int(manifest["nprocs"]) != int(nprocs):
             return ("err",
                     f"checkpoint {self.name!r} was written by "
@@ -326,29 +334,26 @@ class DistributedCheckpoint:
                         f"{np.dtype(want_dtype).name}; refusing to "
                         f"resume a run over dtype "
                         f"{np.dtype(full.dtype).name}")
-        shape = tuple(int(s) for s in manifest["global_shape"])
-        out = np.zeros(shape, dtype=np.dtype(manifest["dtype"]), order="F")
-        meta = None
+        entries = []
         for owner in range(int(manifest["nprocs"])):
             files = manifest["shards"][str(owner)]
             entry = None
             for kind in ("own", "buddy"):
-                spath = os.path.join(self.ckpt_dir, files[kind])
                 try:
-                    with open(spath, "rb") as f:
-                        entry = pickle.load(f)
+                    entry = read_shard(
+                        os.path.join(self.ckpt_dir, files[kind]),
+                        *manifest["checks"][files[kind]])
                     break
-                except (OSError, pickle.PickleError, EOFError):
-                    continue
+                except (OSError, CheckpointError, KeyError):
+                    continue  # KeyError: never written (a world of one)
             if entry is None:
                 return ("err",
                         f"checkpoint {self.name!r}: both copies of "
                         f"shard {owner} (step {step}) are unreadable")
-            if meta is None:
-                meta = entry["meta"]
-            out[tuple(slice(a, b) for a, b in entry["slices"])] = (
-                entry["block"])
-        return ("ok", int(step), meta, out)
+            entries.append(entry)
+        out = _paste(manifest["global_shape"], manifest["dtype"],
+                     [(e["slices"], e["block"]) for e in entries])
+        return ("ok", int(step), entries[0]["meta"], out)
 
     # -- recovery -------------------------------------------------------
     def latest_complete(self, new_comm) -> tuple[int, int, int] | None:
@@ -417,14 +422,11 @@ class DistributedCheckpoint:
         )
         full = None
         if new_comm.rank == root:
-            full = np.zeros(shape, dtype=np.dtype(dtype), order="F")
-            seen: set[int] = set()
+            blocks: dict[int, tuple] = {}
             for rank_parts in parts:
                 for owner, slices, block in rank_parts:
-                    if owner in seen:
-                        continue
-                    seen.add(owner)
-                    full[tuple(slice(a, b) for a, b in slices)] = block
+                    blocks.setdefault(owner, (slices, block))
+            full = _paste(shape, dtype, blocks.values())
         return step, meta, full
 
     def rebalance(self, comm) -> int:

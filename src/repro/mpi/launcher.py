@@ -142,9 +142,7 @@ def run_spmd(
         and its return values to be fork-inheritable /
         picklable-modulo-ndarrays), or ``"sockets"`` (the procs
         execution model over framed TCP connections hardened with
-        connect retries, heartbeats, and liveness deadlines; workers
-        may also be spawned as fresh processes for multi-host
-        layouts).  A prebuilt
+        connect retries, heartbeats, and liveness deadlines).  A prebuilt
         :class:`~repro.mpi.transport.Transport` instance is accepted
         for transports with constructor knobs, e.g.
         ``backend=SocketTransport(liveness_timeout=2.0)``.  ``None``

@@ -10,8 +10,7 @@ over direct ``AF_UNIX`` links, the master keeping the control plane
 only — true multi-core execution for the GIL-bound portions of the
 kernels.  :class:`~repro.mpi.transport.sockets.SocketTransport` is the
 same world over framed TCP connections hardened with retry policies,
-heartbeats, and liveness deadlines, and can launch workers as separate
-processes (``hosts=...``).  Select one
+heartbeats, and liveness deadlines.  Select one
 with ``run_spmd(..., backend="threads"|"procs"|"sockets")`` or the
 ``REPRO_SPMD_BACKEND`` environment variable; transports with
 constructor knobs can be passed as instances

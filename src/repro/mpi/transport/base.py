@@ -14,9 +14,7 @@ two seams:
   direct worker-to-worker framed TCP links (ndarray data is never
   pickled); the master keeps the control plane only (lifecycle,
   rendezvous tables, node store, sanitizer, liveness).  Hardened with
-  retry/heartbeat/liveness against real network failure; workers may
-  also be launched as separate processes on other hosts
-  (``hosts=...``).
+  retry/heartbeat/liveness against real network failure.
 * :class:`~repro.mpi.transport.procs.ProcessTransport` — the same
   world on one host: forked workers joined by ``AF_UNIX`` links.
 
@@ -134,8 +132,7 @@ def make_transport(backend: "str | Transport | None") -> Transport:
 
     A pre-built :class:`Transport` instance passes through unchanged —
     the hook for transports with constructor knobs that a plain name
-    cannot carry (``SocketTransport(hosts=...)``,
-    ``SocketTransport(liveness_timeout=...)``).
+    cannot carry (``SocketTransport(liveness_timeout=...)``).
     """
     if isinstance(backend, Transport):
         return backend

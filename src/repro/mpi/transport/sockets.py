@@ -74,20 +74,9 @@ Each worker keeps three kinds of connection:
   postmortem's ``network`` section.  Injected faults count the rank's
   ``put`` frames in program order, whichever link carries them.
 
-Two launch modes share all of the above:
-
-* default — workers are **forked** and connect back over loopback, so
-  closures and caller objects work unchanged and the whole conformance
-  suite runs on real sockets;
-* ``hosts=[...]`` — workers are **spawned** via ``python -m
-  repro.mpi.transport.sockworker`` and receive a pickled boot blob
-  (program + world config) over the ctl link after the handshake.
-  The program and its arguments must then be picklable; observability
-  objects that cannot cross degrade to worker-local ``None`` (their
-  master-side halves still work).  Remote hosts are reached by
-  running the same command there by hand or any launcher you like —
-  the handshake only needs TCP to ``(host, port)``, and the workers
-  TCP to each other.
+Workers are always **forked** and connect back to the master's
+listener, so closures and caller objects work unchanged and the whole
+conformance suite runs on real sockets.
 """
 
 from __future__ import annotations
@@ -95,11 +84,8 @@ from __future__ import annotations
 import hmac
 import multiprocessing
 import os
-import pickle
 import queue
 import socket
-import subprocess
-import sys
 import threading
 import time
 from typing import Any
@@ -130,7 +116,12 @@ from .net import (
     LinkTimeout,
     RetryPolicy,
 )
-from .worldproxy import WorkerConfig, WorldServerMixin, run_worker
+from .worldproxy import (
+    DRAIN_TIMEOUT,
+    WorkerConfig,
+    WorldServerMixin,
+    run_worker,
+)
 
 __all__ = ["SocketTransport"]
 
@@ -138,17 +129,14 @@ __all__ = ["SocketTransport"]
 LIVENESS_ENV_VAR = "REPRO_SOCKETS_LIVENESS"
 HEARTBEAT_ENV_VAR = "REPRO_SOCKETS_HEARTBEAT"
 
-#: How spawn mode hands the rendezvous token to a sockworker.  The
-#: environment, never argv: command lines are world-readable via
-#: ps/procfs for the life of the process, which would leak the shared
-#: secret to every user on the host.
-TOKEN_ENV_VAR = "REPRO_SOCKETS_TOKEN"
-
 # Seconds a link reader sleeps between looks at its link's state (a
 # successor waiting behind a black-holed socket, the liveness deadline).
 _DATA_TICK = 0.2
 # Seconds a half-open connection gets to complete its hello.
 _HELLO_TIMEOUT = 10.0
+# Seconds a worker whose protocol is over gets to exit (and, failing
+# that, to die of each signal) when the world closes.
+_REAP_GRACE = 3.0
 
 
 def _env_float(name: str, fallback: float) -> float:
@@ -308,7 +296,8 @@ class _SockLink:
         self.received = 0  # put frames filed from this link (worker side)
         self.partitioned = False
         self.finished = False  # lifecycle RPC processed, or declared lost
-        self.proc = None  # Process (fork) or Popen (spawn)
+        self.proc = None  # the forked worker (master side)
+        self.ctl_thread = None  # serves its RPCs until it hangs up (master)
         # Set when a replacement superseded this link: the dead
         # incarnation's teardown (EOF, liveness expiry) must not fail
         # the rank its replacement now occupies.
@@ -772,43 +761,15 @@ class _Pinger:
         self._thread.join(timeout=2.0)
 
 
-def _run_sock_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
-                     ctl: FramedSocket, addr, token: str, netstate,
-                     knobs: dict, counters: dict) -> None:
-    """Worker core shared by the forked and spawned entry points.
-
-    With the ctl link up, bind the listener the peers will dial — next
-    to the master's for ``AF_UNIX``, on the interface the ctl link left
-    by for TCP — and report it in the data link's hello.
-    """
-    listener = _listen_near(addr if isinstance(addr, str) else ctl.local)
-    listen = listener.getsockname()
-    hello = {"purpose": "data", "rank": rank, "token": token,
-             "listen": listen if isinstance(listen, str) else list(listen[:2])}
-    policy = knobs["connect_policy"]
-    data = _connect_framed(addr, dict(hello, generation=1), policy, netstate,
-                           counters)
-    incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
-    channel = _SockChannel(ctl, netstate)
-    wire = _PeerWire(rank, incarnation, token, listener, data, addr, hello,
-                     policy, netstate, counters)
-    pinger = _Pinger(wire, rank, knobs["heartbeat_interval"])
-    try:
-        run_worker(cfg, rank, fn, args, kwargs, channel, wire)
-    finally:
-        pinger.stop()
-        channel.close()
-        wire.close()
-        if isinstance(listen, str):
-            try:
-                os.unlink(listen)
-            except OSError:
-                pass
-
-
 def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
-                 cfg: WorkerConfig, netrules, knobs: dict, listener) -> None:
-    """Entry point of a forked worker (default launch mode)."""
+                 cfg: WorkerConfig, netrules, policy: RetryPolicy,
+                 heartbeat_interval: float, listener) -> None:
+    """Entry point of a forked worker.
+
+    Raise the ctl link, bind the listener the peers will dial — next to
+    the master's for ``AF_UNIX``, on the interface the ctl link left by
+    for TCP — report it in the data link's hello, and run the rank.
+    """
     # fd hygiene: drop the forked copy of the master's rendezvous
     # listener so the address is released the moment the master closes
     # its own.  (The master's link sockets a replacement inherits need
@@ -826,10 +787,31 @@ def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
         ctl = _connect_framed(
             addr, {"purpose": "ctl", "rank": rank, "token": token,
                    "generation": 1},
-            knobs["connect_policy"], netstate, counters,
+            policy, netstate, counters,
         )
-        _run_sock_worker(cfg, rank, fn, args, kwargs, ctl, addr, token,
-                         netstate, knobs, counters)
+        peers = _listen_near(addr if isinstance(addr, str) else ctl.local)
+        listen = peers.getsockname()
+        hello = {"purpose": "data", "rank": rank, "token": token,
+                 "listen": (listen if isinstance(listen, str)
+                            else list(listen[:2]))}
+        data = _connect_framed(addr, dict(hello, generation=1), policy,
+                               netstate, counters)
+        incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
+        channel = _SockChannel(ctl, netstate)
+        wire = _PeerWire(rank, incarnation, token, peers, data, addr, hello,
+                         policy, netstate, counters)
+        pinger = _Pinger(wire, rank, heartbeat_interval)
+        try:
+            run_worker(cfg, rank, fn, args, kwargs, channel, wire)
+        finally:
+            pinger.stop()
+            channel.close()
+            wire.close()
+            if isinstance(listen, str):
+                try:
+                    os.unlink(listen)
+                except OSError:
+                    pass
     except (OSError, CommunicatorError):
         return  # the master's connect grace surfaces "never connected"
 
@@ -848,14 +830,11 @@ class SocketTransport(WorldServerMixin, Transport):
     eof_is_death = False
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 hosts=None, connect_policy: RetryPolicy | None = None,
+                 connect_policy: RetryPolicy | None = None,
                  heartbeat_interval: float | None = None,
-                 liveness_timeout: float | None = None,
-                 connect_grace: float | None = None,
-                 python: str | None = None) -> None:
+                 liveness_timeout: float | None = None) -> None:
         self.host = host
         self.port = int(port)
-        self.hosts = list(hosts) if hosts else None
         self.connect_policy = connect_policy or DEFAULT_CONNECT_POLICY
         self.heartbeat_interval = (
             heartbeat_interval
@@ -867,14 +846,10 @@ class SocketTransport(WorldServerMixin, Transport):
             if liveness_timeout is not None
             else _env_float(LIVENESS_ENV_VAR, DEFAULT_LIVENESS_TIMEOUT)
         )
-        self.connect_grace = (
-            connect_grace if connect_grace is not None
-            else max(30.0, 2.0 * self.liveness_timeout)
-        )
-        self.python = python or sys.executable
+        # Seconds a worker gets to raise both links to the master.
+        self.connect_grace = max(30.0, 2.0 * self.liveness_timeout)
         self.net_health: dict[int, dict] = {}
         self._shutdown = threading.Event()
-        self._boot_blobs: dict[int, bytes] | None = None
 
     # -- transport interface --------------------------------------------
     # (no ``deliver``: the master is not a rank and sends no messages)
@@ -890,7 +865,8 @@ class SocketTransport(WorldServerMixin, Transport):
         self._shutdown = threading.Event()
         self.net_health = {
             r: {"connect_attempts": 0, "retries": 0, "reconnects": 0,
-                "heartbeat_age": None, "disconnect": None, "faults": []}
+                "heartbeat_age": None, "disconnect": None, "faults": [],
+                "reaped": None}
             for r in range(nprocs)
         }
         # Postmortem bundles read the transport's health table off the
@@ -915,8 +891,6 @@ class SocketTransport(WorldServerMixin, Transport):
             tuple(context.faults.plan.network)
             if context.faults is not None else ()
         )
-        knobs = {"connect_policy": self.connect_policy,
-                 "heartbeat_interval": self.heartbeat_interval}
 
         # Workers are launched while the master is still single-threaded
         # (forking a multi-threaded process can deadlock children on
@@ -924,12 +898,9 @@ class SocketTransport(WorldServerMixin, Transport):
         # early connects queue in the accept backlog — and the connect
         # RetryPolicy rides out a full backlog — until the accept
         # thread starts right after.
-        launch = self._fork_worker if self.hosts is None else self._spawn_worker
-        if self.hosts is not None:
-            self._boot_blobs = {}
         for link in links:
-            launch(link, addr, token, fn, args, kwargs, cfg, netrules, knobs,
-                   listener)
+            self._fork_worker(link, addr, token, fn, args, kwargs, cfg,
+                              netrules, listener)
 
         accept_thread = threading.Thread(
             target=self._accept_loop, args=(listener, links, token, context),
@@ -937,10 +908,10 @@ class SocketTransport(WorldServerMixin, Transport):
         )
         accept_thread.start()
 
-        # Every process and service thread the run ever starts —
-        # original or replacement — lands here exactly once.
+        # Every worker (as its link) and service thread the run ever
+        # starts — original or replacement — lands here exactly once.
         threads: list = [accept_thread]
-        procs: list = [link.proc for link in links]
+        launched: list = list(links)
 
         def serve_link(link: _SockLink) -> None:
             for target, label in ((self._serve_ctl, "ctl"),
@@ -951,6 +922,8 @@ class SocketTransport(WorldServerMixin, Transport):
                 )
                 thread.start()
                 threads.append(thread)
+                if label == "ctl":
+                    link.ctl_thread = thread
 
         def respawn(rank: int) -> None:
             # Elastic replacement: retire the dead incarnation's link
@@ -981,9 +954,9 @@ class SocketTransport(WorldServerMixin, Transport):
                 "revoke_reason": context.revoke_reason,
             }
             self.net_health[rank]["reconnects"] += 1
-            launch(new_link, addr, token, fn, args, kwargs, rcfg, netrules,
-                   knobs, listener)
-            procs.append(new_link.proc)
+            self._fork_worker(new_link, addr, token, fn, args, kwargs, rcfg,
+                              netrules, listener)
+            launched.append(new_link)
 
             def boot() -> None:
                 ok = new_link.wait_ready(
@@ -1037,12 +1010,11 @@ class SocketTransport(WorldServerMixin, Transport):
 
         # No rank is left to ask for a replacement, so both lists are
         # final: reap every incarnation, then wake and join the service
-        # threads (no one sleeps out a poll tick).
-        for proc in procs:
-            if hasattr(proc, "join"):
-                proc.join()
-            else:  # Popen
-                proc.wait()
+        # threads (no one sleeps out a poll tick).  What a worker still
+        # has to do is bounded on its side (``await_frames``).
+        overdue = time.monotonic() + DRAIN_TIMEOUT + _REAP_GRACE
+        for link in launched:
+            self._reap(link, overdue)
         self._stop_accepting(listener)
         now = time.monotonic()
         for link in links:
@@ -1052,8 +1024,31 @@ class SocketTransport(WorldServerMixin, Transport):
         for thread in threads:
             thread.join(timeout=10.0)
         self._close_listener(listener)
-        self._boot_blobs = None
         return self._values, self._clocks, self._errors
+
+    def _reap(self, link: _SockLink, overdue: float) -> None:
+        """Join one worker process — by force if it will not exit.
+
+        A worker closes its ctl link when its protocol is over, which
+        ends the link's ctl service thread; wait for that (until
+        ``overdue``), then allow interpreter exit ``_REAP_GRACE``
+        seconds.  A rank program that left a non-daemon thread running
+        holds ``multiprocessing``'s shutdown for as long as the thread
+        lives; its value is already in, so the world does not wait.
+        """
+        proc = link.proc
+        if link.ctl_thread is not None:
+            link.ctl_thread.join(max(0.0, overdue - time.monotonic()))
+        proc.join(_REAP_GRACE)
+        for how, stop in (("terminated", proc.terminate),
+                          ("killed", proc.kill)):
+            if not proc.is_alive():
+                return
+            stop()
+            proc.join(_REAP_GRACE)
+            self.net_health[link.rank]["reaped"] = (
+                f"{how}: worker process {proc.pid} did not exit at world "
+                f"close")
 
     def _stop_accepting(self, listener) -> None:
         """End the accept loop now, not at its next wake-up."""
@@ -1062,7 +1057,7 @@ class SocketTransport(WorldServerMixin, Transport):
 
     # -- worker launch ---------------------------------------------------
     def _fork_worker(self, link, addr, token, fn, args, kwargs, cfg,
-                     netrules, knobs, listener) -> None:
+                     netrules, listener) -> None:
         try:
             mp_ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
@@ -1075,89 +1070,12 @@ class SocketTransport(WorldServerMixin, Transport):
         # gets the listener object to close its inherited fd copy.
         link.proc = mp_ctx.Process(
             target=_worker_main,
-            args=(addr, token, link.rank, fn, args, kwargs, cfg,
-                  netrules, knobs, listener),
+            args=(addr, token, link.rank, fn, args, kwargs, cfg, netrules,
+                  self.connect_policy, self.heartbeat_interval, listener),
             name=f"spmd-{self.name}-rank-{link.rank}-i{incarnation}",
             daemon=True,
         )
         link.proc.start()
-
-    def _spawn_worker(self, link, addr, token, fn, args, kwargs, cfg,
-                      netrules, knobs, listener) -> None:
-        self._boot_blobs[link.rank] = self._boot_blob(
-            link.rank, fn, args, kwargs, cfg, netrules, knobs)
-        host, port = addr
-        env = dict(os.environ)
-        env[TOKEN_ENV_VAR] = token
-        # Single-host loopback launch; the hosts entries label the
-        # layout (and are recorded in net_health).  Reaching a real
-        # remote host means running this exact command there — the
-        # handshake only needs TCP to (host, port) plus the token in
-        # the environment (argv would leak it via ps/procfs).
-        self.net_health[link.rank]["host"] = (
-            self.hosts[link.rank % len(self.hosts)])
-        link.proc = subprocess.Popen(
-            [self.python, "-m", "repro.mpi.transport.sockworker",
-             "--addr", f"{host}:{port}", "--rank", str(link.rank)],
-            stdin=subprocess.DEVNULL,
-            env=env,
-        )
-
-    @staticmethod
-    def _demote_main(fn):
-        """Re-point a ``__main__``-defined program at its importable home.
-
-        ``python -m some.module`` runs the module *as* ``__main__``, so
-        a program function defined there would pickle by reference as
-        ``__main__.<name>`` — unresolvable inside the spawned worker,
-        whose ``__main__`` is the sockworker entry point.  When
-        ``__main__`` has an import spec (the ``-m`` case), the same
-        function exists under its real module name; ship that one.
-        """
-        if getattr(fn, "__module__", None) != "__main__":
-            return fn
-        spec = getattr(sys.modules.get("__main__"), "__spec__", None)
-        name = getattr(spec, "name", None)
-        if name:
-            import importlib
-
-            try:
-                twin = getattr(importlib.import_module(name),
-                               fn.__qualname__, None)
-            except Exception:
-                twin = None
-            if callable(twin):
-                return twin
-        raise CommunicatorError(
-            f"hosts= workers cannot import {fn.__qualname__!r} from "
-            f"__main__; move the program function into an importable "
-            f"module"
-        )
-
-    def _boot_blob(self, rank: int, fn, args, kwargs, cfg, netrules,
-                   knobs) -> bytes:
-        fn = self._demote_main(fn)
-        state = {slot: getattr(cfg, slot) for slot in WorkerConfig.__slots__}
-        # Observability objects are worker-local copies; ones that
-        # cannot cross the spawn boundary degrade to None (the
-        # master-side halves — postmortems, telemetry — still work,
-        # the worker just ships no shards for them).
-        for opt in ("comm_trace", "tracer", "recorder"):
-            try:
-                pickle.dumps(state[opt], protocol=4)
-            except Exception:
-                state[opt] = None
-        try:
-            return pickle.dumps(
-                (fn, args, kwargs, state, netrules, knobs), protocol=4
-            )
-        except Exception as exc:
-            raise CommunicatorError(
-                f"hosts= workers boot over the wire: the program, its "
-                f"arguments, and the fault/resilience configuration must "
-                f"be picklable ({type(exc).__name__}: {exc}); use a "
-                f"module-level program function"
-            ) from None
 
     # -- rendezvous/accept loop ------------------------------------------
     def _accept_loop(self, listener, links, token: str, context) -> None:
@@ -1166,8 +1084,6 @@ class SocketTransport(WorldServerMixin, Transport):
             link = links[rank]
             self._note_hello(context, link, hello)
             fs.send_json({"kind": "ok", "world": len(links)})
-            if purpose == "ctl" and self._boot_blobs is not None:
-                fs.send(("boot", self._boot_blobs[rank]))
             link.attach(purpose, fs)
 
         _serve_hellos(listener, token, len(links), ("ctl", "data"), attach,

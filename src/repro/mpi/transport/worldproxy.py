@@ -122,14 +122,11 @@ class SendToken(threading.Event):
 
 
 class WorkerConfig:
-    """World parameters a worker inherits through the fork (or boot blob).
+    """World parameters a worker inherits through the fork.
 
     ``comm_trace``, ``tracer``, and ``faults`` are the *caller's*
     objects — forked by reference so rank-program closures over them
-    keep working; the worker ships back post-fork deltas only.  In a
-    spawned (non-forked) worker they are fresh unpickles carrying the
-    state at ship time, which the baseline diffs cancel out the same
-    way.
+    keep working; the worker ships back post-fork deltas only.
     """
 
     __slots__ = (

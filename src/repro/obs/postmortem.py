@@ -204,7 +204,8 @@ def build_postmortem(
         bundle["fault_trace"] = []
     # Socket transport: per-rank link health (connect attempts/retries,
     # reconnects, last-frame age, the disconnect that killed the link,
-    # injected network faults observed on it).
+    # injected network faults observed on it, a worker process that had
+    # to be reaped by force at world close).
     net_health = getattr(context, "net_health", None)
     bundle["network"] = _jsonable(net_health) if net_health else None
     # Elastic recovery: respawns and replace-rendezvous commits logged
@@ -355,7 +356,8 @@ def render_postmortem(bundle: Dict[str, Any], events: int = 10) -> str:
                     str(h.get("reconnects", "-")),
                     _fmt_age(h.get("heartbeat_age")),
                     faults,
-                    h.get("disconnect") or "-",
+                    "; ".join(filter(None, (h.get("disconnect"),
+                                            h.get("reaped")))) or "-",
                 ]
             )
         lines.append(

@@ -28,6 +28,14 @@ flags the SPMD bug patterns the runtime sanitizer catches dynamically,
     instrumented, numerically-hardened kernels the paper's accuracy
     claims rest on.
 
+``raw-pickle``
+    An ``import pickle`` outside :mod:`repro.mpi.transport` — the
+    authenticated wire between a master and the workers it forked is
+    the one place the library unpickles anything.  Bytes at rest (a
+    checkpoint, an archive) outlive the process that wrote them, so
+    they go through :mod:`repro.util.durable`, whose JSON-plus-raw-
+    arrays shards cannot execute code when read.
+
 Findings are :class:`~repro.sanitize.Diagnostic` records (shared with
 the runtime sanitizer), rendered ``file:line: severity[kind] message``.
 
@@ -58,6 +66,7 @@ DEFAULT_RULES = (
     "use-after-move",
     "tag-mismatch",
     "raw-lapack",
+    "raw-pickle",
 )
 
 # Names that read as "this process's rank" in a branch condition.
@@ -411,6 +420,26 @@ def _rule_raw_lapack(tree: ast.Module) -> list[tuple]:
     return findings
 
 
+def _rule_raw_pickle(tree: ast.Module) -> list[tuple]:
+    """``pickle`` imported off the transport wire."""
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:  # (a relative import names a sibling, not the stdlib)
+            continue
+        if any(m.split(".")[0] in ("pickle", "_pickle") for m in modules):
+            findings.append((
+                "raw-pickle", node.lineno, node.end_lineno or node.lineno,
+                "pickle imported outside repro.mpi.transport (the "
+                "authenticated wire): unpickling runs code, so state "
+                "written to disk goes through repro.util.durable",
+            ))
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
@@ -431,8 +460,10 @@ def lint_source(
     raw: list[tuple[str, int, int, str]] = []
     if "rank-divergent-collective" in rules:
         raw.extend(_rule_rank_divergent(tree))
-    if "raw-lapack" in rules and not _is_linalg_module(filename):
+    if "raw-lapack" in rules and not _within(filename, "repro/linalg/"):
         raw.extend(_rule_raw_lapack(tree))
+    if "raw-pickle" in rules and not _within(filename, "repro/mpi/transport/"):
+        raw.extend(_rule_raw_pickle(tree))
     if "use-after-move" in rules or "tag-mismatch" in rules:
         for scope in _iter_scopes(tree):
             scope.index()
@@ -450,11 +481,11 @@ def lint_source(
     return out
 
 
-def _is_linalg_module(filename: str) -> bool:
-    """True for files inside repro/linalg — the instrumented kernels
-    themselves, which are the one legitimate home of raw LAPACK calls."""
-    norm = filename.replace(os.sep, "/")
-    return "repro/linalg/" in norm
+def _within(filename: str, package_dir: str) -> bool:
+    """True for files inside ``package_dir`` — the one legitimate home of
+    the facility a ``raw-*`` rule guards (``repro/linalg/``: the
+    instrumented kernels themselves; ``repro/mpi/transport/``: the wire)."""
+    return package_dir in filename.replace(os.sep, "/")
 
 
 def lint_file(path: str, rules: Sequence[str] = DEFAULT_RULES) -> list[Diagnostic]:

@@ -1,4 +1,6 @@
-"""Shared utilities: validation helpers, seeded RNG, and table formatting."""
+"""Shared utilities: validation helpers, seeded RNG, and table formatting
+(plus, by module path, :mod:`~repro.util.arraycodec` and the on-disk
+protocol :mod:`~repro.util.durable`)."""
 
 from .validation import (
     check_axis,

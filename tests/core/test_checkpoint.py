@@ -207,3 +207,43 @@ class TestManifestHardening:
         assert not os.path.exists(torn)
         assert not [n for n in os.listdir(ck)
                     if n.endswith((".npy", ".bin", ".tmp"))]
+
+    def test_load_never_unpickles(self, raw, tmp_path, monkeypatch):
+        import pickle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickled bytes read from disk")
+
+        X, _, ck = self._interrupted(raw, tmp_path, monkeypatch, "ckp")
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
+        state = load_checkpoint(ck, fp)
+        assert state.completed_steps == 1 and sorted(state.factors) == [0]
+
+    def test_corrupt_factors_and_foreign_schema_are_refused(
+            self, raw, tmp_path, monkeypatch):
+        import json
+
+        from repro.errors import CheckpointError
+
+        X, _, ck = self._interrupted(raw, tmp_path, monkeypatch, "ckx")
+        fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
+        mpath = os.path.join(ck, "checkpoint.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+
+        modes = os.path.join(ck, manifest["modes_file"])
+        with open(modes, "rb") as f:
+            blob = bytearray(f.read())
+        blob[-1] ^= 0x01
+        with open(modes, "wb") as f:
+            f.write(blob)
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(ck, fp)
+
+        del manifest["schema"]  # what a pre-shard checkpoint looks like
+        with open(mpath, "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(CheckpointError, match="repro-ooc-ckpt/2"):
+            load_checkpoint(ck, fp)

@@ -194,3 +194,52 @@ def test_procs_hard_death_fast_fails_without_lifecycle_message():
     with pytest.raises(RankFailedError, match="rank 0"):
         run_spmd(prog, 2, recv_timeout=TIMEOUT, backend="procs")
     assert time.monotonic() - t0 < TIMEOUT / 2
+
+
+# ----------------------------------------------------------------------
+# World close: a worker that will not exit cannot hold the world
+# ----------------------------------------------------------------------
+def _leaves_a_thread_running(comm, then_raise=False):
+    if comm.rank == 1:
+        # Non-daemon: multiprocessing's shutdown of the worker process
+        # waits for it (threading._shutdown) long after the rank is done.
+        import threading
+
+        threading.Thread(target=time.sleep, args=(TIMEOUT,)).start()
+        if then_raise:
+            raise ValueError("rank 1 gives up")
+    return float(comm.allreduce(np.array([1.0]))[0])
+
+
+@pytest.mark.parametrize("backend", ["procs", "sockets"])
+def test_world_close_reaps_a_worker_that_will_not_exit(backend, monkeypatch):
+    """The values are in, so ``run_spmd`` returns them within the reap
+    bound instead of joining the stuck process forever; the forced
+    reap is on record in the transport's health table."""
+    from repro.mpi.transport import make_transport, sockets
+
+    monkeypatch.setattr(sockets, "_REAP_GRACE", 0.5)
+    transport = make_transport(backend)
+    t0 = time.monotonic()
+    res = run_spmd(_leaves_a_thread_running, 2, recv_timeout=TIMEOUT,
+                   backend=transport)
+    assert time.monotonic() - t0 < TIMEOUT / 4
+    assert res.values == [2.0, 2.0]
+    assert transport.net_health[0]["reaped"] is None
+    assert transport.net_health[1]["reaped"].startswith("terminated")
+
+
+def test_forced_reap_lands_in_the_postmortem_network_section(monkeypatch):
+    from repro.mpi.transport import sockets
+    from repro.obs import FlightRecorder, render_postmortem
+
+    monkeypatch.setattr(sockets, "_REAP_GRACE", 0.5)
+    rec = FlightRecorder()
+    with pytest.raises(ValueError, match="gives up"):
+        run_spmd(_leaves_a_thread_running, 2, True, recv_timeout=TIMEOUT,
+                 recorder=rec, backend="procs")
+    net = rec.last_postmortem["network"]
+    assert net["0"]["reaped"] is None
+    assert net["1"]["reaped"].startswith("terminated")
+    assert "did not exit at world close" in render_postmortem(
+        rec.last_postmortem)

@@ -113,7 +113,7 @@ class TestDurableCheckpoints:
         assert manifests
         with open(manifests[-1]) as fh:
             man = json.load(fh)
-        assert man["schema"] == "repro-dckpt/1"
+        assert man["schema"] == "repro-dckpt/2"
         assert man["nprocs"] == 4
         assert man["input_shape"] == list(SHAPE)
         assert man["input_dtype"] == "float64"
@@ -159,6 +159,106 @@ class TestDurableCheckpoints:
         with pytest.raises(CheckpointError, match="float64"):
             run_spmd(_prog, 4, "shrink", str(tmp_path), other,
                      resilience=True)
+
+
+def _checkpoint_mid_run(tmp_path):
+    """A directory whose newest manifest is one mode short of the end,
+    as a world killed during the last mode would leave it; the manifest."""
+    run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+    manifests = sorted(glob.glob(str(tmp_path / "*-manifest-*.json")))
+    assert len(manifests) == 2  # keep=2
+    os.remove(manifests[-1])
+    with open(manifests[0]) as fh:
+        return json.load(fh)
+
+
+def _resume_verdicts(comm, ckpt_dir):
+    """What ``resume_from_disk`` tells each rank (no driver around it)."""
+    ckpt = DistributedCheckpoint("sthosvd", ckpt_dir=ckpt_dir)
+    try:
+        step, _meta, full = ckpt.resume_from_disk(comm)
+    except CheckpointError as exc:
+        return "refused: " + str(exc)
+    return step, full is not None
+
+
+class TestDurableShards:
+    """The shard format: checksummed, pickle-free, own copy then buddy."""
+
+    @pytest.fixture()
+    def base(self):
+        return _done(run_spmd(_prog, 4, resilience=True))[0]
+
+    def _resumed(self, tmp_path, base, what):
+        vals = _done(run_spmd(_prog, 4, "shrink", str(tmp_path),
+                              resilience=True))
+        events = [e for e in vals[0]["events"] if e[0] == "disk_resume"]
+        assert [e[1]["resumed_step"] for e in events] == [2]
+        _assert_factors_equal(vals, base["factors"], what)
+
+    def test_truncated_own_shard_falls_back_to_buddy(self, tmp_path, base):
+        man = _checkpoint_mid_run(tmp_path)
+        for owner in ("0", "2"):
+            path = tmp_path / man["shards"][owner]["own"]
+            path.write_bytes(path.read_bytes()[:-9])
+        self._resumed(tmp_path, base, "truncated own shards")
+
+    def test_flipped_byte_in_a_block_is_caught_by_the_crc(self, tmp_path,
+                                                           base):
+        """The length is right and the bytes still parse as floats —
+        only the checksum can tell; the buddy copy is used instead."""
+        man = _checkpoint_mid_run(tmp_path)
+        own = man["shards"]["1"]["own"]
+        path = tmp_path / own
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == man["checks"][own][0]
+        header_len = int.from_bytes(blob[:4], "little")
+        blob[4 + header_len + 3] ^= 0x10  # in the first array: the block
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            from repro.util.durable import read_shard
+
+            read_shard(str(path), *man["checks"][own])
+        self._resumed(tmp_path, base, "bit flip in own shard")
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_both_copies_bad_is_refused_on_every_rank(self, tmp_path,
+                                                      backend):
+        man = _checkpoint_mid_run(tmp_path)
+        for kind in ("own", "buddy"):
+            path = tmp_path / man["shards"]["3"][kind]
+            path.write_bytes(path.read_bytes()[:100])
+        res = run_spmd(_resume_verdicts, 4, str(tmp_path), backend=backend,
+                       recv_timeout=30.0)
+        assert len(res.values) == 4
+        assert all(v.startswith("refused: ") and "both copies of shard 3" in v
+                   for v in res.values)
+
+    def test_intact_directory_resumes_without_the_driver(self, tmp_path):
+        _checkpoint_mid_run(tmp_path)
+        res = run_spmd(_resume_verdicts, 4, str(tmp_path))
+        assert res.values == [(2, True), (2, False), (2, False), (2, False)]
+
+    def test_old_pickle_format_is_refused_naming_both_schemas(self, tmp_path):
+        man = _checkpoint_mid_run(tmp_path)
+        path = glob.glob(str(tmp_path / "*-manifest-*.json"))[0]
+        with open(path, "w") as fh:
+            json.dump(dict(man, schema="repro-dckpt/1"), fh)
+        with pytest.raises(CheckpointError) as exc:
+            run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+        assert "repro-dckpt/1" in str(exc.value)
+        assert "repro-dckpt/2" in str(exc.value)
+
+    def test_resume_never_unpickles(self, tmp_path, base, monkeypatch):
+        import pickle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickled bytes read from disk")
+
+        _checkpoint_mid_run(tmp_path)
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        self._resumed(tmp_path, base, "resume with pickle disabled")
 
 
 def _two_crash_prog(comm):

@@ -218,7 +218,6 @@ def test_rendezvous_rejects_pickle_and_bad_token_preauth(tmp_path):
 
     transport = SocketTransport()
     transport._shutdown = threading.Event()
-    transport._boot_blobs = None
     transport.net_health = {0: {"connect_attempts": 0, "retries": 0,
                                 "reconnects": 0, "heartbeat_age": None,
                                 "disconnect": None, "faults": []}}

@@ -223,6 +223,34 @@ class TestRawLapack:
             == ["raw-lapack"]
 
 
+class TestRawPickle:
+    def test_import_forms_are_flagged_outside_the_transport(self):
+        for src in ("import pickle\n", "import os, pickle as pk\n",
+                    "from pickle import loads\n", "import _pickle\n",
+                    "def f():\n    import pickle\n"):
+            assert kinds(src) == ["raw-pickle"], src
+
+    def test_lookalikes_are_fine(self):
+        assert kinds("""
+            import picklejar
+            from mypkg.pickle import thing
+            from .pickle import other
+            pickle = 3
+        """) == []
+
+    def test_the_wire_is_the_one_home_and_the_pragma_works(self):
+        from repro.sanitize import lint_source as ls
+
+        src = "import pickle\n"
+        assert ls(src, filename="src/repro/mpi/transport/net.py") == []
+        for elsewhere in ("src/repro/faults/checkpoint.py",
+                          "src/repro/mpi/context.py", "examples/x.py"):
+            assert [d.kind for d in ls(src, filename=elsewhere)] \
+                == ["raw-pickle"]
+        assert kinds("import pickle  # repro-lint: allow(raw-pickle)\n") == []
+        assert kinds("import pickle\n", rules=("raw-lapack",)) == []
+
+
 class TestSuppressionsAndDriver:
     def test_skip_pragma(self):
         assert kinds("""

@@ -42,6 +42,36 @@ class TestArchive:
         assert m["shape"] == [16, 14, 12]
         assert m["format"].startswith("repro-tucker-archive")
 
+    def test_failed_save_leaves_no_archive_and_harms_no_archive(
+            self, raw_file, tmp_path, monkeypatch):
+        """A failure while a factor is being written commits nothing:
+        a fresh directory gets no manifest, and a previous archive in
+        the same directory stays loadable and bitwise what it was."""
+        X, _ = raw_file
+        old, new = sthosvd(X, tol=1e-4).tucker, sthosvd(X, tol=1e-2).tucker
+        d = tmp_path / "arch"
+        save_archive(old, str(d), extra={"method": "qr"})
+        before = {p.name: p.read_bytes() for p in d.iterdir()}
+
+        real_save = np.save
+
+        def failing_save(f, arr, *a, **k):
+            if arr is new.factors[1]:
+                raise OSError("disk full")
+            return real_save(f, arr, *a, **k)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        for target in (d, tmp_path / "fresh"):
+            with pytest.raises(OSError, match="disk full"):
+                save_archive(new, str(target))
+        monkeypatch.undo()
+
+        assert not (tmp_path / "fresh" / "manifest.json").exists()
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+        back, manifest = load_archive(str(d))
+        assert manifest["method"] == "qr" and back.ranks == old.ranks
+        assert back.core.data.tobytes() == old.core.data.tobytes()
+
 
 class TestCompressCommand:
     def test_tol_compress_and_info(self, raw_file, tmp_path, capsys):
@@ -296,6 +326,76 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             main(["chaos", "--shape", "8", "6", "4", "--procs", "2",
                   "--tol", "1e-4", "--ranks", "3", "2", "2"])
+
+
+class TestOneLaunchMode:
+    """Workers are forked; the spawn-by-address-book launch is gone."""
+
+    @pytest.mark.parametrize("command", ["trace", "chaos"])
+    def test_hosts_flag_is_an_argparse_error(self, command, tmp_path, capsys):
+        argv = {"trace": ["--grid", "2", "1", "1", "--out", str(tmp_path)],
+                "chaos": ["--procs", "2"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--shape", "8", "8", "8", "--tol", "1e-4", *argv,
+                  "--backend", "sockets", "--hosts", "a", "b"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --hosts a b" in capsys.readouterr().err
+
+    def test_socket_transport_takes_no_hosts(self):
+        import inspect
+
+        from repro.mpi.transport import SocketTransport
+
+        with pytest.raises(TypeError, match="hosts"):
+            SocketTransport(hosts=["a", "b"])
+        assert list(inspect.signature(SocketTransport.__init__).parameters) == [
+            "self", "host", "port", "connect_policy", "heartbeat_interval",
+            "liveness_timeout"]
+
+
+class TestTopCommand:
+    def test_final_frame_lists_every_rank_finalized(self, capsys):
+        rc = main(["top", "--shape", "8", "8", "8", "--grid", "2", "2", "1",
+                   "--tol", "1e-4", "--interval", "0.05"])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "done: ranks" in printed
+        final = printed[printed.rindex("repro top"):].splitlines()
+        assert "world=4" in final[0]
+        rows = [line.split("|") for line in final[3:7]]
+        assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+        assert all(row[1].strip() == "finalized" for row in rows)
+
+
+class TestPostmortemCommand:
+    def test_renders_the_bundle_of_an_injected_crash(self, tmp_path, capsys):
+        from repro.errors import RankFailedError
+        from repro.faults import CrashRule, FaultPlan
+        from repro.mpi import run_spmd
+        from repro.obs import FlightRecorder
+
+        def prog(comm):
+            comm.send(b"x", dest=(comm.rank + 1) % comm.size, tag=5)
+            comm.recv(source=(comm.rank - 1) % comm.size, tag=5)
+            comm.barrier()
+
+        rec = FlightRecorder(postmortem_dir=str(tmp_path))
+        with pytest.raises(RankFailedError):
+            run_spmd(prog, 3, recorder=rec, recv_timeout=30.0,
+                     faults=FaultPlan(seed=7,
+                                      crashes=(CrashRule(rank=0, at_op=2),)))
+        assert rec.last_postmortem_path is not None
+
+        assert main(["postmortem", rec.last_postmortem_path]) == 0
+        printed = capsys.readouterr().out
+        assert "ROOT CAUSE" in printed and "rank 0 already failed" in printed
+        assert "fault trace (1 fired)" in printed
+        assert "[0, 2, 'crash', []]" in printed
+        assert "rank 0 — last" in printed  # the per-rank event tails
+
+        assert main(["postmortem", rec.last_postmortem_path,
+                     "--events", "0"]) == 0
+        assert "— last" not in capsys.readouterr().out
 
 
 class TestLintCommand:
