@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..precision import resolve_precision
 from ..tensor import layout
-from ..tensor.dense import DenseTensor
+from ..tensor.dense import DenseTensor, sum_of_squares
 
 __all__ = ["OutOfCoreTensor", "DEFAULT_CHUNK_ELEMENTS"]
 
@@ -94,8 +94,7 @@ class OutOfCoreTensor:
         total = 0.0
         step = DEFAULT_CHUNK_ELEMENTS
         for start in range(0, mm.size, step):
-            chunk = np.asarray(mm[start : start + step], dtype=np.float64)
-            total += float(chunk @ chunk)
+            total += sum_of_squares(np.asarray(mm[start : start + step]))
         return total
 
     def norm(self) -> float:

@@ -76,7 +76,9 @@ def butterfly_tsqr_reduce(
     rounds = m.bit_length() - 1  # log2 m
     for r in range(rounds):
         partner = me ^ (1 << r)
-        other = comm.sendrecv(R, partner, tag=_TSQR_TAG + 1 + r)
+        # Moved, not copied: R is this function's own array (the triu
+        # copy or a fresh reduction result) and is only read from here on.
+        other = comm.sendrecv(R, partner, tag=_TSQR_TAG + 1 + r, copy=False)
         R = _combine(R, other, min(me, partner))
 
     if me < excess:

@@ -19,15 +19,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from ..errors import ConfigurationError, ReproError, ShapeError
+from ..errors import ConfigurationError, ShapeError
 from ..faults.injector import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
+from . import _capi
 from .flops import qr_flops
 from .householder import qr_r
-from .tpqrt import tpqrt
+from .tpqrt import _fold
 
 __all__ = ["geqr", "gelq", "flat_tree_lq", "block_runs", "BACKENDS"]
 
@@ -36,6 +36,11 @@ BACKENDS = ("lapack", "householder", "blocked")
 # Unfolding columns folded per LAPACK call: a 2048 x 64 float32 chunk and
 # its triangle fit in L2, and the per-call overhead is amortized.
 _CHUNK_COLS = 2048
+
+# _pack: bytes of one tile of a transposed copy (128 unfolding columns at 64
+# float32 rows, so that the tile's source lines are used up while they are
+# in L1); measurements in docs/algorithms.md.
+_TILE_BYTES = 1 << 15
 
 
 def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
@@ -46,7 +51,7 @@ def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _first_triangle(work, backend, counter, mode) -> np.ndarray:
+def _first_triangle(work, backend, counter, mode, ws: _capi.Workspace) -> np.ndarray:
     """Upper-trapezoidal R of the packed first chunk (destroys ``work``)."""
     if backend == "householder":
         return qr_r(work, counter=counter, mode=mode)
@@ -55,12 +60,7 @@ def _first_triangle(work, backend, counter, mode) -> np.ndarray:
 
         return qr_r_blocked(work, counter=counter, mode=mode)
     m, n = work.shape
-    geqrf, geqrf_lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), (work,))
-    lwork, info = geqrf_lwork(m, n)
-    if info == 0:
-        work, _, _, info = geqrf(work, lwork=int(lwork), overwrite_a=1)
-    if info != 0:
-        raise ReproError(f"LAPACK {geqrf.typecode}geqrf failed with info={info}")
+    _capi.geqrf(work, ws)
     if counter is not None:
         counter.add(qr_flops(max(m, n), min(m, n)), phase=PHASE_LQ, mode=mode)
     # Reflectors below the diagonal stay: tpqrt never reads them and the
@@ -85,9 +85,10 @@ def flat_tree_lq(
     of the ``rows``-row unfolding (a plain ``rows x c`` matrix chunk is
     the ``k = 1`` case).  Each run is packed, transposed, into one reused
     Fortran-ordered buffer; the first is QR-factored and every later one
-    is annihilated against the live triangle with ``tpqrt``.  Leading
-    runs with fewer than ``rows`` columns are merged first, so the input
-    is never modified and any chunking is accepted.
+    is annihilated against the live triangle with ``tpqrt``, all steps
+    sharing this call's LAPACK scratch.  Leading runs with fewer than
+    ``rows`` columns are merged first, so the input is never modified
+    and any chunking is accepted.
 
     Returns the ``rows x rows`` lower-triangular ``L`` (``rows x cols``
     lower trapezoid when the whole unfolding has ``cols < rows``).
@@ -100,6 +101,7 @@ def flat_tree_lq(
     dtype = np.dtype(dtype if dtype == np.float32 else np.float64)
     with trace_span(kernel, phase=PHASE_LQ, mode=mode, rows=rows, backend=backend):
         buf = np.empty(0, dtype=dtype)
+        ws = _capi.Workspace()
         Rt = head = None
         for run in runs:
             if Rt is None and (head is not None or run.shape[0] * run.shape[2] < rows):
@@ -110,12 +112,11 @@ def flat_tree_lq(
                 run, head = head[None], None
             buf, work = _pack(run, buf)
             if Rt is None:
-                Rt = _first_triangle(work, backend, counter, mode)
+                Rt = _first_triangle(work, backend, counter, mode, ws)
             else:
-                tpqrt(Rt, work, backend=backend, counter=counter, mode=mode,
-                      keep_reflectors=True)
+                _fold(Rt, work, 0, backend, True, counter, mode, ws)
         if head is not None:  # the whole unfolding has fewer columns than rows
-            Rt = _first_triangle(_pack(head[None], buf)[1], backend, counter, mode)
+            Rt = _first_triangle(_pack(head[None], buf)[1], backend, counter, mode, ws)
         if Rt is None:  # no columns at all
             return _inject(kernel, np.zeros((rows, 0), dtype=dtype))
         return _inject(kernel, np.ascontiguousarray(np.tril(Rt.T)))
@@ -138,12 +139,24 @@ def block_runs(blocks: np.ndarray) -> Iterator[np.ndarray]:
 
 def _pack(run: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Copy ``run`` transposed into ``buf`` (regrown if too small); returns
-    the buffer and its Fortran-ordered ``(k * bcols, rows)`` prefix."""
+    the buffer and its Fortran-ordered ``(k * bcols, rows)`` prefix.
+
+    One-column blocks (mode 0) make the copy a plain matrix transpose, which
+    NumPy walks a destination row at a time, fetching every source cache
+    line once per row; it is done a tile of columns at a time instead.  A
+    wider block's rows are contiguous segments and go in one copy.
+    """
     k, rows, bcols = run.shape
     if buf.size < run.size:
         buf = np.empty(run.size, dtype=buf.dtype)
     work = buf[: run.size].reshape((k * bcols, rows), order="F")
-    np.copyto(work.T.reshape(rows, k, bcols), run.transpose(1, 0, 2))
+    dst, src = work.T.reshape(rows, k, bcols), run.transpose(1, 0, 2)
+    step = _TILE_BYTES // max(rows * buf.itemsize, 1)
+    if bcols != 1 or step < 2:
+        np.copyto(dst, src)
+    else:
+        for j in range(0, k, step):
+            np.copyto(dst[:, j : j + step], src[:, j : j + step])
     return buf, work
 
 

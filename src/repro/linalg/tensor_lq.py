@@ -52,7 +52,7 @@ def tensor_lq_binary_tree(
         raise ShapeError(f"mode {n} out of range for {ndim}-mode tensor")
     rows = tensor.shape[n]
     if tensor.size == 0:
-        return np.zeros((rows, 0 if rows else 0), dtype=tensor.dtype)
+        return np.zeros((rows, 0), dtype=tensor.dtype)
     Y = tensor.unfold(n)
     cols = Y.shape[1]
     if cols <= rows:

@@ -25,18 +25,20 @@ Python kernel is the ``backend="householder"`` validation reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from ..errors import ReproError, ShapeError
+from ..errors import ShapeError
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
+from . import _capi
 from .flops import tpqrt_flops
 
 __all__ = ["tpqrt", "tpqrt_reduce_triangles"]
 
-# Inner block size handed to LAPACK: the best or within ~20% of the best
-# of {4..64} for n = 16..512 in both precisions (single-thread OpenBLAS).
-_LAPACK_NB = 16
+
+def _inner_block(n: int) -> int:
+    """Inner block size handed to LAPACK for an ``n``-column triangle: the
+    measured best of {4..64} in both precisions (sweep in docs/algorithms.md)."""
+    return min(n, 8 if n <= 64 else 16)
 
 
 def tpqrt(
@@ -91,25 +93,28 @@ def tpqrt(
         raise ShapeError("triangular B must be square")
     if R.dtype != B.dtype:
         raise ShapeError(f"dtype mismatch: R {R.dtype} vs B {B.dtype}")
-    l = n if structure == "tri" else 0
-    if backend == "lapack":
-        _tpqrt_lapack(R, B, l, keep_reflectors)
-    else:
-        _tpqrt_householder(R, B, structure, keep_reflectors)
-    if counter is not None:
-        counter.add(tpqrt_flops(n, m, l), phase=PHASE_LQ, mode=mode)
+    _fold(R, B, n if structure == "tri" else 0, backend, keep_reflectors,
+          counter, mode, _capi.Workspace())
     return R
 
 
-def _tpqrt_lapack(R: np.ndarray, B: np.ndarray, l: int, keep_reflectors: bool) -> None:
+def _fold(R, B, l, backend, keep_reflectors, counter, mode, ws: _capi.Workspace) -> None:
+    """:func:`tpqrt` after its argument checks; ``ws`` is the LAPACK scratch
+    a caller folding many blocks (the flat tree) hands to every step."""
+    if backend == "lapack":
+        _tpqrt_lapack(R, B, l, keep_reflectors, ws)
+    else:
+        _tpqrt_householder(R, B, l, keep_reflectors)
+    if counter is not None:
+        counter.add(tpqrt_flops(R.shape[1], B.shape[0], l), phase=PHASE_LQ, mode=mode)
+
+
+def _tpqrt_lapack(
+    R: np.ndarray, B: np.ndarray, l: int, keep_reflectors: bool, ws: _capi.Workspace
+) -> None:
     if B.size:
-        (fn,) = get_lapack_funcs(("tpqrt",), (R,))
-        out_r, out_b, _, info = fn(
-            l, min(R.shape[0], _LAPACK_NB), np.asfortranarray(R),
-            np.asfortranarray(B), overwrite_a=1, overwrite_b=1,
-        )
-        if info != 0:
-            raise ReproError(f"LAPACK {fn.typecode}tpqrt failed with info={info}")
+        out_r, out_b = np.asfortranarray(R), np.asfortranarray(B)
+        _capi.tpqrt(l, _inner_block(R.shape[1]), out_r, out_b, ws)
         if out_r is not R:
             R[...] = out_r
         if keep_reflectors and out_b is not B:
@@ -119,15 +124,13 @@ def _tpqrt_lapack(R: np.ndarray, B: np.ndarray, l: int, keep_reflectors: bool) -
         B[...] = np.tril(B, -1) if l else 0
 
 
-def _tpqrt_householder(
-    R: np.ndarray, B: np.ndarray, structure: str, keep_reflectors: bool
-) -> None:
+def _tpqrt_householder(R: np.ndarray, B: np.ndarray, l: int, keep_reflectors: bool) -> None:
     n = R.shape[1]
     m = B.shape[0]
     dt = R.dtype
 
     for j in range(n):
-        nb = m if structure == "rect" else min(j + 1, m)
+        nb = min(j + 1, m) if l else m
         if nb == 0:
             continue
         xb = B[:nb, j]

@@ -25,11 +25,20 @@ __all__ = ["DenseTensor", "sum_of_squares"]
 def sum_of_squares(flat: np.ndarray) -> float:
     """Sum of squares of a 1-D buffer, accumulated in float64.
 
-    float64 is one ``np.dot``; float32 is widened one cache-sized slice
-    at a time instead of allocating a float64 copy of the whole buffer.
+    float64 is one ``np.dot`` and a contiguous float32 buffer one BLAS
+    ``dsdot``, which reads the float32 data as it lies (how exact its
+    float64 sum is depends on the BLAS: see
+    :func:`repro.linalg._capi.dsdot`); anything else is widened one
+    cache-sized slice at a time instead of allocating a float64 copy of
+    the whole buffer.
     """
     if flat.dtype == np.float64:
         return float(np.dot(flat, flat))
+    if flat.dtype == np.float32 and flat.flags.c_contiguous:
+        # Imported here: repro.linalg imports this module.
+        from ..linalg._capi import dsdot
+
+        return dsdot(flat)
     total, step = 0.0, 1 << 15
     for i in range(0, flat.size, step):
         piece = flat[i : i + step].astype(np.float64)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 
 import numpy as np
 import pytest
@@ -167,18 +166,11 @@ class TestFlatTree:
 
     def test_lapack_failure_raises(self, rng, monkeypatch):
         from repro.errors import ReproError
+        from repro.linalg import _capi
 
-        mod = sys.modules["repro.linalg.qr"]
-        real = mod.get_lapack_funcs
+        def bad(*args):  # the C routine's last argument is ``int *info``
+            args[-1]._obj.value = -2
 
-        def failing(names, arrays):
-            geqrf, lwork = real(names, arrays)
-
-            def bad(a, **kw):
-                return a, None, None, -2
-            bad.typecode = geqrf.typecode
-            return bad, lwork
-
-        monkeypatch.setattr(mod, "get_lapack_funcs", failing)
-        with pytest.raises(ReproError, match="info=-2"):
+        monkeypatch.setitem(_capi.ROUTINES, "dgeqrf", bad)
+        with pytest.raises(ReproError, match="dgeqrf failed with info=-2"):
             gelq(rng.standard_normal((3, 8)))

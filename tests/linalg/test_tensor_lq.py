@@ -187,13 +187,13 @@ class TestStreamingLoop:
 
     def test_backend_reaches_the_tree_steps(self, rng, monkeypatch):
         """``backend="householder"`` runs the Python ``tpqrt``, not LAPACK's."""
-        tp = sys.modules["repro.linalg.tpqrt"]
+        from repro.linalg import _capi
 
         def no_lapack(*a, **k):
             raise AssertionError("LAPACK reached under backend='householder'")
 
-        monkeypatch.setattr(tp, "get_lapack_funcs", no_lapack)
-        monkeypatch.setattr(QR, "get_lapack_funcs", no_lapack)
+        for routine in _capi.ROUTINES:
+            monkeypatch.setitem(_capi.ROUTINES, routine, no_lapack)
         monkeypatch.setattr(QR, "_CHUNK_COLS", 8)
         X = DenseTensor(rng.standard_normal((4, 5, 6)))
         for n in range(3):

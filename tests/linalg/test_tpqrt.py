@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 
 import numpy as np
 import pytest
@@ -202,17 +201,13 @@ class TestLapackKernel:
         np.testing.assert_array_equal(out, R)
 
     def test_nonzero_info_raises(self, rng, monkeypatch):
-        # ``repro.linalg.tpqrt`` the attribute is the function, not the module.
-        mod = sys.modules["repro.linalg.tpqrt"]
+        from repro.linalg import _capi
 
-        def failing(names, arrays):
-            def fn(l, nb, a, b, **kw):
-                return a, b, None, -4
-            fn.typecode = "d"
-            return (fn,)
+        def failing(*args):  # the C routine's last argument is ``int *info``
+            args[-1]._obj.value = -4
 
-        monkeypatch.setattr(mod, "get_lapack_funcs", failing)
-        with pytest.raises(ReproError, match="info=-4"):
+        monkeypatch.setitem(_capi.ROUTINES, "dtpqrt", failing)
+        with pytest.raises(ReproError, match="dtpqrt failed with info=-4"):
             tpqrt(np.eye(3), rng.standard_normal((4, 3)))
 
     def test_reduce_triangles_is_c_contiguous_upper(self, rng):
