@@ -45,13 +45,19 @@ operation advances the rank's logical clock through the *actual* message
 schedule of the selected algorithm, which is what the performance
 studies measure.
 
-**Observability.**  When a :class:`~repro.obs.Tracer` is active on the
-rank thread (bound by ``run_spmd(tracer=...)``), every point-to-point
-operation and collective records a ``comm.*`` span under the paper's
-``PHASE_COMM`` category, tagged with the dispatched algorithm and the
-copied/moved byte split of every message it sent; per-algorithm
-message-size histograms land in the tracer's metrics registry.  With no
-tracer (or a disabled one) each hook is a single thread-local read.
+**Observability.**  What a message passes on its way is split in two.
+*Participants* change what happens to it and are explicit calls, in
+order: the abort check, the revocation gate, fault injection and the
+retry protocol, the sanitizer (which returns the envelope's ``origin``
+and blocks on collective matching) and the logical clock (which stamps
+``send_time``).  *Observers* only read — ``CommTrace``, ``Tracer``,
+``FlightRecorder``, whichever ``run_spmd`` was given — and see the
+path through one door: exactly one :func:`~repro.obs.recorder.emit`
+per send, receive, injected drop, retransmission, checksum discard and
+collective dispatch, behind one ``if observers:`` test.  Every public
+operation also opens a ``comm.*`` span under the paper's ``PHASE_COMM``
+category (:func:`~repro.obs.tracer.trace_span`: one thread-local read
+when nothing is bound), tagged with the dispatched algorithm.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ import numpy as np
 
 from ..errors import CommRevokedError, CommunicatorError, RankFailedError
 from ..instrument import PHASE_COMM
-from ..obs.recorder import record_event as _record_event
-from ..obs.tracer import current_tracer, trace_span
+from ..obs.recorder import emit
+from ..obs.tracer import trace_span
 from .context import Envelope, SpmdContext
 from .costmodel import RankClock
 
@@ -78,6 +84,9 @@ _COLLECTIVE_TAG_BASE = -1
 # Identity comparison is safe: the runtime is in-process, so the object
 # reference itself travels with the message.
 _SA_HEADER = object()
+
+# "This collective announces no dispatch" (None is a legal payload).
+_NO_PAYLOAD = object()
 
 
 def _payload_nbytes(obj: Any) -> int:
@@ -291,38 +300,39 @@ class Communicator:
         return nullcontext()
 
     # ------------------------------------------------------------------
-    # Observability hooks
+    # Spans, and the one preamble of a collective
     # ------------------------------------------------------------------
     def _comm_span(self, op: str, **attrs):
-        """A ``comm.<op>`` span on the active tracer (no-op when off)."""
+        """A ``comm.<op>`` span (the shared no-op when unobserved)."""
         return trace_span(f"comm.{op}", phase=PHASE_COMM, **attrs)
 
-    @staticmethod
-    def _observe_message_size(algorithm: str, nbytes: int) -> None:
-        """Feed the per-algorithm message-size histogram (tracing only)."""
-        t = current_tracer()
-        if t is not None:
-            t.metrics.histogram(
-                f"comm.message_bytes[{algorithm}]"
-            ).observe(nbytes)
+    def _collective(self, op: str, signature: Callable[[], tuple] = tuple,
+                    payload: Any = _NO_PAYLOAD, **attrs):
+        """Preamble of a public collective; returns its span to enter.
 
-    # ------------------------------------------------------------------
-    # Sanitizer hooks
-    # ------------------------------------------------------------------
-    def _sanitize_collective(self, san, op: str, *signature) -> None:
-        """Verify this collective call against the other ranks' calls.
-
-        Callers gate on ``self._context.sanitizer is not None`` so the
-        sanitize-off path costs one attribute read and a None test per
-        collective; this method runs only under an active sanitizer.
-        Raises :class:`~repro.errors.CollectiveMismatchError` (and aborts
-        the world) when ranks diverge in operation order or signature.
+        Under a sanitizer, verifies this call against the other ranks'
+        (``op`` and ``signature()`` must agree — a callable, so that
+        describing the payload costs nothing when nobody checks; raises
+        :class:`~repro.errors.CollectiveMismatchError` and aborts the
+        world when ranks diverge in order or signature).  With
+        ``payload=``, emits the collective's ``dispatch`` event — the
+        ``algorithm`` chosen and the payload bytes it was chosen for.
         """
-        self._san_seq += 1
-        san.check_collective(
-            self._comm_id, self._san_seq, self.world_rank,
-            op, tuple(signature), self.size,
-        )
+        san = self._context.sanitizer
+        if san is not None:
+            self._san_seq += 1
+            san.check_collective(
+                self._comm_id, self._san_seq, self.world_rank,
+                op, signature(), self.size,
+            )
+        if payload is not _NO_PAYLOAD:
+            self._dispatched(op, attrs["algorithm"], payload)
+        return self._comm_span(op, **attrs)
+
+    def _dispatched(self, op: str, algorithm: str, payload: Any) -> None:
+        if self._context.observers:
+            emit("dispatch", f"{op}:{algorithm}",
+                 nbytes=_payload_nbytes(payload))
 
     # ------------------------------------------------------------------
     # Point-to-point
@@ -391,7 +401,7 @@ class Communicator:
             self._send_seq[key] = seq + 1
             if res.checksums:
                 checksum = _payload_checksum(obj)
-        trace = ctx.comm_trace
+        observers = ctx.observers
         policy = res.retry_policy() if res is not None else None
         attempts = 0
         while True:
@@ -431,8 +441,8 @@ class Communicator:
                 if checksum is None:
                     return  # silent corruption: no checksums, no retry
             else:  # "drop"
-                if trace is not None:
-                    trace.record_dropped(me_world)
+                if observers:
+                    emit("drop", peer=self._members[dest], tag=tag)
                 if res is None:
                     return  # lost for good: no resilience configured
             # The simulated ack timed out (drop) or the receiver will
@@ -446,8 +456,9 @@ class Communicator:
                     f"message to rank {dest} (tag {tag}) lost after "
                     f"{res.max_retries} retransmissions"
                 )
-            if trace is not None:
-                trace.record_retried(me_world)
+            if observers:
+                emit("retry", peer=self._members[dest], tag=tag,
+                     attempt=attempts)
             if self.clock is not None:
                 self.clock.advance(policy.delay(attempts - 1))
 
@@ -470,19 +481,11 @@ class Communicator:
                 )
             else:
                 origin = san.note_send(self.world_rank)
-        if self._context.comm_trace is not None:
-            self._context.comm_trace.record_send(
-                self.world_rank, nbytes, copied=0 if moved else nbytes
-            )
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.add_bytes(nbytes, 0 if moved else nbytes)
-        # Flight recorder: one structured event per p2p send (peer is
-        # the destination *world* rank, matching the postmortem view).
-        _record_event(
-            "send", peer=self._members[dest], tag=tag, comm_id=self._comm_id,
-            nbytes=nbytes, moved=moved,
-        )
+        # The one event of a send (peer is the destination *world* rank,
+        # matching the postmortem view).
+        if self._context.observers:
+            emit("send", peer=self._members[dest], tag=tag,
+                 comm_id=self._comm_id, nbytes=nbytes, moved=moved)
         model = self._context.cost_model
         cost = model.comm.message_cost(nbytes) if model is not None else 0.0
         if self.clock is not None:
@@ -528,43 +531,40 @@ class Communicator:
             env = box.try_get(source, tag)
             if env is None:
                 env = self._recv_blocking(box, source, tag)
-            if self._validate_envelope(env, source, tag):
-                break
-        san = self._context.sanitizer
-        if san is not None and env.moved:
-            san.note_received_move(env.payload, self.world_rank, env.origin)
-        if self._context.comm_trace is not None:
-            self._context.comm_trace.record_recv(self.world_rank, env.nbytes)
-        _record_event(
-            "recv", peer=self._members[source], tag=tag,
-            comm_id=self._comm_id, nbytes=env.nbytes,
-        )
+            if self._accept(env, source, tag):
+                return env.payload
+
+    def _accept(self, env: Envelope, source: int, tag: int) -> bool:
+        """Complete the receive of one envelope, or discard it (False).
+
+        The one completion path of ``recv`` and ``irecv``: checksum and
+        duplicate filter, the sanitizer's received-move registration,
+        the clock sync, and the one ``recv`` event.  Plain envelopes
+        (``seq is None`` — no resilience at the sender) skip the filter
+        with one identity check.  Corrupted envelopes are discarded
+        (one ``checksum`` event) and duplicates of an already-accepted
+        sequence number are dropped silently; the caller loops to await
+        the retransmission, which reuses the same sequence number.
+        """
+        ctx = self._context
+        if env.seq is not None:
+            if (env.checksum is not None
+                    and _payload_checksum(env.payload) != env.checksum):
+                if ctx.observers:
+                    emit("checksum", peer=self._members[source], tag=tag)
+                return False
+            key = (source, tag)
+            if env.seq < self._recv_seq.get(key, 0):
+                return False  # duplicate of an accepted message
+            self._recv_seq[key] = env.seq + 1
+        if ctx.sanitizer is not None and env.moved:
+            ctx.sanitizer.note_received_move(
+                env.payload, self.world_rank, env.origin)
         if self.clock is not None:
             self.clock.sync_to(env.send_time)
-        return env.payload
-
-    def _validate_envelope(self, env: Envelope, source: int, tag: int) -> bool:
-        """Accept or discard one envelope (checksum + duplicate filter).
-
-        Plain envelopes (``seq is None`` — no resilience at the sender)
-        are always accepted: one identity check on the hot path.
-        Corrupted envelopes are discarded (counted as checksum
-        failures) and duplicates of an already-accepted sequence number
-        are dropped silently; the caller loops to await the
-        retransmission, which reuses the same sequence number.
-        """
-        if env.seq is None:
-            return True
-        ctx = self._context
-        if env.checksum is not None and _payload_checksum(env.payload) != env.checksum:
-            if ctx.comm_trace is not None:
-                ctx.comm_trace.record_checksum_failure(self.world_rank)
-            return False
-        key = (source, tag)
-        expected = self._recv_seq.get(key, 0)
-        if env.seq < expected:
-            return False  # duplicate of an accepted message
-        self._recv_seq[key] = env.seq + 1
+        if ctx.observers:
+            emit("recv", peer=self._members[source], tag=tag,
+                 comm_id=self._comm_id, nbytes=env.nbytes)
         return True
 
     def _recv_blocking(self, box, source: int, tag: int) -> Envelope:
@@ -691,11 +691,8 @@ class Communicator:
                     if not blocking:
                         return False, None
                     env = self._recv_blocking(box, source, tag)
-                if self._validate_envelope(env, source, tag):
-                    break
-            if self.clock is not None:
-                self.clock.sync_to(env.send_time)
-            return True, env.payload
+                if self._accept(env, source, tag):
+                    return True, env.payload
 
         return Request("recv", complete_fn=complete)
 
@@ -713,12 +710,9 @@ class Communicator:
         exchange raises :class:`~repro.errors.RankFailedError` on the
         surviving ranks instead of deadlocking.
         """
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(san, "barrier")
-        tag = self._next_coll_tag()
         p, r = self.size, self._rank
-        with self._comm_span("barrier", algorithm="dissemination"):
+        with self._collective("barrier", algorithm="dissemination"):
+            tag = self._next_coll_tag()
             k = 1
             while k < p:
                 dest = (r + k) % p
@@ -740,22 +734,21 @@ class Communicator:
         path may be read-only (they are shared, replicated data).
         """
         self._check_rank(root, "root")
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(
-                san, "bcast", ("root", root), ("algorithm", algorithm)
-            )
+        span = self._collective(
+            "bcast", lambda: (("root", root), ("algorithm", algorithm)),
+            root=root)
         tag = self._next_coll_tag()
         p = self.size
         if p == 1:
             return _copy_payload(obj)
-        with self._comm_span("bcast", root=root) as sp:
+        with span as sp:
             if self._rank == root:
+                # Only the root knows the algorithm at entry; the others
+                # read it off the header.
                 algo = algorithm or self.tuning.bcast_algorithm(p, obj)
-                nbytes = _payload_nbytes(obj)
                 if sp is not None:
-                    sp.set(algorithm=algo, payload_bytes=nbytes)
-                    self._observe_message_size(f"bcast:{algo}", nbytes)
+                    sp.set(algorithm=algo, payload_bytes=_payload_nbytes(obj))
+                self._dispatched("bcast", algo, obj)
                 if algo == "scatter_allgather":
                     arr = np.asarray(obj)
                     header = (_SA_HEADER, arr.shape, arr.dtype.name)
@@ -847,18 +840,14 @@ class Communicator:
         the combine order is deterministic given the communicator size.
         """
         self._check_rank(root, "root")
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(
-                san, "reduce", ("root", root), ("op", _op_name(op)),
-                ("payload", _describe_payload(value)),
-            )
-        if op is None:
-            op = _default_op
-        tag = self._next_coll_tag()
-        p = self.size
-        with self._comm_span("reduce", algorithm="binomial", root=root):
-            return self._reduce_binomial(value, root, op, tag)
+        with self._collective(
+            "reduce",
+            lambda: (("root", root), ("op", _op_name(op)),
+                     ("payload", _describe_payload(value))),
+            algorithm="binomial", root=root,
+        ):
+            return self._reduce_binomial(
+                value, root, op or _default_op, self._next_coll_tag())
 
     def _reduce_binomial(self, value: Any, root: int, op, tag: int) -> Any:
         p = self.size
@@ -897,18 +886,13 @@ class Communicator:
         combine order of each algorithm is deterministic, so results are
         bitwise replicated across ranks.
         """
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(
-                san, "allreduce", ("algorithm", algorithm),
-                ("op", _op_name(op)), ("payload", _describe_payload(value)),
-            )
         algo = algorithm or self.tuning.allreduce_algorithm(self.size, value)
-        with self._comm_span("allreduce", algorithm=algo) as sp:
-            if sp is not None:
-                self._observe_message_size(
-                    f"allreduce:{algo}", _payload_nbytes(value)
-                )
+        with self._collective(
+            "allreduce",
+            lambda: (("algorithm", algorithm), ("op", _op_name(op)),
+                     ("payload", _describe_payload(value))),
+            payload=value, algorithm=algo,
+        ):
             if algo == "tree":
                 reduced = self.reduce(value, root=0, op=op)
                 return self.bcast(reduced, root=0)
@@ -990,11 +974,10 @@ class Communicator:
     def gather(self, obj: Any, root: int = 0) -> list | None:
         """Gather one payload per rank to ``root`` (list indexed by rank)."""
         self._check_rank(root, "root")
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(san, "gather", ("root", root))
-        tag = self._next_coll_tag()
-        with self._comm_span("gather", algorithm="linear", root=root):
+        with self._collective(
+            "gather", lambda: (("root", root),), algorithm="linear", root=root
+        ):
+            tag = self._next_coll_tag()
             if self._rank == root:
                 out = [None] * self.size
                 out[root] = _copy_payload(obj)
@@ -1017,17 +1000,11 @@ class Communicator:
         the others).
         """
         p = self.size
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(
-                san, "allgather", ("algorithm", algorithm)
-            )
         algo = algorithm or self.tuning.allgather_algorithm(p)
-        with self._comm_span("allgather", algorithm=algo) as sp:
-            if sp is not None:
-                self._observe_message_size(
-                    f"allgather:{algo}", _payload_nbytes(obj)
-                )
+        with self._collective(
+            "allgather", lambda: (("algorithm", algorithm),),
+            payload=obj, algorithm=algo,
+        ):
             if algo == "gather_bcast":
                 gathered = self.gather(obj, root=0)
                 return self.bcast(gathered, root=0)
@@ -1080,9 +1057,9 @@ class Communicator:
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter one payload per rank from ``root``."""
         self._check_rank(root, "root")
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(san, "scatter", ("root", root))
+        span = self._collective(
+            "scatter", lambda: (("root", root),),
+            algorithm="linear", root=root)
         tag = self._next_coll_tag()
         if self._rank == root and (objs is None or len(objs) != self.size):
             got = "None" if objs is None else f"{len(objs)}"
@@ -1090,7 +1067,7 @@ class Communicator:
                 f"scatter root on a size-{self.size} communicator needs "
                 f"exactly {self.size} payloads, got {got}"
             )
-        with self._comm_span("scatter", algorithm="linear", root=root):
+        with span:
             return self._scatter_internal(objs, root, tag, copy=True)
 
     def _scatter_internal(
@@ -1128,15 +1105,11 @@ class Communicator:
                 f"alltoall on a size-{p} communicator needs exactly {p} "
                 f"payloads (one per destination rank), got {nobjs}"
             )
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(san, "alltoall", ("nitems", p))
-        tag = self._next_coll_tag()
-        with self._comm_span("alltoall", algorithm="pairwise") as sp:
-            if sp is not None:
-                self._observe_message_size(
-                    "alltoall:pairwise", _payload_nbytes(list(objs))
-                )
+        with self._collective(
+            "alltoall", lambda: (("nitems", p),),
+            payload=objs, algorithm="pairwise",
+        ):
+            tag = self._next_coll_tag()
             result: list = [None] * p
             own = objs[self._rank]
             result[self._rank] = (
@@ -1181,21 +1154,15 @@ class Communicator:
                 f"reduce_scatter on a size-{p} communicator needs exactly "
                 f"{p} payloads (one slot per rank), got {nvals}"
             )
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(
-                san, "reduce_scatter", ("algorithm", algorithm),
-                ("op", _op_name(op)),
-                ("payload", tuple(_describe_payload(v) for v in values)),
-            )
-        if op is None:
-            op = _default_op
         algo = algorithm or self.tuning.reduce_scatter_algorithm(p, values)
-        with self._comm_span("reduce_scatter", algorithm=algo) as sp:
-            if sp is not None:
-                self._observe_message_size(
-                    f"reduce_scatter:{algo}", _payload_nbytes(list(values))
-                )
+        with self._collective(
+            "reduce_scatter",
+            lambda: (("algorithm", algorithm), ("op", _op_name(op)),
+                     ("payload", tuple(_describe_payload(v) for v in values))),
+            payload=values, algorithm=algo,
+        ):
+            if op is None:
+                op = _default_op
             if algo == "alltoall":
                 parts = self.alltoall(values, copy=copy)
                 acc = parts[0]
@@ -1255,12 +1222,9 @@ class Communicator:
         ``(key, old rank)``.  ``color=None`` opts out and returns None.
         Collective: every rank must call.
         """
-        san = self._context.sanitizer
-        if san is not None:
-            self._sanitize_collective(san, "split")
-        self._coll_seq += 1
-        sort_key = self._rank if key is None else key
-        with self._comm_span("split"):
+        with self._collective("split"):
+            self._coll_seq += 1
+            sort_key = self._rank if key is None else key
             return self._split_internal(color, sort_key)
 
     def _split_internal(self, color, sort_key) -> "Communicator | None":

@@ -374,12 +374,26 @@ class SpmdContext:
         self.cost_model = cost_model
         self.recv_timeout = recv_timeout
         self.comm_trace = comm_trace
-        self.tracer = tracer  # repro.obs.Tracer bound per rank thread
+        self.tracer = tracer  # repro.obs.Tracer, or None
+        self.recorder = recorder  # repro.obs.FlightRecorder, or None
+        # The observers of the message path, by name: what every rank
+        # thread is bound to and the communicator emits events to (see
+        # repro.obs.recorder, "the rank scope and the event spine").
+        # Empty = unobserved; a disabled Tracer is not an observer.
+        self.observers = {
+            name: observer
+            for name, observer in (("comm_trace", comm_trace),
+                                   ("tracer", tracer),
+                                   ("recorder", recorder))
+            if observer is not None and getattr(observer, "enabled", True)
+        }
         self.sanitizer = sanitizer  # repro.sanitize.Sanitizer, or None
         self.faults = faults  # repro.faults.FaultInjector, or None
         self.resilience = resilience  # repro.faults.Resilience, or None
-        self.recorder = recorder  # repro.obs.FlightRecorder, or None
         self.telemetry = telemetry  # repro.obs.TelemetryHub, or None
+        # The resolved configuration of this world (run_spmd fills it
+        # in); every exported artifact carries it.
+        self.run_config: dict | None = None
         # Sanitizer deadlock report (wait-for-graph edges + open spans),
         # stored by the watchdog just before it aborts the world so the
         # postmortem bundle can carry it.
@@ -605,13 +619,16 @@ class SpmdContext:
         self.log_recovery(
             "respawn", rank=world_rank, incarnation=incarnation,
         )
-        if self.recorder is not None:
-            self.recorder.record(
-                world_rank, "recovery", name="respawn",
-                incarnation=incarnation,
-            )
+        self.emit(world_rank, "recovery", "respawn", incarnation=incarnation)
         self.wake_all_mailboxes()
         self._state_changed()
+
+    def emit(self, rank: int, kind: str, name: str | None = None,
+             **detail) -> None:
+        """One event *about* ``rank`` from outside its thread (a
+        respawn, a link the master found dead) to every observer."""
+        for observer in self.observers.values():
+            observer.on_event(rank, kind, name, detail)
 
     def failed_ranks(self) -> list[int]:
         """World ranks currently marked failed."""

@@ -20,7 +20,8 @@ See :mod:`repro.sanitize` and ``docs/sanitizer.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from ..errors import (
@@ -239,6 +240,27 @@ def run_spmd(
         sanitizer=sanitizer, faults=injector, resilience=res_cfg,
         transport=transport, recorder=recorder, telemetry=telemetry,
     )
+    # "With which configuration?" — resolved once, carried by every
+    # artifact (chrome_trace metadata, telemetry snapshots, postmortems).
+    context.run_config = {
+        "backend": getattr(transport, "name", None),
+        "nprocs": nprocs,
+        "recv_timeout": recv_timeout,
+        "tuning": asdict(context.tuning),
+        "enabled": {
+            "tracer": "tracer" in context.observers,
+            "recorder": recorder is not None,
+            "comm_trace": comm_trace is not None,
+            "sanitize": sanitizer is not None,
+            "faults": injector is not None,
+            "resilience": res_cfg is not None,
+            "cost_model": cost_model is not None,
+        },
+        "env": {k: v for k, v in sorted(os.environ.items())
+                if k.startswith("REPRO_")},
+    }
+    if tracer is not None:
+        tracer.run_config = context.run_config
     if telemetry is not None:
         telemetry.attach(
             context, recorder=recorder,

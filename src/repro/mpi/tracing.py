@@ -61,9 +61,29 @@ class CommTrace:
     def _current_context(self) -> str:
         return getattr(self._context, "label", None) or "all"
 
-    # -- recording (called by the communicator) -------------------------
+    # -- observer protocol (the communicator's event stream) ------------
+    def bind(self, rank: int) -> None:
+        """A rank thread starts unlabelled (a forked worker's main
+        thread is a clone of the caller's and inherits its label)."""
+        self._context.label = None
+
+    def on_event(self, rank: int, kind: str, name, detail: dict) -> None:
+        """Tally one ``send``/``recv``/``drop``/``retry``/``checksum``."""
+        if kind == "send":
+            nbytes = detail["nbytes"]
+            self.record_send(rank, nbytes, 0 if detail["moved"] else nbytes)
+        elif kind == "recv":
+            self.record_recv(rank, detail["nbytes"])
+        elif kind == "drop":
+            self.record_dropped(rank)
+        elif kind == "retry":
+            self.record_retried(rank)
+        elif kind == "checksum":
+            self.record_checksum_failure(rank)
+
+    # -- recording -------------------------------------------------------
     def record_send(self, rank: int, nbytes: int, copied: int | None = None) -> None:
-        """Tally one sent message (called by the communicator).
+        """Tally one sent message.
 
         ``copied`` is how many of the ``nbytes`` were physically
         snapshotted on send; the rest were moved (zero-copy ownership
@@ -82,7 +102,7 @@ class CommTrace:
                 self._moved[(rank, c)] += moved
 
     def record_recv(self, rank: int, nbytes: int) -> None:
-        """Tally one received message (called by the communicator).
+        """Tally one received message.
 
         ``nbytes`` is the sender's modeled wire size carried in the
         envelope — never re-measured on the receive side, so both
@@ -227,52 +247,35 @@ class CommTrace:
                 c for (_r, c) in self._recv_messages
             }
 
-    # -- cross-process shard transfer -------------------------------------
-    def state(self) -> dict:
-        """Picklable snapshot of the raw tallies.
+    # -- cross-process shard transfer (observer protocol) -----------------
+    _TALLIES = (
+        "messages", "bytes", "copied", "moved", "recv_messages",
+        "recv_bytes", "dropped", "retried", "checksum_failures",
+        "connect_retries",
+    )
 
-        The process transport ships each worker's tallies back to the
-        master as one of these; combine with :meth:`diff_states` (to
-        subtract a pre-fork baseline) and :meth:`merge_state` (to fold
-        the shard into the caller's trace).
-        """
-        with self._lock:
-            return {
-                "messages": dict(self._messages),
-                "bytes": dict(self._bytes),
-                "copied": dict(self._copied),
-                "moved": dict(self._moved),
-                "recv_messages": dict(self._recv_messages),
-                "recv_bytes": dict(self._recv_bytes),
-                "dropped": dict(self._dropped),
-                "retried": dict(self._retried),
-                "checksum_failures": dict(self._checksum_failures),
-                "connect_retries": dict(self._connect_retries),
-            }
-
-    @staticmethod
-    def diff_states(now: dict, base: dict) -> dict:
-        """Tally-wise difference of two :meth:`state` snapshots.
+    def shard(self, rank: int, since: dict | None):
+        """The tallies added since the snapshot ``since``.
 
         All tallies are additive, so a forked worker that inherited
-        pre-existing counts ships ``diff_states(state(), baseline)``
-        and only its own traffic reaches the master.
+        pre-existing counts ships only its own traffic.  Returns
+        ``(delta, snapshot)``; the delta is ``None`` when nothing moved.
         """
-        out = {}
-        for field, tallies in now.items():
-            base_tallies = base.get(field, {})
-            delta = {}
-            for key, value in tallies.items():
-                d = value - base_tallies.get(key, 0)
-                if d:
-                    delta[key] = d
-            out[field] = delta
-        return out
-
-    def merge_state(self, state: dict) -> None:
-        """Add a :meth:`state` (or :meth:`diff_states`) snapshot in place."""
         with self._lock:
-            for field, tallies in state.items():
+            now = {f: dict(getattr(self, "_" + f)) for f in self._TALLIES}
+        delta = {}
+        for field, tallies in now.items():
+            base = since.get(field, {}) if since else {}
+            diff = {k: v - base.get(k, 0) for k, v in tallies.items()
+                    if v != base.get(k, 0)}
+            if diff:
+                delta[field] = diff
+        return delta or None, now
+
+    def absorb(self, rank: int, delta: dict) -> None:
+        """Add a :meth:`shard` delta in place."""
+        with self._lock:
+            for field, tallies in delta.items():
                 target = getattr(self, "_" + field)
                 for key, value in tallies.items():
                     target[key] += value

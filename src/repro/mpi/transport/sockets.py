@@ -1264,16 +1264,12 @@ class SocketTransport(WorldServerMixin, Transport):
                 )
             if self._errors[rank] is None:
                 self._errors[rank] = err
-            recorder = getattr(context, "recorder", None)
-            if recorder is not None:
-                # The worker can ship no more deltas (its link is
-                # gone), so a master-side record cannot collide with
-                # absorb_events.
-                try:
-                    recorder.record(rank, "fault", name="net:lost",
-                                    reason=why)
-                except Exception:  # pragma: no cover - best-effort
-                    pass
+            # The worker can ship no more shards (its link is gone), so
+            # a master-side event cannot collide with an absorbed one.
+            try:
+                context.emit(rank, "fault", "net:lost", reason=why)
+            except Exception:  # pragma: no cover - best-effort
+                pass
             # It died without a report: peers drain its links to EOF.
             self._sent[rank] = None
             context.mark_failed(rank)

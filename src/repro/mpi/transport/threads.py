@@ -2,8 +2,8 @@
 
 The historical (and default) execution model of the simulated runtime.
 Every rank is a ``threading.Thread`` sharing the caller's address
-space, so delivery is a direct mailbox append, observability objects
-are written in place, and zero-copy move semantics are literal — the
+space, so delivery is a direct mailbox append, observers are written
+in place, and zero-copy move semantics are literal — the
 receiver gets the sender's ndarray object.  NumPy kernels release the
 GIL, so ranks overlap on multicore hosts for the BLAS-bound portions;
 pure-Python sections serialize (the gap the process backend closes).
@@ -19,11 +19,7 @@ from ...faults.injector import (
     deactivate as faults_deactivate,
 )
 from ...errors import RankKilledError
-from ...obs.recorder import (
-    activate as recorder_activate,
-    deactivate as recorder_deactivate,
-)
-from ...obs.tracer import activate as obs_activate, deactivate as obs_deactivate
+from ...obs.recorder import bind as bind_observers, unbind as unbind_observers
 from .base import Transport
 
 __all__ = ["ThreadTransport", "run_rank_program"]
@@ -46,15 +42,10 @@ def run_rank_program(context, comm, fn, args, kwargs, rank: int,
     outcome to its own bookkeeping (in-memory lists for threads, RPC
     messages for processes).
     """
-    tracer = context.tracer
     injector = context.faults
-    recorder = getattr(context, "recorder", None)
-    if tracer is not None:
-        obs_activate(tracer, rank)
+    bind_observers(rank, context.observers)
     if injector is not None:
         faults_activate(injector, rank)
-    if recorder is not None:
-        recorder_activate(recorder, rank)
     try:
         on_value(fn(comm, *args, **kwargs))
     except RankKilledError as exc:
@@ -73,12 +64,9 @@ def run_rank_program(context, comm, fn, args, kwargs, rank: int,
                 exc = translated
         on_error(exc)
     finally:
-        if recorder is not None:
-            recorder_deactivate()
         if injector is not None:
             faults_deactivate()
-        if tracer is not None:
-            obs_deactivate()
+        unbind_observers()
 
 
 class ThreadTransport(Transport):

@@ -14,8 +14,8 @@ This module holds everything above the wire:
 
 * the worker side — :class:`WorkerContext` (the rank-local
   ``SpmdContext`` stand-in: real mailboxes, a copy of the world table,
-  RPCs for what is world state), :class:`WorkerSanitizer`, the
-  observability shard machinery (:func:`delta_shards` /
+  RPCs for what is world state), :class:`WorkerSanitizer`, the shard
+  loop over the observers (:func:`delta_shards` /
   :func:`collect_shards` / :class:`Heartbeat`), and :func:`run_worker`,
   the worker main loop;
 * the master side — :class:`WorldServerMixin`, the RPC dispatch table,
@@ -124,16 +124,15 @@ class SendToken(threading.Event):
 class WorkerConfig:
     """World parameters a worker inherits through the fork.
 
-    ``comm_trace``, ``tracer``, and ``faults`` are the *caller's*
-    objects — forked by reference so rank-program closures over them
-    keep working; the worker ships back post-fork deltas only.
+    The ``observers`` and ``faults`` are the *caller's* objects —
+    forked by reference so rank-program closures over them keep
+    working; the worker ships back post-fork deltas only.
     """
 
     __slots__ = (
         "world_size", "cost_model", "recv_timeout", "tuning", "resilience",
-        "faults", "comm_trace", "tracer", "has_sanitizer",
-        "watchdog_interval", "recorder", "heartbeat_interval",
-        "respawn_info",
+        "faults", "observers", "has_sanitizer", "watchdog_interval",
+        "heartbeat_interval", "respawn_info",
     )
 
     def __init__(self, context) -> None:
@@ -143,19 +142,17 @@ class WorkerConfig:
         self.tuning = context.tuning
         self.resilience = context.resilience
         self.faults = context.faults
-        self.comm_trace = context.comm_trace
-        self.tracer = context.tracer
+        self.observers = context.observers
         self.has_sanitizer = context.sanitizer is not None
         self.watchdog_interval = (
             context.sanitizer.watchdog_interval
             if context.sanitizer is not None else None
         )
-        self.recorder = getattr(context, "recorder", None)
         # Telemetry streaming cadence; None disables the worker
         # heartbeat thread entirely (no recorder, no telemetry hub).
-        if self.recorder is not None:
-            self.heartbeat_interval = self.recorder.heartbeat_interval
-        elif getattr(context, "telemetry", None) is not None:
+        if context.recorder is not None:
+            self.heartbeat_interval = context.recorder.heartbeat_interval
+        elif context.telemetry is not None:
             self.heartbeat_interval = 0.5
         else:
             self.heartbeat_interval = None
@@ -277,9 +274,10 @@ class WorkerContext:
         self.tuning = cfg.tuning
         self.resilience = cfg.resilience
         self.faults = cfg.faults
-        self.comm_trace = cfg.comm_trace
-        self.tracer = cfg.tracer
-        self.recorder = cfg.recorder
+        self.observers = cfg.observers
+        # Rank programs label their traffic through
+        # ``comm.context.comm_trace.set_context(...)``.
+        self.comm_trace = cfg.observers.get("comm_trace")
         self.sanitizer = (
             WorkerSanitizer(channel, wire, cfg.watchdog_interval)
             if cfg.has_sanitizer else None
@@ -579,55 +577,36 @@ class WorkerContext:
 
 
 def delta_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
-                 baselines: dict) -> dict:
-    """Metrics/comm/recorder deltas since ``baselines``; advances them.
+                 cursors: dict) -> dict:
+    """Each observer's shard since ``cursors[name]``; advances them.
 
-    The streaming slice of the observability shards: safe to call from
-    the heartbeat thread (all sources are lock-protected or
-    append-only), unlike spans — ``tracer.local_spans`` is bound to the
-    rank's main thread — which stay finalize-only.  When someone will
-    read it (a sanitizer or a recorder is attached), a bounded summary
-    of the rank's pending inbox rides along, so the master still knows
-    roughly what a rank that dies without a report was holding.
+    Safe to call from the heartbeat thread: an observer leaves out of a
+    shard what only the rank's own thread can cut (see
+    :mod:`repro.obs.recorder`, "the rank scope and the event spine").
+    When someone will read it (a sanitizer or a recorder is attached),
+    a bounded summary of the rank's pending inbox rides along, so the
+    master still knows roughly what a rank that dies without a report
+    was holding.
     """
-    from ...obs.metrics import MetricsRegistry
-    from ..tracing import CommTrace
-
     delta: dict = {}
-    if cfg.tracer is not None:
-        snap = cfg.tracer.metrics.to_dict()
-        diff = MetricsRegistry.diff_snapshots(snap, baselines["metrics"])
-        baselines["metrics"] = snap
-        if diff:
-            delta["metrics"] = diff
-    if cfg.comm_trace is not None:
-        state = cfg.comm_trace.state()
-        diff = CommTrace.diff_states(state, baselines["comm_trace"])
-        baselines["comm_trace"] = state
-        if any(diff.values()):
-            delta["comm_trace"] = diff
-    if cfg.recorder is not None:
-        events = cfg.recorder.events_since(rank, baselines["recorder_seq"])
-        if events:
-            baselines["recorder_seq"] = events[-1][0] + 1
-            delta["recorder"] = events
-    if cfg.recorder is not None or cfg.has_sanitizer:
+    for name, observer in cfg.observers.items():
+        shard, cursors[name] = observer.shard(rank, cursors[name])
+        if shard:
+            delta[name] = shard
+    if "recorder" in cfg.observers or cfg.has_sanitizer:
         delta["inbox"] = ctx.pending_rows(limit=_HEARTBEAT_INBOX_ROWS)
     return delta
 
 
 def collect_shards(cfg: WorkerConfig, ctx: WorkerContext, comm, rank: int,
-                   baselines: dict) -> dict:
-    """Post-fork observability deltas to ship with the lifecycle RPC."""
-    shards = delta_shards(cfg, ctx, rank, baselines)
+                   cursors: dict) -> dict:
+    """Post-fork deltas to ship with the lifecycle RPC: the observers'
+    closing shards plus the participants' rows."""
+    shards = delta_shards(cfg, ctx, rank, cursors)
     if comm is not None and comm.clock is not None:
         shards["clock"] = comm.clock
-    if cfg.tracer is not None:
-        # bind() gave this thread a fresh buffer, so local_spans is
-        # already post-fork only; metrics were diffed above.
-        shards["spans"] = cfg.tracer.local_spans()
     if cfg.faults is not None:
-        events = cfg.faults.trace[baselines["fault_events"]:]
+        events = cfg.faults.trace[cursors["fault_events"]:]
         shards["faults"] = (
             [e.as_tuple() for e in events], cfg.faults.ops_per_rank()
         )
@@ -644,19 +623,18 @@ class Heartbeat:
     A daemon thread that periodically computes the streaming shard
     delta (:func:`delta_shards`) and sends a ``("hb", rank, ts,
     delta)`` frame up the data link to the master, so the master can
-    fold mid-run state into the caller's CommTrace/metrics/recorder and
-    stamp the rank's heartbeat.  Stopped (and joined) before the
-    finalize shard is computed, so baselines are never raced and
-    nothing is double-counted.
+    fold mid-run state into the caller's observers and stamp the rank's
+    heartbeat.  Stopped (and joined) before the finalize shard is
+    computed, so cursors are never raced and nothing is double-counted.
     """
 
     def __init__(self, cfg: WorkerConfig, ctx: WorkerContext, wire,
-                 rank: int, baselines: dict, interval: float) -> None:
+                 rank: int, cursors: dict, interval: float) -> None:
         self._cfg = cfg
         self._ctx = ctx
         self._wire = wire
         self._rank = rank
-        self._baselines = baselines
+        self._cursors = cursors
         self._interval = interval
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -668,7 +646,7 @@ class Heartbeat:
         while not self._stop.wait(self._interval):
             try:
                 delta = delta_shards(self._cfg, self._ctx, self._rank,
-                                     self._baselines)
+                                     self._cursors)
             except Exception:  # pragma: no cover - telemetry best-effort
                 continue
             self._wire.notify_master(("hb", self._rank, time.time(), delta))
@@ -688,20 +666,12 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
     """
     from ..communicator import Communicator
 
-    baselines = {
-        "metrics": (cfg.tracer.metrics.to_dict()
-                    if cfg.tracer is not None else None),
-        "comm_trace": (cfg.comm_trace.state()
-                       if cfg.comm_trace is not None else None),
-        "fault_events": (len(cfg.faults.trace)
-                         if cfg.faults is not None else 0),
-        "recorder_seq": (cfg.recorder.cursor(rank)
-                         if cfg.recorder is not None else 0),
-    }
-    if cfg.comm_trace is not None:
-        # This thread may be a fork-clone of the caller's: clear any
-        # context label it inherited.
-        cfg.comm_trace.set_context(None)
+    # Prime every cursor: the forked observers carry the caller's
+    # pre-fork state, and only what this rank adds goes home.
+    cursors = {name: observer.shard(rank, None)[1]
+               for name, observer in cfg.observers.items()}
+    cursors["fault_events"] = (len(cfg.faults.trace)
+                               if cfg.faults is not None else 0)
 
     ctx = WorkerContext(cfg, rank, channel, wire)
     wire.start(ctx)
@@ -719,7 +689,7 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
 
     heartbeat = None
     if cfg.heartbeat_interval is not None:
-        heartbeat = Heartbeat(cfg, ctx, wire, rank, baselines,
+        heartbeat = Heartbeat(cfg, ctx, wire, rank, cursors,
                               cfg.heartbeat_interval)
 
     comm = None
@@ -745,11 +715,11 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
         outcome.update(kind="rank_error", exc=exc)
 
     if heartbeat is not None:
-        # Joined before the finalize shard is computed so the baselines
+        # Joined before the finalize shard is computed so the cursors
         # the heartbeat advanced are quiescent and nothing double-counts.
         heartbeat.stop()
     try:
-        shards = collect_shards(cfg, ctx, comm, rank, baselines)
+        shards = collect_shards(cfg, ctx, comm, rank, cursors)
     except Exception:  # pragma: no cover - never lose the lifecycle msg
         shards = {}
     payload = (outcome["value"] if outcome["kind"] == "finalize"
@@ -1006,16 +976,10 @@ class WorldServerMixin:
             pass  # the data thread
 
     def _merge_telemetry(self, context, rank: int, shards: dict) -> None:
-        """Merge the streaming shard slice (metrics/comm/recorder/inbox)."""
-        tracer = context.tracer
-        if tracer is not None and shards.get("metrics"):
-            tracer.metrics.merge_snapshot(shards["metrics"])
-        trace = context.comm_trace
-        if trace is not None and shards.get("comm_trace"):
-            trace.merge_state(shards["comm_trace"])
-        recorder = getattr(context, "recorder", None)
-        if recorder is not None and shards.get("recorder"):
-            recorder.absorb_events(rank, shards["recorder"])
+        """Merge the streaming shard slice (observers + inbox)."""
+        for name, observer in context.observers.items():
+            if shards.get(name):
+                observer.absorb(rank, shards[name])
         if "inbox" in shards:
             self._note_inbox(context, rank, shards["inbox"])
 
@@ -1023,11 +987,6 @@ class WorldServerMixin:
         clock = shards.get("clock")
         if clock is not None:
             self._clocks[rank] = clock
-        tracer = context.tracer
-        if tracer is not None:
-            spans = shards.get("spans")
-            if spans:
-                tracer.absorb_spans(spans)
         self._merge_telemetry(context, rank, shards)
         injector = context.faults
         if injector is not None and shards.get("faults"):

@@ -68,10 +68,11 @@ def chrome_trace(tracer: Tracer, comm_trace=None, *, metadata=None) -> dict:
     to the spans it perturbed.
 
     The exported document self-identifies via the Trace Event Format's
-    ``otherData`` key: commit hash, generation time, and host, merged
-    with any caller-supplied ``metadata`` dict (e.g. backend name and
-    run start time) — so a trace file found on disk months later still
-    says what produced it.
+    ``otherData`` key: commit hash, generation time, host, and the
+    resolved ``run_config`` of the world the tracer last observed,
+    merged with any caller-supplied ``metadata`` dict (e.g. backend name
+    and run start time) — so a trace file found on disk months later
+    still says what produced it.
     """
     spans = tracer.spans
     ranks = sorted({s.rank for s in spans})
@@ -118,6 +119,8 @@ def chrome_trace(tracer: Tracer, comm_trace=None, *, metadata=None) -> dict:
     from .postmortem import run_metadata
 
     other = run_metadata()
+    if tracer.run_config is not None:
+        other["run_config"] = tracer.run_config
     if metadata:
         other.update(metadata)
     return {

@@ -9,8 +9,9 @@ three instrument kinds:
   per collective algorithm by the communicator hooks).
 
 Every :class:`~repro.obs.tracer.Tracer` owns one registry
-(``tracer.metrics``); the communicator feeds per-algorithm message-size
-histograms into it while tracing, and the existing tallies —
+(``tracer.metrics``); the tracer feeds per-algorithm message-size
+histograms into it from the communicator's ``dispatch`` events, and the
+existing tallies —
 :class:`~repro.mpi.tracing.CommTrace` and
 :class:`~repro.instrument.FlopCounter` — are folded in after a run with
 :func:`ingest_comm_trace` / :func:`ingest_flop_counter`, so one registry
@@ -214,15 +215,17 @@ class MetricsRegistry:
             items = list(self._instruments.items())
         return {name: inst.snapshot() for name, inst in sorted(items)}
 
-    @staticmethod
-    def diff_snapshots(now: dict, base: dict) -> dict:
-        """Instrument-wise difference of two :meth:`to_dict` snapshots.
+    def shard(self, rank: int, since: dict | None):
+        """Observer protocol: what changed since the snapshot ``since``.
 
         Counters and histogram counts/sums subtract; gauges ship their
         current value only when it changed; a histogram's ``max`` cannot
         be subtracted and ships as-is (merging keeps the running max).
-        Used by forked workers to report only post-fork activity.
+        Forked workers report only their post-fork activity this way.
+        Returns ``(delta, snapshot)``.
         """
+        now = self.to_dict()
+        base = since or {}
         out = {}
         for name, snap in now.items():
             prev = base.get(name)
@@ -253,16 +256,17 @@ class MetricsRegistry:
                             for k in snap["buckets"]
                         },
                     }
-        return out
+        return out, now
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`to_dict` (or :meth:`diff_snapshots`) dict in.
+    def absorb(self, rank: int, delta: dict) -> None:
+        """Observer protocol: fold a :meth:`shard` delta (or a whole
+        :meth:`to_dict`) in.
 
         Counters add, gauges last-write-win, histograms merge bucket by
         bucket (bounds are reconstructed from the ``le=`` labels when
         the instrument does not exist yet).
         """
-        for name, snap in snapshot.items():
+        for name, snap in delta.items():
             kind = snap.get("type")
             if kind == "counter":
                 self.counter(name).inc(snap["value"])

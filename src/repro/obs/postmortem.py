@@ -221,6 +221,8 @@ def build_postmortem(
     bundle["rank_incarnations"] = (
         [int(i) for i in incarnations] if incarnations else None
     )
+    # "With which configuration?": what run_spmd resolved for this world.
+    bundle["run_config"] = getattr(context, "run_config", None)
     return _jsonable(bundle)
 
 

@@ -10,9 +10,11 @@ launcher snapshots the rings into a postmortem bundle
 mid-run telemetry snapshots (:mod:`repro.obs.telemetry`) and the
 ProcessTransport heartbeat deltas.
 
-Enable by passing ``run_spmd(..., recorder=FlightRecorder())``.  When no
-recorder is active the hot-path hooks cost a single thread-local
-attribute lookup.
+Enable by passing ``run_spmd(..., recorder=FlightRecorder())``.  The
+recorder is one *observer* of the per-rank event stream (see "the rank
+scope and the event spine" at the bottom of this module, which also
+holds the scope every rank thread is bound to and :func:`emit`, the one
+door events come through); it keeps every event it is handed.
 
 Design notes
 ------------
@@ -41,20 +43,25 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FlightRecorder",
-    "RecorderSpan",
     "activate",
+    "bind",
     "current_recorder",
     "current_recorder_rank",
     "deactivate",
+    "emit",
     "record_event",
+    "unbind",
 ]
 
-KIND_SEND = "send"
-KIND_RECV = "recv"
+# The two kinds the recorder interprets (its span stacks).  The rest of
+# the stream it only keeps: the communicator emits ``send``, ``recv``,
+# ``drop``, ``retry``, ``checksum`` and ``dispatch`` (one per message
+# sent, received, lost to an injected drop, retransmitted, discarded
+# for a bad checksum; one per collective algorithm choice), the fault
+# injector ``fault``, the checkpoint layer ``checkpoint``, the context
+# ``recovery``.
 KIND_SPAN_OPEN = "span.open"
 KIND_SPAN_CLOSE = "span.close"
-KIND_FAULT = "fault"
-KIND_CHECKPOINT = "checkpoint"
 
 Event = Tuple[int, float, str, Optional[str], Dict[str, Any]]
 
@@ -120,6 +127,9 @@ class FlightRecorder:
                     self._logs[rank] = log
         return log
 
+    def bind(self, rank: int) -> None:
+        """Observer protocol: nothing is per-thread, rings are per rank."""
+
     def record(
         self,
         rank: int,
@@ -127,7 +137,13 @@ class FlightRecorder:
         name: Optional[str] = None,
         **detail: Any,
     ) -> None:
-        """Append one event to ``rank``'s ring (no lock on the hot path)."""
+        """Append one event to ``rank``'s ring."""
+        self.on_event(rank, kind, name, detail)
+
+    def on_event(
+        self, rank: int, kind: str, name: Optional[str], detail: Dict[str, Any]
+    ) -> None:
+        """Observer protocol: keep the event (no lock on the hot path)."""
         log = self._log(rank)
         seq = log.next_seq
         log.next_seq = seq + 1
@@ -223,6 +239,13 @@ class FlightRecorder:
 
     # -- cross-process merge --------------------------------------------
 
+    def shard(self, rank: int, since: Optional[int]):
+        """Observer protocol: ``rank``'s events from cursor ``since`` on."""
+        if since is None:
+            return [], self.cursor(rank)
+        events = self.events_since(rank, since)
+        return events, (events[-1][0] + 1 if events else since)
+
     def absorb_events(self, rank: int, events: Iterable[Sequence[Any]]) -> None:
         """Merge a shipped event delta for ``rank`` (master side, procs).
 
@@ -242,6 +265,8 @@ class FlightRecorder:
                     log.open_stack.append(name or "")
                 elif kind == KIND_SPAN_CLOSE:
                     self._note_close(log, name or "", detail.get("error"))
+
+    absorb = absorb_events  # observer protocol
 
     def clear(self) -> None:
         """Drop every rank's log, resetting the recorder for reuse."""
@@ -288,111 +313,91 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-# -- thread-local activation (mirrors obs.tracer / faults.injector) -----
+# -- the rank scope and the event spine ---------------------------------
+#
+# An *observer* is anything that only reads the message path: it is
+# handed every event of the ranks it is bound to and never changes what
+# happens to a message.  Four methods make one (CommTrace, Tracer and
+# FlightRecorder are the three this library ships):
+#
+#   bind(rank)                          per-thread setup, on the rank's thread
+#   on_event(rank, kind, name, detail)  one event of the stream
+#   shard(rank, since) -> (delta, cursor)   what happened since ``cursor``
+#   absorb(rank, delta)                 fold another process's shard in
+#
+# ``shard`` is how a worker process ships its share home: ``since`` is
+# the cursor the previous call returned (``None`` primes it — a forked
+# worker inherits the caller's tallies and ships only what it adds), a
+# falsy ``delta`` means nothing to ship, and a part that only the
+# recording thread can cut (spans) simply stays out of a shard cut by
+# another thread.
 
-_ACTIVE = threading.local()
+
+class _RankScope(threading.local):
+    """The calling thread's rank and the observers bound to it."""
+
+    rank = None
+    observers: Dict[str, Any] = {}  # name -> observer; empty = unobserved
+
+
+_SCOPE = _RankScope()
+
+
+def bind(rank: int, observers: Dict[str, Any]) -> None:
+    """Bind the calling thread to ``rank`` and its ``{name: observer}``.
+
+    Done once per rank thread by the launcher; :func:`activate` (here
+    and in :mod:`repro.obs.tracer`) binds one observer to a sequential
+    thread on the same scope.
+    """
+    for observer in observers.values():
+        observer.bind(rank)
+    _SCOPE.rank = rank
+    _SCOPE.observers = observers
+
+
+def unbind() -> None:
+    """Leave the calling thread unobserved again."""
+    _SCOPE.rank = None
+    _SCOPE.observers = {}
+
+
+def rebind(name: str, observer=None, rank: Optional[int] = None) -> None:
+    """Bind (or with ``None`` drop) one observer, keeping the others."""
+    observers = {k: v for k, v in _SCOPE.observers.items() if k != name}
+    if rank is None:
+        rank = _SCOPE.rank
+    if observer is not None:
+        observer.bind(rank)
+        observers[name] = observer
+    _SCOPE.rank = rank
+    _SCOPE.observers = observers
+
+
+def emit(kind: str, name: Optional[str] = None, **detail: Any) -> None:
+    """Hand one event of the calling rank to every observer bound to it."""
+    scope = _SCOPE
+    for observer in scope.observers.values():
+        observer.on_event(scope.rank, kind, name, detail)
+
+
+#: The public name of :func:`emit` for code outside the message path
+#: (fault injection, checkpoint saves).
+record_event = emit
 
 
 def activate(recorder: FlightRecorder, rank: int) -> None:
-    """Bind ``recorder`` to the calling rank thread."""
-    _ACTIVE.recorder = recorder
-    _ACTIVE.rank = rank
+    """Bind ``recorder`` to the calling thread as ``rank``."""
+    rebind("recorder", recorder, rank)
 
 
 def deactivate() -> None:
-    _ACTIVE.recorder = None
-    _ACTIVE.rank = None
+    rebind("recorder")
 
 
 def current_recorder() -> Optional[FlightRecorder]:
-    return getattr(_ACTIVE, "recorder", None)
+    return _SCOPE.observers.get("recorder")
 
 
 def current_recorder_rank() -> Optional[int]:
-    return getattr(_ACTIVE, "rank", None)
-
-
-def record_event(kind: str, name: Optional[str] = None, **detail: Any) -> None:
-    """Record an event for the calling rank; no-op when no recorder active."""
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is not None:
-        recorder.record(_ACTIVE.rank, kind, name, **detail)
-
-
-def note_span_open(name: str) -> None:
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is not None:
-        recorder.record(_ACTIVE.rank, KIND_SPAN_OPEN, name)
-
-
-def note_span_close(
-    name: str,
-    duration: float,
-    attrs: Optional[Dict[str, Any]],
-    error: Optional[type] = None,
-) -> None:
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is None:
-        return
-    detail: Dict[str, Any] = dict(attrs) if attrs else {}
-    detail["duration_s"] = round(duration, 6)
-    if error is not None:
-        detail["error"] = getattr(error, "__name__", str(error))
-    recorder.record(_ACTIVE.rank, KIND_SPAN_CLOSE, name, **detail)
-
-
-class RecorderSpan:
-    """Span context manager used when a recorder is active but no tracer.
-
-    Supports the same surface the hot paths use on tracer spans —
-    ``set(**attrs)`` and ``add_bytes(...)`` — so ``trace_span`` call
-    sites keep working unchanged while the recorder still sees kernel
-    entry/exit and collective algorithm choices.
-    """
-
-    __slots__ = ("_recorder", "_rank", "name", "attrs", "_start")
-
-    def __init__(
-        self,
-        recorder: FlightRecorder,
-        rank: int,
-        name: str,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._recorder = recorder
-        self._rank = rank
-        self.name = name
-        self.attrs = dict(attrs) if attrs else {}
-        self._start = 0.0
-
-    def __enter__(self) -> "RecorderSpan":
-        self._start = time.perf_counter()
-        self._recorder.record(self._rank, KIND_SPAN_OPEN, self.name)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.perf_counter() - self._start
-        detail = dict(self.attrs)
-        detail["duration_s"] = round(duration, 6)
-        if exc_type is not None:
-            detail["error"] = getattr(exc_type, "__name__", str(exc_type))
-        self._recorder.record(self._rank, KIND_SPAN_CLOSE, self.name, **detail)
-        return False
-
-    def set(self, **attrs: Any) -> "RecorderSpan":
-        self.attrs.update(attrs)
-        return self
-
-    def add_bytes(self, nbytes: int, copied: bool = True) -> None:
-        key = "copied_bytes" if copied else "moved_bytes"
-        self.attrs[key] = self.attrs.get(key, 0) + int(nbytes)
-
-
-def recorder_span(
-    name: str, attrs: Optional[Dict[str, Any]] = None
-) -> Optional[RecorderSpan]:
-    """A RecorderSpan bound to the calling rank, or None when inactive."""
-    recorder = getattr(_ACTIVE, "recorder", None)
-    if recorder is None:
-        return None
-    return RecorderSpan(recorder, _ACTIVE.rank, name, attrs)
+    return _SCOPE.rank if "recorder" in _SCOPE.observers else None

@@ -130,6 +130,7 @@ class TelemetryHub:
             "failed_ranks": context.failed_ranks(),
             "recoveries": len(recovery),
             "ranks": per_rank,
+            "run_config": getattr(context, "run_config", None),
         }
         if comm_trace is not None:
             try:

@@ -4,17 +4,18 @@ A :class:`Tracer` records *spans* — named, nestable intervals of
 wall-clock time tagged with the rank that executed them, an optional
 phase (the breakdown categories of :mod:`repro.instrument`), an optional
 tensor mode, and free-form attributes.  One tracer serves a whole SPMD
-world: :func:`repro.mpi.run_spmd` binds it to every rank thread, and the
-instrumentation hooks threaded through the communicator, the distributed
-kernels, and the drivers all find it through a thread-local without any
-signature plumbing.
+world: :func:`repro.mpi.run_spmd` binds it to every rank thread (the
+rank scope of :mod:`repro.obs.recorder`, shared with the other
+observers), and the instrumentation hooks threaded through the
+communicator, the distributed kernels, and the drivers all find it
+there without any signature plumbing.
 
 Design constraints, in order:
 
 1. **~zero overhead when disabled.**  Every hook goes through
-   :func:`trace_span`, which is a single thread-local ``getattr`` plus
-   the return of one shared null context manager when no enabled tracer
-   is active.  No allocation, no lock, no timestamps.
+   :func:`trace_span`, which is a single thread-local read plus the
+   return of one shared null context manager when nothing that serves
+   spans is bound.  No allocation, no lock, no timestamps.
 2. **No cross-rank contention when enabled.**  Each rank thread appends
    finished spans to its own buffer; the tracer-wide lock is taken only
    when a buffer is registered (once per rank) and when spans are read
@@ -45,11 +46,7 @@ import time
 from dataclasses import dataclass, field
 
 from .metrics import MetricsRegistry
-from .recorder import (
-    note_span_close as _note_span_close,
-    note_span_open as _note_span_open,
-    recorder_span as _recorder_span,
-)
+from .recorder import _SCOPE, KIND_SPAN_CLOSE, KIND_SPAN_OPEN, rebind
 
 __all__ = [
     "Span",
@@ -104,7 +101,12 @@ NULL_SPAN = _NullSpan()
 
 
 class _OpenSpan:
-    """A span being recorded (the object yielded by ``Tracer.span``).
+    """A span being recorded (what ``trace_span``/``Tracer.span`` yield).
+
+    The one span class: it records into ``tracer`` (nesting, the
+    finished :class:`Span`) when there is one, and into the flight
+    recorder bound to the calling thread (``span.open``/``span.close``
+    events) when there is one — either alone or both.
 
     Mutable on purpose: instrumentation deeper in the call stack may
     attach attributes (``set``) or accumulate message-byte tallies
@@ -117,7 +119,7 @@ class _OpenSpan:
         "messages", "bytes_sent", "bytes_copied",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, phase: str | None,
+    def __init__(self, tracer: "Tracer | None", name: str, phase: str | None,
                  mode: int | None, attrs: dict) -> None:
         self._tracer = tracer
         self.name = name
@@ -146,51 +148,61 @@ class _OpenSpan:
 
     # -- context manager protocol ---------------------------------------
     def __enter__(self) -> "_OpenSpan":
-        state = self._tracer._state()
-        stack = state.stack
-        self.depth = len(stack)
-        if stack:
-            parent = stack[-1]
-            if self.mode is None:
-                self.mode = parent.mode if parent.mode is not None else (
-                    parent.attrs.get("mode"))
-            for anc in reversed(stack):
-                if anc.phase is not None:
-                    self.enclosing_phase = anc.phase
-                    break
-            if self.phase is not None:
-                self.self_nested = any(a.phase == self.phase for a in stack)
-        stack.append(self)
-        _note_span_open(self.name)
+        if self._tracer is not None:
+            stack = self._tracer._state().stack
+            self.depth = len(stack)
+            if stack:
+                parent = stack[-1]
+                if self.mode is None:
+                    self.mode = parent.mode if parent.mode is not None else (
+                        parent.attrs.get("mode"))
+                for anc in reversed(stack):
+                    if anc.phase is not None:
+                        self.enclosing_phase = anc.phase
+                        break
+                if self.phase is not None:
+                    self.self_nested = any(
+                        a.phase == self.phase for a in stack)
+            stack.append(self)
+        recorder = _SCOPE.observers.get("recorder")
+        if recorder is not None:
+            recorder.on_event(_SCOPE.rank, KIND_SPAN_OPEN, self.name, {})
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         end = time.perf_counter()
-        state = self._tracer._state()
-        state.stack.pop()
-        _note_span_close(
-            self.name, end - self._start, self.attrs,
-            exc[0] if exc and exc[0] is not None else None,
-        )
+        attrs = self.attrs
         if self.messages:
-            self.attrs.setdefault("messages", self.messages)
-            self.attrs.setdefault("bytes_sent", self.bytes_sent)
-            self.attrs.setdefault("bytes_copied", self.bytes_copied)
-            self.attrs.setdefault(
+            attrs.setdefault("messages", self.messages)
+            attrs.setdefault("bytes_sent", self.bytes_sent)
+            attrs.setdefault("bytes_copied", self.bytes_copied)
+            attrs.setdefault(
                 "bytes_moved", self.bytes_sent - self.bytes_copied)
-        state.buffer.append(Span(
-            name=self.name,
-            rank=state.rank,
-            start=self._start - self._tracer._epoch,
-            duration=end - self._start,
-            phase=self.phase,
-            mode=self.mode,
-            depth=self.depth,
-            self_nested=self.self_nested,
-            enclosing_phase=self.enclosing_phase,
-            attrs=self.attrs,
-        ))
+        recorder = _SCOPE.observers.get("recorder")
+        if recorder is not None:
+            detail = dict(attrs, duration_s=round(end - self._start, 6))
+            if self.mode is not None:
+                detail["mode"] = self.mode
+            if exc[0] is not None:
+                detail["error"] = getattr(exc[0], "__name__", str(exc[0]))
+            recorder.on_event(_SCOPE.rank, KIND_SPAN_CLOSE, self.name, detail)
+        tracer = self._tracer
+        if tracer is not None:
+            state = tracer._state()
+            state.stack.pop()
+            state.buffer.append(Span(
+                name=self.name,
+                rank=state.rank,
+                start=self._start - tracer._epoch,
+                duration=end - self._start,
+                phase=self.phase,
+                mode=self.mode,
+                depth=self.depth,
+                self_nested=self.self_nested,
+                enclosing_phase=self.enclosing_phase,
+                attrs=attrs,
+            ))
         return False
 
 
@@ -212,15 +224,18 @@ class Tracer:
     are bound with :meth:`bind` (done by ``run_spmd``); unbound threads
     record as rank 0, which is what sequential drivers want.
 
-    ``enabled=False`` constructs a dormant tracer: :func:`trace_span`
-    treats it as absent and :meth:`span` returns the shared null
-    context, so the hot paths pay only a thread-local read.
+    ``enabled=False`` constructs a dormant tracer: it is never bound
+    as an observer, so :func:`trace_span` and :meth:`span` treat it as
+    absent and the hot paths pay only a thread-local read.
     """
 
     def __init__(self, *, enabled: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The resolved configuration of the last run_spmd this tracer
+        # observed (exported as chrome_trace's otherData["run_config"]).
+        self.run_config: dict | None = None
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._states: list[_ThreadState] = []
@@ -250,10 +265,11 @@ class Tracer:
     # ------------------------------------------------------------------
     def span(self, name: str, *, phase: str | None = None,
              mode: int | None = None, **attrs):
-        """Context manager recording one span (no-op when disabled)."""
+        """Context manager recording one span (a disabled tracer steps
+        aside: the span serves whatever else is bound, like
+        :func:`trace_span`)."""
         if not self.enabled:
-            span = _recorder_span(name, attrs)
-            return NULL_SPAN if span is None else span
+            return trace_span(name, phase=phase, mode=mode, **attrs)
         return _OpenSpan(self, name, phase, mode, attrs)
 
     def current_span(self) -> _OpenSpan | None:
@@ -269,16 +285,23 @@ class Tracer:
         if sp is not None:
             sp.add_bytes(nbytes, copied)
 
+    def on_event(self, rank: int, kind: str, name, detail: dict) -> None:
+        """Observer protocol: a ``send`` is tallied against the innermost
+        open span, a collective ``dispatch`` feeds the per-algorithm
+        ``comm.message_bytes[...]`` histogram."""
+        if kind == "send":
+            nbytes = detail["nbytes"]
+            self.add_bytes(nbytes, 0 if detail["moved"] else nbytes)
+        elif kind == "dispatch":
+            self.metrics.histogram(
+                f"comm.message_bytes[{name}]").observe(detail["nbytes"])
+
     # ------------------------------------------------------------------
     # Per-thread queries (used by drivers for phase attribution)
     # ------------------------------------------------------------------
     def local_mark(self) -> int:
         """Position in the calling thread's buffer (pair with since=)."""
         return len(self._state().buffer)
-
-    def local_spans(self, since: int = 0) -> list[Span]:
-        """Spans finished by the calling thread from position ``since``."""
-        return list(self._state().buffer[since:])
 
     def local_phase_seconds(self, phase: str, since: int = 0) -> float:
         """Calling-thread seconds in ``phase`` since a mark (no nesting
@@ -288,21 +311,39 @@ class Tracer:
             if s.phase == phase and not s.self_nested
         )
 
-    def absorb_spans(self, spans) -> None:
-        """Merge finished spans recorded elsewhere into this tracer.
+    # ------------------------------------------------------------------
+    # Cross-process shards (observer protocol)
+    # ------------------------------------------------------------------
+    def shard(self, rank: int, since):
+        """Metrics since the cursor ``since``, plus — only when cut by
+        the thread that recorded them — its finished spans.
 
-        The process transport ships each worker's span shard back to
-        the master at finalize and folds it in here.  Each span carries
-        its own rank, so the shard lands in an anonymous buffer; all
-        global queries see the absorbed spans exactly as if they had
-        been recorded locally.
+        Spans live in the recording thread's buffer, so a shard cut
+        elsewhere (a worker's heartbeat thread) carries metrics alone
+        and the spans ride home with the rank's closing report.
         """
-        if not spans:
-            return
-        state = _ThreadState(-1)
-        state.buffer = list(spans)
-        with self._lock:
-            self._states.append(state)
+        base, mark = since or (None, 0)
+        metrics, snap = self.metrics.shard(rank, base)
+        state = getattr(self._tls, "state", None)
+        spans = (state.buffer[mark:]
+                 if since is not None and state is not None else [])
+        delta = {"metrics": metrics, "spans": spans}
+        return ({k: v for k, v in delta.items() if v},
+                (snap, mark + len(spans)))
+
+    def absorb(self, rank: int, delta: dict) -> None:
+        """Fold a shard cut in another process into this tracer.
+
+        Each span carries its own rank, so the spans land in an
+        anonymous buffer; all global queries see them exactly as if
+        they had been recorded locally.
+        """
+        self.metrics.absorb(rank, delta.get("metrics", {}))
+        if delta.get("spans"):
+            state = _ThreadState(-1)
+            state.buffer = list(delta["spans"])
+            with self._lock:
+                self._states.append(state)
 
     # ------------------------------------------------------------------
     # Global queries
@@ -374,50 +415,45 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Active-tracer plumbing (thread-local, one per rank thread)
+# Active-tracer plumbing (the rank scope of repro.obs.recorder)
 # ----------------------------------------------------------------------
-_active = threading.local()
-
-
 def activate(tracer: Tracer, rank: int = 0) -> None:
     """Make ``tracer`` the calling thread's active tracer, bound to ``rank``.
 
-    Called by :func:`repro.mpi.run_spmd` on every rank thread; call it
-    manually to trace sequential code paths.
+    :func:`repro.mpi.run_spmd` binds every rank thread itself; call
+    this to trace sequential code paths.
     """
-    tracer.bind(rank)
-    _active.tracer = tracer
+    rebind("tracer", tracer if tracer.enabled else None, rank)
 
 
 def deactivate() -> None:
     """Clear the calling thread's active tracer."""
-    _active.tracer = None
+    rebind("tracer")
 
 
 def current_tracer() -> Tracer | None:
     """The calling thread's active tracer, or None when tracing is off.
 
-    A disabled tracer reports as None so hot paths need a single check.
+    A disabled tracer is never bound, so hot paths need a single check.
     """
-    tracer = getattr(_active, "tracer", None)
-    if tracer is None or not tracer.enabled:
-        return None
-    return tracer
+    return _SCOPE.observers.get("tracer")
 
 
 def trace_span(name: str, *, phase: str | None = None,
                mode: int | None = None, **attrs):
-    """Span context manager on the active tracer; shared no-op otherwise.
+    """Span context manager on whatever is bound; shared no-op otherwise.
 
-    The disabled path costs one thread-local read and returns the
+    The unobserved path costs one thread-local read and returns the
     module-level :data:`NULL_SPAN` singleton — this is the hook all
-    instrumented kernels use, so "tracing off" stays free.  When a
-    flight recorder is active without a tracer, a lightweight
-    :class:`~repro.obs.recorder.RecorderSpan` stands in so kernel
-    entry/exit and collective algorithm choices still reach the rings.
+    instrumented kernels use, so "tracing off" stays free.  The span
+    serves the active tracer, the active flight recorder (kernel
+    entry/exit and collective algorithm choices reach the rings with
+    or without a tracer), or both.
     """
-    tracer = getattr(_active, "tracer", None)
-    if tracer is None or not tracer.enabled:
-        span = _recorder_span(name, attrs)
-        return NULL_SPAN if span is None else span
+    observers = _SCOPE.observers
+    if not observers:
+        return NULL_SPAN
+    tracer = observers.get("tracer")
+    if tracer is None and "recorder" not in observers:
+        return NULL_SPAN
     return _OpenSpan(tracer, name, phase, mode, attrs)

@@ -36,6 +36,15 @@ flags the SPMD bug patterns the runtime sanitizer catches dynamically,
     they go through :mod:`repro.util.durable`, whose JSON-plus-raw-
     arrays shards cannot execute code when read.
 
+``direct-observer-call``
+    Under :mod:`repro.mpi`, a call that writes into an observer directly
+    — ``record_send``/``record_recv``/``record_dropped``/
+    ``record_retried``/``record_checksum_failure``, ``add_bytes``,
+    ``recorder.record`` — outside the observer classes themselves.  The
+    message path reports through one door, :func:`repro.obs.recorder.
+    emit`, and every observer sees every event; a hand-placed hook call
+    is how one of them goes blind.
+
 Findings are :class:`~repro.sanitize.Diagnostic` records (shared with
 the runtime sanitizer), rendered ``file:line: severity[kind] message``.
 
@@ -67,6 +76,7 @@ DEFAULT_RULES = (
     "tag-mismatch",
     "raw-lapack",
     "raw-pickle",
+    "direct-observer-call",
 )
 
 # Names that read as "this process's rank" in a branch condition.
@@ -96,6 +106,12 @@ _NON_COMM_ROOTS = frozenset({
 _TAG_POSITIONS = {"send": 2, "isend": 2, "sendrecv": 2, "recv": 1, "irecv": 1}
 _TAG_SENDERS = frozenset({"send", "isend", "sendrecv"})
 _TAG_RECEIVERS = frozenset({"recv", "irecv", "sendrecv"})
+
+# Observer methods the message path may not call by hand (it emits).
+_OBSERVER_WRITES = frozenset({
+    "record_send", "record_recv", "record_dropped", "record_retried",
+    "record_checksum_failure", "add_bytes",
+})
 
 def _root_name(node: ast.expr) -> str | None:
     """Leftmost identifier of a Name/Attribute chain (``np.linalg`` -> np)."""
@@ -440,6 +456,36 @@ def _rule_raw_pickle(tree: ast.Module) -> list[tuple]:
     return findings
 
 
+def _rule_direct_observer_call(tree: ast.Module) -> list[tuple]:
+    """Observer writes that bypass ``emit`` (observer classes exempt)."""
+    findings = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "on_event"
+            for item in node.body
+        ):
+            return  # an observer may call its own recording methods
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, receiver = node.func.attr, _terminal_name(node.func.value)
+            if attr in _OBSERVER_WRITES or (
+                attr == "record" and receiver == "recorder"
+            ):
+                findings.append((
+                    "direct-observer-call", node.lineno,
+                    node.end_lineno or node.lineno,
+                    f"{ast.unparse(node.func)}() writes into an observer "
+                    f"directly; the message path reports through "
+                    f"repro.obs.recorder.emit (or SpmdContext.emit), so "
+                    f"every observer sees the event",
+                ))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
@@ -464,6 +510,8 @@ def lint_source(
         raw.extend(_rule_raw_lapack(tree))
     if "raw-pickle" in rules and not _within(filename, "repro/mpi/transport/"):
         raw.extend(_rule_raw_pickle(tree))
+    if "direct-observer-call" in rules and _within(filename, "repro/mpi/"):
+        raw.extend(_rule_direct_observer_call(tree))
     if "use-after-move" in rules or "tag-mismatch" in rules:
         for scope in _iter_scopes(tree):
             scope.index()
@@ -484,7 +532,8 @@ def lint_source(
 def _within(filename: str, package_dir: str) -> bool:
     """True for files inside ``package_dir`` — the one legitimate home of
     the facility a ``raw-*`` rule guards (``repro/linalg/``: the
-    instrumented kernels themselves; ``repro/mpi/transport/``: the wire)."""
+    instrumented kernels themselves; ``repro/mpi/transport/``: the wire),
+    or the package a rule polices (``repro/mpi/``: the message path)."""
     return package_dir in filename.replace(os.sep, "/")
 
 

@@ -146,6 +146,58 @@ def test_request_test_backoff_does_not_busy_spin(backend):
     assert 0 < res[1] < 10_000
 
 
+def _irecv_exchange(comm):
+    """Each rank posts its receive, sends 800 B, then waits."""
+    other = 1 - comm.rank
+    req = comm.irecv(other, tag=4)
+    comm.send(np.full(100, float(comm.rank)), other, tag=4)
+    return float(req.wait()[0])
+
+
+def test_irecv_completion_is_observed_like_recv(backend):
+    """``irecv(...).wait()`` completes through the same path as ``recv``:
+    the receive is tallied and lands in the flight recorder."""
+    from repro.obs import FlightRecorder
+
+    trace, rec = CommTrace(), FlightRecorder()
+    res = run_spmd(_irecv_exchange, 2, comm_trace=trace, recorder=rec,
+                   backend=backend)
+    assert res.values == [1.0, 0.0]
+    assert trace.total_messages() == 2
+    assert trace.total_recv_messages() == trace.total_messages()
+    assert trace.in_flight_messages() == 0 and trace.in_flight_bytes() == 0
+    for rank in (0, 1):
+        (recv,) = [e for e in rec.events(rank) if e[2] == "recv"]
+        assert recv[4]["peer"] == 1 - rank  # the sender's world rank
+        assert recv[4]["nbytes"] == 800 and recv[4]["tag"] == 4
+
+
+def _write_into_moved_payload(comm, nonblocking):
+    if comm.rank == 0:
+        comm.send(np.ones(8), dest=1, tag=3, copy=False)
+    else:
+        got = (comm.irecv(0, tag=3).wait() if nonblocking
+               else comm.recv(0, tag=3))
+        got[0] = 5.0  # zero-copy payloads arrive read-only
+    return comm.rank
+
+
+def test_irecv_of_a_moved_payload_is_attributed_like_recv(backend):
+    """A write into an array that arrived by ``irecv`` of a
+    ``copy=False`` send is re-attributed to the move, as for ``recv``."""
+    from repro.errors import UseAfterMoveError
+
+    messages = []
+    for nonblocking in (False, True):
+        with pytest.raises(UseAfterMoveError) as exc_info:
+            run_spmd(_write_into_moved_payload, 2, nonblocking,
+                     backend=backend, sanitize=True, recv_timeout=30.0)
+        messages.append(str(exc_info.value))
+        assert "received from rank 0" in messages[-1]
+        assert "moved by send(copy=False)" in messages[-1]
+    assert messages[0] == messages[1]
+
+
 # ----------------------------------------------------------------------
 # Observability conformance: counters and shards
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from repro.obs import (
     render_postmortem,
     write_postmortem,
 )
+from repro.obs import trace_span
 from repro.obs.recorder import (
-    RecorderSpan,
     activate,
     current_recorder,
     deactivate,
@@ -128,22 +128,32 @@ class TestActivation:
         assert event_dict(event)["detail"] == {"op_index": 2}
 
     def test_recorder_span_records_open_close(self):
+        """A recorder-only binding: trace_span's one span class stands
+        in without a tracer."""
         rec = FlightRecorder()
-        with RecorderSpan(rec, 1, "kernel", {"mode": 0}) as span:
-            span.set(rows=8)
-            span.add_bytes(64)
+        activate(rec, 1)
+        try:
+            with trace_span("kernel", mode=0) as span:
+                span.set(rows=8)
+                span.add_bytes(64, 64)
+        finally:
+            deactivate()
         kinds = [(e[2], e[3]) for e in rec.events(1)]
         assert kinds == [("span.open", "kernel"), ("span.close", "kernel")]
         close_detail = event_dict(rec.events(1)[-1])["detail"]
         assert close_detail["mode"] == 0 and close_detail["rows"] == 8
-        assert close_detail["copied_bytes"] == 64
+        assert close_detail["bytes_copied"] == 64
         assert "duration_s" in close_detail
 
     def test_recorder_span_records_error(self):
         rec = FlightRecorder()
-        with pytest.raises(RuntimeError):
-            with RecorderSpan(rec, 0, "kernel", None):
-                raise RuntimeError("boom")
+        activate(rec, 0)
+        try:
+            with pytest.raises(RuntimeError):
+                with trace_span("kernel"):
+                    raise RuntimeError("boom")
+        finally:
+            deactivate()
         close_detail = event_dict(rec.events(0)[-1])["detail"]
         assert close_detail["error"] == "RuntimeError"
         assert rec.error_unwind(0) == ["kernel"]

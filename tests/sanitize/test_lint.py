@@ -251,6 +251,47 @@ class TestRawPickle:
         assert kinds("import pickle\n", rules=("raw-lapack",)) == []
 
 
+class TestDirectObserverCall:
+    MPI = "src/repro/mpi/communicator.py"
+
+    def test_hand_placed_hook_calls_are_flagged_under_mpi(self):
+        for call in ("ctx.comm_trace.record_send(rank, n, copied=n)",
+                     "trace.record_recv(rank, n)",
+                     "trace.record_dropped(rank)",
+                     "trace.record_retried(rank)",
+                     "ctx.comm_trace.record_checksum_failure(rank)",
+                     "tracer.add_bytes(n, 0)",
+                     "self.recorder.record(rank, 'recovery', name='respawn')"):
+            src = f"def f(ctx, trace, tracer, rank, n):\n    {call}\n"
+            assert [d.kind for d in lint_source(src, filename=self.MPI)] \
+                == ["direct-observer-call"], call
+
+    def test_the_spine_and_lookalikes_are_fine(self):
+        src = textwrap.dedent("""
+            def f(ctx, rank, log):
+                emit("send", peer=1, nbytes=8, moved=False)
+                ctx.emit(rank, "recovery", "respawn")
+                ctx.comm_trace.record_connect_retry(rank)
+                log.record(rank)
+        """)
+        assert lint_source(src, filename=self.MPI) == []
+
+    def test_observer_classes_and_other_packages_are_exempt(self):
+        observer = textwrap.dedent("""
+            class CommTrace:
+                def on_event(self, rank, kind, name, detail):
+                    self.record_send(rank, detail["nbytes"], 0)
+        """)
+        assert lint_source(observer, filename="src/repro/mpi/tracing.py") == []
+        call = "def f(t):\n    t.add_bytes(1, 1)\n"
+        assert lint_source(call, filename="src/repro/obs/tracer.py") == []
+        assert kinds(call) == []  # snippet.py: not under repro/mpi/
+        assert lint_source(call + "# x\n", filename=self.MPI)[0].line == 2
+        allowed = "def f(t):\n    t.add_bytes(1, 1)  " \
+                  "# repro-lint: allow(direct-observer-call)\n"
+        assert lint_source(allowed, filename=self.MPI) == []
+
+
 class TestSuppressionsAndDriver:
     def test_skip_pragma(self):
         assert kinds("""
