@@ -211,7 +211,10 @@ def sthosvd_fault_tolerant(
     RankFailedError` with ``recovery_history`` attached.  The returned
     ``result`` is a :class:`~repro.core.sthosvd_parallel.
     ParallelSthosvdResult` whose core is distributed over
-    ``FaultTolerantResult.comm``.
+    ``FaultTolerantResult.comm``.  Every attempt lays its grid with
+    :meth:`ProcessorGrid.for_size(comm.size, ndim, mode_order)
+    <repro.dist.grid.ProcessorGrid.for_size>`, so the mode the run
+    processes first stays undistributed after a shrink as well.
 
     ``recover="replace"`` respawns dead ranks instead of shrinking (the
     grid keeps its shape; needs a transport with respawn support —
@@ -227,7 +230,8 @@ def sthosvd_fault_tolerant(
         # ndim is derived inside the attempt: a replacement's first
         # collective must happen where the recovery loop can catch the
         # revoked-epoch error and route it into the replace rendezvous.
-        grid = ProcessorGrid.for_size(comm.size, _bcast_ndim(comm, full))
+        grid = ProcessorGrid.for_size(
+            comm.size, _bcast_ndim(comm, full), mode_order)
         comms = GridComms(comm, grid)
         dt = distribute_from_root(comms, full, root=0)
         return sthosvd_parallel(

@@ -13,29 +13,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ConfigurationError
+from ..util.validation import resolve_mode_order
 
 __all__ = ["resolve_mode_order", "greedy_order"]
-
-
-def resolve_mode_order(order, ndim: int) -> tuple[int, ...]:
-    """Normalize an ordering spec to an explicit mode permutation.
-
-    Accepts ``"forward"``, ``"backward"``, or an explicit permutation of
-    ``range(ndim)``.
-    """
-    if order == "forward" or order is None:
-        return tuple(range(ndim))
-    if order == "backward":
-        return tuple(range(ndim - 1, -1, -1))
-    try:
-        modes = tuple(int(m) for m in order)
-    except TypeError as exc:
-        raise ConfigurationError(f"cannot interpret mode order {order!r}") from exc
-    if sorted(modes) != list(range(ndim)):
-        raise ConfigurationError(
-            f"mode order {modes} is not a permutation of 0..{ndim - 1}"
-        )
-    return modes
 
 
 def greedy_order(shape: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:

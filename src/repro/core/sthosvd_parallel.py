@@ -11,7 +11,7 @@ block distribution, exactly as TuckerMPI specifies.
 Run it from an SPMD function launched with :func:`repro.mpi.run_spmd`:
 
 >>> def program(comm):
-...     comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
+...     comms = GridComms(comm, ProcessorGrid((1, 2, 2)))
 ...     dt = DistributedTensor.from_full(comms, X)
 ...     return sthosvd_parallel(dt, tol=1e-4, method="qr")
 """

@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 from ..errors import DistributionError
+from ..util.validation import resolve_mode_order
 
 __all__ = ["ProcessorGrid"]
 
@@ -35,24 +36,35 @@ class ProcessorGrid:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_size(cls, size: int, ndim: int) -> "ProcessorGrid":
-        """Balanced ``ndim``-mode grid for ``size`` processes.
+    def for_size(cls, size: int, ndim: int, mode_order="forward") -> "ProcessorGrid":
+        """Balanced ``ndim``-mode grid for ``size`` processes, laid along
+        the order ST-HOSVD processes the modes (paper Sec. 4.2).
 
         Greedily assigns the prime factors of ``size`` (largest first)
         to the currently smallest grid mode, yielding dimensions as
-        close to ``size ** (1/ndim)`` as the factorization allows.
-        Used by the fault-tolerant drivers to re-grid an arbitrary
-        number of surviving ranks after a shrink.
+        close to ``size ** (1/ndim)`` as the factorization allows, then
+        hands them to the modes of ``mode_order`` (``"forward"``,
+        ``"backward"`` or a permutation, as the drivers take it)
+        smallest first.  The first-processed mode gets 1 whenever
+        ``size`` has fewer prime factors than ``ndim`` and the
+        last-processed mode gets the largest factor, so the all-to-all
+        redistribution and the TTM reduce-scatter of a distributed mode
+        move the tensor after the earlier modes have truncated it, not
+        at full size: ``for_size(2, 4)`` is ``1x1x1x2``, ``for_size(8,
+        4)`` is ``1x2x2x2``.  Also used by the fault-tolerant drivers to
+        re-grid an arbitrary number of surviving ranks after a shrink.
         """
         if size < 1:
             raise DistributionError(f"grid size must be positive, got {size}")
         if ndim < 1:
             raise DistributionError(f"grid needs at least one mode, got {ndim}")
+        factors = [1] * ndim
+        for f in reversed(_prime_factors(size)):  # ascending -> largest first
+            factors[factors.index(min(factors))] *= f
         dims = [1] * ndim
-        for f in sorted(_prime_factors(size), reverse=True):
-            i = min(range(ndim), key=lambda k: dims[k])
-            dims[i] *= f
-        return cls(tuple(sorted(dims, reverse=True)))
+        for mode, factor in zip(resolve_mode_order(mode_order, ndim), sorted(factors)):
+            dims[mode] = factor
+        return cls(dims)
 
     # ------------------------------------------------------------------
     @property

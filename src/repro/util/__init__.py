@@ -8,6 +8,7 @@ from .validation import (
     check_shape_match,
     ensure_ndarray,
     require,
+    resolve_mode_order,
 )
 from .rng import default_rng, spawn_rngs
 from .tables import format_table
@@ -18,6 +19,7 @@ __all__ = [
     "check_shape_match",
     "ensure_ndarray",
     "require",
+    "resolve_mode_order",
     "default_rng",
     "spawn_rngs",
     "format_table",

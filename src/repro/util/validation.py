@@ -19,6 +19,7 @@ __all__ = [
     "check_axis",
     "check_shape_match",
     "ensure_ndarray",
+    "resolve_mode_order",
 ]
 
 
@@ -49,6 +50,27 @@ def check_axis(axis, ndim: int, name: str = "mode") -> int:
     if not -ndim <= axis < ndim:
         raise ShapeError(f"{name} {axis} out of range for {ndim}-mode tensor")
     return axis % ndim
+
+
+def resolve_mode_order(order, ndim: int) -> tuple[int, ...]:
+    """Normalize an ordering spec to an explicit mode permutation.
+
+    Accepts ``"forward"``, ``"backward"``, or an explicit permutation of
+    ``range(ndim)``.
+    """
+    if order == "forward" or order is None:
+        return tuple(range(ndim))
+    if order == "backward":
+        return tuple(range(ndim - 1, -1, -1))
+    try:
+        modes = tuple(int(m) for m in order)
+    except TypeError as exc:
+        raise ConfigurationError(f"cannot interpret mode order {order!r}") from exc
+    if sorted(modes) != list(range(ndim)):
+        raise ConfigurationError(
+            f"mode order {modes} is not a permutation of 0..{ndim - 1}"
+        )
+    return modes
 
 
 def check_shape_match(shape_a: Sequence[int], shape_b: Sequence[int], what: str) -> None:

@@ -209,12 +209,13 @@ class TestSequentialDrivers:
 # ----------------------------------------------------------------------
 # Parallel drivers
 # ----------------------------------------------------------------------
-def _par_case(driver, nprocs, method, dtype):
+def _par_case(driver, nprocs, method, dtype, grid=None, backend=None):
     """Run driver and reference in one world; one record per rank."""
     X = _tensor(dtype)
 
     def prog(comm):
-        comms = GridComms(comm, ProcessorGrid.for_size(comm.size, X.ndim))
+        comms = GridComms(comm, ProcessorGrid(grid) if grid else
+                          ProcessorGrid.for_size(comm.size, X.ndim))
         dt = DistributedTensor.from_full(comms, X.data)
         if driver == "hooi":
             res = hooi_parallel(
@@ -239,7 +240,7 @@ def _par_case(driver, nprocs, method, dtype):
             "extra": (got_extra, extra),
         }
 
-    return run_spmd(prog, nprocs).values
+    return run_spmd(prog, nprocs, backend=backend).values
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
@@ -275,6 +276,39 @@ class TestParallelDrivers:
         for rec in records:
             got, want = rec["extra"]
             assert got == want  # the fit history, float for float
+
+
+# ``for_size`` puts 1 on the first-processed mode, so the cases above
+# redistribute and reduce-scatter only an already truncated tensor.  These
+# pin the grid the other way round: mode 0 (and 1) distributed at full size.
+LEADING_GRIDS = [(2, 1, 1, 1), (2, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("grid", LEADING_GRIDS)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("method", METHODS)
+class TestLeadingModeGrids:
+    @pytest.mark.parametrize("driver", ["sthosvd", "hosvd", "hooi"])
+    def test_matches_reference(self, driver, method, dtype, grid):
+        nprocs = int(np.prod(grid))
+        records = _par_case(driver, nprocs, method, dtype, grid)
+        TestParallelDrivers()._check(records, nprocs)
+        for rec in records:
+            got, want = rec["extra"]
+            if driver == "hooi":
+                assert got == want
+            else:
+                _assert_same_lists(got, want)
+
+    def test_same_bits_on_every_backend(self, method, dtype, grid):
+        nprocs = int(np.prod(grid))
+        worlds = [_par_case("sthosvd", nprocs, method, dtype, grid, backend)
+                  for backend in ("threads", "procs", "sockets")]
+        for records in worlds[1:]:
+            for rec, rec0 in zip(records, worlds[0]):
+                assert _same(rec["core"][0], rec0["core"][0])
+                _assert_same_lists(rec["factors"][0], rec0["factors"][0])
+                _assert_same_lists(rec["extra"][0], rec0["extra"][0])
 
 
 # ----------------------------------------------------------------------

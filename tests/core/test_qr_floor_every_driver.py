@@ -80,6 +80,30 @@ def test_parallel_driver(n, dtype, nprocs):
             assert factors[m].tobytes() == factors0[m].tobytes()
 
 
+@pytest.mark.parametrize("grid", [(2, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parallel_driver_leading_mode_distributed(dtype, grid):
+    """Forward order on a grid ``for_size`` no longer builds: modes 0
+    (and 1) are distributed and meet Alg. 3's all-to-all and the TTM's
+    reduce-scatter at full size.  Gram-SVD breaks the same bound."""
+    X, sigma, _ = _problem(0, dtype)
+
+    def prog(comm):
+        dt = DistributedTensor.from_full(GridComms(comm, ProcessorGrid(grid)), X.data)
+        qr = sthosvd_parallel(dt, ranks=SHAPE, method="qr")
+        gram = sthosvd_parallel(dt, ranks=SHAPE, method="gram")
+        return qr.sigmas, qr.factors, gram.sigmas
+
+    values = run_spmd(prog, int(np.prod(grid)), backend="threads").values
+    sigmas0, factors0, gram0 = values[0]
+    assert _error_in_eps(sigmas0[0], sigma, dtype) < FLOOR_CONSTANT
+    assert _error_in_eps(gram0[0], sigma, dtype) > 10 * FLOOR_CONSTANT
+    for sigmas, factors, _ in values[1:]:
+        for m in range(len(SHAPE)):
+            assert sigmas[m].tobytes() == sigmas0[m].tobytes()
+            assert factors[m].tobytes() == factors0[m].tobytes()
+
+
 @pytest.mark.parametrize("n,dtype", CASES)
 def test_out_of_core_driver(n, dtype, tmp_path):
     X, sigma, order = _problem(n, dtype)
@@ -98,10 +122,21 @@ def test_recovered_run_keeps_the_floor(n, dtype):
     """A rank dies inside the first mode (P = 4 -> 3); the survivors
     recover from the entry checkpoint and recompute that mode's SVD on
     the shrunk world.  Theorem 1 must hold for what they compute."""
+    _recovered_run(n, dtype, _problem(n, dtype)[2])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recovered_backward_run_keeps_the_floor(dtype):
+    """The same under ``mode_order="backward"``: the last mode goes
+    first, on a grid (2x2x1, then 3x1x1) that keeps it undistributed."""
+    _recovered_run(len(SHAPE) - 1, dtype, "backward")
+
+
+def _recovered_run(n, dtype, order):
     from repro.core import sthosvd_fault_tolerant
     from repro.faults import CrashRule, FaultPlan
 
-    X, sigma, order = _problem(n, dtype)
+    X, sigma, _ = _problem(n, dtype)
 
     def prog(comm):
         res = sthosvd_fault_tolerant(

@@ -102,6 +102,34 @@ class TestSthosvdFaultTolerant:
             run_spmd(prog, 4, faults=plan, resilience=True)
 
 
+class TestGridFollowsModeOrder:
+    """The grid the driver builds, and re-builds after a shrink, puts 1 on
+    the mode the run processes first — whichever end that is."""
+
+    @staticmethod
+    def _prog(mode_order):
+        def prog(comm):
+            res = sthosvd_fault_tolerant(
+                comm, FULL if comm.rank == 0 else None, ranks=RANKS,
+                method="qr", mode_order=mode_order,
+            )
+            return res.comm.size, res.result.core.grid.dims
+        return prog
+
+    @pytest.mark.parametrize("mode_order,grid4,grid3", [
+        ("forward", (1, 2, 2), (1, 1, 3)),
+        ("backward", (2, 2, 1), (3, 1, 1)),
+        ((1, 2, 0), (2, 1, 2), (3, 1, 1)),
+    ])
+    def test_clean_and_shrunk(self, mode_order, grid4, grid3):
+        clean = run_spmd(self._prog(mode_order), 4)
+        assert clean.values == [(4, grid4)] * 4
+        plan = FaultPlan(seed=8, crashes=(CrashRule(rank=2, at_op=25),))
+        res = run_spmd(self._prog(mode_order), 4, faults=plan, resilience=True)
+        assert res.failed_ranks == [2]
+        assert [v for v in res.values if v is not None] == [(3, grid3)] * 3
+
+
 class TestNumericDegradation:
     def test_kernel_nan_triggers_guard_not_corruption(self):
         tracer = Tracer()
