@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision
 from ..tensor.dense import DenseTensor
-from .modeloop import dense_input, hooi_sweeps, open_loop
+from .modeloop import dense_input, hooi_sweeps, measure_norm, open_loop
 from .sthosvd import sthosvd
 from .tucker import TuckerTensor
 
@@ -93,6 +93,7 @@ def hooi(
         raise ConfigurationError("max_iters must be at least 1")
     tensor = dense_input(tensor, precision)
     loop = open_loop(tensor, method=method, ranks=ranks, backend=backend)
+    measure_norm(loop, tensor)
     if init == "sthosvd":
         seed_res = sthosvd(tensor, ranks=loop.ranks, method=method, backend=backend)
         loop.factors = list(seed_res.tucker.factors)

@@ -20,7 +20,7 @@ from ..errors import ConfigurationError
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..dist.dtensor import DistributedTensor
-from .modeloop import hooi_sweeps, open_loop
+from .modeloop import hooi_sweeps, measure_norm, open_loop
 from .sthosvd_parallel import sthosvd_parallel
 from .tucker import TuckerTensor
 
@@ -110,6 +110,7 @@ def hooi_parallel(
         fits = [float(f) for f in resume["fits"]]
         loop.recoveries = list(resume.get("numeric_recoveries", []))
     else:
+        measure_norm(loop, dt)
         seed = sthosvd_parallel(
             dt, ranks=loop.ranks, method=method, backend=backend,
             svd_strategy=svd_strategy,

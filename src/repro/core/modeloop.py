@@ -45,12 +45,12 @@ from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
 from ..tensor.dense import DenseTensor
 from ..tensor.ttm import ttm, ttm_flops
-from .truncation import choose_rank, error_budget_per_mode
+from .truncation import choose_rank, error_budget_per_mode, tail_energy
 
 __all__ = [
     "METHODS", "SUPPORTED_METHODS", "ModeLoop", "dense_input", "open_loop",
-    "resolve_truncation", "pick_rank", "solve_mode", "truncate_mode",
-    "truncated_loop", "factors_then_core", "hooi_sweeps",
+    "measure_norm", "resolve_truncation", "pick_rank", "solve_mode",
+    "truncate_mode", "truncated_loop", "factors_then_core", "hooi_sweeps",
 ]
 
 # "qr" and "gram" are the paper's two algorithms; "gram-mixed" (float64
@@ -73,10 +73,13 @@ class ModeLoop:
     """What one run carries from mode to mode.
 
     ``method`` plus the solver options (``backend`` .. ``workdir``) pick
-    and tune the per-mode solver.  ``ranks``/``budget`` are the checked
-    truncation rule: fixed ranks, or the per-mode error ``budget``
-    taken from ``norm_sq``, the squared norm of the original input (a
-    checkpoint stores this very number); ``norm_x`` is its square root.
+    and tune the per-mode solver.  ``ranks``/``tol`` are the checked
+    truncation rule: fixed ranks, or the per-mode error budget that
+    ``tol`` takes from ``norm_sq``, the squared norm of the original
+    input (a checkpoint stores this very number); ``norm_x`` is its
+    square root.  ``norm_sq`` stays unset until the first mode is
+    solved: a run that starts from the input is never read for its
+    norm, that mode's spectrum carries it.
     ``factors``/``sigmas``/``recoveries`` fill in as modes complete;
     ``counter``/``timer`` are the run's flop and phase breakdown;
     ``progress`` receives one event per completed mode.
@@ -84,9 +87,8 @@ class ModeLoop:
 
     method: str
     ranks: tuple[int, ...] | None = None
-    budget: float | None = None
-    norm_sq: float = 0.0
-    norm_x: float = 0.0
+    tol: float | None = None
+    norm_sq: float | None = None
     backend: str = "lapack"
     svd_options: dict | None = None
     svd_strategy: str = "replicated"
@@ -98,6 +100,10 @@ class ModeLoop:
     recoveries: list = field(default_factory=list)
     counter: FlopCounter = field(default_factory=FlopCounter)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
+
+    @property
+    def norm_x(self) -> float:
+        return float(np.sqrt(self.norm_sq))
 
 
 def dense_input(tensor, precision=None) -> DenseTensor:
@@ -139,10 +145,10 @@ def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
               **options) -> ModeLoop:
     """Check ``method`` and the rank rule against ``work``; open its loop.
 
-    The input norm is measured here (collective on a distributed
-    tensor) unless ``norm_sq`` hands it in: a resumed run's ``work`` is
-    already truncated, and its budget must come from the number the
-    interrupted run used.
+    ``work`` is not read.  A run that starts from the input takes
+    ``||X||^2`` from its first solved mode's spectrum; ``norm_sq``
+    hands it in for a resumed run, whose ``work`` is already truncated
+    and whose budget must come from the number the interrupted run used.
     """
     kind, allowed = next(
         (k, m) for k, m in SUPPORTED_METHODS if isinstance(work, k))
@@ -156,16 +162,21 @@ def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
         )
     shape = _shape(work)
     loop = ModeLoop(method=method, ranks=resolve_truncation(shape, tol, ranks),
-                    factors=[None] * len(shape), **options)
-    if norm_sq is None and kind is DenseTensor:
-        loop.norm_x = work.norm()
-        loop.norm_sq = loop.norm_x * loop.norm_x
-    else:
-        loop.norm_sq = work.norm_squared() if norm_sq is None else norm_sq
-        loop.norm_x = float(np.sqrt(loop.norm_sq))
+                    tol=tol, norm_sq=norm_sq, factors=[None] * len(shape),
+                    **options)
     if tol is not None:
-        loop.budget = error_budget_per_mode(loop.norm_sq, tol, len(shape))
+        error_budget_per_mode(0.0, tol, len(shape))  # refuse a bad tol up front
     return loop
+
+
+def measure_norm(loop: ModeLoop, tensor) -> None:
+    """``||X||`` by a pass over ``tensor`` (collective on a distributed one).
+
+    Only for a run whose first solve does not carry it: HOOI, which
+    solves a contracted partial and whose fit divides by ``||X||``, and
+    ``method="randomized"``, whose spectrum is cut at the sketch width.
+    """
+    loop.norm_sq = tensor.norm_squared()
 
 
 def pick_rank(loop: ModeLoop, sigma: np.ndarray, n: int) -> int:
@@ -175,8 +186,9 @@ def pick_rank(loop: ModeLoop, sigma: np.ndarray, n: int) -> int:
     per-mode budget; with fixed ranks, ``ranks[n]``; with neither,
     everything.
     """
-    if loop.budget is not None:
-        return choose_rank(sigma, loop.budget)
+    if loop.tol is not None:
+        return choose_rank(sigma, error_budget_per_mode(
+            loop.norm_sq, loop.tol, len(loop.factors)))
     if loop.ranks is not None:
         return loop.ranks[n]
     return len(sigma)
@@ -241,6 +253,8 @@ def solve_mode(
 
         opts = dict(loop.svd_options or {})
         opts.setdefault("rng", n)
+        if loop.norm_sq is None:  # a sketch's spectrum is cut short
+            measure_norm(loop, work)
         with timer.phase(PHASE_SVD, n):
             return tensor_randomized_svd(
                 work, n, loop.ranks[n], counter=counter, **opts)
@@ -296,6 +310,11 @@ def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
 def _factor(loop: ModeLoop, work, n: int, label: str = "") -> np.ndarray:
     """Solve mode ``n``, record its sigmas, keep the picked leading columns."""
     U, sigma = solve_mode(loop, work, n, label)
+    if loop.norm_sq is None:
+        # First solve of a run that starts from the input: ||X||^2 is the
+        # energy of any unfolding's full spectrum — the float64 sum the
+        # rank choice measures its tails against.
+        loop.norm_sq = float(tail_energy(sigma)[0])
     loop.sigmas[n] = sigma
     loop.factors[n] = np.ascontiguousarray(U[:, : pick_rank(loop, sigma, n)])
     return loop.factors[n]

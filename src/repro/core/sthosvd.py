@@ -28,7 +28,9 @@ __all__ = ["SthosvdResult", "sthosvd", "METHODS"]
 
 @dataclass
 class SthosvdResult:
-    """Everything a run of ST-HOSVD produces.
+    """Everything a run of ST-HOSVD produces; ``norm_x`` comes from the
+    first processed mode's spectrum, not from a pass over the data:
+    ``|norm_x^2 - ||X||^2| <= 64 eps ||X||^2`` in the working precision.
 
     Attributes
     ----------
@@ -42,7 +44,10 @@ class SthosvdResult:
     method, precision:
         Algorithm/working-precision actually used.
     norm_x:
-        Frobenius norm of the input.
+        Frobenius norm of the input: ``sqrt(sum sigma_i^2)`` (float64
+        sum) of the first processed mode, measured under ``10 eps``
+        from the exact value (docs/algorithms.md, "Where ||X|| comes
+        from"); ``method="randomized"`` measures it explicitly.
     flops:
         Operation counts by phase (LQ/Gram, SVD/EVD, TTM).
     timer:

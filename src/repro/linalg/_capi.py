@@ -28,14 +28,15 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_blas, cython_lapack
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ConvergenceError, ReproError
 
-__all__ = ["ROUTINES", "Workspace", "geqrf", "tpqrt", "dsdot"]
+__all__ = ["ROUTINES", "Workspace", "geqrf", "tpqrt", "gesvd", "dsdot"]
 
 _CTYPES = {
     "void": None,
     "double": ctypes.c_double,
     "int *": ctypes.POINTER(c_int),
+    "char *": ctypes.c_char_p,
     # Array arguments are passed as addresses (``ndarray.ctypes.data``).
     "float *": ctypes.c_void_p,
     "double *": ctypes.c_void_p,
@@ -43,11 +44,15 @@ _CTYPES = {
 _GEQRF = "void (int *, int *, {t} *, int *, {t} *, {t} *, int *, int *)"
 _TPQRT = ("void (int *, int *, int *, int *, {t} *, int *, {t} *, int *, "
           "{t} *, int *, {t} *, int *)")
+_GESVD = ("void (char *, char *, int *, int *, {t} *, int *, {t} *, {t} *, "
+          "int *, {t} *, int *, {t} *, int *, int *)")
 _SIGNATURES = {
     "sgeqrf": (cython_lapack, _GEQRF.format(t="float")),
     "dgeqrf": (cython_lapack, _GEQRF.format(t="double")),
     "stpqrt": (cython_lapack, _TPQRT.format(t="float")),
     "dtpqrt": (cython_lapack, _TPQRT.format(t="double")),
+    "sgesvd": (cython_lapack, _GESVD.format(t="float")),
+    "dgesvd": (cython_lapack, _GESVD.format(t="double")),
     "dsdot": (cython_blas, "double (int *, float *, int *, float *, int *)"),
 }
 
@@ -165,6 +170,38 @@ def tpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray, ws: Workspace) -> None:
        byref(info))
     if info.value != 0:
         raise ReproError(f"LAPACK {routine} failed with info={info.value}")
+
+
+def gesvd(a: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """``{s,d}gesvd`` with ``JOBU='S'``, ``JOBVT='N'`` and the optimal
+    ``lwork``: ``(u, s)``, the ``min(m, n)`` leading left singular vectors
+    and the singular values of Fortran-ordered ``a``, which is destroyed.
+    The right vectors are never formed."""
+    routine = _prefix(a.dtype) + "gesvd"
+    fn = ROUTINES[routine]
+    lda = _leading_dimension("a", a, a.dtype)
+    m, n = a.shape
+    k = min(m, n)
+    u = np.empty((m, k), dtype=a.dtype, order="F")
+    s = np.empty(k, dtype=a.dtype)
+    if k == 0:
+        return u, s
+    head = (b"S", b"N", byref(c_int(m)), byref(c_int(n)), a.ctypes.data,
+            byref(c_int(lda)), s.ctypes.data, u.ctypes.data, byref(c_int(m)),
+            None, byref(c_int(1)))
+    # Workspace query: the optimal size comes back in work[0].
+    query, info = ws.take(1, a.dtype), c_int(0)
+    fn(*head, query.ctypes.data, byref(c_int(-1)), byref(info))
+    if info.value == 0:
+        lwork = max(int(query[0]), 3 * k + max(m, n), 5 * k)
+        fn(*head, ws.take(lwork, a.dtype).ctypes.data, byref(c_int(lwork)),
+           byref(info))
+    if info.value > 0:
+        raise ConvergenceError(
+            f"LAPACK {routine}: {info.value} superdiagonals did not converge")
+    if info.value != 0:
+        raise ReproError(f"LAPACK {routine} failed with info={info.value}")
+    return u, s
 
 
 def dsdot(x: np.ndarray) -> float:

@@ -18,13 +18,13 @@ the absolute value, then sort descending.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import ShapeError
 from ..faults.injector import current_injector
 from ..instrument import FlopCounter, PHASE_SVD, PHASE_EVD
 from ..obs.tracer import trace_span
 from ..tensor.dense import DenseTensor
+from . import _capi
 from .flops import eigh_flops, svd_flops
 from .gram import gram_matrix, tensor_gram
 from .qr import gelq
@@ -81,16 +81,19 @@ def left_svd_of_triangle(
     """Singular values and left vectors of the (small) triangular factor.
 
     Uses the QR-iteration driver ``gesvd`` — the routine the paper calls —
-    rather than divide-and-conquer, and discards right vectors.
+    rather than divide-and-conquer, and never forms the right vectors
+    (``JOBVT='N'``); the values and left vectors are those SciPy's
+    ``svd(..., lapack_driver="gesvd")`` returns.
     """
     L = np.asarray(L)
     if L.ndim != 2:
         raise ShapeError("expected a matrix")
     with trace_span("gesvd", phase=PHASE_SVD, mode=mode,
                     rows=L.shape[0], cols=L.shape[1]):
-        U, sigma, _ = scipy.linalg.svd(
-            L, full_matrices=False, lapack_driver="gesvd", check_finite=False
-        )
+        # gesvd destroys its input: work on a Fortran-ordered copy
+        # (integers widen to float64, as they did through SciPy).
+        work = np.array(L, dtype=np.result_type(L.dtype, np.float32), order="F")
+        U, sigma = _capi.gesvd(work, _capi.Workspace())
         if counter is not None:
             counter.add(svd_flops(*L.shape), phase=PHASE_SVD, mode=mode)
         # Fault-injection hook (one thread-local read when disabled).

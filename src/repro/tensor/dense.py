@@ -200,14 +200,13 @@ class DenseTensor:
     # ------------------------------------------------------------------
     # Numerics
     # ------------------------------------------------------------------
-    def norm(self) -> float:
-        """Frobenius norm; accumulation always in float64 for reliability."""
-        return float(np.sqrt(sum_of_squares(self.flat_view())))
-
     def norm_squared(self) -> float:
-        """Squared Frobenius norm (float64 accumulation)."""
-        v = self.norm()
-        return v * v
+        """Squared Frobenius norm; accumulation always in float64."""
+        return sum_of_squares(self.flat_view())
+
+    def norm(self) -> float:
+        """Frobenius norm (square root of :meth:`norm_squared`)."""
+        return float(np.sqrt(self.norm_squared()))
 
     def allclose(self, other: "DenseTensor", rtol: float = 1e-5, atol: float = 1e-8) -> bool:
         """Shape equality plus elementwise ``np.allclose``."""

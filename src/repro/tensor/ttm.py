@@ -64,7 +64,8 @@ def ttm(tensor: DenseTensor, matrix: np.ndarray, n: int, *, transpose: bool = Fa
         op = op.astype(tensor.dtype)
     out_dim = op.shape[0]
     out_shape = tensor.shape[:n] + (out_dim,) + tensor.shape[n + 1 :]
-    out = DenseTensor.zeros(out_shape, dtype=tensor.dtype)
+    # Uninitialised: the products below write every element.
+    out = DenseTensor(np.empty(out_shape, dtype=tensor.dtype, order="F"))
 
     if n == 0:
         # Mode-0 unfoldings of input and output are both zero-copy

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.core.outofcore as oocmod
-from repro.core import sthosvd, sthosvd_out_of_core
+from repro.core import sthosvd, sthosvd_out_of_core, tail_energy
 from repro.core.checkpoint import (
     _fingerprint,
     clear_checkpoint,
@@ -69,7 +69,7 @@ class TestResume:
         from repro.data.outofcore import OutOfCoreTensor
 
         # Scaled so that sqrt(norm_sq)**2 != norm_sq in both precisions.
-        X = raw[0].data * 1.3
+        X = raw[0].data * 1.7
         path = str(tmp_path / "scaled.bin")
         save_raw(X, path)
         ck = str(tmp_path / "ckpt")
@@ -85,8 +85,11 @@ class TestResume:
         fp = _fingerprint(X.shape, ooc.dtype, 3e-7, None, "qr", (0, 1, 2, 3))
         state = load_checkpoint(ck, fp)
         assert state.completed_steps == 2
-        assert np.sqrt(ooc.norm_squared()) ** 2 != ooc.norm_squared()
-        assert state.norm_sq == ooc.norm_squared()  # bit for bit
+        # ... and it is mode 0's spectrum energy, not a pass over the file.
+        assert np.sqrt(state.norm_sq) ** 2 != state.norm_sq
+        assert state.norm_sq == tail_energy(clean.sigmas[0])[0]  # bit for bit
+        eps = float(np.finfo(ooc.dtype).eps)
+        assert abs(state.norm_sq - ooc.norm_squared()) <= 64 * eps * state.norm_sq
 
         res = sthosvd_out_of_core(path, X.shape, checkpoint_dir=ck, **kwargs)
         assert res.ranks == clean.ranks

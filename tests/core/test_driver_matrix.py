@@ -28,6 +28,7 @@ from repro.core import (
     sthosvd,
     sthosvd_out_of_core,
     sthosvd_parallel,
+    tail_energy,
 )
 from repro.data import low_rank_tensor, save_raw
 from repro.data.outofcore import OutOfCoreTensor
@@ -95,25 +96,31 @@ def _leading(U, r):
     return np.ascontiguousarray(U[:, :r])
 
 
-def _ref_sthosvd(X, method, svd, truncate, *, budget=None, ranks=None):
+def _budget(sigma):
+    """Per-mode budget from the first solved mode's spectrum, as the
+    drivers take it: ``||X||^2`` is the float64 sum of its squares."""
+    return error_budget_per_mode(tail_energy(sigma)[0], TOL, len(SHAPE))
+
+
+def _ref_sthosvd(X, method, svd, truncate, *, ranks=None):
     """Alg. 1: solve, pick the rank, truncate, next mode."""
     current, factors, sigmas = X, [], []
     for n in range(len(SHAPE)):
         U, sigma = svd(current, n, method)
-        r = choose_rank(sigma, budget) if ranks is None else ranks[n]
-        factors.append(_leading(U, r))
         sigmas.append(sigma)
+        r = choose_rank(sigma, _budget(sigmas[0])) if ranks is None else ranks[n]
+        factors.append(_leading(U, r))
         current = truncate(current, factors[n], n)
     return current, factors, sigmas
 
 
-def _ref_hosvd(X, method, svd, truncate, budget):
+def _ref_hosvd(X, method, svd, truncate):
     """Every factor from the original tensor, then the core."""
     factors, sigmas = [], []
     for n in range(len(SHAPE)):
         U, sigma = svd(X, n, method)
-        factors.append(_leading(U, choose_rank(sigma, budget)))
         sigmas.append(sigma)
+        factors.append(_leading(U, choose_rank(sigma, _budget(sigmas[0]))))
     core = X
     for n in range(len(SHAPE)):
         core = truncate(core, factors[n], n)
@@ -154,10 +161,7 @@ def _seq_ttm(tensor, U, n):
 class TestSequentialDrivers:
     def test_sthosvd(self, method, dtype):
         X = _tensor(dtype)
-        norm_x = X.norm()
-        budget = error_budget_per_mode(norm_x * norm_x, TOL, X.ndim)
-        core, factors, sigmas = _ref_sthosvd(
-            X, method, _seq_svd, _seq_ttm, budget=budget)
+        core, factors, sigmas = _ref_sthosvd(X, method, _seq_svd, _seq_ttm)
         res = sthosvd(X, tol=TOL, method=method)
         assert res.ranks == core.shape
         assert _same(res.tucker.core.data, core.data)
@@ -166,9 +170,7 @@ class TestSequentialDrivers:
 
     def test_hosvd(self, method, dtype):
         X = _tensor(dtype)
-        norm_x = X.norm()
-        budget = error_budget_per_mode(norm_x * norm_x, TOL, X.ndim)
-        core, factors, sigmas = _ref_hosvd(X, method, _seq_svd, _seq_ttm, budget)
+        core, factors, sigmas = _ref_hosvd(X, method, _seq_svd, _seq_ttm)
         res = hosvd(X, tol=TOL, method=method)
         assert res.ranks == core.shape
         assert _same(res.tucker.core.data, core.data)
@@ -189,14 +191,12 @@ class TestSequentialDrivers:
         path = str(tmp_path / "x.bin")
         save_raw(X, path)
         ooc = OutOfCoreTensor(path, SHAPE, dtype)
-        budget = error_budget_per_mode(ooc.norm_squared(), TOL, X.ndim)
 
         def truncate(current, U, n):
             return current.ttm_truncate_to_file(
                 U, n, str(tmp_path / f"ref{n}.bin"), max_elements=CHUNK)
 
-        current, factors, sigmas = _ref_sthosvd(
-            ooc, method, _ooc_svd, truncate, budget=budget)
+        current, factors, sigmas = _ref_sthosvd(ooc, method, _ooc_svd, truncate)
         core = current.to_dense()
         res = sthosvd_out_of_core(
             path, SHAPE, dtype=dtype, tol=TOL, method=method, max_elements=CHUNK)
@@ -223,15 +223,14 @@ def _par_case(driver, nprocs, method, dtype, grid=None, backend=None):
             core, factors, extra = _ref_hooi(dt, method, _par_svd, par_ttm_truncate)
             got_extra = res.fits
         else:
-            budget = error_budget_per_mode(dt.norm_squared(), TOL, dt.ndim)
             if driver == "sthosvd":
                 res = sthosvd_parallel(dt, tol=TOL, method=method)
                 core, factors, extra = _ref_sthosvd(
-                    dt, method, _par_svd, par_ttm_truncate, budget=budget)
+                    dt, method, _par_svd, par_ttm_truncate)
             else:
                 res = hosvd_parallel(dt, tol=TOL, method=method)
                 core, factors, extra = _ref_hosvd(
-                    dt, method, _par_svd, par_ttm_truncate, budget)
+                    dt, method, _par_svd, par_ttm_truncate)
             got_extra = [res.sigmas[n] for n in range(dt.ndim)]
         return {
             "ranks": (res.ranks, core.global_shape),

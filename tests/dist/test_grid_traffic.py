@@ -7,10 +7,13 @@ distributed one send no ``alltoall`` / ``reduce_scatter`` payload at all
 bulk collectives move a tensor the earlier modes have already
 truncated.  The mirrored grid distributes those early modes and ships
 the tensor at full size; byte counts repeat exactly, so they are
-asserted.
+asserted.  So do message counts: a solve is exactly the norm's
+allreduce short of the schedule that opened with ``dt.norm_squared()``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,3 +74,40 @@ def test_bulk_collectives_run_after_truncation(method, dtype, nprocs, fewer):
     assert err <= TOL and rev_err <= TOL
     # Counts, not times: a second solve sends exactly the same bytes.
     assert _solve(X, grid, method)[:2] == (total, bulk)
+
+
+def _solve_traffic(X, grid, method, norm_pass):
+    """(messages, bytes, collective calls by name) of the solve alone."""
+    trace, tracer = CommTrace(), Tracer()
+
+    def prog(comm):
+        dt = DistributedTensor.from_full(GridComms(comm, grid), X.data)
+        trace.set_context("solve")
+        if norm_pass:
+            dt.norm_squared()
+        sthosvd_parallel(dt, tol=TOL, method=method)
+        trace.set_context(None)
+
+    run_spmd(prog, grid.size, backend="threads", comm_trace=trace, tracer=tracer)
+    calls = Counter(s.name for s in tracer.spans if s.name.startswith("comm."))
+    return trace.total_messages("solve"), trace.total_bytes("solve"), calls
+
+
+@pytest.mark.parametrize("nprocs,messages", [(2, 12), (4, 48)])
+@pytest.mark.parametrize("method,dtype", [("qr", np.float32), ("gram", np.float64)])
+def test_a_solve_sends_no_norm(method, dtype, nprocs, messages):
+    """``||X||`` is read off mode 0's replicated spectrum: the only
+    allreduces left are Gram's own (one per rank and mode), QR has none,
+    and the old schedule — the same solve after an explicit
+    ``dt.norm_squared()`` — is one float64 allreduce longer."""
+    X = hcci_surrogate(SHAPE, seed=11, dtype=dtype)
+    grid = ProcessorGrid.for_size(nprocs, X.ndim)
+    msgs, nbytes, calls = _solve_traffic(X, grid, method, norm_pass=False)
+    assert msgs == messages
+    assert calls["comm.allreduce"] == (nprocs * X.ndim if method == "gram" else 0)
+
+    old_msgs, old_nbytes, old_calls = _solve_traffic(X, grid, method, norm_pass=True)
+    rounds = nprocs.bit_length() - 1  # recursive doubling
+    assert old_calls["comm.allreduce"] - calls["comm.allreduce"] == nprocs
+    assert old_msgs - msgs == nprocs * rounds
+    assert old_nbytes - nbytes == 8 * nprocs * rounds

@@ -243,4 +243,6 @@ class TestNormSquared:
         assert v0 == v1 == mine0 + mine1
         t = DenseTensor(X)
         assert t.norm() == float(np.linalg.norm(t.flat_view()))
-        assert t.norm_squared() == t.norm() * t.norm()
+        # The sum itself, not its square root squared again.
+        assert t.norm_squared() == float(np.dot(t.flat_view(), t.flat_view()))
+        assert t.norm() == float(np.sqrt(t.norm_squared()))

@@ -10,10 +10,11 @@ import types
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 from scipy.linalg import cython_lapack, lapack
 
-from repro.errors import ConfigurationError, ReproError
-from repro.linalg import _capi, gelq, tpqrt
+from repro.errors import ConfigurationError, ConvergenceError, ReproError
+from repro.linalg import _capi, gelq, left_svd_of_triangle, tpqrt
 from repro.linalg import qr as QR
 from repro.linalg.tpqrt import _inner_block
 
@@ -65,6 +66,36 @@ class TestSameBitsAsF2py:
         np.testing.assert_array_equal(R, ref_r)
         np.testing.assert_array_equal(B, ref_b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "m,n", [(64, 64), (33, 33), (10, 7), (7, 10), (400, 12), (12, 400), (1, 1), (130, 130)])
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_gesvd_without_right_vectors(self, rng, dtype, m, n, layout):
+        """JOBVT='N' changes what is formed, not sigma or U: the same bits
+        (hence the same sign convention) as SciPy's JOBU='S', JOBVT='S'."""
+        L = np.tril(rng.standard_normal((m, n))).astype(dtype).copy(order=layout)
+        U0, s0, _ = scipy.linalg.svd(
+            L, full_matrices=False, lapack_driver="gesvd", check_finite=False)
+        before = L.copy()
+        U, s = left_svd_of_triangle(L)
+        np.testing.assert_array_equal(L, before)  # the caller's matrix survives
+        assert U.dtype == s.dtype == dtype and U.shape == (m, min(m, n))
+        np.testing.assert_array_equal(s, s0)
+        np.testing.assert_array_equal(U, U0)
+
+    def test_gesvd_edge_cases(self, rng):
+        ws = _capi.Workspace()
+        U, s = _capi.gesvd(np.empty((5, 0), order="F"), ws)
+        assert U.shape == (5, 0) and s.shape == (0,)
+        U, s = left_svd_of_triangle(np.arange(6).reshape(3, 2))  # integers widen
+        assert U.dtype == np.float64 and s[0] > s[1] > 0
+        bad = np.asfortranarray(np.tril(rng.standard_normal((6, 6))))
+        bad[3, 2] = np.nan
+        with pytest.raises(ConvergenceError, match="dgesvd"):
+            _capi.gesvd(bad, ws)
+        with pytest.raises(ReproError, match="Fortran-ordered"):
+            _capi.gesvd(np.ones((3, 2)), ws)
+
     def test_inner_block_rule(self):
         assert [_inner_block(n) for n in (1, 5, 8, 33, 64, 65, 128, 512)] == [
             1, 5, 8, 8, 8, 16, 16, 16]
@@ -101,7 +132,8 @@ class TestArgumentChecks:
             _capi._bind(types.SimpleNamespace(__pyx_capi__={}), "dgeqrf", other)
 
     def test_every_routine_is_bound_from_this_scipy(self):
-        assert sorted(_capi.ROUTINES) == ["dgeqrf", "dsdot", "dtpqrt", "sgeqrf", "stpqrt"]
+        assert sorted(_capi.ROUTINES) == [
+            "dgeqrf", "dgesvd", "dsdot", "dtpqrt", "sgeqrf", "sgesvd", "stpqrt"]
 
 
 def _plain_pack(run, dtype):

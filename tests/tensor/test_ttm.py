@@ -49,6 +49,32 @@ class TestTtm:
         assert Y1.allclose(Y2, rtol=1e-12, atol=1e-12)
 
 
+class TestEveryOutputElementIsWritten:
+    """The output is allocated uninitialised: whatever the products do not
+    write would be garbage (or, from a fresh mapping, zeros)."""
+
+    def test_last_chunk_is_a_remainder(self, rng):
+        # Modes 1 and 2 batch their 600000 / 200000 column blocks in chunks
+        # of 524288 / 174762; mode 3 is one block, mode 0 one matmul.
+        X = DenseTensor(rng.standard_normal((1, 2, 3, 200_000)) + 3.0)
+        for n, sub in enumerate(["ka,abcd->kbcd", "kb,abcd->akcd",
+                                 "kc,abcd->abkd", "kd,abcd->abck"]):
+            U = rng.standard_normal((2, X.shape[n]))
+            Y = ttm(X, U, n)
+            assert Y.data.flags.f_contiguous
+            np.testing.assert_allclose(
+                Y.data, np.einsum(sub, U, X.data), rtol=1e-9, atol=1e-9)
+
+    def test_zero_extent_modes(self, rng):
+        X = DenseTensor(np.empty((3, 0, 4)))
+        # Contracting the empty mode yields zeros, not whatever was there.
+        for _ in range(3):
+            Y = ttm(X, np.empty((5, 0)), 1)
+            assert Y.shape == (3, 5, 4) and not Y.data.any()
+        assert ttm(X, rng.standard_normal((2, 3)), 0).shape == (2, 0, 4)
+        assert ttm(X, rng.standard_normal((4, 2)), 2, transpose=True).shape == (3, 0, 2)
+
+
 class TestMultiTtm:
     def test_skips_none(self, tensor3, rng):
         A = rng.standard_normal((2, tensor3.shape[1]))
