@@ -40,8 +40,6 @@ from .core import (
     TuckerTensor,
     sthosvd,
     SthosvdResult,
-    sthosvd_parallel,
-    ParallelSthosvdResult,
     choose_rank,
     compress,
     choose_variant,
@@ -49,9 +47,16 @@ from .core import (
     hooi,
     sthosvd_out_of_core,
 )
-from .mpi import run_spmd, CostModel
 from .dist import ProcessorGrid, GridComms, DistributedTensor
-from .obs import FlightRecorder, TelemetryHub, Tracer
+from .obs import FlightRecorder, Tracer
+from ._lazy import lazy_exports
+
+# The SPMD runtime and what runs on it load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("sthosvd_parallel", "ParallelSthosvdResult"),
+    ".mpi": ("run_spmd", "CostModel"),
+    ".obs": ("TelemetryHub",),
+})
 
 __version__ = "1.0.0"
 

@@ -38,7 +38,6 @@ from ..instrument import (
 from ..obs.tracer import current_tracer, trace_span
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
 from ..dist.dtensor import DistributedTensor
-from ..dist.ttm import par_ttm_truncate
 from ..faults.guards import guarded_mode_svd
 from ..linalg.gram import tensor_gram
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
@@ -292,6 +291,8 @@ def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
     """
     counter, timer = loop.counter, loop.timer
     if isinstance(work, DistributedTensor):
+        from ..dist.ttm import par_ttm_truncate
+
         mark = _comm_mark()
         with timer.phase(PHASE_TTM, n):
             out = par_ttm_truncate(work, U, n, counter=counter)

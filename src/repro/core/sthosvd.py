@@ -124,7 +124,9 @@ def sthosvd(
     mode_order:
         ``"forward"``, ``"backward"``, or an explicit permutation.
     backend:
-        ``"lapack"`` or ``"householder"`` QR kernels.
+        QR kernels, one of :data:`repro.linalg.BACKENDS`: ``"lapack"``
+        (default), ``"householder"`` (the unblocked reference) or
+        ``"blocked"`` (compact-WY panels).
     svd_options:
         Extra keyword arguments for the per-mode SVD; currently used by
         ``method="randomized"`` (``oversample``, ``power_iters``, ``rng``).

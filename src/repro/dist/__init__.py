@@ -15,13 +15,20 @@ from __future__ import annotations
 
 from .distribution import block_range
 from .dtensor import DistributedTensor, GridComms
-from .gram import par_tensor_gram
 from .grid import ProcessorGrid
-from .jacobi import par_jacobi_left_svd
-from .redistribute import distribute_from_root, redistribute_unfolding_to_columns
-from .svd import par_tensor_gram_svd, par_tensor_qr_svd
-from .tsqr import butterfly_tsqr_reduce
-from .ttm import par_ttm_truncate
+from .._lazy import lazy_exports
+
+# The layout (above) is all a sequential run needs to tell a distributed
+# tensor from a dense one; the collective kernels load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".gram": ("par_tensor_gram",),
+    ".jacobi": ("par_jacobi_left_svd",),
+    ".redistribute": ("distribute_from_root",
+                      "redistribute_unfolding_to_columns"),
+    ".svd": ("par_tensor_gram_svd", "par_tensor_qr_svd"),
+    ".tsqr": ("butterfly_tsqr_reduce",),
+    ".ttm": ("par_ttm_truncate",),
+})
 
 __all__ = [
     "ProcessorGrid",

@@ -10,16 +10,18 @@ topology and caches the per-mode fiber communicators the kernels need.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import DistributionError
-from ..mpi.cart import CartComm
-from ..mpi.communicator import Communicator
 from ..tensor.dense import DenseTensor, sum_of_squares
 from .distribution import block_range
 from .grid import ProcessorGrid
+
+if TYPE_CHECKING:  # the layout is importable without the runtime
+    from ..mpi.cart import CartComm
+    from ..mpi.communicator import Communicator
 
 __all__ = ["GridComms", "DistributedTensor"]
 
@@ -40,6 +42,8 @@ class GridComms:
                 f"grid {grid.dims} needs {grid.size} ranks, "
                 f"communicator has {comm.size}"
             )
+        from ..mpi.cart import CartComm
+
         self._comm = comm
         self._grid = grid
         self._cart = CartComm(comm, grid.dims)

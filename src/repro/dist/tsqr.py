@@ -11,12 +11,16 @@ rely on to keep factor matrices replicated without extra collectives.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..errors import DistributionError
 from ..instrument import FlopCounter
 from ..linalg.tpqrt import tpqrt_flops, tpqrt_reduce_triangles
-from ..mpi.communicator import Communicator
+
+if TYPE_CHECKING:
+    from ..mpi.communicator import Communicator
 
 __all__ = ["butterfly_tsqr_reduce"]
 

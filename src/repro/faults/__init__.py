@@ -10,29 +10,26 @@ Three layers (see ``docs/fault-tolerance.md``):
   installed via ``run_spmd(resilience=...)``.
 * :class:`DistributedCheckpoint` — in-memory, buddy-replicated
   checkpoints that let ``sthosvd_parallel``/``hooi_parallel`` resume on
-  a shrunk communicator after a rank death (imported lazily: it sits on
-  top of :mod:`repro.dist`, which itself sits on top of the linalg
-  kernels that host this package's injection hooks).
+  a shrunk communicator after a rank death.
 
-This ``__init__`` deliberately imports only the plan and injector
-modules (numpy + errors only): ``repro.linalg`` imports
-``repro.faults.injector`` for its kernel hooks, so anything heavier
-here would be an import cycle.
+This ``__init__`` imports only the hook the ``repro.linalg`` kernels
+poll (:func:`current_injector`, one thread-local read): with no plan
+installed a solve never loads the plan, the injector or the network
+model, which come in on first use.
 """
 
 from __future__ import annotations
 
-from .injector import FaultInjector, current_injector
-from .network import NetworkFaultState
-from .plan import (
-    CrashRule,
-    FaultEvent,
-    FaultPlan,
-    KernelFaultRule,
-    MessageFaultRule,
-    NetworkFaultRule,
-    Resilience,
-)
+from ._hook import current_injector
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".injector": ("FaultInjector",),
+    ".network": ("NetworkFaultState",),
+    ".plan": ("CrashRule", "FaultEvent", "FaultPlan", "KernelFaultRule",
+              "MessageFaultRule", "NetworkFaultRule", "Resilience"),
+    ".checkpoint": ("DistributedCheckpoint",),
+})
 
 __all__ = [
     "FaultPlan",
@@ -47,14 +44,3 @@ __all__ = [
     "current_injector",
     "DistributedCheckpoint",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: faults.checkpoint imports repro.dist (gather/redistribute),
-    # which transitively imports repro.linalg, which imports
-    # faults.injector — eager import here would close that cycle.
-    if name == "DistributedCheckpoint":
-        from .checkpoint import DistributedCheckpoint
-
-        return DistributedCheckpoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,9 @@ Kernel hooks use the same thread-local activation pattern as
 :mod:`repro.obs.tracer`: the launcher binds the injector to each rank
 thread, ``current_injector()`` reads one thread-local attribute, and
 the linalg kernels call it only to discover "no injector" at the cost
-of a single attribute read.
+of a single attribute read.  The binding lives in
+:mod:`repro.faults._hook`, which imports nothing: polling it does not
+load this module or the plan.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, RankKilledError
 from ..obs.recorder import record_event as _recorder_event
+from ._hook import activate, current_fault_rank, current_injector, deactivate
 from .plan import (
     DEFAULT_TRACE_LIMIT,
     FaultEvent,
@@ -44,31 +47,6 @@ __all__ = [
     "current_injector",
     "current_fault_rank",
 ]
-
-_ACTIVE = threading.local()
-
-
-def activate(injector: "FaultInjector", rank: int) -> None:
-    """Bind ``injector`` to the calling (rank) thread for kernel hooks."""
-    _ACTIVE.injector = injector
-    _ACTIVE.rank = rank
-
-
-def deactivate() -> None:
-    """Unbind the calling thread's injector."""
-    _ACTIVE.injector = None
-    _ACTIVE.rank = None
-
-
-def current_injector() -> "FaultInjector | None":
-    """The injector bound to this thread, or None (one attribute read)."""
-    return getattr(_ACTIVE, "injector", None)
-
-
-def current_fault_rank() -> int | None:
-    """World rank bound to this thread by :func:`activate`, or None."""
-    return getattr(_ACTIVE, "rank", None)
-
 
 class _RankState:
     """Per-rank mutable injection state (single-thread access)."""

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from ..faults.injector import current_injector
+from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from . import _capi

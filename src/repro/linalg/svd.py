@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..faults.injector import current_injector
+from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_SVD, PHASE_EVD
 from ..obs.tracer import trace_span
 from ..tensor.dense import DenseTensor

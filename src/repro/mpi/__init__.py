@@ -9,21 +9,25 @@ advanced by the actual message schedule, which is what the scaling
 benchmarks report.
 """
 
-from .communicator import Communicator
-from .context import SpmdContext
-from .costmodel import CommCosts, ComputeRates, CostModel, RankClock
-from .launcher import run_spmd, SpmdResult
-from .request import Request, waitall
-from .tracing import CommTrace
-from .transport import Transport, available_backends
-from .tuning import CollectiveTuning
-from .cart import CartComm
-from .algorithms import (
-    allreduce_recursive_doubling,
-    allgather_ring,
-    bcast_scatter_allgather,
-    reduce_scatter_ring,
-)
+from .._lazy import lazy_exports
+
+# `from repro.mpi.costmodel import CostModel` (the performance model) or
+# `from repro.mpi import run_spmd` loads what it needs, not the package.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".communicator": ("Communicator",),
+    ".context": ("SpmdContext",),
+    ".costmodel": ("CommCosts", "ComputeRates", "CostModel", "RankClock"),
+    ".launcher": ("run_spmd", "SpmdResult"),
+    ".request": ("Request", "waitall"),
+    ".tracing": ("CommTrace",),
+    ".transport": ("Transport", "available_backends"),
+    ".tuning": ("CollectiveTuning",),
+    ".cart": ("CartComm",),
+    ".algorithms": (
+        "allreduce_recursive_doubling", "allgather_ring",
+        "bcast_scatter_allgather", "reduce_scatter_ring",
+    ),
+})
 
 __all__ = [
     "Communicator",

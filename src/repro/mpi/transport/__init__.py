@@ -19,6 +19,13 @@ constructor knobs can be passed as instances
 
 from .base import Transport, available_backends, make_transport, resolve_backend
 from .threads import ThreadTransport
+from ..._lazy import lazy_exports
+
+# The heavier transports (multiprocessing, sockets) load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".procs": ("ProcessTransport",),
+    ".sockets": ("SocketTransport",),
+})
 
 __all__ = [
     "Transport",
@@ -29,16 +36,3 @@ __all__ = [
     "make_transport",
     "resolve_backend",
 ]
-
-
-def __getattr__(name):
-    """Lazily expose the heavier transports (multiprocessing, sockets)."""
-    if name == "ProcessTransport":
-        from .procs import ProcessTransport
-
-        return ProcessTransport
-    if name == "SocketTransport":
-        from .sockets import SocketTransport
-
-        return SocketTransport
-    raise AttributeError(name)

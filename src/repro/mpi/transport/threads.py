@@ -20,6 +20,7 @@ from ...faults.injector import (
 )
 from ...errors import RankKilledError
 from ...obs.recorder import bind as bind_observers, unbind as unbind_observers
+from ..communicator import Communicator
 from .base import Transport
 
 __all__ = ["ThreadTransport", "run_rank_program"]
@@ -88,8 +89,6 @@ class ThreadTransport(Transport):
         kwargs: dict,
     ) -> tuple[list, list, list]:
         """Spawn one thread per rank and join them all."""
-        from ..communicator import Communicator
-
         nprocs = context.world_size
         members = list(range(nprocs))
         values: list = [None] * nprocs

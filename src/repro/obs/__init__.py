@@ -34,30 +34,16 @@ Quickstart::
     run_spmd(program, 4, tracer=tracer)
     write_chrome_trace(tracer, "trace.json")
 
-The exporters and the model bridge import :mod:`repro.perf` (and
-transitively the whole stack), so they load lazily — importing
-``repro.obs`` from low-level modules stays cycle-free.
+Only the hooks every layer calls — the tracer and the recorder's rank
+scope — are imported here; metrics, telemetry, postmortems, the
+exporters and the model bridge (which imports :mod:`repro.perf`, and
+transitively the whole stack) load on first use, so a kernel that asks
+"is anyone tracing?" does not load what would answer.
 """
 
 from __future__ import annotations
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ingest_comm_trace,
-    ingest_flop_counter,
-)
-from .postmortem import (
-    POSTMORTEM_SCHEMA,
-    build_postmortem,
-    load_postmortem,
-    render_postmortem,
-    write_postmortem,
-)
 from .recorder import FlightRecorder, current_recorder, record_event
-from .telemetry import TelemetryHub
 from .tracer import (
     Span,
     Tracer,
@@ -66,6 +52,20 @@ from .tracer import (
     deactivate,
     trace_span,
 )
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "ingest_comm_trace", "ingest_flop_counter"),
+    ".postmortem": ("POSTMORTEM_SCHEMA", "build_postmortem",
+                    "load_postmortem", "render_postmortem",
+                    "write_postmortem"),
+    ".telemetry": ("TelemetryHub",),
+    ".export": ("chrome_trace", "write_chrome_trace", "phase_table",
+                "imbalance_summary", "imbalance_table"),
+    ".compare": ("measured_phase_seconds", "model_diff", "model_diff_table",
+                 "modeled_run"),
+})
 
 __all__ = [
     "Span",
@@ -89,7 +89,6 @@ __all__ = [
     "load_postmortem",
     "render_postmortem",
     "write_postmortem",
-    # lazily loaded (see __getattr__):
     "chrome_trace",
     "write_chrome_trace",
     "phase_table",
@@ -100,23 +99,3 @@ __all__ = [
     "model_diff_table",
     "modeled_run",
 ]
-
-_EXPORT = {"chrome_trace", "write_chrome_trace", "phase_table",
-           "imbalance_summary", "imbalance_table"}
-_COMPARE = {"measured_phase_seconds", "model_diff", "model_diff_table",
-            "modeled_run"}
-
-
-def __getattr__(name: str):
-    # PEP 562 lazy loading: keeps `import repro.obs` free of the
-    # perf/core dependency chain so the MPI layer can import the tracer
-    # hooks without a cycle.
-    if name in _EXPORT:
-        from . import export
-
-        return getattr(export, name)
-    if name in _COMPARE:
-        from . import compare
-
-        return getattr(compare, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

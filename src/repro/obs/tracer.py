@@ -45,7 +45,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .metrics import MetricsRegistry
 from .recorder import _SCOPE, KIND_SPAN_CLOSE, KIND_SPAN_OPEN, rebind
 
 __all__ = [
@@ -231,6 +230,9 @@ class Tracer:
 
     def __init__(self, *, enabled: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
+        # Loaded with the first tracer, not with the hooks kernels import.
+        from .metrics import MetricsRegistry
+
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # The resolved configuration of the last run_spmd this tracer

@@ -134,7 +134,11 @@ class DenseTensor:
         return DenseTensor(self._data.copy(order="F"))
 
     def astype(self, dtype) -> "DenseTensor":
-        """Convert to another working precision (no-op copy if same)."""
+        """This tensor in another working precision.
+
+        Converting copies; a tensor already in that precision is wrapped
+        again around the same buffer, not copied.
+        """
         prec = resolve_precision(dtype)
         return DenseTensor(np.asfortranarray(self._data, dtype=prec.dtype))
 

@@ -1,0 +1,115 @@
+"""Every export of the lazily loading packages resolves as it always did.
+
+``repro``, ``repro.core``, ``repro.mpi``, ``repro.faults``, ``repro.obs``
+and ``repro.dist`` (and ``repro.mpi.transport``, lazy before them) keep
+their whole ``__all__``; most of it loads on first use through
+:func:`repro._lazy.lazy_exports`.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import sys
+
+import pytest
+
+from tests.test_import_boundary import fresh
+
+LAZY_PACKAGES = ("repro", "repro.core", "repro.mpi", "repro.faults",
+                 "repro.obs", "repro.dist", "repro.mpi.transport")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_export_resolves_and_is_listed(package):
+    """By attribute, in ``dir()``, under ``import *`` — in a fresh
+    interpreter, where nothing has been resolved by an earlier test."""
+    missing = fresh(f"""
+import importlib, json
+pkg = importlib.import_module({package!r})
+star = {{}}
+exec("from {package} import *", star)
+print(json.dumps([name for name in pkg.__all__ if not (
+    hasattr(pkg, name) and name in dir(pkg) and star[name] is getattr(pkg, name)
+)]))
+""")
+    assert missing == []
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_an_export_is_the_object_its_home_module_defines(package):
+    pkg = importlib.import_module(package)
+    for name in pkg.__all__:
+        obj = getattr(pkg, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__.startswith("repro."), name
+            home = sys.modules[obj.__module__]
+            assert getattr(home, name) is obj  # (record_event is emit)
+            assert getattr(home, obj.__qualname__) is obj
+            assert getattr(pkg, name) is obj  # cached, not re-resolved
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_an_unknown_attribute_names_the_package(package):
+    pkg = importlib.import_module(package)
+    with pytest.raises(AttributeError, match=f"module '{package}' has no "
+                                             f"attribute 'no_such_name'"):
+        pkg.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name")
+
+
+def test_lazily_reached_classes_keep_their_identity():
+    from repro import DistributedTensor, ParallelSthosvdResult, Tracer
+    from repro.faults import FaultPlan
+
+    assert (FaultPlan.__module__, FaultPlan.__qualname__) == (
+        "repro.faults.plan", "FaultPlan")
+    assert (Tracer.__module__, Tracer.__qualname__) == (
+        "repro.obs.tracer", "Tracer")
+    assert (DistributedTensor.__module__, DistributedTensor.__qualname__) == (
+        "repro.dist.dtensor", "DistributedTensor")
+    assert (ParallelSthosvdResult.__module__,
+            ParallelSthosvdResult.__qualname__) == (
+        "repro.core.sthosvd_parallel", "ParallelSthosvdResult")
+
+
+def _classes_and_a_plan(comm):
+    from repro import DistributedTensor, ParallelSthosvdResult, Tracer
+    from repro.faults import CrashRule, FaultPlan
+
+    plan = FaultPlan(seed=comm.rank, crashes=(CrashRule(rank=5, at_op=7),))
+    return FaultPlan, Tracer, DistributedTensor, ParallelSthosvdResult, plan
+
+
+def test_lazily_reached_classes_cross_the_worker_codec():
+    """A forked worker names a class by module and qualname; the master
+    finds the same object there, and an instance compares equal."""
+    import repro
+    from repro.faults import CrashRule, FaultPlan
+
+    values = repro.run_spmd(_classes_and_a_plan, 2, backend="procs").values
+    expected = (FaultPlan, repro.Tracer, repro.DistributedTensor,
+                repro.ParallelSthosvdResult)
+    for rank, (*classes, plan) in enumerate(values):
+        assert all(a is b for a, b in zip(classes, expected, strict=True))
+        assert plan == FaultPlan(seed=rank,
+                                 crashes=(CrashRule(rank=5, at_op=7),))
+
+
+def test_an_export_wins_over_the_submodule_it_shares_a_name_with():
+    """``repro.core.sthosvd_parallel`` is the driver, also when something
+    imported the module of that name first (as ``hooi_parallel.py`` does)."""
+    kinds = fresh("""
+import json
+import repro.core.hooi_parallel          # imports .sthosvd_parallel itself
+from repro.core.hosvd_parallel import hosvd_parallel
+import repro.core
+print(json.dumps([type(getattr(repro.core, name)).__name__ for name in
+                  ("hooi_parallel", "sthosvd_parallel", "hosvd_parallel",
+                   "sthosvd", "hooi", "hosvd")]
+                 + [type(repro.core.checkpoint).__name__,
+                    repro.core.hosvd_parallel is hosvd_parallel,
+                    repro.sthosvd_parallel is repro.core.sthosvd_parallel]))
+""")
+    assert kinds == ["function"] * 6 + ["module", True, True]

@@ -10,6 +10,17 @@ a bare checkout:
     python tools/lint_repo.py --lint-only     # the per-function tier alone
     python tools/lint_repo.py tests/foo.py    # extra trees too
 
+The lint tier ends with one rule about this repository rather than about
+SPMD programs, ``platform-import-in-algorithm-layer``: imports run one
+way, platform -> algorithms (DESIGN.md, "Layers and the import
+direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
+``repro.perf``, ``repro.faults`` (other than its kernel hook and
+``guards``) or ``repro.obs`` (other than the tracer hook) from
+``tensor/``, ``linalg/``, ``data/``, ``util/``, ``precision.py``,
+``instrument.py`` or a sequential module of ``core/`` is an error;
+function-level and ``TYPE_CHECKING`` imports are allowed, and so is a
+line carrying ``# repro-lint: allow(platform-import-in-algorithm-layer)``.
+
 The verify tier subtracts the committed findings baseline
 (``tools/verify_baseline.json``, a JSON list of ``{kind, file, line}``
 records — empty while the repo self-verifies clean) so a deliberate,
@@ -22,15 +33,86 @@ the verifier's analysis model and the ``# repro-lint:`` pragmas.
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.cli import main  # noqa: E402
+from repro.sanitize import ERROR, Diagnostic, Suppressions, format_diagnostics  # noqa: E402
 
 BASELINE = os.path.join(REPO, "tools", "verify_baseline.json")
+
+LAYER_RULE = "platform-import-in-algorithm-layer"
+# Paths under src/repro that hold the paper's algorithms on one core ...
+ALGORITHM_LAYER = re.compile(
+    r"(?:tensor|linalg|data|util)/|(?:precision|instrument)\.py$"
+    r"|core/(?!(?:sthosvd_parallel|hooi_parallel|hosvd_parallel|ft)\.py$)")
+# ... and the modules they may not import when they are imported.
+PLATFORM = re.compile(
+    r"repro\.(?:mpi|sanitize|perf|obs(?!\.tracer(?:\.|$))"
+    r"|faults(?!\.(?:_hook|guards)(?:\.|$)))(?:\.|$)")
+
+
+def module_level_imports(body):
+    """Import statements that run when the module is imported."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+        elif isinstance(stmt, ast.If):
+            if "TYPE_CHECKING" not in ast.unparse(stmt.test):
+                yield from module_level_imports(stmt.body + stmt.orelse)
+        elif isinstance(stmt, ast.Try):
+            yield from module_level_imports(
+                stmt.body + [s for h in stmt.handlers for s in h.body])
+
+
+def layer_findings(source: str, relpath: str) -> list[Diagnostic]:
+    """The rule over one file; ``relpath`` is its path under ``src/``
+    (``repro/linalg/qr.py``), which places it in a layer and anchors its
+    relative imports."""
+    if not ALGORITHM_LAYER.match(relpath.removeprefix("repro/")):
+        return []
+    package = relpath.split("/")[:-1]
+    suppress = Suppressions(source)
+    findings = []
+    for stmt in module_level_imports(ast.parse(source).body):
+        if isinstance(stmt, ast.Import):
+            targets = [alias.name for alias in stmt.names]
+        else:
+            base = package[:len(package) - stmt.level + 1] if stmt.level else []
+            module = ".".join(base + ([stmt.module] if stmt.module else []))
+            targets = [f"{module}.{alias.name}" for alias in stmt.names]
+        bad = [t for t in targets if PLATFORM.match(t)]
+        if bad and not suppress.suppressed(
+                LAYER_RULE, stmt.lineno, stmt.end_lineno or stmt.lineno):
+            findings.append(Diagnostic(
+                kind=LAYER_RULE, severity=ERROR, file=relpath, line=stmt.lineno,
+                message=f"{relpath} is imported by `import repro` and imports "
+                        f"{', '.join(bad)} at module level: the platform "
+                        f"imports the algorithms, not the reverse (import it "
+                        f"in the function that needs it)"))
+    return findings
+
+
+def lint_layers(src: str) -> int:
+    """``platform-import-in-algorithm-layer`` over ``src/repro``."""
+    findings = []
+    for dirpath, _, filenames in sorted(os.walk(os.path.join(src, "repro"))):
+        for name in sorted(f for f in filenames if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as f:
+                findings += layer_findings(
+                    f.read(), os.path.relpath(path, src).replace(os.sep, "/"))
+    if findings:
+        print(format_diagnostics(
+            findings, header=f"{LAYER_RULE}: {len(findings)} finding(s)"))
+    else:
+        print(f"{LAYER_RULE}: clean ({src})")
+    return 1 if findings else 0
 
 
 def run(argv: list[str]) -> int:
@@ -41,6 +123,7 @@ def run(argv: list[str]) -> int:
         os.path.join(REPO, "examples"),
     ]
     rc = main(["lint", "--strict", *roots])
+    rc = rc or lint_layers(os.path.join(REPO, "src"))
     if rc == 0 and not lint_only:
         verify_args = ["verify", "--strict"]
         if os.path.exists(BASELINE):
