@@ -16,46 +16,27 @@ Quickstart
 >>> result = sthosvd(X, tol=1e-6, method="qr")
 """
 
-from .precision import Precision, SINGLE, DOUBLE, resolve_precision
-from .errors import (
-    ReproError,
-    ShapeError,
-    DistributionError,
-    CommunicatorError,
-    ConvergenceError,
-    ConfigurationError,
-)
-from .instrument import FlopCounter, PhaseTimer
-from .tensor import DenseTensor, unfold, fold, ttm, multi_ttm
-from .linalg import (
-    gram_svd,
-    qr_svd,
-    tensor_gram_svd,
-    tensor_qr_svd,
-    tensor_lq,
-    geqr,
-    gelq,
-)
-from .core import (
-    TuckerTensor,
-    sthosvd,
-    SthosvdResult,
-    choose_rank,
-    compress,
-    choose_variant,
-    hosvd,
-    hooi,
-    sthosvd_out_of_core,
-)
-from .dist import ProcessorGrid, GridComms, DistributedTensor
-from .obs import FlightRecorder, Tracer
+from .tensor.dense import DenseTensor
+from .core.sthosvd import sthosvd, SthosvdResult
 from ._lazy import lazy_exports
 
-# The SPMD runtime and what runs on it load on first use.
+# The Quickstart's names above bring in the closure of Alg. 1-2 on a dense
+# tensor, and are the only eager imports of any package __init__: an
+# __init__ holds names, not imports; every other export loads on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".core": ("sthosvd_parallel", "ParallelSthosvdResult"),
+    ".precision": ("Precision", "SINGLE", "DOUBLE", "resolve_precision"),
+    ".errors": ("ReproError", "ShapeError", "DistributionError",
+                "CommunicatorError", "ConvergenceError", "ConfigurationError"),
+    ".instrument": ("FlopCounter", "PhaseTimer"),
+    ".tensor": ("unfold", "fold", "ttm", "multi_ttm"),
+    ".linalg": ("gram_svd", "qr_svd", "tensor_gram_svd", "tensor_qr_svd",
+                "tensor_lq", "geqr", "gelq"),
+    ".core": ("TuckerTensor", "choose_rank", "compress", "choose_variant",
+              "hosvd", "hooi", "sthosvd_out_of_core", "sthosvd_parallel",
+              "ParallelSthosvdResult"),
+    ".dist": ("ProcessorGrid", "GridComms", "DistributedTensor"),
+    ".obs": ("FlightRecorder", "Tracer", "TelemetryHub"),
     ".mpi": ("run_spmd", "CostModel"),
-    ".obs": ("TelemetryHub",),
 })
 
 __version__ = "1.0.0"

@@ -38,7 +38,6 @@ from ..instrument import (
 from ..obs.tracer import current_tracer, trace_span
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
 from ..dist.dtensor import DistributedTensor
-from ..faults.guards import guarded_mode_svd
 from ..linalg.gram import tensor_gram
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
@@ -237,6 +236,8 @@ def solve_mode(
     """
     method, counter, timer = loop.method, loop.counter, loop.timer
     if isinstance(work, DistributedTensor):
+        from ..faults.guards import guarded_mode_svd
+
         phase = PHASE_LQ if method == "qr" else PHASE_GRAM
         mark = _comm_mark()
         with timer.phase(phase, n):
@@ -257,13 +258,13 @@ def solve_mode(
         with timer.phase(PHASE_SVD, n):
             return tensor_randomized_svd(
                 work, n, loop.ranks[n], counter=counter, **opts)
-    # Looked up at call time: outofcore.py imports this module.
-    from . import outofcore
-
     streamed = isinstance(work, OutOfCoreTensor)
     if method == "qr":
         with timer.phase(PHASE_LQ, n):
             if streamed:
+                # At call time: outofcore.py imports this module.
+                from . import outofcore
+
                 L = outofcore.ooc_tensor_lq(
                     work, n, max_elements=loop.max_elements, counter=counter)
             else:
@@ -272,6 +273,8 @@ def solve_mode(
             return _triangle_svd(L, loop.svd_options, counter, n)
     with timer.phase(PHASE_GRAM, n):
         if streamed:
+            from . import outofcore
+
             G = outofcore.ooc_tensor_gram(
                 work, n, max_elements=loop.max_elements, counter=counter)
         else:

@@ -18,8 +18,8 @@ import numpy as np
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision
 from ..tensor.dense import DenseTensor
+from ..util.validation import resolve_mode_order
 from .modeloop import METHODS, ModeLoop, dense_input, open_loop, truncated_loop
-from .ordering import resolve_mode_order
 from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
 

@@ -13,14 +13,14 @@ their results bitwise replicated across ranks.
 
 from __future__ import annotations
 
-from .distribution import block_range
-from .dtensor import DistributedTensor, GridComms
-from .grid import ProcessorGrid
 from .._lazy import lazy_exports
 
-# The layout (above) is all a sequential run needs to tell a distributed
-# tensor from a dense one; the collective kernels load on first use.
+# `import repro` has imported the layout (distribution, dtensor, grid):
+# all a sequential run needs to tell a distributed tensor from a dense one.
 __getattr__, __dir__ = lazy_exports(__name__, {
+    ".distribution": ("block_range",),
+    ".dtensor": ("DistributedTensor", "GridComms"),
+    ".grid": ("ProcessorGrid",),
     ".gram": ("par_tensor_gram",),
     ".jacobi": ("par_jacobi_left_svd",),
     ".redistribute": ("distribute_from_root",

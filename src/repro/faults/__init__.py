@@ -12,18 +12,18 @@ Three layers (see ``docs/fault-tolerance.md``):
   checkpoints that let ``sthosvd_parallel``/``hooi_parallel`` resume on
   a shrunk communicator after a rank death.
 
-This ``__init__`` imports only the hook the ``repro.linalg`` kernels
-poll (:func:`current_injector`, one thread-local read): with no plan
+The ``repro.linalg`` kernels poll :func:`current_injector` (one
+thread-local read) from ``faults/_hook.py`` directly: with no plan
 installed a solve never loads the plan, the injector or the network
-model, which come in on first use.
+model, which come in on first use like every name here.
 """
 
 from __future__ import annotations
 
-from ._hook import current_injector
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "._hook": ("current_injector",),
     ".injector": ("FaultInjector",),
     ".network": ("NetworkFaultState",),
     ".plan": ("CrashRule", "FaultEvent", "FaultPlan", "KernelFaultRule",

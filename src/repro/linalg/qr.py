@@ -26,7 +26,6 @@ from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from . import _capi
 from .flops import qr_flops
-from .householder import qr_r
 from .tpqrt import _fold
 
 __all__ = ["geqr", "gelq", "flat_tree_lq", "block_runs", "BACKENDS"]
@@ -54,6 +53,8 @@ def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
 def _first_triangle(work, backend, counter, mode, ws: _capi.Workspace) -> np.ndarray:
     """Upper-trapezoidal R of the packed first chunk (destroys ``work``)."""
     if backend == "householder":
+        from .householder import qr_r
+
         return qr_r(work, counter=counter, mode=mode)
     if backend == "blocked":
         from .blocked import qr_r_blocked

@@ -17,12 +17,12 @@ constructor knobs can be passed as instances
 (``run_spmd(..., backend=SocketTransport(liveness_timeout=2.0))``).
 """
 
-from .base import Transport, available_backends, make_transport, resolve_backend
-from .threads import ThreadTransport
 from ..._lazy import lazy_exports
 
-# The heavier transports (multiprocessing, sockets) load on first use.
 __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Transport", "available_backends", "make_transport",
+              "resolve_backend"),
+    ".threads": ("ThreadTransport",),
     ".procs": ("ProcessTransport",),
     ".sockets": ("SocketTransport",),
 })

@@ -34,27 +34,20 @@ Quickstart::
     run_spmd(program, 4, tracer=tracer)
     write_chrome_trace(tracer, "trace.json")
 
-Only the hooks every layer calls — the tracer and the recorder's rank
-scope — are imported here; metrics, telemetry, postmortems, the
-exporters and the model bridge (which imports :mod:`repro.perf`, and
-transitively the whole stack) load on first use, so a kernel that asks
-"is anyone tracing?" does not load what would answer.
+Every name here loads its module on first use; the hooks every layer
+calls — the tracer, and under it the recorder's rank scope — are imported
+by the kernels themselves (``from ..obs.tracer import trace_span``), so a
+kernel that asks "is anyone tracing?" does not load what would answer.
 """
 
 from __future__ import annotations
 
-from .recorder import FlightRecorder, current_recorder, record_event
-from .tracer import (
-    Span,
-    Tracer,
-    activate,
-    current_tracer,
-    deactivate,
-    trace_span,
-)
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
+    ".recorder": ("FlightRecorder", "current_recorder", "record_event"),
+    ".tracer": ("Span", "Tracer", "activate", "current_tracer", "deactivate",
+                "trace_span"),
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
                  "ingest_comm_trace", "ingest_flop_counter"),
     ".postmortem": ("POSTMORTEM_SCHEMA", "build_postmortem",

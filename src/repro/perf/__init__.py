@@ -1,18 +1,21 @@
 """Performance model: machine parameters, modeled ST-HOSVD, report formatting."""
 
-from .machine import MachineModel, ANDES, CASCADE_LAKE, KERNELS
-from .simulator import ModeledRun, simulate_sthosvd
-from .grids import STRONG_SCALING_GRIDS, strong_scaling_grid, weak_scaling_config
-from .memory import MemoryModel, simulate_memory
-from .tuner import TunedConfig, enumerate_grids, tune_grid
-from .calibrate import KernelMeasurement, measure_kernel_rates, calibrate_machine
-from .report import breakdown_table, scaling_table, variant_label, PHASE_LABELS
-from .benchdiff import (
-    compare_snapshots,
-    flatten_metrics,
-    format_comparison,
-    load_snapshot,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".machine": ("MachineModel", "ANDES", "CASCADE_LAKE", "KERNELS"),
+    ".simulator": ("ModeledRun", "simulate_sthosvd"),
+    ".grids": ("STRONG_SCALING_GRIDS", "strong_scaling_grid",
+               "weak_scaling_config"),
+    ".memory": ("MemoryModel", "simulate_memory"),
+    ".tuner": ("TunedConfig", "enumerate_grids", "tune_grid"),
+    ".calibrate": ("KernelMeasurement", "measure_kernel_rates",
+                   "calibrate_machine"),
+    ".report": ("breakdown_table", "scaling_table", "variant_label",
+                "PHASE_LABELS"),
+    ".benchdiff": ("compare_snapshots", "flatten_metrics", "format_comparison",
+                   "load_snapshot"),
+})
 
 __all__ = [
     "MachineModel",

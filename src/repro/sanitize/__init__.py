@@ -30,28 +30,17 @@ overhead measurements, and ``docs/static-analysis.md`` for the
 verifier's analysis model and soundness limits.
 """
 
-from .diagnostics import (
-    ERROR,
-    WARNING,
-    CallSite,
-    Diagnostic,
-    Suppressions,
-    capture_call_site,
-    format_diagnostics,
-)
-from .lint import DEFAULT_RULES, lint_file, lint_paths, lint_source
-from .sanitizer import Sanitizer
-from .verify import (
-    EntryReport,
-    VerifyResult,
-    comm_graph_dot,
-    comm_graph_json,
-    default_verify_roots,
-    match_traces,
-    verify_paths,
-    verify_project,
-    write_comm_graph,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": ("ERROR", "WARNING", "CallSite", "Diagnostic",
+                     "Suppressions", "capture_call_site", "format_diagnostics"),
+    ".lint": ("DEFAULT_RULES", "lint_file", "lint_paths", "lint_source"),
+    ".sanitizer": ("Sanitizer",),
+    ".verify": ("EntryReport", "VerifyResult", "comm_graph_dot",
+                "comm_graph_json", "default_verify_roots", "match_traces",
+                "verify_paths", "verify_project", "write_comm_graph"),
+})
 
 __all__ = [
     "ERROR",

@@ -1,10 +1,14 @@
 """Dense tensor substrate: natural-layout tensors, unfoldings, and TTM."""
 
-from .dense import DenseTensor
-from .unfold import unfold, fold
-from .ttm import ttm, multi_ttm, ttm_flops
-from .manipulate import permute_modes, concatenate_mode, subtensor
-from . import layout
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".dense": ("DenseTensor",),
+    ".unfold": ("unfold", "fold"),
+    ".ttm": ("ttm", "multi_ttm", "ttm_flops"),
+    ".manipulate": ("permute_modes", "concatenate_mode", "subtensor"),
+    ".": ("layout",),
+})
 
 __all__ = [
     "DenseTensor",

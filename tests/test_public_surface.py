@@ -1,9 +1,8 @@
-"""Every export of the lazily loading packages resolves as it always did.
+"""Every export of every package resolves as it always did.
 
-``repro``, ``repro.core``, ``repro.mpi``, ``repro.faults``, ``repro.obs``
-and ``repro.dist`` (and ``repro.mpi.transport``, lazy before them) keep
-their whole ``__all__``; most of it loads on first use through
-:func:`repro._lazy.lazy_exports`.
+An ``__init__`` under ``src/repro`` is a table
+(:func:`repro._lazy.lazy_exports`): every package keeps its whole
+``__all__`` and loads what a name needs when it is first used.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ import pytest
 from tests.test_import_boundary import fresh
 
 LAZY_PACKAGES = ("repro", "repro.core", "repro.mpi", "repro.faults",
-                 "repro.obs", "repro.dist", "repro.mpi.transport")
+                 "repro.obs", "repro.dist", "repro.mpi.transport",
+                 "repro.linalg", "repro.tensor", "repro.data", "repro.util",
+                 "repro.perf", "repro.sanitize")
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -113,3 +114,35 @@ print(json.dumps([type(getattr(repro.core, name)).__name__ for name in
                     repro.sthosvd_parallel is repro.core.sthosvd_parallel]))
 """)
     assert kinds == ["function"] * 6 + ["module", True, True]
+
+
+_SHARED_NAMES = ("tensor.ttm", "tensor.unfold", "linalg.tpqrt",
+                 "linalg.tensor_lq", "core.sthosvd", "core.hosvd", "core.hooi",
+                 "core.recompress")
+
+
+@pytest.mark.parametrize("statements", [
+    ("import repro.{0}.{1}", "repro.{0}.{1}"),
+    ("repro.{0}.{1}", "import repro.{0}.{1}"),
+], ids=["the-module-first", "the-export-first"])
+def test_a_function_wins_over_its_module_in_both_import_orders(statements):
+    """... and a submodule that is the export (``tensor.layout``), or is
+    no export at all (``core.outofcore``), stays a module."""
+    kinds = fresh(f"""
+import importlib, json
+import repro.core, repro.linalg, repro.tensor
+for name in {_SHARED_NAMES!r}:
+    for statement in {statements!r}:
+        exec(statement.format(*name.split(".")))
+from repro.core import outofcore
+print(json.dumps(
+    [type(eval("repro." + name)).__name__ for name in {_SHARED_NAMES!r}]
+    + [eval("repro." + name) is getattr(
+           importlib.import_module("repro." + name), name.split(".")[1])
+       for name in {_SHARED_NAMES!r}]
+    + [type(m).__name__ for m in (outofcore, repro.core.outofcore,
+                                  repro.core.checkpoint, repro.tensor.layout,
+                                  repro.linalg.flops)]))
+""")
+    n = len(_SHARED_NAMES)
+    assert kinds == ["function"] * n + [True] * n + ["module"] * 5

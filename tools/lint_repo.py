@@ -20,6 +20,11 @@ direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
 ``instrument.py`` or a sequential module of ``core/`` is an error;
 function-level and ``TYPE_CHECKING`` imports are allowed, and so is a
 line carrying ``# repro-lint: allow(platform-import-in-algorithm-layer)``.
+With it runs ``eager-import-in-package-init``: an ``__init__`` holds names,
+not imports, so a module-level import of a ``repro`` module in any
+``src/repro/**/__init__.py`` is an error, other than ``_lazy`` and the
+Quickstart's two in ``repro/__init__`` (``tensor.dense``, ``core.sthosvd``:
+the closure of Alg. 1-2) — the name goes in the ``lazy_exports`` table.
 
 The verify tier subtracts the committed findings baseline
 (``tools/verify_baseline.json``, a JSON list of ``{kind, file, line}``
@@ -56,6 +61,11 @@ PLATFORM = re.compile(
     r"repro\.(?:mpi|sanitize|perf|obs(?!\.tracer(?:\.|$))"
     r"|faults(?!\.(?:_hook|guards)(?:\.|$)))(?:\.|$)")
 
+INIT_RULE = "eager-import-in-package-init"
+# What `import repro` executes is what these import, and nothing else.
+QUICKSTART = ("repro.tensor.dense.DenseTensor", "repro.core.sthosvd.sthosvd",
+              "repro.core.sthosvd.SthosvdResult")
+
 
 def module_level_imports(body):
     """Import statements that run when the module is imported."""
@@ -70,23 +80,26 @@ def module_level_imports(body):
                 stmt.body + [s for h in stmt.handlers for s in h.body])
 
 
+def imported_names(stmt, relpath: str) -> list[str]:
+    """Dotted names an import statement of ``src/<relpath>`` binds."""
+    if isinstance(stmt, ast.Import):
+        return [alias.name for alias in stmt.names]
+    package = relpath.split("/")[:-1]
+    base = package[:len(package) - stmt.level + 1] if stmt.level else []
+    module = ".".join(base + ([stmt.module] if stmt.module else []))
+    return [f"{module}.{alias.name}" for alias in stmt.names]
+
+
 def layer_findings(source: str, relpath: str) -> list[Diagnostic]:
     """The rule over one file; ``relpath`` is its path under ``src/``
     (``repro/linalg/qr.py``), which places it in a layer and anchors its
     relative imports."""
     if not ALGORITHM_LAYER.match(relpath.removeprefix("repro/")):
         return []
-    package = relpath.split("/")[:-1]
     suppress = Suppressions(source)
     findings = []
     for stmt in module_level_imports(ast.parse(source).body):
-        if isinstance(stmt, ast.Import):
-            targets = [alias.name for alias in stmt.names]
-        else:
-            base = package[:len(package) - stmt.level + 1] if stmt.level else []
-            module = ".".join(base + ([stmt.module] if stmt.module else []))
-            targets = [f"{module}.{alias.name}" for alias in stmt.names]
-        bad = [t for t in targets if PLATFORM.match(t)]
+        bad = [t for t in imported_names(stmt, relpath) if PLATFORM.match(t)]
         if bad and not suppress.suppressed(
                 LAYER_RULE, stmt.lineno, stmt.end_lineno or stmt.lineno):
             findings.append(Diagnostic(
@@ -98,20 +111,42 @@ def layer_findings(source: str, relpath: str) -> list[Diagnostic]:
     return findings
 
 
+def init_findings(source: str, relpath: str) -> list[Diagnostic]:
+    """``eager-import-in-package-init`` over one file (no pragma lifts it)."""
+    if not relpath.endswith("/__init__.py"):
+        return []
+    allowed = {"repro._lazy.lazy_exports",
+               *(QUICKSTART if relpath == "repro/__init__.py" else ())}
+    findings = []
+    for stmt in module_level_imports(ast.parse(source).body):
+        bad = [t for t in imported_names(stmt, relpath)
+               if t.startswith("repro.") and t not in allowed]
+        if bad:
+            findings.append(Diagnostic(
+                kind=INIT_RULE, severity=ERROR, file=relpath, line=stmt.lineno,
+                message=f"{relpath} imports {', '.join(bad)} at module level: "
+                        f"an __init__ holds names, not imports (list the name "
+                        f"in its lazy_exports table)"))
+    return findings
+
+
 def lint_layers(src: str) -> int:
-    """``platform-import-in-algorithm-layer`` over ``src/repro``."""
+    """The two import rules over ``src/repro``."""
     findings = []
     for dirpath, _, filenames in sorted(os.walk(os.path.join(src, "repro"))):
         for name in sorted(f for f in filenames if f.endswith(".py")):
             path = os.path.join(dirpath, name)
+            relpath = os.path.relpath(path, src).replace(os.sep, "/")
             with open(path, encoding="utf-8") as f:
-                findings += layer_findings(
-                    f.read(), os.path.relpath(path, src).replace(os.sep, "/"))
+                source = f.read()
+            findings += layer_findings(source, relpath)
+            findings += init_findings(source, relpath)
+    rules = f"{LAYER_RULE}, {INIT_RULE}"
     if findings:
         print(format_diagnostics(
-            findings, header=f"{LAYER_RULE}: {len(findings)} finding(s)"))
+            findings, header=f"{rules}: {len(findings)} finding(s)"))
     else:
-        print(f"{LAYER_RULE}: clean ({src})")
+        print(f"{rules}: clean ({src})")
     return 1 if findings else 0
 
 
