@@ -27,9 +27,9 @@ from ..instrument import FlopCounter
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
 from ..linalg.gram import streamed_gram
 from ..linalg.qr import flat_tree_lq
+from ..util.validation import resolve_mode_order
 from .checkpoint import _fingerprint, clear_checkpoint, load_checkpoint, save_checkpoint
 from .modeloop import open_loop, truncated_loop
-from .ordering import resolve_mode_order
 from .sthosvd import SthosvdResult
 
 __all__ = ["ooc_tensor_gram", "ooc_tensor_lq", "sthosvd_out_of_core"]

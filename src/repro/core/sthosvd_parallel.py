@@ -26,8 +26,8 @@ import numpy as np
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..dist.dtensor import DistributedTensor
+from ..util.validation import resolve_mode_order
 from .modeloop import ModeLoop, open_loop, truncated_loop
-from .ordering import resolve_mode_order
 from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
 

@@ -33,7 +33,7 @@ class GridComms:
     fibers: ``fiber(n)`` is the communicator connecting the ``P_n``
     ranks that differ only in grid coordinate ``n`` — the group that
     cooperates on mode-``n`` unfoldings.  Construction is collective
-    over ``comm`` (it performs one split per grid mode).
+    over ``comm``: one split rendezvous carves every mode's fiber.
     """
 
     def __init__(self, comm: Communicator, grid: ProcessorGrid):
@@ -51,7 +51,8 @@ class GridComms:
         # here, so later (possibly data-dependent) fiber uses need no
         # coordination.
         self._fibers = tuple(
-            self._cart.fiber(n).comm for n in range(grid.ndim)
+            fiber.comm for fiber in self._cart._subs(
+                [[d == n for d in range(grid.ndim)] for n in range(grid.ndim)])
         )
 
     # ------------------------------------------------------------------
@@ -285,7 +286,8 @@ class DistributedTensor:
         """
         payload = (self.local_slices(), np.ascontiguousarray(self._local.data))
         pieces = self.comm.allgather(payload)
-        full = np.zeros(self._global_shape, dtype=self.dtype, order="F")
+        # The blocks tile the tensor, so every element is written below.
+        full = np.empty(self._global_shape, dtype=self.dtype, order="F")
         for slices, block in pieces:
             full[tuple(slices)] = block
         return DenseTensor(full)

@@ -115,30 +115,39 @@ class CartComm:
         Cartesian communicator over the kept ones — the operation that
         produces mode fibers (keep exactly one dimension).  Collective.
         """
-        keep = tuple(bool(k) for k in keep)
-        if len(keep) != self.ndim:
-            raise DistributionError("keep flags must match grid dimensionality")
-        me = self.coords
-        color = 0
-        stride = 1
-        for c, d, k in zip(me, self.dims, keep):
-            if not k:
-                color += c * stride
-                stride *= d
-        # key: linearized coords within kept dims, preserving order
-        key = 0
-        stride = 1
-        for c, d, k in zip(me, self.dims, keep):
-            if k:
-                key += c * stride
-                stride *= d
-        sub = self.comm.split(color=color, key=key)
-        assert sub is not None
-        sub_dims = tuple(d for d, k in zip(self.dims, keep) if k)
-        sub_per = tuple(p for p, k in zip(self.periodic, keep) if k)
-        if not sub_dims:
-            raise CommunicatorError("cannot drop every dimension")
-        return CartComm(sub, sub_dims, periodic=sub_per)
+        return self._subs([keep])[0]
+
+    def _subs(self, keeps: Sequence[Sequence[bool]]) -> list["CartComm"]:
+        """:meth:`sub` for each of ``keeps``, carved in one split
+        rendezvous (TuckerMPI builds its per-mode grid communicators
+        once, when the grid is created).  Collective."""
+        pairs, shapes = [], []
+        for keep in keeps:
+            keep = tuple(bool(k) for k in keep)
+            if len(keep) != self.ndim:
+                raise DistributionError(
+                    "keep flags must match grid dimensionality")
+            if not any(keep):
+                raise CommunicatorError("cannot drop every dimension")
+            # color: linearized coords in the dropped dims; key: in the
+            # kept ones, preserving order
+            color = key = 0
+            color_stride = key_stride = 1
+            for c, d, k in zip(self.coords, self.dims, keep):
+                if k:
+                    key += c * key_stride
+                    key_stride *= d
+                else:
+                    color += c * color_stride
+                    color_stride *= d
+            pairs.append((color, key))
+            shapes.append((
+                tuple(d for d, k in zip(self.dims, keep) if k),
+                tuple(p for p, k in zip(self.periodic, keep) if k),
+            ))
+        return [CartComm(sub, dims, periodic=periodic)
+                for sub, (dims, periodic)
+                in zip(self.comm._split(*pairs), shapes)]
 
     def fiber(self, dim: int) -> "CartComm":
         """The mode-``dim`` processor fiber through this rank."""

@@ -1222,28 +1222,38 @@ class Communicator:
         ``(key, old rank)``.  ``color=None`` opts out and returns None.
         Collective: every rank must call.
         """
-        with self._collective("split"):
-            self._coll_seq += 1
-            sort_key = self._rank if key is None else key
-            return self._split_internal(color, sort_key)
+        return self._split((color, key))[0]
 
-    def _split_internal(self, color, sort_key) -> "Communicator | None":
-        # The rendezvous (grouping, ordering, comm-id allocation) runs
-        # wherever the world state lives — in-process for the threads
-        # backend, on the master for the process backend — so new
-        # communicator ids are allocated exactly once per color group.
-        result = self._context.split_rendezvous(
-            self._comm_id, self._coll_seq, self.size,
-            self._rank, (color, sort_key), list(self._members),
-            self.world_rank,
-        )
-        if color is None:
-            return None
-        new_id, world_members, old_ranks = result[color]
-        new_rank = old_ranks.index(self._rank)
-        return Communicator(
-            self._context, new_id, world_members, new_rank, clock=self.clock
-        )
+    def _split(self, *pairs: tuple) -> "list[Communicator | None]":
+        """Several :meth:`split` calls in one rendezvous.
+
+        ``pairs`` holds one ``(color, key)`` per split, as many on every
+        rank; the result is the new communicator (or None) per pair.  The
+        rendezvous (grouping, ordering, comm-id allocation) runs wherever
+        the world state lives — in-process for the threads backend, on
+        the master for the process backends, one RPC however many pairs —
+        so new communicator ids are allocated exactly once per group, in
+        pair order.
+        """
+        with self._collective("split", signature=lambda: (len(pairs),)):
+            self._coll_seq += 1
+            groups = self._context.split_rendezvous(
+                self._comm_id, self._coll_seq, self.size, self._rank,
+                tuple((color, self._rank if key is None else key)
+                      for color, key in pairs),
+                list(self._members), self.world_rank,
+            )
+        out = []
+        for (color, _), by_color in zip(pairs, groups):
+            if color is None:
+                out.append(None)
+                continue
+            new_id, world_members, old_ranks = by_color[color]
+            out.append(Communicator(
+                self._context, new_id, world_members,
+                old_ranks.index(self._rank), clock=self.clock,
+            ))
+        return out
 
     def dup(self) -> "Communicator":
         """Duplicate into an isolated message space (MPI_Comm_dup)."""

@@ -731,33 +731,39 @@ class SpmdContext:
         value: tuple,
         members: list[int],
         world_rank: int,
-    ) -> dict:
+    ) -> list[dict]:
         """One rank's contribution to a collective split, blocking for all.
 
-        Runs entirely on the side that owns the world state (the caller
-        for the threads backend, the master for the process backend):
-        grouping, ordering, *and the new communicator-id allocation*
-        happen once, inside the last contributor's combine, so ids are
-        handed out exactly once per color group regardless of which
-        process asked.  Returns the full ``{color: (new_comm_id,
-        world_members, old_ranks)}`` map.
+        ``value`` is one ``(color, key)`` pair per split carved in this
+        rendezvous (a plain ``split`` is the one-pair case; a processor
+        grid carves every mode fiber at once).  Runs entirely on the side
+        that owns the world state (the caller for the threads backend,
+        the master for the process backend): grouping, ordering, *and the
+        new communicator-id allocation* happen once, inside the last
+        contributor's combine, so ids are handed out exactly once per
+        color group regardless of which process asked — increasing in
+        pair order, then color order.  Returns one ``{color:
+        (new_comm_id, world_members, old_ranks)}`` map per pair.
         """
         table = self.split_barrier(parent_comm_id, seqno, size)
 
-        def combine(contributions: dict[int, tuple]) -> dict:
-            groups: dict[int, list] = {}
-            for old_rank, (c, k) in contributions.items():
-                if c is not None:
-                    groups.setdefault(c, []).append((k, old_rank))
-            out = {}
-            for c, group in groups.items():
-                group.sort()
-                new_id = self.allocate_comm_id()
-                out[c] = (
-                    new_id,
-                    [members[old] for _, old in group],
-                    [old for _, old in group],
-                )
+        def combine(contributions: dict[int, tuple]) -> list[dict]:
+            out = []
+            for i in range(len(value)):
+                groups: dict[int, list] = {}
+                for old_rank, pairs in sorted(contributions.items()):
+                    c, k = pairs[i]
+                    if c is not None:
+                        groups.setdefault(c, []).append((k, old_rank))
+                carved = {}
+                for c in sorted(groups):
+                    group = sorted(groups[c])
+                    carved[c] = (
+                        self.allocate_comm_id(),
+                        [members[old] for _, old in group],
+                        [old for _, old in group],
+                    )
+                out.append(carved)
             return out
 
         def poll(contributed: set) -> None:

@@ -1024,6 +1024,7 @@ class SocketTransport(WorldServerMixin, Transport):
         for thread in threads:
             thread.join(timeout=10.0)
         self._close_listener(listener)
+        self.warm_parent()
         return self._values, self._clocks, self._errors
 
     def _reap(self, link: _SockLink, overdue: float) -> None:

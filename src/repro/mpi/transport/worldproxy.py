@@ -63,7 +63,10 @@ and, master-side, per-rank ``link`` objects carrying ``rank``.
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import pickle
+import sys
 import threading
 import time
 
@@ -523,7 +526,7 @@ class WorkerContext:
 
     # -- world-authoritative operations (RPC) ----------------------------
     def split_rendezvous(self, parent_comm_id, seqno, size, rank, value,
-                        members, world_rank) -> dict:
+                        members, world_rank) -> list:
         return self._channel.call(
             "split", parent_comm_id, seqno, size, rank, tuple(value),
             list(members), world_rank,
@@ -656,6 +659,26 @@ class Heartbeat:
         self._thread.join(timeout=5.0)
 
 
+def _imported_since(count: int) -> list:
+    """The ``repro`` modules this process imported after ``sys.modules``
+    held ``count`` entries.
+
+    Read off the end of ``sys.modules`` (insertion-ordered), so the
+    entries inherited through the fork are never touched: taking a
+    reference to each of them writes its refcount, which copies the
+    pages under every module name out of the parent (≈1.5 ms a worker
+    on a 2-core x86 VM).  A module deleted since undercounts the window,
+    and an import racing the read gives up; either way the report is a
+    hint.
+    """
+    try:
+        names = list(itertools.islice(reversed(sys.modules),
+                                      max(len(sys.modules) - count, 0)))
+    except RuntimeError:  # another thread imported meanwhile
+        return []
+    return sorted(name for name in names if name.startswith("repro."))
+
+
 def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
                channel, wire) -> None:
     """The worker main loop, from first baseline to the closing report.
@@ -666,6 +689,7 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
     """
     from ..communicator import Communicator
 
+    forked_with = len(sys.modules)
     # Prime every cursor: the forked observers carry the caller's
     # pre-fork state, and only what this rank adds goes home.
     cursors = {name: observer.shard(rank, None)[1]
@@ -728,8 +752,10 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
     # many frames went to each peer (what their drain rule counts up
     # to) and which were lost to a failed path (so the master can name
     # the send path as the cause instead of letting partners see a
-    # clean finalize).
+    # clean finalize).  It also names the package modules this rank had
+    # to import itself, for the master to load before the next fork.
     report = wire.report()
+    report["imported"] = _imported_since(forked_with)
     try:
         channel.call(outcome["kind"], payload, shards, report)
     except (pickle.PicklingError, TypeError, ValueError,
@@ -810,6 +836,28 @@ class WorldServerMixin:
         self._incarnations = context.rank_incarnations  # live view
         self._book: dict = {}
         self._push_lock = threading.Lock()
+        # Package modules the workers imported beyond what they forked
+        # with, from their lifecycle reports (see warm_parent).
+        self._imported: set = set()
+
+    def warm_parent(self) -> None:
+        """Import here the ``repro`` modules this world's workers had to.
+
+        The parallel drivers and the runtime pieces they use load on
+        first use, and a rank program's first use is in a worker, so
+        every worker of every world would import (and, without
+        byte-code, compile) them again; imported once in the master,
+        they are inherited by the next world's workers at fork.  Run on
+        the caller's thread after the workers are reaped.  Best-effort:
+        only names under ``repro.`` are imported, never user code, and a
+        module that fails to import is left out.
+        """
+        for name in sorted(self._imported):
+            if name.startswith("repro."):
+                try:
+                    importlib.import_module(name)
+                except Exception:  # noqa: BLE001 - a warm-up, not a step
+                    pass
 
     # -- the world table -------------------------------------------------
     def world_table(self, context) -> dict:
@@ -912,6 +960,7 @@ class WorldServerMixin:
         # Recorded before the status changes: the push that announces
         # the rank's departure carries the counts its peers drain to.
         self._sent[rank] = report["sent"]
+        self._imported.update(report["imported"])
         self._merge_shards(context, rank, shards)
         if method == "finalize":
             # Frames lost toward a rank that has itself failed were
