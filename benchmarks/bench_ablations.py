@@ -208,7 +208,7 @@ class TestChunking:
 
 
 # ---------------------------------------------------------------------------
-# Flat vs binary sequential TSQR tree
+# Flat-tree sequential TSQR
 # ---------------------------------------------------------------------------
 class TestTreeShape:
     @pytest.fixture(scope="class")
@@ -218,48 +218,3 @@ class TestTreeShape:
 
     def test_bench_flat_tree(self, benchmark, tensor):
         benchmark.pedantic(lambda: tensor_lq(tensor, 1), rounds=2, iterations=1)
-
-    def test_bench_binary_tree(self, benchmark, tensor):
-        from repro.linalg import tensor_lq_binary_tree
-
-        benchmark.pedantic(
-            lambda: tensor_lq_binary_tree(tensor, 1), rounds=2, iterations=1
-        )
-
-    def test_same_factor(self, benchmark, tensor):
-        from repro.linalg import tensor_lq_binary_tree
-
-        L1 = benchmark.pedantic(lambda: tensor_lq(tensor, 1), rounds=1, iterations=1)
-        L2 = tensor_lq_binary_tree(tensor, 1)
-        np.testing.assert_allclose(L1 @ L1.T, L2 @ L2.T, rtol=1e-8, atol=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# Blocked (WY) vs unblocked Householder QR
-# ---------------------------------------------------------------------------
-class TestBlockedQrAblation:
-    M, N = 4000, 64
-
-    @pytest.fixture(scope="class")
-    def tall(self):
-        rng = np.random.default_rng(8)
-        return rng.standard_normal((self.M, self.N))
-
-    def test_bench_unblocked(self, benchmark, tall):
-        from repro.linalg import qr_r
-
-        benchmark.pedantic(lambda: qr_r(tall), rounds=2, iterations=1)
-
-    def test_bench_blocked(self, benchmark, tall):
-        from repro.linalg import qr_r_blocked
-
-        benchmark.pedantic(lambda: qr_r_blocked(tall, block=32), rounds=2, iterations=1)
-
-    def test_equivalent(self, benchmark, tall):
-        from repro.linalg import qr_r, qr_r_blocked
-
-        R1 = benchmark.pedantic(
-            lambda: qr_r_blocked(tall, block=32), rounds=1, iterations=1
-        )
-        R2 = qr_r(tall)
-        np.testing.assert_allclose(np.abs(R1), np.abs(R2), atol=1e-9)

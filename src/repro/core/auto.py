@@ -81,7 +81,6 @@ def compress(
     *,
     safety: float = 10.0,
     mode_order="forward",
-    backend: str = "lapack",
 ) -> SthosvdResult:
     """Tolerance-driven compression with automatic variant selection.
 
@@ -100,5 +99,4 @@ def compress(
         method=choice.method,
         precision=choice.precision,
         mode_order=mode_order,
-        backend=backend,
     )

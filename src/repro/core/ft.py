@@ -193,7 +193,6 @@ def sthosvd_fault_tolerant(
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     mode_order="forward",
-    backend: str = "lapack",
     svd_strategy: str = "replicated",
     max_recoveries: int = 2,
     checkpoint_name: str = "sthosvd",
@@ -236,8 +235,8 @@ def sthosvd_fault_tolerant(
         dt = distribute_from_root(comms, full, root=0)
         return sthosvd_parallel(
             dt, tol=tol, ranks=ranks, method=method, mode_order=mode_order,
-            backend=backend, svd_strategy=svd_strategy, progress=progress,
-            checkpoint=ckpt, resume=resume,
+            svd_strategy=svd_strategy, progress=progress, checkpoint=ckpt,
+            resume=resume,
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,
@@ -253,7 +252,6 @@ def hooi_fault_tolerant(
     init: str = "sthosvd",
     max_iters: int = 25,
     fit_tol: float = 1e-9,
-    backend: str = "lapack",
     svd_strategy: str = "replicated",
     max_recoveries: int = 2,
     checkpoint_name: str = "hooi",
@@ -278,8 +276,8 @@ def hooi_fault_tolerant(
         dt = distribute_from_root(comms, full, root=0)
         return hooi_parallel(
             dt, ranks, method=method, init=init, max_iters=max_iters,
-            fit_tol=fit_tol, backend=backend, svd_strategy=svd_strategy,
-            progress=progress, checkpoint=ckpt, resume=resume,
+            fit_tol=fit_tol, svd_strategy=svd_strategy, progress=progress,
+            checkpoint=ckpt, resume=resume,
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,

@@ -68,7 +68,6 @@ def hooi(
     init: str = "sthosvd",
     max_iters: int = 25,
     fit_tol: float = 1e-9,
-    backend: str = "lapack",
 ) -> HooiResult:
     """Rank-``ranks`` Tucker approximation via alternating optimization.
 
@@ -92,10 +91,10 @@ def hooi(
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
     tensor = dense_input(tensor, precision)
-    loop = open_loop(tensor, method=method, ranks=ranks, backend=backend)
+    loop = open_loop(tensor, method=method, ranks=ranks)
     measure_norm(loop, tensor)
     if init == "sthosvd":
-        seed_res = sthosvd(tensor, ranks=loop.ranks, method=method, backend=backend)
+        seed_res = sthosvd(tensor, ranks=loop.ranks, method=method)
         loop.factors = list(seed_res.tucker.factors)
         loop.counter.merge(seed_res.flops)
     else:

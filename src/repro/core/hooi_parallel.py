@@ -64,7 +64,6 @@ def hooi_parallel(
     init: str = "sthosvd",
     max_iters: int = 25,
     fit_tol: float = 1e-9,
-    backend: str = "lapack",
     svd_strategy: str = "replicated",
     progress: Callable[[dict], None] | None = None,
     checkpoint=None,
@@ -100,8 +99,7 @@ def hooi_parallel(
     # recorded norm keeps fit values (and hence the convergence
     # decision) identical to what the unfailed run would produce.
     loop = open_loop(
-        dt, method=method, ranks=ranks, backend=backend,
-        svd_strategy=svd_strategy,
+        dt, method=method, ranks=ranks, svd_strategy=svd_strategy,
         norm_sq=None if resume is None else float(resume["norm_x_sq"]),
         progress=progress if dt.comm.rank == 0 else None,
     )
@@ -112,8 +110,7 @@ def hooi_parallel(
     else:
         measure_norm(loop, dt)
         seed = sthosvd_parallel(
-            dt, ranks=loop.ranks, method=method, backend=backend,
-            svd_strategy=svd_strategy,
+            dt, ranks=loop.ranks, method=method, svd_strategy=svd_strategy,
         )
         loop.factors = list(seed.factors)
         loop.counter.merge(seed.flops)

@@ -28,7 +28,6 @@ def hosvd(
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     precision=None,
-    backend: str = "lapack",
 ) -> SthosvdResult:
     """Truncated classic HOSVD (all factors from the original tensor).
 
@@ -37,6 +36,6 @@ def hosvd(
     truncated between modes) and returns the same result type.
     """
     tensor = dense_input(tensor, precision)
-    loop = open_loop(tensor, method=method, tol=tol, ranks=ranks, backend=backend)
+    loop = open_loop(tensor, method=method, tol=tol, ranks=ranks)
     core = factors_then_core(loop, tensor)
     return SthosvdResult._from_loop(loop, core, range(tensor.ndim))

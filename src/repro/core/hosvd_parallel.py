@@ -26,13 +26,12 @@ def hosvd_parallel(
     tol: float | None = None,
     ranks: Sequence[int] | None = None,
     method: str = "qr",
-    backend: str = "lapack",
 ) -> ParallelSthosvdResult:
     """Distributed truncated classic HOSVD (collective).
 
     Arguments as :func:`repro.core.sthosvd_parallel.sthosvd_parallel`
     minus ``mode_order`` (irrelevant without sequential truncation).
     """
-    loop = open_loop(dt, method=method, tol=tol, ranks=ranks, backend=backend)
+    loop = open_loop(dt, method=method, tol=tol, ranks=ranks)
     core = factors_then_core(loop, dt)
     return ParallelSthosvdResult._from_loop(loop, core, range(dt.ndim))

@@ -70,7 +70,7 @@ SUPPORTED_METHODS = (
 class ModeLoop:
     """What one run carries from mode to mode.
 
-    ``method`` plus the solver options (``backend`` .. ``workdir``) pick
+    ``method`` plus the solver options (``svd_options`` .. ``workdir``) pick
     and tune the per-mode solver.  ``ranks``/``tol`` are the checked
     truncation rule: fixed ranks, or the per-mode error budget that
     ``tol`` takes from ``norm_sq``, the squared norm of the original
@@ -87,7 +87,6 @@ class ModeLoop:
     ranks: tuple[int, ...] | None = None
     tol: float | None = None
     norm_sq: float | None = None
-    backend: str = "lapack"
     svd_options: dict | None = None
     svd_strategy: str = "replicated"
     max_elements: int = DEFAULT_CHUNK_ELEMENTS
@@ -242,8 +241,8 @@ def solve_mode(
         mark = _comm_mark()
         with timer.phase(phase, n):
             U, sigma, recovered = guarded_mode_svd(
-                work, n, method=method, backend=loop.backend,
-                svd_strategy=loop.svd_strategy, counter=counter,
+                work, n, method=method, svd_strategy=loop.svd_strategy,
+                counter=counter,
             )
         _attribute_comm(timer, mark, phase, n)
         loop.recoveries.extend(f"{label}mode{n}:{action}" for action in recovered)
@@ -268,7 +267,7 @@ def solve_mode(
                 L = outofcore.ooc_tensor_lq(
                     work, n, max_elements=loop.max_elements, counter=counter)
             else:
-                L = tensor_lq(work, n, backend=loop.backend, counter=counter)
+                L = tensor_lq(work, n, counter=counter)
         with timer.phase(PHASE_SVD, n):
             return _triangle_svd(L, loop.svd_options, counter, n)
     with timer.phase(PHASE_GRAM, n):

@@ -97,7 +97,6 @@ def sthosvd(
     method: str = "qr",
     precision=None,
     mode_order="forward",
-    backend: str = "lapack",
     svd_options: dict | None = None,
 ) -> SthosvdResult:
     """Sequentially Truncated HOSVD of a dense tensor.
@@ -116,17 +115,14 @@ def sthosvd(
         ``tol``/``ranks`` may be given; with neither, no truncation is
         performed (full HOSVD — used for singular-value studies).
     method:
-        ``"qr"`` (numerically stable QR-SVD, this paper) or ``"gram"``
-        (TuckerMPI's Gram-SVD baseline).
+        ``"qr"`` (numerically stable QR-SVD, this paper; the LQ runs on
+        LAPACK's ``geqrf``/``tpqrt``) or ``"gram"`` (TuckerMPI's Gram-SVD
+        baseline).
     precision:
         Optional working precision override (``"single"``/``"double"``,
         dtype, or :class:`Precision`); default is the input's dtype.
     mode_order:
         ``"forward"``, ``"backward"``, or an explicit permutation.
-    backend:
-        QR kernels, one of :data:`repro.linalg.BACKENDS`: ``"lapack"``
-        (default), ``"householder"`` (the unblocked reference) or
-        ``"blocked"`` (compact-WY panels).
     svd_options:
         Extra keyword arguments for the per-mode SVD; currently used by
         ``method="randomized"`` (``oversample``, ``power_iters``, ``rng``).
@@ -138,6 +134,6 @@ def sthosvd(
     tensor = dense_input(tensor, precision)
     order = resolve_mode_order(mode_order, tensor.ndim)
     loop = open_loop(tensor, method=method, tol=tol, ranks=ranks,
-                     backend=backend, svd_options=svd_options)
+                     svd_options=svd_options)
     core = truncated_loop(loop, tensor, order)
     return SthosvdResult._from_loop(loop, core, order)

@@ -100,7 +100,6 @@ def sthosvd_parallel(
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     mode_order="forward",
-    backend: str = "lapack",
     svd_strategy: str = "replicated",
     progress: Callable[[dict], None] | None = None,
     checkpoint=None,
@@ -139,8 +138,7 @@ def sthosvd_parallel(
     # checkpoint taken before the first mode completed stored None: its
     # `dt` still is the input, and the first solve supplies the norm.
     loop = open_loop(
-        dt, method=method, tol=tol, ranks=ranks, backend=backend,
-        svd_strategy=svd_strategy,
+        dt, method=method, tol=tol, ranks=ranks, svd_strategy=svd_strategy,
         norm_sq=None if resume is None else resume["norm_x_sq"],
         progress=progress if dt.comm.rank == 0 else None,
     )

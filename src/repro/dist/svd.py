@@ -56,7 +56,6 @@ def par_tensor_qr_svd(
     dt: DistributedTensor,
     n: int,
     *,
-    backend: str = "lapack",
     triangle_solver: str = "lapack",
     strategy: str = "replicated",
     counter: FlopCounter | None = None,
@@ -66,7 +65,7 @@ def par_tensor_qr_svd(
     The paper's stable kernel: each rank LQ-factors its column slab of
     the unfolding, the ``L^T`` triangles are reduced with butterfly
     TSQR, and the final triangle's SVD supplies ``(U, sigma)``.
-    ``backend`` selects the local LQ driver, ``triangle_solver`` picks
+    The local LQ is LAPACK's flat tree; ``triangle_solver`` picks
     ``"lapack"`` (gesvd) or ``"jacobi"`` (parallel one-sided Jacobi)
     for the reduced triangle, and ``strategy`` chooses ``"replicated"``
     (every rank solves redundantly) or ``"root_bcast"`` (rank 0 solves
@@ -88,13 +87,13 @@ def par_tensor_qr_svd(
             comm.phase(PHASE_LQ, n):
         tmp = FlopCounter()
         if dt.grid.dims[n] == 1:
-            L = tensor_lq(dt.local, n, backend=backend, counter=tmp)
+            L = tensor_lq(dt.local, n, counter=tmp)
         else:
             slab = redistribute_unfolding_to_columns(dt, n)
             if slab.shape[1] == 0:
                 L = np.zeros((rows, 0), dtype=dtype)
             else:
-                L = gelq(slab, backend=backend, counter=tmp, mode=n)
+                L = gelq(slab, counter=tmp, mode=n)
         comm.account_flops(tmp.total, dtype)
         if counter is not None:
             counter.merge(tmp)

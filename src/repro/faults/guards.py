@@ -52,7 +52,6 @@ def guarded_mode_svd(
     n: int,
     *,
     method: str,
-    backend: str = "lapack",
     svd_strategy: str = "replicated",
     counter=None,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -77,8 +76,8 @@ def guarded_mode_svd(
 
     def qr(dt, solver):
         return par_tensor_qr_svd(
-            dt, n, backend=backend, triangle_solver=solver,
-            strategy=svd_strategy, counter=counter,
+            dt, n, triangle_solver=solver, strategy=svd_strategy,
+            counter=counter,
         )
 
     def gram(dt):

@@ -7,11 +7,10 @@ steps (Sec. 4.2.1).  Here every driver is the same flat tree
 ``2048`` columns at a time, LAPACK ``geqrf`` factors the first chunk and
 ``tpqrt`` folds each later one into the single live triangle, so the
 working set stays in cache whatever the layout and no full-size
-temporary is made.  Our own Householder kernels remain available as a
-backend both for validation and for platforms where the vendor library
-is untrusted.  Both backends produce a valid triangular factor (they
-may differ by row/column signs, which is immaterial to the SVD that
-consumes them).
+temporary is made.  ``backend="householder"`` swaps LAPACK for our own
+Householder kernels, the reference the tests validate it against; both
+produce a valid triangular factor (they may differ by row/column signs,
+which is immaterial to the SVD that consumes them).
 """
 
 from __future__ import annotations
@@ -20,17 +19,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ShapeError
 from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from . import _capi
 from .flops import qr_flops
-from .tpqrt import _fold
+from .tpqrt import BACKENDS, _check_backend, _fold
 
 __all__ = ["geqr", "gelq", "flat_tree_lq", "block_runs", "BACKENDS"]
-
-BACKENDS = ("lapack", "householder", "blocked")
 
 # Unfolding columns folded per LAPACK call: a 2048 x 64 float32 chunk and
 # its triangle fit in L2, and the per-call overhead is amortized.
@@ -56,10 +53,6 @@ def _first_triangle(work, backend, counter, mode, ws: _capi.Workspace) -> np.nda
         from .householder import qr_r
 
         return qr_r(work, counter=counter, mode=mode)
-    if backend == "blocked":
-        from .blocked import qr_r_blocked
-
-        return qr_r_blocked(work, counter=counter, mode=mode)
     m, n = work.shape
     _capi.geqrf(work, ws)
     if counter is not None:
@@ -96,8 +89,7 @@ def flat_tree_lq(
     ``kernel`` (``"gelq"`` or ``"geqr"``) names the span and the
     fault-injection hook, which fires once on the result.
     """
-    if backend not in BACKENDS:
-        raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    _check_backend(backend)
     # Working precision as DenseTensor picks it: float32 stays, all else float64.
     dtype = np.dtype(dtype if dtype == np.float32 else np.float64)
     with trace_span(kernel, phase=PHASE_LQ, mode=mode, rows=rows, backend=backend):

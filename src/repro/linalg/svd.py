@@ -117,12 +117,11 @@ def gram_svd(
 def qr_svd(
     A: np.ndarray,
     *,
-    backend: str = "lapack",
     counter: FlopCounter | None = None,
     mode: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """QR-SVD of a matrix: LQ then SVD of L; returns ``(U, sigma)``."""
-    L = gelq(np.asarray(A), backend=backend, counter=counter, mode=mode)
+    L = gelq(np.asarray(A), counter=counter, mode=mode)
     return left_svd_of_triangle(L, counter=counter, mode=mode)
 
 
@@ -141,9 +140,8 @@ def tensor_qr_svd(
     tensor: DenseTensor,
     n: int,
     *,
-    backend: str = "lapack",
     counter: FlopCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """QR-SVD of the mode-``n`` unfolding via TensorLQ (Alg. 2)."""
-    L = tensor_lq(tensor, n, backend=backend, counter=counter)
+    L = tensor_lq(tensor, n, counter=counter)
     return left_svd_of_triangle(L, counter=counter, mode=n)

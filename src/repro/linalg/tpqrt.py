@@ -26,13 +26,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigurationError, ShapeError
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from . import _capi
 from .flops import tpqrt_flops
 
 __all__ = ["tpqrt", "tpqrt_reduce_triangles"]
+
+# The QR kernels: LAPACK, and the Python reference the tests check it against.
+BACKENDS = ("lapack", "householder")
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
 
 def _inner_block(n: int) -> int:
@@ -67,8 +75,9 @@ def tpqrt(
         for an upper-triangular ``B`` with ``m == n`` (tree reduction).
     backend:
         ``"lapack"`` calls ``{s,d}tpqrt``, in place when ``R`` and ``B``
-        are Fortran-ordered (other layouts cost a copy each way); any
-        other value runs the Python column loop.
+        are Fortran-ordered (other layouts cost a copy each way);
+        ``"householder"`` runs the Python column loop.  Anything else
+        raises :class:`~repro.errors.ConfigurationError`.
     counter:
         Optional flop counter credited under the LQ phase.
     keep_reflectors:
@@ -93,6 +102,7 @@ def tpqrt(
         raise ShapeError("triangular B must be square")
     if R.dtype != B.dtype:
         raise ShapeError(f"dtype mismatch: R {R.dtype} vs B {B.dtype}")
+    _check_backend(backend)
     _fold(R, B, n if structure == "tri" else 0, backend, keep_reflectors,
           counter, mode, _capi.Workspace())
     return R

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..core.ordering import resolve_mode_order
+from ..util.validation import resolve_mode_order
 from ..precision import resolve_precision
 
 __all__ = ["MemoryModel", "simulate_memory"]

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..instrument import PHASE_LQ, PHASE_GRAM, PHASE_SVD, PHASE_EVD, PHASE_TTM
-from ..core.ordering import resolve_mode_order
+from ..util.validation import resolve_mode_order
 from ..linalg.flops import eigh_flops, svd_flops
 from ..precision import resolve_precision
 from .machine import MachineModel

@@ -75,34 +75,6 @@ class TestGelq:
         )
 
 
-class TestBlockedBackend:
-    @pytest.mark.parametrize("m,n", [(40, 10), (10, 40), (12, 12)])
-    def test_geqr_blocked(self, rng, m, n):
-        A = rng.standard_normal((m, n))
-        R = geqr(A, backend="blocked")
-        np.testing.assert_allclose(R.T @ R, A.T @ A, atol=1e-10)
-
-    @pytest.mark.parametrize("m,n", [(6, 30), (30, 6)])
-    def test_gelq_blocked(self, rng, m, n):
-        A = rng.standard_normal((m, n))
-        L = gelq(A, backend="blocked")
-        np.testing.assert_allclose(L @ L.T, A @ A.T, atol=1e-10)
-
-    def test_counter_charged(self, rng):
-        c = FlopCounter()
-        geqr(rng.standard_normal((20, 5)), backend="blocked", counter=c)
-        assert c.total > 0
-
-    def test_sthosvd_with_blocked_backend(self, rng):
-        from repro.core import sthosvd
-        from repro.tensor import DenseTensor
-
-        X = DenseTensor(rng.standard_normal((8, 9, 7)))
-        a = sthosvd(X, tol=0.2, method="qr", backend="blocked")
-        b = sthosvd(X, tol=0.2, method="qr", backend="lapack")
-        assert a.ranks == b.ranks
-
-
 class TestFlatTree:
     """`flat_tree_lq` is the one place a chunk is folded into a triangle."""
 
@@ -110,7 +82,7 @@ class TestFlatTree:
         rows=st.integers(1, 9),
         widths=st.lists(st.integers(1, 14), min_size=0, max_size=7),
         dtype=st.sampled_from([np.float32, np.float64]),
-        backend=st.sampled_from(["lapack", "householder", "blocked"]),
+        backend=st.sampled_from(["lapack", "householder"]),
         seed=st.integers(0, 10**6),
     )
     @settings(max_examples=150, deadline=None)

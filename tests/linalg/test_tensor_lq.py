@@ -104,38 +104,6 @@ def test_tensor_lq_gram_property(shape, seed):
         np.testing.assert_allclose(L @ L.T, Y @ Y.T, atol=1e-8)
 
 
-class TestBinaryTreeVariant:
-    def test_matches_flat_tree_gram(self, tensor4):
-        from repro.linalg import tensor_lq_binary_tree
-
-        for n in range(4):
-            L1 = tensor_lq(tensor4, n)
-            L2 = tensor_lq_binary_tree(tensor4, n, leaf_cols=16)
-            np.testing.assert_allclose(L1 @ L1.T, L2 @ L2.T, atol=1e-9)
-
-    def test_leaf_width_independent(self, tensor4):
-        from repro.linalg import tensor_lq_binary_tree
-
-        ref = tensor_lq(tensor4, 1)
-        for leaf in (8, 32, 1024):
-            L = tensor_lq_binary_tree(tensor4, 1, leaf_cols=leaf)
-            np.testing.assert_allclose(L @ L.T, ref @ ref.T, atol=1e-9)
-
-    def test_tall_unfolding(self, rng):
-        from repro.linalg import tensor_lq_binary_tree
-
-        X = DenseTensor(rng.standard_normal((9, 2, 3)))
-        L = tensor_lq_binary_tree(X, 0)
-        Y = X.unfold(0)
-        np.testing.assert_allclose(L @ L.T, Y @ Y.T, atol=1e-9)
-
-    def test_float32(self, tensor4_f32):
-        from repro.linalg import tensor_lq_binary_tree
-
-        L = tensor_lq_binary_tree(tensor4_f32, 2)
-        assert L.dtype == np.float32
-
-
 # ``repro.linalg.qr`` the module (``repro.linalg`` re-exports its functions).
 QR = sys.modules["repro.linalg.qr"]
 

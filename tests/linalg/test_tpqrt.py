@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError, ShapeError
+from repro.errors import ConfigurationError, ReproError, ShapeError
 from repro.instrument import FlopCounter
 from repro.linalg import tpqrt, tpqrt_reduce_triangles
 from repro.linalg.flops import tpqrt_flops
@@ -107,6 +107,16 @@ class TestValidation:
     def test_unknown_structure(self):
         with pytest.raises(ShapeError):
             tpqrt(np.zeros((3, 3)), np.zeros((3, 3)), structure="hexagonal")
+
+    @pytest.mark.parametrize("backend", ["lapak", "blocked", ""])
+    def test_unknown_backend(self, rng, backend):
+        """A misspelt backend is refused, not run as the Python loop."""
+        R, B = np.triu(rng.standard_normal((3, 3))), rng.standard_normal((2, 3))
+        keep = R.copy(), B.copy()
+        with pytest.raises(ConfigurationError, match="backend must be one of"):
+            tpqrt(R, B, backend=backend)
+        np.testing.assert_array_equal(R, keep[0])
+        np.testing.assert_array_equal(B, keep[1])
 
 
 class TestFlops:

@@ -48,8 +48,7 @@ def test_import_repro_loads_no_platform_module():
         assert module in EAGER
     for module in ("core.hooi", "core.hosvd", "core.auto", "core.checkpoint",
                    "core.outofcore", "util.durable", "data.applications",
-                   "linalg.jacobi", "linalg.blocked", "linalg.householder",
-                   "faults.guards"):
+                   "linalg.jacobi", "linalg.householder", "faults.guards"):
         assert f"repro.{module}" not in EAGER
 
 

@@ -146,3 +146,31 @@ print(json.dumps(
 """)
     n = len(_SHARED_NAMES)
     assert kinds == ["function"] * n + [True] * n + ["module"] * 5
+
+
+# The SPMD transport, and the LQ kernels that keep LAPACK's Python reference.
+_BACKEND_KEEPERS = ("run_spmd", "tensor_lq", "geqr", "gelq")
+
+
+def test_no_qr_backend_knob_above_linalg():
+    """LAPACK is the one QR path from a driver down to the LQ kernels: no
+    driver, mode loop or distributed kernel takes ``backend=``."""
+    from repro.faults.guards import guarded_mode_svd
+
+    walked = [("repro.faults.guards.guarded_mode_svd", guarded_mode_svd)]
+    for package in ("repro.core", "repro.dist", "repro"):
+        pkg = importlib.import_module(package)
+        walked += [(f"{package}.{name}", getattr(pkg, name)) for name in pkg.__all__
+                   if package != "repro" or name not in _BACKEND_KEEPERS]
+    knobs = []
+    for name, obj in walked:
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if "backend" in params:
+            knobs.append(name)
+    assert len(walked) > 90
+    assert knobs == []
