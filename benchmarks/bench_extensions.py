@@ -1,14 +1,15 @@
 """Future-work extensions (paper Sec. 5) — comparison benches.
 
-The paper's conclusion names three follow-ups; all are implemented here
-and compared against the paper's own methods:
+The paper's conclusion names three follow-ups; each is compared here
+against the paper's own methods:
 
 1. **Randomized SVD** as the loose-tolerance competitor ("randomized and
    iterative algorithms are likely to be competitive and should be
    compared against" Gram-single).
-2. **Parallel SVD of the triangular factor** (Brent-Luk one-sided
-   Jacobi) replacing the redundant sequential SVD — the stated
-   bottleneck for modes of dimension >= ~10,000.
+2. **The SVD of the triangular factor**, computed redundantly on every
+   rank — the stated bottleneck for modes of dimension >= ~10,000.
+   LAPACK's ``gesvd`` is timed against sequential one-sided Jacobi,
+   the parallel guard's fallback solver.
 3. **Mixed precision within Gram-SVD**: float32 data, float64
    accumulation — Gram's cost with (nearly) QR-single's accuracy floor.
 """
@@ -25,9 +26,7 @@ from repro.data import (
     matrix_with_spectrum,
     tensor_with_mode_spectra,
 )
-from repro.dist import DistributedTensor, GridComms, ProcessorGrid, par_tensor_qr_svd
 from repro.linalg import gram_svd, jacobi_left_svd, left_svd_of_triangle
-from repro.mpi import run_spmd
 from repro.util import format_table
 
 
@@ -88,9 +87,9 @@ class TestRandomizedComparison:
 
 
 # ---------------------------------------------------------------------------
-# 2. Parallel Jacobi SVD of the triangular factor
+# 2. SVD of the triangular factor
 # ---------------------------------------------------------------------------
-class TestParallelTriangleSvd:
+class TestTriangleSvd:
     N = 120
 
     @pytest.fixture(scope="class")
@@ -103,58 +102,6 @@ class TestParallelTriangleSvd:
 
     def test_bench_sequential_jacobi(self, benchmark, triangle):
         benchmark.pedantic(lambda: jacobi_left_svd(triangle), rounds=1, iterations=1)
-
-    def test_report_parallel_jacobi(self, benchmark, triangle, write_report):
-        from repro.dist import par_jacobi_left_svd
-
-        def run(P):
-            def prog(comm):
-                return par_jacobi_left_svd(comm, triangle)
-
-            import time
-
-            t0 = time.perf_counter()
-            res = run_spmd(prog, P)
-            return time.perf_counter() - t0, res[0][1]
-
-        def compute():
-            rows = []
-            sref = np.linalg.svd(triangle, compute_uv=False)
-            for P in (1, 2, 4):
-                secs, s = run(P)
-                err = float(np.abs(np.asarray(s) - sref).max())
-                rows.append([P, secs, err])
-            return rows
-
-        rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-        write_report(
-            "ext_parallel_jacobi",
-            format_table(
-                ["ranks", "wall s", "max |sigma err|"],
-                rows,
-                title=f"Parallel Jacobi SVD of a {self.N}x{self.N} triangle",
-            ),
-        )
-        # Correct at every rank count.
-        for _, _, err in rows:
-            assert err < 1e-10
-
-    def test_sthosvd_quality_with_jacobi_solver(self, benchmark):
-        """End-to-end: the jacobi triangle solver inside parallel QR-SVD
-        gives the same singular values as the LAPACK path."""
-        X = low_rank_tensor((12, 10, 8), (3, 3, 3), rng=2, noise=1e-9)
-
-        def prog(comm):
-            comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
-            dt = DistributedTensor.from_full(comms, X.data)
-            s_lapack = par_tensor_qr_svd(dt, 0, triangle_solver="lapack")[1]
-            s_jacobi = par_tensor_qr_svd(dt, 0, triangle_solver="jacobi")[1]
-            return float(np.abs(s_lapack - s_jacobi).max())
-
-        err = benchmark.pedantic(
-            lambda: max(run_spmd(prog, 4).values), rounds=1, iterations=1
-        )
-        assert err < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,6 @@ def sthosvd_fault_tolerant(
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     mode_order="forward",
-    svd_strategy: str = "replicated",
     max_recoveries: int = 2,
     checkpoint_name: str = "sthosvd",
     checkpoint_keep: int = 2,
@@ -235,8 +234,7 @@ def sthosvd_fault_tolerant(
         dt = distribute_from_root(comms, full, root=0)
         return sthosvd_parallel(
             dt, tol=tol, ranks=ranks, method=method, mode_order=mode_order,
-            svd_strategy=svd_strategy, progress=progress, checkpoint=ckpt,
-            resume=resume,
+            progress=progress, checkpoint=ckpt, resume=resume,
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,
@@ -252,7 +250,6 @@ def hooi_fault_tolerant(
     init: str = "sthosvd",
     max_iters: int = 25,
     fit_tol: float = 1e-9,
-    svd_strategy: str = "replicated",
     max_recoveries: int = 2,
     checkpoint_name: str = "hooi",
     checkpoint_keep: int = 2,
@@ -276,8 +273,7 @@ def hooi_fault_tolerant(
         dt = distribute_from_root(comms, full, root=0)
         return hooi_parallel(
             dt, ranks, method=method, init=init, max_iters=max_iters,
-            fit_tol=fit_tol, svd_strategy=svd_strategy, progress=progress,
-            checkpoint=ckpt, resume=resume,
+            fit_tol=fit_tol, progress=progress, checkpoint=ckpt, resume=resume,
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,

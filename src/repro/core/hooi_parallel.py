@@ -64,17 +64,11 @@ def hooi_parallel(
     init: str = "sthosvd",
     max_iters: int = 25,
     fit_tol: float = 1e-9,
-    svd_strategy: str = "replicated",
     progress: Callable[[dict], None] | None = None,
     checkpoint=None,
     resume: dict | None = None,
 ) -> ParallelHooiResult:
     """Distributed rank-constrained Tucker refinement (collective).
-
-    ``svd_strategy`` selects how per-mode factors replicate:
-    ``"replicated"`` decomposes redundantly on every rank (paper
-    default); ``"root_bcast"`` decomposes on rank 0 and broadcasts the
-    bitwise-identical factors through the adaptive collective engine.
 
     ``progress`` is called on rank 0 only, once per refreshed mode,
     with ``{"step", "total_steps", "iteration", "mode", "rank",
@@ -99,7 +93,7 @@ def hooi_parallel(
     # recorded norm keeps fit values (and hence the convergence
     # decision) identical to what the unfailed run would produce.
     loop = open_loop(
-        dt, method=method, ranks=ranks, svd_strategy=svd_strategy,
+        dt, method=method, ranks=ranks,
         norm_sq=None if resume is None else float(resume["norm_x_sq"]),
         progress=progress if dt.comm.rank == 0 else None,
     )
@@ -109,9 +103,7 @@ def hooi_parallel(
         loop.recoveries = list(resume.get("numeric_recoveries", []))
     else:
         measure_norm(loop, dt)
-        seed = sthosvd_parallel(
-            dt, ranks=loop.ranks, method=method, svd_strategy=svd_strategy,
-        )
+        seed = sthosvd_parallel(dt, ranks=loop.ranks, method=method)
         loop.factors = list(seed.factors)
         loop.counter.merge(seed.flops)
         fits = []

@@ -88,7 +88,6 @@ class ModeLoop:
     tol: float | None = None
     norm_sq: float | None = None
     svd_options: dict | None = None
-    svd_strategy: str = "replicated"
     max_elements: int = DEFAULT_CHUNK_ELEMENTS
     workdir: str | None = None
     progress: Callable[[dict], None] | None = None
@@ -157,6 +156,11 @@ def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
         raise ConfigurationError(
             "method='randomized' sketches to a target rank: pass ranks="
         )
+    if options.get("svd_options") and method != "randomized":
+        raise ConfigurationError(
+            f"svd_options tune method='randomized' only; method={method!r} "
+            "reads none"
+        )
     shape = _shape(work)
     loop = ModeLoop(method=method, ranks=resolve_truncation(shape, tol, ranks),
                     tol=tol, norm_sq=norm_sq, factors=[None] * len(shape),
@@ -208,19 +212,6 @@ def _attribute_comm(timer: PhaseTimer, mark, phase: str, n: int) -> None:
         timer.attribute_comm(seconds, phase, n)
 
 
-def _triangle_svd(L, svd_options, counter, n):
-    solver = (svd_options or {}).get("triangle_solver", "lapack")
-    if solver == "jacobi":
-        from ..linalg.jacobi import jacobi_left_svd
-
-        return jacobi_left_svd(L, counter=counter, mode=n)
-    if solver != "lapack":
-        raise ConfigurationError(
-            f"triangle_solver must be 'lapack' or 'jacobi', got {solver!r}"
-        )
-    return left_svd_of_triangle(L, counter=counter, mode=n)
-
-
 def solve_mode(
     loop: ModeLoop, work, n: int, label: str = ""
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +232,7 @@ def solve_mode(
         mark = _comm_mark()
         with timer.phase(phase, n):
             U, sigma, recovered = guarded_mode_svd(
-                work, n, method=method, svd_strategy=loop.svd_strategy,
-                counter=counter,
-            )
+                work, n, method=method, counter=counter)
         _attribute_comm(timer, mark, phase, n)
         loop.recoveries.extend(f"{label}mode{n}:{action}" for action in recovered)
         return U, sigma
@@ -269,7 +258,7 @@ def solve_mode(
             else:
                 L = tensor_lq(work, n, counter=counter)
         with timer.phase(PHASE_SVD, n):
-            return _triangle_svd(L, loop.svd_options, counter, n)
+            return left_svd_of_triangle(L, counter=counter, mode=n)
     with timer.phase(PHASE_GRAM, n):
         if streamed:
             from . import outofcore

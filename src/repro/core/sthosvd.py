@@ -124,8 +124,10 @@ def sthosvd(
     mode_order:
         ``"forward"``, ``"backward"``, or an explicit permutation.
     svd_options:
-        Extra keyword arguments for the per-mode SVD; currently used by
-        ``method="randomized"`` (``oversample``, ``power_iters``, ``rng``).
+        Extra keyword arguments for ``method="randomized"``'s sketch
+        (``oversample``, ``power_iters``, ``rng``); any other method
+        reads none and refuses them
+        (:class:`~repro.errors.ConfigurationError`).
 
     Returns
     -------

@@ -100,7 +100,6 @@ def sthosvd_parallel(
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     mode_order="forward",
-    svd_strategy: str = "replicated",
     progress: Callable[[dict], None] | None = None,
     checkpoint=None,
     resume: dict | None = None,
@@ -110,11 +109,8 @@ def sthosvd_parallel(
     Arguments match :func:`repro.core.sthosvd.sthosvd`; the working
     precision is the distributed tensor's dtype (convert with
     ``DistributedTensor.astype`` beforehand for the single-precision
-    variants).  ``svd_strategy`` selects how the per-mode factors
-    replicate: ``"replicated"`` (paper default, redundant decomposition
-    on every rank) or ``"root_bcast"`` (decompose once on rank 0, then
-    broadcast via the size-adaptive collective engine; bitwise-identical
-    factors).
+    variants).  Every rank decomposes each replicated reduced factor
+    itself, as the paper does, so the factors are bitwise replicated.
 
     ``progress`` is called on rank 0 only, once per completed mode,
     with ``{"step", "total_steps", "mode", "rank", "ranks", "seconds",
@@ -138,7 +134,7 @@ def sthosvd_parallel(
     # checkpoint taken before the first mode completed stored None: its
     # `dt` still is the input, and the first solve supplies the norm.
     loop = open_loop(
-        dt, method=method, tol=tol, ranks=ranks, svd_strategy=svd_strategy,
+        dt, method=method, tol=tol, ranks=ranks,
         norm_sq=None if resume is None else resume["norm_x_sq"],
         progress=progress if dt.comm.rank == 0 else None,
     )

@@ -5,10 +5,10 @@ N-dimensional processor grid (Sec. 3.1), block-distributed dense
 tensors, the unfolding redistribution that feeds mode-wise kernels
 (Sec. 3.2), the butterfly TSQR reduction used by the numerically
 accurate parallel QR-SVD (Sec. 3.3), the parallel Gram pipeline it is
-compared against, one-sided Jacobi as an alternative triangle SVD, and
-the truncating TTM that shrinks the tensor between modes (Sec. 3.4).
-All kernels run on the simulated-MPI :mod:`repro.mpi` runtime and keep
-their results bitwise replicated across ranks.
+compared against, and the truncating TTM that shrinks the tensor
+between modes (Sec. 3.4).  All kernels run on the simulated-MPI
+:mod:`repro.mpi` runtime and keep their results bitwise replicated
+across ranks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".dtensor": ("DistributedTensor", "GridComms"),
     ".grid": ("ProcessorGrid",),
     ".gram": ("par_tensor_gram",),
-    ".jacobi": ("par_jacobi_left_svd",),
     ".redistribute": ("distribute_from_root",
                       "redistribute_unfolding_to_columns"),
     ".svd": ("par_tensor_gram_svd", "par_tensor_qr_svd"),
@@ -41,6 +40,5 @@ __all__ = [
     "par_tensor_gram",
     "par_tensor_gram_svd",
     "par_tensor_qr_svd",
-    "par_jacobi_left_svd",
     "par_ttm_truncate",
 ]

@@ -4,8 +4,8 @@
 P_{N-1}`` grid gives the rank at coordinates ``(p_0, ..., p_{N-1})``
 the block ``X[range(I_0,P_0,p_0), ...]`` — contiguous slabs whose
 extents differ by at most one along each mode (:func:`block_range`).
-:class:`GridComms` bundles the world communicator with the Cartesian
-topology and caches the per-mode fiber communicators the kernels need.
+:class:`GridComms` bundles the world communicator with the grid and
+caches the per-mode fiber communicators the kernels need.
 """
 
 from __future__ import annotations
@@ -20,20 +20,19 @@ from .distribution import block_range
 from .grid import ProcessorGrid
 
 if TYPE_CHECKING:  # the layout is importable without the runtime
-    from ..mpi.cart import CartComm
     from ..mpi.communicator import Communicator
 
 __all__ = ["GridComms", "DistributedTensor"]
 
 
 class GridComms:
-    """A world communicator paired with a processor-grid topology.
+    """A world communicator paired with a processor grid.
 
-    Wraps :class:`repro.mpi.CartComm` and eagerly builds the mode
-    fibers: ``fiber(n)`` is the communicator connecting the ``P_n``
-    ranks that differ only in grid coordinate ``n`` — the group that
-    cooperates on mode-``n`` unfoldings.  Construction is collective
-    over ``comm``: one split rendezvous carves every mode's fiber.
+    Eagerly builds the mode fibers: ``fiber(n)`` is the communicator
+    connecting the ``P_n`` ranks that differ only in grid coordinate
+    ``n`` — the group that cooperates on mode-``n`` unfoldings.
+    Construction is collective over ``comm``: one split rendezvous
+    carves every mode's fiber.
     """
 
     def __init__(self, comm: Communicator, grid: ProcessorGrid):
@@ -42,18 +41,16 @@ class GridComms:
                 f"grid {grid.dims} needs {grid.size} ranks, "
                 f"communicator has {comm.size}"
             )
-        from ..mpi.cart import CartComm
-
         self._comm = comm
         self._grid = grid
-        self._cart = CartComm(comm, grid.dims)
         # Collective and deterministic: every rank builds every fiber
         # here, so later (possibly data-dependent) fiber uses need no
-        # coordination.
-        self._fibers = tuple(
-            fiber.comm for fiber in self._cart._subs(
-                [[d == n for d in range(grid.ndim)] for n in range(grid.ndim)])
-        )
+        # coordination.  A fiber's color is the rank at its coordinate-0
+        # end, its key this rank's place along it.
+        coords = grid.coords_of(comm.rank)
+        self._fibers = tuple(comm._split(*(
+            (grid.rank_of(coords[:n] + (0,) + coords[n + 1:]), coords[n])
+            for n in range(grid.ndim))))
 
     # ------------------------------------------------------------------
     @property
@@ -65,11 +62,6 @@ class GridComms:
     def grid(self) -> ProcessorGrid:
         """The logical processor grid this rank belongs to."""
         return self._grid
-
-    @property
-    def cart(self) -> CartComm:
-        """The underlying Cartesian topology communicator."""
-        return self._cart
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -127,10 +119,6 @@ class _DetachedGridComms:
 
     @property
     def comm(self):
-        self._no_world()
-
-    @property
-    def cart(self):
         self._no_world()
 
     def fiber(self, n: int):

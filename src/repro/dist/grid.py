@@ -21,9 +21,11 @@ class ProcessorGrid:
     """A ``P_0 x ... x P_{N-1}`` arrangement of ``P`` processes.
 
     Linearization is mode-0 fastest (column-major, matching the
-    tensor's Fortran-order unfoldings and :class:`repro.mpi.CartComm`):
-    rank ``r`` has coordinate ``r % P_0`` in mode 0, then ``(r // P_0)
-    % P_1`` in mode 1, and so on.
+    tensor's Fortran-order unfoldings): rank ``r`` has coordinate
+    ``r % P_0`` in mode 0, then ``(r // P_0) % P_1`` in mode 1, and so
+    on.  This is the one rank/coordinate table: :class:`repro.dist.
+    GridComms` carves the mode fibers from it, as TuckerMPI does with
+    ``MPI_Cart_sub``.
     """
 
     def __init__(self, dims: Sequence[int]):

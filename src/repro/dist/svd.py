@@ -4,11 +4,10 @@ Two pipelines, mirroring the sequential drivers:
 
 * :func:`par_tensor_qr_svd` — the paper's numerically accurate path:
   local LQ of the redistributed unfolding slab, butterfly TSQR
-  reduction of the transposed triangles, then an SVD of the reduced
-  ``I_n x I_n`` triangle (replicated LAPACK, root-plus-broadcast, or
-  parallel Jacobi).
+  reduction of the transposed triangles, then every rank's own LAPACK
+  SVD of the replicated ``I_n x I_n`` triangle.
 * :func:`par_tensor_gram_svd` — the TuckerMPI baseline: replicated
-  Gram matrix followed by an eigendecomposition.
+  Gram matrix followed by every rank's own eigendecomposition.
 
 Both return ``(U, sigma)`` bitwise identical on every rank.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DistributionError
 from ..instrument import FlopCounter, PHASE_EVD, PHASE_LQ, PHASE_SVD
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
@@ -25,60 +23,22 @@ from ..linalg.qr import gelq
 from ..obs.tracer import trace_span
 from .dtensor import DistributedTensor
 from .gram import par_tensor_gram
-from .jacobi import par_jacobi_left_svd
 from .redistribute import redistribute_unfolding_to_columns
 
 __all__ = ["par_tensor_qr_svd", "par_tensor_gram_svd"]
 
-_STRATEGIES = ("replicated", "root_bcast")
 
+def _reduced_triangle(
+    dt: DistributedTensor, n: int, counter: FlopCounter | None
+) -> np.ndarray:
+    """The ``I_n x I_n`` lower triangle ``L`` with ``L L^T = Y_(n) Y_(n)^T``.
 
-def _check_strategy(strategy: str) -> None:
-    if strategy not in _STRATEGIES:
-        raise DistributionError(
-            f"unknown SVD strategy {strategy!r}; expected one of {_STRATEGIES}"
-        )
-
-
-def _replicated_solve(comm, strategy, solve):
-    """Run ``solve`` redundantly everywhere or once at root + bcast.
-
-    Both strategies yield bitwise-identical results on every rank
-    because the input triangle is already replicated.
-    """
-    if strategy == "root_bcast":
-        pair = solve() if comm.rank == 0 else None
-        return comm.bcast(pair, root=0)
-    return solve()
-
-
-def par_tensor_qr_svd(
-    dt: DistributedTensor,
-    n: int,
-    *,
-    triangle_solver: str = "lapack",
-    strategy: str = "replicated",
-    counter: FlopCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and values of the mode-``n`` unfolding via LQ.
-
-    The paper's stable kernel: each rank LQ-factors its column slab of
-    the unfolding, the ``L^T`` triangles are reduced with butterfly
-    TSQR, and the final triangle's SVD supplies ``(U, sigma)``.
-    The local LQ is LAPACK's flat tree; ``triangle_solver`` picks
-    ``"lapack"`` (gesvd) or ``"jacobi"`` (parallel one-sided Jacobi)
-    for the reduced triangle, and ``strategy`` chooses ``"replicated"``
-    (every rank solves redundantly) or ``"root_bcast"`` (rank 0 solves
-    and broadcasts).  Collective; results are bitwise replicated.
+    Each rank LQ-factors its column slab of the mode-``n`` unfolding
+    and the ``L^T`` triangles are reduced with butterfly TSQR, so the
+    result is bitwise replicated.  Collective.
     """
     from .tsqr import butterfly_tsqr_reduce
 
-    _check_strategy(strategy)
-    if triangle_solver not in ("lapack", "jacobi"):
-        raise DistributionError(
-            f"unknown triangle solver {triangle_solver!r}; "
-            "expected 'lapack' or 'jacobi'"
-        )
     comm = dt.comm
     rows = dt.global_shape[n]
     dtype = dt.dtype
@@ -102,19 +62,30 @@ def par_tensor_qr_svd(
         R = np.zeros((rows, rows), dtype=dtype)
         R[: L.shape[1], :] = L.T
         R = butterfly_tsqr_reduce(comm, R, counter=counter, mode=n)
+    return np.ascontiguousarray(R.T)
 
-    with trace_span("svd", phase=PHASE_SVD, mode=n, rows=rows), \
+
+def par_tensor_qr_svd(
+    dt: DistributedTensor,
+    n: int,
+    *,
+    counter: FlopCounter | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and values of the mode-``n`` unfolding via LQ.
+
+    The paper's stable kernel: each rank LQ-factors its column slab of
+    the unfolding (LAPACK's flat tree), the ``L^T`` triangles are
+    reduced with butterfly TSQR, and every rank's own ``gesvd`` of the
+    final triangle supplies ``(U, sigma)``.  Collective; results are
+    bitwise replicated.
+    """
+    comm = dt.comm
+    L = _reduced_triangle(dt, n, counter)
+    with trace_span("svd", phase=PHASE_SVD, mode=n, rows=L.shape[0]), \
             comm.phase(PHASE_SVD, n):
-        L_final = np.ascontiguousarray(R.T)
-        if triangle_solver == "jacobi":
-            return par_jacobi_left_svd(comm, L_final, counter=counter, mode=n)
         tmp = FlopCounter()
-        U, sigma = _replicated_solve(
-            comm,
-            strategy,
-            lambda: left_svd_of_triangle(L_final, counter=tmp, mode=n),
-        )
-        comm.account_flops(tmp.total, dtype)
+        U, sigma = left_svd_of_triangle(L, counter=tmp, mode=n)
+        comm.account_flops(tmp.total, dt.dtype)
         if counter is not None:
             counter.merge(tmp)
         return U, sigma
@@ -124,26 +95,22 @@ def par_tensor_gram_svd(
     dt: DistributedTensor,
     n: int,
     *,
-    strategy: str = "replicated",
     counter: FlopCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left singular pairs of the mode-``n`` unfolding via the Gram matrix.
 
     The baseline kernel: replicated ``G = Y_(n) Y_(n)^T`` from
-    :func:`par_tensor_gram`, then an eigendecomposition (redundant or
-    root-plus-broadcast per ``strategy``).  Fast but squares the
-    condition number — singular values below ``sqrt(eps) ||X||`` are
-    lost, which is the paper's core accuracy argument.
+    :func:`par_tensor_gram`, then every rank's own eigendecomposition.
+    Fast but squares the condition number — singular values below
+    ``sqrt(eps) ||X||`` are lost, which is the paper's core accuracy
+    argument.
     """
-    _check_strategy(strategy)
     comm = dt.comm
     G = par_tensor_gram(dt, n, counter=counter)
     with trace_span("evd", phase=PHASE_EVD, mode=n, rows=G.shape[0]), \
             comm.phase(PHASE_EVD, n):
         tmp = FlopCounter()
-        U, sigma = _replicated_solve(
-            comm, strategy, lambda: svd_from_gram(G, counter=tmp, mode=n)
-        )
+        U, sigma = svd_from_gram(G, counter=tmp, mode=n)
         comm.account_flops(tmp.total, dt.dtype)
         if counter is not None:
             counter.merge(tmp)

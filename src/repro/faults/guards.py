@@ -7,18 +7,20 @@ silently inherits them.  :func:`guarded_mode_svd` wraps the parallel
 per-mode SVD with a detection + escalation ladder:
 
 1. compute with the requested method;
-2. on non-finite output, retry with a numerically safer route — the
-   Jacobi triangle solver for QR-SVD, or the full QR-SVD in place of
-   the Gram baseline (the paper's own accuracy escalation);
+2. on non-finite output, retry with a numerically safer route — for
+   QR-SVD, recompute the reduced triangle and solve it with sequential
+   one-sided Jacobi on every rank; for the Gram baseline, the full
+   QR-SVD (the paper's own accuracy escalation);
 3. still non-finite in single precision → recompute in float64 and cast
    back;
 4. still non-finite → :class:`~repro.errors.ConvergenceError`.
 
-Detection and the decision to escalate use only *replicated* data (the
-factor is bitwise identical on every rank under both SVD strategies),
-so all ranks take the same branch and collective matching is preserved
-— the guard is itself SPMD-safe.  Every escalation is reported through
-the active tracer (an ``ft.numeric_recovery`` span plus
+Detection and the decision to escalate use only *replicated* data (every
+rank decomposes the same bitwise-replicated triangle or Gram matrix,
+which makes the factor bitwise identical everywhere), so all ranks take
+the same branch and collective matching is preserved — the guard is
+itself SPMD-safe.  Every escalation is reported through the active
+tracer (an ``ft.numeric_recovery`` span plus
 ``ft.numeric_recoveries`` counters) so ``repro trace`` output shows
 what degraded and how it was repaired.
 """
@@ -52,7 +54,6 @@ def guarded_mode_svd(
     n: int,
     *,
     method: str,
-    svd_strategy: str = "replicated",
     counter=None,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Per-mode parallel SVD with NaN/Inf detection and escalation.
@@ -61,7 +62,9 @@ def guarded_mode_svd(
     escalation actions taken (empty on the clean path).  Collective
     over ``current``'s communicator, like the kernels it wraps.
     """
-    from ..dist.svd import par_tensor_gram_svd, par_tensor_qr_svd
+    from ..dist.svd import (
+        _reduced_triangle, par_tensor_gram_svd, par_tensor_qr_svd,
+    )
 
     def attempt(compute):
         """Run one rung; non-finite input can also make the solver
@@ -74,21 +77,20 @@ def guarded_mode_svd(
             return None, None, False
         return U, sigma, factors_finite(U, sigma)
 
-    def qr(dt, solver):
-        return par_tensor_qr_svd(
-            dt, n, triangle_solver=solver, strategy=svd_strategy,
-            counter=counter,
-        )
+    def solve(dt):
+        if method == "qr":
+            return par_tensor_qr_svd(dt, n, counter=counter)
+        return par_tensor_gram_svd(dt, n, counter=counter)
 
-    def gram(dt):
-        return par_tensor_gram_svd(
-            dt, n, strategy=svd_strategy, counter=counter,
-        )
+    def qr_jacobi():
+        # The input is bitwise replicated, so every rank's sequential
+        # sweep yields the same factors: no gather needed.
+        from ..linalg.jacobi import jacobi_left_svd
 
-    if method == "qr":
-        U, sigma, ok = attempt(lambda: qr(current, "lapack"))
-    else:
-        U, sigma, ok = attempt(lambda: gram(current))
+        L = _reduced_triangle(current, n, counter)
+        return jacobi_left_svd(L, counter=counter, mode=n)
+
+    U, sigma, ok = attempt(lambda: solve(current))
     if ok:
         return U, sigma, []
 
@@ -99,9 +101,10 @@ def guarded_mode_svd(
     _note_recovery(action)
     with trace_span("ft.numeric_recovery", mode=n, action=action):
         if method == "qr":
-            U, sigma, ok = attempt(lambda: qr(current, "jacobi"))
+            U, sigma, ok = attempt(qr_jacobi)
         else:
-            U, sigma, ok = attempt(lambda: qr(current, "lapack"))
+            U, sigma, ok = attempt(
+                lambda: par_tensor_qr_svd(current, n, counter=counter))
     if ok:
         return U, sigma, recoveries
 
@@ -114,10 +117,7 @@ def guarded_mode_svd(
         _note_recovery(action)
         with trace_span("ft.numeric_recovery", mode=n, action=action):
             wide = current.astype(np.float64)
-            if method == "qr":
-                U, sigma, ok = attempt(lambda: qr(wide, "lapack"))
-            else:
-                U, sigma, ok = attempt(lambda: gram(wide))
+            U, sigma, ok = attempt(lambda: solve(wide))
         if ok:
             return U.astype(orig), sigma.astype(orig), recoveries
 

@@ -1,22 +1,14 @@
 """One-sided Jacobi SVD.
 
-The paper's stated limitation (Sec. 5) is that the SVD of the triangular
-factor is computed redundantly and sequentially on every processor,
-which becomes a bottleneck "for tensors with modes that have very large
-dimension, of 10,000 or more"; the suggested fix is to parallelize that
-SVD.  One-sided Jacobi is the classical algorithm for this: it applies
-right plane rotations until the columns of the working matrix are
-orthogonal, at which point the column norms are the singular values and
-the normalized columns are the **left** singular vectors — exactly the
-outputs ST-HOSVD needs, with no right-vector accumulation.
-
-Because rotations touch only two columns at a time, disjoint column
-pairs can be processed concurrently — the basis of the Brent-Luk
-parallel scheme in :mod:`repro.dist.jacobi`.
-
-As a bonus, one-sided Jacobi computes small singular values to high
-*relative* accuracy (better than QR iteration), so this path slightly
-sharpens the paper's accuracy story rather than weakening it.
+One-sided Jacobi applies right plane rotations until the columns of the
+working matrix are orthogonal, at which point the column norms are the
+singular values and the normalized columns are the **left** singular
+vectors — exactly the outputs ST-HOSVD needs, with no right-vector
+accumulation.  It computes small singular values to high *relative*
+accuracy (better than QR iteration).  That makes it the parallel
+guard's first fallback for a triangle whose LAPACK SVD came back
+non-finite (:func:`repro.faults.guards.guarded_mode_svd`) and a
+reference for the tests.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".tracing": ("CommTrace",),
     ".transport": ("Transport", "available_backends"),
     ".tuning": ("CollectiveTuning",),
-    ".cart": ("CartComm",),
     ".algorithms": (
         "allreduce_recursive_doubling", "allgather_ring",
         "bcast_scatter_allgather", "reduce_scatter_ring",
@@ -44,7 +43,6 @@ __all__ = [
     "Transport",
     "available_backends",
     "CollectiveTuning",
-    "CartComm",
     "allreduce_recursive_doubling",
     "allgather_ring",
     "bcast_scatter_allgather",

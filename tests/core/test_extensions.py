@@ -78,20 +78,11 @@ class TestRandomizedMethod:
         res = sthosvd(X, ranks=(2, 2, 2), method="randomized")
         assert all(len(s) >= 2 for s in res.sigmas.values())
 
-
-class TestJacobiTriangleSolverSequential:
-    def test_matches_lapack_path(self):
-        X = low_rank_tensor((14, 12, 10), (3, 4, 2), rng=9, noise=1e-10)
-        lap = sthosvd(X, tol=1e-6, method="qr")
-        jac = sthosvd(X, tol=1e-6, method="qr",
-                      svd_options={"triangle_solver": "jacobi"})
-        assert jac.ranks == lap.ranks
-        assert jac.tucker.rel_error(X) <= 1.1e-6
-        for n, s in lap.sigmas.items():
-            np.testing.assert_allclose(jac.sigmas[n], s, atol=1e-9)
-
-    def test_bad_solver_name(self):
+    @pytest.mark.parametrize("method", ["qr", "gram", "gram-mixed"])
+    def test_svd_options_refused_by_other_methods(self, method):
+        """Only the sketch reads ``svd_options``; any other method refuses
+        them instead of ignoring them."""
         X = low_rank_tensor((8, 8, 8), (2, 2, 2), rng=1)
-        with pytest.raises(ConfigurationError):
-            sthosvd(X, tol=0.1, method="qr",
-                    svd_options={"triangle_solver": "cholesky"})
+        with pytest.raises(ConfigurationError, match="svd_options"):
+            sthosvd(X, ranks=(2, 2, 2), method=method,
+                    svd_options={"oversample": 5})

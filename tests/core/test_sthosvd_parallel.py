@@ -80,25 +80,6 @@ class TestEquivalence:
         assert out["err"] < 1e-3
 
 
-class TestSvdStrategy:
-    @pytest.mark.parametrize("grid", [(2, 2, 1, 1), (1, 3, 2, 1)])
-    @pytest.mark.parametrize("method", ["qr", "gram"])
-    def test_root_bcast_bitwise_matches_replicated(self, X, grid, method):
-        """Decompose-once-and-broadcast yields the exact same factors as
-        the paper's redundant decomposition (same LAPACK on the same
-        replicated input), on every rank."""
-        rep = _run(X, grid, tol=1e-6, method=method)
-        bc = _run(X, grid, tol=1e-6, method=method, svd_strategy="root_bcast")
-        for r in range(len(rep.values)):
-            assert bc[r]["ranks"] == rep[r]["ranks"]
-            for U_b, U_r in zip(bc[r]["factors"], rep[r]["factors"]):
-                np.testing.assert_array_equal(U_b, U_r)
-
-    def test_bad_strategy(self, X):
-        with pytest.raises(ValueError):
-            _run(X, (1, 1, 1, 1), tol=0.1, svd_strategy="telepathy")
-
-
 class TestValidation:
     def test_bad_method(self, X):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,8 @@ The factors of ``P`` are laid along the processing order smallest
 first: 1 on the first-processed mode whenever ``P`` has fewer prime
 factors than the tensor has modes, the largest on the last.  The model
 half holds the rule to the repo's own alpha-beta-gamma simulator and
-tuner on the bench shapes; no clock is read here.
+tuner on the bench shapes; no clock is read here.  The grid is also the
+one rank/coordinate table: ``rank_of`` inverts ``coords_of``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.dist import ProcessorGrid
 from repro.dist.grid import _prime_factors
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DistributionError
 from repro.perf import ANDES, simulate_sthosvd, tune_grid
 
 SIZES = range(1, 65)
@@ -65,6 +66,19 @@ def test_bad_order_refused():
         ProcessorGrid.for_size(4, 3, mode_order=(0, 0, 1))
     with pytest.raises(ConfigurationError):
         ProcessorGrid.for_size(4, 3, mode_order=(0, 1))
+
+
+def test_rank_of_inverts_coords_of():
+    for dims in ((2, 3, 2), (1, 4), (5,)):
+        grid = ProcessorGrid(dims)
+        for r in range(grid.size):
+            assert grid.rank_of(grid.coords_of(r)) == r
+        with pytest.raises(DistributionError):
+            grid.coords_of(grid.size)
+        with pytest.raises(DistributionError):
+            grid.rank_of((dims[0],) + (0,) * (len(dims) - 1))
+        with pytest.raises(DistributionError):
+            grid.rank_of((0,) * (len(dims) + 1))
 
 
 # The two bench tensors with the ranks tol = 1e-4 gives them, under the

@@ -17,6 +17,7 @@ import pytest
 
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.dist import dtensor as dtensor_module
+from repro.errors import DistributionError
 from repro.mpi import run_spmd
 from repro.mpi.context import SpmdContext
 from repro.mpi.transport.worldproxy import WorkerContext
@@ -55,7 +56,12 @@ def test_grid_comms_is_one_rendezvous_with_the_n_split_fibers(
         comms = GridComms(comm, grid)
         rendezvous = rendezvous_log.count(comm.rank) - before
         fibers = [comms.fiber(n) for n in range(grid.ndim)]
-        one_by_one = [comms.cart.fiber(n).comm for n in range(grid.ndim)]
+        # MPI_Comm_split per mode: the ranks that agree on every other
+        # coordinate, ordered along mode n.
+        coords = grid.coords_of(comm.rank)
+        one_by_one = [
+            comm.split(coords[:n] + coords[n + 1:], coords[n])
+            for n in range(grid.ndim)]
         describe = [[(tuple(f._members), f.rank, f.size) for f in fs]
                     for fs in (fibers, one_by_one)]
         return (rendezvous, describe, [f.comm_id for f in fibers],
@@ -75,6 +81,14 @@ def test_grid_comms_is_one_rendezvous_with_the_n_split_fibers(
     assert all(len(members) == 1 for members in ids_by_members.values())
     fibers_per_mode = sum(grid.size // p for p in dims)
     assert len(ids_by_members) == fibers_per_mode
+
+
+def test_size_mismatch_refused():
+    def prog(comm):
+        GridComms(comm, ProcessorGrid((2, 3)))
+
+    with pytest.raises(DistributionError, match="needs 6 ranks"):
+        run_spmd(prog, 4)
 
 
 @pytest.mark.parametrize("shape,dims", [

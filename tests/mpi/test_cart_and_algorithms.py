@@ -1,13 +1,12 @@
-"""Cartesian communicator and alternative collective algorithm tests."""
+"""Alternative collective algorithm tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import CommunicatorError, DistributionError
+from repro.errors import CommunicatorError
 from repro.mpi import (
-    CartComm,
     allgather_ring,
     allreduce_recursive_doubling,
     bcast_scatter_allgather,
@@ -16,74 +15,6 @@ from repro.mpi import (
 )
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
-
-
-class TestCartTopology:
-    def test_coords_roundtrip(self):
-        def prog(comm):
-            cart = CartComm(comm, (2, 3, 2))
-            ok = all(
-                cart.rank_of(cart.coords_of(r)) == r for r in range(cart.size)
-            )
-            return ok, cart.coords == cart.coords_of(comm.rank)
-
-        assert all(all(v) for v in run_spmd(prog, 12).values)
-
-    def test_size_mismatch(self):
-        def prog(comm):
-            CartComm(comm, (2, 3))
-
-        with pytest.raises(DistributionError):
-            run_spmd(prog, 4)
-
-    def test_shift_non_periodic_edges(self):
-        def prog(comm):
-            cart = CartComm(comm, (comm.size,))
-            return cart.shift(0, 1)
-
-        res = run_spmd(prog, 4)
-        assert res[0] == (None, 1)
-        assert res[3] == (2, None)
-        assert res[1] == (0, 2)
-
-    def test_shift_periodic(self):
-        def prog(comm):
-            cart = CartComm(comm, (comm.size,), periodic=[True])
-            return cart.shift(0, 2)
-
-        res = run_spmd(prog, 5)
-        for r, (src, dst) in enumerate(res):
-            assert src == (r - 2) % 5 and dst == (r + 2) % 5
-
-    def test_sub_produces_fibers(self):
-        def prog(comm):
-            cart = CartComm(comm, (2, 4))
-            fib1 = cart.fiber(1)
-            # each mode-1 fiber has the 4 ranks sharing coords[0]
-            total = fib1.comm.allreduce(np.array([cart.coords[0]]))
-            return fib1.size, float(total[0]), fib1.rank == cart.coords[1]
-
-        res = run_spmd(prog, 8)
-        for r, (size, total, rank_ok) in enumerate(res):
-            assert size == 4 and rank_ok
-            c0 = r % 2
-            assert total == 4 * c0
-
-    def test_sub_keeps_multiple_dims(self):
-        def prog(comm):
-            cart = CartComm(comm, (2, 2, 3))
-            plane = cart.sub([True, False, True])
-            return plane.size, plane.dims
-
-        res = run_spmd(prog, 12)
-        assert all(v == (6, (2, 3)) for v in res.values)
-
-    def test_cannot_drop_all_dims(self):
-        def prog(comm):
-            CartComm(comm, (2,)).sub([False])
-
-        with pytest.raises(CommunicatorError):
-            run_spmd(prog, 2)
 
 
 @pytest.mark.parametrize("p", SIZES)

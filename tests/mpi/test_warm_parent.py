@@ -83,9 +83,9 @@ def test_the_second_world_imports_nothing(backend):
     out = fresh(_WORLDS, backend)
     cold, warm = out["cold"], out["warm"]
     # Cold: the program's first use loads the parallel stack.
-    for first, _ in cold["ranks"]:
-        assert "repro.mpi.cart" in first
+    for first, done in cold["ranks"]:
         assert "repro.core.sthosvd_parallel" in first
+        assert "repro.dist.svd" in done and "repro.dist.svd" not in first
     loaded = sorted(set().union(*(set(done) for _, done in cold["ranks"])))
     assert all(name.startswith("repro.") for name in loaded)
     # The master gains exactly what the workers report, and nothing that

@@ -137,9 +137,14 @@ print(json.dumps({{"expected": list(expected), "values": values,
     assert out["values"] == [out["expected"]] * 2
     assert forbidden(out["before"]) == []
     for module in ("repro.mpi.launcher", "repro.mpi.communicator",
-                   "repro.mpi.cart", "repro.core.sthosvd_parallel",
+                   "repro.core.sthosvd_parallel", "repro.faults.guards",
                    "repro.dist.svd", "repro.dist.tsqr", "repro.dist.ttm"):
         assert module in out["after"] and module not in out["before"]
+    # Every rank decomposes the reduced triangle with LAPACK itself; the
+    # guard's Jacobi fallback loads only when a solve comes back
+    # non-finite.
+    for module in ("repro.dist.jacobi", "repro.linalg.jacobi"):
+        assert module not in out["after"]
     # Running a world is not a reason to load the tooling around worlds.
     for module in ("repro.sanitize", "repro.perf", "repro.obs.postmortem",
                    "repro.obs.telemetry", "repro.faults.checkpoint"):
@@ -225,7 +230,7 @@ print(json.dumps([f"{p}.{n}" for (p, n), *objs in zip(names, *values)
 _UPWARD = '''\
 from typing import TYPE_CHECKING
 
-from ..mpi.cart import CartComm
+from ..mpi.communicator import Communicator
 from ..obs import trace_span
 from ..obs.tracer import trace_span
 from ..faults import FaultPlan
@@ -253,7 +258,7 @@ def test_the_layer_rule_flags_module_level_platform_imports_only():
     findings = layer_findings(_UPWARD, "repro/linalg/kernel.py")
     assert {d.kind for d in findings} == {LAYER_RULE}
     assert [d.line for d in findings] == [3, 4, 6, 9, 16]
-    assert "repro.mpi.cart.CartComm" in findings[0].message
+    assert "repro.mpi.communicator.Communicator" in findings[0].message
     # The same text is fine where the platform lives, and in the parallel
     # drivers of core/; a sequential driver is held to the rule.
     for platform in ("repro/dist/svd.py", "repro/core/ft.py",

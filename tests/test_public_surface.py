@@ -7,6 +7,7 @@ An ``__init__`` under ``src/repro`` is a table
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -152,16 +153,21 @@ print(json.dumps(
 _BACKEND_KEEPERS = ("run_spmd", "tensor_lq", "geqr", "gelq")
 
 
-def test_no_qr_backend_knob_above_linalg():
-    """LAPACK is the one QR path from a driver down to the LQ kernels: no
-    driver, mode loop or distributed kernel takes ``backend=``."""
+@pytest.mark.parametrize(
+    "knob", ["backend", "svd_strategy", "strategy", "triangle_solver"])
+def test_no_qr_backend_knob_above_linalg(knob):
+    """LAPACK is the one QR path from a driver down to the LQ kernels, and
+    every rank decomposes the reduced triangle itself: no driver, mode
+    loop or distributed kernel takes a knob to pick either."""
+    from repro.core.modeloop import ModeLoop
     from repro.faults.guards import guarded_mode_svd
 
     walked = [("repro.faults.guards.guarded_mode_svd", guarded_mode_svd)]
     for package in ("repro.core", "repro.dist", "repro"):
         pkg = importlib.import_module(package)
         walked += [(f"{package}.{name}", getattr(pkg, name)) for name in pkg.__all__
-                   if package != "repro" or name not in _BACKEND_KEEPERS]
+                   if knob != "backend" or package != "repro"
+                   or name not in _BACKEND_KEEPERS]
     knobs = []
     for name, obj in walked:
         if not callable(obj):
@@ -170,7 +176,8 @@ def test_no_qr_backend_knob_above_linalg():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        if "backend" in params:
+        if knob in params:
             knobs.append(name)
     assert len(walked) > 90
     assert knobs == []
+    assert knob not in {f.name for f in dataclasses.fields(ModeLoop)}

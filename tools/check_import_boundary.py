@@ -52,7 +52,7 @@ FORBIDDEN = re.compile(
     r"(?:mpi|sanitize|perf)(?:\..*)?"
     r"|faults\.(?:plan|injector|network|checkpoint)"
     r"|obs\.(?:metrics|postmortem|telemetry|export|compare)"
-    r"|dist\.(?:svd|gram|ttm|tsqr|redistribute|jacobi)"
+    r"|dist\.(?:svd|gram|ttm|tsqr|redistribute)"
     r"|core\.(?:sthosvd_parallel|hooi_parallel|hosvd_parallel|ft)"
     r")$"
 )
