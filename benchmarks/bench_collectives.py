@@ -3,7 +3,7 @@
 Shows why each collective fills its role in the pipeline:
 
 * short messages (triangles, Gram matrices): latency-bound — recursive
-  doubling / binomial trees win (log P alphas);
+  doubling wins (log P alphas);
 * long messages (redistribution slabs): bandwidth-bound — ring/pairwise
   schedules win ((P-1)/P of the payload, alpha-heavy but beta-light).
 
@@ -40,13 +40,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.mpi import (  # noqa: E402
-    allgather_ring,
-    allreduce_recursive_doubling,
-    bcast_scatter_allgather,
-    reduce_scatter_ring,
-    run_spmd,
-)
+from repro.mpi import run_spmd  # noqa: E402
 from repro.obs.postmortem import host_metadata, repo_commit  # noqa: E402
 from repro.perf import ANDES  # noqa: E402
 from repro.perf.collectives import (  # noqa: E402
@@ -54,8 +48,6 @@ from repro.perf.collectives import (  # noqa: E402
     cost_allreduce_ring,
     cost_allreduce_tree,
     cost_alltoall_pairwise,
-    cost_bcast_binomial,
-    cost_bcast_scatter_allgather,
     dispatched_allreduce_cost,
 )
 from repro.util import format_table  # noqa: E402
@@ -83,18 +75,6 @@ def allreduce_crossover_rows(comm=ANDES.comm) -> list:
             cost_allreduce_tree(p, nbytes, comm) * 1e6,
             cost_allreduce_recursive_doubling(p, nbytes, comm) * 1e6,
             cost_allreduce_ring(p, nbytes, comm) * 1e6,
-        ])
-    return rows
-
-
-def bcast_crossover_rows(comm=ANDES.comm) -> list:
-    """[bytes, binomial_ms, scatter_allgather_ms] at P=256."""
-    rows = []
-    for nbytes in (1 << 10, 1 << 20, 1 << 28):
-        rows.append([
-            nbytes,
-            cost_bcast_binomial(256, nbytes, comm) * 1e3,
-            cost_bcast_scatter_allgather(256, nbytes, comm) * 1e3,
         ])
     return rows
 
@@ -157,17 +137,8 @@ class TestFunctionalEquivalence:
     def test_bench_allreduce_recursive_doubling(self, benchmark):
         def run():
             def prog(comm):
-                return allreduce_recursive_doubling(comm, np.ones(1000))
-
-            return run_spmd(prog, P_FUNCTIONAL)
-
-        benchmark.pedantic(run, rounds=2, iterations=1)
-
-    def test_bench_bcast_long_message(self, benchmark):
-        def run():
-            def prog(comm):
-                payload = np.ones(100_000) if comm.rank == 0 else None
-                return bcast_scatter_allgather(comm, payload, root=0)
+                return comm.allreduce(np.ones(1000),
+                                      algorithm="recursive_doubling")
 
             return run_spmd(prog, P_FUNCTIONAL)
 
@@ -178,12 +149,12 @@ class TestFunctionalEquivalence:
             def prog(comm):
                 v = np.arange(64.0) + comm.rank
                 a = comm.allreduce(v)
-                b = allreduce_recursive_doubling(comm, v)
+                b = comm.allreduce(v, algorithm="ring")
                 g1 = comm.allgather(v[:2])
-                g2 = allgather_ring(comm, v[:2])
+                g2 = comm.bcast(comm.gather(v[:2]))
                 slots = [np.array([comm.rank + q]) for q in range(comm.size)]
                 r1 = comm.reduce_scatter(slots)
-                r2 = reduce_scatter_ring(comm, slots)
+                r2 = comm.reduce_scatter([x.tolist() for x in slots], op=np.add)
                 return (
                     np.allclose(a, b)
                     and all(np.allclose(x, y) for x, y in zip(g1, g2))
@@ -215,20 +186,6 @@ class TestModeledCrossovers:
                 # tiny payloads: latency dominates -> ring loses at scale
                 if p >= 2048:
                     assert rd < ring
-
-    def test_report_bcast_long_vs_short(self, benchmark, write_report):
-        rows = benchmark.pedantic(bcast_crossover_rows, rounds=1, iterations=1)
-        write_report(
-            "collectives_bcast_crossover",
-            format_table(
-                ["bytes", "binomial [ms]", "scatter+allgather [ms]"],
-                rows,
-                title="Broadcast algorithms, P=256 (Andes alpha/beta)",
-            ),
-        )
-        # Long messages prefer scatter+allgather; short prefer the tree.
-        assert rows[0][1] < rows[0][2]
-        assert rows[-1][2] < rows[-1][1]
 
     def test_dispatched_matches_or_beats_fixed_modeled(self, benchmark, write_report):
         """The engine's selection is never worse than either fixed
@@ -323,13 +280,6 @@ def build_snapshot(*, repeats: int = MEASURED_REPEATS) -> dict:
         }
         for p, nbytes, tree, rd, ring in allreduce_crossover_rows()
     }
-    modeled_bcast = {
-        f"b{nbytes}": {
-            "binomial_ms": round(binom, 4),
-            "scatter_allgather_ms": round(sag, 4),
-        }
-        for nbytes, binom, sag in bcast_crossover_rows()
-    }
     modeled_dispatch = {
         f"P{p}.b{nbytes}": {
             "recdbl_us": round(rd, 3),
@@ -365,7 +315,6 @@ def build_snapshot(*, repeats: int = MEASURED_REPEATS) -> dict:
             "repeats": repeats,
         },
         "modeled_allreduce": modeled_allreduce,
-        "modeled_bcast": modeled_bcast,
         "modeled_dispatch": modeled_dispatch,
         "measured_allreduce": measured,
     }
@@ -385,8 +334,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     npoints = sum(
         len(snapshot[k]) for k in
-        ("modeled_allreduce", "modeled_bcast", "modeled_dispatch",
-         "measured_allreduce")
+        ("modeled_allreduce", "modeled_dispatch", "measured_allreduce")
     )
     print(f"wrote {args.out} ({npoints} data points)")
     return 0

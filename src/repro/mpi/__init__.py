@@ -22,10 +22,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".tracing": ("CommTrace",),
     ".transport": ("Transport", "available_backends"),
     ".tuning": ("CollectiveTuning",),
-    ".algorithms": (
-        "allreduce_recursive_doubling", "allgather_ring",
-        "bcast_scatter_allgather", "reduce_scatter_ring",
-    ),
 })
 
 __all__ = [
@@ -43,8 +39,4 @@ __all__ = [
     "Transport",
     "available_backends",
     "CollectiveTuning",
-    "allreduce_recursive_doubling",
-    "allgather_ring",
-    "bcast_scatter_allgather",
-    "reduce_scatter_ring",
 ]

@@ -16,16 +16,17 @@ Semantics mirror MPI where it matters to the algorithms:
   the tag space);
 * ``split`` creates disjoint sub-communicators by color, ranked by key.
 
-**Adaptive collectives.**  Each collective dispatches between several
-classic algorithms by message size and communicator shape, exactly as
-real MPI stacks do: allreduce between reduce+broadcast, recursive
-doubling, and the bandwidth-optimal ring; bcast between the binomial
-tree and van de Geijn scatter+allgather; allgather between the ring and
-Bruck dissemination; reduce_scatter between pairwise alltoall+fold and
-the ring shift-accumulate.  Crossover thresholds live in the world's
-:class:`~repro.mpi.tuning.CollectiveTuning` and every algorithm can be
-forced via the ``algorithm=`` keyword.  All algorithms combine in
-deterministic order, so replicated results stay bitwise replicated.
+**One schedule per collective.**  Each collective runs the schedule the
+paper's cost analysis (Sec. 3.5) assumes for its role: the binomial
+tree for bcast and reduce, the ring for allgather, the pairwise
+exchange for alltoall, and the ring shift-accumulate for reduce_scatter
+(the alltoall + fold for generic payloads, which cannot be sliced).
+allreduce alone dispatches by size — recursive doubling below the
+:class:`~repro.mpi.tuning.CollectiveTuning` crossover, the
+bandwidth-optimal ring above it, reduce+broadcast for generic payloads —
+and only allreduce takes ``algorithm=`` to force one.  All algorithms
+combine in deterministic order, so replicated results stay bitwise
+replicated.
 
 **Zero-copy sends.**  By default array payloads are copied on send, so a
 sender may immediately reuse its buffer — the blocking-send contract the
@@ -74,16 +75,15 @@ from ..obs.recorder import emit
 from ..obs.tracer import trace_span
 from .context import Envelope, SpmdContext
 from .costmodel import RankClock
+from .tuning import CollectiveTuning
 
 __all__ = ["Communicator"]
 
 # Internal tag space for collectives: user tags must be >= 0.
 _COLLECTIVE_TAG_BASE = -1
 
-# Sentinel marking the scatter+allgather broadcast's metadata header.
-# Identity comparison is safe: the runtime is in-process, so the object
-# reference itself travels with the message.
-_SA_HEADER = object()
+# The allreduce crossover every communicator dispatches by.
+_TUNING = CollectiveTuning()
 
 # "This collective announces no dispatch" (None is a legal payload).
 _NO_PAYLOAD = object()
@@ -269,11 +269,6 @@ class Communicator:
     @property
     def context(self) -> SpmdContext:
         return self._context
-
-    @property
-    def tuning(self):
-        """The world's :class:`~repro.mpi.tuning.CollectiveTuning` table."""
-        return self._context.tuning
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Communicator(id={self._comm_id}, rank={self._rank}/{self.size})"
@@ -722,56 +717,23 @@ class Communicator:
                 k *= 2
 
     # -- broadcast ------------------------------------------------------
-    def bcast(self, obj: Any, root: int = 0, algorithm: str | None = None) -> Any:
-        """Broadcast; returns the root's payload on every rank.
+    def bcast(self, obj: Any, root: int = 0) -> Any:
+        """Binomial-tree broadcast; returns the root's payload on every rank.
 
-        Dispatches by payload size: binomial tree for short messages,
-        van de Geijn scatter+allgather (~2x payload total on the
-        critical path instead of ``payload * log P``) for ndarrays at
-        and above the tuned threshold.  Force with
-        ``algorithm='binomial' | 'scatter_allgather'`` (all ranks must
-        pass the same value).  Arrays returned by the zero-copy binomial
-        path may be read-only (they are shared, replicated data).
+        ``ceil(log2 P)`` rounds of the whole payload, forwarded zero-copy
+        past the root, so arrays returned may be read-only (they are
+        shared, replicated data).
         """
         self._check_rank(root, "root")
-        span = self._collective(
-            "bcast", lambda: (("root", root), ("algorithm", algorithm)),
-            root=root)
+        span = self._collective("bcast", lambda: (("root", root),),
+                                algorithm="binomial", root=root)
         tag = self._next_coll_tag()
-        p = self.size
-        if p == 1:
+        if self.size == 1:
             return _copy_payload(obj)
-        with span as sp:
+        with span:
             if self._rank == root:
-                # Only the root knows the algorithm at entry; the others
-                # read it off the header.
-                algo = algorithm or self.tuning.bcast_algorithm(p, obj)
-                if sp is not None:
-                    sp.set(algorithm=algo, payload_bytes=_payload_nbytes(obj))
-                self._dispatched("bcast", algo, obj)
-                if algo == "scatter_allgather":
-                    arr = np.asarray(obj)
-                    header = (_SA_HEADER, arr.shape, arr.dtype.name)
-                    self._bcast_binomial(header, root, tag)
-                    return self._bcast_scatter_allgather(arr, root)
-                if algo != "binomial":
-                    raise CommunicatorError(f"unknown bcast algorithm {algo!r}")
-                return self._bcast_binomial(obj, root, tag)
-            value = self._bcast_binomial(None, root, tag)
-            if (
-                isinstance(value, tuple)
-                and len(value) == 3
-                and value[0] is _SA_HEADER
-            ):
-                if sp is not None:
-                    sp.set(algorithm="scatter_allgather")
-                _, shape, dtype_name = value
-                return self._bcast_scatter_allgather(
-                    None, root, shape=shape, dtype=np.dtype(dtype_name)
-                )
-            if sp is not None:
-                sp.set(algorithm="binomial")
-            return value
+                self._dispatched("bcast", "binomial", obj)
+            return self._bcast_binomial(obj, root, tag)
 
     def _bcast_binomial(self, value: Any, root: int, tag: int) -> Any:
         """Binomial-tree broadcast (MPICH scheme, zero-copy forwarding)."""
@@ -798,34 +760,6 @@ class Communicator:
                 self._send_internal(value, dest, tag, copy=not owned)
             mask >>= 1
         return value
-
-    def _bcast_scatter_allgather(
-        self,
-        arr: np.ndarray | None,
-        root: int,
-        shape: tuple | None = None,
-        dtype: np.dtype | None = None,
-    ) -> np.ndarray:
-        """van de Geijn long-message broadcast: scatter + ring allgather."""
-        p = self.size
-        scatter_tag = self._next_coll_tag()
-        gather_tag = self._next_coll_tag()
-        if self._rank == root:
-            assert arr is not None
-            shape, dtype = arr.shape, arr.dtype
-            flat = np.ascontiguousarray(arr.reshape(-1))
-            pieces = [
-                np.ascontiguousarray(flat[q0:q1])
-                for q0, q1 in (
-                    _block_bounds(flat.size, p, q) for q in range(p)
-                )
-            ]
-            mine = self._scatter_internal(pieces, root, scatter_tag, copy=False)
-        else:
-            mine = self._scatter_internal(None, root, scatter_tag, copy=False)
-        slots = self._allgather_ring(mine, gather_tag, copy=False)
-        out = np.concatenate(slots) if slots else np.empty(0, dtype=dtype)
-        return out.astype(dtype, copy=False).reshape(shape)
 
     # -- reduce / allreduce --------------------------------------------
     def reduce(
@@ -878,15 +812,15 @@ class Communicator:
         """All-reduce (result on every rank), size-adaptively dispatched.
 
         ndarray payloads use recursive doubling (``ceil(log2 P)``
-        exchange rounds — the short-message champion) below the tuned
-        ring threshold and the bandwidth-optimal ring (reduce-scatter +
+        exchange rounds — the short-message champion) below the
+        crossover and the bandwidth-optimal ring (reduce-scatter +
         allgather, ``2 (P-1)/P`` of the payload) above it; generic
         payloads fall back to reduce+broadcast.  Force with
         ``algorithm='tree' | 'recursive_doubling' | 'ring'``.  The
         combine order of each algorithm is deterministic, so results are
         bitwise replicated across ranks.
         """
-        algo = algorithm or self.tuning.allreduce_algorithm(self.size, value)
+        algo = algorithm or _TUNING.allreduce_algorithm(self.size, value)
         with self._collective(
             "allreduce",
             lambda: (("algorithm", algorithm), ("op", _op_name(op)),
@@ -988,34 +922,14 @@ class Communicator:
             self._send_internal(obj, root, tag)
             return None
 
-    def allgather(self, obj: Any, algorithm: str | None = None) -> list:
-        """All-gather one payload per rank (list indexed by rank).
+    def allgather(self, obj: Any) -> list:
+        """Ring all-gather of one payload per rank (list indexed by rank).
 
-        Dispatches by communicator size: ring shifts (``P-1`` rounds of
-        one slot) on small communicators, Bruck dissemination
-        (``ceil(log2 P)`` rounds of doubling block counts) at scale —
-        both schedules are balanced, so no rank is a hotspot, unlike the
-        legacy gather-to-root + broadcast (force it with
-        ``algorithm='gather_bcast'``; ``'ring'`` and ``'bruck'`` force
-        the others).
+        ``P-1`` shifts, each forwarding one received slot: every rank
+        sends the same volume, so no rank is a hotspot.
         """
-        p = self.size
-        algo = algorithm or self.tuning.allgather_algorithm(p)
-        with self._collective(
-            "allgather", lambda: (("algorithm", algorithm),),
-            payload=obj, algorithm=algo,
-        ):
-            if algo == "gather_bcast":
-                gathered = self.gather(obj, root=0)
-                return self.bcast(gathered, root=0)
-            tag = self._next_coll_tag()
-            if p == 1:
-                return [_copy_payload(obj)]
-            if algo == "ring":
-                return self._allgather_ring(obj, tag, copy=True)
-            if algo == "bruck":
-                return self._allgather_bruck(obj, tag, copy=True)
-            raise CommunicatorError(f"unknown allgather algorithm {algo!r}")
+        with self._collective("allgather", payload=obj, algorithm="ring"):
+            return self._allgather_ring(obj, self._next_coll_tag(), copy=True)
 
     def _allgather_ring(self, obj: Any, tag: int, *, copy: bool) -> list:
         """Ring allgather: P-1 shifts, each forwarding one received slot."""
@@ -1034,26 +948,6 @@ class Communicator:
             slots[(me - step - 1) % p] = carry
         return slots
 
-    def _allgather_bruck(self, obj: Any, tag: int, *, copy: bool) -> list:
-        """Bruck dissemination allgather: ``ceil(log2 P)`` doubling rounds.
-
-        Round ``k`` sends the ``min(2^k, P - 2^k)`` blocks held so far
-        to rank ``me - 2^k`` and receives as many from ``me + 2^k`` —
-        latency-optimal with the same total volume as the ring.
-        """
-        p, me = self.size, self._rank
-        have: list = [_copy_payload(obj) if copy else _freeze_payload(obj)]
-        k = 1
-        while k < p:
-            count = min(k, p - k)
-            dest = (me - k) % p
-            src = (me + k) % p
-            self._send_internal(have[:count], dest, tag, copy=False)
-            have.extend(self._recv_internal(src, tag))
-            k <<= 1
-        # have[j] holds rank (me + j) % p's block; undo the rotation.
-        return [have[(r - me) % p] for r in range(p)]
-
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter one payload per rank from ``root``."""
         self._check_rank(root, "root")
@@ -1068,19 +962,12 @@ class Communicator:
                 f"exactly {self.size} payloads, got {got}"
             )
         with span:
-            return self._scatter_internal(objs, root, tag, copy=True)
-
-    def _scatter_internal(
-        self, objs: Sequence[Any] | None, root: int, tag: int, *, copy: bool
-    ) -> Any:
-        if self._rank == root:
-            assert objs is not None
-            for r in range(self.size):
-                if r != root:
-                    self._send_internal(objs[r], r, tag, copy=copy)
-            own = objs[root]
-            return _copy_payload(own) if copy else _freeze_payload(own)
-        return self._recv_internal(root, tag)
+            if self._rank == root:
+                for r in range(self.size):
+                    if r != root:
+                        self._send_internal(objs[r], r, tag)
+                return _copy_payload(objs[root])
+            return self._recv_internal(root, tag)
 
     # -- alltoall / reduce_scatter -------------------------------------
     def alltoall(self, objs: Sequence[Any], *, copy: bool = True) -> list:
@@ -1126,20 +1013,19 @@ class Communicator:
         self,
         values: Sequence[Any],
         op: Callable[[Any, Any], Any] | None = None,
-        algorithm: str | None = None,
         *,
         copy: bool = True,
     ) -> Any:
         """Reduce ``values[q]`` across ranks and deliver slot ``q`` to rank q.
 
-        ndarray payloads dispatch to the ring shift-accumulate algorithm
+        ndarray payloads take the ring shift-accumulate algorithm
         (``P-1`` rounds moving one partially-reduced slot — nothing to
         fold afterwards, and every forwarded partial sum is moved, not
-        copied); generic payloads use the pairwise-exchange alltoall +
-        deterministic source-order fold.  Force with
-        ``algorithm='alltoall' | 'ring'``.  ``copy=False`` moves the
-        input payloads (the caller relinquishes them).  This is the
-        collective behind the parallel TTM's mode-fiber reduction.
+        copied); generic payloads, which cannot be sliced, take the
+        pairwise-exchange alltoall + deterministic source-order fold.
+        ``copy=False`` moves the input payloads (the caller relinquishes
+        them).  This is the collective behind the parallel TTM's
+        mode-fiber reduction.
         """
         p = self.size
         try:
@@ -1154,28 +1040,24 @@ class Communicator:
                 f"reduce_scatter on a size-{p} communicator needs exactly "
                 f"{p} payloads (one slot per rank), got {nvals}"
             )
-        algo = algorithm or self.tuning.reduce_scatter_algorithm(p, values)
+        ring = p > 1 and all(isinstance(v, np.ndarray) for v in values)
         with self._collective(
             "reduce_scatter",
-            lambda: (("algorithm", algorithm), ("op", _op_name(op)),
+            lambda: (("op", _op_name(op)),
                      ("payload", tuple(_describe_payload(v) for v in values))),
-            payload=values, algorithm=algo,
+            payload=values, algorithm="ring" if ring else "alltoall",
         ):
             if op is None:
                 op = _default_op
-            if algo == "alltoall":
-                parts = self.alltoall(values, copy=copy)
-                acc = parts[0]
-                for part in parts[1:]:
-                    acc = op(acc, part)
-                return acc
-            if algo != "ring":
-                raise CommunicatorError(
-                    f"unknown reduce_scatter algorithm {algo!r}"
+            if ring:
+                return self._reduce_scatter_ring(
+                    values, op, self._next_coll_tag(), copy=copy
                 )
-            return self._reduce_scatter_ring(
-                values, op, self._next_coll_tag(), copy=copy
-            )
+            parts = self.alltoall(values, copy=copy)
+            acc = parts[0]
+            for part in parts[1:]:
+                acc = op(acc, part)
+            return acc
 
     def _reduce_scatter_ring(
         self, values: Sequence[Any], op, tag: int, *, copy: bool

@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from ..errors import CommunicatorError, RankFailedError, WorldAbortedError
 from .costmodel import CostModel
-from .tuning import CollectiveTuning
 
 __all__ = ["SpmdContext", "Envelope"]
 
@@ -354,7 +353,6 @@ class SpmdContext:
         cost_model: CostModel | None = None,
         recv_timeout: float = DEFAULT_RECV_TIMEOUT,
         comm_trace=None,
-        tuning: CollectiveTuning | None = None,
         tracer=None,
         sanitizer=None,
         faults=None,
@@ -398,7 +396,6 @@ class SpmdContext:
         # stored by the watchdog just before it aborts the world so the
         # postmortem bundle can carry it.
         self.last_deadlock: dict | None = None
-        self.tuning = tuning if tuning is not None else CollectiveTuning()
         self.abort_event = threading.Event()
         self.abort_reason: str | None = None
         self._mailboxes: dict[tuple[int, int], _Mailbox] = {}

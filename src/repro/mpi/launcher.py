@@ -37,6 +37,7 @@ from .context import SpmdContext
 from .costmodel import CostModel
 from .transport import make_transport
 from .transport.threads import WORLD_COMM_ID
+from .tuning import CollectiveTuning
 
 __all__ = ["run_spmd", "SpmdResult", "WORLD_COMM_ID"]
 
@@ -115,7 +116,6 @@ def run_spmd(
     cost_model: CostModel | None = None,
     recv_timeout: float = 120.0,
     comm_trace=None,
-    tuning=None,
     tracer=None,
     sanitize=False,
     faults=None,
@@ -126,6 +126,10 @@ def run_spmd(
     **kwargs: Any,
 ) -> SpmdResult:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
+
+    Collectives run one schedule each; only ``allreduce`` chooses, by
+    the fixed :class:`~repro.mpi.tuning.CollectiveTuning` crossover,
+    which the world records in ``run_config["tuning"]``.
 
     Parameters
     ----------
@@ -160,9 +164,6 @@ def run_spmd(
     comm_trace:
         Optional :class:`~repro.mpi.tracing.CommTrace` recording every
         rank's sent messages and bytes.
-    tuning:
-        Optional :class:`~repro.mpi.tuning.CollectiveTuning` overriding
-        the collective-dispatch crossover thresholds for this world.
     tracer:
         Optional :class:`~repro.obs.Tracer` activated on every rank
         thread for the duration of the run: communicator operations,
@@ -236,7 +237,7 @@ def run_spmd(
     transport = make_transport(backend)
     context = SpmdContext(
         nprocs, cost_model=cost_model, recv_timeout=recv_timeout,
-        comm_trace=comm_trace, tuning=tuning, tracer=tracer,
+        comm_trace=comm_trace, tracer=tracer,
         sanitizer=sanitizer, faults=injector, resilience=res_cfg,
         transport=transport, recorder=recorder, telemetry=telemetry,
     )
@@ -246,7 +247,7 @@ def run_spmd(
         "backend": getattr(transport, "name", None),
         "nprocs": nprocs,
         "recv_timeout": recv_timeout,
-        "tuning": asdict(context.tuning),
+        "tuning": asdict(CollectiveTuning()),
         "enabled": {
             "tracer": "tracer" in context.observers,
             "recorder": recorder is not None,

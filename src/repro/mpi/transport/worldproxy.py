@@ -133,7 +133,7 @@ class WorkerConfig:
     """
 
     __slots__ = (
-        "world_size", "cost_model", "recv_timeout", "tuning", "resilience",
+        "world_size", "cost_model", "recv_timeout", "resilience",
         "faults", "observers", "has_sanitizer", "watchdog_interval",
         "heartbeat_interval", "respawn_info",
     )
@@ -142,7 +142,6 @@ class WorkerConfig:
         self.world_size = context.world_size
         self.cost_model = context.cost_model
         self.recv_timeout = context.recv_timeout
-        self.tuning = context.tuning
         self.resilience = context.resilience
         self.faults = context.faults
         self.observers = context.observers
@@ -274,7 +273,6 @@ class WorkerContext:
         self.world_size = cfg.world_size
         self.cost_model = cfg.cost_model
         self.recv_timeout = cfg.recv_timeout
-        self.tuning = cfg.tuning
         self.resilience = cfg.resilience
         self.faults = cfg.faults
         self.observers = cfg.observers

@@ -1,35 +1,24 @@
-"""Size-adaptive collective-algorithm selection (the dispatch table).
+"""The one size crossover of collective dispatch: allreduce.
 
-Real MPI implementations switch collective algorithms by message size
-and communicator shape (MPICH's ``MPIR_*_intra_auto``, Open MPI's
-``coll/tuned``); the paper's cost analysis (Sec. 3.5) likewise assumes
-latency- or bandwidth-appropriate schedules per role.  This module
-captures those decisions in one calibratable object:
+Every collective runs one array schedule, the one the paper's cost
+analysis (Sec. 3.5) assumes for its role: the binomial tree for
+``bcast``, the ring for ``allgather``, the pairwise exchange for
+``alltoall`` and the ring shift-accumulate for ``reduce_scatter``
+(generic payloads, which cannot be sliced, take the alltoall + fold).
+``allreduce`` alone chooses by size, because the Gram matrices it
+reduces span both regimes: recursive doubling (``ceil(log2 P)``
+exchange rounds, the short-message champion) below
+:attr:`~CollectiveTuning.allreduce_ring_min_bytes`, and the ring
+reduce-scatter + allgather (``2 (P-1)/P`` of the payload,
+bandwidth-optimal) at and above it; reduce+broadcast only for payloads
+the array algorithms cannot slice.
 
-* **allreduce** — recursive doubling for short messages (``ceil(log2 P)``
-  latency, the short-message champion); ring reduce-scatter + allgather
-  above :attr:`~CollectiveTuning.allreduce_ring_min_bytes` (moves
-  ``2 (P-1)/P`` of the payload, bandwidth-optimal); reduce+broadcast
-  only for payloads the array algorithms cannot slice.
-* **bcast** — binomial tree for short messages; van de Geijn
-  scatter+allgather above :attr:`~CollectiveTuning.bcast_scatter_min_bytes`
-  once the communicator is big enough for the pieces to pay off.
-* **allgather** — Bruck's dissemination algorithm (``ceil(log2 P)``
-  rounds) at :attr:`~CollectiveTuning.allgather_bruck_min_p` ranks and
-  beyond, ring otherwise; the textbook gather-to-root + broadcast stays
-  available as a forced algorithm but is never auto-selected (the root
-  serializes ``P`` messages and becomes a hotspot).
-* **reduce_scatter** — ring shift-accumulate for ndarray payloads
-  (partial sums travel, nothing is folded after the fact); the
-  pairwise-exchange alltoall + fold otherwise.
+The threshold is fixed: the communicator dispatches through one
+module-level :class:`CollectiveTuning`, and ``run_spmd`` records it in
+``run_config["tuning"]``.  ``benchmarks/bench_collectives.py`` measures
+the crossover it stands for on the threaded runtime.
 
-Default thresholds are seeded from the modeled Andes crossovers in
-``benchmarks/reports/collectives_*_crossover.txt`` (ring allreduce and
-scatter+allgather broadcast cross the log-P algorithms between ~100 KiB
-and ~1 MiB for P in 4..256).  Override by attaching a custom instance to
-the world: ``run_spmd(fn, P, tuning=CollectiveTuning(...))``.
-
-Decisions are pure functions of ``(P, payload)`` so every rank of a
+The decision is a pure function of ``(P, payload)``, so every rank of a
 communicator reaches the same choice from its own arguments — the SPMD
 requirement that makes dispatch deadlock-free (payload shapes must match
 across ranks, as MPI already requires).
@@ -38,36 +27,19 @@ across ranks, as MPI already requires).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 __all__ = ["CollectiveTuning"]
 
 
-def _nbytes(obj: Any) -> int:
-    """Payload size used for dispatch (ndarray only; 0 otherwise)."""
-    return obj.nbytes if isinstance(obj, np.ndarray) else 0
-
-
 @dataclass(frozen=True)
 class CollectiveTuning:
-    """Crossover thresholds for size/shape-adaptive collective dispatch.
-
-    All sizes are bytes of the (per-rank) payload; all thresholds are
-    inclusive lower bounds for the long-message algorithm.
-    """
+    """The allreduce crossover (bytes of the per-rank payload)."""
 
     #: allreduce switches recursive doubling -> ring at this payload size.
     allreduce_ring_min_bytes: int = 1 << 18
-    #: bcast switches binomial tree -> scatter+allgather at this size ...
-    bcast_scatter_min_bytes: int = 1 << 19
-    #: ... provided the communicator has at least this many ranks.
-    bcast_scatter_min_p: int = 4
-    #: allgather uses Bruck dissemination at and above this many ranks.
-    allgather_bruck_min_p: int = 8
-    #: reduce_scatter uses the ring at and above this total payload size.
-    reduce_scatter_ring_min_bytes: int = 0
 
     def allreduce_algorithm(self, p: int, value: Any) -> str:
         """Pick ``'tree' | 'recursive_doubling' | 'ring'`` for a payload."""
@@ -76,30 +48,3 @@ class CollectiveTuning:
         if p > 1 and value.nbytes >= self.allreduce_ring_min_bytes:
             return "ring"
         return "recursive_doubling"
-
-    def bcast_algorithm(self, p: int, obj: Any) -> str:
-        """Pick ``'binomial' | 'scatter_allgather'`` (called on the root)."""
-        if (
-            isinstance(obj, np.ndarray)
-            and p >= self.bcast_scatter_min_p
-            and obj.nbytes >= self.bcast_scatter_min_bytes
-        ):
-            return "scatter_allgather"
-        return "binomial"
-
-    def allgather_algorithm(self, p: int) -> str:
-        """Pick ``'ring' | 'bruck'`` by communicator size.
-
-        Deliberately independent of the payload: allgather inputs may
-        have rank-dependent sizes (uneven blocks), and a size-based rule
-        could diverge across ranks and deadlock the exchange.
-        """
-        return "bruck" if p >= self.allgather_bruck_min_p else "ring"
-
-    def reduce_scatter_algorithm(self, p: int, values: Sequence[Any]) -> str:
-        """Pick ``'alltoall' | 'ring'`` for one payload-per-slot input."""
-        if p > 1 and all(isinstance(v, np.ndarray) for v in values):
-            total = sum(v.nbytes for v in values)
-            if total >= self.reduce_scatter_ring_min_bytes:
-                return "ring"
-        return "alltoall"

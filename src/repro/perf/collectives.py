@@ -1,17 +1,17 @@
-"""Modeled costs of collective-communication algorithms.
+"""Modeled costs of the collective schedules the runtime executes.
 
-Closed-form alpha-beta critical-path costs of each collective algorithm
-implemented by the runtime's adaptive engine
-(:class:`~repro.mpi.communicator.Communicator` +
-:class:`~repro.mpi.tuning.CollectiveTuning`), used by the ablation
-benches to show *why* a given collective wins each size regime
-(butterfly for TSQR, pairwise all-to-all for redistribution, recursive
-doubling vs. ring for the Gram reductions).
+Closed-form alpha-beta critical-path costs of the one schedule each
+collective of :class:`~repro.mpi.communicator.Communicator` runs — the
+binomial-tree bcast, the ring allgather, the pairwise all-to-all, the
+ring reduce-scatter — and of the three allreduce schedules, used by the
+ablation benches to show *why* each fills its role (butterfly for TSQR,
+pairwise all-to-all for redistribution, recursive doubling vs. ring for
+the Gram reductions).
 
-The ``dispatched_*`` helpers price what the engine would actually
-*select* for a given ``(p, nbytes)`` under a tuning table — mirroring
-the dispatch rules exactly — so modeled breakdowns stay faithful to the
-executed schedule.
+:func:`dispatched_allreduce_cost` prices the allreduce schedule the
+engine selects for a given ``(p, nbytes)`` through the same
+:class:`~repro.mpi.tuning.CollectiveTuning` rule, so modeled breakdowns
+stay faithful to the executed schedule.
 
 All formulas give seconds for a payload of ``nbytes`` on ``p`` ranks;
 ``alpha``/``beta`` come from a machine model's :class:`CommCosts`.
@@ -29,19 +29,13 @@ from ..mpi.tuning import CollectiveTuning
 
 __all__ = [
     "cost_bcast_binomial",
-    "cost_bcast_scatter_allgather",
     "cost_allreduce_tree",
     "cost_allreduce_recursive_doubling",
     "cost_allreduce_ring",
     "cost_allgather_ring",
-    "cost_allgather_bruck",
-    "cost_allgather_gather_bcast",
     "cost_alltoall_pairwise",
     "cost_reduce_scatter_ring",
     "dispatched_allreduce_cost",
-    "dispatched_bcast_cost",
-    "dispatched_allgather_cost",
-    "dispatched_reduce_scatter_cost",
 ]
 
 
@@ -57,16 +51,6 @@ def cost_bcast_binomial(p: int, nbytes: float, comm: CommCosts) -> float:
     _check(p, nbytes)
     steps = math.ceil(math.log2(p)) if p > 1 else 0
     return steps * (comm.alpha + comm.beta * nbytes)
-
-
-def cost_bcast_scatter_allgather(p: int, nbytes: float, comm: CommCosts) -> float:
-    """van de Geijn broadcast: scatter + ring allgather, ~2x payload total."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    scatter = math.ceil(math.log2(p)) * comm.alpha + comm.beta * nbytes * (p - 1) / p
-    allgather = (p - 1) * comm.alpha + comm.beta * nbytes * (p - 1) / p
-    return scatter + allgather
 
 
 def cost_allreduce_tree(p: int, nbytes: float, comm: CommCosts) -> float:
@@ -99,35 +83,6 @@ def cost_allgather_ring(p: int, nbytes_per_rank: float, comm: CommCosts) -> floa
     return (p - 1) * (comm.alpha + comm.beta * nbytes_per_rank)
 
 
-def cost_allgather_bruck(p: int, nbytes_per_rank: float, comm: CommCosts) -> float:
-    """Bruck dissemination allgather: ``ceil(log2 p)`` doubling rounds.
-
-    Latency-optimal; round ``k`` moves ``min(2^k, p - 2^k)`` slots, for
-    the same ``(p-1)`` slots of total volume as the ring.
-    """
-    _check(p, nbytes_per_rank)
-    if p == 1:
-        return 0.0
-    steps = math.ceil(math.log2(p))
-    return steps * comm.alpha + comm.beta * nbytes_per_rank * (p - 1)
-
-
-def cost_allgather_gather_bcast(p: int, nbytes_per_rank: float, comm: CommCosts) -> float:
-    """Legacy gather-to-root + broadcast allgather (root is a hotspot).
-
-    The root serializes ``p - 1`` receives, then the binomial tree
-    re-broadcasts the whole ``p``-slot list — the schedule the dispatch
-    table retired.
-    """
-    _check(p, nbytes_per_rank)
-    if p == 1:
-        return 0.0
-    gather = (p - 1) * (comm.alpha + comm.beta * nbytes_per_rank)
-    steps = math.ceil(math.log2(p))
-    bcast = steps * (comm.alpha + comm.beta * nbytes_per_rank * p)
-    return gather + bcast
-
-
 def cost_alltoall_pairwise(p: int, nbytes_total: float, comm: CommCosts) -> float:
     """Pairwise-exchange all-to-all: P-1 rounds of one slot (total/P each).
 
@@ -148,65 +103,11 @@ def cost_reduce_scatter_ring(p: int, nbytes_total: float, comm: CommCosts) -> fl
     return (p - 1) * (comm.alpha + comm.beta * nbytes_total / p)
 
 
-# ---------------------------------------------------------------------------
-# Dispatched costs: price what the adaptive engine actually selects.
-# ---------------------------------------------------------------------------
-
-_F64 = np.dtype(np.float64)
-
-
-def _probe(nbytes: float) -> np.ndarray:
-    """A zero-length-strided stand-in array with the given nbytes."""
-    return np.empty(max(int(nbytes) // _F64.itemsize, 1) if nbytes else 0,
-                    dtype=_F64)
-
-
-def dispatched_allreduce_cost(
-    p: int, nbytes: float, comm: CommCosts,
-    tuning: CollectiveTuning | None = None,
-) -> float:
-    """Modeled cost of the allreduce algorithm the engine selects."""
-    tuning = tuning or CollectiveTuning()
-    algo = tuning.allreduce_algorithm(p, _probe(nbytes))
-    if algo == "ring":
+def dispatched_allreduce_cost(p: int, nbytes: float, comm: CommCosts) -> float:
+    """Modeled cost of the allreduce schedule the engine selects for an
+    ``nbytes`` array payload (recursive doubling or ring)."""
+    # A zero-strided stand-in array of nbytes, priced by the engine's rule.
+    probe = np.broadcast_to(np.float64(0.0), (int(nbytes) // 8,))
+    if CollectiveTuning().allreduce_algorithm(p, probe) == "ring":
         return cost_allreduce_ring(p, nbytes, comm)
-    if algo == "recursive_doubling":
-        return cost_allreduce_recursive_doubling(p, nbytes, comm)
-    return cost_allreduce_tree(p, nbytes, comm)
-
-
-def dispatched_bcast_cost(
-    p: int, nbytes: float, comm: CommCosts,
-    tuning: CollectiveTuning | None = None,
-) -> float:
-    """Modeled cost of the bcast algorithm the engine selects."""
-    tuning = tuning or CollectiveTuning()
-    algo = tuning.bcast_algorithm(p, _probe(nbytes))
-    if algo == "scatter_allgather":
-        return cost_bcast_scatter_allgather(p, nbytes, comm)
-    return cost_bcast_binomial(p, nbytes, comm)
-
-
-def dispatched_allgather_cost(
-    p: int, nbytes_per_rank: float, comm: CommCosts,
-    tuning: CollectiveTuning | None = None,
-) -> float:
-    """Modeled cost of the allgather algorithm the engine selects."""
-    tuning = tuning or CollectiveTuning()
-    algo = tuning.allgather_algorithm(p)
-    if algo == "bruck":
-        return cost_allgather_bruck(p, nbytes_per_rank, comm)
-    return cost_allgather_ring(p, nbytes_per_rank, comm)
-
-
-def dispatched_reduce_scatter_cost(
-    p: int, nbytes_total: float, comm: CommCosts,
-    tuning: CollectiveTuning | None = None,
-) -> float:
-    """Modeled cost of the reduce_scatter algorithm the engine selects."""
-    tuning = tuning or CollectiveTuning()
-    slot = nbytes_total / p if p else 0.0
-    algo = tuning.reduce_scatter_algorithm(p, [_probe(slot)] * p)
-    if algo == "ring":
-        return cost_reduce_scatter_ring(p, nbytes_total, comm)
-    return cost_alltoall_pairwise(p, nbytes_total, comm)
+    return cost_allreduce_recursive_doubling(p, nbytes, comm)

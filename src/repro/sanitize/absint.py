@@ -64,7 +64,7 @@ _SUBCOMM_OPS = frozenset({"split", "dup", "shrink"})
 # Communicator methods that perform no communication: instrumentation
 # and introspection helpers, safe to treat as inert.
 _BENIGN_OPS = frozenset({
-    "phase", "account_flops", "context", "tuning", "revoke",
+    "phase", "account_flops", "context", "revoke",
 })
 _P2P_OPS = frozenset({"send", "isend", "recv", "irecv", "sendrecv"})
 # (positional index, keyword) of the interesting arguments.

@@ -110,16 +110,29 @@ def _module_name(path: str) -> str:
     return norm.replace("/", ".")
 
 
-def _annotation_name(node: ast.expr | None) -> str | None:
-    if node is None:
-        return None
+def _annotation_types(node: ast.expr | None) -> frozenset:
+    """The type names an annotation allows: ``X | None``,
+    ``Optional[X]``, ``Union[X, Y]`` and their quoted forms are looked
+    through; ``Sequence[X]`` names ``Sequence``.  Empty when unannotated."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.split(".")[-1].strip("\"' ")
-    while isinstance(node, ast.Attribute):
-        return node.attr
+        try:
+            node = ast.parse(node.value.strip(), mode="eval").body
+        except SyntaxError:
+            return frozenset()
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotation_types(node.left) | _annotation_types(node.right)
+    if isinstance(node, ast.Subscript):
+        outer = _annotation_types(node.value)
+        if outer & {"Optional", "Union"}:
+            inner = node.slice
+            elts = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+            return frozenset().union(*map(_annotation_types, elts))
+        return outer
+    if isinstance(node, ast.Attribute):
+        return frozenset({node.attr})
     if isinstance(node, ast.Name):
-        return node.id
-    return None
+        return frozenset({node.id})
+    return frozenset()  # None, or nothing a parameter could be
 
 
 def _classify_params(node: ast.AST) -> tuple[frozenset, frozenset, bool]:
@@ -128,8 +141,11 @@ def _classify_params(node: ast.AST) -> tuple[frozenset, frozenset, bool]:
     all_args = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
     comm_params = set()
     for a in all_args:
-        if (a.arg in _COMM_PARAM_NAMES
-                or _annotation_name(a.annotation) in _COMM_ANNOTATIONS):
+        # By type when annotated (``comm: CommCosts`` is no communicator),
+        # by name when not.
+        types = _annotation_types(a.annotation)
+        if types & _COMM_ANNOTATIONS or (
+                not types and a.arg in _COMM_PARAM_NAMES):
             comm_params.add(a.arg)
     names = {a.arg for a in all_args}
     carriers = set()

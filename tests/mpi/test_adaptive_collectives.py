@@ -1,19 +1,21 @@
-"""Adaptive collective engine: equivalence, zero-copy safety, dispatch.
+"""Collective engine: equivalence, zero-copy safety, dispatch.
 
-Three suites pin down the size-adaptive engine:
+Three suites pin down the collectives:
 
-* **Equivalence** — every collective algorithm (the old textbook
-  default, each promoted alternative, and whatever the dispatch table
-  selects) produces bitwise-identical results across P in {1, 2, 3, 5,
-  8, 16}, including the non-power-of-two fold/unfold paths.  Payloads
-  are integer-valued doubles, so every associativity order sums exactly.
+* **Equivalence** — every collective produces bitwise-identical results
+  to a textbook schedule composed of other public collectives (gather +
+  bcast for allgather, scatter + allgather for bcast, generic payloads'
+  alltoall + fold for reduce_scatter) and, for allreduce, to each forced
+  algorithm, across P in {1, 2, 3, 5, 8, 16}, including the
+  non-power-of-two fold/unfold paths.  Payloads are integer-valued
+  doubles, so every associativity order sums exactly.
 * **Zero-copy safety** — ``send(copy=False)`` freezes the sender's
   buffer (reuse raises ``ValueError``) and the receiver's payload stays
   intact; read-only arrays are moved automatically (copy elision).
-* **Dispatch observability** — tuning overrides demonstrably change the
-  executed schedule (message counts), the legacy gather-to-root
-  allgather is no longer a hotspot at P >= 16, and the TTM fiber
-  reduce-scatter no longer snapshots its payloads.
+* **Dispatch observability** — the allreduce switches schedule at its
+  256 KiB crossover on every backend, the ring allgather is no
+  gather-to-root hotspot at P >= 16, and the TTM fiber reduce-scatter
+  snapshots none of its payloads.
 """
 
 from __future__ import annotations
@@ -30,20 +32,12 @@ from repro.dist import (
     par_ttm_truncate,
 )
 from repro.dist.distribution import block_range
-from repro.mpi import CollectiveTuning, CommTrace, run_spmd
-from repro.tensor.dense import DenseTensor
+from repro.mpi import CommTrace, run_spmd
+from repro.obs import Tracer
 from repro.tensor.ttm import ttm
+from tests.mpi.test_cart_and_algorithms import scatter_allgather
 
 P_SET = [1, 2, 3, 5, 8, 16]
-
-# Tuning tables that force each long-message algorithm through the
-# *dispatch* path (thresholds at zero) on tiny test payloads.
-EAGER = CollectiveTuning(
-    allreduce_ring_min_bytes=0,
-    bcast_scatter_min_bytes=0,
-    bcast_scatter_min_p=2,
-    allgather_bruck_min_p=2,
-)
 
 
 def _ints(rank: int, size: int, seed: int = 0) -> np.ndarray:
@@ -68,8 +62,6 @@ class TestAllreduceEquivalence:
         ref = list(run_spmd(prog, p, "tree"))  # the old default
         for algo in ("recursive_doubling", "ring", None):
             _assert_all_equal(ref, list(run_spmd(prog, p, algo)))
-        # Dispatched through the eager table (forces ring selection).
-        _assert_all_equal(ref, list(run_spmd(prog, p, None, tuning=EAGER)))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_custom_op_through_nonpow2_fold(self, p):
@@ -96,25 +88,24 @@ class TestBcastEquivalence:
     @pytest.mark.parametrize("p", P_SET)
     @pytest.mark.parametrize("size", [2, 7, 64])
     def test_binomial_vs_scatter_allgather(self, p, size):
-        def prog(comm, algorithm):
+        def prog(comm):
             obj = _ints(0, size, seed=7) if comm.rank == 0 else None
-            return comm.bcast(obj, root=0, algorithm=algorithm)
+            return comm.bcast(obj, root=0), scatter_allgather(comm, obj, 0)
 
-        ref = list(run_spmd(prog, p, "binomial"))  # the old default
-        for algo in ("scatter_allgather", None):
-            _assert_all_equal(ref, list(run_spmd(prog, p, algo)))
-        _assert_all_equal(ref, list(run_spmd(prog, p, None, tuning=EAGER)))
+        for got, composed in run_spmd(prog, p):
+            np.testing.assert_array_equal(got, composed)
+            np.testing.assert_array_equal(got, _ints(0, size, seed=7))
 
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_two_dimensional_payload_dispatches(self, p):
-        """The engine's scatter+allgather path handles N-D payloads."""
-        def prog(comm):
-            obj = _ints(0, 24, seed=9).reshape(6, 4) if comm.rank == 0 else None
-            return comm.bcast(obj, root=0)
+        """The binomial tree forwards N-D payloads whole."""
+        payload = _ints(0, 24, seed=9).reshape(6, 4)
 
-        ref = list(run_spmd(prog, p))
-        got = list(run_spmd(prog, p, tuning=EAGER))
-        _assert_all_equal(ref, got)
+        def prog(comm):
+            return comm.bcast(payload if comm.rank == 0 else None, root=0)
+
+        got = list(run_spmd(prog, p))
+        _assert_all_equal([payload] * p, got)
         assert got[0].shape == (6, 4)
 
     @pytest.mark.parametrize("p", [2, 3, 8])
@@ -122,58 +113,66 @@ class TestBcastEquivalence:
         def prog(comm):
             root = p - 1
             obj = _ints(99, 40, seed=11) if comm.rank == root else None
-            return comm.bcast(obj, root=root)
+            return comm.bcast(obj, root=root), scatter_allgather(comm, obj, root)
 
-        ref = list(run_spmd(prog, p))
-        _assert_all_equal(ref, list(run_spmd(prog, p, tuning=EAGER)))
+        for got, composed in run_spmd(prog, p):
+            np.testing.assert_array_equal(got, composed)
+            np.testing.assert_array_equal(got, _ints(99, 40, seed=11))
+
+
+def gather_bcast(comm, obj):
+    """The textbook allgather: gather to rank 0, broadcast the list."""
+    return comm.bcast(comm.gather(obj, root=0), root=0)
 
 
 class TestAllgatherEquivalence:
     @pytest.mark.parametrize("p", P_SET)
     def test_all_algorithms_bitwise_identical(self, p):
-        def prog(comm, algorithm):
+        def prog(comm):
             x = _ints(comm.rank, 11, seed=13)
-            return comm.allgather(x, algorithm=algorithm)
+            return comm.allgather(x), gather_bcast(comm, x)
 
-        ref = list(run_spmd(prog, p, "gather_bcast"))  # the old default
-        for algo in ("ring", "bruck", None):
-            for tuning in (None, EAGER):
-                got = list(run_spmd(prog, p, algo, tuning=tuning))
-                for r in range(p):
-                    _assert_all_equal(ref[r], got[r])
+        for got, composed in run_spmd(prog, p):
+            _assert_all_equal(composed, got)
+            _assert_all_equal([_ints(r, 11, seed=13) for r in range(p)], got)
 
     @pytest.mark.parametrize("p", [1, 3, 5, 16])
     def test_object_payloads(self, p):
-        """Bruck's block shuffling must handle non-array payloads too."""
-        def prog(comm, algorithm):
-            return comm.allgather(("rank", comm.rank), algorithm=algorithm)
+        """The ring forwards non-array payloads too."""
+        def prog(comm):
+            obj = ("rank", comm.rank)
+            return comm.allgather(obj), gather_bcast(comm, obj)
 
         expected = [("rank", r) for r in range(p)]
-        for algo in ("gather_bcast", "ring", "bruck", None):
-            for values in run_spmd(prog, p, algo):
-                assert values == expected
+        for got, composed in run_spmd(prog, p):
+            assert got == composed == expected
 
 
 class TestReduceScatterEquivalence:
     @pytest.mark.parametrize("p", P_SET)
-    def test_alltoall_vs_ring_bitwise_identical(self, p):
-        def prog(comm, algorithm):
+    def test_generic_vs_ndarray_bitwise_identical(self, p):
+        """ndarray slots take the ring, generic ones the alltoall + fold."""
+        def prog(comm, generic):
             # Uneven slot sizes (slot q has 4+q elements on every rank).
             values = [_ints(comm.rank, 4 + q, seed=17 + q) for q in range(p)]
-            return comm.reduce_scatter(values, algorithm=algorithm)
+            if generic:
+                return comm.reduce_scatter([v.tolist() for v in values],
+                                           op=np.add)
+            return comm.reduce_scatter(values)
 
-        ref = list(run_spmd(prog, p, "alltoall"))  # the old default
-        for algo in ("ring", None):
-            _assert_all_equal(ref, list(run_spmd(prog, p, algo)))
+        _assert_all_equal(list(run_spmd(prog, p, True)),
+                          list(run_spmd(prog, p, False)))
 
     @pytest.mark.parametrize("p", [3, 8])
     def test_custom_op(self, p):
-        def prog(comm, algorithm):
+        def prog(comm, generic):
             values = [_ints(comm.rank, 6, seed=23 + q) for q in range(p)]
-            return comm.reduce_scatter(values, op=np.maximum, algorithm=algorithm)
+            if generic:
+                values = [v.tolist() for v in values]
+            return comm.reduce_scatter(values, op=np.maximum)
 
-        ref = list(run_spmd(prog, p, "alltoall"))
-        _assert_all_equal(ref, list(run_spmd(prog, p, "ring")))
+        _assert_all_equal(list(run_spmd(prog, p, True)),
+                          list(run_spmd(prog, p, False)))
 
 
 class TestZeroCopySafety:
@@ -244,51 +243,49 @@ class TestZeroCopySafety:
 
 
 class TestDispatchObservability:
-    def test_tuning_override_switches_allreduce_schedule(self):
-        """Message counts prove which algorithm actually executed."""
+    @pytest.mark.parametrize("backend", ["threads", "sockets"])
+    def test_allreduce_crossover_is_256_kib(self, backend):
+        """One float64 below 256 KiB runs recursive doubling; 256 KiB
+        runs the ring — read off the dispatch events, and the ring's
+        message count proves it executed."""
+        n_ring = (1 << 18) // 8
+
         def prog(comm):
-            return comm.allreduce(np.ones(4))
+            comm.allreduce(np.ones(n_ring - 1))
+            comm.allreduce(np.ones(n_ring))
 
-        t_default, t_ring = CommTrace(), CommTrace()
-        run_spmd(prog, 4, comm_trace=t_default)
-        run_spmd(prog, 4, comm_trace=t_ring,
-                 tuning=CollectiveTuning(allreduce_ring_min_bytes=0))
-        # Recursive doubling: log2(4) = 2 rounds x 4 ranks.
-        assert t_default.total_messages() == 8
-        # Ring: (P-1) reduce-scatter + (P-1) allgather rounds x 4 ranks.
-        assert t_ring.total_messages() == 24
-
-    def test_tuning_override_switches_bcast_schedule(self):
-        def prog(comm):
-            obj = np.ones(64) if comm.rank == 0 else None
-            return comm.bcast(obj, root=0)
-
-        t_binomial, t_sa = CommTrace(), CommTrace()
-        run_spmd(prog, 4, comm_trace=t_binomial)
-        run_spmd(prog, 4, comm_trace=t_sa,
-                 tuning=CollectiveTuning(bcast_scatter_min_bytes=0,
-                                         bcast_scatter_min_p=2))
-        # Binomial tree: P - 1 point-to-point transfers in total.
-        assert t_binomial.total_messages() == 3
-        # SA: header tree (3) + scatter (3) + ring allgather (4 x 3).
-        assert t_sa.total_messages() == 18
+        tracer, trace = Tracer(), CommTrace()
+        run_spmd(prog, 4, backend=backend, tracer=tracer, comm_trace=trace,
+                 recv_timeout=60.0)
+        hist = {name: tracer.metrics.get(name)
+                for name in tracer.metrics.names()
+                if name.startswith("comm.message_bytes[")}
+        assert set(hist) == {"comm.message_bytes[allreduce:recursive_doubling]",
+                             "comm.message_bytes[allreduce:ring]"}
+        rd = hist["comm.message_bytes[allreduce:recursive_doubling]"]
+        ring = hist["comm.message_bytes[allreduce:ring]"]
+        assert (rd.count, rd.max) == (4, (n_ring - 1) * 8)
+        assert (ring.count, ring.max) == (4, n_ring * 8)
+        # Recursive doubling: log2(4) = 2 rounds x 4 ranks; ring:
+        # (P-1) reduce-scatter + (P-1) allgather rounds x 4 ranks.
+        assert trace.total_messages() == 8 + 24
 
     def test_gather_root_no_longer_a_hotspot(self):
-        """Regression (P >= 16): dispatched allgather is balanced; the
+        """Regression (P >= 16): the ring allgather is balanced; the
         legacy gather-to-root + bcast concentrated traffic on rank 0."""
         p = 16
 
-        def prog(comm, algorithm):
-            return comm.allgather(np.full(64, float(comm.rank)),
-                                  algorithm=algorithm)
+        def prog(comm, legacy):
+            x = np.full(64, float(comm.rank))
+            return gather_bcast(comm, x) if legacy else comm.allgather(x)
 
         t_new, t_old = CommTrace(), CommTrace()
-        run_spmd(prog, p, None, comm_trace=t_new)
-        run_spmd(prog, p, "gather_bcast", comm_trace=t_old)
+        run_spmd(prog, p, False, comm_trace=t_new)
+        run_spmd(prog, p, True, comm_trace=t_old)
 
         new_bytes = [t_new.sent_bytes(r) for r in range(p)]
         old_bytes = [t_old.sent_bytes(r) for r in range(p)]
-        # Every rank sends the same volume under Bruck dissemination.
+        # Every rank sends the same volume around the ring.
         assert max(new_bytes) <= 2 * (sum(new_bytes) / p)
         # The legacy schedule's worst rank is the root, and it carries
         # several times the balanced per-rank volume.
@@ -359,7 +356,10 @@ class TestTtmFiberReduceScatter:
                 q0, q1 = block_range(U.shape[1], p_n, q)
                 pieces.append(np.ascontiguousarray(partial.data[q0:q1]))
             trace.set_context("ttm-rs")
-            block = fiber.reduce_scatter(pieces, algorithm="alltoall")
+            parts = fiber.alltoall(pieces)
+            block = parts[0]
+            for part in parts[1:]:
+                block = block + part
             trace.set_context(None)
             return np.array(block, copy=True)
 

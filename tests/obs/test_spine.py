@@ -20,7 +20,7 @@ from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import RankFailedError
 from repro.faults import CrashRule, FaultPlan
-from repro.mpi import CollectiveTuning, CommTrace, available_backends, run_spmd
+from repro.mpi import CommTrace, available_backends, run_spmd
 from repro.obs import (
     FlightRecorder,
     TelemetryHub,
@@ -157,8 +157,7 @@ class TestReliabilityEventsReachEveryObserver:
 def _expect_config(cfg, backend, **enabled):
     assert cfg["backend"] == backend and cfg["nprocs"] == 2
     assert cfg["recv_timeout"] == 30.0
-    assert cfg["tuning"]["allreduce_ring_min_bytes"] == 12345
-    assert cfg["tuning"]["allgather_bruck_min_p"] == 8  # a resolved default
+    assert cfg["tuning"] == {"allreduce_ring_min_bytes": 262144}
     want = dict.fromkeys(("tracer", "recorder", "comm_trace", "sanitize",
                           "faults", "resilience", "cost_model"), False)
     want.update(enabled)
@@ -175,15 +174,12 @@ def repro_env(monkeypatch):
     monkeypatch.setenv("REPRO_SPINE_TEST", "1")
 
 
-_TUNING = CollectiveTuning(allreduce_ring_min_bytes=12345)
-
-
 class TestRunConfigInEveryArtifact:
     def test_chrome_trace_metadata(self, repro_env):
         tracer = Tracer()
         assert "run_config" not in chrome_trace(tracer)["otherData"]
         run_spmd(lambda comm: comm.barrier(), 2, tracer=tracer,
-                 sanitize=True, tuning=_TUNING, recv_timeout=30.0)
+                 sanitize=True, recv_timeout=30.0)
         doc = chrome_trace(tracer, metadata={"backend": "threads"})
         _expect_config(doc["otherData"]["run_config"], "threads",
                        tracer=True, sanitize=True)
@@ -194,7 +190,7 @@ class TestRunConfigInEveryArtifact:
         hub = TelemetryHub()
         assert hub.snapshot() == {"attached": False}
         run_spmd(lambda comm: comm.barrier(), 2, telemetry=hub,
-                 comm_trace=CommTrace(), tuning=_TUNING, recv_timeout=30.0,
+                 comm_trace=CommTrace(), recv_timeout=30.0,
                  backend="procs")
         snap = hub.snapshot()
         _expect_config(snap["run_config"], "procs", comm_trace=True)
@@ -208,7 +204,7 @@ class TestRunConfigInEveryArtifact:
 
         rec = FlightRecorder(postmortem_dir=str(tmp_path))
         with pytest.raises(RankFailedError):
-            run_spmd(prog, 2, recorder=rec, tuning=_TUNING, recv_timeout=30.0,
+            run_spmd(prog, 2, recorder=rec, recv_timeout=30.0,
                      faults=FaultPlan(crashes=[CrashRule(rank=0, at_op=1)]))
         bundle = rec.last_postmortem
         assert bundle["schema"] == "repro-postmortem/1"

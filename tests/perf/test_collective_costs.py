@@ -2,28 +2,19 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.mpi.costmodel import CommCosts
-from repro.mpi.tuning import CollectiveTuning
 from repro.perf.collectives import (
-    cost_allgather_bruck,
-    cost_allgather_gather_bcast,
     cost_allgather_ring,
     cost_allreduce_recursive_doubling,
     cost_allreduce_ring,
     cost_allreduce_tree,
     cost_alltoall_pairwise,
     cost_bcast_binomial,
-    cost_bcast_scatter_allgather,
     cost_reduce_scatter_ring,
-    dispatched_allgather_cost,
     dispatched_allreduce_cost,
-    dispatched_bcast_cost,
-    dispatched_reduce_scatter_cost,
 )
 
 COMM = CommCosts(alpha=1e-6, beta=1e-9)
@@ -34,7 +25,7 @@ class TestFormulas:
         for fn in (cost_bcast_binomial, cost_allreduce_tree,
                    cost_allreduce_recursive_doubling, cost_allreduce_ring,
                    cost_allgather_ring, cost_alltoall_pairwise,
-                   cost_reduce_scatter_ring, cost_bcast_scatter_allgather):
+                   cost_reduce_scatter_ring):
             assert fn(1, 1000, COMM) == 0.0
 
     def test_bcast_binomial_value(self):
@@ -83,34 +74,14 @@ class TestFormulas:
         with pytest.raises(ConfigurationError):
             cost_allgather_ring(2, -1, COMM)
 
-    def test_bruck_latency_beats_ring_at_scale(self):
-        """Bruck pays ceil(log2 P) alphas vs the ring's P-1."""
-        p, slot = 64, 64
-        assert cost_allgather_bruck(p, slot, COMM) < \
-            cost_allgather_ring(p, slot, COMM)
-        # Same total volume: bandwidth terms match.
-        bw = COMM.beta * slot * (p - 1)
-        assert cost_allgather_bruck(p, slot, COMM) == pytest.approx(
-            math.ceil(math.log2(p)) * COMM.alpha + bw
-        )
-
-    def test_gather_bcast_is_the_worst_allgather(self):
-        """The retired root-funnel schedule loses to both balanced ones."""
-        for p in (8, 16, 64):
-            for slot in (64, 1 << 16):
-                legacy = cost_allgather_gather_bcast(p, slot, COMM)
-                assert legacy > cost_allgather_ring(p, slot, COMM)
-                assert legacy > cost_allgather_bruck(p, slot, COMM)
-
 
 class TestDispatchedCosts:
-    """The dispatched_* helpers price exactly what the engine selects."""
+    """dispatched_allreduce_cost prices exactly what the engine selects."""
 
     def test_allreduce_tracks_best_regime(self):
-        tuning = CollectiveTuning()
         for p in (4, 16, 64):
             for nbytes in (256, 1 << 14, 1 << 22, 1 << 26):
-                d = dispatched_allreduce_cost(p, nbytes, COMM, tuning)
+                d = dispatched_allreduce_cost(p, nbytes, COMM)
                 rd = cost_allreduce_recursive_doubling(p, nbytes, COMM)
                 ring = cost_allreduce_ring(p, nbytes, COMM)
                 assert d in (pytest.approx(rd), pytest.approx(ring))
@@ -118,31 +89,15 @@ class TestDispatchedCosts:
                 # worse of the two, but never by more than 2x.
                 assert d <= 2.0 * min(rd, ring), (p, nbytes)
 
-    def test_dispatched_never_worse_than_both_fixed(self):
-        """In each regime the dispatched cost equals one of the fixed
-        algorithms and is within a small factor of the better one."""
-        tuning = CollectiveTuning()
-        for p in (4, 16, 64, 256):
-            for nbytes in (128, 1 << 12, 1 << 20, 1 << 27):
-                d = dispatched_bcast_cost(p, nbytes, COMM, tuning)
-                binom = cost_bcast_binomial(p, nbytes, COMM)
-                sa = cost_bcast_scatter_allgather(p, nbytes, COMM)
-                assert d in (pytest.approx(binom), pytest.approx(sa))
-                assert d <= 1.5 * min(binom, sa), (p, nbytes)
-
-    def test_reduce_scatter_and_allgather_dispatch(self):
-        tuning = CollectiveTuning()
-        assert dispatched_reduce_scatter_cost(8, 1 << 20, COMM, tuning) == \
-            pytest.approx(cost_reduce_scatter_ring(8, 1 << 20, COMM))
-        assert dispatched_allgather_cost(4, 4096, COMM, tuning) == \
-            pytest.approx(cost_allgather_ring(4, 4096, COMM))
-        assert dispatched_allgather_cost(16, 4096, COMM, tuning) == \
-            pytest.approx(cost_allgather_bruck(16, 4096, COMM))
-
-    def test_tuning_override_changes_selection(self):
-        eager_ring = CollectiveTuning(allreduce_ring_min_bytes=0)
-        assert dispatched_allreduce_cost(8, 64, COMM, eager_ring) == \
-            pytest.approx(cost_allreduce_ring(8, 64, COMM))
+    def test_crossover_is_the_engines_threshold(self):
+        """256 KiB: the last 8 bytes below price recursive doubling, the
+        threshold itself prices the ring (the rule the engine runs)."""
+        below, at = (1 << 18) - 8, 1 << 18
+        assert dispatched_allreduce_cost(8, below, COMM) == pytest.approx(
+            cost_allreduce_recursive_doubling(8, below, COMM))
+        assert dispatched_allreduce_cost(8, at, COMM) == pytest.approx(
+            cost_allreduce_ring(8, at, COMM))
+        assert dispatched_allreduce_cost(1, at, COMM) == 0.0
 
 
 class TestApiDocsGenerator:

@@ -182,6 +182,47 @@ class TestCallGraph:
                     if f.name == "sthosvd_parallel")
         assert "dt" in info.comm_carriers
 
+    def test_annotated_params_are_classified_by_type(self, tmp_path):
+        """A parameter named ``comm`` annotated with a non-communicator
+        type (a cost formula's ``comm: CommCosts``) is no communicator,
+        so the function is no SPMD driver; unannotated and
+        Communicator-annotated ones stay communicators."""
+        code = (
+            "from __future__ import annotations\n"
+            "from typing import Optional\n"
+            "\n"
+            "def cost(p, comm: CommCosts):\n"
+            "    return comm.alpha * p\n"
+            "\n"
+            "def cost_or_default(p, comm: CommCosts | None = None):\n"
+            "    return comm\n"
+            "\n"
+            "def quoted(comm: 'Optional[CommCosts]' = None):\n"
+            "    return comm\n"
+            "\n"
+            "def driver(comm):\n"
+            "    return comm.allreduce(1)\n"
+            "\n"
+            "def typed_driver(world: Communicator | None):\n"
+            "    return world.bcast(0)\n"
+            "\n"
+            "def quoted_driver(c: 'repro.mpi.Communicator'):\n"
+            "    return c.barrier()\n"
+        )
+        path = tmp_path / "annotated.py"
+        path.write_text(code, encoding="utf-8")
+        res = verify_paths([str(path)])
+        by_name = {f.name: f for f in res.project.functions.values()}
+        assert by_name["cost"].comm_params == frozenset()
+        assert by_name["cost_or_default"].comm_params == frozenset()
+        assert by_name["quoted"].comm_params == frozenset()
+        assert by_name["driver"].comm_params == {"comm"}
+        assert by_name["typed_driver"].comm_params == {"world"}
+        assert by_name["quoted_driver"].comm_params == {"c"}
+        assert sorted(r.entry.name for r in res.reports) == [
+            "driver", "quoted_driver", "typed_driver"]
+        assert res.findings == []
+
     def test_json_artifact_for_fixture_driver(self):
         res = verify_fixture("cross_rank_bcast")
         report = res.reports[0]

@@ -181,3 +181,21 @@ def test_no_qr_backend_knob_above_linalg(knob):
     assert len(walked) > 90
     assert knobs == []
     assert knob not in {f.name for f in dataclasses.fields(ModeLoop)}
+
+
+def test_only_allreduce_picks_a_collective_schedule():
+    """Every other collective runs one schedule, and the allreduce
+    crossover is fixed: no ``algorithm=`` elsewhere, no ``tuning=``."""
+    import numpy as np
+
+    from repro.mpi import Communicator, run_spmd
+
+    ops = ("barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
+           "scatter", "alltoall", "reduce_scatter")
+    assert {op for op in ops if "algorithm" in
+            inspect.signature(getattr(Communicator, op)).parameters} == {"allreduce"}
+    assert "tuning" not in inspect.signature(run_spmd).parameters
+    with pytest.raises(TypeError):
+        run_spmd(lambda comm: comm.bcast(1, algorithm="binomial"), 2)
+    ring = run_spmd(lambda comm: comm.allreduce(np.ones(2), algorithm="ring"), 2)
+    assert all((v == 2.0).all() for v in ring.values)
