@@ -35,7 +35,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
               "hosvd", "hooi", "sthosvd_out_of_core", "sthosvd_parallel",
               "ParallelSthosvdResult"),
     ".dist": ("ProcessorGrid", "GridComms", "DistributedTensor"),
-    ".obs": ("FlightRecorder", "Tracer", "TelemetryHub"),
+    ".obs": ("FlightRecorder", "Tracer"),
     ".mpi": ("run_spmd", "CostModel"),
 })
 
@@ -81,7 +81,6 @@ __all__ = [
     "CostModel",
     "Tracer",
     "FlightRecorder",
-    "TelemetryHub",
     "ProcessorGrid",
     "GridComms",
     "DistributedTensor",

@@ -15,9 +15,9 @@ observability artifacts), ``lint`` (the static per-function SPMD lint
 of :mod:`repro.sanitize`), ``verify`` (the whole-program SPMD verifier:
 interprocedural comm-trace matching, ownership, and deadlock analysis,
 with per-driver comm-graph artifacts — together with ``lint`` the CI
-gate), ``top`` (a live telemetry view of a running SPMD world),
-``postmortem`` (render a crash bundle), and ``bench --compare`` (diff
-two benchmark snapshots with tolerance bands).
+gate), ``chaos`` (a seeded fault matrix), ``postmortem`` (render a crash
+bundle), and ``bench --compare`` (diff two benchmark snapshots with
+tolerance bands).
 
 Usage::
 
@@ -288,11 +288,24 @@ def _chaos_program(comm, X, tol, ranks, method, recover="shrink",
             ]}
 
 
+def _synthetic_input(args) -> np.ndarray:
+    """The ``trace``/``chaos`` input: a ``--shape`` tensor whose mode
+    spectra decay geometrically by ``--decay`` (so tolerance-based
+    truncation has something real to cut), seeded by ``--seed``, in
+    the ``--precision`` of the run."""
+    from .data.synthetic import tensor_with_mode_spectra
+
+    spectra = [[args.decay ** k for k in range(extent)]
+               for extent in args.shape]
+    X = tensor_with_mode_spectra(tuple(args.shape), spectra,
+                                 rng=np.random.default_rng(args.seed)).data
+    return X.astype(np.float32) if args.precision == "single" else X
+
+
 def _cmd_trace(args) -> int:
     """Run a traced parallel ST-HOSVD on a synthetic tensor and export
     the observability artifacts (Chrome trace, phase/imbalance/comm
     tables, metrics, measured-vs-modeled diff)."""
-    from .data.synthetic import tensor_with_mode_spectra
     from .mpi import run_spmd
     from .mpi.tracing import CommTrace
     from .mpi.transport import resolve_backend
@@ -313,16 +326,7 @@ def _cmd_trace(args) -> int:
     nprocs = 1
     for g in grid:
         nprocs *= g
-
-    # Synthetic input with geometrically decaying mode spectra, so the
-    # tolerance-based truncation has something real to cut.
-    rng = np.random.default_rng(args.seed)
-    spectra = [
-        [args.decay ** k for k in range(extent)] for extent in shape
-    ]
-    X = tensor_with_mode_spectra(shape, spectra, rng=rng).data
-    if args.precision == "single":
-        X = X.astype(np.float32)
+    X = _synthetic_input(args)
 
     tracer = Tracer()
     comm_trace = CommTrace()
@@ -420,18 +424,12 @@ def _cmd_chaos(args) -> int:
     error stays within ``--error-factor`` of the fault-free error, and
     the fired-fault trace is identical on every replay (determinism).
     """
-    from .data.synthetic import tensor_with_mode_spectra
     from .faults import CrashRule, FaultPlan, KernelFaultRule, MessageFaultRule
     from .mpi import run_spmd
     from .util.tables import format_table
 
-    shape = tuple(args.shape)
     nprocs = args.procs
-    rng = np.random.default_rng(args.seed)
-    spectra = [[args.decay ** k for k in range(extent)] for extent in shape]
-    X = tensor_with_mode_spectra(shape, spectra, rng=rng).data
-    if args.precision == "single":
-        X = X.astype(np.float32)
+    X = _synthetic_input(args)
     ranks = tuple(args.ranks) if args.ranks else None
 
     def launch(plan, ckpt_dir=None):
@@ -546,89 +544,6 @@ def _cmd_postmortem(args) -> int:
 
     bundle = load_postmortem(args.bundle)
     print(render_postmortem(bundle, events=args.events))
-    return 0
-
-
-def _cmd_top(args) -> int:
-    """Live telemetry view of a running SPMD world (``repro top``).
-
-    Launches the same synthetic parallel ST-HOSVD as ``repro trace`` in
-    a background thread with an always-on flight recorder, and repaints
-    the per-rank telemetry table (status, heartbeat age, event counts,
-    comm totals, innermost open span) at ``--interval`` until the run
-    finishes — a scaled-down ``htop`` for simulated ranks.  On a crash
-    the postmortem path (when ``--postmortem-dir`` is set) is printed.
-    """
-    import threading
-    import time as _time
-
-    from .core.sthosvd_parallel import sthosvd_parallel
-    from .data.synthetic import tensor_with_mode_spectra
-    from .dist import DistributedTensor, GridComms
-    from .dist.grid import ProcessorGrid
-    from .mpi import run_spmd
-    from .mpi.tracing import CommTrace
-    from .obs import FlightRecorder, TelemetryHub
-
-    shape = tuple(args.shape)
-    grid = tuple(args.grid)
-    if len(grid) != len(shape):
-        raise SystemExit(f"--grid needs {len(shape)} entries")
-    nprocs = 1
-    for g in grid:
-        nprocs *= g
-
-    rng = np.random.default_rng(args.seed)
-    spectra = [[args.decay ** k for k in range(extent)] for extent in shape]
-    X = tensor_with_mode_spectra(shape, spectra, rng=rng).data
-    ranks = tuple(args.ranks) if args.ranks else None
-
-    recorder = FlightRecorder(
-        heartbeat_interval=args.interval / 2,
-        postmortem_dir=args.postmortem_dir,
-    )
-    hub = TelemetryHub()
-    comm_trace = CommTrace()
-
-    def program(comm):
-        for _ in range(args.repeat):
-            comms = GridComms(comm, ProcessorGrid(grid))
-            dt = DistributedTensor.from_full(comms, X)
-            res = sthosvd_parallel(dt, tol=args.tol, ranks=ranks,
-                                   method=args.method)
-        return res.ranks
-
-    outcome: dict = {}
-
-    def runner():
-        try:
-            outcome["result"] = run_spmd(
-                program, nprocs, recorder=recorder, telemetry=hub,
-                comm_trace=comm_trace, backend=args.backend,
-            )
-        except Exception as exc:  # rendered below, after the last frame
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=runner, name="repro-top-run")
-    worker.start()
-    frames = 0
-    try:
-        while worker.is_alive():
-            _time.sleep(args.interval)
-            print(hub.render())
-            frames += 1
-    finally:
-        worker.join()
-    print(hub.render())  # final frame: terminal rank states
-    if "error" in outcome:
-        err = outcome["error"]
-        print(f"run failed: {type(err).__name__}: {err}", file=sys.stderr)
-        if recorder.last_postmortem_path:
-            print(f"postmortem: {recorder.last_postmortem_path}",
-                  file=sys.stderr)
-        return 1
-    print(f"done: ranks {outcome['result'][0]} "
-          f"({frames} live frames rendered)")
     return 0
 
 
@@ -870,33 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 disables the per-rank tails)")
     pm.set_defaults(fn=_cmd_postmortem)
 
-    tp = sub.add_parser(
-        "top",
-        help="live per-rank telemetry of a synthetic parallel ST-HOSVD "
-             "(status, heartbeat age, recorded events, comm counters)",
-    )
-    tp.add_argument("--shape", type=int, nargs="+", required=True)
-    tp.add_argument("--grid", type=int, nargs="+", required=True,
-                    help="processor grid (one entry per mode; product = nprocs)")
-    tp.add_argument("--tol", type=float, default=None)
-    tp.add_argument("--ranks", type=int, nargs="+", default=None)
-    tp.add_argument("--method", default="qr", choices=["qr", "gram"])
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--decay", type=float, default=0.7,
-                    help="geometric decay of the synthetic mode spectra")
-    tp.add_argument("--repeat", type=int, default=1,
-                    help="run the decomposition this many times (longer runs "
-                         "give the live view something to watch)")
-    tp.add_argument("--interval", type=float, default=0.5,
-                    help="seconds between repaints (heartbeats tick at half "
-                         "this)")
-    tp.add_argument("--backend", default=None,
-                    choices=["threads", "procs", "sockets"],
-                    help="SPMD transport (default: REPRO_SPMD_BACKEND or threads)")
-    tp.add_argument("--postmortem-dir", default=None,
-                    help="write a postmortem bundle here if the run aborts")
-    tp.set_defaults(fn=_cmd_top)
-
     be = sub.add_parser(
         "bench",
         help="compare two versioned benchmark snapshots "
@@ -975,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("compress", "recompress", "trace", "chaos", "top") and (
+    if args.command in ("compress", "recompress", "trace", "chaos") and (
         args.tol is None
     ) == (args.ranks is None):
         raise SystemExit(f"{args.command}: pass exactly one of --tol / --ranks")

@@ -359,7 +359,6 @@ class SpmdContext:
         resilience=None,
         transport=None,
         recorder=None,
-        telemetry=None,
     ) -> None:
         if world_size <= 0:
             raise CommunicatorError("world size must be positive")
@@ -388,7 +387,6 @@ class SpmdContext:
         self.sanitizer = sanitizer  # repro.sanitize.Sanitizer, or None
         self.faults = faults  # repro.faults.FaultInjector, or None
         self.resilience = resilience  # repro.faults.Resilience, or None
-        self.telemetry = telemetry  # repro.obs.TelemetryHub, or None
         # The resolved configuration of this world (run_spmd fills it
         # in); every exported artifact carries it.
         self.run_config: dict | None = None
@@ -453,7 +451,7 @@ class SpmdContext:
         # Elastic recovery: the transport installs a respawner so a
         # replace rendezvous can relaunch failed ranks at their original
         # position; the context tracks incarnations and a recovery log
-        # for the postmortem bundle and live telemetry.
+        # for the postmortem bundle.
         self._respawner = None
         self._respawn_lock = threading.Lock()
         self._replace_table: _ReplaceTable | None = None
@@ -577,9 +575,8 @@ class SpmdContext:
     def log_recovery(self, action: str, **detail) -> None:
         """Append one event to the world's recovery timeline.
 
-        The timeline feeds the postmortem bundle's ``recovery`` section
-        and the telemetry snapshot, so operators can see *how* a run
-        survived, not just that it did.
+        The timeline feeds the postmortem bundle's ``recovery`` section,
+        so operators can see *how* a run survived, not just that it did.
         """
         event = {"action": action, "time": time.time(), **detail}
         with self._recovery_log_lock:

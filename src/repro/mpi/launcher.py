@@ -82,7 +82,7 @@ class SpmdResult:
         return slowest.breakdown()
 
 
-def _write_postmortem(context, recorder, telemetry, err, errors) -> None:
+def _write_postmortem(context, recorder, err, errors) -> None:
     """Assemble (and persist, when configured) the crash postmortem.
 
     Runs just before the launcher re-raises the root cause of a dead
@@ -94,10 +94,8 @@ def _write_postmortem(context, recorder, telemetry, err, errors) -> None:
     try:
         from ..obs.postmortem import build_postmortem, write_postmortem
 
-        bundle = build_postmortem(
-            context, error=err, errors=errors,
-            recorder=recorder, telemetry=telemetry,
-        )
+        bundle = build_postmortem(context, error=err, errors=errors,
+                                  recorder=recorder)
         recorder.last_postmortem = bundle
         if recorder.postmortem_dir is not None:
             recorder.last_postmortem_path = write_postmortem(
@@ -122,7 +120,6 @@ def run_spmd(
     resilience=None,
     backend=None,
     recorder=None,
-    telemetry=None,
     **kwargs: Any,
 ) -> SpmdResult:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
@@ -195,14 +192,11 @@ def run_spmd(
         saves).  When the run dies the launcher assembles a postmortem
         bundle (``recorder.last_postmortem``, and a JSON file when
         ``postmortem_dir`` is set) before re-raising the root cause.
+        On ``"procs"`` and ``"sockets"`` each worker streams its events
+        to this recorder with its liveness heartbeat (every
+        ``heartbeat_interval`` of the transport), so the recorder shows
+        a running world's progress and survives a worker's death.
         See ``docs/observability.md`` (Flight recorder & postmortems).
-    telemetry:
-        Optional :class:`~repro.obs.TelemetryHub` giving a live mid-run
-        snapshot API (``hub.snapshot()`` / ``hub.render()``): per-rank
-        status, heartbeat ages, flight-recorder activity, and comm
-        totals, streamed from worker processes at
-        ``recorder.heartbeat_interval`` on the ``"procs"`` backend and
-        sampled from shared state on ``"threads"``.
 
     Returns
     -------
@@ -239,10 +233,10 @@ def run_spmd(
         nprocs, cost_model=cost_model, recv_timeout=recv_timeout,
         comm_trace=comm_trace, tracer=tracer,
         sanitizer=sanitizer, faults=injector, resilience=res_cfg,
-        transport=transport, recorder=recorder, telemetry=telemetry,
+        transport=transport, recorder=recorder,
     )
     # "With which configuration?" — resolved once, carried by every
-    # artifact (chrome_trace metadata, telemetry snapshots, postmortems).
+    # artifact (chrome_trace metadata, postmortems).
     context.run_config = {
         "backend": getattr(transport, "name", None),
         "nprocs": nprocs,
@@ -262,11 +256,6 @@ def run_spmd(
     }
     if tracer is not None:
         tracer.run_config = context.run_config
-    if telemetry is not None:
-        telemetry.attach(
-            context, recorder=recorder,
-            backend=getattr(transport, "name", None),
-        )
     values, clocks, errors = transport.execute(context, fn, args, kwargs)
 
     # Sanitizer findings are root causes; CommunicatorError is usually a
@@ -299,7 +288,7 @@ def run_spmd(
     for level in range(5):
         for rank, err in enumerate(errors):
             if reportable(err) and tier(err) == level:
-                _write_postmortem(context, recorder, telemetry, err, errors)
+                _write_postmortem(context, recorder, err, errors)
                 raise err
     if sanitizer is not None:
         sanitizer.finalize_world(context)

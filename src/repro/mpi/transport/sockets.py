@@ -13,8 +13,8 @@ Each worker keeps three kinds of connection:
   master's out-of-band pushes (world table, abort, bye) the other,
   applied by a reader thread so a rank blocked on its own mailbox
   still hears of a dead partner;
-* a one-way **data** link to the master, for telemetry heartbeats,
-  liveness pings and injected-fault notices *only*;
+* a one-way **data** link to the master, for heartbeats and
+  injected-fault notices *only*;
 * one directed **peer** link per ordered pair of ranks, opened lazily
   on the first send, carrying ``put`` frames.  The sender writes on
   the rank's own thread; the receiver runs one reader thread per
@@ -55,10 +55,12 @@ Each worker keeps three kinds of connection:
   the lifecycle report.  Frames for a rank the master has declared
   gone are dropped, as an MPI send to a dead process would be.
 
-* **Heartbeats and liveness.**  Workers always run a ping thread on
-  the data link (interval ``heartbeat_interval``); the master stamps
-  ``last_rx`` on every arriving frame and declares a worker lost when
-  the link stays silent past ``liveness_timeout`` — surfacing
+* **Heartbeats and liveness.**  Every worker runs one heartbeat thread
+  on the data link (interval ``heartbeat_interval``; the frame carries
+  the flight recorder's stream when one is attached, see
+  :class:`~repro.mpi.transport.worldproxy.Heartbeat`); the master
+  stamps ``last_rx`` on every arriving frame and declares a worker
+  lost when the link stays silent past ``liveness_timeout`` — surfacing
   :class:`~repro.errors.RankFailedError` to blocked partners instead
   of hanging.  OS-level TCP keepalive backs the application
   heartbeats.
@@ -528,8 +530,7 @@ class _PeerWire:
         # path failures: dest -> [frames lost, "Type: message"]
         self._lost: dict[int, list] = {}
         # The fault engine and the master data link are shared by the
-        # rank thread (puts, fault notices), the pinger and the
-        # heartbeat thread.
+        # rank thread (puts, fault notices) and the heartbeat thread.
         self._master_lock = threading.Lock()
 
     def start(self, ctx) -> None:
@@ -705,7 +706,7 @@ class _PeerWire:
         except LinkClosed:
             # One reconnect under the policy, then give up quietly: the
             # link carries bookkeeping only, and a master that stops
-            # hearing pings declares this rank lost on its own.
+            # hearing heartbeats declares this rank lost on its own.
             self._master_gen += 1
             try:
                 self._master = _connect_framed(
@@ -718,7 +719,8 @@ class _PeerWire:
                 pass
 
     def notify_master(self, header: tuple) -> None:
-        """Best-effort bookkeeping frame (heartbeat, ping) to the master."""
+        """Best-effort bookkeeping frame (heartbeat, injected-fault
+        notice) to the master."""
         with self._master_lock:
             if self._net is not None:
                 if self._net.on_frame(0, countable=False) == "dark":
@@ -731,34 +733,6 @@ class _PeerWire:
             if out.fs is not None:
                 out.fs.close()
         self._listener.close()
-
-
-class _Pinger:
-    """Always-on liveness pings on the data link.
-
-    Unlike the telemetry :class:`~repro.mpi.transport.worldproxy.
-    Heartbeat` (which only runs when a recorder/hub is attached), the
-    transport needs periodic traffic unconditionally — silence is its
-    failure detector.
-    """
-
-    def __init__(self, wire: _PeerWire, rank: int, interval: float) -> None:
-        self._wire = wire
-        self._rank = rank
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=f"spmd-sock-ping-{rank}"
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            self._wire.notify_master(("ping", self._rank, time.time()))
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
 
 
 def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
@@ -800,11 +774,10 @@ def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
         channel = _SockChannel(ctl, netstate)
         wire = _PeerWire(rank, incarnation, token, peers, data, addr, hello,
                          policy, netstate, counters)
-        pinger = _Pinger(wire, rank, heartbeat_interval)
         try:
-            run_worker(cfg, rank, fn, args, kwargs, channel, wire)
+            run_worker(cfg, rank, fn, args, kwargs, channel, wire,
+                       heartbeat_interval)
         finally:
-            pinger.stop()
             channel.close()
             wire.close()
             if isinstance(listen, str):
@@ -1202,11 +1175,11 @@ class SocketTransport(WorldServerMixin, Transport):
         def handle(header: tuple, _arrays: list) -> None:
             kind = header[0]
             if kind == "hb":
-                self._ingest_heartbeat(context, header[1], header[2],
-                                       header[3])
+                # Stamping last_rx was the liveness half; the delta is
+                # empty unless a flight recorder is attached.
+                self._ingest_heartbeat(context, header[1], header[3])
             elif kind == "netfault":
                 self._absorb_netfault(context, link, header[1])
-            # "ping" frames carry nothing; stamping last_rx was the point.
 
         def lost() -> bool:
             if (link.finished

@@ -7,7 +7,7 @@ with its peers over direct worker-to-worker links (the data plane,
 plane** only — rank lifecycle and result slots, the split / shrink /
 replace rendezvous, revocation and abort fan-out, the node-local
 store, the sanitizer's collective matching and wait-for graph,
-liveness, telemetry and postmortem assembly.  No payload crosses the
+liveness and postmortem assembly.  No payload crosses the
 master.
 
 This module holds everything above the wire:
@@ -16,8 +16,9 @@ This module holds everything above the wire:
   ``SpmdContext`` stand-in: real mailboxes, a copy of the world table,
   RPCs for what is world state), :class:`WorkerSanitizer`, the shard
   loop over the observers (:func:`delta_shards` /
-  :func:`collect_shards` / :class:`Heartbeat`), and :func:`run_worker`,
-  the worker main loop;
+  :func:`collect_shards`), :class:`Heartbeat` (the worker's one
+  periodic frame: liveness, and the recorder's stream), and
+  :func:`run_worker`, the worker main loop;
 * the master side — :class:`WorldServerMixin`, the RPC dispatch table,
   the world-table push, the lifecycle bookkeeping and the shard merge
   paths.
@@ -52,11 +53,12 @@ A transport supplies two duck-typed worker objects:
     ``send_put(dest_world, comm_id, source, tag, env)`` — ship one
     envelope to a peer, returning ``None`` or the error that lost it;
     ``notify_master(header)`` — best-effort bookkeeping frame
-    (heartbeat, ping); ``counts()`` — frames per peer, ``({dest:
-    (dest incarnation, sent)}, {source: (source incarnation,
-    received)})``; ``report()`` — ``{"sent": <as counts()[0]>, "lost":
-    {dest: (frames, why)}}`` for the lifecycle RPC; ``received(source,
-    incarnation)`` — ``(frames, link_at_eof)``; ``start(context)``.
+    (heartbeat, injected-fault notice); ``counts()`` — frames per
+    peer, ``({dest: (dest incarnation, sent)}, {source: (source
+    incarnation, received)})``; ``report()`` — ``{"sent": <as
+    counts()[0]>, "lost": {dest: (frames, why)}}`` for the lifecycle
+    RPC; ``received(source, incarnation)`` — ``(frames,
+    link_at_eof)``; ``start(context)``.
 
 and, master-side, per-rank ``link`` objects carrying ``rank``.
 """
@@ -135,7 +137,7 @@ class WorkerConfig:
     __slots__ = (
         "world_size", "cost_model", "recv_timeout", "resilience",
         "faults", "observers", "has_sanitizer", "watchdog_interval",
-        "heartbeat_interval", "respawn_info",
+        "respawn_info",
     )
 
     def __init__(self, context) -> None:
@@ -150,14 +152,6 @@ class WorkerConfig:
             context.sanitizer.watchdog_interval
             if context.sanitizer is not None else None
         )
-        # Telemetry streaming cadence; None disables the worker
-        # heartbeat thread entirely (no recorder, no telemetry hub).
-        if context.recorder is not None:
-            self.heartbeat_interval = context.recorder.heartbeat_interval
-        elif context.telemetry is not None:
-            self.heartbeat_interval = 0.5
-        else:
-            self.heartbeat_interval = None
         # Populated by a transport respawner for a replacement worker:
         # {"incarnation", "crash_fired", "revoked_below",
         # "revoke_reason"}.  Tells the worker which incarnation it is
@@ -619,14 +613,28 @@ def collect_shards(cfg: WorkerConfig, ctx: WorkerContext, comm, rank: int,
 
 
 class Heartbeat:
-    """Worker-side telemetry streamer: ships deltas every interval.
+    """The worker's one periodic frame: liveness, and the recorder's stream.
 
-    A daemon thread that periodically computes the streaming shard
-    delta (:func:`delta_shards`) and sends a ``("hb", rank, ts,
-    delta)`` frame up the data link to the master, so the master can
-    fold mid-run state into the caller's observers and stamp the rank's
-    heartbeat.  Stopped (and joined) before the finalize shard is
-    computed, so cursors are never raced and nothing is double-counted.
+    A daemon thread sends ``("hb", rank, ts, delta)`` up the data link
+    every ``interval`` seconds, from the worker's start to its last
+    ``finally``.  The master stamps the link on every frame (silence
+    past the liveness deadline is a death) and folds ``delta`` into the
+    caller's observers.  ``delta`` is ``{}`` unless a
+    :class:`~repro.obs.FlightRecorder` is attached, so an unobserved
+    world never cuts a shard.
+
+    Memory model.  The thread and the rank's main thread share
+    ``cursors``.  The thread cuts and sends each delta holding
+    ``_lock``, and reads ``_streaming`` under it; :meth:`close_stream`
+    takes the same lock to clear the flag, and :func:`run_worker` calls
+    it before it cuts the closing shard.  The lock orders every cut: a
+    delta the thread cut (and sent) happens before the flag is cleared,
+    and once it is cleared the thread cuts nothing.  So no delta is cut
+    after the closing one, no cursor is advanced twice, and nothing is
+    counted twice.  (The lock orders the cuts, not their arrival: the
+    closing shard travels on the ctl link, so the recorder's part of it
+    restarts at the fork — see :func:`run_worker`.)  The empty frames go
+    on through the linger phase, until :meth:`stop`.
     """
 
     def __init__(self, cfg: WorkerConfig, ctx: WorkerContext, wire,
@@ -637,6 +645,8 @@ class Heartbeat:
         self._rank = rank
         self._cursors = cursors
         self._interval = interval
+        self._lock = threading.Lock()
+        self._streaming = "recorder" in cfg.observers
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, daemon=True, name=f"spmd-heartbeat-{rank}"
@@ -645,12 +655,22 @@ class Heartbeat:
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
-            try:
-                delta = delta_shards(self._cfg, self._ctx, self._rank,
-                                     self._cursors)
-            except Exception:  # pragma: no cover - telemetry best-effort
-                continue
-            self._wire.notify_master(("hb", self._rank, time.time(), delta))
+            with self._lock:
+                delta = {}
+                if self._streaming:
+                    try:
+                        delta = delta_shards(self._cfg, self._ctx,
+                                             self._rank, self._cursors)
+                    except Exception:  # pragma: no cover - best-effort
+                        pass
+                self._wire.notify_master(
+                    ("hb", self._rank, time.time(), delta))
+
+    def close_stream(self) -> None:
+        """Cut no more deltas: the caller is about to cut the closing
+        shard from the same cursors."""
+        with self._lock:
+            self._streaming = False
 
     def stop(self) -> None:
         self._stop.set()
@@ -678,12 +698,13 @@ def _imported_since(count: int) -> list:
 
 
 def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
-               channel, wire) -> None:
+               channel, wire, heartbeat_interval: float) -> None:
     """The worker main loop, from first baseline to the closing report.
 
     Wire-agnostic: the transport's worker entry point builds the
     channel and the peer wire over the sockets it owns, does its fd
-    hygiene, then hands off here.
+    hygiene, then hands off here.  The :class:`Heartbeat` runs from
+    here to the end, every ``heartbeat_interval`` seconds.
     """
     from ..communicator import Communicator
 
@@ -694,99 +715,107 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
                for name, observer in cfg.observers.items()}
     cursors["fault_events"] = (len(cfg.faults.trace)
                                if cfg.faults is not None else 0)
+    recorder_at_fork = cursors.get("recorder")
 
     ctx = WorkerContext(cfg, rank, channel, wire)
-    wire.start(ctx)
-    channel.start(ctx)
-    info = cfg.respawn_info
-    if info is not None and cfg.faults is not None:
-        # Fresh incarnation: operations count from zero so crash-rule
-        # calibration means the same thing for every incarnation, and
-        # the fire count is pinned from the master (this process's
-        # injector copy never saw the previous incarnation's crash).
-        cfg.faults.note_respawn(
-            rank, incarnation=info["incarnation"],
-            fired=info.get("crash_fired"),
-        )
-
-    heartbeat = None
-    if cfg.heartbeat_interval is not None:
-        heartbeat = Heartbeat(cfg, ctx, wire, rank, cursors,
-                              cfg.heartbeat_interval)
-
-    comm = None
-    outcome = {"kind": "rank_error", "value": None,
-               "exc": CommunicatorError(f"rank {rank} worker never ran")}
+    heartbeat = Heartbeat(cfg, ctx, wire, rank, cursors, heartbeat_interval)
     try:
-        comm = Communicator(ctx, WORLD_COMM_ID, list(range(cfg.world_size)),
-                            rank)
+        wire.start(ctx)
+        channel.start(ctx)
+        info = cfg.respawn_info
+        if info is not None and cfg.faults is not None:
+            # Fresh incarnation: operations count from zero so crash-rule
+            # calibration means the same thing for every incarnation, and
+            # the fire count is pinned from the master (this process's
+            # injector copy never saw the previous incarnation's crash).
+            cfg.faults.note_respawn(
+                rank, incarnation=info["incarnation"],
+                fired=info.get("crash_fired"),
+            )
 
-        def on_value(value) -> None:
-            outcome.update(kind="finalize", value=value, exc=None)
+        comm = None
+        outcome = {"kind": "rank_error", "value": None,
+                   "exc": CommunicatorError(f"rank {rank} worker never ran")}
+        try:
+            comm = Communicator(ctx, WORLD_COMM_ID,
+                                list(range(cfg.world_size)), rank)
 
-        def on_killed(exc) -> None:
-            outcome.update(kind="rank_killed", exc=exc)
+            def on_value(value) -> None:
+                outcome.update(kind="finalize", value=value, exc=None)
 
-        def on_error(exc) -> None:
+            def on_killed(exc) -> None:
+                outcome.update(kind="rank_killed", exc=exc)
+
+            def on_error(exc) -> None:
+                outcome.update(kind="rank_error", exc=exc)
+
+            run_rank_program(ctx, comm, fn, args, kwargs, rank,
+                             on_value=on_value, on_killed=on_killed,
+                             on_error=on_error)
+        except BaseException as exc:  # noqa: BLE001 - report setup failures
             outcome.update(kind="rank_error", exc=exc)
 
-        run_rank_program(ctx, comm, fn, args, kwargs, rank,
-                         on_value=on_value, on_killed=on_killed,
-                         on_error=on_error)
-    except BaseException as exc:  # noqa: BLE001 - report setup failures
-        outcome.update(kind="rank_error", exc=exc)
-
-    if heartbeat is not None:
-        # Joined before the finalize shard is computed so the cursors
-        # the heartbeat advanced are quiescent and nothing double-counts.
-        heartbeat.stop()
-    try:
-        shards = collect_shards(cfg, ctx, comm, rank, cursors)
-    except Exception:  # pragma: no cover - never lose the lifecycle msg
-        shards = {}
-    payload = (outcome["value"] if outcome["kind"] == "finalize"
-               else encode_exception(outcome["exc"]))
-    # The lifecycle message carries the wire's account of itself: how
-    # many frames went to each peer (what their drain rule counts up
-    # to) and which were lost to a failed path (so the master can name
-    # the send path as the cause instead of letting partners see a
-    # clean finalize).  It also names the package modules this rank had
-    # to import itself, for the master to load before the next fork.
-    report = wire.report()
-    report["imported"] = _imported_since(forked_with)
-    try:
-        channel.call(outcome["kind"], payload, shards, report)
-    except (pickle.PicklingError, TypeError, ValueError,
-            AttributeError) as exc:
-        # The return value would not cross the process boundary (e.g.
-        # it holds live runtime handles).  Report a diagnostic instead
-        # of dying silently, which would surface as a spurious
-        # "worker process died unexpectedly".
-        err = CommunicatorError(
-            f"rank {rank} return value could not cross the process "
-            f"boundary ({type(exc).__name__}: {exc}); return plain "
-            f"arrays/containers from the rank program, or objects that "
-            f"detach cleanly on pickle"
-        )
+        # No heartbeat delta is cut after this: the closing shard takes
+        # the rest from the same cursors (see Heartbeat, "memory model").
+        heartbeat.close_stream()
+        if recorder_at_fork is not None:
+            # A delta may still be on the data link when this report
+            # reaches the master over the ctl link, and the master
+            # reads the two on different threads.  The recorder keeps
+            # one copy of each seq and drops any at or below its newest,
+            # so its closing shard restarts at the fork: whichever of
+            # the two is merged last adds nothing and loses nothing.
+            cursors["recorder"] = recorder_at_fork
         try:
-            channel.call("rank_error", encode_exception(err), shards, report)
-        except BaseException:  # noqa: BLE001 - master gone
+            shards = collect_shards(cfg, ctx, comm, rank, cursors)
+        except Exception:  # pragma: no cover - never lose the lifecycle msg
+            shards = {}
+        payload = (outcome["value"] if outcome["kind"] == "finalize"
+                   else encode_exception(outcome["exc"]))
+        # The lifecycle message carries the wire's account of itself: how
+        # many frames went to each peer (what their drain rule counts up
+        # to) and which were lost to a failed path (so the master can name
+        # the send path as the cause instead of letting partners see a
+        # clean finalize).  It also names the package modules this rank had
+        # to import itself, for the master to load before the next fork.
+        report = wire.report()
+        report["imported"] = _imported_since(forked_with)
+        try:
+            channel.call(outcome["kind"], payload, shards, report)
+        except (pickle.PicklingError, TypeError, ValueError,
+                AttributeError) as exc:
+            # The return value would not cross the process boundary (e.g.
+            # it holds live runtime handles).  Report a diagnostic instead
+            # of dying silently, which would surface as a spurious
+            # "worker process died unexpectedly".
+            err = CommunicatorError(
+                f"rank {rank} return value could not cross the process "
+                f"boundary ({type(exc).__name__}: {exc}); return plain "
+                f"arrays/containers from the rank program, or objects that "
+                f"detach cleanly on pickle"
+            )
+            try:
+                channel.call("rank_error", encode_exception(err), shards,
+                             report)
+            except BaseException:  # noqa: BLE001 - master gone
+                return
+        except BaseException:  # noqa: BLE001 - master gone: nobody to tell
             return
-    except BaseException:  # noqa: BLE001 - master gone; nothing to report to
-        return
-    # The rank is done but its process is not: peers may still be
-    # sending to it, and what lands in its mailboxes unreceived is what
-    # the leak report and the postmortem's in-flight section list.  So
-    # the worker keeps its links open until the master closes the
-    # world, takes in the frames its peers reported sending, and hands
-    # over the summary of what nobody received.
-    expected = channel.wait_bye()
-    if expected is not None:
-        ctx.await_frames(expected)
-        try:
-            channel.call("inbox", ctx.pending_rows())
-        except BaseException:  # noqa: BLE001 - master gone
-            pass
+        # The rank is done but its process is not: peers may still be
+        # sending to it, and what lands in its mailboxes unreceived is what
+        # the leak report and the postmortem's in-flight section list.  So
+        # the worker keeps its links open until the master closes the
+        # world, takes in the frames its peers reported sending, and hands
+        # over the summary of what nobody received.
+        expected = channel.wait_bye()
+        if expected is not None:
+            ctx.await_frames(expected)
+            try:
+                channel.call("inbox", ctx.pending_rows())
+            except BaseException:  # noqa: BLE001 - master gone
+                pass
+    finally:
+        heartbeat.stop()
 
 
 # ----------------------------------------------------------------------
@@ -1011,18 +1040,15 @@ class WorldServerMixin:
             for comm_id, source, tag, nbytes, moved, origin in rows
         ]
 
-    def _ingest_heartbeat(self, context, rank: int, ts: float,
-                          delta: dict) -> None:
-        """Fold one heartbeat into the caller's telemetry objects."""
+    def _ingest_heartbeat(self, context, rank: int, delta: dict) -> None:
+        """Fold one heartbeat's streamed shards into the caller's
+        observers."""
         try:
-            self._merge_telemetry(context, rank, delta)
-            hub = getattr(context, "telemetry", None)
-            if hub is not None:
-                hub.beat(rank, ts)
-        except Exception:  # pragma: no cover - telemetry must not kill
+            self._merge_streamed(context, rank, delta)
+        except Exception:  # pragma: no cover - a stream must not kill
             pass  # the data thread
 
-    def _merge_telemetry(self, context, rank: int, shards: dict) -> None:
+    def _merge_streamed(self, context, rank: int, shards: dict) -> None:
         """Merge the streaming shard slice (observers + inbox)."""
         for name, observer in context.observers.items():
             if shards.get(name):
@@ -1034,7 +1060,7 @@ class WorldServerMixin:
         clock = shards.get("clock")
         if clock is not None:
             self._clocks[rank] = clock
-        self._merge_telemetry(context, rank, shards)
+        self._merge_streamed(context, rank, shards)
         injector = context.faults
         if injector is not None and shards.get("faults"):
             events, ops = shards["faults"]

@@ -19,9 +19,6 @@ The pieces, bottom-up:
 * :mod:`repro.obs.recorder` — always-on bounded per-rank flight
   recorder (``run_spmd(recorder=FlightRecorder())``): p2p/collective
   events, kernel entry/exit, faults, checkpoint saves.
-* :mod:`repro.obs.telemetry` — :class:`TelemetryHub` mid-run snapshot
-  API and the ``repro top`` live view, fed by worker heartbeats on the
-  process backend and shared-state sampling on the thread backend.
 * :mod:`repro.obs.postmortem` — crash postmortem bundles (last-N events
   per rank, span stacks, in-flight messages, heartbeat ages, fault
   trace) written by the launcher when a world dies; rendered by
@@ -53,7 +50,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".postmortem": ("POSTMORTEM_SCHEMA", "build_postmortem",
                     "load_postmortem", "render_postmortem",
                     "write_postmortem"),
-    ".telemetry": ("TelemetryHub",),
     ".export": ("chrome_trace", "write_chrome_trace", "phase_table",
                 "imbalance_summary", "imbalance_table"),
     ".compare": ("measured_phase_seconds", "model_diff", "model_diff_table",
@@ -74,7 +70,6 @@ __all__ = [
     "ingest_comm_trace",
     "ingest_flop_counter",
     "FlightRecorder",
-    "TelemetryHub",
     "current_recorder",
     "record_event",
     "POSTMORTEM_SCHEMA",

@@ -132,14 +132,12 @@ def build_postmortem(
     error: Optional[BaseException] = None,
     errors: Optional[List[Optional[BaseException]]] = None,
     recorder=None,
-    telemetry=None,
     last_n: int = DEFAULT_LAST_N,
 ) -> Dict[str, Any]:
     """Assemble the postmortem bundle dict for an aborted world."""
     from .recorder import event_dict
 
     recorder = recorder if recorder is not None else getattr(context, "recorder", None)
-    telemetry = telemetry if telemetry is not None else getattr(context, "telemetry", None)
     bundle: Dict[str, Any] = {
         "schema": POSTMORTEM_SCHEMA,
         "generated_unix": time.time(),
@@ -168,17 +166,16 @@ def build_postmortem(
             for rank, e in enumerate(errors)
             if e is not None
         }
-    ages: Dict[int, Optional[float]] = {}
-    if telemetry is not None:
-        try:
-            ages = telemetry.heartbeat_ages()
-        except Exception:
-            ages = {}
+    # A rank's age is the time since its newest recorded event: on the
+    # process backends the heartbeat streams the workers' events into
+    # this recorder, so the same reading holds on every backend.
+    now = time.time()
     ranks: Dict[str, Any] = {}
     for rank in range(context.world_size):
+        last = recorder.last_event_ts(rank) if recorder is not None else 0.0
         entry: Dict[str, Any] = {
             "status": context.rank_status(rank),
-            "heartbeat_age_s": ages.get(rank),
+            "heartbeat_age_s": max(0.0, now - last) if last else None,
         }
         if recorder is not None:
             entry["events_recorded"] = recorder.recorded(rank)

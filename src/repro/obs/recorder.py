@@ -6,9 +6,10 @@ survives a dying world: every rank appends small structured events
 linalg kernel entry/exit, fault injections, checkpoint saves) into a
 bounded ``collections.deque`` ring keyed by rank.  When a run aborts the
 launcher snapshots the rings into a postmortem bundle
-(:mod:`repro.obs.postmortem`); while a run is alive the rings back the
-mid-run telemetry snapshots (:mod:`repro.obs.telemetry`) and the
-ProcessTransport heartbeat deltas.
+(:mod:`repro.obs.postmortem`).  On the process backends each worker's
+rings stream to the caller's recorder with the worker's liveness
+heartbeat, so the caller's recorder holds a running world's events on
+every backend.
 
 Enable by passing ``run_spmd(..., recorder=FlightRecorder())``.  The
 recorder is one *observer* of the per-rank event stream (see "the rank
@@ -86,10 +87,6 @@ class FlightRecorder:
     ----------
     capacity:
         Maximum events retained per rank; older events are evicted.
-    heartbeat_interval:
-        Period (seconds) at which ProcessTransport workers ship deltas
-        to the master; also the suggested sampling period for
-        ``repro top``.
     postmortem_dir:
         When set, the launcher writes the postmortem bundle JSON into
         this directory on an aborted run (the in-memory bundle is
@@ -100,15 +97,11 @@ class FlightRecorder:
         self,
         *,
         capacity: int = 512,
-        heartbeat_interval: float = 0.5,
         postmortem_dir: Optional[str] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
         self.capacity = int(capacity)
-        self.heartbeat_interval = float(heartbeat_interval)
         self.postmortem_dir = postmortem_dir
         self.last_postmortem: Optional[Dict[str, Any]] = None
         self.last_postmortem_path: Optional[str] = None

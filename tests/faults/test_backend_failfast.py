@@ -126,7 +126,7 @@ def test_sockets_partition_postmortem_names_broken_link():
     plan = FaultPlan(seed=13, network=(
         NetworkFaultRule("partition", ranks=(1,), after_frames=3),
     ))
-    rec = FlightRecorder(heartbeat_interval=0.05)
+    rec = FlightRecorder()
     res = run_spmd(prog, 3, faults=plan, recv_timeout=TIMEOUT, recorder=rec,
                    backend=SocketTransport(liveness_timeout=2.0))
     # graceful degradation: no world abort, survivors complete shrunk
@@ -155,8 +155,7 @@ def test_sockets_partition_root_cause_in_written_postmortem(tmp_path):
     plan = FaultPlan(seed=13, network=(
         NetworkFaultRule("partition", ranks=(1,), after_frames=3),
     ))
-    rec = FlightRecorder(heartbeat_interval=0.05,
-                         postmortem_dir=str(tmp_path))
+    rec = FlightRecorder(postmortem_dir=str(tmp_path))
     with pytest.raises(RankFailedError):
         run_spmd(prog, 3, faults=plan, recv_timeout=TIMEOUT, recorder=rec,
                  backend=SocketTransport(liveness_timeout=2.0))

@@ -337,7 +337,6 @@ class TestObservability:
             world_size = 2
             abort_reason = None
             recorder = None
-            telemetry = None
             last_deadlock = None
             faults = None
             transport = None
@@ -373,41 +372,6 @@ class TestObservability:
         assert "recovery (1 action" in text
         assert "respawn" in text
         assert "rank incarnations" in text
-
-    def test_telemetry_reports_incarnations(self):
-        from repro.obs.telemetry import TelemetryHub
-
-        class _Ctx:
-            world_size = 2
-            abort_reason = None
-            rank_incarnations = [0, 2]
-            recovery_log = None
-
-            class abort_event:
-                @staticmethod
-                def is_set():
-                    return False
-
-            @staticmethod
-            def failed_ranks():
-                return []
-
-            @staticmethod
-            def rank_status(rank):
-                return "running"
-
-            @staticmethod
-            def recovery_events():
-                return [{"action": "respawn"}, {"action": "replace_commit"}]
-
-        hub = TelemetryHub()
-        hub.attach(_Ctx(), backend="threads")
-        snap = hub.snapshot()
-        assert snap["ranks"]["1"]["incarnation"] == 2
-        assert snap["recoveries"] == 2
-        text = hub.render(snap)
-        assert "recoveries=2" in text
-        assert "inc" in text
 
 
 class TestChaosReplaceCLI:

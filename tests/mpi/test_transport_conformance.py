@@ -522,7 +522,7 @@ def test_unknown_backend_rejected():
 
 
 # ----------------------------------------------------------------------
-# Flight recorder, telemetry, and postmortems (backend-invariant)
+# Flight recorder and postmortems (backend-invariant)
 # ----------------------------------------------------------------------
 def _crash_prog(comm):
     """Rank 0 dies inside its first op; rank 1's message is left queued."""
@@ -551,7 +551,7 @@ def _event_signature(recorder, rank):
 def test_crash_postmortem_bundle(backend, tmp_path):
     from repro.obs import FlightRecorder, load_postmortem, render_postmortem
 
-    rec = FlightRecorder(heartbeat_interval=0.05, postmortem_dir=str(tmp_path))
+    rec = FlightRecorder(postmortem_dir=str(tmp_path))
     with pytest.raises(RankFailedError):
         run_spmd(_crash_prog, 2, faults=FaultPlan(**_CRASH_PLAN),
                  recorder=rec, recv_timeout=15, backend=backend)
@@ -568,6 +568,7 @@ def test_crash_postmortem_bundle(backend, tmp_path):
         assert entry["events_recorded"] > 0
         assert entry["last_events"], rank
         assert entry["span_stack"] == ["comm.recv"], rank
+        assert entry["heartbeat_age_s"] >= 0.0, rank
     # rank 1's send to the dead rank 0 is still in flight
     assert any(
         m["dest_world_rank"] == 0 and m["source_rank"] == 1 and m["tag"] == 5
@@ -587,7 +588,7 @@ def test_deadlock_postmortem_bundle(backend, tmp_path):
     from repro.obs import FlightRecorder
     from repro.sanitize import Sanitizer
 
-    rec = FlightRecorder(heartbeat_interval=0.05, postmortem_dir=str(tmp_path))
+    rec = FlightRecorder(postmortem_dir=str(tmp_path))
     with pytest.raises(DeadlockError):
         run_spmd(_deadlock_prog, 2, recorder=rec, recv_timeout=30,
                  sanitize=Sanitizer(watchdog_interval=0.1), backend=backend)
@@ -608,7 +609,7 @@ def test_postmortem_events_deterministic_under_crash(backend):
 
     signatures = []
     for _ in range(2):
-        rec = FlightRecorder(heartbeat_interval=0.05)
+        rec = FlightRecorder()
         with pytest.raises(RankFailedError):
             run_spmd(_crash_prog, 2, faults=FaultPlan(**_CRASH_PLAN),
                      recorder=rec, recv_timeout=15, backend=backend)
@@ -625,47 +626,35 @@ def _slow_ring_prog(comm):
     return comm.rank
 
 
-def test_midrun_telemetry_snapshot(backend):
-    """The hub must see live per-rank state *while ranks run*, on both
-    backends: threads share the recorder; procs stream heartbeats."""
+def test_recorder_streams_midrun(backend, monkeypatch):
+    """The caller's recorder fills *while ranks run*, on every backend:
+    threads share it; a process worker streams it with its heartbeat.
+    A count strictly between zero and the final one can only come from
+    a live rank, never from a closing report."""
     import threading
 
-    from repro.obs import FlightRecorder, TelemetryHub
+    from repro.obs import FlightRecorder
 
-    rec = FlightRecorder(heartbeat_interval=0.05)
-    hub = TelemetryHub()
-    snaps = []
+    monkeypatch.setenv("REPRO_SOCKETS_HEARTBEAT", "0.05")
+    rec = FlightRecorder()
+    seen = {0: set(), 1: set()}
     stop = threading.Event()
 
     def sampler():
         while not stop.is_set():
-            snaps.append(hub.snapshot())
-            time.sleep(0.04)
+            for rank, counts in seen.items():
+                counts.add(rec.recorded(rank))
+            time.sleep(0.01)
 
     thread = threading.Thread(target=sampler)
     thread.start()
     try:
-        res = run_spmd(_slow_ring_prog, 2, recorder=rec, telemetry=hub,
-                       backend=backend)
+        res = run_spmd(_slow_ring_prog, 2, recorder=rec, backend=backend)
     finally:
         stop.set()
         thread.join()
     assert sorted(res.values) == [0, 1]
-
-    live = [
-        s for s in snaps
-        if s.get("attached")
-        and any(v["status"] == "running" and v["events_recorded"] > 0
-                for v in s["ranks"].values())
-    ]
-    assert live, f"no live mid-run snapshot on {backend}"
-    if backend == "procs":
-        # heartbeats carried the ages — some live snapshot heard a worker
-        assert any(
-            v["heartbeat_age_s"] is not None
-            for s in live for v in s["ranks"].values()
-        )
-    final = hub.snapshot()
-    assert all(v["status"] == "finalized" for v in final["ranks"].values())
-    assert final["ranks"]["0"]["events_recorded"] >= 16  # 4 sends + 4 recvs
-    assert hub.render().startswith("repro top")
+    assert rec.recorded(0) >= 16  # 4 sends + 4 recvs
+    assert any(0 < n < rec.recorded(rank)
+               for rank, counts in seen.items() for n in counts), (
+        f"no mid-run recorder state on {backend}: {seen}")

@@ -62,6 +62,9 @@ def solve(comm, at_fork):
     dt = DistributedTensor.from_full(comms, X)
     comm.barrier()
     first = sorted(set(sys.modules) - at_fork)
+    # On threads the ranks share sys.modules: no rank may import ahead
+    # of another's snapshot.
+    comm.barrier()
     sthosvd_parallel(dt, tol=1e-2, method="qr").core.gather()
     return first, sorted(set(sys.modules) - at_fork)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the flight recorder, telemetry hub, and postmortems."""
+"""Unit tests for the flight recorder and postmortems."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.faults import CrashRule, FaultPlan
 from repro.mpi import run_spmd
 from repro.obs import (
     FlightRecorder,
-    TelemetryHub,
     build_postmortem,
     load_postmortem,
     render_postmortem,
@@ -160,32 +159,6 @@ class TestActivation:
 
 
 # ----------------------------------------------------------------------
-# TelemetryHub
-# ----------------------------------------------------------------------
-class TestTelemetryHub:
-    def test_unattached_snapshot(self):
-        hub = TelemetryHub()
-        snap = hub.snapshot()
-        assert snap == {"attached": False}
-        assert "no world attached" in hub.render()
-
-    def test_heartbeat_ages_prefer_freshest_signal(self):
-        hub = TelemetryHub()
-        rec = FlightRecorder()
-
-        class _Ctx:
-            world_size = 2
-            recorder = rec
-
-        hub.attach(_Ctx(), recorder=rec, backend="procs")
-        hub.beat(0, ts=100.0)
-        rec.record(0, "send")  # recorder event is fresher than the beat
-        ages = hub.heartbeat_ages(now=rec.last_event_ts(0) + 1.0)
-        assert ages[0] == pytest.approx(1.0, abs=0.05)
-        assert ages[1] is None  # never heard from
-
-
-# ----------------------------------------------------------------------
 # Postmortem bundles end to end (threads backend; conformance tests
 # cover procs)
 # ----------------------------------------------------------------------
@@ -201,6 +174,37 @@ def _crash_world(tmp_path):
     with pytest.raises(RankFailedError):
         run_spmd(prog, 2, faults=plan, recorder=rec, recv_timeout=15)
     return rec
+
+
+class _IdleWorld:
+    """The context surface ``build_postmortem`` reads, for a world whose
+    ranks have all finalized and which carries no recorder."""
+
+    abort_reason = None
+    recorder = None
+    last_deadlock = None
+    faults = None
+    transport = None
+
+    class abort_event:
+        @staticmethod
+        def is_set():
+            return False
+
+    def __init__(self, world_size):
+        self.world_size = world_size
+
+    @staticmethod
+    def failed_ranks():
+        return []
+
+    @staticmethod
+    def rank_status(rank):
+        return "finalized"
+
+    @staticmethod
+    def mailboxes():
+        return []
 
 
 class TestPostmortem:
@@ -231,6 +235,25 @@ class TestPostmortem:
         assert "tag=5" in text
         assert "last 3 events" in text or "last 5 events" in text
 
+    def test_heartbeat_age_is_the_newest_event(self, tmp_path):
+        """Each rank's age is the time since its newest recorded event,
+        and None for a rank that recorded nothing — with no other
+        object attached to the world."""
+        rec = _crash_world(tmp_path)
+        bundle = rec.last_postmortem
+        for rank in ("0", "1"):
+            entry = bundle["ranks"][rank]
+            assert entry["events_recorded"] > 0
+            newest = rec.last_event_ts(int(rank))
+            assert entry["heartbeat_age_s"] == pytest.approx(
+                bundle["generated_unix"] - newest, abs=0.5)
+
+        rec = FlightRecorder()
+        rec.record(0, "send")
+        ranks = build_postmortem(_IdleWorld(2), recorder=rec)["ranks"]
+        assert ranks["0"]["heartbeat_age_s"] >= 0.0
+        assert ranks["1"]["heartbeat_age_s"] is None
+
     def test_write_postmortem_explicit(self, tmp_path):
         bundle = {"schema": "repro-postmortem/1", "ranks": {}}
         path = write_postmortem(bundle, str(tmp_path), filename="x.json")
@@ -238,33 +261,6 @@ class TestPostmortem:
 
     def test_build_postmortem_without_recorder(self):
         """Bundle assembly must not require a recorder (degraded mode)."""
-
-        class _Ctx:
-            world_size = 1
-            abort_reason = None
-            recorder = None
-            telemetry = None
-            last_deadlock = None
-            faults = None
-            transport = None
-
-            class abort_event:
-                @staticmethod
-                def is_set():
-                    return False
-
-            @staticmethod
-            def failed_ranks():
-                return []
-
-            @staticmethod
-            def rank_status(rank):
-                return "finalized"
-
-            @staticmethod
-            def mailboxes():
-                return []
-
-        bundle = build_postmortem(_Ctx())
+        bundle = build_postmortem(_IdleWorld(1))
         assert bundle["ranks"]["0"]["status"] == "finalized"
         assert "events_recorded" not in bundle["ranks"]["0"]

@@ -23,7 +23,6 @@ from repro.faults import CrashRule, FaultPlan
 from repro.mpi import CommTrace, available_backends, run_spmd
 from repro.obs import (
     FlightRecorder,
-    TelemetryHub,
     Tracer,
     chrome_trace,
     current_tracer,
@@ -185,16 +184,6 @@ class TestRunConfigInEveryArtifact:
                        tracer=True, sanitize=True)
         assert {"commit", "generated_unix", "host", "backend"} <= \
             set(doc["otherData"])
-
-    def test_telemetry_snapshot(self, repro_env):
-        hub = TelemetryHub()
-        assert hub.snapshot() == {"attached": False}
-        run_spmd(lambda comm: comm.barrier(), 2, telemetry=hub,
-                 comm_trace=CommTrace(), recv_timeout=30.0,
-                 backend="procs")
-        snap = hub.snapshot()
-        _expect_config(snap["run_config"], "procs", comm_trace=True)
-        assert snap["backend"] == "procs" and snap["world_size"] == 2
 
     def test_postmortem_bundle(self, repro_env, tmp_path):
         import json

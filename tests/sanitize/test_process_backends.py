@@ -120,7 +120,7 @@ def test_crash_postmortem_keeps_in_flight_and_network_schema(backend):
             comm.send(np.ones(4), 0, tag=5)
         return comm.recv((comm.rank + 1) % comm.size, tag=9)
 
-    rec = FlightRecorder(heartbeat_interval=0.05)
+    rec = FlightRecorder()
     plan = FaultPlan(seed=7, crashes=(CrashRule(rank=0, at_op=1),))
     with pytest.raises(RankFailedError):
         run_spmd(prog, 2, faults=plan, recorder=rec, sanitize=True,

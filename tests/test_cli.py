@@ -353,20 +353,6 @@ class TestOneLaunchMode:
             "liveness_timeout"]
 
 
-class TestTopCommand:
-    def test_final_frame_lists_every_rank_finalized(self, capsys):
-        rc = main(["top", "--shape", "8", "8", "8", "--grid", "2", "2", "1",
-                   "--tol", "1e-4", "--interval", "0.05"])
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert "done: ranks" in printed
-        final = printed[printed.rindex("repro top"):].splitlines()
-        assert "world=4" in final[0]
-        rows = [line.split("|") for line in final[3:7]]
-        assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
-        assert all(row[1].strip() == "finalized" for row in rows)
-
-
 class TestPostmortemCommand:
     def test_renders_the_bundle_of_an_injected_crash(self, tmp_path, capsys):
         from repro.errors import RankFailedError

@@ -147,7 +147,7 @@ print(json.dumps({{"expected": list(expected), "values": values,
         assert module not in out["after"]
     # Running a world is not a reason to load the tooling around worlds.
     for module in ("repro.sanitize", "repro.perf", "repro.obs.postmortem",
-                   "repro.obs.telemetry", "repro.faults.checkpoint"):
+                   "repro.faults.checkpoint"):
         assert module not in out["after"]
 
 

@@ -199,3 +199,26 @@ def test_only_allreduce_picks_a_collective_schedule():
         run_spmd(lambda comm: comm.bcast(1, algorithm="binomial"), 2)
     ring = run_spmd(lambda comm: comm.allreduce(np.ones(2), algorithm="ring"), 2)
     assert all((v == 2.0).all() for v in ring.values)
+
+
+def test_a_world_reports_through_the_recorder_alone():
+    """No live-telemetry layer: ``run_spmd`` takes no ``telemetry=``, the
+    recorder no ``heartbeat_interval=`` (the transport's heartbeat carries
+    its stream), ``repro.obs`` has no ``TelemetryHub`` and the CLI no
+    ``top``."""
+    import repro.obs
+    from repro.cli import main
+    from repro.mpi import run_spmd
+    from repro.obs import FlightRecorder
+
+    assert "telemetry" not in inspect.signature(run_spmd).parameters
+    with pytest.raises(TypeError):
+        run_spmd(lambda comm: comm.rank, 2, telemetry=None)
+    with pytest.raises(TypeError):
+        FlightRecorder(heartbeat_interval=0.5)
+    assert "TelemetryHub" not in repro.obs.__all__
+    with pytest.raises(AttributeError):
+        repro.obs.TelemetryHub
+    with pytest.raises(SystemExit) as exc:
+        main(["top", "--shape", "8", "8", "--grid", "1", "1", "--tol", "0.1"])
+    assert exc.value.code == 2

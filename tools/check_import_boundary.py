@@ -51,7 +51,7 @@ FORBIDDEN = re.compile(
     r"repro\.(?:"
     r"(?:mpi|sanitize|perf)(?:\..*)?"
     r"|faults\.(?:plan|injector|network|checkpoint)"
-    r"|obs\.(?:metrics|postmortem|telemetry|export|compare)"
+    r"|obs\.(?:metrics|postmortem|export|compare)"
     r"|dist\.(?:svd|gram|ttm|tsqr|redistribute)"
     r"|core\.(?:sthosvd_parallel|hooi_parallel|hosvd_parallel|ft)"
     r")$"
