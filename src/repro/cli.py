@@ -260,15 +260,13 @@ def _trace_program(comm, X, grid, tol, ranks, method, mode_order, verbose):
     )
 
 
-def _chaos_program(comm, X, tol, ranks, method, recover="shrink",
-                   ckpt_dir=None):
+def _chaos_program(comm, X, tol, ranks, method, ckpt_dir=None):
     """Rank program of ``repro chaos``."""
     from .core.ft import sthosvd_fault_tolerant
 
     res = sthosvd_fault_tolerant(
         comm, X if comm.rank == 0 else None,
-        tol=tol, ranks=ranks, method=method,
-        recover=recover, ckpt_dir=ckpt_dir,
+        tol=tol, ranks=ranks, method=method, ckpt_dir=ckpt_dir,
     )
     tucker = res.result.to_tucker()  # collective: every rank calls
     err = None
@@ -282,8 +280,7 @@ def _chaos_program(comm, X, tol, ranks, method, recover="shrink",
             # The replay-determinism check compares this sequence across
             # replays: same fault plan, same recovery story.
             "recovery_seq": [
-                (kind, detail.get("mode"), detail.get("survivors"),
-                 detail.get("resumed_step"))
+                (kind, detail.get("survivors"), detail.get("resumed_step"))
                 for kind, detail in res.events
             ]}
 
@@ -440,8 +437,7 @@ def _cmd_chaos(args) -> int:
             recorder = FlightRecorder(postmortem_dir=args.postmortem_dir)
         try:
             return run_spmd(_chaos_program, nprocs,
-                            X, args.tol, ranks, args.method,
-                            args.recover, ckpt_dir,
+                            X, args.tol, ranks, args.method, ckpt_dir,
                             faults=plan, resilience=True,
                             backend=args.backend, recorder=recorder)
         except Exception:
@@ -508,16 +504,14 @@ def _cmd_chaos(args) -> int:
             recoveries = done[0]["recoveries"]
             recovery_seqs.append(done[0]["recovery_seq"])
         # Replaying the same fault trace must yield the identical
-        # recovery sequence (same mode, same survivors, same resumed
-        # steps) — not just the same fired faults.
+        # recovery sequence (same survivors, same resumed steps) — not
+        # just the same fired faults.
         deterministic = (
             all(k == keys[0] for k in keys)
             and all(s == recovery_seqs[0] for s in recovery_seqs)
         )
         ratio = errs[0] / base_err if base_err else 1.0
         ok = deterministic and ratio <= args.error_factor
-        if args.recover == "replace":
-            ok = ok and survivors == nprocs
         failures += not ok
         rows.append([
             name, fired, survivors, recoveries,
@@ -757,11 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--error-factor", type=float, default=10.0,
                     help="max allowed reconstruction error relative to the "
                          "fault-free run")
-    ch.add_argument("--recover", default="shrink",
-                    choices=["shrink", "replace"],
-                    help="recovery mode after an injected crash: shrink "
-                         "to the survivors, or respawn the dead rank and "
-                         "keep the grid shape")
     ch.add_argument("--ckpt-dir", default=None,
                     help="durable checkpoint tier: mirror checkpoints to "
                          "per-replay subdirectories of this path")

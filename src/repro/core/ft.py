@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..errors import RankFailedError
 from ..dist.dtensor import GridComms
 from ..dist.grid import ProcessorGrid
@@ -71,51 +69,28 @@ class FaultTolerantResult:
     events: list = field(default_factory=list)
 
 
-def _recover_loop(comm, full, run, *, max_recoveries: int, ckpt,
-                  recover: str = "shrink"):
+def _recover_loop(comm, full, run, *, max_recoveries: int, ckpt):
     """Shared run/catch/recover/resume loop for both drivers.
 
     ``run(comm, full, resume)`` executes one attempt over a freshly
     built grid and returns the driver result; ``full`` is the (root
-    only) tensor the attempt distributes.
-
-    ``recover`` picks what the survivors rebuild after revoking the
-    failed epoch: ``"shrink"`` produces a dense-ranked communicator of
-    the survivors (the world gets smaller), ``"replace"`` asks the
-    transport to respawn the dead rank and rebuilds the full-size world
-    (the grid keeps its original shape).  A respawned replacement
-    replays the whole program from the top: its first operation on the
-    revoked world raises :class:`~repro.errors.CommRevokedError`, which
-    lands it in this same handler to join the replace rendezvous.
+    only) tensor the attempt distributes.  After a failure the
+    survivors revoke the failed epoch and shrink to a dense-ranked
+    communicator: the world gets smaller, and the next attempt lays a
+    grid for its size.
     """
-    if recover not in ("shrink", "replace"):
-        raise ValueError(
-            f"recover must be 'shrink' or 'replace', got {recover!r}")
     resume = None
     recoveries = 0
     events: list = []
     original: RankFailedError | None = None
-    if full is not None:
-        # Pin the *input* fingerprint before any resume swaps ``full``
-        # for a recovered (already-truncated) tensor; the root's
-        # manifest writes carry it so restart-from-disk can refuse a
-        # checkpoint belonging to a different run.
-        ckpt.input_info = {
-            "shape": tuple(int(s) for s in full.shape),
-            "dtype": np.dtype(full.dtype).name,
-        }
     if ckpt.ckpt_dir is not None:
         # Restart-from-disk: a brand-new world (e.g. relaunched after a
         # total crash) picks up from the newest committed manifest; a
-        # fresh directory resumes nothing and runs from scratch.
-        try:
-            with trace_span("ft.resume_disk"):
-                disk = ckpt.resume_from_disk(comm, full)
-        except RankFailedError:
-            # A replacement replaying the program (or a survivor racing
-            # a concurrent failure) trips the revoked epoch here; the
-            # loop below recovers from the in-memory tier instead.
-            disk = None
+        # fresh directory resumes nothing and runs from scratch.  The
+        # input ``full`` pins the fingerprint before any resume swaps it
+        # for a recovered (already-truncated) tensor.
+        with trace_span("ft.resume_disk"):
+            disk = ckpt.resume_from_disk(comm, full)
         if disk is not None:
             step, resume, recovered = disk
             if comm.rank == 0:
@@ -128,21 +103,17 @@ def _recover_loop(comm, full, run, *, max_recoveries: int, ckpt,
     while True:
         try:
             if pending is not None:
-                with trace_span("ft.recover", attempt=recoveries,
-                                mode=recover):
+                with trace_span("ft.recover", attempt=recoveries):
                     # Revoke before rebuilding: peers still blocked
                     # inside the dead epoch's collectives wake with
                     # CommRevokedError (a RankFailedError) and land in
                     # this same handler.  The whole recovery sequence
                     # runs inside the try: a *second* failure mid-
-                    # recovery (e.g. the replacement dying during the
-                    # checkpoint reassembly) loops back into another
-                    # cycle instead of escaping.
+                    # recovery (a survivor dying during the checkpoint
+                    # reassembly) loops back into another cycle instead
+                    # of escaping.
                     comm.revoke()
-                    if recover == "replace":
-                        comm = comm.replace()
-                    else:
-                        comm = comm.shrink()
+                    comm = comm.shrink()
                     step, meta, recovered = ckpt.recover(comm, root=0)
                     # Re-arm the buddy invariant: entries whose second
                     # copy died with the failed rank get a fresh
@@ -155,7 +126,6 @@ def _recover_loop(comm, full, run, *, max_recoveries: int, ckpt,
                     "rank_failure",
                     {
                         "recovery": recoveries,
-                        "mode": recover,
                         "survivors": comm.size,
                         "resumed_step": step,
                         "cause": f"{type(pending).__name__}: {pending}",
@@ -196,7 +166,6 @@ def sthosvd_fault_tolerant(
     max_recoveries: int = 2,
     checkpoint_name: str = "sthosvd",
     checkpoint_keep: int = 2,
-    recover: str = "shrink",
     ckpt_dir: str | None = None,
     progress: Callable[[dict], None] | None = None,
 ) -> FaultTolerantResult:
@@ -214,20 +183,14 @@ def sthosvd_fault_tolerant(
     <repro.dist.grid.ProcessorGrid.for_size>`, so the mode the run
     processes first stays undistributed after a shrink as well.
 
-    ``recover="replace"`` respawns dead ranks instead of shrinking (the
-    grid keeps its shape; needs a transport with respawn support —
-    every ``run_spmd`` backend qualifies).  ``ckpt_dir`` adds the
-    durable tier: checkpoints also land on disk, and a brand-new
-    invocation pointed at the same directory resumes from the newest
-    committed manifest.
+    ``ckpt_dir`` adds the durable tier: checkpoints also land on disk,
+    and a brand-new invocation pointed at the same directory resumes
+    from the newest committed manifest.
     """
     ckpt = DistributedCheckpoint(
         checkpoint_name, keep=checkpoint_keep, ckpt_dir=ckpt_dir)
 
     def run(comm, full, resume) -> ParallelSthosvdResult:
-        # ndim is derived inside the attempt: a replacement's first
-        # collective must happen where the recovery loop can catch the
-        # revoked-epoch error and route it into the replace rendezvous.
         grid = ProcessorGrid.for_size(
             comm.size, _bcast_ndim(comm, full), mode_order)
         comms = GridComms(comm, grid)
@@ -238,7 +201,7 @@ def sthosvd_fault_tolerant(
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,
-                         ckpt=ckpt, recover=recover)
+                         ckpt=ckpt)
 
 
 def hooi_fault_tolerant(
@@ -253,7 +216,6 @@ def hooi_fault_tolerant(
     max_recoveries: int = 2,
     checkpoint_name: str = "hooi",
     checkpoint_keep: int = 2,
-    recover: str = "shrink",
     ckpt_dir: str | None = None,
     progress: Callable[[dict], None] | None = None,
 ) -> FaultTolerantResult:
@@ -261,8 +223,8 @@ def hooi_fault_tolerant(
 
     ``full`` is the input tensor on rank 0.  Checkpoints are taken per
     completed sweep, so a failure costs at most one repeated sweep plus
-    the recovery redistribution.  ``recover`` and ``ckpt_dir`` behave
-    exactly as in :func:`sthosvd_fault_tolerant`.
+    the recovery redistribution.  ``ckpt_dir`` behaves exactly as in
+    :func:`sthosvd_fault_tolerant`.
     """
     ckpt = DistributedCheckpoint(
         checkpoint_name, keep=checkpoint_keep, ckpt_dir=ckpt_dir)
@@ -277,4 +239,4 @@ def hooi_fault_tolerant(
         )
 
     return _recover_loop(comm, full, run, max_recoveries=max_recoveries,
-                         ckpt=ckpt, recover=recover)
+                         ckpt=ckpt)

@@ -131,16 +131,10 @@ def sthosvd_out_of_core(
         scratch.append(current.path)
         if checkpoint_dir is not None:
             done = {m: U for m, U in enumerate(loop.factors) if U is not None}
-            save_checkpoint(
-                checkpoint_dir,
-                step=step,
-                factors=done,
-                sigmas=loop.sigmas,
-                ranks_chosen={m: U.shape[1] for m, U in done.items()},
-                current=current,
-                norm_sq=loop.norm_sq,
-                fingerprint=fingerprint,
-            )
+            save_checkpoint(checkpoint_dir, step=step, state={
+                "factors": done, "sigmas": loop.sigmas,
+                "norm_sq": loop.norm_sq,
+            }, current=current, fingerprint=fingerprint)
 
     own_workdir = workdir is None
     loop.workdir = tempfile.mkdtemp(prefix="repro-ooc-") if own_workdir else workdir

@@ -1,8 +1,7 @@
 """In-memory distributed checkpoints with buddy-rank replication.
 
-The out-of-core driver checkpoints to disk (:mod:`repro.core.checkpoint`);
-the *parallel* drivers cannot — a dead rank takes its node's filesystem
-with it in the failure model we simulate.  Instead each rank keeps its
+A dead rank takes its node's filesystem with it in the failure model we
+simulate, so the parallel drivers recover from memory: each rank keeps its
 checkpoint entry in its own node-local store (the context's per-rank
 slot, which nobody else reads) and replicates a copy to its **buddy**,
 the next rank around the ring, via a real message.  Any single failure
@@ -21,13 +20,14 @@ Entries are keyed by the *epoch* (communicator id) that wrote them, so
 blocks saved before and after a shrink never mix: a complete set is
 ``nprocs`` entries from one epoch, any epoch.
 
-The optional **durable tier** (``ckpt_dir=``) additionally lands every
-shard on disk through :mod:`repro.util.durable` — each rank writes its
-own block and the buddy copy it holds as checksummed shards, then
-rank 0 commits a versioned JSON manifest naming every shard with its
-length and CRC32 — so a *total* world crash (every rank dead, the
-master gone) can be survived by a new ``run_spmd`` invocation resuming
-from the directory.
+The optional **durable tier** (``ckpt_dir=``) additionally writes every
+step in the one checkpoint format of :mod:`repro.core.checkpoint` — each
+rank writes its own block and the buddy copy it holds as tensor shards
+(shard 0's two holders write the replicated state beside it), then
+rank 0 commits the manifest naming every file with its length and
+CRC32 — so a *total* world crash (every rank dead, the master gone) can
+be survived by a new ``run_spmd`` invocation resuming from the
+directory.
 """
 
 from __future__ import annotations
@@ -37,19 +37,12 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..core import checkpoint as fmt
+from ..errors import CheckpointError, ConfigurationError
 from ..obs.recorder import record_event as _record_event
-from ..util.durable import (
-    commit_manifest,
-    load_manifest,
-    read_shard,
-    write_shard,
-)
+from ..util.durable import write_shard
 
 __all__ = ["DistributedCheckpoint"]
-
-#: Manifest schema tag; bump on incompatible layout changes.
-_MANIFEST_SCHEMA = "repro-dckpt/2"
 
 # User tag reserved for the buddy-copy exchange.  Drivers communicate
 # through collectives (negative internal tags), so any non-negative tag
@@ -79,7 +72,7 @@ class DistributedCheckpoint:
     ``keep`` bounds retained steps per rank: after saving step ``s``,
     entries at steps ``<= s - keep`` are pruned from the local slot.
 
-    ``ckpt_dir`` enables the durable tier: shards and buddy copies are
+    ``ckpt_dir`` enables the durable tier: blocks and buddy copies are
     mirrored to that directory and committed under a per-step manifest,
     so :meth:`resume_from_disk` can restart a *fresh* world after every
     rank (and the master) died.
@@ -92,11 +85,11 @@ class DistributedCheckpoint:
         self.name = name
         self.keep = keep
         self.ckpt_dir = ckpt_dir
-        # The owning driver may pin the *input* tensor's fingerprint
-        # (set on the root rank, whose manifest writes carry it); the
-        # stored blocks themselves are progressively truncated, so only
-        # this records what run the checkpoint belongs to.
-        self.input_info: dict | None = None
+        # The *input* tensor's shape and dtype, pinned on the root by
+        # :meth:`resume_from_disk`; the stored blocks themselves are
+        # progressively truncated, so only this records what run the
+        # checkpoint belongs to.
+        self.fingerprint: dict = {}
 
     # -- saving ---------------------------------------------------------
     def save(self, dt, step: int, meta: dict) -> None:
@@ -152,12 +145,9 @@ class DistributedCheckpoint:
                 ctx.store_delete(holder, key)
 
     # -- durable tier ---------------------------------------------------
-    def _shard_path(self, epoch: int, step: int, owner: int,
-                    kind: str) -> str:
-        return os.path.join(
-            self.ckpt_dir,
-            f"{self.name}-s{step:06d}-e{epoch}-{kind}-{owner:04d}.shard",
-        )
+    def _path(self, epoch: int, step: int, part: str) -> str:
+        return os.path.join(self.ckpt_dir,
+                            f"{self.name}-s{step:06d}-e{epoch}-{part}")
 
     def _manifest_path(self, epoch: int, step: int) -> str:
         return os.path.join(
@@ -167,53 +157,51 @@ class DistributedCheckpoint:
 
     def _save_to_disk(self, comm, entry: dict,
                       buddy_entry: dict | None) -> None:
-        """Land this step's shards durably; rank 0 commits the manifest.
+        """Land this step's files durably; rank 0 commits the manifest.
 
         Every rank writes its own block and the buddy copy it holds
-        (two independent copies of every shard on disk) and reports
-        each file's length and checksum to rank 0 — a gather, so rank 0
-        knows all shards are durable before it renames the manifest
-        into place.  The manifest is the commit point: a crash mid-save
-        leaves at worst an uncommitted pile of shards and the previous
-        manifest still wins.
+        (two independent copies of every block on disk), shard 0's two
+        holders write the replicated state beside it, and every rank
+        reports each file's length and checksum to rank 0 — a gather,
+        so rank 0 knows all files are durable before it renames the
+        manifest into place.  The manifest is the commit point: a crash
+        mid-save leaves at worst an uncommitted pile of files and the
+        previous manifest still wins.
         """
         os.makedirs(self.ckpt_dir, exist_ok=True)
         epoch, step = entry["epoch"], entry["step"]
         written = {}
-        for kind, shard in (("own", entry), ("buddy", buddy_entry)):
-            if shard is not None:
-                path = self._shard_path(
-                    shard["epoch"], shard["step"], shard["owner"], kind)
-                written[os.path.basename(path)] = write_shard(path, shard)
-        reports = comm.gather(written, root=0)
+        for kind, held in (("own", entry), ("buddy", buddy_entry)):
+            if held is None:
+                continue
+            path = self._path(epoch, step, f"{kind}-{held['owner']:04d}.bin")
+            written[os.path.basename(path)] = fmt.write_block(
+                path, held["block"])
+            if held["owner"] == 0:
+                path = self._path(epoch, step, f"{kind}-state.shard")
+                written[os.path.basename(path)] = write_shard(
+                    path, held["meta"])
+        reports = comm.gather((entry["slices"], written), root=0)
         if comm.rank == 0:
-            commit_manifest(self._manifest_path(epoch, step), {
-                "name": self.name,
-                "step": int(step),
-                "epoch": int(epoch),
-                "nprocs": int(entry["nprocs"]),
-                "global_shape": [int(s) for s in entry["global_shape"]],
-                "dtype": entry["dtype"],
-                "input_shape": (
-                    list(self.input_info["shape"])
-                    if self.input_info else None
-                ),
-                "input_dtype": (
-                    self.input_info["dtype"] if self.input_info else None
-                ),
-                "shards": {
-                    str(o): {
-                        "own": os.path.basename(
-                            self._shard_path(epoch, step, o, "own")),
-                        "buddy": os.path.basename(
-                            self._shard_path(epoch, step, o, "buddy")),
-                    }
-                    for o in range(entry["nprocs"])
-                },
-                # file -> [nbytes, crc32], as each writer measured it
-                "checks": {f: c for report in reports
-                           for f, c in report.items()},
-            }, _MANIFEST_SCHEMA)
+            # A world of one has no buddy copies.
+            kinds = ("own", "buddy")[:min(comm.size, 2)]
+
+            def files(part: str) -> list:
+                return [os.path.basename(self._path(epoch, step,
+                                                    f"{kind}-{part}"))
+                        for kind in kinds]
+
+            fmt.commit(
+                self._manifest_path(epoch, step), step=step, epoch=epoch,
+                fingerprint={"world": f"{comm.size} ranks",
+                             "dtype": entry["dtype"], **self.fingerprint},
+                shape=entry["global_shape"], dtype=entry["dtype"],
+                state_files=files("state.shard"),
+                shards=[(slices, files(f"{owner:04d}.bin"))
+                        for owner, (slices, _) in enumerate(reports)],
+                checks={f: c for _, report in reports
+                        for f, c in report.items()},
+            )
             self._prune_disk(step)
 
     def _prune_disk(self, current_step: int) -> None:
@@ -270,7 +258,9 @@ class DistributedCheckpoint:
         refusal checks: a manifest whose dtype or global shape does not
         match it, or whose world size does not match ``comm.size``,
         raises :class:`~repro.errors.CheckpointError` on every rank
-        rather than silently resuming the wrong run.
+        rather than silently resuming the wrong run.  It also pins the
+        fingerprint every manifest this checkpoint commits from then on
+        carries.
         """
         if self.ckpt_dir is None:
             raise CheckpointError(
@@ -279,7 +269,10 @@ class DistributedCheckpoint:
         payload = None
         full_out = None
         if comm.rank == 0:
-            loaded = self._load_newest_on_root(comm.size, full)
+            if full is not None:
+                self.fingerprint = {"shape": [int(s) for s in full.shape],
+                                    "dtype": np.dtype(full.dtype).name}
+            loaded = self._load_newest_on_root(comm.size)
             if loaded[0] == "ok":
                 # The reassembled tensor stays on the root; peers only
                 # need the verdict, the step, and the replicated meta.
@@ -299,7 +292,7 @@ class DistributedCheckpoint:
         )
         return step, meta, full_out
 
-    def _load_newest_on_root(self, nprocs: int, full):
+    def _load_newest_on_root(self, nprocs: int):
         """Rank 0: pick, validate, and reassemble the newest manifest.
 
         Returns a bcast-able status tuple so peers either proceed or
@@ -308,52 +301,17 @@ class DistributedCheckpoint:
         committed = self.manifests()
         if not committed:
             return ("none",)
-        step, epoch, path = committed[-1]
         try:
-            manifest = load_manifest(path, _MANIFEST_SCHEMA)
-        except (OSError, CheckpointError) as exc:
+            manifest = fmt.load(committed[-1][2], {
+                "world": f"{nprocs} ranks", **self.fingerprint})
+            meta = fmt.read_state(self.ckpt_dir, manifest)
+            out = _paste(manifest["shape"], manifest["dtype"], [
+                (shard["slices"], fmt.read_block(self.ckpt_dir, manifest, i))
+                for i, shard in enumerate(manifest["shards"])
+            ])
+        except (OSError, CheckpointError, ConfigurationError) as exc:
             return ("err", f"checkpoint {self.name!r}: {exc}")
-        if int(manifest["nprocs"]) != int(nprocs):
-            return ("err",
-                    f"checkpoint {self.name!r} was written by "
-                    f"{manifest['nprocs']} ranks; refusing to resume on "
-                    f"a world of {nprocs} (world-shape mismatch)")
-        if full is not None:
-            want_shape = manifest.get("input_shape")
-            if want_shape is not None and (
-                    tuple(int(s) for s in full.shape)
-                    != tuple(int(s) for s in want_shape)):
-                return ("err",
-                        f"checkpoint {self.name!r} belongs to an input "
-                        f"tensor of shape {tuple(want_shape)}; refusing "
-                        f"to resume a run over shape {tuple(full.shape)}")
-            want_dtype = manifest.get("input_dtype") or manifest["dtype"]
-            if np.dtype(want_dtype) != np.dtype(full.dtype):
-                return ("err",
-                        f"checkpoint {self.name!r} stores dtype "
-                        f"{np.dtype(want_dtype).name}; refusing to "
-                        f"resume a run over dtype "
-                        f"{np.dtype(full.dtype).name}")
-        entries = []
-        for owner in range(int(manifest["nprocs"])):
-            files = manifest["shards"][str(owner)]
-            entry = None
-            for kind in ("own", "buddy"):
-                try:
-                    entry = read_shard(
-                        os.path.join(self.ckpt_dir, files[kind]),
-                        *manifest["checks"][files[kind]])
-                    break
-                except (OSError, CheckpointError, KeyError):
-                    continue  # KeyError: never written (a world of one)
-            if entry is None:
-                return ("err",
-                        f"checkpoint {self.name!r}: both copies of "
-                        f"shard {owner} (step {step}) are unreadable")
-            entries.append(entry)
-        out = _paste(manifest["global_shape"], manifest["dtype"],
-                     [(e["slices"], e["block"]) for e in entries])
-        return ("ok", int(step), entries[0]["meta"], out)
+        return ("ok", int(manifest["step"]), meta, out)
 
     # -- recovery -------------------------------------------------------
     def latest_complete(self, new_comm) -> tuple[int, int, int] | None:
@@ -403,9 +361,13 @@ class DistributedCheckpoint:
             if e["epoch"] == epoch and e["step"] == step
         ]
         # ``meta`` (and the global shape/dtype) are replicated, but
-        # *this* rank may hold nothing: a replacement rank rejoining
-        # after ``recover="replace"`` starts with an empty store — and
-        # it may well be the root.  Take the first survivor's copy.
+        # *this* rank may hold nothing of the chosen step.  Every
+        # survivor saved it (the step is complete, and a save stores
+        # the rank's own entry before its first message), yet a later
+        # save may have pruned it: with ``keep=1`` a survivor whose
+        # next save ran to its end dropped the step, while a peer whose
+        # next save failed mid-exchange kept it, and only the peer's
+        # copy completes the step.  Take the first holder's copy.
         refs = new_comm.allgather(
             (held[0]["meta"], held[0]["global_shape"], held[0]["dtype"])
             if held else None

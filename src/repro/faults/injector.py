@@ -51,16 +51,13 @@ __all__ = [
 class _RankState:
     """Per-rank mutable injection state (single-thread access)."""
 
-    __slots__ = ("rng", "ops", "kernel_calls", "crashed", "incarnation",
-                 "crash_fires")
+    __slots__ = ("rng", "ops", "kernel_calls", "crashed")
 
     def __init__(self, seed: int, rank: int) -> None:
         self.rng = np.random.default_rng((seed, rank))
         self.ops = 0
         self.kernel_calls: dict[str, int] = {}
         self.crashed = False
-        self.incarnation = 0
-        self.crash_fires = 0
 
 
 class FaultInjector:
@@ -110,44 +107,13 @@ class FaultInjector:
         if (
             crash is not None
             and not st.crashed
-            and st.crash_fires < crash.repeat
             and st.ops >= crash.at_op
         ):
             st.crashed = True
-            st.crash_fires += 1
-            detail = (st.incarnation,) if st.incarnation else ()
-            self._record(FaultEvent(rank, st.ops, "crash", detail))
+            self._record(FaultEvent(rank, st.ops, "crash", ()))
             raise RankKilledError(
-                f"rank {rank} (incarnation {st.incarnation}) killed by "
-                f"injected fault at operation {st.ops}"
+                f"rank {rank} killed by injected fault at operation {st.ops}"
             )
-
-    def note_respawn(
-        self, rank: int, *, incarnation: int, fired: int | None = None
-    ) -> None:
-        """Reset ``rank``'s counters for a fresh incarnation.
-
-        Elastic recovery respawns a replacement that replays the rank
-        program from operation zero, so its crash calibration must
-        count from zero too — otherwise ``at_op`` would mean something
-        different for every incarnation and replays would diverge.
-        ``fired`` pins the rule's total fire count (needed when the
-        replacement runs in a fresh process whose forked/spawned
-        injector copy never saw the original crash); ``None`` keeps the
-        local count, which is correct for the shared-injector threads
-        backend.
-        """
-        st = self._state(rank)
-        st.ops = 0
-        st.kernel_calls = {}
-        st.crashed = False
-        st.incarnation = incarnation
-        if fired is not None:
-            st.crash_fires = fired
-        # A fresh generator stream keyed by incarnation keeps the
-        # replacement's probabilistic draws deterministic regardless of
-        # how many variates the dead incarnation consumed.
-        st.rng = np.random.default_rng((self.plan.seed, rank, incarnation))
 
     def message_outcome(
         self, rank: int, dest: int, tag: int, nbytes: int
@@ -261,19 +227,6 @@ class FaultInjector:
             ],
             indent=2,
         )
-
-    def crash_fires(self, rank: int) -> int:
-        """Times ``rank``'s crash rule has fired, across incarnations.
-
-        Computed from the trace rather than per-rank state so it is
-        correct on the master side of the process/socket transports,
-        where the worker's counters live in another process but its
-        fired events were absorbed with the rank's lifecycle message.
-        """
-        with self._trace_lock:
-            return sum(
-                1 for e in self._trace if e.rank == rank and e.kind == "crash"
-            )
 
     def ops_per_rank(self) -> dict[int, int]:
         """Operation counts per rank (calibrates crash points)."""

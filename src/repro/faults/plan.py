@@ -52,28 +52,18 @@ class CrashRule:
     expressed as an operation count, not wall time — deterministic by
     construction.  The victim raises
     :class:`~repro.errors.RankKilledError` from inside the operation.
-
-    ``repeat`` extends the rule across *incarnations* of the rank under
-    elastic recovery (``recover="replace"``): each respawned
-    replacement counts its operations from zero and is killed again at
-    ``at_op`` until the rule has fired ``repeat`` times in total.  The
-    default (1) kills only the original incarnation, so replacement
-    succeeds on the first try; ``repeat=2`` kills the replacement too.
+    A rule fires at most once: recovery shrinks the world, so the dead
+    rank never runs again.
     """
 
     rank: int
     at_op: int
-    repeat: int = 1
 
     def validate(self) -> None:
         if self.rank < 0:
             raise ConfigurationError(f"crash rule rank must be >= 0, got {self.rank}")
         if self.at_op < 1:
             raise ConfigurationError(f"crash rule at_op must be >= 1, got {self.at_op}")
-        if self.repeat < 1:
-            raise ConfigurationError(
-                f"crash rule repeat must be >= 1, got {self.repeat}"
-            )
 
 
 @dataclass(frozen=True)

@@ -355,11 +355,10 @@ class Communicator:
         # (no faults, no resilience, nothing revoked) costs two extra
         # attribute reads and an integer compare.  The revocation gate
         # compares against the threshold this rank has *observed* — at
-        # a blocking wait, at its own revoke(), or seeded at respawn —
-        # never the live global flag, so a survivor is never yanked at
-        # an arbitrary op by an asynchronously landing revocation and
-        # fault-injection op counters / rng draw streams stay
-        # replayable run to run.
+        # a blocking wait or at its own revoke() — never the live global
+        # flag, so a survivor is never yanked at an arbitrary op by an
+        # asynchronously landing revocation and fault-injection op
+        # counters / rng draw streams stay replayable run to run.
         if self._comm_id < ctx.revocation_seen(self.world_rank):
             ctx.check_revoked(self._comm_id)
         if ctx.faults is not None or ctx.resilience is not None:
@@ -565,8 +564,8 @@ class Communicator:
     def _recv_blocking(self, box, source: int, tag: int) -> Envelope:
         """Block for a matched message, watching for dead partners.
 
-        The poll hook runs (outside the mailbox lock) whenever the wait
-        wakes without a match: it raises
+        The poll hook runs (outside the mailbox lock) before the first
+        wait and whenever the wait wakes without a match: it raises
         :class:`~repro.errors.RankFailedError` once the awaited rank has
         finalized or died with nothing left in the queue — so a receive
         that can never be satisfied (including the exchanges inside
@@ -616,7 +615,6 @@ class Communicator:
         if san is not None:
             san.begin_wait(me, src_world, source, tag, self._comm_id, box)
         try:
-            poll()  # the partner may already be gone
             return box.get(
                 source, tag, ctx.recv_timeout, poll=poll, interval=interval
             )
@@ -1153,14 +1151,13 @@ class Communicator:
         every operation on *any* communicator created so far — this
         one, the world, fiber sub-communicators — raises
         :class:`~repro.errors.CommRevokedError` once the executing rank
-        *observes* the revocation: immediately for the revoking rank
-        (and for replacements, which respawn with it pre-observed), and
-        at the next blocking wait that can no longer be satisfied for
-        everyone else.  That breaks survivors out of exchanges with
+        *observes* the revocation: immediately for the revoking rank,
+        and at the next blocking wait that can no longer be satisfied
+        for everyone else.  That breaks survivors out of exchanges with
         partners that have left for recovery without ever interrupting
         a rank at a timing-dependent op — fault traces replay
         identically.  Communicators created after the subsequent
-        :meth:`shrink` / :meth:`replace` are unaffected.  Idempotent.
+        :meth:`shrink` are unaffected.  Idempotent.
         """
         self._context.revoke_current(
             f"rank {self.world_rank} revoked the epoch after a failure",
@@ -1194,30 +1191,4 @@ class Communicator:
         new_rank = ordered_old.index(self._rank)
         return Communicator(
             ctx, new_id, new_members, new_rank, clock=self.clock
-        )
-
-    def replace(self) -> "Communicator":
-        """Full-world communicator with failed ranks respawned in place.
-
-        The elastic alternative to :meth:`shrink`: instead of
-        densifying the survivors, the rendezvous asks the transport to
-        relaunch every failed rank at its original world position, and
-        completes only once the *entire* original world — survivors
-        plus replacements — has joined.  The result always spans world
-        ranks ``0..world_size-1`` with identity ranking, so a processor
-        grid keeps its original shape across the failure.
-
-        Collective over survivors and replacements alike; like
-        :meth:`shrink` it works on a revoked communicator.  A freshly
-        respawned replacement reaches this rendezvous by replaying its
-        rank program from the top: its first operation on the revoked
-        world epoch raises :class:`~repro.errors.CommRevokedError`,
-        which the recovery loop treats like any other failure.
-        """
-        ctx = self._context
-        with self._comm_span("replace"):
-            new_id, _round = ctx.replace_rendezvous(self.world_rank)
-        members = list(range(ctx.world_size))
-        return Communicator(
-            ctx, new_id, members, self.world_rank, clock=self.clock
         )

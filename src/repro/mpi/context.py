@@ -64,6 +64,7 @@ class _Mailbox:
         self._cond = threading.Condition()
         self._queues: dict[tuple[int, int], deque[Envelope]] = defaultdict(deque)
         self._abort = abort_event
+        self._wakes = 0  # wake_all calls so far
 
     def put(self, source: int, tag: int, envelope: Envelope) -> None:
         with self._cond:
@@ -80,18 +81,22 @@ class _Mailbox:
     ) -> Envelope:
         """Blocking matched receive.
 
-        ``poll``, when given, is invoked *outside* the mailbox lock each
-        time the wait wakes without a match (message on another key,
-        world state change, or every ``interval`` seconds).  It may
-        raise to abort the receive — the hook through which the
-        sanitizer's deadlock watchdog and the rank-failure detector
-        interrupt a wait that can never be satisfied.  ``poll`` must not
-        be called while holding any mailbox lock (it may inspect other
-        mailboxes), which is why the loop releases the condition first.
+        ``poll``, when given, is invoked *outside* the mailbox lock
+        before the first wait and each time the wait wakes without a
+        match (message on another key, world state change, or every
+        ``interval`` seconds).  It may raise to abort the receive — the
+        hook through which the sanitizer's deadlock watchdog and the
+        rank-failure detector interrupt a wait that can never be
+        satisfied.  ``poll`` must not be called while holding any
+        mailbox lock (it may inspect other mailboxes), which is why the
+        loop releases the condition first — and why a :meth:`wake_all`
+        that lands while ``poll`` runs is counted, so the loop polls
+        again at once instead of sleeping through it.
         """
         key = (source, tag)
         deadline = time.monotonic() + timeout
         step = timeout if interval is None else min(interval, timeout)
+        seen = None  # the wake count the last poll started after
         while True:
             with self._cond:
                 q = self._queues.get(key)
@@ -107,7 +112,9 @@ class _Mailbox:
                         f"receive timed out after {timeout}s waiting for "
                         f"(source={source}, tag={tag}) — likely deadlock"
                     )
-                self._cond.wait(timeout=min(step, remaining))
+                if seen == self._wakes:
+                    self._cond.wait(timeout=min(step, remaining))
+                seen = self._wakes
             if poll is not None:
                 poll()
 
@@ -139,6 +146,7 @@ class _Mailbox:
 
     def wake_all(self) -> None:
         with self._cond:
+            self._wakes += 1
             self._cond.notify_all()
 
 
@@ -267,82 +275,6 @@ class _ShrinkTable:
             self._cond.notify_all()
 
 
-class _ReplaceTable:
-    """Rendezvous for :meth:`Communicator.replace` (elastic rebuild).
-
-    Unlike :class:`_ShrinkTable`, the target membership is *fixed* — the
-    full original world — and part of it does not exist yet when the
-    round opens: the failed ranks still have to be respawned.  The
-    waiters therefore drive the replacement protocol themselves: every
-    poll asks the context to respawn any failed rank that has not yet
-    joined, which also re-drives the respawn when a replacement dies
-    before contributing (a ``repeat`` crash rule, say).  The table
-    freezes — and allocates the fresh epoch's communicator id — once
-    all ``world_size`` ranks have contributed.
-    """
-
-    def __init__(self, round_no: int, world_size: int) -> None:
-        self.round_no = round_no
-        self._size = world_size
-        self._cond = threading.Condition()
-        self._contributions: set[int] = set()
-        self._result: int | None = None
-        # world rank -> respawns issued this round (capped by the
-        # context so a rank that dies instantly forever cannot spin).
-        self.respawns: dict[int, int] = {}
-
-    @property
-    def done(self) -> bool:
-        with self._cond:
-            return self._result is not None
-
-    def contributed(self) -> set[int]:
-        with self._cond:
-            return set(self._contributions)
-
-    def contribute(
-        self,
-        world_rank: int,
-        allocate_comm_id: Callable[[], int],
-        ensure_replacements: Callable[["_ReplaceTable"], None],
-        timeout: float,
-        interval: float,
-    ) -> int:
-        """Register one rank; blocks until the whole world has rejoined.
-
-        The new communicator id is allocated inside the freeze — after
-        every participant (survivors *and* replacements) has revoked
-        and contributed — so the fresh epoch is never poisoned by the
-        revocation threshold.
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            self._contributions.add(world_rank)
-            if self._result is None and len(self._contributions) == self._size:
-                self._result = allocate_comm_id()
-                self._cond.notify_all()
-            if self._result is not None:
-                return self._result
-        while True:
-            # Outside the lock: may fork/spawn a worker or raise.
-            ensure_replacements(self)
-            with self._cond:
-                if self._result is not None:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = sorted(set(range(self._size)) - self._contributions)
-                    raise CommunicatorError(
-                        f"replace timed out after {timeout}s waiting for "
-                        f"ranks {missing} to rejoin"
-                    )
-                self._cond.wait(timeout=min(interval, remaining))
-
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-
 class SpmdContext:
     """All shared state for one simulated world of ``world_size`` ranks."""
 
@@ -412,11 +344,11 @@ class SpmdContext:
         self.revoke_reason: str | None = None
         # Per-rank revocation *visibility*: entry-point checks compare
         # against the threshold each rank has observed — at a blocking
-        # wait, at its own revoke(), or seeded at respawn — never the
-        # live global above.  A survivor is therefore interrupted at an
-        # op index that is a function of program state alone, not of
-        # when the asynchronous revocation happened to land, which keeps
-        # fault-injection op counters and rng draw streams replayable.
+        # wait or at its own revoke() — never the live global above.  A
+        # survivor is therefore interrupted at an op index that is a
+        # function of program state alone, not of when the asynchronous
+        # revocation happened to land, which keeps fault-injection op
+        # counters and rng draw streams replayable.
         self._revoked_seen: dict[int, int] = defaultdict(int)
         # World ranks between "caught a failure" (their revoke) and
         # "joined the recovery rendezvous" (table freeze).  A blocked
@@ -448,19 +380,6 @@ class SpmdContext:
         # mailboxes live in the workers): world rank -> rows shaped like
         # pending_messages() yields.  Written by the transport.
         self.inbox_reports: dict[int, list[dict]] = {}
-        # Elastic recovery: the transport installs a respawner so a
-        # replace rendezvous can relaunch failed ranks at their original
-        # position; the context tracks incarnations and a recovery log
-        # for the postmortem bundle.
-        self._respawner = None
-        self._respawn_lock = threading.Lock()
-        self._replace_table: _ReplaceTable | None = None
-        self._replace_round = 0
-        self._replace_lock = threading.Lock()
-        self.max_respawns_per_round = 8
-        self.rank_incarnations = [0] * world_size
-        self.recovery_log: list[dict] = []
-        self._recovery_log_lock = threading.Lock()
         if sanitizer is not None:
             sanitizer.attach(self)
 
@@ -532,10 +451,6 @@ class SpmdContext:
             shrink_tables = list(self._shrink_tables.values())
         for table in shrink_tables:
             table.wake()
-        with self._replace_lock:
-            replace_table = self._replace_table
-        if replace_table is not None:
-            replace_table.wake()
 
     # -- rank lifecycle ------------------------------------------------
     def rank_status(self, world_rank: int) -> str:
@@ -558,69 +473,10 @@ class SpmdContext:
         self.wake_all_mailboxes()
         self._state_changed()
 
-    def set_respawner(self, respawner) -> None:
-        """Install ``respawner(world_rank)`` for elastic replacement.
-
-        The transport provides it while the world is live; it must
-        relaunch the rank's program at the same world position and
-        clear any transport-held error slot for the dead incarnation.
-        """
-        self._respawner = respawner
-
-    @property
-    def supports_replace(self) -> bool:
-        """True when the transport can respawn failed ranks in place."""
-        return self._respawner is not None
-
-    def log_recovery(self, action: str, **detail) -> None:
-        """Append one event to the world's recovery timeline.
-
-        The timeline feeds the postmortem bundle's ``recovery`` section,
-        so operators can see *how* a run survived, not just that it did.
-        """
-        event = {"action": action, "time": time.time(), **detail}
-        with self._recovery_log_lock:
-            self.recovery_log.append(event)
-
-    def recovery_events(self) -> list[dict]:
-        """Snapshot of the recovery timeline."""
-        with self._recovery_log_lock:
-            return list(self.recovery_log)
-
-    def mark_respawned(self, world_rank: int) -> None:
-        """Flip a failed rank back to running ahead of its replacement.
-
-        The dead incarnation's node-local store slot is dropped — its
-        "RAM" died with the process; replacements restore state from a
-        buddy copy or from the durable checkpoint tier — and the rank's
-        incarnation counter advances.  The status flip happens *before*
-        the transport launches the replacement so no blocked waiter
-        observes a half-replaced world as failed.
-        """
-        with self._status_lock:
-            self._rank_status[world_rank] = "running"
-            self.rank_incarnations[world_rank] += 1
-            incarnation = self.rank_incarnations[world_rank]
-        # A replacement joins a world whose current epoch is already
-        # revoked, and must say so deterministically from its first
-        # instruction: seed its observed threshold so its opening
-        # operation on any pre-crash communicator raises immediately
-        # instead of exchanging stale traffic with survivors.
-        self._revoked_seen[world_rank] = self.revoked_below
-        self._recovering.discard(world_rank)
-        with self._node_store_lock:
-            self._node_store.pop(world_rank, None)
-        self.log_recovery(
-            "respawn", rank=world_rank, incarnation=incarnation,
-        )
-        self.emit(world_rank, "recovery", "respawn", incarnation=incarnation)
-        self.wake_all_mailboxes()
-        self._state_changed()
-
     def emit(self, rank: int, kind: str, name: str | None = None,
              **detail) -> None:
-        """One event *about* ``rank`` from outside its thread (a
-        respawn, a link the master found dead) to every observer."""
+        """One event *about* ``rank`` from outside its thread (a link
+        the master found dead) to every observer."""
         for observer in self.observers.values():
             observer.on_event(rank, kind, name, detail)
 
@@ -651,9 +507,9 @@ class SpmdContext:
         """Register ``hook()`` to run after each world-table change.
 
         The table is what a blocked receive consults: every rank's
-        status and incarnation, the recovering set, the revocation
-        threshold.  The process transports push a snapshot of it to
-        their workers from here.
+        status, the recovering set, the revocation threshold.  The
+        process transports push a snapshot of it to their workers from
+        here.
         """
         self._state_hooks.append(hook)
 
@@ -824,74 +680,6 @@ class SpmdContext:
             rank, world_rank, running_old_ranks,
             allocate, self.recv_timeout, interval,
         )
-
-    def replace_rendezvous(self, world_rank: int) -> tuple[int, int]:
-        """One rank's contribution to a full-world replace.
-
-        Survivors and freshly respawned replacements all land here; the
-        round's table respawns any failed rank that has not yet joined
-        (and respawns it *again* if the replacement dies first), then
-        freezes once the entire original world has contributed.
-        Returns ``(new_comm_id, replace_round)``.
-
-        Keyed by a world-global round counter rather than the parent
-        communicator's operation sequence, because a replacement worker
-        shares no communicator history with the survivors — the round
-        number is the only rendezvous coordinate both sides can derive.
-        """
-        if self._respawner is None:
-            raise CommunicatorError(
-                "recover='replace' needs a transport that can respawn "
-                "ranks; run under run_spmd with the threads, procs, or "
-                "sockets backend"
-            )
-        with self._replace_lock:
-            table = self._replace_table
-            if table is None or table.done:
-                self._replace_round += 1
-                table = _ReplaceTable(self._replace_round, self.world_size)
-                self._replace_table = table
-
-        def allocate() -> int:
-            self._recovering.clear()
-            self._state_changed()
-            new_id = self.allocate_comm_id()
-            self.log_recovery(
-                "replace_commit", round=table.round_no, comm_id=new_id,
-                respawns=dict(table.respawns),
-            )
-            return new_id
-
-        interval = self.fault_poll_interval or 0.25
-        new_id = table.contribute(
-            world_rank, allocate, self._ensure_replacements,
-            self.recv_timeout, interval,
-        )
-        return new_id, table.round_no
-
-    def _ensure_replacements(self, table: _ReplaceTable) -> None:
-        """Respawn every failed rank that has not yet joined ``table``.
-
-        Serialized by a dedicated lock so concurrent pollers issue each
-        respawn exactly once: :meth:`mark_respawned` flips the rank
-        back to "running" before the transport launches it, and only
-        "failed" ranks are eligible here.
-        """
-        self.check_alive()
-        with self._respawn_lock:
-            joined = table.contributed()
-            for r in range(self.world_size):
-                if r in joined or self.rank_status(r) != "failed":
-                    continue
-                count = table.respawns.get(r, 0)
-                if count >= self.max_respawns_per_round:
-                    raise CommunicatorError(
-                        f"rank {r} died {count} times during replace "
-                        f"round {table.round_no}; giving up on replacement"
-                    )
-                table.respawns[r] = count + 1
-                self.mark_respawned(r)
-                self._respawner(r)
 
     # -- epoch revocation ----------------------------------------------
     def revoke_current(self, reason: str, world_rank: int | None = None) -> None:

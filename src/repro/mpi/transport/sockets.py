@@ -27,8 +27,7 @@ Each worker keeps three kinds of connection:
   worker ``(address, token, rank)``; each worker binds a listener of
   its own and reports it in its data hello; once every worker has
   raised both links the master hands out the **address book** with
-  the world table
-  (and again when a rank is respawned, under its new incarnation).
+  the world table.
   Every connection — to the master or to a peer — opens with a
   pickle-free JSON ``hello`` control frame (purpose, rank, token,
   connect bookkeeping — primitive fields only); the accepting side
@@ -294,16 +293,11 @@ class _SockLink:
         self.cond = threading.Condition()  # guards ctl/data attachment
         self.send_lock = threading.Lock()  # serializes ctl replies + oob
         self.last_rx = time.monotonic()
-        self.incarnation = 0  # of the remote rank
         self.received = 0  # put frames filed from this link (worker side)
         self.partitioned = False
         self.finished = False  # lifecycle RPC processed, or declared lost
         self.proc = None  # the forked worker (master side)
         self.ctl_thread = None  # serves its RPCs until it hangs up (master)
-        # Set when a replacement superseded this link: the dead
-        # incarnation's teardown (EOF, liveness expiry) must not fail
-        # the rank its replacement now occupies.
-        self.replaced = False
 
     def attach(self, purpose: str, fs: FramedSocket) -> None:
         with self.cond:
@@ -481,11 +475,10 @@ class _SockChannel:
 class _OutLink:
     """Sending end of the peer link to one destination rank."""
 
-    __slots__ = ("fs", "incarnation", "generation", "sent")
+    __slots__ = ("fs", "generation", "sent")
 
-    def __init__(self, incarnation: int) -> None:
+    def __init__(self) -> None:
         self.fs: FramedSocket | None = None
-        self.incarnation = incarnation  # of the destination
         self.generation = 0  # connections opened so far
         self.sent = 0  # frames the socket took whole
 
@@ -508,12 +501,11 @@ class _PeerWire:
     reader per link that files frames into the context's mailboxes.
     """
 
-    def __init__(self, rank: int, incarnation: int, token: str,
+    def __init__(self, rank: int, token: str,
                  listener: socket.socket, master: FramedSocket, master_addr,
                  master_hello: dict, policy: RetryPolicy, netstate,
                  counters: dict) -> None:
         self.rank = rank
-        self._incarnation = incarnation
         self._token = token
         self._listener = listener
         self._master = master
@@ -545,15 +537,11 @@ class _PeerWire:
     # -- inbound ---------------------------------------------------------
     def _attach_peer(self, fs: FramedSocket, hello: dict) -> None:
         source = hello["rank"]
-        incarnation = int(hello.get("incarnation", 0))
         fs.send_json({"kind": "ok"})
         with self._in_lock:
             link = self._in.get(source)
-            if link is None or link.incarnation < incarnation:
-                # First contact, or a replacement of the source: its
-                # frames are counted from zero.
+            if link is None:
                 link = self._in[source] = _SockLink(source)
-                link.incarnation = incarnation
                 ctx = self._ctx
                 threading.Thread(
                     target=link.drain,
@@ -561,25 +549,20 @@ class _PeerWire:
                             "at_eof": ctx.wake_all_mailboxes},
                     daemon=True, name=f"spmd-sock-from-{source}",
                 ).start()
-            elif link.incarnation > incarnation:
-                fs.close()  # a straggler of a replaced incarnation
-                return
         link.attach("data", fs)
 
-    def received(self, source: int, incarnation: int) -> tuple:
-        """``(frames filed, link at EOF)`` for one source incarnation."""
+    def received(self, source: int) -> tuple:
+        """``(frames filed, link at EOF)`` for one source."""
         with self._in_lock:
             link = self._in.get(source)
-        if link is None or link.incarnation != incarnation:
+        if link is None:
             return 0, True
         return link.received, link.data is None
 
     def counts(self) -> tuple:
-        sent = {dest: (out.incarnation, out.sent)
-                for dest, out in list(self._out.items())}
+        sent = {dest: out.sent for dest, out in list(self._out.items())}
         with self._in_lock:
-            received = {src: (link.incarnation, link.received)
-                        for src, link in self._in.items()}
+            received = {src: link.received for src, link in self._in.items()}
         return sent, received
 
     def report(self) -> dict:
@@ -629,16 +612,15 @@ class _PeerWire:
             return CommunicatorError(f"socket send path failed: {exc}")
 
     def _out_link(self, dest: int) -> _OutLink:
-        """The connected link to ``dest``'s current incarnation."""
+        """The connected link to ``dest``."""
         ctx = self._ctx
         out = self._out.get(dest)
-        if (out is not None and out.fs is not None
-                and out.incarnation == ctx.incarnation_of(dest)):
+        if out is not None and out.fs is not None:
             return out
 
         attempts = 0
 
-        def entry() -> tuple:
+        def address():
             # A rank that has left the world keeps its listener up until
             # the world closes (what reaches it then is reported as
             # undelivered), so its status only matters once a connect
@@ -646,21 +628,17 @@ class _PeerWire:
             # retries, and the frame is dropped.
             nonlocal attempts
             found = ctx.peer_address(dest)
-            if found is None or (attempts > 1
+            if found is None or (attempts > 0
                                  and ctx.true_status(dest) != "running"):
                 raise _PeerGone()
             attempts += 1
             return found
 
-        incarnation = entry()[1]
-        if out is None or out.incarnation != incarnation:
-            if out is not None and out.fs is not None:
-                out.fs.close()
-            out = self._out[dest] = _OutLink(incarnation)
+        if out is None:
+            out = self._out[dest] = _OutLink()
         out.fs = _connect_framed(
-            lambda: entry()[0],
+            address,
             {"purpose": "peer", "rank": self.rank, "token": self._token,
-             "incarnation": self._incarnation,
              "generation": out.generation + 1},
             self._policy, self._net, self._counters, sleep=ctx.wait_table,
         )
@@ -746,9 +724,7 @@ def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
     """
     # fd hygiene: drop the forked copy of the master's rendezvous
     # listener so the address is released the moment the master closes
-    # its own.  (The master's link sockets a replacement inherits need
-    # no such care: FramedSocket.close shuts a connection down, which
-    # reaches the peer whoever else holds a copy of the descriptor.)
+    # its own.
     try:
         listener.close()
     except OSError:  # pragma: no cover - already closed
@@ -770,9 +746,8 @@ def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
                             else list(listen[:2]))}
         data = _connect_framed(addr, dict(hello, generation=1), policy,
                                netstate, counters)
-        incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
         channel = _SockChannel(ctl, netstate)
-        wire = _PeerWire(rank, incarnation, token, peers, data, addr, hello,
+        wire = _PeerWire(rank, token, peers, data, addr, hello,
                          policy, netstate, counters)
         try:
             run_worker(cfg, rank, fn, args, kwargs, channel, wire,
@@ -881,12 +856,22 @@ class SocketTransport(WorldServerMixin, Transport):
         )
         accept_thread.start()
 
-        # Every worker (as its link) and service thread the run ever
-        # starts — original or replacement — lands here exactly once.
         threads: list = [accept_thread]
-        launched: list = list(links)
 
-        def serve_link(link: _SockLink) -> None:
+        # Rendezvous: every worker must raise both links within the
+        # grace window (injected connect refusals burn into it).
+        deadline = time.monotonic() + self.connect_grace
+        ready = [link for link in links if link.wait_ready(deadline)]
+        # Hello carried each worker's listener: hand out the address
+        # book (with the world table) before serving the first RPC.
+        self.push_world(context, links)
+        for link in links:
+            if link not in ready:
+                self._declare_lost(
+                    link, context,
+                    f"never connected within {self.connect_grace:.0f}s",
+                )
+                continue
             for target, label in ((self._serve_ctl, "ctl"),
                                   (self._serve_data, "data")):
                 thread = threading.Thread(
@@ -895,98 +880,24 @@ class SocketTransport(WorldServerMixin, Transport):
                 )
                 thread.start()
                 threads.append(thread)
-                if label == "ctl":
-                    link.ctl_thread = thread
+            link.ctl_thread = threads[-2]
 
-        def respawn(rank: int) -> None:
-            # Elastic replacement: retire the dead incarnation's link
-            # (closing it also ends that worker's linger), forget its
-            # error (the replacement's lifecycle overwrites the slot),
-            # and relaunch the worker through the same rendezvous the
-            # original used — the accept loop indexes ``links`` at
-            # hello time, so the replacement's connections attach to
-            # the fresh link, and its hello re-issues the rank's
-            # address-book entry under the new incarnation.
-            old = links[rank]
-            old.replaced = True
-            old.close()
-            self._errors[rank] = None
-            self._sent[rank] = {}
-            self._received[rank] = {}
-            context.inbox_reports.pop(rank, None)
-            new_link = _SockLink(rank)
-            links[rank] = new_link
-            rcfg = WorkerConfig(context)
-            rcfg.respawn_info = {
-                "incarnation": context.rank_incarnations[rank],
-                "crash_fired": (
-                    context.faults.crash_fires(rank)
-                    if context.faults is not None else None
-                ),
-                "revoked_below": context.revoked_below,
-                "revoke_reason": context.revoke_reason,
-            }
-            self.net_health[rank]["reconnects"] += 1
-            self._fork_worker(new_link, addr, token, fn, args, kwargs, rcfg,
-                              netrules, listener)
-            launched.append(new_link)
-
-            def boot() -> None:
-                ok = new_link.wait_ready(
-                    time.monotonic() + self.connect_grace)
-                if ok:
-                    # The survivors learn the replacement's address
-                    # before it can contribute to the rendezvous that
-                    # releases them.
-                    self.push_world(context, links)
-                    serve_link(new_link)
-                else:
-                    self._declare_lost(
-                        new_link, context,
-                        f"replacement never connected within "
-                        f"{self.connect_grace:.0f}s",
-                    )
-
-            threading.Thread(
-                target=boot, daemon=True,
-                name=f"spmd-sock-boot-{rank}-i{rcfg.respawn_info['incarnation']}",
-            ).start()
-
-        context.set_respawner(respawn)
-
-        # Rendezvous: every worker must raise both links within the
-        # grace window (injected connect refusals burn into it).
-        deadline = time.monotonic() + self.connect_grace
-        ready = [link for link in list(links) if link.wait_ready(deadline)]
-        # Hello carried each worker's listener: hand out the address
-        # book (with the world table) before serving the first RPC.
-        self.push_world(context, links)
-        for link in list(links):
-            if link in ready:
-                serve_link(link)
-            else:
-                self._declare_lost(
-                    link, context,
-                    f"never connected within {self.connect_grace:.0f}s",
-                )
-
-        # The world is over once every rank's current incarnation has
-        # reported or been declared lost.  The workers are still up —
-        # a finished rank keeps taking in what its peers send it — so
-        # close the world: tell each what to drain to, collect its
-        # pending-inbox summary, let it go.
+        # The world is over once every rank has reported or been
+        # declared lost.  The workers are still up — a finished rank
+        # keeps taking in what its peers send it — so close the world:
+        # tell each what to drain to, collect its pending-inbox summary,
+        # let it go.
         with self._world_cond:
             while not all(link.finished for link in links):
                 self._world_cond.wait()
-        for link in list(links):
+        for link in links:
             self._push(link, ("oob", "bye", self.expected_frames(link.rank)))
 
-        # No rank is left to ask for a replacement, so both lists are
-        # final: reap every incarnation, then wake and join the service
-        # threads (no one sleeps out a poll tick).  What a worker still
-        # has to do is bounded on its side (``await_frames``).
+        # Reap every worker, then wake and join the service threads (no
+        # one sleeps out a poll tick).  What a worker still has to do is
+        # bounded on its side (``await_frames``).
         overdue = time.monotonic() + DRAIN_TIMEOUT + _REAP_GRACE
-        for link in launched:
+        for link in links:
             self._reap(link, overdue)
         self._stop_accepting(listener)
         now = time.monotonic()
@@ -1039,14 +950,13 @@ class SocketTransport(WorldServerMixin, Transport):
                 f"backend={self.name!r} forks its workers (POSIX only); "
                 f"use backend='threads' on this platform"
             ) from None
-        incarnation = (cfg.respawn_info or {}).get("incarnation", 0)
         # The fork start method passes args by reference, so the child
         # gets the listener object to close its inherited fd copy.
         link.proc = mp_ctx.Process(
             target=_worker_main,
             args=(addr, token, link.rank, fn, args, kwargs, cfg, netrules,
                   self.connect_policy, self.heartbeat_interval, listener),
-            name=f"spmd-{self.name}-rank-{link.rank}-i{incarnation}",
+            name=f"spmd-{self.name}-rank-{link.rank}",
             daemon=True,
         )
         link.proc.start()
@@ -1078,9 +988,7 @@ class SocketTransport(WorldServerMixin, Transport):
         listen = hello.get("listen")
         if listen is not None:
             self._book[link.rank] = (
-                listen if isinstance(listen, str) else tuple(listen),
-                context.rank_incarnations[link.rank],
-            )
+                listen if isinstance(listen, str) else tuple(listen))
         generation = int(hello.get("generation", 1))
         if hello["purpose"] == "data" and generation > 1:
             h["reconnects"] += 1
@@ -1196,7 +1104,7 @@ class SocketTransport(WorldServerMixin, Transport):
 
         link.drain(
             handle, lost=lost,
-            stop=lambda: link.replaced or self._shutdown.is_set(),
+            stop=self._shutdown.is_set,
         )
 
     def _absorb_netfault(self, context, link: _SockLink, events) -> None:
@@ -1219,10 +1127,6 @@ class SocketTransport(WorldServerMixin, Transport):
         h = self.net_health[rank]
         h["disconnect"] = why
         h["heartbeat_age"] = round(age, 3)
-        if link.replaced:
-            # The rank status now describes the replacement; this link
-            # belongs to an incarnation already recovered from.
-            return
         if context.rank_status(rank) == "running":
             if link.partitioned and context.faults is not None:
                 err: CommunicatorError = RankKilledError(

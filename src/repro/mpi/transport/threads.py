@@ -124,45 +124,12 @@ class ThreadTransport(Transport):
             worker(0)
             return values, clocks, errors
 
-        threads: list[threading.Thread] = []
-        threads_lock = threading.Lock()
-
-        def start_rank(rank: int) -> None:
-            t = threading.Thread(
-                target=worker, args=(rank,), name=f"spmd-rank-{rank}"
-            )
-            with threads_lock:
-                threads.append(t)
+        threads = [
+            threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}")
+            for r in range(nprocs)
+        ]
+        for t in threads:
             t.start()
-
-        def respawn(rank: int) -> None:
-            # Elastic replacement: forget the dead incarnation's error
-            # (the replacement's outcome overwrites the slot) and rerun
-            # the rank program on a fresh thread.  The shared injector
-            # must reset the rank's counters here — unlike the process
-            # transports, there is no per-worker injector copy to seed.
-            errors[rank] = None
-            injector = context.faults
-            if injector is not None:
-                injector.note_respawn(
-                    rank,
-                    incarnation=context.rank_incarnations[rank],
-                    fired=injector.crash_fires(rank),
-                )
-            start_rank(rank)
-
-        context.set_respawner(respawn)
-        for r in range(nprocs):
-            start_rank(r)
-        # Join by index: a replace rendezvous may append replacement
-        # threads while earlier ones are still being joined, and every
-        # incarnation must finish before the results are read.
-        i = 0
-        while True:
-            with threads_lock:
-                if i >= len(threads):
-                    break
-                t = threads[i]
-            i += 1
+        for t in threads:
             t.join()
         return values, clocks, errors

@@ -4,11 +4,10 @@ The procs and sockets backends share one execution model: every rank
 is a worker process that owns its *mailboxes* and exchanges payloads
 with its peers over direct worker-to-worker links (the data plane,
 :mod:`~repro.mpi.transport.sockets`); the master keeps the **control
-plane** only — rank lifecycle and result slots, the split / shrink /
-replace rendezvous, revocation and abort fan-out, the node-local
-store, the sanitizer's collective matching and wait-for graph,
-liveness and postmortem assembly.  No payload crosses the
-master.
+plane** only — rank lifecycle and result slots, the split / shrink
+rendezvous, revocation and abort fan-out, the node-local store, the
+sanitizer's collective matching and wait-for graph, liveness and
+postmortem assembly.  No payload crosses the master.
 
 This module holds everything above the wire:
 
@@ -54,10 +53,9 @@ A transport supplies two duck-typed worker objects:
     envelope to a peer, returning ``None`` or the error that lost it;
     ``notify_master(header)`` — best-effort bookkeeping frame
     (heartbeat, injected-fault notice); ``counts()`` — frames per
-    peer, ``({dest: (dest incarnation, sent)}, {source: (source
-    incarnation, received)})``; ``report()`` — ``{"sent": <as
-    counts()[0]>, "lost": {dest: (frames, why)}}`` for the lifecycle
-    RPC; ``received(source, incarnation)`` — ``(frames,
+    peer, ``({dest: sent}, {source: received})``; ``report()`` —
+    ``{"sent": <as counts()[0]>, "lost": {dest: (frames, why)}}`` for
+    the lifecycle RPC; ``received(source)`` — ``(frames,
     link_at_eof)``; ``start(context)``.
 
 and, master-side, per-rank ``link`` objects carrying ``rank``.
@@ -137,7 +135,6 @@ class WorkerConfig:
     __slots__ = (
         "world_size", "cost_model", "recv_timeout", "resilience",
         "faults", "observers", "has_sanitizer", "watchdog_interval",
-        "respawn_info",
     )
 
     def __init__(self, context) -> None:
@@ -152,13 +149,6 @@ class WorkerConfig:
             context.sanitizer.watchdog_interval
             if context.sanitizer is not None else None
         )
-        # Populated by a transport respawner for a replacement worker:
-        # {"incarnation", "crash_fired", "revoked_below",
-        # "revoke_reason"}.  Tells the worker which incarnation it is
-        # (so the fault injector counts its operations from zero) and
-        # seeds its local revocation threshold, because the replacement
-        # joins a world whose current epoch is already revoked.
-        self.respawn_info = None
 
 
 # ----------------------------------------------------------------------
@@ -285,18 +275,8 @@ class WorkerContext:
         # is pushed asynchronously by the master, so gating ops on it
         # directly would interrupt this worker at a timing-dependent
         # op.  ``revoked_seen`` advances only at deterministic points —
-        # a blocking wait that raised, our own revoke(), or the respawn
-        # seed below.
+        # a blocking wait that raised, or our own revoke().
         self.revoked_seen = 0
-        info = cfg.respawn_info or {}
-        self.incarnation = info.get("incarnation", 0)
-        if info:
-            # A replacement joins a world whose current epoch is already
-            # revoked; without this seed its first operation would try a
-            # real exchange on the poisoned world communicator.
-            self.revoked_below = info.get("revoked_below", 0)
-            self.revoke_reason = info.get("revoke_reason")
-            self.revoked_seen = self.revoked_below
         self._channel = channel
         self._wire = wire
         self._boxes: dict[int, _Mailbox] = {}
@@ -305,7 +285,6 @@ class WorkerContext:
         # wakes senders waiting for an address or a verdict on a peer.
         self._table = {
             "status": ["running"] * cfg.world_size,
-            "incarnation": [0] * cfg.world_size,
             "recovering": (),
             "sent": {},
             "book": {},
@@ -336,19 +315,19 @@ class WorkerContext:
             self._table_cond.wait(timeout)
 
     def peer_address(self, dest: int) -> tuple | None:
-        """``(address, incarnation)`` of ``dest``'s listener.
+        """The address of ``dest``'s listener.
 
         Blocks until the master has handed the entry out (it does once
-        every worker has said hello, and again for a replacement);
-        ``None`` when there will be none — ``dest`` was declared lost
-        before it ever said hello, or the world was aborted.
+        every worker has said hello); ``None`` when there will be none —
+        ``dest`` was declared lost before it ever said hello, or the
+        world was aborted.
         """
         deadline = time.monotonic() + self.recv_timeout
         with self._table_cond:
             while True:
                 table = self._table
                 entry = table["book"].get(dest)
-                if entry is not None and entry[1] == table["incarnation"][dest]:
+                if entry is not None:
                     return entry
                 if (table["status"][dest] != "running"
                         or self.abort_event.is_set()):
@@ -365,21 +344,15 @@ class WorkerContext:
         """The master's word on ``world_rank``, drained or not."""
         return self._table["status"][world_rank]
 
-    def incarnation_of(self, world_rank: int) -> int:
-        return self._table["incarnation"][world_rank]
-
     def _drained(self, table: dict, partner: int) -> bool:
         """Whether every frame ``partner`` sent this rank has arrived."""
-        incarnation = table["incarnation"][partner]
         sent = table["sent"].get(partner)
-        got, at_eof = self._wire.received(partner, incarnation)
+        got, at_eof = self._wire.received(partner)
         if sent is None:
             # Died without a report: its link's EOF is the last word.
             done = at_eof
         else:
-            to_me = sent.get(self.rank)
-            done = (to_me is None or to_me[0] != self.incarnation
-                    or got >= to_me[1])
+            done = got >= sent.get(self.rank, 0)
         if done:
             self._drain_started.pop(partner, None)
             return True
@@ -486,12 +459,10 @@ class WorkerContext:
         """Wait (bounded) until ``expected[source]`` frames arrived from
         each source: what the peers reported sending, at world's end."""
         deadline = time.monotonic() + DRAIN_TIMEOUT
-        incarnations = self._table["incarnation"]
         with self._table_cond:
             self._lingering = True
-            while not all(
-                    self._wire.received(src, incarnations[src])[0] >= count
-                    for src, count in expected.items()):
+            while not all(self._wire.received(src)[0] >= count
+                          for src, count in expected.items()):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return
@@ -530,10 +501,6 @@ class WorkerContext:
             "shrink", parent_comm_id, seqno, rank, world_rank, list(members)
         )
         return new_id, list(ordered_old)
-
-    def replace_rendezvous(self, world_rank: int) -> tuple:
-        new_id, round_no = self._channel.call("replace", world_rank)
-        return new_id, round_no
 
     def running_world_ranks(self) -> set:
         return set(self._channel.call("running_world_ranks"))
@@ -722,16 +689,6 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
     try:
         wire.start(ctx)
         channel.start(ctx)
-        info = cfg.respawn_info
-        if info is not None and cfg.faults is not None:
-            # Fresh incarnation: operations count from zero so crash-rule
-            # calibration means the same thing for every incarnation, and
-            # the fire count is pinned from the master (this process's
-            # injector copy never saw the previous incarnation's crash).
-            cfg.faults.note_respawn(
-                rank, incarnation=info["incarnation"],
-                fired=info.get("crash_fired"),
-            )
 
         comm = None
         outcome = {"kind": "rank_error", "value": None,
@@ -855,12 +812,10 @@ class WorldServerMixin:
         self._values = [None] * nprocs
         self._clocks = [None] * nprocs
         self._errors = [None] * nprocs
-        # Frame counts as last reported: rank -> {peer: (peer
-        # incarnation, frames)}.  ``_sent[r] is None`` marks a rank
-        # that died without reporting.
+        # Frame counts as last reported: rank -> {peer: frames}.
+        # ``_sent[r] is None`` marks a rank that died without reporting.
         self._sent: dict = {r: {} for r in range(nprocs)}
         self._received: dict = {r: {} for r in range(nprocs)}
-        self._incarnations = context.rank_incarnations  # live view
         self._book: dict = {}
         self._push_lock = threading.Lock()
         # Package modules the workers imported beyond what they forked
@@ -892,7 +847,6 @@ class WorldServerMixin:
         nprocs = context.world_size
         return {
             "status": [context.rank_status(r) for r in range(nprocs)],
-            "incarnation": list(context.rank_incarnations),
             "recovering": tuple(context.recovering_ranks()),
             "revoked_below": context.revoked_below,
             "revoke_reason": context.revoke_reason,
@@ -902,14 +856,9 @@ class WorldServerMixin:
 
     def frames_on_the_wire(self, source: int, dest: int) -> bool:
         """Whether ``source`` reported more frames sent to ``dest`` than
-        ``dest`` reported received (current incarnations only)."""
-        sent = (self._sent.get(source) or {}).get(dest)
-        if sent is None or sent[0] != self._incarnations[dest]:
-            return False
-        got = self._received[dest].get(source)
-        if got is None or got[0] != self._incarnations[source]:
-            return sent[1] > 0
-        return sent[1] > got[1]
+        ``dest`` reported received."""
+        sent = (self._sent.get(source) or {}).get(dest, 0)
+        return sent > self._received[dest].get(source, 0)
 
     # -- RPC dispatch ----------------------------------------------------
     def _dispatch(self, context, link, method: str, args: tuple):
@@ -924,8 +873,6 @@ class WorldServerMixin:
             return context.shrink_rendezvous(
                 parent_comm_id, seqno, rank, world_rank, list(members)
             )
-        if method == "replace":
-            return context.replace_rendezvous(args[0])
         if method == "check_collective":
             comm_id, seq, world_rank, op, signature, comm_size, site = args
             context.sanitizer.check_collective(
@@ -1021,14 +968,9 @@ class WorldServerMixin:
             context.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
 
     def expected_frames(self, rank: int) -> dict:
-        """Frames each peer reported sending to ``rank``'s incarnation."""
-        incarnation = self._incarnations[rank]
-        expected = {}
-        for source, sent in self._sent.items():
-            entry = (sent or {}).get(rank)
-            if entry is not None and entry[0] == incarnation:
-                expected[source] = entry[1]
-        return expected
+        """Frames each peer reported sending to ``rank``."""
+        return {source: sent[rank] for source, sent in self._sent.items()
+                if sent and rank in sent}
 
     @staticmethod
     def _note_inbox(context, rank: int, rows: list) -> None:

@@ -205,19 +205,6 @@ def build_postmortem(
     # to be reaped by force at world close).
     net_health = getattr(context, "net_health", None)
     bundle["network"] = _jsonable(net_health) if net_health else None
-    # Elastic recovery: respawns and replace-rendezvous commits logged
-    # by the context, plus how many incarnations each rank went through.
-    recovery_events = getattr(context, "recovery_events", None)
-    try:
-        bundle["recovery"] = (
-            _jsonable(recovery_events()) if callable(recovery_events) else []
-        )
-    except Exception:
-        bundle["recovery"] = []
-    incarnations = getattr(context, "rank_incarnations", None)
-    bundle["rank_incarnations"] = (
-        [int(i) for i in incarnations] if incarnations else None
-    )
     # "With which configuration?": what run_spmd resolved for this world.
     bundle["run_config"] = getattr(context, "run_config", None)
     return _jsonable(bundle)
@@ -373,27 +360,6 @@ def render_postmortem(bundle: Dict[str, Any], events: int = 10) -> str:
         lines.append(f"\nfault trace ({len(fault_trace)} fired):")
         for ev in fault_trace[:20]:
             lines.append(f"  {ev}")
-
-    recovery = bundle.get("recovery") or []
-    if recovery:
-        lines.append(f"\nrecovery ({len(recovery)} actions):")
-        for ev in recovery[:20]:
-            detail = " ".join(
-                f"{k}={v}" for k, v in ev.items()
-                if k not in ("action", "time")
-            )
-            lines.append(f"  {ev.get('action', '?'):<16} {detail}".rstrip())
-        if len(recovery) > 20:
-            lines.append(f"  ... and {len(recovery) - 20} more")
-    incarnations = bundle.get("rank_incarnations") or []
-    if any(i > 0 for i in incarnations):
-        respawned = {
-            r: i for r, i in enumerate(incarnations) if i > 0
-        }
-        lines.append(
-            "rank incarnations: "
-            + "  ".join(f"rank {r}: {i + 1}" for r, i in respawned.items())
-        )
 
     if events > 0:
         for rank_key in sorted(bundle.get("ranks", {}), key=int):

@@ -1,8 +1,9 @@
 """The library's one on-disk protocol for state that must survive a crash.
 
-Out-of-core checkpoints (:mod:`repro.core.checkpoint`), the durable
-tier of the distributed checkpoint (:mod:`repro.faults.checkpoint`) and
-Tucker archives (:func:`repro.cli.save_archive`) all write through:
+Checkpoints (:mod:`repro.core.checkpoint`, whose one format the
+out-of-core driver and the durable tier of
+:class:`~repro.faults.DistributedCheckpoint` both write) and Tucker
+archives (:func:`repro.cli.save_archive`) all write through:
 
 * :func:`write_files` — the one tmp + fsync + rename in the package: a
   crash or an exception *while writing* tears no file and touches
@@ -15,6 +16,10 @@ Tucker archives (:func:`repro.cli.save_archive`) all write through:
   keys as strings, NumPy scalars as Python numbers.)  The writer
   returns ``[nbytes, crc32]`` for the caller's manifest; the reader
   verifies both, which catches the flipped bit ``np.load`` would accept.
+* :func:`write_raw` / :func:`verify_raw` — a file of raw bytes (a
+  tensor block other code maps in place), streamed through the same
+  ``[nbytes, crc32]`` on the way in (from memory or from another file)
+  and on the way back.
 * :func:`commit_manifest` / :func:`load_manifest` — the JSON manifest,
   written *last*: its rename makes the files written before it the
   state of record.  It is stamped with the caller's schema tag and the
@@ -41,11 +46,12 @@ from .arraycodec import (
     split_arrays,
 )
 
-__all__ = ["write_files", "write_shard", "read_shard", "commit_manifest",
-           "load_manifest"]
+__all__ = ["write_files", "write_shard", "read_shard", "write_raw",
+           "verify_raw", "commit_manifest", "load_manifest"]
 
 _HEADER_LEN = struct.Struct("<I")
 _REF = "__ndarray__"
+_CHUNK = 1 << 24  # raw files stream 16 MiB at a time
 
 
 def write_files(directory: str,
@@ -93,13 +99,57 @@ def write_shard(path: str, obj: Any) -> list:
     views, descrs = prepare_arrays(arrays)
     header = json.dumps({"skeleton": skeleton, "arrays": descrs},
                         default=_json_default).encode()
-    chunks = [_HEADER_LEN.pack(len(header)), header, *views]
+    return write_raw(path, [_HEADER_LEN.pack(len(header)), header, *views])
+
+
+def _check_size(f, name: str, nbytes: int) -> None:
+    size = os.fstat(f.fileno()).st_size
+    if size != nbytes:
+        raise CheckpointError(f"shard {name} is {size} bytes, its "
+                              f"manifest says {nbytes} (truncated?)")
+
+
+def _check_crc(name: str, crc: int, crc32: int) -> None:
+    if crc != crc32:
+        raise CheckpointError(f"shard {name} is corrupt: checksum {crc:#010x},"
+                              f" its manifest says {crc32:#010x}")
+
+
+def _file_chunks(path: str):
+    with open(path, "rb") as f:
+        while chunk := f.read(_CHUNK):
+            yield chunk
+
+
+def write_raw(path: str, chunks) -> list:
+    """Write the bytes-like ``chunks`` as one file, atomically, in the
+    order given — or, given a path, that file's bytes, streamed; its
+    ``[nbytes, crc32]``."""
+    check = [0, 0]
+
+    def write(f: BinaryIO) -> None:
+        for chunk in (_file_chunks(chunks) if isinstance(chunks, str)
+                      else chunks):
+            f.write(chunk)
+            check[0] += memoryview(chunk).nbytes
+            check[1] = zlib.crc32(chunk, check[1])
+
+    write_files(os.path.dirname(path), {os.path.basename(path): write})
+    return check
+
+
+def verify_raw(path: str, nbytes: int, crc32: int) -> str:
+    """``path``, once its length and checksum match ``[nbytes, crc32]``
+    (streamed); ``OSError`` when it cannot be opened,
+    :class:`~repro.errors.CheckpointError` when it does not match."""
+    name = os.path.basename(path)
+    with open(path, "rb") as f:
+        _check_size(f, name, nbytes)
     crc = 0
-    for chunk in chunks:
+    for chunk in _file_chunks(path):
         crc = zlib.crc32(chunk, crc)
-    write_files(os.path.dirname(path),
-                {os.path.basename(path): lambda f: f.writelines(chunks)})
-    return [sum(len(chunk) for chunk in chunks), crc]
+    _check_crc(name, crc, crc32)
+    return path
 
 
 def read_shard(path: str, nbytes: int, crc32: int) -> Any:
@@ -109,10 +159,7 @@ def read_shard(path: str, nbytes: int, crc32: int) -> Any:
     :class:`~repro.errors.CheckpointError`."""
     name = os.path.basename(path)
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != nbytes:
-            raise CheckpointError(f"shard {name} is {size} bytes, its "
-                                  f"manifest says {nbytes} (truncated?)")
+        _check_size(f, name, nbytes)
         try:
             head = f.read(_HEADER_LEN.size)
             head += f.read(_HEADER_LEN.unpack(head)[0])
@@ -133,9 +180,8 @@ def read_shard(path: str, nbytes: int, crc32: int) -> Any:
         except (ValueError, KeyError, TypeError, struct.error) as exc:
             raise CheckpointError(f"shard {name} is corrupt: "
                                   f"{type(exc).__name__}: {exc}") from None
-    if left or crc != crc32:
-        raise CheckpointError(f"shard {name} is corrupt: checksum {crc:#010x},"
-                              f" its manifest says {crc32:#010x}")
+        crc = zlib.crc32(f.read(), crc)  # bytes past the arrays, if any
+    _check_crc(name, crc, crc32)
     return join_arrays(header["skeleton"], arrays)
 
 

@@ -10,12 +10,13 @@ import pytest
 import repro.core.outofcore as oocmod
 from repro.core import sthosvd, sthosvd_out_of_core, tail_energy
 from repro.core.checkpoint import (
+    SCHEMA,
     _fingerprint,
     clear_checkpoint,
     load_checkpoint,
 )
 from repro.data import low_rank_tensor, save_raw
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 
 @pytest.fixture()
@@ -174,8 +175,13 @@ class TestManifestHardening:
         with open(os.path.join(ck, "checkpoint.json")) as f:
             manifest = json.load(f)
         assert manifest["library_version"] == repro.__version__
-        assert manifest["tensor_dtype"] == "float64"
+        assert manifest["dtype"] == "float64"
         assert manifest["fingerprint"]["dtype"] == "float64"
+        # One shard covering the whole tensor, named with its checksum.
+        [shard] = manifest["shards"]
+        assert shard["slices"] == [[0, s] for s in manifest["shape"]]
+        assert shard["check"][0] == os.path.getsize(
+            os.path.join(ck, shard["files"][0]))
 
     def test_dtype_mismatch_gets_dedicated_message(self, raw, tmp_path, monkeypatch):
         X, _, ck = self._interrupted(raw, tmp_path, monkeypatch, "ckd")
@@ -190,7 +196,7 @@ class TestManifestHardening:
         mpath = os.path.join(ck, "checkpoint.json")
         with open(mpath) as f:
             manifest = json.load(f)
-        manifest["tensor_dtype"] = "float32"
+        manifest["dtype"] = "float32"
         with open(mpath, "w") as f:
             json.dump(manifest, f)
         fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
@@ -228,15 +234,13 @@ class TestManifestHardening:
             self, raw, tmp_path, monkeypatch):
         import json
 
-        from repro.errors import CheckpointError
-
         X, _, ck = self._interrupted(raw, tmp_path, monkeypatch, "ckx")
         fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
         mpath = os.path.join(ck, "checkpoint.json")
         with open(mpath) as f:
             manifest = json.load(f)
 
-        modes = os.path.join(ck, manifest["modes_file"])
+        modes = os.path.join(ck, manifest["state"]["files"][0])
         with open(modes, "rb") as f:
             blob = bytearray(f.read())
         blob[-1] ^= 0x01
@@ -248,5 +252,52 @@ class TestManifestHardening:
         del manifest["schema"]  # what a pre-shard checkpoint looks like
         with open(mpath, "w") as f:
             json.dump(manifest, f)
-        with pytest.raises(CheckpointError, match="repro-ooc-ckpt/2"):
+        with pytest.raises(CheckpointError, match=SCHEMA):
             load_checkpoint(ck, fp)
+
+    def test_previous_format_is_refused_naming_both_schemas(
+            self, raw, tmp_path, monkeypatch):
+        import json
+
+        X, _, ck = self._interrupted(raw, tmp_path, monkeypatch, "cko")
+        mpath = os.path.join(ck, "checkpoint.json")
+        with open(mpath) as f:
+            manifest = json.load(f)
+        with open(mpath, "w") as f:
+            json.dump(dict(manifest, schema="repro-ooc-ckpt/2"), f)
+        fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(ck, fp)
+        assert "repro-ooc-ckpt/2" in str(exc.value)
+        assert SCHEMA in str(exc.value)
+
+
+class TestIntegrity:
+    """Every byte a resume reads is checked against the manifest."""
+
+    @pytest.mark.parametrize("victim", ["tensor", "factors"])
+    def test_flipped_byte_is_refused_on_resume(self, raw, tmp_path,
+                                               monkeypatch, victim):
+        import json
+
+        X, path = raw
+        ck = str(tmp_path / "ck")
+        _crash_after(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+        monkeypatch.undo()
+        with open(os.path.join(ck, "checkpoint.json")) as f:
+            manifest = json.load(f)
+        entry = (manifest["shards"][0] if victim == "tensor"
+                 else manifest["state"])
+        name = entry["files"][0]
+        with open(os.path.join(ck, name), "rb") as f:
+            blob = bytearray(f.read())
+        # Same length, still parses: the exponent byte of a float64 in
+        # the middle of the block, or the state's last (array) byte.
+        at = len(blob) // 16 * 8 + 7 if victim == "tensor" else -1
+        blob[at] ^= 0x10
+        with open(os.path.join(ck, name), "wb") as f:
+            f.write(blob)
+        with pytest.raises(CheckpointError, match="checksum"):
+            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)

@@ -1,11 +1,10 @@
-"""Elastic recovery: rank replacement, durable checkpoints, restart.
+"""Shrink recovery on every backend, durable checkpoints, restart.
 
-PR 10's acceptance surface.  ``recover="replace"`` must survive a
-mid-mode rank kill (and a kill of the replacement itself) with the
-world keeping its original shape and the factors bitwise-identical to
-the fault-free run; the durable checkpoint tier must restart a brand
-new invocation from disk with the same bitwise guarantee, and refuse
-manifests that belong to a different input or world shape.
+A mid-mode rank kill must be survived on the process backends too,
+with the survivors finishing the decomposition; the durable checkpoint
+tier must restart a brand-new invocation from disk bitwise-identical to
+the fault-free run, and refuse manifests that belong to a different
+input or world shape.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import SCHEMA, read_block
 from repro.core.ft import sthosvd_fault_tolerant
 from repro.dist.dtensor import GridComms
 from repro.dist.grid import ProcessorGrid
@@ -24,17 +24,17 @@ from repro.dist.redistribute import distribute_from_root
 from repro.errors import CheckpointError, RankFailedError
 from repro.faults import CrashRule, DistributedCheckpoint, FaultPlan
 from repro.mpi import run_spmd
+from repro.util.durable import verify_raw
 
 SHAPE = (12, 10, 8)
 RANKS = (4, 3, 2)
 FULL = np.asfortranarray(np.random.default_rng(7).standard_normal(SHAPE))
 
 
-def _prog(comm, recover="replace", ckpt_dir=None, full=None,
-          max_recoveries=2):
+def _prog(comm, ckpt_dir=None, full=None, max_recoveries=2):
     res = sthosvd_fault_tolerant(
         comm, (FULL if full is None else full) if comm.rank == 0 else None,
-        ranks=RANKS, method="qr", recover=recover, ckpt_dir=ckpt_dir,
+        ranks=RANKS, method="qr", ckpt_dir=ckpt_dir,
         max_recoveries=max_recoveries,
     )
     return {
@@ -60,77 +60,70 @@ def _assert_factors_equal(vals, base, what):
 _CRASH = FaultPlan(seed=3, crashes=(CrashRule(rank=1, at_op=25),))
 
 
-class TestReplaceRecovery:
-    def test_replace_keeps_world_shape_and_is_bitwise(self):
-        base = _done(run_spmd(_prog, 4, resilience=True))[0]
-        assert base["recoveries"] == 0
+def _err_prog(comm):
+    """A fault-tolerant run's survivors and reconstruction error."""
+    res = sthosvd_fault_tolerant(comm, FULL if comm.rank == 0 else None,
+                                 ranks=RANKS, method="qr")
+    tucker = res.result.to_tucker()  # collective over the survivors
+    err = None
+    if res.comm.rank == 0:
+        rec = np.asarray(tucker.reconstruct().data)
+        err = float(np.linalg.norm(rec - FULL) / np.linalg.norm(FULL))
+    return {"survivors": res.comm.size, "err": err}
 
-        res = run_spmd(_prog, 4, faults=_CRASH, resilience=True)
-        vals = _done(res)
-        assert len(vals) == 4  # the replacement finished too
-        assert all(v["survivors"] == 4 for v in vals)
-        assert all(v["recoveries"] >= 1 for v in vals)
-        _assert_factors_equal(vals, base["factors"], "replace")
-        kind, detail = vals[0]["events"][-1]
-        assert kind == "rank_failure"
-        assert detail["mode"] == "replace" and detail["survivors"] == 4
 
+class TestShrinkRecovery:
     @pytest.mark.parametrize("backend", ["procs", "sockets"])
-    def test_replace_backends(self, backend):
-        base = _done(run_spmd(_prog, 4, resilience=True, backend=backend))[0]
-        res = run_spmd(_prog, 4, faults=_CRASH, resilience=True,
+    def test_shrink_backends(self, backend):
+        base = _done(run_spmd(_err_prog, 4, resilience=True,
+                              backend=backend))
+        base_err = next(v["err"] for v in base if v["err"] is not None)
+        res = run_spmd(_err_prog, 4, faults=_CRASH, resilience=True,
                        backend=backend)
         vals = _done(res)
-        assert len(vals) == 4
-        assert all(v["survivors"] == 4 for v in vals)
-        _assert_factors_equal(vals, base["factors"], f"replace on {backend}")
-
-    def test_replacement_killed_too(self):
-        """repeat=2 kills the respawned incarnation as well."""
-        base = _done(run_spmd(_prog, 4, resilience=True))[0]
-        plan = FaultPlan(seed=3, crashes=(
-            CrashRule(rank=1, at_op=25, repeat=2),))
-        res = run_spmd(_prog, 4, faults=plan, resilience=True)
-        vals = _done(res)
-        assert len(vals) == 4
-        assert all(v["survivors"] == 4 for v in vals)
-        _assert_factors_equal(vals, base["factors"], "double kill")
+        assert res.failed_ranks == [1]
+        assert len(vals) == 3 and all(v["survivors"] == 3 for v in vals)
+        err = next(v["err"] for v in vals if v["err"] is not None)
+        assert err <= 10 * base_err
 
     def test_replayed_plan_yields_identical_recovery_sequence(self):
         runs = [run_spmd(_prog, 4, faults=_CRASH, resilience=True)
                 for _ in range(2)]
         keys = [r.faults.trace_key() for r in runs]
         assert keys[0] == keys[1]
-        seqs = [[(k, d.get("mode"), d.get("survivors"), d.get("resumed_step"))
+        seqs = [[(k, d.get("survivors"), d.get("resumed_step"))
                  for k, d in _done(r)[0]["events"]] for r in runs]
         assert seqs[0] == seqs[1]
+        assert seqs[0] and seqs[0][0][:2] == ("rank_failure", 3)
 
 
 class TestDurableCheckpoints:
     def test_manifest_contents_and_commit_discipline(self, tmp_path):
-        run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+        run_spmd(_prog, 4, str(tmp_path), resilience=True)
         manifests = sorted(glob.glob(str(tmp_path / "*-manifest-*.json")))
         assert manifests
         with open(manifests[-1]) as fh:
             man = json.load(fh)
-        assert man["schema"] == "repro-dckpt/2"
-        assert man["nprocs"] == 4
-        assert man["input_shape"] == list(SHAPE)
-        assert man["input_dtype"] == "float64"
-        # Every shard the manifest names must exist: the manifest is
-        # written last, so a committed manifest implies complete shards.
-        for owner, files in man["shards"].items():
-            for kind in ("own", "buddy"):
-                assert os.path.exists(tmp_path / files[kind]), (owner, kind)
+        assert man["schema"] == SCHEMA
+        assert man["fingerprint"] == {"world": "4 ranks",
+                                      "shape": list(SHAPE),
+                                      "dtype": "float64"}
+        assert len(man["shards"]) == 4
+        # Every file the manifest names exists twice, with the length it
+        # recorded: the manifest is written last, so a committed
+        # manifest implies complete files.
+        for entry in (man["state"], *man["shards"]):
+            assert len(entry["files"]) == 2
+            for name in entry["files"]:
+                assert os.path.getsize(tmp_path / name) == entry["check"][0]
 
     def test_restart_from_disk_is_bitwise(self, tmp_path):
         base = _done(run_spmd(_prog, 4, resilience=True))[0]
-        # A crashed-and-recovered run leaves durable checkpoints behind.
-        run_spmd(_prog, 4, "replace", str(tmp_path), faults=_CRASH,
-                 resilience=True)
+        # What a world killed during the last mode leaves behind.
+        _checkpoint_mid_run(tmp_path)
         # A brand-new world pointed at the directory resumes from the
         # newest committed manifest and lands on identical factors.
-        res = run_spmd(_prog, 4, "replace", str(tmp_path), resilience=True)
+        res = run_spmd(_prog, 4, str(tmp_path), resilience=True)
         vals = _done(res)
         assert len(vals) == 4
         assert all("disk_resume" in [e[0] for e in v["events"]]
@@ -140,8 +133,8 @@ class TestDurableCheckpoints:
     def test_manifest_round_trip_across_backends(self, tmp_path):
         """Shards written by the threads backend restart under procs."""
         base = _done(run_spmd(_prog, 4, resilience=True))[0]
-        run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
-        res = run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True,
+        run_spmd(_prog, 4, str(tmp_path), resilience=True)
+        res = run_spmd(_prog, 4, str(tmp_path), resilience=True,
                        backend="procs")
         vals = _done(res)
         assert all("disk_resume" in [e[0] for e in v["events"]]
@@ -149,22 +142,21 @@ class TestDurableCheckpoints:
         _assert_factors_equal(vals, base["factors"], "cross-backend resume")
 
     def test_refuses_world_shape_mismatch(self, tmp_path):
-        run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+        run_spmd(_prog, 4, str(tmp_path), resilience=True)
         with pytest.raises(CheckpointError, match="4 ranks"):
-            run_spmd(_prog, 2, "shrink", str(tmp_path), resilience=True)
+            run_spmd(_prog, 2, str(tmp_path), resilience=True)
 
     def test_refuses_input_mismatch(self, tmp_path):
-        run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+        run_spmd(_prog, 4, str(tmp_path), resilience=True)
         other = FULL.astype(np.float32)
         with pytest.raises(CheckpointError, match="float64"):
-            run_spmd(_prog, 4, "shrink", str(tmp_path), other,
-                     resilience=True)
+            run_spmd(_prog, 4, str(tmp_path), other, resilience=True)
 
 
 def _checkpoint_mid_run(tmp_path):
     """A directory whose newest manifest is one mode short of the end,
     as a world killed during the last mode would leave it; the manifest."""
-    run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
+    run_spmd(_prog, 4, str(tmp_path), resilience=True)
     manifests = sorted(glob.glob(str(tmp_path / "*-manifest-*.json")))
     assert len(manifests) == 2  # keep=2
     os.remove(manifests[-1])
@@ -190,16 +182,15 @@ class TestDurableShards:
         return _done(run_spmd(_prog, 4, resilience=True))[0]
 
     def _resumed(self, tmp_path, base, what):
-        vals = _done(run_spmd(_prog, 4, "shrink", str(tmp_path),
-                              resilience=True))
+        vals = _done(run_spmd(_prog, 4, str(tmp_path), resilience=True))
         events = [e for e in vals[0]["events"] if e[0] == "disk_resume"]
         assert [e[1]["resumed_step"] for e in events] == [2]
         _assert_factors_equal(vals, base["factors"], what)
 
     def test_truncated_own_shard_falls_back_to_buddy(self, tmp_path, base):
         man = _checkpoint_mid_run(tmp_path)
-        for owner in ("0", "2"):
-            path = tmp_path / man["shards"][owner]["own"]
+        for owner in (0, 2):
+            path = tmp_path / man["shards"][owner]["files"][0]
             path.write_bytes(path.read_bytes()[:-9])
         self._resumed(tmp_path, base, "truncated own shards")
 
@@ -208,25 +199,26 @@ class TestDurableShards:
         """The length is right and the bytes still parse as floats —
         only the checksum can tell; the buddy copy is used instead."""
         man = _checkpoint_mid_run(tmp_path)
-        own = man["shards"]["1"]["own"]
+        own, buddy = man["shards"][1]["files"]
         path = tmp_path / own
         blob = bytearray(path.read_bytes())
-        assert len(blob) == man["checks"][own][0]
-        header_len = int.from_bytes(blob[:4], "little")
-        blob[4 + header_len + 3] ^= 0x10  # in the first array: the block
+        assert len(blob) == man["shards"][1]["check"][0]
+        blob[3] ^= 0x10
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
-            from repro.util.durable import read_shard
-
-            read_shard(str(path), *man["checks"][own])
+            verify_raw(str(path), *man["shards"][1]["check"])
+        assert np.array_equal(read_block(str(tmp_path), man, 1),
+                              np.fromfile(tmp_path / buddy).reshape(
+                                  [b - a for a, b in man["shards"][1]["slices"]],
+                                  order="F"))
         self._resumed(tmp_path, base, "bit flip in own shard")
 
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_both_copies_bad_is_refused_on_every_rank(self, tmp_path,
                                                       backend):
         man = _checkpoint_mid_run(tmp_path)
-        for kind in ("own", "buddy"):
-            path = tmp_path / man["shards"]["3"][kind]
+        for name in man["shards"][3]["files"]:
+            path = tmp_path / name
             path.write_bytes(path.read_bytes()[:100])
         res = run_spmd(_resume_verdicts, 4, str(tmp_path), backend=backend,
                        recv_timeout=30.0)
@@ -240,14 +232,17 @@ class TestDurableShards:
         assert res.values == [(2, True), (2, False), (2, False), (2, False)]
 
     def test_old_pickle_format_is_refused_naming_both_schemas(self, tmp_path):
+        """The pickled shards of ``/1`` and the per-rank shard layout of
+        ``/2`` that preceded the one format are both refused by name."""
         man = _checkpoint_mid_run(tmp_path)
         path = glob.glob(str(tmp_path / "*-manifest-*.json"))[0]
-        with open(path, "w") as fh:
-            json.dump(dict(man, schema="repro-dckpt/1"), fh)
-        with pytest.raises(CheckpointError) as exc:
-            run_spmd(_prog, 4, "shrink", str(tmp_path), resilience=True)
-        assert "repro-dckpt/1" in str(exc.value)
-        assert "repro-dckpt/2" in str(exc.value)
+        for old in ("repro-dckpt/1", "repro-dckpt/2"):
+            with open(path, "w") as fh:
+                json.dump(dict(man, schema=old), fh)
+            with pytest.raises(CheckpointError) as exc:
+                run_spmd(_prog, 4, str(tmp_path), resilience=True)
+            assert old in str(exc.value)
+            assert SCHEMA in str(exc.value)
 
     def test_resume_never_unpickles(self, tmp_path, base, monkeypatch):
         import pickle
@@ -319,68 +314,22 @@ class TestMaxRecoveriesExhausted:
     def test_original_error_carries_recovery_history(self):
         """Exhaustion re-raises the first failure, not the last retry's."""
         plan = FaultPlan(seed=3, crashes=(
-            CrashRule(rank=1, at_op=25, repeat=4),))
+            CrashRule(rank=1, at_op=25), CrashRule(rank=2, at_op=60)))
         with pytest.raises(RankFailedError) as ei:
-            run_spmd(_prog, 4, "replace", None, None, 1,
-                     faults=plan, resilience=True)
+            run_spmd(_prog, 4, None, None, 1, faults=plan, resilience=True)
         history = getattr(ei.value, "recovery_history", None)
         assert isinstance(history, tuple) and history
         assert history[0][0] == "rank_failure"
-        assert history[0][1]["mode"] == "replace"
+        assert history[0][1]["survivors"] == 3
 
 
-class TestObservability:
-    def test_postmortem_carries_recovery_log(self):
-        from repro.obs.postmortem import build_postmortem, render_postmortem
-
-        class _Ctx:
-            world_size = 2
-            abort_reason = None
-            recorder = None
-            last_deadlock = None
-            faults = None
-            transport = None
-            rank_incarnations = [0, 1]
-
-            class abort_event:
-                @staticmethod
-                def is_set():
-                    return False
-
-            @staticmethod
-            def failed_ranks():
-                return []
-
-            @staticmethod
-            def rank_status(rank):
-                return "finalized"
-
-            @staticmethod
-            def mailboxes():
-                return []
-
-            @staticmethod
-            def recovery_events():
-                return [{"action": "respawn", "world_rank": 1,
-                         "incarnation": 1, "time": 12.5}]
-
-        bundle = build_postmortem(_Ctx())
-        json.dumps(bundle)
-        assert bundle["recovery"][0]["action"] == "respawn"
-        assert bundle["rank_incarnations"] == [0, 1]
-        text = render_postmortem(bundle)
-        assert "recovery (1 action" in text
-        assert "respawn" in text
-        assert "rank incarnations" in text
-
-
-class TestChaosReplaceCLI:
-    def test_chaos_replace_with_durable_tier(self, tmp_path, capsys):
+class TestChaosCLI:
+    def test_chaos_with_durable_tier(self, tmp_path, capsys):
         from repro.cli import main
 
         rc = main(["chaos", "--shape", "8", "6", "4", "--procs", "2",
                    "--ranks", "3", "2", "2", "--replays", "2",
-                   "--recover", "replace", "--ckpt-dir", str(tmp_path)])
+                   "--ckpt-dir", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "all scenarios ok" in printed

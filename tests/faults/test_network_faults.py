@@ -162,7 +162,7 @@ def test_dead_send_path_is_attributed_not_a_clean_finalize():
             # delivery below can never ship.
             ctx = comm.context
             ctx._wire._out[1].fs.close()
-            ctx._table["book"][1] = (("127.0.0.1", 1), 0)
+            ctx._table["book"][1] = ("127.0.0.1", 1)
             comm.send(np.ones(4), 1, tag=7)
             return "finished"
         comm.recv(0, tag=6)

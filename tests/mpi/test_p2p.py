@@ -110,6 +110,34 @@ class TestFailureHandling:
         with pytest.raises(CommunicatorError):
             run_spmd(lambda c: None, 0)
 
+    def test_a_wake_during_the_poll_is_not_lost(self):
+        """A state change that lands while a blocked receive is running
+        its poll hook (outside the mailbox lock) makes it poll again at
+        once, not after the receive timeout.  Seen as a process world
+        whose partner was SIGKILLed sitting out the 30 s drain bound: the
+        partner's link hit EOF during the poll a world-table push had
+        started."""
+        import threading
+        import time
+
+        from repro.mpi.context import _Mailbox
+
+        box = _Mailbox(threading.Event())
+        polls = []
+
+        def poll():
+            polls.append(time.monotonic())
+            if len(polls) == 1:
+                box.wake_all()  # the state change, mid-poll
+            else:
+                raise RuntimeError("partner gone")
+
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="partner gone"):
+            box.get(0, 0, timeout=10.0, poll=poll)
+        assert time.monotonic() - t0 < 5.0
+        assert len(polls) == 2
+
 
 class TestIntrospection:
     def test_rank_size(self):

@@ -261,7 +261,7 @@ class TestDirectObserverCall:
                      "trace.record_retried(rank)",
                      "ctx.comm_trace.record_checksum_failure(rank)",
                      "tracer.add_bytes(n, 0)",
-                     "self.recorder.record(rank, 'recovery', name='respawn')"):
+                     "self.recorder.record(rank, 'fault', name='net:lost')"):
             src = f"def f(ctx, trace, tracer, rank, n):\n    {call}\n"
             assert [d.kind for d in lint_source(src, filename=self.MPI)] \
                 == ["direct-observer-call"], call
@@ -270,7 +270,7 @@ class TestDirectObserverCall:
         src = textwrap.dedent("""
             def f(ctx, rank, log):
                 emit("send", peer=1, nbytes=8, moved=False)
-                ctx.emit(rank, "recovery", "respawn")
+                ctx.emit(rank, "fault", "net:lost")
                 ctx.comm_trace.record_connect_retry(rank)
                 log.record(rank)
         """)

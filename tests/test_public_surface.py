@@ -222,3 +222,28 @@ def test_a_world_reports_through_the_recorder_alone():
     with pytest.raises(SystemExit) as exc:
         main(["top", "--shape", "8", "8", "--grid", "1", "1", "--tol", "0.1"])
     assert exc.value.code == 2
+
+
+def test_a_failed_rank_is_recovered_by_shrinking_alone():
+    """No elastic replacement: the fault-tolerant drivers take no
+    ``recover=``, the communicator has no ``replace``, a crash rule fires
+    once (no ``repeat=``), and ``repro chaos`` has no ``--recover``."""
+    import numpy as np
+
+    from repro.cli import main
+    from repro.core.ft import hooi_fault_tolerant, sthosvd_fault_tolerant
+    from repro.faults import CrashRule
+    from repro.mpi import Communicator
+
+    X = np.ones((4, 3, 2))
+    with pytest.raises(TypeError):
+        sthosvd_fault_tolerant(None, X, ranks=(2, 2, 2), recover="shrink")
+    with pytest.raises(TypeError):
+        hooi_fault_tolerant(None, X, (2, 2, 2), recover="shrink")
+    assert not hasattr(Communicator, "replace")
+    with pytest.raises(TypeError):
+        CrashRule(rank=1, at_op=25, repeat=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--shape", "8", "6", "4", "--procs", "2",
+              "--ranks", "3", "2", "2", "--recover", "replace"])
+    assert exc.value.code == 2

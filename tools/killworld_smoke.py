@@ -47,7 +47,7 @@ def _prog_factory(ckpt_dir):
     def prog(comm):
         res = sthosvd_fault_tolerant(
             comm, FULL if comm.rank == 0 else None, ranks=RANKS,
-            method="qr", recover="replace", ckpt_dir=ckpt_dir,
+            method="qr", ckpt_dir=ckpt_dir,
         )
         return (
             [e[0] for e in res.events],
