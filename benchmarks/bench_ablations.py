@@ -1,13 +1,13 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation reports for the design choices called out in DESIGN.md.
 
 Not a paper figure — these quantify the individual design decisions the
 paper's algorithms embed:
 
-* structured ``tpqrt`` vs dense QR of the stacked triangles (flop/time
+* structured ``tpqrt`` vs dense QR of the stacked triangles (flop
   saving of exploiting triangularity in the TSQR reduction);
 * flat-tree TensorLQ (Alg. 2) vs a monolithic LQ of an explicitly
-  assembled unfolding (the memory/locality trade the paper's layout
-  design avoids);
+  assembled unfolding (both give the same factor; the flat tree never
+  assembles the unfolding);
 * butterfly all-reduce TSQR vs reduce-to-root-then-broadcast (the
   butterfly finishes with the factor everywhere in log P rounds);
 * mode ordering policies (forward / backward / greedy) when ranks are
@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
 from repro.core import greedy_order
-from repro.data import low_rank_tensor
-from repro.linalg import tensor_lq, gelq, tpqrt, tpqrt_reduce_triangles
+from repro.linalg import tensor_lq, gelq, tpqrt
 from repro.linalg.flops import tpqrt_flops
 from repro.perf import ANDES, simulate_sthosvd
 from repro.tensor import DenseTensor
@@ -37,24 +35,7 @@ from repro.util import format_table
 class TestStructuredTpqrt:
     N = 96
 
-    @pytest.fixture(scope="class")
-    def triangles(self):
-        rng = np.random.default_rng(0)
-        return (
-            np.triu(rng.standard_normal((self.N, self.N))),
-            np.triu(rng.standard_normal((self.N, self.N))),
-        )
-
-    def test_bench_structured(self, benchmark, triangles):
-        R1, R2 = triangles
-        benchmark(lambda: tpqrt_reduce_triangles(R1, R2))
-
-    def test_bench_dense_qr(self, benchmark, triangles):
-        R1, R2 = triangles
-        benchmark(lambda: np.linalg.qr(np.vstack([R1, R2]))[1])
-
-    def test_flop_saving(self, benchmark, write_report):
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    def test_flop_saving(self, write_report):
         n = self.N
         structured = tpqrt_flops(n, n, n)
         dense = 2 * (2 * n) * n * n - (2 * n**3) // 3
@@ -74,23 +55,11 @@ class TestStructuredTpqrt:
 # Flat-tree TensorLQ vs monolithic LQ of an assembled unfolding
 # ---------------------------------------------------------------------------
 class TestFlatTreeVsMonolithic:
-    @pytest.fixture(scope="class")
-    def tensor(self):
+    def test_same_factor(self):
         rng = np.random.default_rng(1)
-        return DenseTensor(rng.standard_normal((40, 40, 40, 40)))
-
-    def test_bench_flat_tree(self, benchmark, tensor):
-        benchmark.pedantic(lambda: tensor_lq(tensor, 1), rounds=2, iterations=1)
-
-    def test_bench_monolithic(self, benchmark, tensor):
+        tensor = DenseTensor(rng.standard_normal((40, 40, 40, 40)))
+        L1 = tensor_lq(tensor, 1)
         # Assemble the (non-contiguous) unfolding explicitly, then LQ.
-        benchmark.pedantic(
-            lambda: gelq(np.ascontiguousarray(tensor.unfold(1))),
-            rounds=2, iterations=1,
-        )
-
-    def test_same_factor(self, benchmark, tensor):
-        L1 = benchmark.pedantic(lambda: tensor_lq(tensor, 1), rounds=1, iterations=1)
         L2 = gelq(np.ascontiguousarray(tensor.unfold(1)))
         np.testing.assert_allclose(L1 @ L1.T, L2 @ L2.T, rtol=1e-8, atol=1e-8)
 
@@ -99,11 +68,10 @@ class TestFlatTreeVsMonolithic:
 # Butterfly vs reduce+broadcast tree (modeled communication)
 # ---------------------------------------------------------------------------
 class TestButterflyVsReduceBcast:
-    def test_report_comm_costs(self, benchmark, write_report):
+    def test_report_comm_costs(self, write_report):
         """Both trees move O(n^2 log P) words, but the butterfly needs a
         single phase of log P exchanges while reduce+bcast needs two
         sequential phases — 2x the latency on the critical path."""
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         n, word = 256, 8
         alpha, beta = ANDES.comm.alpha, ANDES.comm.beta
         tri_bytes = n * (n + 1) / 2 * word
@@ -131,22 +99,19 @@ class TestModeOrdering:
     SHAPE = (400, 100, 300, 50)
     RANKS = (10, 40, 15, 40)
 
-    def test_report_ordering(self, benchmark, write_report):
-        def compute():
-            orders = {
-                "forward": "forward",
-                "backward": "backward",
-                "greedy": greedy_order(self.SHAPE, self.RANKS),
-            }
-            return {
-                name: simulate_sthosvd(
-                    self.SHAPE, self.RANKS, (2, 2, 2, 2), method="qr",
-                    mode_order=order, machine=ANDES,
-                )
-                for name, order in orders.items()
-            }
-
-        runs = benchmark.pedantic(compute, rounds=1, iterations=1)
+    def test_report_ordering(self, write_report):
+        orders = {
+            "forward": "forward",
+            "backward": "backward",
+            "greedy": greedy_order(self.SHAPE, self.RANKS),
+        }
+        runs = {
+            name: simulate_sthosvd(
+                self.SHAPE, self.RANKS, (2, 2, 2, 2), method="qr",
+                mode_order=order, machine=ANDES,
+            )
+            for name, order in orders.items()
+        }
         rows = [
             [name, run.total_seconds, run.flops_total / 1e9]
             for name, run in runs.items()
@@ -172,7 +137,7 @@ class TestModeOrdering:
 # Flat-tree chunking knob
 # ---------------------------------------------------------------------------
 class TestChunking:
-    def test_report_chunk_effect(self, benchmark, write_report):
+    def test_report_chunk_effect(self, write_report):
         """The per-call overhead the chunked flat tree removes: one
         tpqrt per block vs one per ~2048-column run."""
         rng = np.random.default_rng(3)
@@ -194,7 +159,7 @@ class TestChunking:
         per_block()
         t_block = time.perf_counter() - t0
         t0 = time.perf_counter()
-        L = benchmark.pedantic(lambda: tensor_lq(X, 1), rounds=1, iterations=1)
+        tensor_lq(X, 1)
         t_chunk = time.perf_counter() - t0
         write_report(
             "ablation_chunking",
@@ -206,15 +171,3 @@ class TestChunking:
         )
         assert t_chunk < t_block
 
-
-# ---------------------------------------------------------------------------
-# Flat-tree sequential TSQR
-# ---------------------------------------------------------------------------
-class TestTreeShape:
-    @pytest.fixture(scope="class")
-    def tensor(self):
-        rng = np.random.default_rng(7)
-        return DenseTensor(rng.standard_normal((36, 36, 36, 36)))
-
-    def test_bench_flat_tree(self, benchmark, tensor):
-        benchmark.pedantic(lambda: tensor_lq(tensor, 1), rounds=2, iterations=1)

@@ -7,63 +7,40 @@ Shows why each collective fills its role in the pipeline:
 * long messages (redistribution slabs): bandwidth-bound — ring/pairwise
   schedules win ((P-1)/P of the payload, alpha-heavy but beta-light).
 
-The functional side times the real implementations on the threaded
-runtime; the modeled side evaluates the alpha-beta formulas at the
-paper's scales where latency/bandwidth crossovers actually happen.
-
-Two consumers share the row-computing functions below:
-
-* the pytest classes — qualitative shape assertions plus the
-  plain-text crossover reports (``collectives_*.txt``), CI's
-  collectives-smoke job;
-* ``main()`` — a versioned machine-readable snapshot
-  (``benchmarks/reports/BENCH_collectives.json``) in the same envelope
-  as ``BENCH_sthosvd_scaling.json``, diffable against a later run with
-  ``repro bench --compare`` and its tolerance bands.
+The functional side checks the real implementations agree on the
+threaded runtime; the modeled side evaluates the alpha-beta formulas at
+the paper's scales where latency/bandwidth crossovers actually happen,
+and the measured side times the 256 KiB allreduce crossover next to the
+model.  Each class asserts the shape and writes a plain-text report
+(``collectives_*.txt``).
 
 Usage::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_collectives.py -q
-    PYTHONPATH=src python benchmarks/bench_collectives.py [--out FILE]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.mpi import run_spmd  # noqa: E402
-from repro.obs.postmortem import host_metadata, repo_commit  # noqa: E402
-from repro.perf import ANDES  # noqa: E402
-from repro.perf.collectives import (  # noqa: E402
+from repro.mpi import run_spmd
+from repro.perf import ANDES
+from repro.perf.collectives import (
     cost_allreduce_recursive_doubling,
     cost_allreduce_ring,
     cost_allreduce_tree,
     cost_alltoall_pairwise,
     dispatched_allreduce_cost,
 )
-from repro.util import format_table  # noqa: E402
+from repro.util import format_table
 
-P_FUNCTIONAL = 8
 P_MEASURED = 8
 MEASURED_SIZES = (64, 1 << 12, 1 << 15, 1 << 18)  # elements (512 B .. 2 MiB)
 MEASURED_REPEATS = 5
 
-REPORT = os.path.join(os.path.dirname(__file__), "reports",
-                      "BENCH_collectives.json")
-
-
-# ---------------------------------------------------------------------------
-# Row computations shared by the pytest reports and the JSON snapshot
-# ---------------------------------------------------------------------------
 
 def allreduce_crossover_rows(comm=ANDES.comm) -> list:
     """[P, bytes, tree_us, recdbl_us, ring_us] at the paper's scales."""
@@ -91,31 +68,29 @@ def dispatch_rows(comm=ANDES.comm) -> list:
     return rows
 
 
-def measure_allreduce(algorithm, n, *, nprocs=P_MEASURED,
-                      repeats=MEASURED_REPEATS) -> float:
-    """Best-of-``repeats`` wall seconds for one allreduce algorithm."""
+def measure_allreduce(algorithm, n) -> float:
+    """Best-of-``MEASURED_REPEATS`` wall seconds for one allreduce algorithm."""
     def prog(comm):
         return comm.allreduce(np.ones(n), algorithm=algorithm)
 
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(MEASURED_REPEATS):
         t0 = time.perf_counter()
-        run_spmd(prog, nprocs)
+        run_spmd(prog, P_MEASURED)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def measured_allreduce_rows(comm=ANDES.comm, *, sizes=MEASURED_SIZES,
-                            repeats=MEASURED_REPEATS) -> list:
+def measured_allreduce_rows(comm=ANDES.comm) -> list:
     """[bytes, recdbl_ms, ring_ms, dispatched_ms, model_rd_us, model_ring_us]."""
     rows = []
-    for n in sizes:
+    for n in MEASURED_SIZES:
         nbytes = n * 8
         rows.append([
             nbytes,
-            measure_allreduce("recursive_doubling", n, repeats=repeats) * 1e3,
-            measure_allreduce("ring", n, repeats=repeats) * 1e3,
-            measure_allreduce(None, n, repeats=repeats) * 1e3,
+            measure_allreduce("recursive_doubling", n) * 1e3,
+            measure_allreduce("ring", n) * 1e3,
+            measure_allreduce(None, n) * 1e3,
             cost_allreduce_recursive_doubling(P_MEASURED, nbytes, comm) * 1e6,
             cost_allreduce_ring(P_MEASURED, nbytes, comm) * 1e6,
         ])
@@ -123,54 +98,30 @@ def measured_allreduce_rows(comm=ANDES.comm, *, sizes=MEASURED_SIZES,
 
 
 class TestFunctionalEquivalence:
-    """Time the real algorithms against the built-in collectives."""
+    """The real algorithms agree with the built-in collectives."""
 
-    def test_bench_allreduce_builtin(self, benchmark):
-        def run():
-            def prog(comm):
-                return comm.allreduce(np.ones(1000))
+    def test_all_variants_agree(self):
+        def prog(comm):
+            v = np.arange(64.0) + comm.rank
+            a = comm.allreduce(v)
+            b = comm.allreduce(v, algorithm="ring")
+            g1 = comm.allgather(v[:2])
+            g2 = comm.bcast(comm.gather(v[:2]))
+            slots = [np.array([comm.rank + q]) for q in range(comm.size)]
+            r1 = comm.reduce_scatter(slots)
+            r2 = comm.reduce_scatter([x.tolist() for x in slots], op=np.add)
+            return (
+                np.allclose(a, b)
+                and all(np.allclose(x, y) for x, y in zip(g1, g2))
+                and np.allclose(r1, r2)
+            )
 
-            return run_spmd(prog, P_FUNCTIONAL)
-
-        benchmark.pedantic(run, rounds=2, iterations=1)
-
-    def test_bench_allreduce_recursive_doubling(self, benchmark):
-        def run():
-            def prog(comm):
-                return comm.allreduce(np.ones(1000),
-                                      algorithm="recursive_doubling")
-
-            return run_spmd(prog, P_FUNCTIONAL)
-
-        benchmark.pedantic(run, rounds=2, iterations=1)
-
-    def test_all_variants_agree(self, benchmark):
-        def run():
-            def prog(comm):
-                v = np.arange(64.0) + comm.rank
-                a = comm.allreduce(v)
-                b = comm.allreduce(v, algorithm="ring")
-                g1 = comm.allgather(v[:2])
-                g2 = comm.bcast(comm.gather(v[:2]))
-                slots = [np.array([comm.rank + q]) for q in range(comm.size)]
-                r1 = comm.reduce_scatter(slots)
-                r2 = comm.reduce_scatter([x.tolist() for x in slots], op=np.add)
-                return (
-                    np.allclose(a, b)
-                    and all(np.allclose(x, y) for x, y in zip(g1, g2))
-                    and np.allclose(r1, r2)
-                )
-
-            return all(run_spmd(prog, 6).values)
-
-        assert benchmark.pedantic(run, rounds=1, iterations=1)
+        assert all(run_spmd(prog, 6).values)
 
 
 class TestModeledCrossovers:
-    def test_report_crossovers(self, benchmark, write_report):
-        rows = benchmark.pedantic(
-            allreduce_crossover_rows, rounds=1, iterations=1
-        )
+    def test_report_crossovers(self, write_report):
+        rows = allreduce_crossover_rows()
         write_report(
             "collectives_allreduce_crossover",
             format_table(
@@ -187,11 +138,11 @@ class TestModeledCrossovers:
                 if p >= 2048:
                     assert rd < ring
 
-    def test_dispatched_matches_or_beats_fixed_modeled(self, benchmark, write_report):
+    def test_dispatched_matches_or_beats_fixed_modeled(self, write_report):
         """The engine's selection is never worse than either fixed
         algorithm in either regime (far from the crossover it equals the
         better one exactly)."""
-        rows = benchmark.pedantic(dispatch_rows, rounds=1, iterations=1)
+        rows = dispatch_rows()
         write_report(
             "collectives_dispatch_vs_fixed",
             format_table(
@@ -210,19 +161,14 @@ class TestModeledCrossovers:
             if nbytes <= 1 << 14 or nbytes >= 1 << 27:
                 assert auto == pytest.approx(min(rd, ring))
 
-    def test_redistribution_schedule_is_bandwidth_optimal(self, benchmark):
+    def test_redistribution_schedule_is_bandwidth_optimal(self):
         """The paper's pairwise all-to-all moves (P-1)/P of the local
         data — no schedule can move less, so the modeled cost is within
         ~latency terms of the bandwidth lower bound."""
         comm = ANDES.comm
         p, local_bytes = 16, 8 * (250**4 // 512)
-
-        def compute():
-            actual = cost_alltoall_pairwise(p, local_bytes, comm)
-            lower_bound = comm.beta * local_bytes * (p - 1) / p
-            return actual, lower_bound
-
-        actual, lb = benchmark.pedantic(compute, rounds=1, iterations=1)
+        actual = cost_alltoall_pairwise(p, local_bytes, comm)
+        lb = comm.beta * local_bytes * (p - 1) / p
         assert actual < lb * 1.01 + p * comm.alpha * 1.01
         assert actual >= lb
 
@@ -238,10 +184,8 @@ class TestMeasuredCrossovers:
     zero-copy sends remove snapshotting entirely.
     """
 
-    def test_report_measured_allreduce_crossover(self, benchmark, write_report):
-        rows = benchmark.pedantic(
-            measured_allreduce_rows, rounds=1, iterations=1
-        )
+    def test_report_measured_allreduce_crossover(self, write_report):
+        rows = measured_allreduce_rows()
         write_report(
             "collectives_measured_crossover",
             format_table(
@@ -259,86 +203,3 @@ class TestMeasuredCrossovers:
         for nbytes, rd_ms, ring_ms, auto_ms, *_ in rows:
             assert auto_ms <= 2.0 * min(rd_ms, ring_ms), nbytes
 
-
-# ---------------------------------------------------------------------------
-# Versioned JSON snapshot (``repro bench --compare``-able)
-# ---------------------------------------------------------------------------
-
-def build_snapshot(*, repeats: int = MEASURED_REPEATS) -> dict:
-    """Assemble the ``BENCH_collectives.json`` snapshot dict.
-
-    Modeled sections are deterministic (alpha-beta formulas on the
-    Andes machine model); the ``measured`` section is wall-clock on the
-    threaded runtime, so comparisons should give it a generous band
-    (``repro bench --compare --tolerance-for measured 1.0 ...``).
-    """
-    modeled_allreduce = {
-        f"P{p}.b{nbytes}": {
-            "tree_us": round(tree, 3),
-            "recdbl_us": round(rd, 3),
-            "ring_us": round(ring, 3),
-        }
-        for p, nbytes, tree, rd, ring in allreduce_crossover_rows()
-    }
-    modeled_dispatch = {
-        f"P{p}.b{nbytes}": {
-            "recdbl_us": round(rd, 3),
-            "ring_us": round(ring, 3),
-            "dispatched_us": round(auto, 3),
-        }
-        for p, nbytes, rd, ring, auto in dispatch_rows()
-    }
-    measured = {
-        f"b{nbytes}": {
-            "recdbl_ms": round(rd_ms, 4),
-            "ring_ms": round(ring_ms, 4),
-            "dispatched_ms": round(auto_ms, 4),
-        }
-        for nbytes, rd_ms, ring_ms, auto_ms, *_ in
-        measured_allreduce_rows(repeats=repeats)
-    }
-    return {
-        "bench": "collectives",
-        "version": 1,
-        "commit": repo_commit(),
-        "generated_unix": int(time.time()),
-        "host": host_metadata(),
-        "note": (
-            "modeled sections are deterministic alpha-beta evaluations "
-            "(Andes machine model); 'measured' is threaded-runtime "
-            "wall-clock and needs a wide tolerance band when compared."
-        ),
-        "config": {
-            "machine": "andes",
-            "p_measured": P_MEASURED,
-            "measured_sizes": [n * 8 for n in MEASURED_SIZES],
-            "repeats": repeats,
-        },
-        "modeled_allreduce": modeled_allreduce,
-        "modeled_dispatch": modeled_dispatch,
-        "measured_allreduce": measured,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=MEASURED_REPEATS,
-                        help="wall-clock repetitions per point (min is kept)")
-    parser.add_argument("--out", default=REPORT)
-    args = parser.parse_args(argv)
-
-    snapshot = build_snapshot(repeats=args.repeats)
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    npoints = sum(
-        len(snapshot[k]) for k in
-        ("modeled_allreduce", "modeled_dispatch", "measured_allreduce")
-    )
-    print(f"wrote {args.out} ({npoints} data points)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -12,7 +12,6 @@ runs at the real dimensions regenerate the Fig. 10 breakdown.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import sthosvd
@@ -31,16 +30,7 @@ def video():
     return video_surrogate(shape=SURROGATE_SHAPE)
 
 
-@pytest.mark.parametrize("method,precision", VARIANTS)
-def test_bench_video_fixed_rank(benchmark, video, method, precision):
-    benchmark.pedantic(
-        lambda: sthosvd(video, ranks=SURROGATE_RANKS, method=method,
-                        precision=precision),
-        rounds=1, iterations=1,
-    )
-
-
-def test_report_fig10(benchmark, video, write_report):
+def test_report_fig10(video, write_report):
     def compute():
         errors = {}
         for m, p in VARIANTS:
@@ -58,7 +48,7 @@ def test_report_fig10(benchmark, video, write_report):
         }
         return errors, runs
 
-    errors, runs = benchmark.pedantic(compute, rounds=1, iterations=1)
+    errors, runs = compute()
 
     rows = [
         [f"{m}-{p}", errors[(m, p)][0], errors[(m, p)][1]] for m, p in VARIANTS

@@ -41,13 +41,7 @@ def _accuracy_floor(computed):
     return TRUE[bad[0]] if bad.size else TRUE[-1]
 
 
-@pytest.mark.parametrize("method,precision", VARIANTS)
-def test_bench_svd(benchmark, matrix, method, precision):
-    """Time each SVD variant on the Fig. 1 matrix."""
-    benchmark(_svd, method, precision, matrix)
-
-
-def test_report_fig1(benchmark, matrix, write_report):
+def test_report_fig1(matrix, write_report):
     def compute():
         rows = []
         floors = {}
@@ -66,7 +60,7 @@ def test_report_fig1(benchmark, matrix, write_report):
             )
         return rows, floors
 
-    rows, floors = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows, floors = compute()
     txt = format_table(
         ["variant", "sigma_1", "sigma_40", "sigma_80", "accuracy floor"],
         rows,

@@ -9,13 +9,10 @@ to 1; on Cascade Lake backward+back-loaded beats forward+front-loaded
 (geqr > gelq), while Andes is ordering-indifferent.
 
 Modeled-mode experiment (the full-scale runs need 512 cores); a small
-functional cross-check with real wall-clock timing accompanies it.
+functional cross-check of a real run's breakdown accompanies it.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from repro.core import sthosvd
 from repro.data import low_rank_tensor
@@ -49,11 +46,8 @@ def _runs(machine, shape, ranks, configs):
     return out
 
 
-def test_report_fig2a_cascade_lake(benchmark, write_report):
-    runs = benchmark.pedantic(
-        lambda: _runs(CASCADE_LAKE, (300,) * 4, (30,) * 4, CL_CONFIGS),
-        rounds=1, iterations=1,
-    )
+def test_report_fig2a_cascade_lake(write_report):
+    runs = _runs(CASCADE_LAKE, (300,) * 4, (30,) * 4, CL_CONFIGS)
     write_report(
         "fig2a_cascade_lake_breakdown",
         breakdown_table(runs, title="Fig. 2a: QR double, 16 procs, 300^4 -> 30^4"),
@@ -70,11 +64,8 @@ def test_report_fig2a_cascade_lake(benchmark, write_report):
         assert run.seconds_by_phase_mode[("lq", first)] > 0.4 * run.total_seconds
 
 
-def test_report_fig2b_andes(benchmark, write_report):
-    runs = benchmark.pedantic(
-        lambda: _runs(ANDES, (500,) * 4, (50,) * 4, ANDES_CONFIGS),
-        rounds=1, iterations=1,
-    )
+def test_report_fig2b_andes(write_report):
+    runs = _runs(ANDES, (500,) * 4, (50,) * 4, ANDES_CONFIGS)
     write_report(
         "fig2b_andes_breakdown",
         breakdown_table(runs, title="Fig. 2b: QR double, 512 procs, 500^4 -> 50^4"),
@@ -88,22 +79,12 @@ def test_report_fig2b_andes(benchmark, write_report):
     assert totals["bwd 16x8x4x1"] < totals["bwd 1x4x8x16"]
 
 
-@pytest.mark.parametrize("order", ["forward", "backward"])
-def test_bench_functional_ordering(benchmark, order):
-    """Functional cross-check: real sequential ST-HOSVD wall time for the
-    two orderings on a cubical tensor (ordering-indifferent workload)."""
-    X = low_rank_tensor((40,) * 4, (6,) * 4, rng=1, noise=1e-9)
-    benchmark(lambda: sthosvd(X, ranks=(6,) * 4, method="qr", mode_order=order))
-
-
-def test_functional_breakdown_first_mode_dominates(benchmark):
+def test_functional_breakdown_first_mode_dominates():
     """The wall-clock breakdown of a real run shows the first reduction
     dominating, matching the modeled shape."""
     X = low_rank_tensor((36, 36, 36, 36), (5, 5, 5, 5), rng=2, noise=1e-9)
 
-    res = benchmark.pedantic(
-        lambda: sthosvd(X, ranks=(5,) * 4, method="qr"), rounds=1, iterations=1
-    )
+    res = sthosvd(X, ranks=(5,) * 4, method="qr")
     t = res.timer
     first_lq = t.by_phase_mode[("lq", 0)]
     assert first_lq > 0.3 * t.total

@@ -18,7 +18,6 @@ scale on the threaded runtime with the logical-clock cost model.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import sthosvd_parallel
@@ -51,8 +50,8 @@ def _weak_runs():
     return runs
 
 
-def test_report_fig3(benchmark, write_report):
-    runs = benchmark.pedantic(_weak_runs, rounds=1, iterations=1)
+def test_report_fig3(write_report):
+    runs = _weak_runs()
 
     gflops_series = {}
     time_series = {}
@@ -101,7 +100,7 @@ FUNCTIONAL_SCALES = [1, 2]
 
 
 @pytest.mark.parametrize("k", FUNCTIONAL_SCALES)
-def test_bench_functional_weak_scaling(benchmark, k):
+def test_functional_weak_scaling(k):
     """Functional weak scaling on the threaded runtime: 12k^3 tensor on
     k^3 ranks, fixed local volume, with logical clocks attached."""
     shape = (12 * k,) * 3
@@ -109,14 +108,11 @@ def test_bench_functional_weak_scaling(benchmark, k):
     grid = (k, k, k)
     X = low_rank_tensor(shape, ranks, rng=k, noise=1e-10)
 
-    def run():
-        def prog(comm):
-            comms = GridComms(comm, ProcessorGrid(grid))
-            dt = DistributedTensor.from_full(comms, X.data)
-            res = sthosvd_parallel(dt, ranks=ranks, method="qr")
-            return comm.clock.now
+    def prog(comm):
+        comms = GridComms(comm, ProcessorGrid(grid))
+        dt = DistributedTensor.from_full(comms, X.data)
+        sthosvd_parallel(dt, ranks=ranks, method="qr")
+        return comm.clock.now
 
-        return run_spmd(prog, k**3, cost_model=CostModel()).slowest_time
-
-    modeled = benchmark.pedantic(run, rounds=1, iterations=1)
+    modeled = run_spmd(prog, k**3, cost_model=CostModel()).slowest_time
     assert modeled > 0

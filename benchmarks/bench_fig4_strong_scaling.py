@@ -54,8 +54,8 @@ def _strong_runs():
     return runs
 
 
-def test_report_fig4(benchmark, write_report):
-    runs = benchmark.pedantic(_strong_runs, rounds=1, iterations=1)
+def test_report_fig4(write_report):
+    runs = _strong_runs()
     series = {
         variant_label(m, p): [(c, runs[(c, m, p)].total_seconds) for c in CORES]
         for m, p in VARIANTS
@@ -91,22 +91,20 @@ def smallX():
 
 
 @pytest.mark.parametrize("grid", GRIDS_FUNCTIONAL)
-def test_bench_functional_strong_scaling(benchmark, smallX, grid):
-    """Wall-clock strong scaling of the threaded runtime on a fixed tensor."""
+def test_functional_strong_scaling(smallX, grid):
+    """Strong scaling of the threaded runtime on a fixed tensor: every
+    grid reaches the same ranks."""
 
-    def run():
-        def prog(comm):
-            comms = GridComms(comm, ProcessorGrid(grid))
-            dt = DistributedTensor.from_full(comms, smallX.data)
-            return sthosvd_parallel(dt, ranks=(4, 4, 4, 4), method="qr").ranks
+    def prog(comm):
+        comms = GridComms(comm, ProcessorGrid(grid))
+        dt = DistributedTensor.from_full(comms, smallX.data)
+        return sthosvd_parallel(dt, ranks=(4, 4, 4, 4), method="qr").ranks
 
-        return run_spmd(prog, int(np.prod(grid)))
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
+    res = run_spmd(prog, int(np.prod(grid)))
     assert res[0] == (4, 4, 4, 4)
 
 
-def test_qr_single_accuracy_matches_gram_double(benchmark, smallX, write_report):
+def test_qr_single_accuracy_matches_gram_double(smallX, write_report):
     """Sec. 4.4: 'the two algorithms achieve nearly the same accuracy'."""
 
     def compute():
@@ -116,7 +114,7 @@ def test_qr_single_accuracy_matches_gram_double(benchmark, smallX, write_report)
             out[variant_label(method, prec)] = res.tucker.rel_error(smallX)
         return out
 
-    errs = benchmark.pedantic(compute, rounds=1, iterations=1)
+    errs = compute()
     write_report(
         "fig4_accuracy_check",
         "\n".join(f"{k}: rel error {v:.3e}" for k, v in errs.items()),

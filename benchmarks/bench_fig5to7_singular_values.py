@@ -16,7 +16,6 @@ shapes:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import sthosvd
@@ -43,24 +42,9 @@ def tensors():
 
 
 @pytest.mark.parametrize("name", list(DATASETS))
-def test_bench_singular_value_study(benchmark, tensors, name):
-    """Time the full (uncompressed) ST-HOSVD pass used for the study."""
+def test_report_singular_values(tensors, name, write_report):
     X = tensors[name]
-    benchmark.pedantic(
-        lambda: sthosvd(X, method="qr"), rounds=1, iterations=1, warmup_rounds=0
-    )
-
-
-@pytest.mark.parametrize("name", list(DATASETS))
-def test_report_singular_values(benchmark, tensors, name, write_report):
-    X = tensors[name]
-
-    def compute():
-        return {
-            (m, p): _mode_sigmas(X, m, p) for m, p in VARIANTS
-        }
-
-    all_sigmas = benchmark.pedantic(compute, rounds=1, iterations=1)
+    all_sigmas = {(m, p): _mode_sigmas(X, m, p) for m, p in VARIANTS}
 
     # Report: per mode, the normalized sigma at head/middle/tail per variant.
     sections = []

@@ -1,18 +1,15 @@
-"""Benches for the library-completeness features beyond the paper's figures.
+"""Reports for the library-completeness features beyond the paper's figures.
 
 * HOOI refinement quality vs ST-HOSVD at equal ranks (quantifies the
   sqrt(N)-quasi-optimality gap the paper cites from [28]);
 * classic HOSVD cost vs ST-HOSVD (the value of sequential truncation);
-* out-of-core streaming ST-HOSVD throughput vs the in-memory driver
-  (identical ranks/errors required — only wall time may differ);
+* out-of-core streaming ST-HOSVD vs the in-memory driver (identical
+  ranks, error within the tolerance);
 * the memory model across the strong-scaling grids (how many nodes the
   paper's datasets *require* before speed matters).
 """
 
 from __future__ import annotations
-
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -33,18 +30,7 @@ def coupled_tensor():
 class TestHooiQuality:
     RANKS = (6, 6, 6)
 
-    def test_bench_sthosvd(self, benchmark, coupled_tensor):
-        benchmark.pedantic(
-            lambda: sthosvd(coupled_tensor, ranks=self.RANKS), rounds=2, iterations=1
-        )
-
-    def test_bench_hooi(self, benchmark, coupled_tensor):
-        benchmark.pedantic(
-            lambda: hooi(coupled_tensor, ranks=self.RANKS, max_iters=10),
-            rounds=2, iterations=1,
-        )
-
-    def test_report_quality(self, benchmark, coupled_tensor, write_report):
+    def test_report_quality(self, coupled_tensor, write_report):
         def compute():
             st = sthosvd(coupled_tensor, ranks=self.RANKS)
             cl = hosvd(coupled_tensor, ranks=self.RANKS)
@@ -55,7 +41,7 @@ class TestHooiQuality:
                 "HOOI": (ho.tucker.rel_error(coupled_tensor), ho.flops.total),
             }
 
-        res = benchmark.pedantic(compute, rounds=1, iterations=1)
+        res = compute()
         rows = [[k, err, fl / 1e6] for k, (err, fl) in res.items()]
         write_report(
             "feature_hooi_quality",
@@ -85,19 +71,7 @@ class TestOutOfCore:
         save_raw(X, path)
         return X, path
 
-    def test_bench_in_memory(self, benchmark, spilled):
-        X, _ = spilled
-        benchmark.pedantic(lambda: sthosvd(X, tol=1e-4), rounds=2, iterations=1)
-
-    def test_bench_out_of_core(self, benchmark, spilled):
-        X, path = spilled
-        benchmark.pedantic(
-            lambda: sthosvd_out_of_core(path, self.SHAPE, tol=1e-4,
-                                        max_elements=1 << 15),
-            rounds=2, iterations=1,
-        )
-
-    def test_report_equivalence(self, benchmark, spilled, write_report):
+    def test_report_equivalence(self, spilled, write_report):
         X, path = spilled
 
         def compute():
@@ -106,7 +80,7 @@ class TestOutOfCore:
                                       max_elements=1 << 15)
             return mem, ooc
 
-        mem, ooc = benchmark.pedantic(compute, rounds=1, iterations=1)
+        mem, ooc = compute()
         write_report(
             "feature_out_of_core",
             format_table(
@@ -123,7 +97,7 @@ class TestOutOfCore:
 
 
 class TestMemoryModel:
-    def test_report_dataset_memory(self, benchmark, write_report):
+    def test_report_dataset_memory(self, write_report):
         """How many Andes nodes each paper dataset needs just to fit
         (256 GB/node), cf. 'we need 50 nodes on Andes' for SP."""
         from repro.data import PAPER_SHAPES
@@ -144,7 +118,7 @@ class TestMemoryModel:
                 rows.append([name, nprocs, m.peak_gib, total_gib, nodes_needed])
             return rows
 
-        rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+        rows = compute()
         write_report(
             "feature_memory_model",
             format_table(
@@ -158,7 +132,7 @@ class TestMemoryModel:
         assert by["sp"][3] > by["hcci"][3]
         assert by["sp"][3] > 1000  # > 1 TiB total
 
-    def test_report_strong_scaling_memory(self, benchmark, write_report):
+    def test_report_strong_scaling_memory(self, write_report):
         def compute():
             rows = []
             for cores in sorted(STRONG_SCALING_GRIDS):
@@ -169,7 +143,7 @@ class TestMemoryModel:
                 rows.append([cores, m.peak_gib])
             return rows
 
-        rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+        rows = compute()
         write_report(
             "feature_strong_scaling_memory",
             format_table(

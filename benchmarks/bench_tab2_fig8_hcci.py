@@ -17,7 +17,6 @@ runs at the paper's full HCCI dimensions for the Fig. 8b breakdown.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import sthosvd
@@ -42,16 +41,7 @@ def _row(X, tol, method, precision):
     return res.tucker.compression_ratio(), err, res.ranks
 
 
-@pytest.mark.parametrize("method,precision", VARIANTS)
-def test_bench_hcci_sthosvd(benchmark, hcci, method, precision):
-    benchmark.pedantic(
-        lambda: sthosvd(hcci, tol=1e-4, method=method, precision=precision,
-                        mode_order="backward"),
-        rounds=1, iterations=1,
-    )
-
-
-def test_report_tab2(benchmark, hcci, write_report):
+def test_report_tab2(hcci, write_report):
     def compute():
         table = {}
         for tol in TOLERANCES:
@@ -59,7 +49,7 @@ def test_report_tab2(benchmark, hcci, write_report):
                 table[(tol, m, p)] = _row(hcci, tol, m, p)
         return table
 
-    table = benchmark.pedantic(compute, rounds=1, iterations=1)
+    table = compute()
 
     rows = []
     for tol in TOLERANCES:
@@ -111,7 +101,7 @@ def test_report_tab2(benchmark, hcci, write_report):
     assert table[(1e-8, "qr", "single")][1] > 1e-8
 
 
-def test_report_fig8b_time_breakdown(benchmark, write_report):
+def test_report_fig8b_time_breakdown(write_report):
     """Fig. 8b at the real HCCI dimensions (modeled, 4 nodes, 16x8x1x1)."""
     shape = PAPER_SHAPES["hcci"]
     # Representative ranks at tol 1e-4 scaled from Tab. 2's compression.
@@ -126,7 +116,7 @@ def test_report_fig8b_time_breakdown(benchmark, write_report):
             for m, p in VARIANTS
         }
 
-    runs = benchmark.pedantic(compute, rounds=1, iterations=1)
+    runs = compute()
     write_report(
         "fig8b_hcci_breakdown",
         breakdown_table(runs, title="Fig. 8b: HCCI 627x627x33x627, 128 procs (modeled)"),

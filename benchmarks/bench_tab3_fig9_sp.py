@@ -14,7 +14,6 @@ compressible:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import sthosvd
@@ -32,16 +31,7 @@ def sp():
     return sp_surrogate(shape=(26, 26, 26, 11, 18))
 
 
-@pytest.mark.parametrize("method,precision", VARIANTS)
-def test_bench_sp_sthosvd(benchmark, sp, method, precision):
-    benchmark.pedantic(
-        lambda: sthosvd(sp, tol=1e-4, method=method, precision=precision,
-                        mode_order="backward"),
-        rounds=1, iterations=1,
-    )
-
-
-def test_report_tab3(benchmark, sp, write_report):
+def test_report_tab3(sp, write_report):
     def compute():
         table = {}
         for tol in TOLERANCES:
@@ -54,7 +44,7 @@ def test_report_tab3(benchmark, sp, write_report):
                 )
         return table
 
-    table = benchmark.pedantic(compute, rounds=1, iterations=1)
+    table = compute()
 
     rows = []
     for tol in TOLERANCES:
@@ -98,7 +88,7 @@ def test_report_tab3(benchmark, sp, write_report):
     assert err_gd > 1e-8 or cr_qd8 >= cr_gd8
 
 
-def test_report_fig9b_time_breakdown(benchmark, write_report):
+def test_report_fig9b_time_breakdown(write_report):
     """Fig. 9b at the real SP dimensions (modeled, 50 nodes, 40x20x2x1x1)."""
     shape = PAPER_SHAPES["sp"]
     ranks = (60, 60, 60, 9, 25)  # representative of tol 1e-4
@@ -112,7 +102,7 @@ def test_report_fig9b_time_breakdown(benchmark, write_report):
             for m, p in VARIANTS
         }
 
-    runs = benchmark.pedantic(compute, rounds=1, iterations=1)
+    runs = compute()
     write_report(
         "fig9b_sp_breakdown",
         breakdown_table(runs, title="Fig. 9b: SP 500^3x11x100, 1600 procs (modeled)"),

@@ -1,32 +1,27 @@
-"""Static-analysis throughput snapshot: lint + whole-program verify.
+"""Static-analysis throughput: lint + whole-program verify.
 
 Times the two static tiers over the repository's own source trees —
 the per-function AST lint and the interprocedural verifier (project
 load, call-graph + taint fixpoint, per-rank symbolic execution, trace
-matching) — and emits a machine-readable ``BENCH_verify.json`` in the
-versioned snapshot schema that ``repro bench --compare`` diffs with
-tolerance bands.  The committed report pins the analysis cost so a
-verifier change that blows up interpretation time (a runaway unroll, a
-fixpoint that stops converging) fails CI as a perf regression, not as
-a mystery timeout.
+matching) — prints the best-of-reps wall times beside their reference,
+and exits 1 when any of them exceeds ``LIMIT`` times it, so a verifier
+change that blows up interpretation time (a runaway unroll, a fixpoint
+that stops converging) fails CI as a perf regression, not as a mystery
+timeout.
 
-Counters (files/functions/entries analyzed, findings) are exact and
-compare at zero tolerance by default bands; wall times are lower-is-
-better ``*_s`` metrics.
+The references are one-core wall times taken when the verifier landed;
+the exact counters (entries analyzed, incomplete traces, findings) are
+asserted by ``tests/sanitize/test_verify.py``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_verify.py \
-        [--reps N] [--out BENCH_verify.json]
+    PYTHONPATH=src python benchmarks/bench_verify.py [--reps N]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
-import subprocess
 import sys
 import time
 
@@ -40,103 +35,47 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOTS = (os.path.join(REPO, "src", "repro"), os.path.join(REPO, "examples"))
 WORLD_SIZE = 2
 
-REPORT = os.path.join(os.path.dirname(__file__), "reports",
-                      "BENCH_verify.json")
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            cwd=os.path.dirname(__file__), check=True,
-        ).stdout.strip()
-    except Exception:
-        return "unknown"
-
-
-def _count_files(roots) -> int:
-    n = 0
-    for root in roots:
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = [d for d in dirnames
-                           if d not in ("__pycache__", ".git")]
-            n += sum(1 for f in filenames if f.endswith(".py"))
-    return n
+# Best-of-3 wall seconds on one core when the verifier landed.
+REFERENCE_S = {"lint": 0.5825, "load": 0.9673, "exec": 0.0198, "total": 0.9871}
+LIMIT = 3.0
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=3,
                     help="timing repetitions (best-of)")
-    ap.add_argument("--out", default=REPORT)
     args = ap.parse_args(argv)
 
-    lint_times = []
-    lint_findings = 0
+    lint_times, load_times, exec_times = [], [], []
     for _ in range(args.reps):
         t0 = time.perf_counter()
         lint_findings = len(lint_paths(ROOTS))
         lint_times.append(time.perf_counter() - t0)
-
-    load_times, verify_times = [], []
-    result = None
     for _ in range(args.reps):
         t0 = time.perf_counter()
         project = load_project(ROOTS)
         t1 = time.perf_counter()
         result = verify_project(project, world_size=WORLD_SIZE)
-        t2 = time.perf_counter()
         load_times.append(t1 - t0)
-        verify_times.append(t2 - t1)
+        exec_times.append(time.perf_counter() - t1)
 
     incomplete = sum(1 for r in result.reports if not r.complete)
-    snapshot = {
-        "bench": "verify",
-        "version": 1,
-        "commit": _commit(),
-        "generated_unix": int(time.time()),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "note": (
-            "static-analysis throughput over the repository's own "
-            "sources; counter metrics are exact, wall times are "
-            "best-of-reps on one core."
-        ),
-        "config": {
-            "roots": ["src/repro", "examples"],
-            "world_size": WORLD_SIZE,
-            "reps": args.reps,
-        },
-        "corpus": {
-            "files": _count_files(ROOTS),
-            "functions_parsed": len(result.project.functions),
-            "call_edges": len(result.project.edges),
-            "entries_analyzed": result.functions_analyzed,
-            "entries_incomplete": incomplete,
-        },
-        "lint": {
-            "best_wall_s": round(min(lint_times), 4),
-            "findings": lint_findings,
-        },
-        "verify": {
-            "load_best_wall_s": round(min(load_times), 4),
-            "exec_best_wall_s": round(min(verify_times), 4),
-            "best_wall_s": round(min(load_times) + min(verify_times), 4),
-            "findings": len(result.findings),
-        },
-    }
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    print(f"wrote {args.out} "
-          f"(lint {snapshot['lint']['best_wall_s']:.3f}s, "
-          f"verify {snapshot['verify']['best_wall_s']:.3f}s over "
-          f"{snapshot['corpus']['files']} files / "
-          f"{snapshot['corpus']['entries_analyzed']} drivers)")
+    print(f"corpus: {len(project.functions)} functions, "
+          f"{result.functions_analyzed} drivers ({incomplete} incomplete); "
+          f"findings: lint {lint_findings}, verify {len(result.findings)}")
+    best = {"lint": min(lint_times), "load": min(load_times),
+            "exec": min(exec_times)}
+    best["total"] = best["load"] + best["exec"]
+    slow = []
+    for name, seconds in best.items():
+        ratio = seconds / REFERENCE_S[name]
+        print(f"{name:<6} {seconds:8.4f} s  {ratio:5.2f}x reference "
+              f"({REFERENCE_S[name]} s)")
+        if ratio > LIMIT:
+            slow.append(name)
+    if slow:
+        print(f"over {LIMIT}x reference: {', '.join(slow)}")
+        return 1
     return 0
 
 

@@ -1,11 +1,12 @@
-"""Shared infrastructure for the per-figure/table benchmark harness.
+"""Shared fixtures for the per-figure/table report generators.
 
-Every ``bench_*`` module regenerates one table or figure of the paper:
-it times the real computation with pytest-benchmark and writes a
+Every ``bench_*`` module regenerates one table or figure of the paper
+(or an ablation beside it): a plain pytest module that writes a
 plain-text report with the same rows/series the paper shows to
 ``benchmarks/reports/``.  Qualitative shape assertions (who wins, by
-roughly what factor) run inside the tests, so ``pytest benchmarks/
---benchmark-only`` both measures and validates.
+roughly what factor) run inside the tests, so ``pytest benchmarks/``
+both regenerates and validates.  Wall-clock time is measured by
+``bench/`` (the ``BENCHMARK.json`` contract), not here.
 """
 
 from __future__ import annotations

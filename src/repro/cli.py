@@ -15,9 +15,8 @@ observability artifacts), ``lint`` (the static per-function SPMD lint
 of :mod:`repro.sanitize`), ``verify`` (the whole-program SPMD verifier:
 interprocedural comm-trace matching, ownership, and deadlock analysis,
 with per-driver comm-graph artifacts — together with ``lint`` the CI
-gate), ``chaos`` (a seeded fault matrix), ``postmortem`` (render a crash
-bundle), and ``bench --compare`` (diff two benchmark snapshots with
-tolerance bands).
+gate), ``chaos`` (a seeded fault matrix) and ``postmortem`` (render a
+crash bundle).
 
 Usage::
 
@@ -541,25 +540,6 @@ def _cmd_postmortem(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Compare two benchmark snapshots (``repro bench --compare``)."""
-    from .perf.benchdiff import compare_snapshots, format_comparison, load_snapshot
-
-    old_path, new_path = args.compare
-    old = load_snapshot(old_path)
-    new = load_snapshot(new_path)
-    tolerances = {prefix: float(tol) for prefix, tol in (args.tolerance_for or [])}
-    report = compare_snapshots(
-        old, new, tolerance=args.tolerance, tolerances=tolerances,
-    )
-    print(format_comparison(report, all_metrics=args.all))
-    if not report["comparable"]:
-        return 2
-    if report["regressions"] or (args.strict_missing and report["missing"]):
-        return 1
-    return 0
-
-
 def _cmd_lint(args) -> int:
     """Static SPMD lint over source trees (see repro.sanitize.lint)."""
     from .sanitize import format_diagnostics, lint_paths
@@ -773,28 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trailing flight-recorder events shown per rank "
                          "(0 disables the per-rank tails)")
     pm.set_defaults(fn=_cmd_postmortem)
-
-    be = sub.add_parser(
-        "bench",
-        help="compare two versioned benchmark snapshots "
-             "(BENCH_*.json) with per-metric tolerance bands",
-    )
-    be.add_argument("--compare", nargs=2, required=True,
-                    metavar=("OLD", "NEW"),
-                    help="baseline and candidate snapshot paths")
-    be.add_argument("--tolerance", type=float, default=0.25,
-                    help="default relative tolerance band (0.25 = 25%%)")
-    be.add_argument("--tolerance-for", nargs=2, action="append",
-                    metavar=("PREFIX", "TOL"), default=None,
-                    help="per-metric override: dotted-path prefix and its "
-                         "band (repeatable; longest prefix wins)")
-    be.add_argument("--all", action="store_true",
-                    help="list every shared metric, not only the ones "
-                         "outside their band")
-    be.add_argument("--strict-missing", action="store_true",
-                    help="also fail when the new snapshot lost metrics the "
-                         "baseline had")
-    be.set_defaults(fn=_cmd_bench)
 
     ln = sub.add_parser(
         "lint",

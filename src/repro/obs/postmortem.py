@@ -70,7 +70,7 @@ def repo_commit() -> str:
 
 
 def host_metadata() -> Dict[str, Any]:
-    """Host identification embedded in bundles and benchmark snapshots."""
+    """Host identification embedded in exported traces and bundles."""
     return {
         "hostname": socket.gethostname(),
         "cpu_count": os.cpu_count(),

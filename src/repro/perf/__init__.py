@@ -13,8 +13,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                    "calibrate_machine"),
     ".report": ("breakdown_table", "scaling_table", "variant_label",
                 "PHASE_LABELS"),
-    ".benchdiff": ("compare_snapshots", "flatten_metrics", "format_comparison",
-                   "load_snapshot"),
 })
 
 __all__ = [
@@ -39,8 +37,4 @@ __all__ = [
     "scaling_table",
     "variant_label",
     "PHASE_LABELS",
-    "compare_snapshots",
-    "flatten_metrics",
-    "format_comparison",
-    "load_snapshot",
 ]

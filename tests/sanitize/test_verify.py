@@ -106,6 +106,21 @@ class TestSelfVerification:
                          if d.kind != "use-after-move"]
                 assert cross == []
 
+    def test_cli_verify_strict_is_the_ci_gate(self, capsys):
+        from repro.cli import main
+
+        roots = [str(REPO / "src" / "repro"), str(REPO / "examples")]
+        rc = main(["verify", "--strict", *roots])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[-1] == (
+            "repro verify: clean (11 driver(s), 4 with incomplete traces; "
+            f"{roots[0]}, {roots[1]})")
+        res = verify_paths(roots)
+        assert {r.entry.qualname for r in res.reports if not r.complete} == {
+            "parallel_compression.program", "repro.core.ft.hooi_fault_tolerant",
+            "repro.cli._trace_program", "repro.cli._chaos_program"}
+
 
 class TestCommGraphArtifact:
     def test_sthosvd_parallel_graph(self, tmp_path):
@@ -233,26 +248,3 @@ class TestCallGraph:
         assert data["traces"]["0"]["events"][0]["op"] == "bcast"
         assert data["traces"]["1"]["events"] == []
 
-
-class TestBenchSnapshot:
-    """The committed BENCH_verify.json stays benchdiff-comparable."""
-
-    def test_committed_snapshot_loads_and_self_compares(self):
-        from repro.perf.benchdiff import compare_snapshots, load_snapshot
-
-        path = REPO / "benchmarks" / "reports" / "BENCH_verify.json"
-        snap = load_snapshot(str(path))
-        assert snap["bench"] == "verify"
-        assert snap["verify"]["findings"] == 0
-        assert snap["corpus"]["entries_analyzed"] > 0
-        report = compare_snapshots(snap, snap)
-        assert report["comparable"] and not report["regressions"]
-
-    def test_cli_verify_strict_is_the_ci_gate(self, capsys):
-        from repro.cli import main
-
-        rc = main(["verify", "--strict",
-                   str(REPO / "src" / "repro"), str(REPO / "examples")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "clean" in out

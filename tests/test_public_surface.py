@@ -247,3 +247,20 @@ def test_a_failed_rank_is_recovered_by_shrinking_alone():
         main(["chaos", "--shape", "8", "6", "4", "--procs", "2",
               "--ranks", "3", "2", "2", "--recover", "replace"])
     assert exc.value.code == 2
+
+
+def test_no_snapshot_compare_layer():
+    """``bench/`` is the one measured contract: ``repro.perf`` exports no
+    snapshot differ and the CLI has no ``bench`` subcommand."""
+    import repro.perf
+    from repro.cli import main
+
+    for name in ("compare_snapshots", "flatten_metrics", "format_comparison",
+                 "load_snapshot"):
+        assert name not in repro.perf.__all__
+        with pytest.raises(AttributeError, match="module 'repro.perf' has no "
+                                                 f"attribute '{name}'"):
+            getattr(repro.perf, name)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--compare", "a.json", "b.json"])
+    assert exc.value.code == 2

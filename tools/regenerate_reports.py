@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate every paper table/figure report in one command.
 
-Runs the benchmark harness (which writes `benchmarks/reports/*.txt`) and
-prints a summary index mapping each paper artifact to its report file.
+Runs the report generators (`pytest benchmarks/`, which writes
+`benchmarks/reports/*.txt`) and prints a summary index mapping each paper
+artifact to its report file.
 
-    python tools/regenerate_reports.py [--quick]
-
-``--quick`` skips the timing-only benchmark cases and runs just the
-report-producing tests (a ~3x faster sweep; the tables are identical).
+    python tools/regenerate_reports.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -39,18 +36,12 @@ INDEX = [
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--quick", action="store_true",
-                    help="run only the report-producing tests")
-    args = ap.parse_args()
-
-    cmd = [sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only", "-q"]
-    if args.quick:
-        cmd += ["-k", "report"]
+    cmd = [sys.executable, "-m", "pytest", "benchmarks/", "-q"]
     print("running:", " ".join(cmd))
-    rc = subprocess.call(cmd, cwd=ROOT)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    rc = subprocess.call(cmd, cwd=ROOT, env=env)
     if rc != 0:
-        print("benchmark run failed", file=sys.stderr)
+        print("report generation failed", file=sys.stderr)
         return rc
 
     print("\n=== paper artifact -> report file ===")
