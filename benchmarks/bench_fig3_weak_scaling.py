@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.mpi import run_spmd, CostModel
@@ -111,7 +111,7 @@ def test_functional_weak_scaling(k):
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid(grid))
         dt = DistributedTensor.from_full(comms, X.data)
-        sthosvd_parallel(dt, ranks=ranks, method="qr")
+        sthosvd(dt, ranks=ranks, method="qr")
         return comm.clock.now
 
     modeled = run_spmd(prog, k**3, cost_model=CostModel()).slowest_time

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import tensor_with_mode_spectra, geometric_spectrum
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.mpi import run_spmd
@@ -98,7 +98,7 @@ def test_functional_strong_scaling(smallX, grid):
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid(grid))
         dt = DistributedTensor.from_full(comms, smallX.data)
-        return sthosvd_parallel(dt, ranks=(4, 4, 4, 4), method="qr").ranks
+        return sthosvd(dt, ranks=(4, 4, 4, 4), method="qr").ranks
 
     res = run_spmd(prog, int(np.prod(grid)))
     assert res[0] == (4, 4, 4, 4)

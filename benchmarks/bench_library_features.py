@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import hooi, hosvd, sthosvd, sthosvd_out_of_core
-from repro.data import geometric_spectrum, save_raw, tensor_with_mode_spectra
+from repro.core import hooi, hosvd, sthosvd
+from repro.data import (
+    OutOfCoreTensor, geometric_spectrum, save_raw, tensor_with_mode_spectra)
 from repro.perf import simulate_memory, strong_scaling_grid, STRONG_SCALING_GRIDS
 from repro.util import format_table
 
@@ -76,8 +77,8 @@ class TestOutOfCore:
 
         def compute():
             mem = sthosvd(X, tol=1e-4)
-            ooc = sthosvd_out_of_core(path, self.SHAPE, tol=1e-4,
-                                      max_elements=1 << 15)
+            ooc = sthosvd(OutOfCoreTensor(path, self.SHAPE), tol=1e-4,
+                          max_elements=1 << 15)
             return mem, ooc
 
         mem, ooc = compute()

@@ -16,7 +16,7 @@ Run:  python examples/out_of_core_compression.py
 import os
 import tempfile
 
-from repro.core import sthosvd, sthosvd_out_of_core, streaming_rel_error
+from repro.core import sthosvd, streaming_rel_error
 from repro.data import hcci_surrogate, save_raw
 from repro.data.outofcore import OutOfCoreTensor
 from repro.util import format_table
@@ -33,17 +33,15 @@ with tempfile.TemporaryDirectory() as d:
     size_mb = os.path.getsize(raw) / 1e6
     print(f"raw file: {raw} ({size_mb:.0f} MB), chunk budget {CHUNK * 8 / 1e3:.0f} KB\n")
 
-    # --- streaming compression ------------------------------------------
-    res = sthosvd_out_of_core(
-        raw, SHAPE, tol=1e-4, method="qr", mode_order="backward",
-        max_elements=CHUNK,
-    )
+    # --- streaming compression: the same sthosvd, given the file --------
+    ooc = OutOfCoreTensor(raw, SHAPE)
+    res = sthosvd(ooc, tol=1e-4, method="qr", mode_order="backward",
+                  max_elements=CHUNK)
     print(f"ranks:        {res.ranks}")
     print(f"compression:  {res.tucker.compression_ratio():.1f}x")
     print(f"est. error:   {res.estimated_rel_error():.3e}")
 
     # --- streaming error evaluation --------------------------------------
-    ooc = OutOfCoreTensor(raw, SHAPE)
     err = streaming_rel_error(res.tucker, ooc, slab_elements=CHUNK)
     print(f"actual error: {err:.3e} (computed without loading the file)\n")
 

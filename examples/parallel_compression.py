@@ -13,7 +13,7 @@ Run:  python examples/parallel_compression.py
 
 import numpy as np
 
-from repro import sthosvd_parallel
+from repro import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.mpi import run_spmd, CostModel, CommCosts, ComputeRates
@@ -30,7 +30,9 @@ def program(comm):
     # Each rank takes its block of the (here replicated) input tensor.
     dt = DistributedTensor.from_full(comms, X.data)
 
-    result = sthosvd_parallel(dt, tol=1e-6, method="qr", mode_order="backward")
+    # The same sthosvd as on one core: a distributed tensor picks the
+    # parallel arm (collective over its communicator).
+    result = sthosvd(dt, tol=1e-6, method="qr", mode_order="backward")
 
     # Factor matrices are replicated; the core keeps the block
     # distribution.  Gather it to compute the true error (small data).

@@ -21,13 +21,12 @@ import os
 import tempfile
 
 from repro.cli import save_archive, load_archive
-from repro.core import choose_variant, sthosvd_out_of_core, streaming_rel_error
+from repro.core import choose_variant, sthosvd, streaming_rel_error
 from repro.data import (
     assemble_timesteps,
     hcci_surrogate,
     save_timesteps,
 )
-from repro.data.outofcore import OutOfCoreTensor
 from repro.util import format_table
 
 TOL = 1e-4
@@ -50,13 +49,12 @@ with tempfile.TemporaryDirectory() as root:
     variant = choose_variant(TOL)
     print(f"\ntolerance {TOL:.0e} -> variant {variant.label} "
           f"(floor {variant.floor:.1e}, margin {variant.margin:.0f}x)")
-    res = sthosvd_out_of_core(
-        raw, ooc.shape, precision=variant.precision, tol=TOL,
+    res = sthosvd(
+        ooc, precision=variant.precision, tol=TOL,
         method=variant.method, mode_order="backward",
         checkpoint_dir=os.path.join(root, "ckpt"),
     )
-    err = streaming_rel_error(res.tucker.astype("double"),
-                              OutOfCoreTensor(raw, ooc.shape))
+    err = streaming_rel_error(res.tucker.astype("double"), ooc)
     print(format_table(
         ["ranks", "compression", "est err", "actual err"],
         [[str(res.ranks), res.tucker.compression_ratio(),

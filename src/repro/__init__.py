@@ -4,8 +4,9 @@ Accurate SVD" (Li, Fang, Ballard; ICPP 2021).
 The package computes Tucker decompositions of dense tensors with the
 Sequentially Truncated HOSVD (ST-HOSVD), offering both of the paper's
 per-mode SVD algorithms — TuckerMPI's Gram-SVD and the numerically
-stable QR-SVD — in single or double working precision, sequentially or
-on a simulated MPI runtime, plus an alpha-beta-gamma performance model
+stable QR-SVD — in single or double working precision, in memory, out of
+core or on a simulated MPI runtime (one ``sthosvd`` takes all three
+kinds of tensor), plus an alpha-beta-gamma performance model
 that regenerates the paper's scaling studies.
 
 Quickstart
@@ -32,8 +33,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".linalg": ("gram_svd", "qr_svd", "tensor_gram_svd", "tensor_qr_svd",
                 "tensor_lq", "geqr", "gelq"),
     ".core": ("TuckerTensor", "choose_rank", "compress", "choose_variant",
-              "hosvd", "hooi", "sthosvd_out_of_core", "sthosvd_parallel",
-              "ParallelSthosvdResult"),
+              "hosvd", "hooi"),
     ".dist": ("ProcessorGrid", "GridComms", "DistributedTensor"),
     ".obs": ("FlightRecorder", "Tracer"),
     ".mpi": ("run_spmd", "CostModel"),
@@ -69,14 +69,11 @@ __all__ = [
     "TuckerTensor",
     "sthosvd",
     "SthosvdResult",
-    "sthosvd_parallel",
-    "ParallelSthosvdResult",
     "choose_rank",
     "compress",
     "choose_variant",
     "hosvd",
     "hooi",
-    "sthosvd_out_of_core",
     "run_spmd",
     "CostModel",
     "Tracer",

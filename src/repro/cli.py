@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .core import sthosvd, sthosvd_out_of_core, validate_tucker, core_statistics
+from .core import sthosvd, validate_tucker, core_statistics
 from .core.tucker import TuckerTensor
 from .data.io import load_raw, raw_files, save_raw
 from .tensor.dense import DenseTensor
@@ -121,19 +121,17 @@ def _cmd_compress(args) -> int:
         print(f"auto-selected: {choice.label} "
               f"(floor {choice.floor:.1e}, margin {choice.margin:.0f}x)")
     if args.out_of_core:
-        res = sthosvd_out_of_core(
-            args.input, shape, dtype=args.file_dtype, precision=precision,
-            tol=args.tol, ranks=tuple(args.ranks) if args.ranks else None,
-            method=method, mode_order=args.order,
-            checkpoint_dir=args.checkpoint_dir,
-            progress=_print_progress if args.verbose else None,
-        )
+        from .data.outofcore import OutOfCoreTensor
+
+        X = OutOfCoreTensor(args.input, shape, args.file_dtype)
     else:
         X = load_raw(args.input, shape=shape, dtype=args.file_dtype)
-        res = sthosvd(
-            X, tol=args.tol, ranks=tuple(args.ranks) if args.ranks else None,
-            method=method, precision=precision, mode_order=args.order,
-        )
+    res = sthosvd(
+        X, tol=args.tol, ranks=tuple(args.ranks) if args.ranks else None,
+        method=method, precision=precision, mode_order=args.order,
+        checkpoint_dir=args.checkpoint_dir,
+        progress=_print_progress if args.verbose else None,
+    )
     save_archive(
         res.tucker, args.out,
         extra={
@@ -247,13 +245,12 @@ def _print_progress(info):
 
 def _trace_program(comm, X, grid, tol, ranks, method, mode_order, verbose):
     """Rank program of ``repro trace``."""
-    from .core.sthosvd_parallel import sthosvd_parallel
     from .dist import DistributedTensor, GridComms
     from .dist.grid import ProcessorGrid
 
     comms = GridComms(comm, ProcessorGrid(grid))
     dt = DistributedTensor.from_full(comms, X)
-    return sthosvd_parallel(
+    return sthosvd(
         dt, tol=tol, ranks=ranks, method=method, mode_order=mode_order,
         progress=_print_progress if verbose else None,
     )
@@ -644,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--checkpoint-dir", default=None,
                    help="resumable checkpoints for --out-of-core runs")
     c.add_argument("--verbose", action="store_true",
-                   help="per-mode progress for --out-of-core runs")
+                   help="per-mode progress")
     c.set_defaults(fn=_cmd_compress)
 
     r = sub.add_parser("reconstruct", help="expand an archive to a raw file")

@@ -1,7 +1,10 @@
-"""Core contribution: TuckerTensor, rank truncation, ST-HOSVD drivers.
+"""Core contribution: TuckerTensor, rank truncation, the Tucker drivers.
 
-Every driver loads its own module on first use; ``import repro`` has
-imported :mod:`~repro.core.sthosvd` and the mode loop under it.
+Three drivers — ``sthosvd``, ``hosvd``, ``hooi`` — each take a dense or
+distributed tensor (``sthosvd`` an out-of-core one too), and the kind
+picks the arm.  Every driver loads its own module on first use;
+``import repro`` has imported :mod:`~repro.core.sthosvd` and the mode
+loop under it.
 """
 
 from .._lazy import lazy_exports
@@ -17,14 +20,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".hosvd": ("hosvd",),
     ".hooi": ("hooi", "HooiResult"),
     ".metrics": ("validate_tucker", "core_statistics", "TuckerDiagnostics"),
-    ".outofcore": ("sthosvd_out_of_core", "ooc_tensor_gram", "ooc_tensor_lq"),
+    ".outofcore": ("ooc_tensor_gram", "ooc_tensor_lq"),
     ".evaluate": ("streaming_rel_error", "rel_error_lowmem"),
     ".auto": ("choose_variant", "compress", "VariantChoice"),
     ".recompress": ("recompress",),
     ".": ("checkpoint",),
-    ".sthosvd_parallel": ("sthosvd_parallel", "ParallelSthosvdResult"),
-    ".hooi_parallel": ("hooi_parallel", "ParallelHooiResult"),
-    ".hosvd_parallel": ("hosvd_parallel",),
     ".ft": ("FaultTolerantResult", "hooi_fault_tolerant",
             "sthosvd_fault_tolerant"),
 })
@@ -38,12 +38,8 @@ __all__ = [
     "validate_tucker",
     "core_statistics",
     "TuckerDiagnostics",
-    "sthosvd_out_of_core",
     "ooc_tensor_gram",
     "ooc_tensor_lq",
-    "hooi_parallel",
-    "ParallelHooiResult",
-    "hosvd_parallel",
     "streaming_rel_error",
     "rel_error_lowmem",
     "choose_variant",
@@ -60,8 +56,6 @@ __all__ = [
     "sthosvd",
     "SthosvdResult",
     "METHODS",
-    "sthosvd_parallel",
-    "ParallelSthosvdResult",
     "FaultTolerantResult",
     "sthosvd_fault_tolerant",
     "hooi_fault_tolerant",

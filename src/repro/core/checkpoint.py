@@ -1,8 +1,8 @@
 """The one on-disk checkpoint format: the state of a run after step ``n``.
 
-Two writers share it: the out-of-core ST-HOSVD
-(``sthosvd_out_of_core(checkpoint_dir=...)``, which resumes after the
-last completed mode when rerun with the identical call) and the durable
+Two writers share it: ST-HOSVD of an out-of-core tensor
+(``sthosvd(ooc, checkpoint_dir=...)``, which resumes after the last
+completed mode when rerun with the identical call) and the durable
 tier of :class:`repro.faults.DistributedCheckpoint` (``ckpt_dir=``, from
 which a brand-new parallel world restarts).  A checkpoint of step ``n``
 is, all written through :mod:`repro.util.durable`:
@@ -65,7 +65,7 @@ __all__ = [
 #: Manifest schema tag; bump on incompatible layout changes.
 SCHEMA = "repro-ckpt/3"
 
-# The out-of-core driver's manifest, one per checkpoint directory.
+# Out-of-core ST-HOSVD's manifest, one per checkpoint directory.
 MANIFEST = "checkpoint.json"
 
 
@@ -177,7 +177,7 @@ def read_state(directory: str, manifest: dict):
 
 
 # ----------------------------------------------------------------------
-# The out-of-core driver's checkpoints
+# Out-of-core ST-HOSVD's checkpoints
 # ----------------------------------------------------------------------
 @dataclass
 class CheckpointState:

@@ -1,8 +1,8 @@
 """Fault-tolerant driver loop: run, and on rank failure shrink + resume.
 
-The parallel drivers themselves are fail-stop: a dead partner surfaces
-as :class:`~repro.errors.RankFailedError` out of whatever collective
-touched it.  This module wraps them in the ULFM-style recovery loop:
+The drivers themselves are fail-stop on a distributed tensor: a dead
+partner surfaces as :class:`~repro.errors.RankFailedError` out of
+whatever collective touched it.  This module wraps them in the ULFM-style recovery loop:
 
 1. every survivor catches the failure, **revokes** the current
    communicator epoch (unblocking peers stuck in stale collectives),
@@ -42,8 +42,8 @@ from ..dist.grid import ProcessorGrid
 from ..dist.redistribute import distribute_from_root
 from ..faults.checkpoint import DistributedCheckpoint
 from ..obs.tracer import trace_span
-from .hooi_parallel import ParallelHooiResult, hooi_parallel
-from .sthosvd_parallel import ParallelSthosvdResult, sthosvd_parallel
+from .hooi import HooiResult, hooi
+from .sthosvd import SthosvdResult, sthosvd
 
 __all__ = [
     "FaultTolerantResult",
@@ -172,13 +172,12 @@ def sthosvd_fault_tolerant(
     """Fault-tolerant parallel ST-HOSVD (collective over ``comm``).
 
     ``full`` is the input tensor on ``comm``'s rank 0 (None elsewhere).
-    Decomposition arguments match :func:`~repro.core.sthosvd_parallel.
-    sthosvd_parallel`.  Up to ``max_recoveries`` rank failures are
-    survived; one more re-raises the *original* :class:`~repro.errors.
-    RankFailedError` with ``recovery_history`` attached.  The returned
-    ``result`` is a :class:`~repro.core.sthosvd_parallel.
-    ParallelSthosvdResult` whose core is distributed over
-    ``FaultTolerantResult.comm``.  Every attempt lays its grid with
+    Decomposition arguments match :func:`~repro.core.sthosvd.sthosvd`.
+    Up to ``max_recoveries`` rank failures are survived; one more
+    re-raises the *original* :class:`~repro.errors.RankFailedError` with
+    ``recovery_history`` attached.  The returned ``result`` is a
+    :class:`~repro.core.sthosvd.SthosvdResult` whose core is distributed
+    over ``FaultTolerantResult.comm``.  Every attempt lays its grid with
     :meth:`ProcessorGrid.for_size(comm.size, ndim, mode_order)
     <repro.dist.grid.ProcessorGrid.for_size>`, so the mode the run
     processes first stays undistributed after a shrink as well.
@@ -190,12 +189,12 @@ def sthosvd_fault_tolerant(
     ckpt = DistributedCheckpoint(
         checkpoint_name, keep=checkpoint_keep, ckpt_dir=ckpt_dir)
 
-    def run(comm, full, resume) -> ParallelSthosvdResult:
+    def run(comm, full, resume) -> SthosvdResult:
         grid = ProcessorGrid.for_size(
             comm.size, _bcast_ndim(comm, full), mode_order)
         comms = GridComms(comm, grid)
         dt = distribute_from_root(comms, full, root=0)
-        return sthosvd_parallel(
+        return sthosvd(
             dt, tol=tol, ranks=ranks, method=method, mode_order=mode_order,
             progress=progress, checkpoint=ckpt, resume=resume,
         )
@@ -229,11 +228,11 @@ def hooi_fault_tolerant(
     ckpt = DistributedCheckpoint(
         checkpoint_name, keep=checkpoint_keep, ckpt_dir=ckpt_dir)
 
-    def run(comm, full, resume) -> ParallelHooiResult:
+    def run(comm, full, resume) -> HooiResult:
         grid = ProcessorGrid.for_size(comm.size, _bcast_ndim(comm, full))
         comms = GridComms(comm, grid)
         dt = distribute_from_root(comms, full, root=0)
-        return hooi_parallel(
+        return hooi(
             dt, ranks, method=method, init=init, max_iters=max_iters,
             fit_tol=fit_tol, progress=progress, checkpoint=ckpt, resume=resume,
         )

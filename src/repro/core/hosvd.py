@@ -5,7 +5,10 @@ HOSVD computes every factor matrix from the *original* tensor and forms
 the core in one multi-TTM at the end.  It does more work (every mode
 sees the full tensor) and satisfies the same ``sqrt(N)``-quasi-optimality
 bound; it is included as the natural baseline for ST-HOSVD's sequencing
-decision and because TuckerMPI-family libraries ship both.
+decision and because TuckerMPI-family libraries ship both.  On a
+distributed tensor every per-mode reduction runs over the full tensor,
+and the factor set is consistent with that one untruncated tensor, which
+some users require.
 """
 
 from __future__ import annotations
@@ -14,28 +17,31 @@ from typing import Sequence
 
 import numpy as np
 
+from ..dist.dtensor import DistributedTensor
 from ..tensor.dense import DenseTensor
-from .modeloop import dense_input, factors_then_core, open_loop
+from .modeloop import factors_then_core, open_loop, work_input
 from .sthosvd import SthosvdResult
 
 __all__ = ["hosvd"]
 
 
 def hosvd(
-    tensor: DenseTensor | np.ndarray,
+    tensor: DenseTensor | np.ndarray | DistributedTensor,
     *,
     tol: float | None = None,
     ranks: Sequence[int] | None = None,
     method: str = "qr",
     precision=None,
 ) -> SthosvdResult:
-    """Truncated classic HOSVD (all factors from the original tensor).
+    """Truncated classic HOSVD (all factors from the original tensor) of a
+    dense or distributed tensor (collective over the latter's communicator).
 
     Accepts the same arguments as :func:`repro.core.sthosvd.sthosvd`
     except ``mode_order`` (ordering is irrelevant when nothing is
-    truncated between modes) and returns the same result type.
+    truncated between modes) and the per-kind keywords, and returns the
+    same result type.  There is no out-of-core HOSVD.
     """
-    tensor = dense_input(tensor, precision)
+    tensor = work_input(tensor, precision, out_of_core=False)
     loop = open_loop(tensor, method=method, tol=tol, ranks=ranks)
     core = factors_then_core(loop, tensor)
     return SthosvdResult._from_loop(loop, core, range(tensor.ndim))

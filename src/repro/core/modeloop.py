@@ -15,10 +15,12 @@ of tensor.  This module owns it once:
 * the three **loop shapes** built from them: :func:`truncated_loop`
   (ST-HOSVD), :func:`factors_then_core` (HOSVD), :func:`hooi_sweeps`.
 
-A driver opens a :class:`ModeLoop`, calls one loop shape and adds its
-own side effects (scratch files, checkpoints) through ``after_mode`` /
-``after_sweep``.  A new per-mode solver is one more ``SUPPORTED_METHODS``
-entry plus its branch in :func:`solve_mode`; every driver then has it.
+Each of the three drivers (``sthosvd``, ``hosvd``, ``hooi``) takes any
+kind of tensor, checks it with :func:`work_input`, opens a
+:class:`ModeLoop`, calls one loop shape and adds its kind's side effects
+(scratch files, checkpoints) through ``after_mode`` / ``after_sweep``.
+A new per-mode solver is one more ``SUPPORTED_METHODS`` entry plus its
+branch in :func:`solve_mode`; every driver then has it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from ..tensor.ttm import ttm, ttm_flops
 from .truncation import choose_rank, error_budget_per_mode, tail_energy
 
 __all__ = [
-    "METHODS", "SUPPORTED_METHODS", "ModeLoop", "dense_input", "open_loop",
+    "METHODS", "SUPPORTED_METHODS", "KIND_OPTIONS", "ModeLoop", "work_input",
+    "open_loop",
     "measure_norm", "resolve_truncation", "pick_rank", "solve_mode",
     "truncate_mode", "truncated_loop", "factors_then_core", "hooi_sweeps",
 ]
@@ -63,6 +66,14 @@ SUPPORTED_METHODS = (
     (DistributedTensor, ("qr", "gram")),
     (OutOfCoreTensor, ("qr", "gram")),
     (DenseTensor, METHODS),
+)
+
+# The driver keywords only one kind reads, in the same order.  Given (not
+# None) with any other kind, :func:`work_input` refuses them.
+KIND_OPTIONS = (
+    (DistributedTensor, ("checkpoint", "resume")),
+    (OutOfCoreTensor, ("max_elements", "workdir", "checkpoint_dir")),
+    (DenseTensor, ("svd_options", "init")),
 )
 
 
@@ -102,11 +113,35 @@ class ModeLoop:
         return float(np.sqrt(self.norm_sq))
 
 
-def dense_input(tensor, precision=None) -> DenseTensor:
-    """``tensor`` as a ``DenseTensor`` in the working precision."""
-    if not isinstance(tensor, DenseTensor):
-        tensor = DenseTensor(tensor)
-    return tensor if precision is None else tensor.astype(precision)
+def work_input(tensor, precision=None, *, out_of_core: bool = True,
+               **options):
+    """``tensor`` as a driver works on it, in the working ``precision``.
+
+    A ``DistributedTensor`` or ``OutOfCoreTensor`` keeps its kind (the
+    latter only for a driver with ``out_of_core``); anything else becomes
+    a ``DenseTensor``.  ``options`` are the call's per-kind keywords, None
+    when not given; one that ``KIND_OPTIONS`` leaves to another kind is a
+    ``ConfigurationError``, never silently ignored.
+    """
+    if isinstance(tensor, DistributedTensor):
+        work = tensor
+    elif isinstance(tensor, OutOfCoreTensor):
+        if not out_of_core:
+            raise ConfigurationError(
+                "only sthosvd streams an OutOfCoreTensor: there is no "
+                "out-of-core HOSVD or HOOI")
+        work = tensor
+    else:
+        work = tensor if isinstance(tensor, DenseTensor) else DenseTensor(tensor)
+    kind, allowed = next(
+        (k, names) for k, names in KIND_OPTIONS if isinstance(work, k))
+    for name, value in options.items():
+        if value is not None and name not in allowed:
+            owner = next(k for k, names in KIND_OPTIONS if name in names)
+            raise ConfigurationError(
+                f"{name}= is read only on {owner.__name__} input; this "
+                f"input is {kind.__name__}")
+    return work if precision is None else work.astype(precision)
 
 
 def _shape(work) -> tuple[int, ...]:
@@ -137,14 +172,14 @@ def resolve_truncation(
     return ranks
 
 
-def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
+def open_loop(work, *, method: str, tol=None, ranks=None,
               **options) -> ModeLoop:
     """Check ``method`` and the rank rule against ``work``; open its loop.
 
     ``work`` is not read.  A run that starts from the input takes
-    ``||X||^2`` from its first solved mode's spectrum; ``norm_sq``
-    hands it in for a resumed run, whose ``work`` is already truncated
-    and whose budget must come from the number the interrupted run used.
+    ``||X||^2`` from its first solved mode's spectrum; a resumed run,
+    whose ``work`` is already truncated, sets ``loop.norm_sq`` to the
+    number the interrupted run budgeted from.
     """
     kind, allowed = next(
         (k, m) for k, m in SUPPORTED_METHODS if isinstance(work, k))
@@ -163,7 +198,7 @@ def open_loop(work, *, method: str, tol=None, ranks=None, norm_sq=None,
         )
     shape = _shape(work)
     loop = ModeLoop(method=method, ranks=resolve_truncation(shape, tol, ranks),
-                    tol=tol, norm_sq=norm_sq, factors=[None] * len(shape),
+                    tol=tol, factors=[None] * len(shape),
                     **options)
     if tol is not None:
         error_budget_per_mode(0.0, tol, len(shape))  # refuse a bad tol up front
@@ -250,7 +285,7 @@ def solve_mode(
     if method == "qr":
         with timer.phase(PHASE_LQ, n):
             if streamed:
-                # At call time: outofcore.py imports this module.
+                # At call time: `import repro` does not load the streamed kernels.
                 from . import outofcore
 
                 L = outofcore.ooc_tensor_lq(

@@ -87,6 +87,11 @@ class OutOfCoreTensor:
         flat = np.fromfile(self.path, dtype=self.file_dtype)
         return DenseTensor.from_flat(self._cast(flat), self.shape)
 
+    def astype(self, precision) -> "OutOfCoreTensor":
+        """The same file, its chunks delivered in another precision."""
+        return OutOfCoreTensor(self.path, self.shape, self.file_dtype,
+                               work_dtype=precision)
+
     # ------------------------------------------------------------------
     def norm_squared(self) -> float:
         """Squared Frobenius norm, accumulated chunkwise in float64."""

@@ -9,8 +9,8 @@ Three layers (see ``docs/fault-tolerance.md``):
   sequence numbers) the communicator uses to survive message faults,
   installed via ``run_spmd(resilience=...)``.
 * :class:`DistributedCheckpoint` — in-memory, buddy-replicated
-  checkpoints that let ``sthosvd_parallel``/``hooi_parallel`` resume on
-  a shrunk communicator after a rank death.
+  checkpoints that let ``sthosvd``/``hooi`` on a distributed tensor
+  resume on a shrunk communicator after a rank death.
 
 The ``repro.linalg`` kernels poll :func:`current_injector` (one
 thread-local read) from ``faults/_hook.py`` directly: with no plan

@@ -25,7 +25,7 @@ than producing guesses.
 Abstract values are deliberately few: constants (folded through
 arithmetic, comparisons, and short-circuit logic), communicators,
 carrier objects (an entry parameter whose ``.comm`` the body reads —
-the ``sthosvd_parallel(dt, ...)`` shape), and :class:`Buffer` — an
+the ``sthosvd(tensor, ...)`` shape), and :class:`Buffer` — an
 alias-tracked opaque object.  Every opaque call returns a *fresh*
 buffer, so ``view = payload`` aliases and ``send(view, copy=False)``
 marks the one shared buffer moved; any later attribute access,

@@ -8,7 +8,7 @@ things the per-function lint never computes:
   communicator-shaped parameters classified (a parameter named ``comm``
   or annotated ``Communicator`` *is* a communicator; a parameter whose
   ``.comm`` attribute the body reads *carries* one — the
-  ``sthosvd_parallel(dt, ...)`` shape);
+  ``sthosvd(tensor, ...)`` shape);
 * a **call graph** over those functions, resolving direct names,
   ``from module import f`` aliases, ``module.f`` attribute calls, and
   ``self.method`` calls against the enclosing class;

@@ -1,4 +1,4 @@
-"""Checkpoint/restart tests for the out-of-core driver."""
+"""Checkpoint/restart tests for out-of-core ``sthosvd``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.core.outofcore as oocmod
-from repro.core import sthosvd, sthosvd_out_of_core, tail_energy
+from repro.core import sthosvd, tail_energy
 from repro.core.checkpoint import (
     SCHEMA,
     _fingerprint,
@@ -16,6 +16,7 @@ from repro.core.checkpoint import (
     load_checkpoint,
 )
 from repro.data import low_rank_tensor, save_raw
+from repro.data.outofcore import OutOfCoreTensor
 from repro.errors import CheckpointError, ConfigurationError
 
 
@@ -47,7 +48,7 @@ class TestResume:
         ck = str(tmp_path / "ckpt")
         _crash_after(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         monkeypatch.undo()
 
         fp = _fingerprint(X.shape, np.float64, 1e-6, None, "qr", (0, 1, 2, 3))
@@ -56,7 +57,7 @@ class TestResume:
         assert state.completed_steps == 2
         assert sorted(state.factors) == [0, 1]
 
-        res = sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+        res = sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         mem = sthosvd(X, tol=1e-6)
         assert res.ranks == mem.ranks
         assert res.tucker.rel_error(X) <= 1.2e-6
@@ -67,19 +68,17 @@ class TestResume:
         """The checkpoint stores the very norm the budget was computed
         from (not its square root re-squared), so a resumed run picks
         the same ranks from the same budget and lands on the same bits."""
-        from repro.data.outofcore import OutOfCoreTensor
-
         # Scaled so that sqrt(norm_sq)**2 != norm_sq in both precisions.
         X = raw[0].data * 1.7
         path = str(tmp_path / "scaled.bin")
         save_raw(X, path)
         ck = str(tmp_path / "ckpt")
         kwargs = dict(tol=3e-7, precision=precision, max_elements=500)
-        clean = sthosvd_out_of_core(path, X.shape, **kwargs)
+        clean = sthosvd(OutOfCoreTensor(path, X.shape), **kwargs)
 
         _crash_after(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            sthosvd_out_of_core(path, X.shape, checkpoint_dir=ck, **kwargs)
+            sthosvd(OutOfCoreTensor(path, X.shape), checkpoint_dir=ck, **kwargs)
         monkeypatch.undo()
 
         ooc = OutOfCoreTensor(path, X.shape, np.float64, work_dtype=precision)
@@ -92,7 +91,7 @@ class TestResume:
         eps = float(np.finfo(ooc.dtype).eps)
         assert abs(state.norm_sq - ooc.norm_squared()) <= 64 * eps * state.norm_sq
 
-        res = sthosvd_out_of_core(path, X.shape, checkpoint_dir=ck, **kwargs)
+        res = sthosvd(OutOfCoreTensor(path, X.shape), checkpoint_dir=ck, **kwargs)
         assert res.ranks == clean.ranks
         assert res.norm_x == clean.norm_x
         for n in range(X.ndim):
@@ -104,7 +103,7 @@ class TestResume:
     def test_checkpoint_cleared_on_success(self, raw, tmp_path):
         X, path = raw
         ck = str(tmp_path / "ck2")
-        sthosvd_out_of_core(path, X.shape, tol=1e-4, checkpoint_dir=ck)
+        sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-4, checkpoint_dir=ck)
         fp = _fingerprint(X.shape, np.float64, 1e-4, None, "qr", (0, 1, 2, 3))
         assert load_checkpoint(ck, fp) is None
 
@@ -113,20 +112,20 @@ class TestResume:
         ck = str(tmp_path / "ck3")
         _crash_after(monkeypatch, 1)
         with pytest.raises(RuntimeError):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         monkeypatch.undo()
         with pytest.raises(ConfigurationError):
-            sthosvd_out_of_core(path, X.shape, tol=1e-4, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-4, checkpoint_dir=ck)
 
     def test_clear_checkpoint_allows_new_config(self, raw, tmp_path, monkeypatch):
         X, path = raw
         ck = str(tmp_path / "ck4")
         _crash_after(monkeypatch, 1)
         with pytest.raises(RuntimeError):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         monkeypatch.undo()
         clear_checkpoint(ck)
-        res = sthosvd_out_of_core(path, X.shape, tol=1e-4, checkpoint_dir=ck)
+        res = sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-4, checkpoint_dir=ck)
         assert res.tucker.rel_error(X) <= 2e-4
 
     def test_resume_preserves_backward_order(self, raw, tmp_path, monkeypatch):
@@ -134,18 +133,18 @@ class TestResume:
         ck = str(tmp_path / "ck5")
         _crash_after(monkeypatch, 2)
         with pytest.raises(RuntimeError):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, mode_order="backward",
-                                checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6,
+                    mode_order="backward", checkpoint_dir=ck)
         monkeypatch.undo()
-        res = sthosvd_out_of_core(path, X.shape, tol=1e-6, mode_order="backward",
-                                  checkpoint_dir=ck)
+        res = sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6,
+                      mode_order="backward", checkpoint_dir=ck)
         mem = sthosvd(X, tol=1e-6, mode_order="backward")
         assert res.ranks == mem.ranks
         assert res.mode_order == (3, 2, 1, 0)
 
     def test_no_checkpoint_dir_is_unchanged_behaviour(self, raw):
         X, path = raw
-        res = sthosvd_out_of_core(path, X.shape, tol=1e-6)
+        res = sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6)
         assert res.tucker.rel_error(X) <= 1.2e-6
 
     def test_load_missing_returns_none(self, tmp_path):
@@ -162,7 +161,7 @@ class TestManifestHardening:
         ck = str(tmp_path / name)
         _crash_after(monkeypatch, 1)
         with pytest.raises(RuntimeError):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         monkeypatch.undo()
         return X, path, ck
 
@@ -284,7 +283,7 @@ class TestIntegrity:
         ck = str(tmp_path / "ck")
         _crash_after(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)
         monkeypatch.undo()
         with open(os.path.join(ck, "checkpoint.json")) as f:
             manifest = json.load(f)
@@ -300,4 +299,4 @@ class TestIntegrity:
         with open(os.path.join(ck, name), "wb") as f:
             f.write(blob)
         with pytest.raises(CheckpointError, match="checksum"):
-            sthosvd_out_of_core(path, X.shape, tol=1e-6, checkpoint_dir=ck)
+            sthosvd(OutOfCoreTensor(path, X.shape), tol=1e-6, checkpoint_dir=ck)

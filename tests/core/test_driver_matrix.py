@@ -1,17 +1,23 @@
-"""Every Tucker driver, bit for bit, against a straight-line reference.
+"""Every Tucker driver on every kind it takes, bit for bit, against a
+straight-line reference.
 
-Seven drivers x {qr, gram} x {float32, float64} on one seeded 4-way
-tensor.  Each reference below is the driver's algorithm written out as
-a plain loop over the *public* kernels (``tensor_lq``, ``tensor_gram``,
-``ooc_tensor_lq``, ``par_tensor_qr_svd``, ``par_ttm_truncate``, ...),
-the way ``bench/staged.py`` does for two of them; factors, core, sigmas
-and ranks must agree bitwise.  The parallel drivers run on the default
-SPMD backend (``REPRO_SPMD_BACKEND``; threads unless CI says sockets)
-with P in {2, 4}.  One more matrix checks that every driver refuses a
-contradictory or impossible configuration with ``ConfigurationError``.
+Seven (algorithm, kind) arms — ``sthosvd`` on a dense, distributed and
+out-of-core tensor, ``hosvd`` and ``hooi`` on a dense and distributed one
+— x {qr, gram} x {float32, float64} on one seeded 4-way tensor.  Each
+reference below is the algorithm written out as a plain loop over the
+*public* kernels (``tensor_lq``, ``tensor_gram``, ``ooc_tensor_lq``,
+``par_tensor_qr_svd``, ``par_ttm_truncate``, ...), the way
+``bench/staged.py`` does for two of them; factors, core, sigmas and
+ranks must agree bitwise.  The distributed arms run on the default SPMD
+backend (``REPRO_SPMD_BACKEND``; threads unless CI says sockets) with P
+in {2, 4}.  One more matrix checks that every arm refuses a
+contradictory or impossible configuration, a keyword of another kind and
+a kind its algorithm lacks with ``ConfigurationError``.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -20,14 +26,10 @@ from repro.core import (
     choose_rank,
     error_budget_per_mode,
     hooi,
-    hooi_parallel,
     hosvd,
-    hosvd_parallel,
     ooc_tensor_gram,
     ooc_tensor_lq,
     sthosvd,
-    sthosvd_out_of_core,
-    sthosvd_parallel,
     tail_energy,
 )
 from repro.data import low_rank_tensor, save_raw
@@ -154,7 +156,7 @@ def _seq_ttm(tensor, U, n):
 
 
 # ----------------------------------------------------------------------
-# Sequential and out-of-core drivers
+# Dense and out-of-core arms
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("method", METHODS)
@@ -198,8 +200,8 @@ class TestSequentialDrivers:
 
         current, factors, sigmas = _ref_sthosvd(ooc, method, _ooc_svd, truncate)
         core = current.to_dense()
-        res = sthosvd_out_of_core(
-            path, SHAPE, dtype=dtype, tol=TOL, method=method, max_elements=CHUNK)
+        res = sthosvd(OutOfCoreTensor(path, SHAPE, dtype), tol=TOL,
+                      method=method, max_elements=CHUNK)
         assert res.ranks == core.shape
         assert _same(res.tucker.core.data, core.data)
         _assert_same_lists(res.tucker.factors, factors)
@@ -207,7 +209,7 @@ class TestSequentialDrivers:
 
 
 # ----------------------------------------------------------------------
-# Parallel drivers
+# Distributed arms
 # ----------------------------------------------------------------------
 def _par_case(driver, nprocs, method, dtype, grid=None, backend=None):
     """Run driver and reference in one world; one record per rank."""
@@ -218,17 +220,17 @@ def _par_case(driver, nprocs, method, dtype, grid=None, backend=None):
                           ProcessorGrid.for_size(comm.size, X.ndim))
         dt = DistributedTensor.from_full(comms, X.data)
         if driver == "hooi":
-            res = hooi_parallel(
+            res = hooi(
                 dt, RANKS, method=method, max_iters=SWEEPS, fit_tol=FIT_TOL)
             core, factors, extra = _ref_hooi(dt, method, _par_svd, par_ttm_truncate)
             got_extra = res.fits
         else:
             if driver == "sthosvd":
-                res = sthosvd_parallel(dt, tol=TOL, method=method)
+                res = sthosvd(dt, tol=TOL, method=method)
                 core, factors, extra = _ref_sthosvd(
                     dt, method, _par_svd, par_ttm_truncate)
             else:
-                res = hosvd_parallel(dt, tol=TOL, method=method)
+                res = hosvd(dt, tol=TOL, method=method)
                 core, factors, extra = _ref_hosvd(
                     dt, method, _par_svd, par_ttm_truncate)
             got_extra = [res.sigmas[n] for n in range(dt.ndim)]
@@ -320,50 +322,72 @@ BAD_CONFIGS = {
     "rank_zero": dict(ranks=(0,) + RANKS[1:]),
     "unsupported_method": dict(ranks=RANKS, method="lanczos"),
 }
+# (algorithm, kind) arms; a row's id keeps the arm's name of the old
+# per-kind drivers ("sthosvd_parallel" is sthosvd on a distributed tensor).
 DRIVERS = [
-    "sthosvd", "hosvd", "hooi", "sthosvd_out_of_core",
-    "sthosvd_parallel", "hosvd_parallel", "hooi_parallel",
+    ("sthosvd", "dense"), ("hosvd", "dense"), ("hooi", "dense"),
+    ("sthosvd", "out_of_core"),
+    ("sthosvd", "parallel"), ("hosvd", "parallel"), ("hooi", "parallel"),
 ]
+ALGORITHMS = {"sthosvd": sthosvd, "hosvd": hosvd, "hooi": hooi}
+# The per-kind keywords (``KIND_OPTIONS``): the kind that reads each, and
+# a value to give it on every other kind whose algorithm has it.
+KIND_KEYWORDS = {
+    "checkpoint": ("parallel", "a-checkpoint"),
+    "resume": ("parallel", {"completed_steps": 0}),
+    "max_elements": ("out_of_core", CHUNK),
+    "workdir": ("out_of_core", "no-such-dir"),
+    "checkpoint_dir": ("out_of_core", "no-such-dir"),
+    "svd_options": ("dense", {"oversample": 2}),
+    "init": ("dense", "random"),
+}
 
 
-def _call(driver, target, config):
-    """Invoke ``driver`` on ``target`` with a (bad) configuration."""
+def _refusals():
+    for algorithm, kind in DRIVERS:
+        arm = algorithm if kind == "dense" else f"{algorithm}_{kind}"
+        for case in sorted(BAD_CONFIGS):
+            if case != "tol_and_ranks" or algorithm != "hooi":  # no tol
+                yield pytest.param((algorithm, kind), BAD_CONFIGS[case],
+                                   id=f"{arm}-{case}")
+        takes = inspect.signature(ALGORITHMS[algorithm]).parameters
+        for name, (owner, value) in sorted(KIND_KEYWORDS.items()):
+            if owner != kind and name in takes:
+                yield pytest.param((algorithm, kind),
+                                   {"ranks": RANKS, name: value},
+                                   id=f"{arm}-{name}")
+    for algorithm in ("hosvd", "hooi"):  # no out-of-core HOSVD or HOOI
+        yield pytest.param((algorithm, "out_of_core"), {"ranks": RANKS},
+                           id=f"{algorithm}_out_of_core-kind")
+
+
+def _call(algorithm, target, config):
+    """Invoke ``algorithm`` on ``target`` with a (bad) configuration."""
     config = dict(config)
-    if driver in ("hooi", "hooi_parallel"):
-        # HOOI takes ranks positionally and has no tol.
-        ranks = config.pop("ranks")
-        config.pop("tol", None)
-        fn = hooi if driver == "hooi" else hooi_parallel
-        return fn(target, ranks, **config)
-    if driver == "sthosvd_out_of_core":
-        return sthosvd_out_of_core(target, SHAPE, **config)
-    fn = {
-        "sthosvd": sthosvd, "hosvd": hosvd,
-        "sthosvd_parallel": sthosvd_parallel, "hosvd_parallel": hosvd_parallel,
-    }[driver]
-    return fn(target, **config)
+    if algorithm == "hooi":
+        # HOOI takes ranks positionally.
+        return hooi(target, config.pop("ranks"), **config)
+    return ALGORITHMS[algorithm](target, **config)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-@pytest.mark.parametrize("driver", DRIVERS)
-def test_bad_configuration_refused(driver, case, tmp_path):
-    if case == "tol_and_ranks" and driver.startswith("hooi"):
-        pytest.skip("HOOI has no tol argument")
-    config = BAD_CONFIGS[case]
+@pytest.mark.parametrize("driver, config", _refusals())
+def test_bad_configuration_refused(driver, config, tmp_path):
+    algorithm, kind = driver
     X = _tensor(np.float64)
-    if driver.endswith("_parallel"):
+    if kind == "parallel":
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid.for_size(comm.size, X.ndim))
             dt = DistributedTensor.from_full(comms, X.data)
             with pytest.raises(ConfigurationError):
-                _call(driver, dt, config)
+                _call(algorithm, dt, config)
             return "refused"
 
         assert run_spmd(prog, 2).values == ["refused", "refused"]
         return
     target = X
-    if driver == "sthosvd_out_of_core":
-        target = str(tmp_path / "x.bin")
-        save_raw(X, target)
+    if kind == "out_of_core":
+        path = str(tmp_path / "x.bin")
+        save_raw(X, path)
+        target = OutOfCoreTensor(path, SHAPE)
     with pytest.raises(ConfigurationError):
-        _call(driver, target, config)
+        _call(algorithm, target, config)

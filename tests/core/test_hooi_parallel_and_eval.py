@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import (
     hooi,
-    hooi_parallel,
     rel_error_lowmem,
     sthosvd,
     streaming_rel_error,
@@ -35,7 +34,7 @@ class TestHooiParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid(grid))
             dt = DistributedTensor.from_full(comms, X.data)
-            res = hooi_parallel(dt, ranks=(3, 2, 4, 2))
+            res = hooi(dt, ranks=(3, 2, 4, 2))
             return res.to_tucker().rel_error(X), res.converged
 
         out = run_spmd(prog, int(np.prod(grid)))
@@ -47,7 +46,7 @@ class TestHooiParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            return hooi_parallel(dt, ranks=(2, 2, 2, 2)).factors
+            return hooi(dt, ranks=(2, 2, 2, 2)).factors
 
         res = run_spmd(prog, 4)
         for factors in res.values[1:]:
@@ -58,8 +57,8 @@ class TestHooiParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 1, 1, 2)))
             dt = DistributedTensor.from_full(comms, X.data)
-            return hooi_parallel(dt, ranks=(2, 2, 2, 2), max_iters=6,
-                                 fit_tol=0.0).fits
+            return hooi(dt, ranks=(2, 2, 2, 2), max_iters=6,
+                        fit_tol=0.0).fits
 
         fits = np.array(run_spmd(prog, 4)[0])
         assert np.all(np.diff(fits) >= -1e-12)
@@ -68,7 +67,7 @@ class TestHooiParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((1, 1, 1, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            hooi_parallel(dt, ranks=(2, 2, 2, 2), method="randomized")
+            hooi(dt, ranks=(2, 2, 2, 2), method="randomized")
 
         with pytest.raises(ConfigurationError):
             run_spmd(prog, 1)

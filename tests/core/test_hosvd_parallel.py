@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import hosvd, hosvd_parallel, sthosvd_parallel
+from repro.core import hosvd, sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import ConfigurationError
@@ -29,7 +29,7 @@ class TestHosvdParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid(grid))
             dt = DistributedTensor.from_full(comms, X.data)
-            res = hosvd_parallel(dt, tol=1e-6, method=method)
+            res = hosvd(dt, tol=1e-6, method=method)
             return res.ranks, res.to_tucker().rel_error(X)
 
         out = run_spmd(prog, int(np.prod(grid)))
@@ -43,7 +43,7 @@ class TestHosvdParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 1, 2)))
             dt = DistributedTensor.from_full(comms, X.data)
-            return hosvd_parallel(dt, tol=1e-6).sigmas
+            return hosvd(dt, tol=1e-6).sigmas
 
         sigmas = run_spmd(prog, 4)[0]
         for n in range(3):
@@ -54,7 +54,7 @@ class TestHosvdParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            return hosvd_parallel(dt, ranks=(2, 2, 2)).ranks
+            return hosvd(dt, ranks=(2, 2, 2)).ranks
 
         assert run_spmd(prog, 4)[0] == (2, 2, 2)
 
@@ -64,8 +64,8 @@ class TestHosvdParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            h = hosvd_parallel(dt, ranks=(3, 2, 2), method="qr")
-            s = sthosvd_parallel(dt, ranks=(3, 2, 2), method="qr")
+            h = hosvd(dt, ranks=(3, 2, 2), method="qr")
+            s = sthosvd(dt, ranks=(3, 2, 2), method="qr")
             return h.flops.phase_total("lq"), s.flops.phase_total("lq")
 
         h_fl, s_fl = run_spmd(prog, 4)[0]
@@ -75,7 +75,7 @@ class TestHosvdParallel:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((1, 1, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            hosvd_parallel(dt, tol=0.1, ranks=(1, 1, 1))
+            hosvd(dt, tol=0.1, ranks=(1, 1, 1))
 
         with pytest.raises(ConfigurationError):
             run_spmd(prog, 1)

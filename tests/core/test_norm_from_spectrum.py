@@ -17,17 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (
-    hooi,
-    hooi_parallel,
-    hosvd,
-    hosvd_parallel,
-    sthosvd,
-    sthosvd_fault_tolerant,
-    sthosvd_out_of_core,
-    sthosvd_parallel,
-)
+from repro.core import hooi, hosvd, sthosvd, sthosvd_fault_tolerant
 from repro.data import low_rank_tensor, save_raw
+from repro.data.outofcore import OutOfCoreTensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.faults import CrashRule, FaultPlan
 from repro.mpi import run_spmd
@@ -59,7 +51,7 @@ def _assert_contract(norm_x, X):
 
 
 def _parallel(driver, X, nprocs, order="forward", **kwargs):
-    if driver is sthosvd_parallel:
+    if driver is sthosvd:
         kwargs["mode_order"] = order
 
     def prog(comm):
@@ -95,8 +87,8 @@ class TestNoPassForTheNorm:
         assert hosvd(X, tol=TOL, method=method).norm_x > 0
         path = str(tmp_path / "x.bin")
         save_raw(X, path)
-        ooc = sthosvd_out_of_core(
-            path, X.shape, dtype=np.float32, tol=TOL, method=method, max_elements=400)
+        ooc = sthosvd(OutOfCoreTensor(path, X.shape, np.float32), tol=TOL,
+                      method=method, max_elements=400)
         assert ooc.ranks == ranks
 
     @pytest.mark.parametrize("nprocs", [2, 4])
@@ -104,15 +96,15 @@ class TestNoPassForTheNorm:
     def test_parallel_drivers(self, no_norm_pass, method, nprocs):
         X = _tensor("forward", np.float64)
         ranks = sthosvd(X, tol=TOL, method=method).ranks
-        assert _parallel(sthosvd_parallel, X, nprocs, tol=TOL, method=method)[1] == ranks
-        assert _parallel(hosvd_parallel, X, nprocs, tol=TOL, method=method)[0] > 0
+        assert _parallel(sthosvd, X, nprocs, tol=TOL, method=method)[1] == ranks
+        assert _parallel(hosvd, X, nprocs, tol=TOL, method=method)[0] > 0
 
     def test_hooi_and_randomized_are_the_callers_left(self, no_norm_pass):
         X = _tensor("forward", np.float64)
         with pytest.raises(AssertionError, match="pass over the data"):
             hooi(X, (3, 3, 3, 3))
         with pytest.raises(AssertionError, match="pass over the data"):
-            _parallel(hooi_parallel, X, 2, ranks=(3, 3, 3, 3))
+            _parallel(hooi, X, 2, ranks=(3, 3, 3, 3))
         with pytest.raises(AssertionError, match="pass over the data"):
             sthosvd(X, ranks=(3, 3, 3, 3), method="randomized")
 
@@ -129,9 +121,8 @@ class TestNormContract:
         _assert_contract(hosvd(X, tol=TOL, method=method).norm_x, X)
         path = str(tmp_path / "x.bin")
         save_raw(X, path)
-        ooc = sthosvd_out_of_core(
-            path, X.shape, dtype=dtype, tol=TOL, method=method, mode_order=order,
-            max_elements=400)
+        ooc = sthosvd(OutOfCoreTensor(path, X.shape, dtype), tol=TOL,
+                      method=method, mode_order=order, max_elements=400)
         _assert_contract(ooc.norm_x, X)
         assert ooc.ranks == res.ranks
 
@@ -139,18 +130,18 @@ class TestNormContract:
     def test_parallel_drivers(self, method, dtype, case, nprocs):
         X, order = _tensor(case, dtype), CASES[case][1]
         norm_x, ranks = _parallel(
-            sthosvd_parallel, X, nprocs, order, tol=TOL, method=method)
+            sthosvd, X, nprocs, order, tol=TOL, method=method)
         _assert_contract(norm_x, X)
         assert ranks == sthosvd(X, tol=TOL, method=method, mode_order=order).ranks
         _assert_contract(
-            _parallel(hosvd_parallel, X, nprocs, tol=TOL, method=method)[0], X)
+            _parallel(hosvd, X, nprocs, tol=TOL, method=method)[0], X)
 
     def test_hooi_keeps_the_explicit_norm(self, method, dtype, case):
         X = _tensor(case, dtype)
         ranks = (1,) * 4 if case == "zero" else (2, 2, 2, 2)
         assert hooi(X, ranks, method=method, max_iters=2).norm_x == X.norm()
         _assert_contract(_parallel(
-            hooi_parallel, X, 2, ranks=ranks, method=method, max_iters=2)[0], X)
+            hooi, X, 2, ranks=ranks, method=method, max_iters=2)[0], X)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -164,7 +155,7 @@ def test_recovered_run_keeps_the_contract(dtype, at_op, resumed_step):
     def clean(comm):
         grid = ProcessorGrid.for_size(comm.size, X.ndim)
         dt = DistributedTensor.from_full(GridComms(comm, grid), X.data)
-        res = sthosvd_parallel(dt, tol=TOL, method="qr")
+        res = sthosvd(dt, tol=TOL, method="qr")
         return res.norm_x, res.ranks
 
     def prog(comm):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_out_of_core
+from repro.core import sthosvd
 from repro.data import geometric_spectrum, save_raw, tensor_with_mode_spectra
 from repro.data.outofcore import OutOfCoreTensor
 
@@ -55,10 +55,8 @@ class TestSinglePrecisionPipeline:
         """OOC with precision='single' == in-memory on the cast tensor."""
         X, path = double_file
         tol = 1e-3
-        ooc_res = sthosvd_out_of_core(
-            path, X.shape, precision="single", tol=tol, method=method,
-            max_elements=400,
-        )
+        ooc_res = sthosvd(OutOfCoreTensor(path, X.shape), precision="single",
+                          tol=tol, method=method, max_elements=400)
         mem_res = sthosvd(X.astype(np.float32), tol=tol, method=method)
         # Chunked float32 accumulation rounds differently from the
         # block-wise in-memory order, so a rank at the exact budget
@@ -72,10 +70,8 @@ class TestSinglePrecisionPipeline:
         """The sqrt(eps_s) failure mode is a property of the arithmetic,
         not the driver: it appears identically when streaming."""
         X, path = double_file
-        res = sthosvd_out_of_core(
-            path, X.shape, precision="single", tol=1e-4, method="gram",
-        )
-        qr = sthosvd_out_of_core(
-            path, X.shape, precision="single", tol=1e-4, method="qr",
-        )
+        res = sthosvd(OutOfCoreTensor(path, X.shape), precision="single",
+                      tol=1e-4, method="gram")
+        qr = sthosvd(OutOfCoreTensor(path, X.shape), precision="single",
+                     tol=1e-4, method="qr")
         assert res.tucker.compression_ratio() < 0.5 * qr.tucker.compression_ratio()

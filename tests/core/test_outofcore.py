@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_out_of_core, ooc_tensor_gram, ooc_tensor_lq
+from repro.core import sthosvd, ooc_tensor_gram, ooc_tensor_lq
 from repro.data import low_rank_tensor, save_raw
 from repro.data.outofcore import OutOfCoreTensor
 from repro.errors import ConfigurationError, ShapeError
@@ -95,49 +95,43 @@ class TestStreamedSthosvd:
     def test_matches_in_memory(self, spilled, method):
         X, ooc = spilled
         mem = sthosvd(X, tol=1e-6, method=method)
-        res = sthosvd_out_of_core(
-            ooc.path, X.shape, tol=1e-6, method=method, max_elements=300
-        )
+        res = sthosvd(ooc, tol=1e-6, method=method, max_elements=300)
         assert res.ranks == mem.ranks
         assert res.tucker.rel_error(X) <= 1.2e-6
 
     def test_fixed_ranks_and_order(self, spilled):
         X, ooc = spilled
-        res = sthosvd_out_of_core(
-            ooc.path, X.shape, ranks=(2, 3, 2, 2), mode_order="backward",
-            max_elements=128,
-        )
+        res = sthosvd(ooc, ranks=(2, 3, 2, 2), mode_order="backward",
+                      max_elements=128)
         assert res.ranks == (2, 3, 2, 2)
         assert res.mode_order == (3, 2, 1, 0)
 
     def test_scratch_files_cleaned(self, spilled, tmp_path):
+        """A caller's ``workdir`` is empty once the core is in memory, with
+        or without checkpoints (the last mode's file used to stay)."""
         X, ooc = spilled
         work = str(tmp_path / "work")
         os.makedirs(work)
-        sthosvd_out_of_core(
-            ooc.path, X.shape, tol=1e-4, workdir=work, max_elements=256
-        )
-        # only the final step's scratch remains when workdir is caller-owned
-        leftover = os.listdir(work)
-        assert len(leftover) <= 1
+        for checkpoint_dir in (None, str(tmp_path / "ckpt")):
+            sthosvd(ooc, tol=1e-4, workdir=work, max_elements=256,
+                    checkpoint_dir=checkpoint_dir)
+            assert os.listdir(work) == []
 
     def test_validation(self, spilled):
         X, ooc = spilled
         with pytest.raises(ConfigurationError):
-            sthosvd_out_of_core(ooc.path, X.shape, tol=0.1, ranks=(1, 1, 1, 1))
+            sthosvd(ooc, tol=0.1, ranks=(1, 1, 1, 1))
         with pytest.raises(ConfigurationError):
-            sthosvd_out_of_core(ooc.path, X.shape, tol=0.1, method="randomized")
+            sthosvd(ooc, tol=0.1, method="randomized")
         with pytest.raises(ConfigurationError):
-            sthosvd_out_of_core(ooc.path, X.shape, ranks=(99, 1, 1, 1))
+            sthosvd(ooc, ranks=(99, 1, 1, 1))
 
 
 class TestProgressCallback:
     def test_called_once_per_mode(self, spilled):
         X, ooc = spilled
         events = []
-        sthosvd_out_of_core(
-            ooc.path, X.shape, tol=1e-4, progress=events.append
-        )
+        sthosvd(ooc, tol=1e-4, progress=events.append)
         assert len(events) == X.ndim
         assert [e["step"] for e in events] == list(range(1, X.ndim + 1))
         assert all(e["total_steps"] == X.ndim for e in events)

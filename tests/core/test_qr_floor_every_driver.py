@@ -2,9 +2,9 @@
 
 ``|sigma_i~ - sigma_i| = O(eps ||A||)`` for every ``i`` (paper eq. 1)
 must hold for the streaming TensorLQ -> triangle SVD in both
-precisions, whichever driver feeds it: the kernels directly,
-``sthosvd``, ``sthosvd_parallel`` (butterfly TSQR, replicated
-bit for bit) and ``sthosvd_out_of_core``.  The chunk width is shrunk so
+precisions, whichever arm feeds it: the kernels directly, and
+``sthosvd`` on a dense, a distributed (butterfly TSQR, replicated
+bit for bit) and an out-of-core tensor.  The chunk width is shrunk so
 that these small tensors take several ``tpqrt`` folds per mode, and
 Gram-SVD is shown to break the same bound by orders of magnitude.
 """
@@ -16,8 +16,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_out_of_core, sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import geometric_spectrum, matrix_with_spectrum, save_raw
+from repro.data.outofcore import OutOfCoreTensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.linalg import left_svd_of_triangle, tensor_lq
 from repro.mpi import run_spmd
@@ -68,7 +69,7 @@ def test_parallel_driver(n, dtype, nprocs):
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid.for_size(comm.size, len(SHAPE)))
         dt = DistributedTensor.from_full(comms, X.data)
-        res = sthosvd_parallel(dt, ranks=SHAPE, method="qr", mode_order=order)
+        res = sthosvd(dt, ranks=SHAPE, method="qr", mode_order=order)
         return res.sigmas, res.factors
 
     values = run_spmd(prog, nprocs, backend="threads").values
@@ -90,8 +91,8 @@ def test_parallel_driver_leading_mode_distributed(dtype, grid):
 
     def prog(comm):
         dt = DistributedTensor.from_full(GridComms(comm, ProcessorGrid(grid)), X.data)
-        qr = sthosvd_parallel(dt, ranks=SHAPE, method="qr")
-        gram = sthosvd_parallel(dt, ranks=SHAPE, method="gram")
+        qr = sthosvd(dt, ranks=SHAPE, method="qr")
+        gram = sthosvd(dt, ranks=SHAPE, method="gram")
         return qr.sigmas, qr.factors, gram.sigmas
 
     values = run_spmd(prog, int(np.prod(grid)), backend="threads").values
@@ -109,10 +110,8 @@ def test_out_of_core_driver(n, dtype, tmp_path):
     X, sigma, order = _problem(n, dtype)
     path = str(tmp_path / "x.bin")
     save_raw(X, path)
-    res = sthosvd_out_of_core(
-        path, SHAPE, dtype=dtype, ranks=SHAPE, method="qr", mode_order=order,
-        max_elements=700,
-    )
+    res = sthosvd(OutOfCoreTensor(path, SHAPE, dtype), ranks=SHAPE, method="qr",
+                  mode_order=order, max_elements=700)
     assert res.tucker.core.dtype == dtype
     assert _error_in_eps(res.sigmas[n], sigma, dtype) < FLOOR_CONSTANT
 

@@ -1,11 +1,11 @@
-"""Parallel ST-HOSVD: equivalence with the sequential driver."""
+"""ST-HOSVD of a distributed tensor: equivalence with a dense one."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import ConfigurationError
@@ -18,14 +18,13 @@ def X():
 
 
 def _run(X, grid_dims, **kwargs):
-    single = kwargs.pop("_single", False)
-
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid(grid_dims))
         dt = DistributedTensor.from_full(comms, X.data)
-        if single:
-            dt = dt.astype("single")
-        res = sthosvd_parallel(dt, **kwargs)
+        res = sthosvd(dt, **kwargs)
+        # The core is distributed: no attribute read hides a gather.
+        with pytest.raises(ConfigurationError, match=r"to_tucker\(\)"):
+            res.tucker
         return {
             "ranks": res.ranks,
             "err": res.to_tucker().rel_error(X),
@@ -33,6 +32,7 @@ def _run(X, grid_dims, **kwargs):
             "cr": res.compression_ratio(),
             "factors": res.factors,
             "order": res.mode_order,
+            "precision": str(res.precision),
         }
 
     return run_spmd(prog, int(np.prod(grid_dims)))
@@ -74,8 +74,9 @@ class TestEquivalence:
                 np.testing.assert_array_equal(a, b)
 
     def test_single_precision(self, X):
-        res = _run(X, (2, 2, 1, 1), tol=1e-3, _single=True)
+        res = _run(X, (2, 2, 1, 1), tol=1e-3, precision="single")
         out = res[0]
+        assert out["precision"] == "single"
         assert out["ranks"] == (2, 4, 3, 2)
         assert out["err"] < 1e-3
 
@@ -95,7 +96,7 @@ class TestCostModelIntegration:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            sthosvd_parallel(dt, tol=1e-6, method="qr")
+            sthosvd(dt, tol=1e-6, method="qr")
             return comm.clock.breakdown()
 
         res = run_spmd(prog, 4, cost_model=CostModel())
@@ -110,7 +111,7 @@ class TestCostModelIntegration:
             dt = DistributedTensor.from_full(comms, X.data)
             if single:
                 dt = dt.astype("single")
-            sthosvd_parallel(dt, ranks=(2, 4, 3, 2), method="qr")
+            sthosvd(dt, ranks=(2, 4, 3, 2), method="qr")
             return comm.clock.now
 
         t64 = run_spmd(prog, 4, False, cost_model=CostModel()).slowest_time

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import sthosvd, sthosvd_out_of_core
+from repro.core import sthosvd
 from repro.data import assemble_timesteps, list_timesteps, low_rank_tensor, save_timesteps
 from repro.errors import ShapeError
 from repro.tensor import subtensor
@@ -83,8 +83,7 @@ class TestAssemble:
         """Assemble then compress out of core == in-memory result."""
         X, d = steps_dir
         ooc = assemble_timesteps(d, str(tmp_path / "cmp.bin"))
-        res = sthosvd_out_of_core(ooc.path, ooc.shape, tol=1e-6,
-                                  max_elements=500)
+        res = sthosvd(ooc, tol=1e-6, max_elements=500)
         mem = sthosvd(X, tol=1e-6)
         assert res.ranks == mem.ranks
         assert res.tucker.rel_error(X) <= 1.2e-6

@@ -1,6 +1,6 @@
 """What the default grid puts on the wire, as counts.
 
-A seeded HCCI surrogate through ``sthosvd_parallel`` on ``threads``:
+A seeded HCCI surrogate through ``sthosvd`` on ``threads``:
 under ``ProcessorGrid.for_size`` the modes processed before the first
 distributed one send no ``alltoall`` / ``reduce_scatter`` payload at all
 (only the butterfly's or allreduce's ``I_n x I_n`` triangle), so the
@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import hcci_surrogate
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.mpi import CommTrace, run_spmd
@@ -39,7 +39,7 @@ def _solve(X, grid, method):
 
     def prog(comm):
         dt = DistributedTensor.from_full(GridComms(comm, grid), X.data)
-        res = sthosvd_parallel(dt, tol=TOL, method=method)
+        res = sthosvd(dt, tol=TOL, method=method)
         return res.ranks, res.to_tucker().rel_error(X)
 
     values = run_spmd(prog, grid.size, backend="threads",
@@ -85,7 +85,7 @@ def _solve_traffic(X, grid, method, norm_pass):
         trace.set_context("solve")
         if norm_pass:
             dt.norm_squared()
-        sthosvd_parallel(dt, tol=TOL, method=method)
+        sthosvd(dt, tol=TOL, method=method)
         trace.set_context(None)
 
     run_spmd(prog, grid.size, backend="threads", comm_trace=trace, tracer=tracer)

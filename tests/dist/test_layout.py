@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.sthosvd_parallel import sthosvd_parallel
+from repro.core.sthosvd import sthosvd
 from repro.dist import (
     DistributedTensor,
     GridComms,
@@ -148,7 +148,7 @@ def test_a_parallel_solve_copies_no_piece_of_the_tensor(method, grid):
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid(grid))
         dt = DistributedTensor.from_full(comms, X)
-        return sthosvd_parallel(dt, ranks=(5, 4, 3), method=method).ranks
+        return sthosvd(dt, ranks=(5, 4, 3), method=method).ranks
 
     nprocs = int(np.prod(grid))
     run_spmd(prog, nprocs, comm_trace=trace, recv_timeout=20)
@@ -167,7 +167,7 @@ def test_sanitized_solve_accepts_the_view_pieces(method):
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid((2, 1, 2)))
         dt = DistributedTensor.from_full(comms, X)
-        res = sthosvd_parallel(dt, ranks=(5, 4, 3), method=method)
+        res = sthosvd(dt, ranks=(5, 4, 3), method=method)
         # The input block was only ever sent as views: still writable.
         return res.ranks, dt.local.data.flags.writeable
 

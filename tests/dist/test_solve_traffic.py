@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.sthosvd_parallel import sthosvd_parallel
+from repro.core.sthosvd import sthosvd
 from repro.data.applications import hcci_surrogate
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.mpi import run_spmd
@@ -35,7 +35,7 @@ def tensor() -> np.ndarray:
 def _solve(comm, xw, method):
     grid = ProcessorGrid.for_size(comm.size, xw.ndim)
     dt = DistributedTensor.from_full(GridComms(comm, grid), xw)
-    sthosvd_parallel(dt, tol=1e-4, method=method)
+    sthosvd(dt, tol=1e-4, method=method)
     return grid.dims
 
 

@@ -150,9 +150,10 @@ class TestNumericDegradation:
 
     def test_hosvd_parallel_escalates_like_the_other_drivers(self):
         """A NaN injected into one gesvd call must trip the same guard
-        in ``hosvd_parallel`` (it used to call the kernels unguarded and
-        return poisoned factors), with the Comm row attributed."""
-        from repro.core import hosvd_parallel
+        in ``hosvd`` on a distributed tensor (it used to call the kernels
+        unguarded and return poisoned factors), with the Comm row
+        attributed."""
+        from repro.core import hosvd
         from repro.dist import DistributedTensor, GridComms, ProcessorGrid
         from repro.instrument import PHASE_COMM
 
@@ -160,7 +161,7 @@ class TestNumericDegradation:
             comms = GridComms(
                 comm, ProcessorGrid.for_size(comm.size, len(SHAPE)))
             dt = DistributedTensor.from_full(comms, FULL)
-            res = hosvd_parallel(dt, ranks=RANKS, method="qr")
+            res = hosvd(dt, ranks=RANKS, method="qr")
             return {
                 "finite": all(bool(np.isfinite(U).all()) for U in res.factors),
                 "factors": res.factors,
@@ -187,6 +188,27 @@ class TestNumericDegradation:
             ref = want["factors"][1] @ want["factors"][1].T
             np.testing.assert_allclose(proj, ref, atol=1e-8)
         assert tracer.metrics.counter("ft.numeric_recoveries").value > 0
+
+    def test_hooi_keeps_the_escalations_of_its_seed(self):
+        """The ST-HOSVD seed of a distributed ``hooi`` runs on HOOI's own
+        loop: an escalation in it is the run's, like its flops and
+        phases (the seed used to be a separate run whose recoveries and
+        timer were dropped)."""
+        from repro.core import hooi
+        from repro.dist import DistributedTensor, GridComms, ProcessorGrid
+
+        def prog(comm):
+            comms = GridComms(
+                comm, ProcessorGrid.for_size(comm.size, len(SHAPE)))
+            dt = DistributedTensor.from_full(comms, FULL)
+            return hooi(dt, RANKS, method="qr", max_iters=2).numeric_recoveries
+
+        plan = FaultPlan(seed=0, kernels=(
+            KernelFaultRule("gesvd", 0, kind="nan"),
+        ))
+        res = run_spmd(prog, 2, faults=plan)
+        assert res.failed_ranks == []
+        assert res.values == [["mode0:qr->jacobi"]] * 2
 
     def test_persistent_nan_exhausts_ladder(self):
         from repro.dist import DistributedTensor, GridComms

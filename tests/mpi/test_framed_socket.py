@@ -163,7 +163,7 @@ _WORLDS = textwrap.dedent("""
     import gc, os, sys
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import numpy as np
-    from repro.core import sthosvd_parallel
+    from repro.core import sthosvd
     from repro.dist import DistributedTensor, GridComms, ProcessorGrid
     from repro.mpi import run_spmd
 
@@ -177,7 +177,7 @@ _WORLDS = textwrap.dedent("""
         comms = GridComms(comm, ProcessorGrid.for_size(comm.size, x.ndim))
         dt = DistributedTensor.from_full(comms, x)
         for _ in range(2):
-            res = sthosvd_parallel(dt, tol=1e-4, method="qr")
+            res = sthosvd(dt, tol=1e-4, method="qr")
         return res.ranks
 
     rng = np.random.default_rng(0)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import CollectiveMismatchError, RankFailedError
@@ -75,7 +75,7 @@ def test_sthosvd_bitwise_equivalence_across_backends():
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
         dt = DistributedTensor.from_full(comms, X.data)
-        res = sthosvd_parallel(dt, tol=1e-6, method="qr")
+        res = sthosvd(dt, tol=1e-6, method="qr")
         return res.ranks, [np.array(f) for f in res.factors]
 
     runs = {b: run_spmd(prog, 4, backend=b).values for b in BACKENDS}
@@ -338,7 +338,7 @@ def test_fault_trace_deterministic_across_backends():
 # Return values crossing the process boundary
 # ----------------------------------------------------------------------
 def test_full_result_object_crosses_process_boundary():
-    """A rank program may return the whole ParallelSthosvdResult: on
+    """A rank program may return the whole SthosvdResult: on
     procs the embedded DistributedTensor detaches from its world, so
     layout queries and error estimates still work in the caller, while
     collectives on the detached core raise a clear diagnostic."""
@@ -349,7 +349,7 @@ def test_full_result_object_crosses_process_boundary():
     def prog(comm):
         comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
         dt = DistributedTensor.from_full(comms, X.data)
-        return sthosvd_parallel(dt, tol=1e-6, method="qr")
+        return sthosvd(dt, tol=1e-6, method="qr")
 
     results = {b: run_spmd(prog, 4, backend=b)[0] for b in BACKENDS}
     ref = results[BACKENDS[0]]

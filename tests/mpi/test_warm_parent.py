@@ -55,7 +55,7 @@ WorldServerMixin._finish_rank = spy
 X = np.random.default_rng(3).standard_normal((8, 6, 5, 8)).astype(np.float32)
 
 def solve(comm, at_fork):
-    from repro.core.sthosvd_parallel import sthosvd_parallel
+    from repro.core.sthosvd import sthosvd
     from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 
     comms = GridComms(comm, ProcessorGrid.for_size(comm.size, X.ndim))
@@ -65,7 +65,7 @@ def solve(comm, at_fork):
     # On threads the ranks share sys.modules: no rank may import ahead
     # of another's snapshot.
     comm.barrier()
-    sthosvd_parallel(dt, tol=1e-2, method="qr").core.gather()
+    sthosvd(dt, tol=1e-2, method="qr").core.gather()
     return first, sorted(set(sys.modules) - at_fork)
 
 def world(program):
@@ -87,8 +87,8 @@ def test_the_second_world_imports_nothing(backend):
     cold, warm = out["cold"], out["warm"]
     # Cold: the program's first use loads the parallel stack.
     for first, done in cold["ranks"]:
-        assert "repro.core.sthosvd_parallel" in first
-        assert "repro.dist.svd" in done and "repro.dist.svd" not in first
+        for module in ("repro.dist.svd", "repro.dist.ttm"):
+            assert module in done and module not in first
     loaded = sorted(set().union(*(set(done) for _, done in cold["ranks"])))
     assert all(name.startswith("repro.") for name in loaded)
     # The master gains exactly what the workers report, and nothing that

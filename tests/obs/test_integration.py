@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import hooi_parallel, sthosvd_parallel
+from repro.core import hooi, sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.instrument import (
@@ -38,7 +38,7 @@ def _traced_sthosvd(X, *, method="qr", progress_sink=None):
         comms = GridComms(comm, ProcessorGrid(GRID))
         dt = DistributedTensor.from_full(comms, X)
         events: list[dict] = []
-        res = sthosvd_parallel(
+        res = sthosvd(
             dt, tol=1e-6, method=method, progress=events.append,
         )
         return {
@@ -131,7 +131,7 @@ class TestSthosvdTrace:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid(GRID))
             dt = DistributedTensor.from_full(comms, X)
-            res = sthosvd_parallel(dt, tol=1e-6, method="qr")
+            res = sthosvd(dt, tol=1e-6, method="qr")
             return res.ranks, dict(res.timer.by_phase)
 
         outs = run_spmd(prog, P)
@@ -148,7 +148,7 @@ class TestHooiTrace:
             comms = GridComms(comm, ProcessorGrid(GRID))
             dt = DistributedTensor.from_full(comms, X)
             events: list[dict] = []
-            res = hooi_parallel(
+            res = hooi(
                 dt, (3, 4, 2), max_iters=2, progress=events.append,
             )
             return {

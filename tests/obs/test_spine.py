@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import sthosvd_parallel
+from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import RankFailedError
@@ -37,7 +37,7 @@ _X = low_rank_tensor((8, 12, 6), (2, 4, 3), rng=9, noise=1e-9)
 def _solve(comm):
     comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
     dt = DistributedTensor.from_full(comms, _X.data)
-    return sthosvd_parallel(dt, tol=1e-6, method="qr").ranks
+    return sthosvd(dt, tol=1e-6, method="qr").ranks
 
 
 def _observed(backend, *names):

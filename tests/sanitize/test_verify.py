@@ -123,10 +123,13 @@ class TestSelfVerification:
 
 
 class TestCommGraphArtifact:
-    def test_sthosvd_parallel_graph(self, tmp_path):
-        res = verify_paths(
-            [str(REPO / "src" / "repro")], entries=["sthosvd_parallel"])
-        assert [r.entry.name for r in res.reports] == ["sthosvd_parallel"]
+    @pytest.mark.parametrize("driver", ["sthosvd", "hooi"])
+    def test_driver_graph(self, driver, tmp_path):
+        """The one driver of each algorithm reaches its distributed arm:
+        the verifier takes the first arm of a branch on the tensor's
+        kind, and that is the ``DistributedTensor`` one."""
+        res = verify_paths([str(REPO / "src" / "repro")], entries=[driver])
+        assert [r.entry.name for r in res.reports] == [driver]
         report = res.reports[0]
         dot_path, json_path = write_comm_graph(
             res.project, report.entry, str(tmp_path), report=report)
@@ -134,22 +137,23 @@ class TestCommGraphArtifact:
 
         with open(json_path, encoding="utf-8") as f:
             data = json.load(f)
-        assert data["entry"].endswith("sthosvd_parallel")
-        names = {n["qualname"] for n in data["nodes"]}
-        assert any(q.endswith("par_ttm_truncate") for q in names)
-        comm_nodes = [n for n in data["nodes"] if n["comm_ops"]]
-        assert comm_nodes, "expected comm-op-annotated nodes"
+        assert data["entry"].endswith(f"{driver}.{driver}")
+        comm_nodes = {n["qualname"].split(".")[-1] for n in data["nodes"]
+                      if n["comm_ops"]}
+        assert comm_nodes == {"par_tensor_gram", "par_ttm_truncate",
+                              "redistribute_unfolding_to_columns",
+                              "butterfly_tsqr_reduce"}
         assert data["edges"], "expected call edges"
         assert "traces" in data and set(data["traces"]) == {"0", "1"}
 
         dot = Path(dot_path).read_text(encoding="utf-8")
         assert dot.startswith("digraph")
-        assert "sthosvd_parallel" in dot
+        assert f"{driver}.{driver}" in dot
         assert "->" in dot
 
     def test_dot_marks_rank_sensitive_nodes(self):
         res = verify_paths(
-            [str(REPO / "src" / "repro")], entries=["sthosvd_parallel"])
+            [str(REPO / "src" / "repro")], entries=["sthosvd"])
         dot = comm_graph_dot(res.project, res.reports[0].entry)
         assert "firebrick" in dot  # rank-tainted functions highlighted
 
@@ -192,10 +196,10 @@ class TestCallGraph:
 
     def test_comm_carrier_params_detected(self):
         project = load_project(
-            [str(REPO / "src" / "repro" / "core" / "sthosvd_parallel.py")])
+            [str(REPO / "src" / "repro" / "core" / "sthosvd.py")])
         info = next(f for f in project.functions.values()
-                    if f.name == "sthosvd_parallel")
-        assert "dt" in info.comm_carriers
+                    if f.name == "sthosvd")
+        assert "tensor" in info.comm_carriers
 
     def test_annotated_params_are_classified_by_type(self, tmp_path):
         """A parameter named ``comm`` annotated with a non-communicator

@@ -83,8 +83,8 @@ _SOLVES = {
     "compress": "repro.compress(x, tol=1e-3)",
     "out-of-core": (
         "x.data.tofile(os.path.join(tmp, 'x.bin')) or "
-        "repro.sthosvd_out_of_core(os.path.join(tmp, 'x.bin'), x.shape, "
-        "tol=1e-3, workdir=tmp)"),
+        "repro.sthosvd(repro.data.OutOfCoreTensor(os.path.join(tmp, 'x.bin'), "
+        "x.shape), tol=1e-3, workdir=tmp)"),
 }
 
 
@@ -128,7 +128,7 @@ before = {_LOADED}
 def program(comm):
     comms = repro.GridComms(comm, repro.ProcessorGrid.for_size(comm.size, 3))
     dt = repro.DistributedTensor.from_full(comms, x.data)
-    return tuple(repro.sthosvd_parallel(dt, tol=1e-6, method="qr").ranks)
+    return tuple(repro.sthosvd(dt, tol=1e-6, method="qr").ranks)
 
 values = repro.run_spmd(program, 2, backend="threads").values
 print(json.dumps({{"expected": list(expected), "values": values,
@@ -137,8 +137,8 @@ print(json.dumps({{"expected": list(expected), "values": values,
     assert out["values"] == [out["expected"]] * 2
     assert forbidden(out["before"]) == []
     for module in ("repro.mpi.launcher", "repro.mpi.communicator",
-                   "repro.core.sthosvd_parallel", "repro.faults.guards",
-                   "repro.dist.svd", "repro.dist.tsqr", "repro.dist.ttm"):
+                   "repro.faults.guards", "repro.dist.svd", "repro.dist.tsqr",
+                   "repro.dist.ttm"):
         assert module in out["after"] and module not in out["before"]
     # Every rank decomposes the reduced triangle with LAPACK itself; the
     # guard's Jacobi fallback loads only when a solve comes back
@@ -259,12 +259,14 @@ def test_the_layer_rule_flags_module_level_platform_imports_only():
     assert {d.kind for d in findings} == {LAYER_RULE}
     assert [d.line for d in findings] == [3, 4, 6, 9, 16]
     assert "repro.mpi.communicator.Communicator" in findings[0].message
-    # The same text is fine where the platform lives, and in the parallel
-    # drivers of core/; a sequential driver is held to the rule.
+    # The same text is fine where the platform lives, and in core/'s
+    # fault-tolerant loop; every driver of core/ is held to the rule.
     for platform in ("repro/dist/svd.py", "repro/core/ft.py",
-                     "repro/core/sthosvd_parallel.py", "repro/obs/tracer.py"):
+                     "repro/obs/tracer.py"):
         assert layer_findings(_UPWARD, platform) == []
-    assert len(layer_findings(_UPWARD, "repro/core/modeloop.py")) == 5
+    for driver in ("repro/core/modeloop.py", "repro/core/sthosvd.py",
+                   "repro/core/hooi.py", "repro/core/sthosvd_parallel.py"):
+        assert len(layer_findings(_UPWARD, driver)) == 5
     assert len(layer_findings(_UPWARD, "repro/util/durable.py")) == 5
 
 
@@ -306,7 +308,34 @@ def test_the_init_rule_flags_every_eager_import_of_the_package():
                              "repro/core/__init__.py")) == 2
 
 
+_ALIASED = '''\
+import repro.core.sthosvd_parallel
+from repro.core.sthosvd_parallel import sthosvd_parallel
+from repro.core import sthosvd_parallel
+from repro.core import sthosvd, hooi
+from .sthosvd_parallel import sthosvd_parallel  # repro-lint: allow(bench-alias-import)
+
+
+def late():
+    from .sthosvd_parallel import sthosvd_parallel
+'''
+
+
+def test_the_alias_rule_flags_every_import_outside_bench():
+    from lint_repo import ALIAS_RULE, alias_findings
+
+    findings = alias_findings(_ALIASED, "src/repro/core/kernel.py")
+    assert {d.kind for d in findings} == {ALIAS_RULE}
+    assert [d.line for d in findings] == [1, 2, 3, 9]  # function-level too
+    assert "repro.core.sthosvd_parallel" in findings[0].message
+    assert len(alias_findings(_ALIASED, "tests/test_kernel.py")) == 3
+    assert alias_findings(_ALIASED, "bench/worker.py") == []
+
+
 def test_the_repository_obeys_the_layer_rule(capsys):
     from lint_repo import lint_layers
 
     assert lint_layers(str(REPO / "src")) == 0, capsys.readouterr().out
+    from lint_repo import lint_alias
+
+    assert lint_alias(str(REPO)) == 0, capsys.readouterr().out

@@ -18,7 +18,6 @@ from repro import (
     compress,
     run_spmd,
     sthosvd,
-    sthosvd_parallel,
 )
 from repro.data import geometric_spectrum, matrix_with_spectrum, tensor_with_mode_spectra
 from repro.linalg import gram_svd, qr_svd
@@ -56,7 +55,7 @@ class TestClaim1NumericalStability:
         def prog(comm):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
             dt = DistributedTensor.from_full(comms, X.data)
-            res = sthosvd_parallel(dt, tol=1e-8, method="qr")
+            res = sthosvd(dt, tol=1e-8, method="qr")
             return res.to_tucker().rel_error(X)
 
         err = run_spmd(prog, 4)[0]
@@ -110,7 +109,7 @@ class TestClaim3RunningTimeReduction:
         def prog(comm, data):
             comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
             dt = DistributedTensor.from_full(comms, data)
-            sthosvd_parallel(dt, ranks=(6, 6, 6), method="qr")
+            sthosvd(dt, ranks=(6, 6, 6), method="qr")
             return comm.clock.now
 
         model = CostModel(compute=ComputeRates(double=6.4e9, single=13e9))

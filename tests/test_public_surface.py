@@ -62,7 +62,8 @@ def test_an_unknown_attribute_names_the_package(package):
 
 
 def test_lazily_reached_classes_keep_their_identity():
-    from repro import DistributedTensor, ParallelSthosvdResult, Tracer
+    from repro import DistributedTensor, Tracer
+    from repro.core import HooiResult
     from repro.faults import FaultPlan
 
     assert (FaultPlan.__module__, FaultPlan.__qualname__) == (
@@ -71,28 +72,28 @@ def test_lazily_reached_classes_keep_their_identity():
         "repro.obs.tracer", "Tracer")
     assert (DistributedTensor.__module__, DistributedTensor.__qualname__) == (
         "repro.dist.dtensor", "DistributedTensor")
-    assert (ParallelSthosvdResult.__module__,
-            ParallelSthosvdResult.__qualname__) == (
-        "repro.core.sthosvd_parallel", "ParallelSthosvdResult")
+    assert (HooiResult.__module__, HooiResult.__qualname__) == (
+        "repro.core.hooi", "HooiResult")
 
 
 def _classes_and_a_plan(comm):
-    from repro import DistributedTensor, ParallelSthosvdResult, Tracer
+    from repro import DistributedTensor, Tracer
+    from repro.core import HooiResult
     from repro.faults import CrashRule, FaultPlan
 
     plan = FaultPlan(seed=comm.rank, crashes=(CrashRule(rank=5, at_op=7),))
-    return FaultPlan, Tracer, DistributedTensor, ParallelSthosvdResult, plan
+    return FaultPlan, Tracer, DistributedTensor, HooiResult, plan
 
 
 def test_lazily_reached_classes_cross_the_worker_codec():
     """A forked worker names a class by module and qualname; the master
     finds the same object there, and an instance compares equal."""
     import repro
+    from repro.core import HooiResult
     from repro.faults import CrashRule, FaultPlan
 
     values = repro.run_spmd(_classes_and_a_plan, 2, backend="procs").values
-    expected = (FaultPlan, repro.Tracer, repro.DistributedTensor,
-                repro.ParallelSthosvdResult)
+    expected = (FaultPlan, repro.Tracer, repro.DistributedTensor, HooiResult)
     for rank, (*classes, plan) in enumerate(values):
         assert all(a is b for a, b in zip(classes, expected, strict=True))
         assert plan == FaultPlan(seed=rank,
@@ -100,21 +101,64 @@ def test_lazily_reached_classes_cross_the_worker_codec():
 
 
 def test_an_export_wins_over_the_submodule_it_shares_a_name_with():
-    """``repro.core.sthosvd_parallel`` is the driver, also when something
-    imported the module of that name first (as ``hooi_parallel.py`` does)."""
+    """``repro.core.hooi`` and ``repro.core.sthosvd`` are the drivers, also
+    when something imported the modules of those names first (as
+    ``core/ft.py`` does, and ``hooi.py`` with ``sthosvd``)."""
     kinds = fresh("""
 import json
-import repro.core.hooi_parallel          # imports .sthosvd_parallel itself
-from repro.core.hosvd_parallel import hosvd_parallel
+import repro.core.ft                     # imports .hooi and .sthosvd itself
+from repro.core.hosvd import hosvd
 import repro.core
 print(json.dumps([type(getattr(repro.core, name)).__name__ for name in
-                  ("hooi_parallel", "sthosvd_parallel", "hosvd_parallel",
-                   "sthosvd", "hooi", "hosvd")]
+                  ("hooi", "sthosvd", "hosvd", "recompress")]
                  + [type(repro.core.checkpoint).__name__,
-                    repro.core.hosvd_parallel is hosvd_parallel,
-                    repro.sthosvd_parallel is repro.core.sthosvd_parallel]))
+                    repro.core.hosvd is hosvd,
+                    repro.sthosvd is repro.core.sthosvd]))
 """)
-    assert kinds == ["function"] * 6 + ["module", True, True]
+    assert kinds == ["function"] * 4 + ["module", True, True]
+
+
+def test_one_driver_per_algorithm():
+    """``sthosvd``, ``hosvd`` and ``hooi`` take every kind of tensor: the
+    per-kind drivers, their modules and result types are gone, and the
+    module ``bench/`` still imports is ``repro.sthosvd`` under its old
+    name, not a second code path."""
+    errors, missing, alias_is_driver = fresh("""
+import importlib, json
+import repro, repro.core
+gone = {"repro": ("sthosvd_parallel", "ParallelSthosvdResult",
+                  "sthosvd_out_of_core"),
+        "repro.core": ("sthosvd_parallel", "hosvd_parallel", "hooi_parallel",
+                       "sthosvd_out_of_core", "ParallelSthosvdResult",
+                       "ParallelHooiResult")}
+errors = []
+for package, names in gone.items():
+    for name in names:
+        try:
+            getattr(importlib.import_module(package), name)
+            errors.append(None)
+        except AttributeError as exc:
+            errors.append(str(exc))
+missing = []
+for module in ("repro.core.hosvd_parallel", "repro.core.hooi_parallel"):
+    try:
+        importlib.import_module(module)
+    except ModuleNotFoundError as exc:
+        missing.append(exc.name)
+alias = importlib.import_module("repro.core.sthosvd_parallel")
+print(json.dumps([errors, missing, alias.sthosvd_parallel is repro.sthosvd]))
+""")
+    assert errors == [
+        f"module '{package}' has no attribute '{name}'"
+        for package, names in (
+            ("repro", ("sthosvd_parallel", "ParallelSthosvdResult",
+                       "sthosvd_out_of_core")),
+            ("repro.core", ("sthosvd_parallel", "hosvd_parallel",
+                            "hooi_parallel", "sthosvd_out_of_core",
+                            "ParallelSthosvdResult", "ParallelHooiResult")))
+        for name in names]
+    assert missing == ["repro.core.hosvd_parallel", "repro.core.hooi_parallel"]
+    assert alias_is_driver
 
 
 _SHARED_NAMES = ("tensor.ttm", "tensor.unfold", "linalg.tpqrt",
@@ -178,7 +222,7 @@ def test_no_qr_backend_knob_above_linalg(knob):
             continue
         if knob in params:
             knobs.append(name)
-    assert len(walked) > 90
+    assert len(walked) > 80  # 88 names: the walk reaches every driver
     assert knobs == []
     assert knob not in {f.name for f in dataclasses.fields(ModeLoop)}
 

@@ -53,7 +53,7 @@ FORBIDDEN = re.compile(
     r"|faults\.(?:plan|injector|network|checkpoint)"
     r"|obs\.(?:metrics|postmortem|export|compare)"
     r"|dist\.(?:svd|gram|ttm|tsqr|redistribute)"
-    r"|core\.(?:sthosvd_parallel|hooi_parallel|hosvd_parallel|ft)"
+    r"|core\.(?:sthosvd_parallel|ft)"
     r")$"
 )
 PLATFORM = ("repro.mpi", "repro.dist", "repro.faults", "repro.obs", "repro.core")

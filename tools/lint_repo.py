@@ -17,7 +17,8 @@ direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
 ``repro.perf``, ``repro.faults`` (other than its kernel hook and
 ``guards``) or ``repro.obs`` (other than the tracer hook) from
 ``tensor/``, ``linalg/``, ``data/``, ``util/``, ``precision.py``,
-``instrument.py`` or a sequential module of ``core/`` is an error;
+``instrument.py`` or ``core/`` (other than its fault-tolerant loop,
+``ft.py``) is an error;
 function-level and ``TYPE_CHECKING`` imports are allowed, and so is a
 line carrying ``# repro-lint: allow(platform-import-in-algorithm-layer)``.
 With it runs ``eager-import-in-package-init``: an ``__init__`` holds names,
@@ -25,6 +26,10 @@ not imports, so a module-level import of a ``repro`` module in any
 ``src/repro/**/__init__.py`` is an error, other than ``_lazy`` and the
 Quickstart's two in ``repro/__init__`` (``tensor.dense``, ``core.sthosvd``:
 the closure of Alg. 1-2) — the name goes in the ``lazy_exports`` table.
+Last, ``bench-alias-import``: ``repro.core.sthosvd_parallel`` is
+``repro.sthosvd`` under the name ``bench/`` imports, and no file of the
+repository outside ``bench/`` may import it (a line carrying
+``# repro-lint: allow(bench-alias-import)`` may).
 
 The verify tier subtracts the committed findings baseline
 (``tools/verify_baseline.json``, a JSON list of ``{kind, file, line}``
@@ -55,7 +60,7 @@ LAYER_RULE = "platform-import-in-algorithm-layer"
 # Paths under src/repro that hold the paper's algorithms on one core ...
 ALGORITHM_LAYER = re.compile(
     r"(?:tensor|linalg|data|util)/|(?:precision|instrument)\.py$"
-    r"|core/(?!(?:sthosvd_parallel|hooi_parallel|hosvd_parallel|ft)\.py$)")
+    r"|core/(?!ft\.py$)")
 # ... and the modules they may not import when they are imported.
 PLATFORM = re.compile(
     r"repro\.(?:mpi|sanitize|perf|obs(?!\.tracer(?:\.|$))"
@@ -65,6 +70,11 @@ INIT_RULE = "eager-import-in-package-init"
 # What `import repro` executes is what these import, and nothing else.
 QUICKSTART = ("repro.tensor.dense.DenseTensor", "repro.core.sthosvd.sthosvd",
               "repro.core.sthosvd.SthosvdResult")
+
+
+ALIAS_RULE = "bench-alias-import"
+# `sthosvd` under its old name, kept for bench/ alone until bench/ moves.
+BENCH_ALIAS = "repro.core.sthosvd_parallel"
 
 
 def module_level_imports(body):
@@ -130,6 +140,46 @@ def init_findings(source: str, relpath: str) -> list[Diagnostic]:
     return findings
 
 
+def alias_findings(source: str, relpath: str) -> list[Diagnostic]:
+    """``bench-alias-import`` over one file; ``relpath`` is its path under
+    the repository (``src/repro/cli.py``, ``tests/test_x.py``)."""
+    if relpath.startswith("bench/"):
+        return []
+    suppress = Suppressions(source)
+    findings = []
+    for stmt in ast.walk(ast.parse(source)):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        names = imported_names(stmt, relpath.removeprefix("src/"))
+        if any(t == BENCH_ALIAS or t.startswith(BENCH_ALIAS + ".")
+               for t in names) and not suppress.suppressed(
+                ALIAS_RULE, stmt.lineno, stmt.end_lineno or stmt.lineno):
+            findings.append(Diagnostic(
+                kind=ALIAS_RULE, severity=ERROR, file=relpath, line=stmt.lineno,
+                message=f"{relpath} imports {BENCH_ALIAS}, which only bench/ "
+                        f"may: import repro.sthosvd (it takes a "
+                        f"DistributedTensor)"))
+    return findings
+
+
+def lint_alias(repo: str) -> int:
+    """``bench-alias-import`` over every Python file of the repository."""
+    findings = []
+    for dirpath, dirnames, filenames in sorted(os.walk(repo)):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        for name in sorted(f for f in filenames if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            relpath = os.path.relpath(path, repo).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                findings += alias_findings(f.read(), relpath)
+    if findings:
+        print(format_diagnostics(
+            findings, header=f"{ALIAS_RULE}: {len(findings)} finding(s)"))
+    else:
+        print(f"{ALIAS_RULE}: clean ({repo})")
+    return 1 if findings else 0
+
+
 def lint_layers(src: str) -> int:
     """The two import rules over ``src/repro``."""
     findings = []
@@ -158,7 +208,7 @@ def run(argv: list[str]) -> int:
         os.path.join(REPO, "examples"),
     ]
     rc = main(["lint", "--strict", *roots])
-    rc = rc or lint_layers(os.path.join(REPO, "src"))
+    rc = rc or lint_layers(os.path.join(REPO, "src")) or lint_alias(REPO)
     if rc == 0 and not lint_only:
         verify_args = ["verify", "--strict"]
         if os.path.exists(BASELINE):

@@ -8,11 +8,11 @@ Runs ``--worlds`` worlds of the benchmark's parallel program (the
 48x48x33x48 HCCI surrogate, float32, QR, tol 1e-4, on the default grid)
 one after another in this process, and times each from inside the rank
 program through public calls only — ``run_spmd``, ``GridComms``,
-``DistributedTensor``, ``sthosvd_parallel`` — against one clock
+``DistributedTensor``, ``sthosvd`` — against one clock
 (``time.perf_counter`` is ``CLOCK_MONOTONIC``, shared by forked ranks):
 
     launch    run_spmd called -> the last rank enters the program
-    imports   the program's imports (the parallel driver, the grid)
+    imports   the program's imports (the driver, the grid)
     grid      GridComms: the Cartesian topology and every mode fiber
     scatter   DistributedTensor.from_full
     solve     the solves and the barriers around them
@@ -51,7 +51,7 @@ PHASES = ("launch", "imports", "grid", "scatter", "solve", "gather", "close",
 def program(comm, x, n_solves):
     """The benchmark's rank program, with a timestamp between its steps."""
     t = {"entry": time.perf_counter()}
-    from repro.core.sthosvd_parallel import sthosvd_parallel
+    from repro import sthosvd
     from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 
     t["imported"] = time.perf_counter()
@@ -63,7 +63,7 @@ def program(comm, x, n_solves):
     for _ in range(n_solves):
         comm.barrier()
         start = time.perf_counter()
-        res = sthosvd_parallel(dt, tol=TOL, method="qr")
+        res = sthosvd(dt, tol=TOL, method="qr")
         comm.barrier()
         windows.append(time.perf_counter() - start)
     t["solved"] = time.perf_counter()
