@@ -3,10 +3,11 @@
 
 Runs the parallel algorithm (Alg. 3: fiber redistribution, local LQ,
 butterfly TSQR, redundant SVD, TTM with reduce-scatter) on 8 simulated
-ranks arranged in a 1x2x2x2 grid, with the alpha-beta-gamma cost model
-attached so each rank carries a logical clock.  Prints the decomposition
-quality and the slowest rank's per-phase modeled time breakdown — the
-same quantity the paper's stacked-bar figures report.
+ranks arranged in a 1x2x2x2 grid under a tracer.  Prints the
+decomposition quality, then the slowest rank's measured time per phase
+beside the alpha-beta-gamma model's prediction for the same run — the
+breakdown the paper's stacked-bar figures report, and the table
+``repro trace`` writes to ``model_diff.txt``.
 
 Run:  python examples/parallel_compression.py
 """
@@ -16,8 +17,8 @@ import numpy as np
 from repro import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
-from repro.mpi import run_spmd, CostModel, CommCosts, ComputeRates
-from repro.util import format_table
+from repro.mpi import run_spmd
+from repro.obs import Tracer, model_diff_table, modeled_run
 
 GRID = (1, 2, 2, 2)  # = ProcessorGrid.for_size(8, 4): 1 on the first-processed mode
 X = low_rank_tensor((32, 32, 24, 32), (5, 6, 4, 5), rng=7, noise=1e-9)
@@ -43,17 +44,11 @@ def program(comm):
         "ranks": result.ranks,
         "error": tucker.rel_error(X),
         "compression": result.compression_ratio(),
-        "breakdown": comm.clock.breakdown() if comm.clock else {},
     }
 
 
-# Andes-like machine parameters (per-core rates, network alpha/beta).
-model = CostModel(
-    comm=CommCosts(alpha=2e-6, beta=1 / 12e9),
-    compute=ComputeRates(double=6.4e9, single=13e9),
-)
-
-res = run_spmd(program, nprocs=8, cost_model=model)
+tracer = Tracer()
+res = run_spmd(program, nprocs=8, tracer=tracer)
 
 out = res[0]
 print(f"grid:              {GRID} = {np.prod(GRID)} ranks")
@@ -63,11 +58,13 @@ print(f"relative error:    {out['error']:.2e}")
 print(f"rank 0 core block: {out['local_core_shape']}")
 
 print()
-bd = res.slowest_rank_breakdown()
-rows = [[phase, seconds * 1e3] for phase, seconds in sorted(bd.items())]
-print(format_table(
-    ["phase", "modeled ms"], rows,
-    title=f"Slowest-rank breakdown (logical clocks, total {res.slowest_time*1e3:.2f} ms)",
+# The model (Andes machine parameters) prices the same shape, ranks, grid
+# and ordering in closed form; absolute times differ by host, the
+# breakdown's shape is what to compare.
+modeled = modeled_run(X.shape, out["ranks"], GRID, method="qr",
+                      mode_order="backward")
+print(model_diff_table(
+    tracer, modeled, title="Measured (slowest rank) vs alpha-beta-gamma model",
 ))
 
 # The same program runs unchanged on any grid whose size matches the

@@ -36,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
               "hosvd", "hooi"),
     ".dist": ("ProcessorGrid", "GridComms", "DistributedTensor"),
     ".obs": ("FlightRecorder", "Tracer"),
-    ".mpi": ("run_spmd", "CostModel"),
+    ".mpi": ("run_spmd",),
 })
 
 __version__ = "1.0.0"
@@ -75,7 +75,6 @@ __all__ = [
     "hosvd",
     "hooi",
     "run_spmd",
-    "CostModel",
     "Tracer",
     "FlightRecorder",
     "ProcessorGrid",

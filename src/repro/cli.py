@@ -98,13 +98,17 @@ def _parse_slices(spec: str | None, ndim: int):
     out = []
     for p in parts:
         p = p.strip()
-        if p == ":":
-            out.append(slice(None))
-        elif ":" in p:
-            a, b = p.split(":")
-            out.append(slice(int(a) if a else None, int(b) if b else None))
-        else:
-            out.append(int(p))
+        try:
+            if p == ":":
+                out.append(slice(None))
+            elif ":" in p:
+                a, b = p.split(":")
+                out.append(slice(int(a) if a else None, int(b) if b else None))
+            else:
+                out.append(int(p))
+        except ValueError:
+            raise SystemExit(f"--region entry {p!r} is neither an index nor "
+                             "a start:stop range") from None
     return tuple(out)
 
 
@@ -295,11 +299,31 @@ def _synthetic_input(args) -> np.ndarray:
     return X.astype(np.float32) if args.precision == "single" else X
 
 
+def _run_recorded(args, program, nprocs: int, *program_args, **options):
+    """``run_spmd`` on ``--backend``, under a ``FlightRecorder`` when
+    ``--postmortem-dir`` is given; a failed run names its bundle on
+    stderr before the error propagates."""
+    from .mpi import run_spmd
+
+    recorder = None
+    if args.postmortem_dir:
+        from .obs import FlightRecorder
+
+        recorder = FlightRecorder(postmortem_dir=args.postmortem_dir)
+    try:
+        return run_spmd(program, nprocs, *program_args, backend=args.backend,
+                        recorder=recorder, **options)
+    except Exception:
+        if recorder is not None and recorder.last_postmortem_path:
+            print(f"postmortem: {recorder.last_postmortem_path}",
+                  file=sys.stderr)
+        raise
+
+
 def _cmd_trace(args) -> int:
     """Run a traced parallel ST-HOSVD on a synthetic tensor and export
     the observability artifacts (Chrome trace, phase/imbalance/comm
     tables, metrics, measured-vs-modeled diff)."""
-    from .mpi import run_spmd
     from .mpi.tracing import CommTrace
     from .mpi.transport import resolve_backend
     from .obs import (
@@ -323,30 +347,16 @@ def _cmd_trace(args) -> int:
 
     tracer = Tracer()
     comm_trace = CommTrace()
-    recorder = None
-    if args.postmortem_dir:
-        from .obs import FlightRecorder
-
-        recorder = FlightRecorder(postmortem_dir=args.postmortem_dir)
     ranks = tuple(args.ranks) if args.ranks else None
 
     import time as _time
 
     start_unix = _time.time()
-    try:
-        res = run_spmd(
-            _trace_program, nprocs,
-            X, grid, args.tol, ranks, args.method, args.order,
-            bool(args.verbose),
-            tracer=tracer, comm_trace=comm_trace,
-            sanitize=args.sanitize, backend=args.backend,
-            recorder=recorder,
-        )
-    except Exception:
-        if recorder is not None and recorder.last_postmortem_path:
-            print(f"postmortem:    {recorder.last_postmortem_path}",
-                  file=sys.stderr)
-        raise
+    res = _run_recorded(
+        args, _trace_program, nprocs,
+        X, grid, args.tol, ranks, args.method, args.order, bool(args.verbose),
+        tracer=tracer, comm_trace=comm_trace, sanitize=args.sanitize,
+    )
     result = res[0]
 
     os.makedirs(args.out, exist_ok=True)
@@ -418,7 +428,6 @@ def _cmd_chaos(args) -> int:
     the fired-fault trace is identical on every replay (determinism).
     """
     from .faults import CrashRule, FaultPlan, KernelFaultRule, MessageFaultRule
-    from .mpi import run_spmd
     from .util.tables import format_table
 
     nprocs = args.procs
@@ -426,21 +435,9 @@ def _cmd_chaos(args) -> int:
     ranks = tuple(args.ranks) if args.ranks else None
 
     def launch(plan, ckpt_dir=None):
-        recorder = None
-        if args.postmortem_dir:
-            from .obs import FlightRecorder
-
-            recorder = FlightRecorder(postmortem_dir=args.postmortem_dir)
-        try:
-            return run_spmd(_chaos_program, nprocs,
-                            X, args.tol, ranks, args.method, ckpt_dir,
-                            faults=plan, resilience=True,
-                            backend=args.backend, recorder=recorder)
-        except Exception:
-            if recorder is not None and recorder.last_postmortem_path:
-                print(f"postmortem: {recorder.last_postmortem_path}",
-                      file=sys.stderr)
-            raise
+        return _run_recorded(args, _chaos_program, nprocs,
+                             X, args.tol, ranks, args.method, ckpt_dir,
+                             faults=plan, resilience=True)
 
     # Fault-free baseline: the reference error, and per-rank operation
     # counts that place injected crashes mid-run (after the first

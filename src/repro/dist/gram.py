@@ -33,17 +33,12 @@ def par_tensor_gram(
     over the world communicator; the result is bitwise identical on all
     ranks.
     """
-    comm = dt.comm
     with trace_span("gram", phase=PHASE_GRAM, mode=n,
-                    rows=dt.global_shape[n]), comm.phase(PHASE_GRAM, n):
-        tmp = FlopCounter()
+                    rows=dt.global_shape[n]):
         if dt.grid.dims[n] == 1:
-            G_local = tensor_gram(dt.local, n, counter=tmp)
+            G_local = tensor_gram(dt.local, n, counter=counter)
         else:
             slab = redistribute_unfolding_to_columns(dt, n)
-            G_local = gram_matrix(slab, counter=tmp, mode=n)
-        comm.account_flops(tmp.total, dt.dtype)
-        if counter is not None:
-            counter.merge(tmp)
+            G_local = gram_matrix(slab, counter=counter, mode=n)
         G_local.flags.writeable = False
-        return comm.allreduce(G_local)
+        return dt.comm.allreduce(G_local)

@@ -39,29 +39,23 @@ def _reduced_triangle(
     """
     from .tsqr import butterfly_tsqr_reduce
 
-    comm = dt.comm
     rows = dt.global_shape[n]
     dtype = dt.dtype
 
-    with trace_span("lq", phase=PHASE_LQ, mode=n, rows=rows), \
-            comm.phase(PHASE_LQ, n):
-        tmp = FlopCounter()
+    with trace_span("lq", phase=PHASE_LQ, mode=n, rows=rows):
         if dt.grid.dims[n] == 1:
-            L = tensor_lq(dt.local, n, counter=tmp)
+            L = tensor_lq(dt.local, n, counter=counter)
         else:
             slab = redistribute_unfolding_to_columns(dt, n)
             if slab.shape[1] == 0:
                 L = np.zeros((rows, 0), dtype=dtype)
             else:
-                L = gelq(slab, counter=tmp, mode=n)
-        comm.account_flops(tmp.total, dtype)
-        if counter is not None:
-            counter.merge(tmp)
+                L = gelq(slab, counter=counter, mode=n)
         # Square upper triangle R = L^T, zero-padded when the local slab
         # had fewer columns than rows (degenerate small blocks).
         R = np.zeros((rows, rows), dtype=dtype)
         R[: L.shape[1], :] = L.T
-        R = butterfly_tsqr_reduce(comm, R, counter=counter, mode=n)
+        R = butterfly_tsqr_reduce(dt.comm, R, counter=counter, mode=n)
     return np.ascontiguousarray(R.T)
 
 
@@ -79,16 +73,9 @@ def par_tensor_qr_svd(
     final triangle supplies ``(U, sigma)``.  Collective; results are
     bitwise replicated.
     """
-    comm = dt.comm
     L = _reduced_triangle(dt, n, counter)
-    with trace_span("svd", phase=PHASE_SVD, mode=n, rows=L.shape[0]), \
-            comm.phase(PHASE_SVD, n):
-        tmp = FlopCounter()
-        U, sigma = left_svd_of_triangle(L, counter=tmp, mode=n)
-        comm.account_flops(tmp.total, dt.dtype)
-        if counter is not None:
-            counter.merge(tmp)
-        return U, sigma
+    with trace_span("svd", phase=PHASE_SVD, mode=n, rows=L.shape[0]):
+        return left_svd_of_triangle(L, counter=counter, mode=n)
 
 
 def par_tensor_gram_svd(
@@ -105,13 +92,6 @@ def par_tensor_gram_svd(
     ``sqrt(eps) ||X||`` are lost, which is the paper's core accuracy
     argument.
     """
-    comm = dt.comm
     G = par_tensor_gram(dt, n, counter=counter)
-    with trace_span("evd", phase=PHASE_EVD, mode=n, rows=G.shape[0]), \
-            comm.phase(PHASE_EVD, n):
-        tmp = FlopCounter()
-        U, sigma = svd_from_gram(G, counter=tmp, mode=n)
-        comm.account_flops(tmp.total, dt.dtype)
-        if counter is not None:
-            counter.merge(tmp)
-        return U, sigma
+    with trace_span("evd", phase=PHASE_EVD, mode=n, rows=G.shape[0]):
+        return svd_from_gram(G, counter=counter, mode=n)

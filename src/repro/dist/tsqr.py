@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DistributionError
 from ..instrument import FlopCounter
-from ..linalg.tpqrt import tpqrt_flops, tpqrt_reduce_triangles
+from ..linalg.tpqrt import tpqrt_reduce_triangles
 
 if TYPE_CHECKING:
     from ..mpi.communicator import Communicator
@@ -43,8 +43,7 @@ def butterfly_tsqr_reduce(
     power of two ``<= P``) first fold their triangles into partners,
     sit out the butterfly, and receive the final triangle back.  The
     reduction order is deterministic, so all ranks return bitwise
-    identical arrays.  Flops are charged to ``counter`` and to the
-    communicator's logical clock when a cost model is active.
+    identical arrays.  Flops are charged to ``counter``.
     """
     R = np.ascontiguousarray(np.triu(R))
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -54,7 +53,6 @@ def butterfly_tsqr_reduce(
     p = comm.size
     if p == 1:
         return R
-    k = R.shape[0]
     me = comm.rank
     m = 1 << (p.bit_length() - 1)  # largest power of two <= p
     excess = p - m
@@ -64,9 +62,7 @@ def butterfly_tsqr_reduce(
         # goes on top, so both sides of an exchange compute the same
         # reduction bit-for-bit.
         top, bottom = (mine, other) if low_rank == me else (other, mine)
-        out = tpqrt_reduce_triangles(top, bottom, counter=counter, mode=mode)
-        comm.account_flops(tpqrt_flops(k, k, k), out.dtype)
-        return out
+        return tpqrt_reduce_triangles(top, bottom, counter=counter, mode=mode)
 
     if me >= m:
         # Excess rank: fold in, wait for the reduced result.

@@ -46,23 +46,20 @@ def par_ttm_truncate(
             f"factor must have {dt.global_shape[n]} rows for mode {n}, "
             f"got {U.shape}"
         )
-    comm = dt.comm
     p_n = dt.grid.dims[n]
     r_out = U.shape[1]
     new_shape = list(dt.global_shape)
     new_shape[n] = r_out
-    with trace_span("ttm", phase=PHASE_TTM, mode=n, out_dim=r_out), \
-            comm.phase(PHASE_TTM, n):
+    with trace_span("ttm", phase=PHASE_TTM, mode=n, out_dim=r_out):
         r0, r1 = block_range(U.shape[0], p_n, dt.coords[n])
         pieces = [
             ttm(dt.local, U[r0:r1, slice(*block_range(r_out, p_n, q))], n,
                 transpose=True).data
             for q in range(p_n)
         ]
-        flops = ttm_flops(dt.local.shape, n, r_out)
-        comm.account_flops(flops, dt.dtype)
         if counter is not None:
-            counter.add(flops, phase=PHASE_TTM, mode=n)
+            counter.add(ttm_flops(dt.local.shape, n, r_out), phase=PHASE_TTM,
+                        mode=n)
         block = pieces[0]
         if p_n > 1:
             block = dt.comms.fiber(n).reduce_scatter(pieces, copy=False)

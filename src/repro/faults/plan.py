@@ -1,7 +1,7 @@
 """Declarative, seeded fault plans for the simulated SPMD runtime.
 
 A :class:`FaultPlan` describes *what goes wrong* in a run — rank
-crashes, message-level faults (drop/delay/duplicate/corrupt), and
+crashes, message-level faults (drop/duplicate/corrupt), and
 transient numerical corruption inside named linalg kernels — without
 saying anything about *when the code runs*.  The plan is installed via
 ``run_spmd(faults=plan)``; the :class:`~repro.faults.FaultInjector`
@@ -38,7 +38,7 @@ __all__ = [
     "NETWORK_FAULT_KINDS",
 ]
 
-MESSAGE_FAULT_KINDS = ("drop", "delay", "duplicate", "corrupt")
+MESSAGE_FAULT_KINDS = ("drop", "duplicate", "corrupt")
 KERNEL_FAULT_KINDS = ("nan", "inf")
 NETWORK_FAULT_KINDS = ("connect_refused", "reset", "partition", "slow")
 
@@ -85,8 +85,7 @@ class MessageFaultRule:
         World ranks whose outgoing messages are eligible.
 
     Kinds: ``"drop"`` (message lost; retransmitted when
-    :class:`Resilience` is active), ``"delay"`` (logical-clock stall of
-    ``delay_seconds`` before delivery), ``"duplicate"`` (delivered
+    :class:`Resilience` is active), ``"duplicate"`` (delivered
     twice; deduplicated by sequence number under resilience),
     ``"corrupt"`` (one byte of an ndarray payload is bit-flipped in a
     *copy*; detected and discarded when checksums are enabled).
@@ -98,7 +97,6 @@ class MessageFaultRule:
     min_bytes: int = 0
     max_bytes: int | None = None
     senders: Sequence[int] | None = None
-    delay_seconds: float = 1e-3
 
     def validate(self) -> None:
         if self.kind not in MESSAGE_FAULT_KINDS:
@@ -275,9 +273,6 @@ class Resilience:
     ``max_retries``
         Send attempts beyond the first before the sender gives up and
         raises :class:`~repro.errors.CommunicatorError`.
-    ``backoff_base``
-        Logical seconds charged to the sender's clock for the first
-        retransmission; doubles per attempt (exponential backoff).
     ``checksums``
         Attach a payload checksum to every message; receivers discard
         envelopes whose payload no longer matches (bit corruption) and
@@ -288,7 +283,6 @@ class Resilience:
     """
 
     max_retries: int = 16
-    backoff_base: float = 1e-6
     checksums: bool = True
     poll_interval: float = 0.05
 
@@ -297,24 +291,6 @@ class Resilience:
             raise ConfigurationError("max_retries must be >= 1")
         if self.poll_interval <= 0:
             raise ConfigurationError("poll_interval must be positive")
-
-    def retry_policy(self):
-        """The sender-retry schedule as a transport RetryPolicy.
-
-        Uncapped exponential backoff from ``backoff_base`` with zero
-        jitter: the delays are charged to the *logical* clock, so they
-        must replay bit-identically — randomization belongs to
-        wall-clock consumers (socket connects), not here.
-        """
-        # Imported lazily: repro.mpi.transport pulls in the injector for
-        # its rank-program hooks, so a module-level import here would
-        # close that cycle.
-        from ..mpi.transport.net import RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.max_retries, backoff_base=self.backoff_base,
-            backoff_cap=None, jitter=0.0,
-        )
 
 
 # Default event-trace capacity per run; a fuse against pathological

@@ -1,22 +1,18 @@
-"""Simulated MPI runtime: threads-as-ranks, mailboxes, collectives, clocks.
+"""Simulated MPI runtime: threads-as-ranks, mailboxes, collectives.
 
 This package stands in for MPI/mpi4py (not available in this
 environment): the parallel algorithms are written in pure
 message-passing style against :class:`Communicator`, and
-:func:`run_spmd` plays the role of ``mpiexec``.  An optional
-alpha-beta-gamma :class:`CostModel` gives every rank a logical clock
-advanced by the actual message schedule, which is what the scaling
-benchmarks report.
+:func:`run_spmd` plays the role of ``mpiexec``.  The runtime carries no
+performance model; the alpha-beta-gamma model is :mod:`repro.perf`.
 """
 
 from .._lazy import lazy_exports
 
-# `from repro.mpi.costmodel import CostModel` (the performance model) or
 # `from repro.mpi import run_spmd` loads what it needs, not the package.
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".communicator": ("Communicator",),
     ".context": ("SpmdContext",),
-    ".costmodel": ("CommCosts", "ComputeRates", "CostModel", "RankClock"),
     ".launcher": ("run_spmd", "SpmdResult"),
     ".request": ("Request", "waitall"),
     ".tracing": ("CommTrace",),
@@ -27,10 +23,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "Communicator",
     "SpmdContext",
-    "CommCosts",
-    "ComputeRates",
-    "CostModel",
-    "RankClock",
     "run_spmd",
     "SpmdResult",
     "Request",

@@ -41,19 +41,13 @@ sums), so the hot paths perform no hidden snapshots; the per-rank
 "bytes copied vs. moved" split is recorded by
 :class:`~repro.mpi.tracing.CommTrace`.
 
-When a :class:`~repro.mpi.costmodel.CostModel` is attached, every
-operation advances the rank's logical clock through the *actual* message
-schedule of the selected algorithm, which is what the performance
-studies measure.
-
 **Observability.**  What a message passes on its way is split in two.
 *Participants* change what happens to it and are explicit calls, in
 order: the abort check, the revocation gate, fault injection and the
-retry protocol, the sanitizer (which returns the envelope's ``origin``
-and blocks on collective matching) and the logical clock (which stamps
-``send_time``).  *Observers* only read — ``CommTrace``, ``Tracer``,
-``FlightRecorder``, whichever ``run_spmd`` was given — and see the
-path through one door: exactly one :func:`~repro.obs.recorder.emit`
+retry protocol, and the sanitizer (which returns the envelope's
+``origin`` and blocks on collective matching).  *Observers* only read
+— ``CommTrace``, ``Tracer``, ``FlightRecorder``, whichever
+``run_spmd`` was given — and see the path through one door: exactly one :func:`~repro.obs.recorder.emit`
 per send, receive, injected drop, retransmission, checksum discard and
 collective dispatch, behind one ``if observers:`` test.  Every public
 operation also opens a ``comm.*`` span under the paper's ``PHASE_COMM``
@@ -74,7 +68,6 @@ from ..instrument import PHASE_COMM
 from ..obs.recorder import emit
 from ..obs.tracer import trace_span
 from .context import Envelope, SpmdContext
-from .costmodel import RankClock
 from .tuning import CollectiveTuning
 
 __all__ = ["Communicator"]
@@ -221,15 +214,11 @@ class Communicator:
         comm_id: int,
         members: Sequence[int],
         rank: int,
-        clock: RankClock | None = None,
     ) -> None:
         self._context = context
         self._comm_id = comm_id
         self._members = tuple(members)  # comm rank -> world rank
         self._rank = rank
-        self.clock = clock if clock is not None else (
-            RankClock() if context.cost_model is not None else None
-        )
         self._coll_seq = 0
         # Collective-verification slot counter (independent of the tag
         # space: nested collectives like the tree allreduce consume
@@ -276,23 +265,6 @@ class Communicator:
     def _check_rank(self, r: int, what: str) -> None:
         if not 0 <= r < self.size:
             raise CommunicatorError(f"{what} {r} out of range for size-{self.size} communicator")
-
-    # ------------------------------------------------------------------
-    # Cost-model hooks
-    # ------------------------------------------------------------------
-    def account_flops(self, flops: int, dtype=np.float64) -> None:
-        """Advance the logical clock by the modeled time of ``flops`` operations."""
-        if self.clock is not None and self._context.cost_model is not None:
-            rates = self._context.cost_model.compute
-            self.clock.advance(rates.flop_time(int(flops), dtype))
-
-    def phase(self, name: str, mode: int | None = None):
-        """Phase-attribution context manager (no-op without a cost model)."""
-        if self.clock is not None:
-            return self.clock.phase(name, mode)
-        from contextlib import nullcontext
-
-        return nullcontext()
 
     # ------------------------------------------------------------------
     # Spans, and the one preamble of a collective
@@ -376,8 +348,8 @@ class Communicator:
         is *simulated at the sender*: a dropped attempt just isn't
         delivered, a corrupted attempt delivers a corrupted copy, and
         the stop-and-wait ack/retry protocol a real lossy transport
-        needs collapses into a synchronous retry loop whose backoff is
-        charged to the logical clock.  Retransmissions reuse the same
+        needs collapses into a synchronous retry loop of at most
+        ``max_retries`` retransmissions.  Retransmissions reuse the same
         sequence number, which is how receivers discard duplicates and
         corrupted precursors.
         """
@@ -396,7 +368,6 @@ class Communicator:
             if res.checksums:
                 checksum = _payload_checksum(obj)
         observers = ctx.observers
-        policy = res.retry_policy() if res is not None else None
         attempts = 0
         while True:
             rule = None
@@ -405,12 +376,6 @@ class Communicator:
                     me_world, self._members[dest], tag, nbytes
                 )
             if rule is None:
-                self._deliver(obj, dest, tag, copy=copy, seq=seq,
-                              checksum=checksum)
-                return
-            if rule.kind == "delay":
-                if self.clock is not None:
-                    self.clock.advance(rule.delay_seconds)
                 self._deliver(obj, dest, tag, copy=copy, seq=seq,
                               checksum=checksum)
                 return
@@ -440,12 +405,9 @@ class Communicator:
                 if res is None:
                     return  # lost for good: no resilience configured
             # The simulated ack timed out (drop) or the receiver will
-            # discard the corrupted envelope — retransmit with backoff
-            # per the resilience layer's RetryPolicy (uncapped
-            # exponential, jitter-free: the charge goes to the logical
-            # clock and must replay identically).
+            # discard the corrupted envelope — retransmit.
             attempts += 1
-            if attempts > policy.max_retries:
+            if attempts > res.max_retries:
                 raise CommunicatorError(
                     f"message to rank {dest} (tag {tag}) lost after "
                     f"{res.max_retries} retransmissions"
@@ -453,8 +415,6 @@ class Communicator:
             if observers:
                 emit("retry", peer=self._members[dest], tag=tag,
                      attempt=attempts)
-            if self.clock is not None:
-                self.clock.advance(policy.delay(attempts - 1))
 
     def _deliver(
         self, obj: Any, dest: int, tag: int, *, copy: bool = True,
@@ -480,15 +440,8 @@ class Communicator:
         if self._context.observers:
             emit("send", peer=self._members[dest], tag=tag,
                  comm_id=self._comm_id, nbytes=nbytes, moved=moved)
-        model = self._context.cost_model
-        cost = model.comm.message_cost(nbytes) if model is not None else 0.0
-        if self.clock is not None:
-            arrival = self.clock.now + cost
-            self.clock.advance(cost)
-        else:
-            arrival = 0.0
         env = Envelope(
-            payload=payload, send_time=arrival, moved=moved, nbytes=nbytes,
+            payload=payload, moved=moved, nbytes=nbytes,
             origin=origin, seq=seq, checksum=checksum,
         )
         # The transport seam: the threads backend appends to the shared
@@ -533,7 +486,7 @@ class Communicator:
 
         The one completion path of ``recv`` and ``irecv``: checksum and
         duplicate filter, the sanitizer's received-move registration,
-        the clock sync, and the one ``recv`` event.  Plain envelopes
+        and the one ``recv`` event.  Plain envelopes
         (``seq is None`` — no resilience at the sender) skip the filter
         with one identity check.  Corrupted envelopes are discarded
         (one ``checksum`` event) and duplicates of an already-accepted
@@ -554,8 +507,6 @@ class Communicator:
         if ctx.sanitizer is not None and env.moved:
             ctx.sanitizer.note_received_move(
                 env.payload, self.world_rank, env.origin)
-        if self.clock is not None:
-            self.clock.sync_to(env.send_time)
         if ctx.observers:
             emit("recv", peer=self._members[source], tag=tag,
                  comm_id=self._comm_id, nbytes=env.nbytes)
@@ -1131,7 +1082,7 @@ class Communicator:
             new_id, world_members, old_ranks = by_color[color]
             out.append(Communicator(
                 self._context, new_id, world_members,
-                old_ranks.index(self._rank), clock=self.clock,
+                old_ranks.index(self._rank),
             ))
         return out
 
@@ -1189,6 +1140,4 @@ class Communicator:
             )
         new_members = [members[i] for i in ordered_old]
         new_rank = ordered_old.index(self._rank)
-        return Communicator(
-            ctx, new_id, new_members, new_rank, clock=self.clock
-        )
+        return Communicator(ctx, new_id, new_members, new_rank)

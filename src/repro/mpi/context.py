@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import CommunicatorError, RankFailedError, WorldAbortedError
-from .costmodel import CostModel
 
 __all__ = ["SpmdContext", "Envelope"]
 
@@ -31,7 +30,7 @@ DEFAULT_RECV_TIMEOUT = 120.0
 
 @dataclass
 class Envelope:
-    """A message in flight: payload plus logical-clock send timestamp.
+    """A message in flight: a payload plus its delivery metadata.
 
     ``moved`` records whether the payload was transferred by reference
     (zero-copy move semantics) rather than snapshotted; moved ndarray
@@ -47,7 +46,6 @@ class Envelope:
     """
 
     payload: Any
-    send_time: float
     moved: bool = False
     nbytes: int = 0
     # Sender provenance (a repro.sanitize MoveOrigin / call-site record),
@@ -282,7 +280,6 @@ class SpmdContext:
         self,
         world_size: int,
         *,
-        cost_model: CostModel | None = None,
         recv_timeout: float = DEFAULT_RECV_TIMEOUT,
         comm_trace=None,
         tracer=None,
@@ -300,7 +297,6 @@ class SpmdContext:
             transport = ThreadTransport()
         self.transport = transport
         self.world_size = world_size
-        self.cost_model = cost_model
         self.recv_timeout = recv_timeout
         self.comm_trace = comm_trace
         self.tracer = tracer  # repro.obs.Tracer, or None

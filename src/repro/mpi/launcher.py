@@ -34,7 +34,6 @@ from ..errors import (
 from ..faults.injector import FaultInjector
 from ..faults.plan import Resilience
 from .context import SpmdContext
-from .costmodel import CostModel
 from .transport import make_transport
 from .transport.threads import WORLD_COMM_ID
 from .tuning import CollectiveTuning
@@ -44,7 +43,7 @@ __all__ = ["run_spmd", "SpmdResult", "WORLD_COMM_ID"]
 
 @dataclass
 class SpmdResult:
-    """Results of an SPMD run: per-rank return values and logical clocks.
+    """Results of an SPMD run: per-rank return values.
 
     Under fault injection, ranks killed by an injected crash report
     ``None`` in ``values`` and appear in ``failed_ranks``; ``faults``
@@ -53,7 +52,6 @@ class SpmdResult:
     """
 
     values: list
-    clocks: list  # RankClock per rank, or None when no cost model
     sanitizer: Any = None  # the run's Sanitizer when sanitize= was given
     faults: Any = None  # the run's FaultInjector when faults= was given
     failed_ranks: list = None  # world ranks dead at exit (injected crashes)
@@ -66,20 +64,6 @@ class SpmdResult:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def slowest_time(self) -> float:
-        """Max logical finish time over ranks (paper reports the slowest)."""
-        if not self.clocks or self.clocks[0] is None:
-            raise CommunicatorError("no cost model was attached to this run")
-        return max(c.now for c in self.clocks)
-
-    def slowest_rank_breakdown(self) -> dict[str, float]:
-        """Per-phase breakdown of the rank with the largest finish time."""
-        if not self.clocks or self.clocks[0] is None:
-            raise CommunicatorError("no cost model was attached to this run")
-        slowest = max(self.clocks, key=lambda c: c.now)
-        return slowest.breakdown()
 
 
 def _write_postmortem(context, recorder, err, errors) -> None:
@@ -111,7 +95,6 @@ def run_spmd(
     fn: Callable[..., Any],
     nprocs: int,
     *args: Any,
-    cost_model: CostModel | None = None,
     recv_timeout: float = 120.0,
     comm_trace=None,
     tracer=None,
@@ -152,10 +135,6 @@ def run_spmd(
         Results, collectives, fault injection, tracing, and the
         sanitizer's collective/deadlock/leak checks behave identically
         on every backend; see ``docs/mpi-runtime.md`` (Transports).
-    cost_model:
-        Optional alpha-beta-gamma parameters; when given, every rank's
-        communicator carries a logical clock and ``SpmdResult.clocks``
-        holds them.
     recv_timeout:
         Seconds a blocked receive waits before declaring deadlock.
     comm_trace:
@@ -174,17 +153,17 @@ def run_spmd(
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or a prebuilt
         :class:`~repro.faults.FaultInjector`) injecting deterministic,
-        seeded faults: rank crashes, message drop/delay/duplicate/
-        corruption, kernel NaN/Inf.  Injected crashes do *not* abort
-        the world — survivors observe :class:`~repro.errors.
-        RankFailedError` and may ``revoke()``/``shrink()`` to recover;
-        the victims' slots in ``values`` stay None and their world
-        ranks land in ``SpmdResult.failed_ranks``.
+        seeded faults: rank crashes, message drop/duplicate/corruption,
+        kernel NaN/Inf.  Injected crashes do *not* abort the world —
+        survivors observe :class:`~repro.errors.RankFailedError` and may
+        ``revoke()``/``shrink()`` to recover; the victims' slots in
+        ``values`` stay None and their world ranks land in
+        ``SpmdResult.failed_ranks``.
     resilience:
         ``True`` (defaults) or a :class:`~repro.faults.Resilience`
         enabling message-level tolerance: per-message sequence numbers,
-        payload checksums, and sender retry with exponential backoff —
-        the machinery that survives what ``faults=`` injects.
+        payload checksums, and sender retry up to ``max_retries`` — the
+        machinery that survives what ``faults=`` injects.
     recorder:
         Optional :class:`~repro.obs.FlightRecorder` — an always-on,
         bounded per-rank ring buffer of structured runtime events
@@ -230,7 +209,7 @@ def run_spmd(
             )
     transport = make_transport(backend)
     context = SpmdContext(
-        nprocs, cost_model=cost_model, recv_timeout=recv_timeout,
+        nprocs, recv_timeout=recv_timeout,
         comm_trace=comm_trace, tracer=tracer,
         sanitizer=sanitizer, faults=injector, resilience=res_cfg,
         transport=transport, recorder=recorder,
@@ -249,14 +228,13 @@ def run_spmd(
             "sanitize": sanitizer is not None,
             "faults": injector is not None,
             "resilience": res_cfg is not None,
-            "cost_model": cost_model is not None,
         },
         "env": {k: v for k, v in sorted(os.environ.items())
                 if k.startswith("REPRO_")},
     }
     if tracer is not None:
         tracer.run_config = context.run_config
-    values, clocks, errors = transport.execute(context, fn, args, kwargs)
+    values, errors = transport.execute(context, fn, args, kwargs)
 
     # Sanitizer findings are root causes; CommunicatorError is usually a
     # secondary symptom (a rank unblocked by the world abort) — re-raise
@@ -293,6 +271,6 @@ def run_spmd(
     if sanitizer is not None:
         sanitizer.finalize_world(context)
     return SpmdResult(
-        values=values, clocks=clocks, sanitizer=sanitizer, faults=injector,
+        values=values, sanitizer=sanitizer, faults=injector,
         failed_ranks=context.failed_ranks(),
     )

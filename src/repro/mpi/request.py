@@ -33,7 +33,7 @@ __all__ = ["Request", "waitall"]
 # to a 1 ms cap.  Keeps poll loops off the CPU without adding visible
 # latency once the operation completes.  Polling has no retry budget,
 # so only the delay schedule of the policy is consulted.
-_POLL_POLICY = RetryPolicy(backoff_base=1e-6, backoff_cap=1e-3, jitter=0.0)
+_POLL_POLICY = RetryPolicy(base_delay=1e-6, backoff_cap=1e-3, jitter=0.0)
 
 
 class Request:

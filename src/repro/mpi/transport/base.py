@@ -20,7 +20,7 @@ two seams:
 
 A transport also owns the rank *lifecycle*: :meth:`Transport.execute`
 spawns the ranks, runs the SPMD program on each, funnels per-rank
-return values / clocks / errors back to the launcher, and tears the
+return values / errors back to the launcher, and tears the
 world down (including after failures), so ``run_spmd`` itself stays
 backend-neutral.
 """
@@ -98,10 +98,10 @@ class Transport:
         fn: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-    ) -> tuple[list, list, list]:
+    ) -> tuple[list, list]:
         """Run ``fn(comm, *args, **kwargs)`` on every rank of ``context``.
 
-        Returns ``(values, clocks, errors)``, each indexed by world
+        Returns ``(values, errors)``, each indexed by world
         rank; ``errors[r]`` is the exception rank ``r`` died with (or
         None).  The transport must have marked failed ranks in the
         context and aborted the world for non-crash errors before

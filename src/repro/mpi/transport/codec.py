@@ -18,7 +18,7 @@ two-layer encoding:
 
 * The **envelope codec** (:func:`encode_envelope` /
   :func:`decode_envelope` and the exception/origin helpers) flattens
-  the runtime's message metadata — send time, move flag, sequence
+  the runtime's message metadata — move flag, byte count, sequence
   number, checksum, and the sanitizer's move-origin call site — into
   plain picklable tuples that survive any wire.
 
@@ -121,14 +121,14 @@ def encode_envelope(env: Envelope | None) -> tuple | None:
     """Envelope as wire tuple; origin travels as a flattened call site."""
     if env is None:
         return None
-    return (env.payload, env.send_time, env.moved, env.nbytes, env.seq,
-            env.checksum, encode_origin(env.origin))
+    return (env.payload, env.moved, env.nbytes, env.seq, env.checksum,
+            encode_origin(env.origin))
 
 
 def decode_envelope(wire: tuple | None) -> Envelope | None:
     if wire is None:
         return None
-    payload, send_time, moved, nbytes, seq, checksum, origin = wire
-    return Envelope(payload=payload, send_time=send_time, moved=moved,
+    payload, moved, nbytes, seq, checksum, origin = wire
+    return Envelope(payload=payload, moved=moved,
                     nbytes=nbytes, origin=decode_origin(origin), seq=seq,
                     checksum=checksum)

@@ -1,16 +1,13 @@
 """Network robustness primitives shared by every transport connection.
 
 Three concerns live here, deliberately free of any transport state so
-the socket backend, the resilience layer, and the request poller all
-reuse the same arithmetic:
+the socket backend and the request poller reuse the same arithmetic:
 
 * :class:`RetryPolicy` — bounded exponential backoff with optional
-  jitter.  One policy object serves three very different consumers:
-  TCP connect/reconnect loops (wall-clock sleeps with jitter to avoid
-  reconnect stampedes), the :class:`~repro.faults.Resilience` sender
-  retry (logical-clock charges, jitter-free so replays stay
-  deterministic), and :meth:`repro.mpi.request.Request.test`'s poll
-  backoff (1 µs doubling to a 1 ms cap).
+  jitter.  One policy object serves two consumers: TCP
+  connect/reconnect loops (wall-clock sleeps with jitter to avoid
+  reconnect stampedes) and :meth:`repro.mpi.request.Request.test`'s
+  poll backoff (1 µs doubling to a 1 ms cap).
 
 * :class:`FramedSocket` — length-prefixed envelope framing over a TCP
   stream using the shared :mod:`~repro.mpi.transport.codec`: each frame
@@ -108,12 +105,10 @@ class RetryPolicy:
     ``max_retries``
         Attempts beyond the first before :meth:`run` re-raises (a
         ``Request`` poller ignores this — polling has no budget).
-    ``backoff_base``
+    ``base_delay``
         Delay before the first retry, in seconds.
     ``backoff_cap``
-        Upper bound on any single delay; ``None`` leaves the doubling
-        unbounded (the resilience layer's logical clock wants the raw
-        exponential the tests assert on).
+        Upper bound on any single delay.
     ``jitter``
         Fraction of each delay randomized symmetrically around it
         (``0.25`` → ±25 %).  Callers that need determinism pass a
@@ -121,8 +116,8 @@ class RetryPolicy:
     """
 
     max_retries: int = 8
-    backoff_base: float = 1e-6
-    backoff_cap: float | None = 1e-3
+    base_delay: float = 1e-6
+    backoff_cap: float = 1e-3
     jitter: float = 0.0
 
     def delay(self, attempt: int, rng=None) -> float:
@@ -132,9 +127,7 @@ class RetryPolicy:
         poller calls this with an unbounded attempt counter, and
         ``2.0 ** 1024`` would overflow long before the cap applied.
         """
-        d = self.backoff_base * (2.0 ** min(attempt, 64))
-        if self.backoff_cap is not None:
-            d = min(d, self.backoff_cap)
+        d = min(self.base_delay * (2.0 ** min(attempt, 64)), self.backoff_cap)
         if self.jitter and rng is not None:
             d *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return d
@@ -164,7 +157,7 @@ class RetryPolicy:
 #: 1 s, ±25 % jitter against reconnect stampedes), enough to ride out a
 #: master that is still binding its listener or a briefly dropped link.
 DEFAULT_CONNECT_POLICY = RetryPolicy(
-    max_retries=8, backoff_base=0.05, backoff_cap=1.0, jitter=0.25
+    max_retries=8, base_delay=0.05, backoff_cap=1.0, jitter=0.25
 )
 
 

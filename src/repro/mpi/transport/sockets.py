@@ -909,7 +909,7 @@ class SocketTransport(WorldServerMixin, Transport):
             thread.join(timeout=10.0)
         self._close_listener(listener)
         self.warm_parent()
-        return self._values, self._clocks, self._errors
+        return self._values, self._errors
 
     def _reap(self, link: _SockLink, overdue: float) -> None:
         """Join one worker process — by force if it will not exit.

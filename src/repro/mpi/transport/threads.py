@@ -87,17 +87,15 @@ class ThreadTransport(Transport):
         fn: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-    ) -> tuple[list, list, list]:
+    ) -> tuple[list, list]:
         """Spawn one thread per rank and join them all."""
         nprocs = context.world_size
         members = list(range(nprocs))
         values: list = [None] * nprocs
-        clocks: list = [None] * nprocs
         errors: list = [None] * nprocs
 
         def worker(rank: int) -> None:
             comm = Communicator(context, WORLD_COMM_ID, members, rank)
-            clocks[rank] = comm.clock
 
             def on_value(value: Any) -> None:
                 values[rank] = value
@@ -122,7 +120,7 @@ class ThreadTransport(Transport):
         if nprocs == 1:
             # Fast path: no threads for the serial case.
             worker(0)
-            return values, clocks, errors
+            return values, errors
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}")
@@ -132,4 +130,4 @@ class ThreadTransport(Transport):
             t.start()
         for t in threads:
             t.join()
-        return values, clocks, errors
+        return values, errors

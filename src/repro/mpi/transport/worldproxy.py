@@ -133,13 +133,12 @@ class WorkerConfig:
     """
 
     __slots__ = (
-        "world_size", "cost_model", "recv_timeout", "resilience",
+        "world_size", "recv_timeout", "resilience",
         "faults", "observers", "has_sanitizer", "watchdog_interval",
     )
 
     def __init__(self, context) -> None:
         self.world_size = context.world_size
-        self.cost_model = context.cost_model
         self.recv_timeout = context.recv_timeout
         self.resilience = context.resilience
         self.faults = context.faults
@@ -255,7 +254,6 @@ class WorkerContext:
     def __init__(self, cfg: WorkerConfig, rank: int, channel, wire) -> None:
         self.rank = rank
         self.world_size = cfg.world_size
-        self.cost_model = cfg.cost_model
         self.recv_timeout = cfg.recv_timeout
         self.resilience = cfg.resilience
         self.faults = cfg.faults
@@ -560,13 +558,11 @@ def delta_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
     return delta
 
 
-def collect_shards(cfg: WorkerConfig, ctx: WorkerContext, comm, rank: int,
+def collect_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
                    cursors: dict) -> dict:
     """Post-fork deltas to ship with the lifecycle RPC: the observers'
     closing shards plus the participants' rows."""
     shards = delta_shards(cfg, ctx, rank, cursors)
-    if comm is not None and comm.clock is not None:
-        shards["clock"] = comm.clock
     if cfg.faults is not None:
         events = cfg.faults.trace[cursors["fault_events"]:]
         shards["faults"] = (
@@ -724,7 +720,7 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
             # the two is merged last adds nothing and loses nothing.
             cursors["recorder"] = recorder_at_fork
         try:
-            shards = collect_shards(cfg, ctx, comm, rank, cursors)
+            shards = collect_shards(cfg, ctx, rank, cursors)
         except Exception:  # pragma: no cover - never lose the lifecycle msg
             shards = {}
         payload = (outcome["value"] if outcome["kind"] == "finalize"
@@ -802,15 +798,14 @@ class WorldServerMixin:
     """Master-side world service shared by the process transports.
 
     The deriving transport owns the wire (service threads, reply path,
-    pushes) and provides ``self._values`` / ``self._clocks`` /
-    ``self._errors`` result slots and per-rank link objects with
-    ``rank``.  :meth:`reset_world` must run before each world.
+    pushes) and provides ``self._values`` / ``self._errors`` result
+    slots and per-rank link objects with ``rank``.  :meth:`reset_world`
+    must run before each world.
     """
 
     def reset_world(self, context) -> None:
         nprocs = context.world_size
         self._values = [None] * nprocs
-        self._clocks = [None] * nprocs
         self._errors = [None] * nprocs
         # Frame counts as last reported: rank -> {peer: frames}.
         # ``_sent[r] is None`` marks a rank that died without reporting.
@@ -999,9 +994,6 @@ class WorldServerMixin:
             self._note_inbox(context, rank, shards["inbox"])
 
     def _merge_shards(self, context, rank: int, shards: dict) -> None:
-        clock = shards.get("clock")
-        if clock is not None:
-            self._clocks[rank] = clock
         self._merge_streamed(context, rank, shards)
         injector = context.faults
         if injector is not None and shards.get("faults"):

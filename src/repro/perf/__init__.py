@@ -3,7 +3,8 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".machine": ("MachineModel", "ANDES", "CASCADE_LAKE", "KERNELS"),
+    ".machine": ("CommCosts", "MachineModel", "ANDES", "CASCADE_LAKE",
+                 "KERNELS"),
     ".simulator": ("ModeledRun", "simulate_sthosvd"),
     ".grids": ("STRONG_SCALING_GRIDS", "strong_scaling_grid",
                "weak_scaling_config"),
@@ -16,6 +17,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
+    "CommCosts",
     "MachineModel",
     "ANDES",
     "CASCADE_LAKE",

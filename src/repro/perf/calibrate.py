@@ -23,8 +23,7 @@ import scipy.linalg
 
 from ..linalg.flops import eigh_flops, gemm_flops, gram_flops, qr_flops, svd_flops, tpqrt_flops
 from ..linalg.tpqrt import tpqrt
-from ..mpi.costmodel import CommCosts
-from .machine import MachineModel
+from .machine import CommCosts, MachineModel
 
 __all__ = ["KernelMeasurement", "measure_kernel_rates", "calibrate_machine"]
 

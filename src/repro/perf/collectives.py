@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..mpi.costmodel import CommCosts
 from ..mpi.tuning import CollectiveTuning
+from .machine import CommCosts
 
 __all__ = [
     "cost_bcast_binomial",

@@ -25,11 +25,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..mpi.costmodel import CommCosts
 
-__all__ = ["MachineModel", "ANDES", "CASCADE_LAKE", "KERNELS"]
+__all__ = ["CommCosts", "MachineModel", "ANDES", "CASCADE_LAKE", "KERNELS"]
 
 KERNELS = ("geqr", "gelq", "tpqrt", "syrk", "svd", "evd", "gemm")
+
+
+@dataclass(frozen=True)
+class CommCosts:
+    """Point-to-point message cost parameters: a message of ``n`` bytes
+    costs ``alpha + beta * n`` seconds.
+
+    ``beta`` is per **byte**, so precision-dependence falls out of the
+    payload's itemsize.
+    """
+
+    alpha: float = 1.0e-6
+    beta: float = 1.0 / 10.0e9  # 10 GB/s default link
 
 
 @dataclass(frozen=True)

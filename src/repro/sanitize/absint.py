@@ -63,9 +63,7 @@ _COLLECTIVE_OPS = frozenset({
 _SUBCOMM_OPS = frozenset({"split", "dup", "shrink"})
 # Communicator methods that perform no communication: instrumentation
 # and introspection helpers, safe to treat as inert.
-_BENIGN_OPS = frozenset({
-    "phase", "account_flops", "context", "revoke",
-})
+_BENIGN_OPS = frozenset({"context", "revoke"})
 _P2P_OPS = frozenset({"send", "isend", "recv", "irecv", "sendrecv"})
 # (positional index, keyword) of the interesting arguments.
 _ROOT_ARG = {"bcast": 1, "reduce": 1, "gather": 1, "scatter": 1}

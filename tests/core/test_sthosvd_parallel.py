@@ -9,7 +9,7 @@ from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import ConfigurationError
-from repro.mpi import run_spmd, CostModel
+from repro.mpi import run_spmd
 
 
 @pytest.fixture(scope="module")
@@ -90,30 +90,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             _run(X, (1, 1, 1, 1), tol=0.1, ranks=(1, 1, 1, 1))
 
-
-class TestCostModelIntegration:
-    def test_modeled_run_produces_breakdown(self, X):
-        def prog(comm):
-            comms = GridComms(comm, ProcessorGrid((2, 2, 1, 1)))
-            dt = DistributedTensor.from_full(comms, X.data)
-            sthosvd(dt, tol=1e-6, method="qr")
-            return comm.clock.breakdown()
-
-        res = run_spmd(prog, 4, cost_model=CostModel())
-        bd = res.slowest_rank_breakdown()
-        assert bd.get("lq", 0) > 0
-        assert bd.get("ttm", 0) > 0
-        assert bd.get("svd", 0) > 0
-
-    def test_single_precision_modeled_faster(self, X):
-        def prog(comm, single):
-            comms = GridComms(comm, ProcessorGrid((2, 2, 1, 1)))
-            dt = DistributedTensor.from_full(comms, X.data)
-            if single:
-                dt = dt.astype("single")
-            sthosvd(dt, ranks=(2, 4, 3, 2), method="qr")
-            return comm.clock.now
-
-        t64 = run_spmd(prog, 4, False, cost_model=CostModel()).slowest_time
-        t32 = run_spmd(prog, 4, True, cost_model=CostModel()).slowest_time
-        assert t32 < t64

@@ -75,14 +75,6 @@ class TestMessageFaults:
         assert faulty.values == clean.values
         assert any(e.kind == "duplicate" for e in faulty.faults.trace)
 
-    def test_delay_preserves_values(self):
-        plan = FaultPlan(seed=5, messages=(
-            MessageFaultRule(kind="delay", prob=0.5, delay_seconds=1e-4),
-        ))
-        clean = run_spmd(_pingpong, 2)
-        faulty = run_spmd(_pingpong, 2, faults=plan, resilience=True)
-        assert faulty.values == clean.values
-
     def test_all_drops_exhaust_retry_budget(self):
         plan = FaultPlan(seed=1, messages=(
             MessageFaultRule(kind="drop", prob=1.0),

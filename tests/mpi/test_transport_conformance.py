@@ -20,7 +20,7 @@ from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
 from repro.errors import CollectiveMismatchError, RankFailedError
 from repro.faults import CrashRule, FaultPlan, MessageFaultRule
-from repro.mpi import CommTrace, CostModel, available_backends, run_spmd, waitall
+from repro.mpi import CommTrace, available_backends, run_spmd, waitall
 from repro.obs import Tracer
 
 BACKENDS = list(available_backends())
@@ -240,12 +240,10 @@ def test_tracer_and_clock_shards_merge(backend):
         return comm.rank
 
     tracer = Tracer()
-    res = run_spmd(prog, 3, cost_model=CostModel(), tracer=tracer,
-                   backend=backend)
+    res = run_spmd(prog, 3, tracer=tracer, backend=backend)
+    assert res.values == [0, 1, 2]
     assert tracer.ranks() == [0, 1, 2]
     assert "comm.allreduce" in tracer.span_names()
-    assert all(c is not None and c.now > 0 for c in res.clocks)
-    assert res.slowest_time > 0
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,7 @@ def _expect_config(cfg, backend, **enabled):
     assert cfg["recv_timeout"] == 30.0
     assert cfg["tuning"] == {"allreduce_ring_min_bytes": 262144}
     want = dict.fromkeys(("tracer", "recorder", "comm_trace", "sanitize",
-                          "faults", "resilience", "cost_model"), False)
+                          "faults", "resilience"), False)
     want.update(enabled)
     assert cfg["enabled"] == want
     assert cfg["env"] == {"REPRO_SPINE_TEST": "1"}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mpi.costmodel import CommCosts
+from repro.perf import CommCosts
 from repro.perf.collectives import (
     cost_allgather_ring,
     cost_allreduce_recursive_doubling,

@@ -152,6 +152,13 @@ class TestReconstructCommand:
             main(["reconstruct", arch, "--out", str(tmp_path / "x.bin"),
                   "--region", "0:4,:"])
 
+    @pytest.mark.parametrize("entry", ["0:4:2", "x"])
+    def test_malformed_region_entry(self, archive, tmp_path, entry):
+        _, arch = archive
+        with pytest.raises(SystemExit, match=f"entry '{entry}'"):
+            main(["reconstruct", arch, "--out", str(tmp_path / "x.bin"),
+                  "--region", f"{entry},:,7"])
+
 
 class TestAutoAndPrecisionFlags:
     def test_auto_selects_variant(self, raw_file, tmp_path, capsys):

@@ -21,7 +21,6 @@ from repro import (
 )
 from repro.data import geometric_spectrum, matrix_with_spectrum, tensor_with_mode_spectra
 from repro.linalg import gram_svd, qr_svd
-from repro.mpi import CostModel, ComputeRates
 from repro.perf import ANDES, simulate_sthosvd, strong_scaling_grid
 
 
@@ -84,8 +83,7 @@ class TestClaim2SinglePrecisionCapability:
 
 class TestClaim3RunningTimeReduction:
     """'improved running times (of up to 2x ...) for large approximation
-    error thresholds' — via the cost model at paper scale and via
-    logical clocks functionally."""
+    error thresholds' — via the cost model at paper scale."""
 
     def test_modeled_at_scale(self):
         runs = {}
@@ -101,21 +99,6 @@ class TestClaim3RunningTimeReduction:
         assert 1.8 < runs[("gram", "double")] / runs[("gram", "single")] < 2.2
         # QR-single faster than Gram-double.
         assert runs[("qr", "single")] < runs[("gram", "double")]
-
-    def test_logical_clocks_functional(self, combustion_like):
-        X = combustion_like.astype(np.float32)
-        X64 = combustion_like
-
-        def prog(comm, data):
-            comms = GridComms(comm, ProcessorGrid((2, 2, 1)))
-            dt = DistributedTensor.from_full(comms, data)
-            sthosvd(dt, ranks=(6, 6, 6), method="qr")
-            return comm.clock.now
-
-        model = CostModel(compute=ComputeRates(double=6.4e9, single=13e9))
-        t32 = run_spmd(prog, 4, X.data, cost_model=model).slowest_time
-        t64 = run_spmd(prog, 4, X64.data, cost_model=model).slowest_time
-        assert 1.5 < t64 / t32 < 2.3
 
 
 class TestClaim4TightTolerances:

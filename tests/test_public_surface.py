@@ -308,3 +308,48 @@ def test_no_snapshot_compare_layer():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--compare", "a.json", "b.json"])
     assert exc.value.code == 2
+
+
+def test_one_cost_model():
+    """``repro.perf`` is the one alpha-beta-gamma model: the runtime keeps
+    no logical clock (no ``CostModel``, ``ComputeRates`` or ``RankClock``,
+    no ``run_spmd(cost_model=)``, no clock on a communicator), and the two
+    knobs that only charged it, the ``"delay"`` message fault and
+    ``Resilience.backoff_base``, are gone."""
+    import repro
+    import repro.mpi
+    import repro.perf
+    from repro.errors import ConfigurationError
+    from repro.faults import FaultPlan, MessageFaultRule, Resilience
+    from repro.mpi import run_spmd
+
+    gone = {"repro": ("CostModel",),
+            "repro.mpi": ("CostModel", "ComputeRates", "RankClock", "CommCosts")}
+    for package, names in gone.items():
+        module = importlib.import_module(package)
+        for name in names:
+            assert name not in module.__all__
+            with pytest.raises(AttributeError, match=f"module '{package}' has "
+                                                     f"no attribute '{name}'"):
+                getattr(module, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.mpi.costmodel")
+    assert "CommCosts" in repro.perf.__all__
+
+    keywords = [p.name for p in inspect.signature(run_spmd).parameters.values()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert keywords == ["recv_timeout", "comm_trace", "tracer", "sanitize",
+                        "faults", "resilience", "backend", "recorder"]
+    with pytest.raises(TypeError):
+        run_spmd(lambda comm: comm.rank, 2, cost_model=None)
+    assert run_spmd(lambda comm: [hasattr(comm, a) for a in
+                                  ("clock", "account_flops", "phase")], 1)[0] \
+        == [False] * 3
+
+    with pytest.raises(ConfigurationError, match="message fault kind"):
+        FaultPlan(messages=(MessageFaultRule(kind="delay", prob=0.5),))
+    with pytest.raises(TypeError):
+        MessageFaultRule(kind="drop", prob=0.5, delay_seconds=1e-3)
+    with pytest.raises(TypeError):
+        Resilience(backoff_base=1e-6)
+    assert not hasattr(Resilience, "retry_policy")
