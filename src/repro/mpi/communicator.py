@@ -1066,7 +1066,7 @@ class Communicator:
         so new communicator ids are allocated exactly once per group, in
         pair order.
         """
-        with self._collective("split", signature=lambda: (len(pairs),)):
+        with self._collective("split", lambda: (("splits", len(pairs)),)):
             self._coll_seq += 1
             groups = self._context.split_rendezvous(
                 self._comm_id, self._coll_seq, self.size, self._rank,

@@ -329,6 +329,9 @@ class SpmdContext:
         self._comm_id_counter = itertools.count(1)
         self._comm_id_lock = threading.Lock()
         self._last_comm_id = 0
+        # World ranks of every communicator carved so far, by id (the
+        # sanitizer names the members that never reached a collective).
+        self.comm_members: dict[int, list[int]] = {0: list(range(world_size))}
         self._split_tables: dict[tuple[int, int], _SplitBarrier] = {}
         self._split_lock = threading.Lock()
         self._shrink_tables: dict[tuple[int, int], _ShrinkTable] = {}
@@ -604,11 +607,10 @@ class SpmdContext:
                 carved = {}
                 for c in sorted(groups):
                     group = sorted(groups[c])
-                    carved[c] = (
-                        self.allocate_comm_id(),
-                        [members[old] for _, old in group],
-                        [old for _, old in group],
-                    )
+                    new_id = self.allocate_comm_id()
+                    carved[c] = (new_id, [members[old] for _, old in group],
+                                 [old for _, old in group])
+                    self.comm_members[new_id] = carved[c][1]
                 out.append(carved)
             return out
 
@@ -672,10 +674,12 @@ class SpmdContext:
             return self.allocate_comm_id()
 
         interval = self.fault_poll_interval or 0.25
-        return table.contribute(
+        new_id, ordered = table.contribute(
             rank, world_rank, running_old_ranks,
             allocate, self.recv_timeout, interval,
         )
+        self.comm_members[new_id] = [members[old] for old in ordered]
+        return new_id, ordered
 
     # -- epoch revocation ----------------------------------------------
     def revoke_current(self, reason: str, world_rank: int | None = None) -> None:

@@ -9,8 +9,7 @@ If any rank raises, the world is aborted — every blocked receive wakes
 with :class:`~repro.errors.CommunicatorError` — and the original
 exception is re-raised in the caller with the failing rank identified.
 
-With ``sanitize=True`` (or an explicit
-:class:`~repro.sanitize.Sanitizer`) the run is supervised by the SPMD
+With ``sanitize=True`` the run is supervised by the SPMD
 sanitizer: collective calls are cross-checked between ranks, blocked
 receives feed a deadlock-detecting wait-for graph, zero-copy move
 violations surface as :class:`~repro.errors.UseAfterMoveError` with the
@@ -52,7 +51,7 @@ class SpmdResult:
     """
 
     values: list
-    sanitizer: Any = None  # the run's Sanitizer when sanitize= was given
+    sanitizer: Any = None  # the run's Sanitizer when sanitize=True
     faults: Any = None  # the run's FaultInjector when faults= was given
     failed_ranks: list = None  # world ranks dead at exit (injected crashes)
 
@@ -145,11 +144,12 @@ def run_spmd(
         thread for the duration of the run: communicator operations,
         distributed kernels, and drivers record per-rank spans into it.
     sanitize:
-        ``True`` (or a configured :class:`~repro.sanitize.Sanitizer`)
-        enables the SPMD sanitizer: collective-matching verification,
-        wait-for-graph deadlock detection, zero-copy move enforcement,
-        and a message-leak report at finalize.  ``False`` (default)
-        costs a single ``is None`` check per communicator operation.
+        ``True`` enables the SPMD sanitizer: collective-matching
+        verification, wait-for-graph deadlock detection, zero-copy move
+        enforcement, and, once the world ended, the collectives some
+        rank never reached and the messages nobody received.  ``False``
+        (default) costs a single ``is None`` check per communicator
+        operation.
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or a prebuilt
         :class:`~repro.faults.FaultInjector`) injecting deterministic,
@@ -187,13 +187,14 @@ def run_spmd(
     if nprocs <= 0:
         raise CommunicatorError("nprocs must be positive")
     sanitizer = None
-    if sanitize:
-        if sanitize is True:
-            from ..sanitize import Sanitizer
+    if sanitize is True:
+        from ..sanitize import Sanitizer
 
-            sanitizer = Sanitizer()
-        else:
-            sanitizer = sanitize
+        sanitizer = Sanitizer()
+    elif sanitize is not False:
+        raise CommunicatorError(
+            f"sanitize= expects True or False, got {sanitize!r}"
+        )
     injector = None
     if faults is not None:
         injector = faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
@@ -263,8 +264,19 @@ def run_spmd(
             return 3
         return 2
 
+    # Beside the ranks' own errors: the collectives that ranks which
+    # returned normally never reached.  A SanitizerError, it is raised
+    # ahead of all but a finding some rank raised itself.
+    candidates = list(errors)
+    if sanitizer is not None:
+        candidates.append(sanitizer.close_collectives(
+            context,
+            returned={r for r, err in enumerate(errors) if err is None},
+            died=[r for r, err in enumerate(errors)
+                  if err is not None and not reportable(err)],
+        ))
     for level in range(5):
-        for rank, err in enumerate(errors):
+        for err in candidates:
             if reportable(err) and tier(err) == level:
                 _write_postmortem(context, recorder, err, errors)
                 raise err

@@ -134,7 +134,7 @@ class WorkerConfig:
 
     __slots__ = (
         "world_size", "recv_timeout", "resilience",
-        "faults", "observers", "has_sanitizer", "watchdog_interval",
+        "faults", "observers", "has_sanitizer",
     )
 
     def __init__(self, context) -> None:
@@ -144,10 +144,6 @@ class WorkerConfig:
         self.faults = context.faults
         self.observers = context.observers
         self.has_sanitizer = context.sanitizer is not None
-        self.watchdog_interval = (
-            context.sanitizer.watchdog_interval
-            if context.sanitizer is not None else None
-        )
 
 
 # ----------------------------------------------------------------------
@@ -171,16 +167,15 @@ class WorkerSanitizer:
     findings ship home with the lifecycle shards.
     """
 
-    def __init__(self, channel, wire, watchdog_interval: float) -> None:
+    def __init__(self, channel, wire) -> None:
         from ...sanitize import Sanitizer
 
         self._channel = channel
         self._wire = wire
-        self.watchdog_interval = watchdog_interval
+        self.watchdog_interval = Sanitizer.watchdog_interval
         # Rank-local move/provenance ledger; never finalized (leak
         # reporting is master-side world state).
-        self._local = Sanitizer(strict=False,
-                                watchdog_interval=watchdog_interval)
+        self._local = Sanitizer()
         self._wait: tuple | None = None  # the blocked receive: (edge, box)
         self._registered = False  # whether the master knows of it
 
@@ -262,8 +257,7 @@ class WorkerContext:
         # ``comm.context.comm_trace.set_context(...)``.
         self.comm_trace = cfg.observers.get("comm_trace")
         self.sanitizer = (
-            WorkerSanitizer(channel, wire, cfg.watchdog_interval)
-            if cfg.has_sanitizer else None
+            WorkerSanitizer(channel, wire) if cfg.has_sanitizer else None
         )
         self.abort_event = threading.Event()
         self.abort_reason: str | None = None

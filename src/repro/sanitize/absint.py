@@ -9,15 +9,16 @@ diverge exactly where the program's communication diverges — the
 MUST-style insight that makes cross-rank matching checkable at lint
 time.
 
-Each run yields a :class:`Trace` — the ordered sequence of abstract
-communication events (collectives with their op/root signature,
-point-to-point sends and receives with constant-folded dest/source and
-tag) plus a **completeness** bit.  The trace is complete only when the
-interpreter never had to guess about communication: a loop with an
-unknown trip count that performs communication, an opaque call that
-receives a communicator, an unmodeled communicator method, or a blown
-call-depth/recursion limit all poison completeness.  The matcher in
-:mod:`repro.sanitize.verify` only reports cross-rank findings
+Each run yields a :class:`Trace` — the ordered sequence of
+:class:`~repro.sanitize.match.CommEvent` (collectives with their root
+signature, point-to-point sends and receives with constant-folded
+dest/source and tag) plus a **completeness** bit.  The trace is complete
+only when the interpreter never had to guess about communication: a
+loop with an unknown trip count that performs communication, an opaque
+call that receives a communicator, an unmodeled communicator method, a
+nonblocking ``irecv`` (it completes at a ``wait`` no trace models), or a
+blown call-depth/recursion limit all poison completeness.  The matcher
+in :mod:`repro.sanitize.verify` only reports cross-rank findings
 (collective mismatches, deadlocks, unmatched point-to-point) from
 complete traces — incompleteness silences the cross-rank rules rather
 than producing guesses.
@@ -46,10 +47,10 @@ from dataclasses import dataclass, field
 
 from .callgraph import FunctionInfo, Project
 from .diagnostics import ERROR, CallSite, Diagnostic
+from .match import CommEvent
 
 __all__ = [
     "Buffer",
-    "CommEvent",
     "Trace",
     "RankInterp",
     "run_rank",
@@ -143,30 +144,8 @@ class Prim:
 
 
 # ----------------------------------------------------------------------
-# Events and traces
+# Traces (of match.CommEvent)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CommEvent:
-    """One abstract communication action of one rank.
-
-    ``kind`` is ``collective`` / ``send`` / ``recv``.  For collectives
-    ``op`` is the method name and ``root`` its constant-folded root (or
-    ``None`` when rootless/undecidable).  For point-to-point, ``peer``
-    and ``tag`` are constant-folded ints or ``None`` when undecidable.
-    """
-
-    kind: str
-    op: str
-    site: CallSite
-    root: object = None
-    peer: object = None
-    tag: object = None
-    moved: bool = False
-
-    def signature(self):
-        return (self.op, self.root)
-
-
 @dataclass
 class Trace:
     rank: int
@@ -859,7 +838,8 @@ class RankInterp:
                 self.trace.poison(
                     f"collective {op}() with undecidable root ({site})")
             self.trace.events.append(CommEvent(
-                kind="collective", op=op, site=site, root=root))
+                kind="collective", op=op, site=site,
+                signature=(("root", root),)))
             if op == "barrier":
                 return Const(None)
             return _fresh_buffer(f"{op}-result")
@@ -898,6 +878,10 @@ class RankInterp:
             self.trace.events.append(CommEvent(
                 kind="send", op=op, site=site, peer=dest, tag=tag,
                 moved=moved))
+        if op == "irecv":
+            # A posted receive completes at its wait(), which traces do
+            # not model: stay quiet rather than block it here.
+            self.trace.poison(f"nonblocking irecv() ({site})")
         if op in ("recv", "irecv", "sendrecv"):
             if op == "sendrecv":
                 source = int_or_none(grab(_DEST_ARG, "partner"), "partner")

@@ -1,32 +1,32 @@
 """Runtime correctness sanitizer for the simulated SPMD world.
 
-Activated with ``run_spmd(program, P, sanitize=True)`` (or an explicit
-:class:`Sanitizer` instance for tuning), this is the MUST/TSan-style
-prong of :mod:`repro.sanitize`: it watches every communicator operation
-of a live run and turns the classic silent SPMD failure modes into
-deterministic, rank-attributed exceptions:
+Activated with ``run_spmd(program, P, sanitize=True)``, this is the
+MUST/TSan-style prong of :mod:`repro.sanitize`: it watches every
+communicator operation of a live run and turns the classic silent SPMD
+failure modes into deterministic, rank-attributed exceptions.  What
+each finding means and says is decided by the rule book
+:mod:`repro.sanitize.match`, which ``repro verify`` judges symbolic
+ranks with; this module keeps what needs a live rank:
 
-* **Collective matching** — every rank of a communicator must enter the
-  same collective, in the same per-communicator order, with a consistent
-  signature (root, reduction op, payload dtype/shape where the operation
-  requires symmetry).  A divergent rank raises
+* **The collective ledger** — per ``(communicator, call #)`` slot, the
+  first arrival's :class:`~repro.sanitize.match.CommEvent` and the
+  ranks that arrived.  A later arrival that disagrees raises
   :class:`~repro.errors.CollectiveMismatchError` naming both call sites
-  instead of hanging in a half-entered collective.
-* **Deadlock detection** — blocking receives register edges in a
-  wait-for graph; a cycle of blocked ranks whose awaited messages are
-  not in flight raises :class:`~repro.errors.DeadlockError` on the rank
-  that closed the cycle.  A watchdog additionally detects global stalls
-  (every live rank blocked, nothing in flight) and dumps each rank's
-  open span stack from the active :class:`repro.obs.Tracer`.
-* **Move-semantics enforcement** — every ndarray relinquished by a
-  zero-copy ``send(copy=False)`` (and every elided copy a receiver gets)
-  is registered with its sending call site; a later mutation surfaces as
+  instead of hanging in a half-entered collective; a slot still open
+  when the world ended names the ranks that returned without reaching
+  it (:meth:`Sanitizer.close_collectives`).
+* **The wait-for graph and stall watchdog** — blocking receives
+  register edges; a cycle of blocked ranks whose awaited messages are
+  not in flight, or every live rank blocked with no progress, raises
+  :class:`~repro.errors.DeadlockError` with each rank's open span stack
+  from the active :class:`repro.obs.Tracer`.
+* **Move registration** — every ndarray relinquished by a zero-copy
+  ``send(copy=False)`` (and every elided copy a receiver gets) is
+  registered with its sending call site; a later mutation surfaces as
   :class:`~repro.errors.UseAfterMoveError` pointing at the move, not as
   a bare NumPy ``ValueError``.
-* **Message-leak reporting** — at finalize, undrained mailbox entries
-  (sent but never received: orphaned messages, mismatched tags) become
-  ``message-leak`` diagnostics, raised as
-  :class:`~repro.errors.MessageLeakError` in strict mode.
+* **The finalize report** — undrained mailbox entries become
+  :class:`~repro.errors.MessageLeakError`.
 
 Every check is reached through a single ``context.sanitizer is None``
 test in the communicator hot paths, so a run without ``sanitize=`` pays
@@ -39,7 +39,7 @@ import itertools
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -52,37 +52,33 @@ from ..errors import (
 )
 from .diagnostics import (
     ERROR,
-    WARNING,
     CallSite,
     Diagnostic,
     capture_call_site,
     format_diagnostics,
+)
+from .match import (
+    CommEvent,
+    agree,
+    collective_mismatch,
+    deadlock,
+    message_leak,
+    never_reaches,
+    partner_gone,
+    slot,
 )
 
 __all__ = ["Sanitizer"]
 
 
 @dataclass
-class _CollectiveEntry:
-    """First-arriving rank's view of one collective slot (comm, seq)."""
-
-    op: str
-    signature: tuple
-    rank: int
-    site: CallSite | None
-    arrivals: int = 1
-
-
-@dataclass
 class _WaitEdge:
-    """One blocked receive: ``rank`` waits on ``target`` for (tag, comm)."""
+    """One blocked receive: ``rank`` waits on ``target`` in ``event``."""
 
     rank: int              # waiting world rank
     target: int            # awaited world rank
-    source_comm_rank: int  # awaited rank within the communicator
-    tag: int
     comm_id: int
-    site: CallSite | None
+    event: CommEvent       # peer = the awaited rank within the communicator
     mailbox: Any           # the waiter's mailbox (for in-flight checks)
 
 
@@ -109,27 +105,18 @@ class MoveOrigin:
 
 
 class Sanitizer:
-    """Correctness monitor for one SPMD world (see module docstring).
+    """Correctness monitor for one SPMD world (see module docstring)."""
 
-    Parameters
-    ----------
-    strict:
-        Raise :class:`~repro.errors.MessageLeakError` at finalize when
-        mailboxes are undrained (default).  With ``strict=False`` leaks
-        are only recorded in :attr:`findings`.
-    watchdog_interval:
-        Seconds a blocked receive sleeps between progress checks; also
-        the granularity of global-stall detection.
-    """
+    #: Seconds a blocked receive sleeps between progress checks; also the
+    #: granularity of global-stall detection.
+    watchdog_interval = 0.25
 
-    def __init__(self, *, strict: bool = True,
-                 watchdog_interval: float = 0.25) -> None:
-        self.strict = strict
-        self.watchdog_interval = float(watchdog_interval)
+    def __init__(self) -> None:
         self.findings: list[Diagnostic] = []
         self._lock = threading.Lock()
         self._context = None  # set by attach()
-        self._collectives: dict[tuple[int, int], _CollectiveEntry] = {}
+        # (comm_id, seq) -> (first arrival's event, ranks arrived in order)
+        self._slots: dict[tuple[int, int], tuple[CommEvent, list[int]]] = {}
         self._waits: dict[int, _WaitEdge] = {}
         self._moves: dict[int, _MoveRecord] = {}
         self._last_move: dict[int, _MoveRecord] = {}  # per-rank, fallback
@@ -153,6 +140,16 @@ class Sanitizer:
         with self._lock:
             self.findings.append(diag)
 
+    def _raise(self, err, deadlock_state: dict | None = None) -> None:
+        """Record ``err``'s findings, abort the world, raise it."""
+        for d in err.diagnostics:
+            self._record(d)
+        if self._context is not None:
+            if deadlock_state is not None:
+                self._context.last_deadlock = deadlock_state
+            self._context.abort(str(err))
+        raise err
+
     def report(self) -> str:
         """All findings, one per line (empty string when clean)."""
         with self._lock:
@@ -164,7 +161,7 @@ class Sanitizer:
             self.findings.extend(diagnostics)
 
     # ------------------------------------------------------------------
-    # Prong 1a: collective matching
+    # The collective ledger
     # ------------------------------------------------------------------
     def check_collective(
         self,
@@ -176,80 +173,69 @@ class Sanitizer:
         comm_size: int,
         site: CallSite | None = None,
     ) -> None:
-        """Verify this rank's collective call against the first arrival.
+        """Arrive at collective slot ``(comm_id, seq)``.
 
-        The first rank to reach collective slot ``(comm_id, seq)``
-        registers ``(op, signature)``; every later arrival must match
-        both.  Entries are purged once all ``comm_size`` ranks arrived,
-        so the ledger stays bounded.  ``site`` is the caller's call site
-        when the call was made in another process (captured here
-        otherwise).
+        The first arrival's event is the slot's reference; every later
+        arrival must agree with it.  A slot is purged once all
+        ``comm_size`` ranks arrived, so the ledger stays bounded.
+        ``site`` is the caller's call site when the call was made in
+        another process (captured here otherwise).
         """
         key = (comm_id, seq)
+        ev = CommEvent("collective", op, site, signature)
         with self._lock:
-            entry = self._collectives.get(key)
-            if entry is not None and entry.op == op \
-                    and entry.signature == signature:
-                # Fast path — the common case for (P-1) of P arrivals —
-                # needs no call-site capture (no stack walk).
-                entry.arrivals += 1
-                if entry.arrivals >= comm_size:
-                    del self._collectives[key]
+            entry = self._slots.get(key)
+            # The common case for (P-1) of P arrivals needs no call-site
+            # capture (no stack walk).
+            if entry is not None and agree(entry[0], ev):
+                self._arrive(key, entry[1], world_rank, comm_size)
                 return
         if site is None:
-            site = capture_call_site()
+            ev = CommEvent("collective", op, capture_call_site(), signature)
         with self._lock:
-            entry = self._collectives.get(key)
-            if entry is None:
-                self._collectives[key] = _CollectiveEntry(
-                    op=op, signature=signature, rank=world_rank, site=site
-                )
+            first, arrived = self._slots.setdefault(key, (ev, []))
+            if agree(first, ev):  # registrant, or raced with it
+                self._arrive(key, arrived, world_rank, comm_size)
                 return
-            if entry.op == op and entry.signature == signature:
-                # Raced with the registrant between the two lock takes.
-                entry.arrivals += 1
-                if entry.arrivals >= comm_size:
-                    del self._collectives[key]
-                return
-            first = entry
-        # Mismatch: build both-sided diagnostics outside the lock.
-        if first.op != op:
-            what = (
-                f"collective order mismatch on communicator {comm_id} "
-                f"(call #{seq}): rank {first.rank} called {first.op}() at "
-                f"{first.site}, rank {world_rank} called {op}()"
-            )
-        else:
-            what = (
-                f"collective signature mismatch in {op}() on communicator "
-                f"{comm_id} (call #{seq}): rank {first.rank} passed "
-                f"{_sig_str(first.signature)} at {first.site}, rank "
-                f"{world_rank} passed {_sig_str(signature)}"
-            )
-        diags = [
-            Diagnostic(
-                kind="collective-mismatch", message=what, severity=ERROR,
-                file=first.site.file if first.site else None,
-                line=first.site.line if first.site else None,
-                rank=first.rank,
-                extra={"op": first.op, "seq": seq},
-            ),
-            Diagnostic(
-                kind="collective-mismatch", message=what, severity=ERROR,
-                file=site.file if site else None,
-                line=site.line if site else None,
-                rank=world_rank,
-                extra={"op": op, "seq": seq},
-            ),
-        ]
-        for d in diags:
+        diags = collective_mismatch(slot(seq, comm_id), arrived[0], first,
+                                    world_rank, ev, seq=seq)
+        self._raise(CollectiveMismatchError(diags[0].message,
+                                            diagnostics=diags))
+
+    def _arrive(self, key, arrived: list, world_rank: int,
+                comm_size: int) -> None:
+        """Caller holds ``self._lock``."""
+        arrived.append(world_rank)
+        if len(arrived) >= comm_size:
+            del self._slots[key]
+
+    def close_collectives(self, context, returned, died):
+        """Judge the slots still open once the world ended.
+
+        A member that returned normally (``returned``) without arriving
+        never reaches the collective; one that raised or died keeps its
+        own error as the root cause.  With ranks ``died`` the finding is
+        a warning, as leaks are.  Returns the error to raise, or None.
+        """
+        with self._lock:
+            open_slots = sorted(self._slots.items())
+        found = []
+        for (comm_id, seq), (ev, arrived) in open_slots:
+            absent = [r for r in context.comm_members[comm_id]
+                      if r in returned and r not in arrived]
+            if absent:
+                found.append(never_reaches(slot(seq, comm_id), arrived, ev,
+                                           absent, died, seq=seq))
+        for d in found:
             self._record(d)
-        if self._context is not None:
-            self._context.abort(what)
-        raise CollectiveMismatchError(what, diagnostics=diags)
+        errors = [d for d in found if d.severity == ERROR]
+        if not errors:
+            return None
+        return CollectiveMismatchError(
+            "\n".join(d.message for d in errors), diagnostics=errors)
 
     # ------------------------------------------------------------------
-    # Prong 1b: wait-for graph + deadlock watchdog
+    # Wait-for graph + deadlock watchdog
     # ------------------------------------------------------------------
     def begin_wait(
         self,
@@ -269,15 +255,17 @@ class Sanitizer:
         otherwise).
         """
         edge = _WaitEdge(
-            rank=world_rank, target=target_world,
-            source_comm_rank=source_comm_rank, tag=tag, comm_id=comm_id,
-            site=site if site is not None else capture_call_site(),
+            rank=world_rank, target=target_world, comm_id=comm_id,
+            event=CommEvent(
+                "recv", "recv",
+                site if site is not None else capture_call_site(),
+                peer=source_comm_rank, tag=tag),
             mailbox=mailbox,
         )
         with self._lock:
             self._waits[world_rank] = edge
             cycle = self._trace_cycle(world_rank)
-        if cycle and self._cycle_is_starved(cycle):
+        if cycle and not self._in_flight(cycle):
             self._raise_deadlock(cycle, reason="wait-for cycle")
 
     def end_wait(self, world_rank: int) -> None:
@@ -304,68 +292,45 @@ class Sanitizer:
         return None
 
     @staticmethod
-    def _cycle_is_starved(cycle: list[_WaitEdge]) -> bool:
-        """True when no awaited message of the cycle is in flight.
+    def _in_flight(edges: list[_WaitEdge]) -> bool:
+        """Whether an awaited message of ``edges`` is already on its way.
 
-        Every cycle member is blocked (it registered a wait after its
-        sends completed — sends are buffered and return immediately), so
-        if none of the awaited (source, tag) queues holds a message, no
+        Every member is blocked (it registered a wait after its sends
+        completed — sends are buffered and return immediately), so if
+        none of the awaited (source, tag) queues holds a message, no
         member can ever be satisfied: a genuine deadlock.
         """
-        return all(
-            not e.mailbox.has(e.source_comm_rank, e.tag) for e in cycle
-        )
+        return any(e.mailbox.has(e.event.peer, e.event.tag) for e in edges)
 
     def _raise_deadlock(self, edges: list[_WaitEdge], reason: str) -> None:
-        lines = []
-        diags = []
-        for e in edges:
-            desc = (
-                f"rank {e.rank} blocked in recv(source={e.source_comm_rank}, "
-                f"tag={e.tag}) on communicator {e.comm_id} awaiting rank "
-                f"{e.target} at {e.site}"
-            )
-            lines.append("  " + desc)
-            diags.append(Diagnostic(
-                kind="deadlock", message=desc, severity=ERROR,
-                file=e.site.file if e.site else None,
-                line=e.site.line if e.site else None,
-                rank=e.rank,
-                extra={"awaiting": e.target, "tag": e.tag},
-            ))
+        message, diags = deadlock(reason, [
+            (e.rank, e.event, e.comm_id, e.target) for e in edges])
         stacks = self._span_stacks()
         if stacks:
-            lines.append("  open span stacks at detection:")
-            for rank, names in sorted(stacks.items()):
-                lines.append(f"    rank {rank}: {' > '.join(names)}")
-        msg = f"deadlock detected ({reason}):\n" + "\n".join(lines)
-        for d in diags:
-            self._record(d)
-        if self._context is not None:
-            # Feed the watchdog's findings to the postmortem bundle
-            # before the abort wipes the world: the wait-for edges, the
-            # awaited peers, and the span stacks at detection time.
-            self._context.last_deadlock = {
-                "reason": reason,
-                "detected_unix": time.time(),
-                "waits": [
-                    {
-                        "rank": e.rank,
-                        "awaiting_rank": e.target,
-                        "source_comm_rank": e.source_comm_rank,
-                        "tag": e.tag,
-                        "comm_id": e.comm_id,
-                        "site": str(e.site) if e.site else None,
-                    }
-                    for e in edges
-                ],
-                "open_spans": {
-                    str(r): list(names)
-                    for r, names in sorted(stacks.items())
-                },
-            }
-            self._context.abort(msg)
-        raise DeadlockError(msg, diagnostics=diags)
+            message += "\n  open span stacks at detection:" + "".join(
+                f"\n    rank {rank}: {' > '.join(names)}"
+                for rank, names in sorted(stacks.items()))
+        # The postmortem bundle gets the watchdog's findings before the
+        # abort wipes the world: the wait-for edges, the awaited peers,
+        # and the span stacks at detection time.
+        self._raise(DeadlockError(message, diagnostics=diags), {
+            "reason": reason,
+            "detected_unix": time.time(),
+            "waits": [
+                {
+                    "rank": e.rank,
+                    "awaiting_rank": e.target,
+                    "source_comm_rank": e.event.peer,
+                    "tag": e.event.tag,
+                    "comm_id": e.comm_id,
+                    "site": str(e.event.site) if e.event.site else None,
+                }
+                for e in edges
+            ],
+            "open_spans": {
+                str(r): list(names) for r, names in sorted(stacks.items())
+            },
+        })
 
     def _span_stacks(self) -> dict[int, list[str]]:
         """Each rank's open span names: active tracer, else flight recorder."""
@@ -422,9 +387,8 @@ class Sanitizer:
                 return
             blocked = [self._waits[r] for r in sorted(live)
                        if r in self._waits]
-        if any(e.mailbox.has(e.source_comm_rank, e.tag) for e in blocked):
-            return
-        self._raise_deadlock(blocked, reason="global stall, no progress")
+        if not self._in_flight(blocked):
+            self._raise_deadlock(blocked, reason="global stall, no progress")
 
     def describe_failed_partner(
         self,
@@ -436,49 +400,24 @@ class Sanitizer:
         mailbox,
         expected: bool = False,
     ) -> Diagnostic:
-        """Diagnostic for a receive whose partner finalized or died.
+        """The finding for a receive whose partner finalized or died.
 
-        Inspects the waiter's mailbox for undelivered messages from the
-        same source under *different* tags — the signature of a tag
-        mismatch — and says so explicitly.  ``expected`` marks deaths a
-        :class:`~repro.faults.FaultPlan` injected on purpose: the
-        observation is still recorded (the recovery path should be
-        visible in reports) but at WARNING, since surviving it is the
-        point of the experiment.
+        ``expected`` marks deaths a :class:`~repro.faults.FaultPlan`
+        injected on purpose.
         """
-        site = capture_call_site()
-        pending = [
+        pending = sorted(
             t for (s, t), n in mailbox.pending().items()
             if s == source_comm_rank and n > 0 and t != tag
-        ]
-        kind = "rank-failed"
-        msg = (
-            f"rank {world_rank} blocked in recv(source={source_comm_rank}, "
-            f"tag={tag}) but rank {target_world} already {status}"
         )
-        if pending:
-            kind = "tag-mismatch"
-            msg += (
-                f"; undelivered message(s) from it with tag(s) "
-                f"{sorted(pending)} are pending — mismatched send/recv tags?"
-            )
-        severity = ERROR
-        if expected and kind == "rank-failed":
-            severity = WARNING
-            msg += " (injected fault — expected under the active FaultPlan)"
-        diag = Diagnostic(
-            kind=kind, message=msg, severity=severity,
-            file=site.file if site else None,
-            line=site.line if site else None,
-            rank=world_rank,
-            extra={"partner": target_world, "tag": tag,
-                   "pending_tags": sorted(pending)},
-        )
+        recv = CommEvent("recv", "recv", capture_call_site(),
+                         peer=source_comm_rank, tag=tag)
+        diag = partner_gone(world_rank, recv, target_world, status, pending,
+                            expected)
         self._record(diag)
         return diag
 
     # ------------------------------------------------------------------
-    # Prong 1c: move-semantics enforcement
+    # Move registration and the read-only translation
     # ------------------------------------------------------------------
     def note_send(self, world_rank: int) -> MoveOrigin:
         """Record provenance of a copied send (for leak attribution)."""
@@ -513,15 +452,7 @@ class Sanitizer:
         if isinstance(payload, np.ndarray):
             if payload.flags.writeable:
                 return
-            rec = _MoveRecord(
-                rank=proto.rank, site=proto.site, op=proto.op,
-                direction=proto.direction, dest=proto.dest,
-                source=proto.source,
-            )
-            try:
-                rec.ref = weakref.ref(payload)
-            except TypeError:  # plain ndarrays are weakref-able; views too
-                rec.ref = None
+            rec = replace(proto, ref=weakref.ref(payload))
             with self._lock:
                 self._moves[id(payload)] = rec
                 self._last_move[proto.rank] = rec
@@ -537,7 +468,7 @@ class Sanitizer:
                     continue
                 rec = self._moves.get(id(candidate))
                 if rec is not None:
-                    target = rec.ref() if rec.ref is not None else None
+                    target = rec.ref()
                     if target is None or target is candidate:
                         return rec
         return None
@@ -600,22 +531,19 @@ class Sanitizer:
         return UseAfterMoveError(what, diagnostics=[diag])
 
     # ------------------------------------------------------------------
-    # Prong 1d: finalize-time leak report
+    # Finalize-time leak report
     # ------------------------------------------------------------------
     def finalize_world(self, context) -> list[Diagnostic]:
         """Report the messages left undelivered after all ranks returned.
 
-        Each (destination, source, tag) with pending envelopes yields one
-        ``message-leak`` diagnostic attributed to the sender (with the
-        sending call site when the message was sent under sanitizing).
-        Raises :class:`MessageLeakError` in strict mode — unless any
-        rank died during the run: a crashed rank legitimately strands
-        in-flight messages (and survivors' recovery may leave exchanges
-        with the dead rank half-done), so leaks are then reported as
-        warnings instead of errors.
+        Each (destination, source, tag) with pending envelopes is one
+        finding attributed to the sender (with the sending call site
+        when the message was sent under sanitizing), raised as
+        :class:`MessageLeakError` — unless a rank died during the run: a
+        crashed rank legitimately strands in-flight messages, so leaks
+        are then recorded as warnings.
         """
-        failed = context.failed_ranks() if hasattr(context, "failed_ranks") else []
-        severity = WARNING if failed else ERROR
+        died = context.failed_ranks()
         leaks: list[Diagnostic] = []
         channels = itertools.groupby(
             context.pending_messages(),
@@ -624,33 +552,16 @@ class Sanitizer:
         for (comm_id, dest_world, source, tag), rows in channels:
             rows = list(rows)
             origin = rows[0]["origin"]
-            site = origin.site if origin is not None else None
-            sender = origin.rank if origin is not None else None
-            nbytes = sum(m["nbytes"] for m in rows)
-            msg = (
-                f"{len(rows)} undelivered message(s) "
-                f"(source comm-rank {source}, tag {tag}, {nbytes} bytes) "
-                f"left in rank {dest_world}'s mailbox on communicator "
-                f"{comm_id} at finalize"
-            )
-            if site is not None:
-                msg += f"; first sent at {site}"
-            if failed:
-                msg += (
-                    f" (rank(s) {failed} died — expected residue of "
-                    f"a failed/recovered run)"
-                )
-            leaks.append(Diagnostic(
-                kind="message-leak", message=msg, severity=severity,
-                file=site.file if site else None,
-                line=site.line if site else None,
-                rank=sender,
-                extra={"dest": dest_world, "tag": tag,
-                       "count": len(rows), "nbytes": nbytes},
+            leaks.append(message_leak(
+                origin.rank if origin is not None else None, dest_world,
+                source, tag, len(rows),
+                origin.site if origin is not None else None,
+                nbytes=sum(m["nbytes"] for m in rows),
+                where=f" on communicator {comm_id}", died=died,
             ))
         for d in leaks:
             self._record(d)
-        if leaks and self.strict and not failed:
+        if leaks and not died:
             raise MessageLeakError(
                 format_diagnostics(
                     leaks,
@@ -659,10 +570,3 @@ class Sanitizer:
                 diagnostics=leaks,
             )
         return leaks
-
-
-def _sig_str(signature: tuple) -> str:
-    """Human-readable rendering of a collective signature tuple."""
-    if not signature:
-        return "()"
-    return "(" + ", ".join(f"{k}={v!r}" for k, v in signature) + ")"

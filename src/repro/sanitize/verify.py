@@ -5,31 +5,14 @@ lint inspects one function at a time, the verifier loads the whole
 program (:mod:`repro.sanitize.callgraph`), finds every function that
 takes or carries a communicator, and symbolically executes each one per
 abstract rank (:mod:`repro.sanitize.absint`).  The resulting per-rank
-collective/point-to-point traces are then *matched against each other*
-the same way the runtime sanitizer matches live ranks:
-
-``collective-mismatch``
-    The ranks' next collectives disagree in op or root signature, or
-    one rank reaches a collective that another rank never calls — the
-    cross-function generalization of ``rank-divergent-collective``.
-
-``deadlock``
-    Every rank is blocked (receives with no matching send in flight,
-    mutually-waiting collectives) — the classic recv/recv cycle, found
-    without running the program.
-
-``tag-mismatch``
-    A rank blocks in a receive while the matching sender used a
-    different tag — including tags threaded through helper calls as
-    constants, which the per-function lint cannot see.
-
-``message-leak``
-    All ranks terminate but a sent message was never received.
-
-``use-after-move``
-    A buffer moved by ``send(..., copy=False)`` is used afterwards —
-    tracked through aliases, across call boundaries, and through
-    returns.
+traces are scheduled against each other, and the rule book the runtime
+sanitizer judges live ranks with (:mod:`repro.sanitize.match`) says what
+each rendezvous and each stuck state means: ``collective-mismatch``,
+``deadlock``, ``tag-mismatch`` and ``message-leak``, catalogued with
+their live counterparts in ``docs/sanitizer.md``.  The interpreter adds
+``use-after-move``: a buffer moved by ``send(..., copy=False)`` and used
+afterwards, tracked through aliases, across call boundaries, and
+through returns.
 
 Cross-rank findings are only reported from **complete** traces (see
 :mod:`repro.sanitize.absint`): when the interpreter had to guess about
@@ -46,10 +29,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .absint import CommEvent, Trace, run_rank
+from .absint import Trace, run_rank
 from .callgraph import FunctionInfo, Project, load_project
-from .diagnostics import ERROR, Diagnostic, Suppressions
+from .diagnostics import Diagnostic, Suppressions
 from .lint import _is_collective_call, _TAG_POSITIONS, default_lint_roots
+from .match import CommEvent, collective_mismatch, judge_stuck, slot
 
 __all__ = [
     "EntryReport",
@@ -97,143 +81,50 @@ class VerifyResult:
 # ----------------------------------------------------------------------
 def match_traces(traces: Sequence[Trace],
                  entry: FunctionInfo) -> list[Diagnostic]:
-    """Simulate the ranks' traces against each other, MUST-style.
+    """Schedule the ranks' traces against each other, MUST-style.
 
     Sends are buffered (eager), receives block until a matching send
-    is in flight, collectives rendezvous; the simulation runs until all
-    ranks terminate or no rank can advance, and the stuck state is
-    diagnosed.  Only called on complete traces.
+    is in flight, collectives rendezvous.  The schedule runs until every
+    rank terminates or none can advance; the rule book
+    (:mod:`repro.sanitize.match`) judges each rendezvous and the stuck
+    state.  Only called on complete traces.
     """
     world = len(traces)
     pc = [0] * world
-    buffered: dict[tuple[int, int, int], list[CommEvent]] = {}
+    in_flight: dict[tuple[int, int, int], list[CommEvent]] = {}
+    calls = 0
+    extra = {"entry": entry.qualname}
 
     def current(r: int) -> CommEvent | None:
         evs = traces[r].events
         return evs[pc[r]] if pc[r] < len(evs) else None
 
-    findings: list[Diagnostic] = []
-
-    def emit(kind: str, message: str, site, rank=None) -> None:
-        findings.append(Diagnostic(
-            kind=kind, message=message, severity=ERROR,
-            file=site.file if site else entry.file,
-            line=site.line if site else entry.line,
-            rank=rank,
-            extra={"entry": entry.qualname},
-        ))
-
-    for _ in range(sum(len(t.events) for t in traces) * 2 + 8):
+    while True:  # each pass advances a rank, or returns
         progress = False
         for r in range(world):
             ev = current(r)
-            if ev is None:
-                continue
-            if ev.kind == "send":
-                buffered.setdefault((r, ev.peer, ev.tag), []).append(ev)
+            if ev is not None and ev.kind == "send":
+                in_flight.setdefault((r, ev.peer, ev.tag), []).append(ev)
                 pc[r] += 1
                 progress = True
-            elif ev.kind == "recv":
-                queue = buffered.get((ev.peer, r, ev.tag))
+            elif ev is not None and ev.kind == "recv":
+                queue = in_flight.get((ev.peer, r, ev.tag))
                 if queue:
                     queue.pop(0)
                     pc[r] += 1
                     progress = True
-            # collectives rendezvous below
-        colls = {r: current(r) for r in range(world)
-                 if current(r) is not None
-                 and current(r).kind == "collective"}
-        if len(colls) == world:
-            sigs = {ev.signature() for ev in colls.values()}
-            if len(sigs) == 1:
-                for r in range(world):
-                    pc[r] += 1
-                progress = True
-            else:
-                by_sig: dict[tuple, list[int]] = {}
-                for r, ev in colls.items():
-                    by_sig.setdefault(ev.signature(), []).append(r)
-                desc = "; ".join(
-                    f"rank{'s' if len(rs) > 1 else ''} "
-                    f"{','.join(map(str, rs))} at {sig[0]}()"
-                    + (f" root={sig[1]}" if sig[1] is not None else "")
-                    + f" ({colls[rs[0]].site})"
-                    for sig, rs in sorted(by_sig.items(),
-                                          key=lambda kv: kv[1]))
-                emit("collective-mismatch",
-                     f"ranks disagree on the next collective: {desc}",
-                     next(iter(colls.values())).site)
-                return findings
-        if progress:
-            continue
-        # No rank advanced: diagnose the stuck state.
-        if all(current(r) is None for r in range(world)):
-            for (src, dst, tag), queue in sorted(buffered.items()):
-                for ev in queue:
-                    emit("message-leak",
-                         f"message sent by rank {src} to rank {dst} with "
-                         f"tag {tag} at {ev.site} is never received",
-                         ev.site, rank=src)
-            return findings
-        blocked_recvs = {r: current(r) for r in range(world)
-                         if current(r) is not None
-                         and current(r).kind == "recv"}
-        for r, ev in blocked_recvs.items():
-            wrong_tags = sorted(
-                tag for (src, dst, tag), queue in buffered.items()
-                if src == ev.peer and dst == r and queue and tag != ev.tag)
-            if wrong_tags:
-                send_site = buffered[(ev.peer, r, wrong_tags[0])][0].site
-                emit("tag-mismatch",
-                     f"rank {r} blocks in {ev.op}(source={ev.peer}, "
-                     f"tag={ev.tag}) at {ev.site} while rank {ev.peer} "
-                     f"sent tag{'s' if len(wrong_tags) > 1 else ''} "
-                     f"{', '.join(map(str, wrong_tags))} at {send_site}; "
-                     f"the tags never match",
-                     ev.site, rank=r)
-                return findings
-        if colls and blocked_recvs:
-            # Collective/p2p interlock.
-            parts = [
-                f"rank {r} waits at {ev.op}() ({ev.site})"
-                for r, ev in sorted(colls.items())
-            ] + [
-                f"rank {r} blocks in {ev.op}(source={ev.peer}, "
-                f"tag={ev.tag}) ({ev.site})"
-                for r, ev in sorted(blocked_recvs.items())
-            ]
-            emit("deadlock",
-                 "no rank can advance: " + "; ".join(parts),
-                 next(iter(blocked_recvs.values())).site)
-            return findings
-        if colls:
-            # Some ranks wait at a collective the others never call.
-            waiting = sorted(colls)
-            finished = [r for r in range(world) if current(r) is None]
-            ev = colls[waiting[0]]
-            emit("collective-mismatch",
-                 f"rank{'s' if len(waiting) > 1 else ''} "
-                 f"{','.join(map(str, waiting))} call{'s' if len(waiting) == 1 else ''} "
-                 f"{ev.op}() at {ev.site} but rank"
-                 f"{'s' if len(finished) > 1 else ''} "
-                 f"{','.join(map(str, finished))} "
-                 f"never reach{'es' if len(finished) == 1 else ''} a "
-                 f"matching collective",
-                 ev.site)
-            return findings
-        if blocked_recvs:
-            parts = [
-                f"rank {r} blocks in {ev.op}(source={ev.peer}, "
-                f"tag={ev.tag}) at {ev.site}"
-                for r, ev in sorted(blocked_recvs.items())
-            ]
-            emit("deadlock",
-                 ("receive cycle: " if len(blocked_recvs) == world
-                  else "unmatched receive: ") + "; ".join(parts),
-                 next(iter(blocked_recvs.values())).site)
-            return findings
-        return findings
-    return findings
+        now = [current(r) for r in range(world)]
+        if now and all(ev is not None and ev.kind == "collective"
+                       for ev in now):
+            calls += 1
+            for r in range(1, world):
+                diags = collective_mismatch(slot(calls), 0, now[0], r,
+                                            now[r], **extra)
+                if diags:
+                    return diags
+            pc = [p + 1 for p in pc]
+        elif not progress:
+            return judge_stuck(now, in_flight, slot(calls + 1), **extra)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from repro.core import sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
-from repro.errors import CollectiveMismatchError, RankFailedError
+from repro.errors import CollectiveMismatchError, MessageLeakError, RankFailedError
 from repro.faults import CrashRule, FaultPlan, MessageFaultRule
 from repro.mpi import CommTrace, available_backends, run_spmd, waitall
 from repro.obs import Tracer
@@ -268,11 +268,9 @@ def test_sanitizer_message_leak_finding(backend):
         comm.barrier()
         return 1
 
-    from repro.sanitize import Sanitizer
-
-    san = Sanitizer(strict=False)
-    run_spmd(prog, 2, sanitize=san, backend=backend)
-    assert any(f.kind == "message-leak" for f in san.findings)
+    with pytest.raises(MessageLeakError) as ei:
+        run_spmd(prog, 2, sanitize=True, backend=backend)
+    assert any(f.kind == "message-leak" for f in ei.value.diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -584,12 +582,11 @@ def test_crash_postmortem_bundle(backend, tmp_path):
 def test_deadlock_postmortem_bundle(backend, tmp_path):
     from repro.errors import DeadlockError
     from repro.obs import FlightRecorder
-    from repro.sanitize import Sanitizer
 
     rec = FlightRecorder(postmortem_dir=str(tmp_path))
     with pytest.raises(DeadlockError):
         run_spmd(_deadlock_prog, 2, recorder=rec, recv_timeout=30,
-                 sanitize=Sanitizer(watchdog_interval=0.1), backend=backend)
+                 sanitize=True, backend=backend)
 
     bundle = rec.last_postmortem
     assert bundle is not None

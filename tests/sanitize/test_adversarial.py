@@ -175,14 +175,14 @@ class TestMessageLeak:
         assert diag.file.endswith("test_adversarial.py")
         assert "undelivered message" in diag.message
 
-    def test_non_strict_records_without_raising(self):
-        from repro.sanitize import Sanitizer
-
+    def test_leak_findings_ride_on_the_error(self):
+        """There is no record-only mode: a leak's findings are read off
+        the raised error."""
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.arange(4), dest=1, tag=5)  # repro-lint: skip
 
-        san = Sanitizer(strict=False)
-        res = run_spmd(prog, 2, sanitize=san, recv_timeout=TIMEOUT)
-        assert res.sanitizer is san
-        assert [d.kind for d in san.findings] == ["message-leak"]
+        with pytest.raises(MessageLeakError) as ei:
+            _run(prog, 2)
+        assert [(d.kind, d.extra["tag"]) for d in ei.value.diagnostics] == [
+            ("message-leak", 5)]

@@ -7,9 +7,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CommunicatorError, RankFailedError
+from repro.errors import (
+    CollectiveMismatchError,
+    CommunicatorError,
+    MessageLeakError,
+    RankFailedError,
+)
 from repro.mpi import run_spmd
-from repro.sanitize import CallSite, Diagnostic, Sanitizer, format_diagnostics
+from repro.sanitize import CallSite, Diagnostic, format_diagnostics
 
 
 class TestDiagnostics:
@@ -141,8 +146,9 @@ class TestArgumentValidation:
 
 
 class TestFailFastBarrier:
-    """Satellite: a rank blocked on a finalized/failed partner raises
-    RankFailedError instead of deadlocking — with or without sanitizing."""
+    """A rank blocked on a finalized/failed partner raises instead of
+    deadlocking — with or without sanitizing.  The sanitizer names a
+    partner that returned without reaching a collective as the cause."""
 
     def test_barrier_after_partner_finalized_without_sanitizer(self):
         def prog(comm):
@@ -164,10 +170,26 @@ class TestFailFastBarrier:
             run_spmd(prog, 2, recv_timeout=10.0)
 
     def test_sanitized_barrier_diagnostic_names_partner(self):
+        """Under the sanitizer the root cause is the partner that returned
+        without reaching the barrier, not the waiter's RankFailedError."""
         def prog(comm):
             if comm.rank == 0:
                 return None
             comm.barrier()  # repro-lint: skip
+
+        with pytest.raises(CollectiveMismatchError) as ei:
+            run_spmd(prog, 2, sanitize=True, recv_timeout=10.0)
+        (diag,) = ei.value.diagnostics
+        assert diag.kind == "collective-mismatch"
+        assert diag.extra["op"] == "barrier"
+        assert "rank 1 calls barrier()" in diag.message
+        assert "rank 0 never reaches" in diag.message
+
+    def test_sanitized_recv_diagnostic_names_partner(self):
+        def prog(comm):
+            if comm.rank == 0:
+                return None
+            comm.recv(source=0, tag=0)  # repro-lint: skip
 
         with pytest.raises(RankFailedError) as ei:
             run_spmd(prog, 2, sanitize=True, recv_timeout=10.0)
@@ -179,25 +201,22 @@ class TestFailFastBarrier:
 
 class TestSanitizerReport:
     def test_report_lists_findings(self):
-        san = Sanitizer(strict=False)
-
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.ones(2), dest=1, tag=11)  # repro-lint: skip
 
-        run_spmd(prog, 2, sanitize=san)
-        text = san.report()
+        with pytest.raises(MessageLeakError) as ei:
+            run_spmd(prog, 2, sanitize=True)
+        text = format_diagnostics(ei.value.diagnostics)
         assert "message-leak" in text
         assert "tag 11" in text
 
     def test_clean_report_is_empty(self):
-        san = Sanitizer()
-
         def prog(comm):
             comm.barrier()
 
-        run_spmd(prog, 2, sanitize=san)
-        assert san.report() == ""
+        res = run_spmd(prog, 2, sanitize=True)
+        assert res.sanitizer.report() == ""
 
 
 class TestInFlightAccounting:
@@ -205,7 +224,6 @@ class TestInFlightAccounting:
 
     def test_undelivered_message_counts_as_in_flight(self):
         from repro.mpi import CommTrace
-        from repro.sanitize import Sanitizer
 
         trace = CommTrace()
 
@@ -213,7 +231,8 @@ class TestInFlightAccounting:
             if comm.rank == 0:
                 comm.send(np.arange(32), dest=1, tag=2)  # repro-lint: skip
 
-        run_spmd(prog, 2, comm_trace=trace, sanitize=Sanitizer(strict=False))
+        with pytest.raises(MessageLeakError):
+            run_spmd(prog, 2, comm_trace=trace, sanitize=True)
         assert trace.in_flight_messages() == 1
         assert trace.in_flight_bytes() == 32 * 8
 

@@ -71,6 +71,22 @@ class TestFixtureCorpus:
         assert "receive cycle" in d.message
         assert "rank 0" in d.message and "rank 1" in d.message
 
+    def test_irecv_posted_before_send_is_no_deadlock(self, tmp_path):
+        """A posted receive completes at its wait: the trace is marked
+        incomplete rather than blocked at the irecv."""
+        target = tmp_path / "posted.py"
+        target.write_text(
+            "def driver(comm):\n"
+            "    peer = 1 - comm.rank\n"
+            "    req = comm.irecv(source=peer, tag=3)\n"
+            "    comm.send(1.0, dest=peer, tag=3)\n"
+            "    return req.wait()\n", encoding="utf-8")
+        res = verify_paths([str(target)])
+        assert res.findings == []
+        (report,) = res.reports
+        assert not report.complete
+        assert any("irecv" in note for t in report.traces for note in t.notes)
+
     @pytest.mark.parametrize("name", [
         "cross_rank_bcast", "moved_return", "tag_through_helper",
         "recv_cycle",

@@ -353,3 +353,31 @@ def test_one_cost_model():
     with pytest.raises(TypeError):
         Resilience(backoff_base=1e-6)
     assert not hasattr(Resilience, "retry_policy")
+
+
+def test_one_spmd_rule_book():
+    """The live sanitizer and ``repro verify`` share one event type and one
+    rule book (``repro.sanitize.match``); the sanitizer has no options
+    (no ``strict=``, no ``watchdog_interval=``), ``run_spmd(sanitize=)``
+    takes a bool, and a process worker's config carries no watchdog
+    interval."""
+    import repro.sanitize.absint as absint
+    import repro.sanitize.sanitizer as sanitizer
+    from repro.errors import CommunicatorError
+    from repro.mpi import run_spmd
+    from repro.mpi.transport.worldproxy import WorkerConfig
+    from repro.sanitize import Sanitizer
+    from repro.sanitize.match import CommEvent
+
+    assert list(inspect.signature(Sanitizer).parameters) == []
+    for knob in ("strict", "watchdog_interval"):
+        with pytest.raises(TypeError):
+            Sanitizer(**{knob: False})
+    for value in (Sanitizer(), None, 1):
+        with pytest.raises(CommunicatorError,
+                           match="sanitize= expects True or False"):
+            run_spmd(lambda comm: comm.rank, 2, sanitize=value)
+    assert "watchdog_interval" not in WorkerConfig.__slots__
+    assert not hasattr(sanitizer, "_CollectiveEntry")
+    assert absint.CommEvent is CommEvent
+    assert "CommEvent" not in absint.__all__
