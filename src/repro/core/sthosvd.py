@@ -189,7 +189,7 @@ def sthosvd(
         performed (full HOSVD — used for singular-value studies).
     method:
         ``"qr"`` (numerically stable QR-SVD, this paper; the LQ runs on
-        LAPACK's ``geqrf``/``tpqrt``) or ``"gram"`` (TuckerMPI's Gram-SVD
+        LAPACK's ``tpqrt``) or ``"gram"`` (TuckerMPI's Gram-SVD
         baseline); a dense tensor also has ``"gram-mixed"`` and
         ``"randomized"`` (``SUPPORTED_METHODS``).
     precision:

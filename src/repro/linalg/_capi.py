@@ -30,7 +30,7 @@ from scipy.linalg import cython_blas, cython_lapack
 
 from ..errors import ConfigurationError, ConvergenceError, ReproError
 
-__all__ = ["ROUTINES", "Workspace", "geqrf", "tpqrt", "gesvd", "dsdot"]
+__all__ = ["ROUTINES", "Workspace", "tpqrt", "gesvd", "dsdot"]
 
 _CTYPES = {
     "void": None,
@@ -41,14 +41,11 @@ _CTYPES = {
     "float *": ctypes.c_void_p,
     "double *": ctypes.c_void_p,
 }
-_GEQRF = "void (int *, int *, {t} *, int *, {t} *, {t} *, int *, int *)"
 _TPQRT = ("void (int *, int *, int *, int *, {t} *, int *, {t} *, int *, "
           "{t} *, int *, {t} *, int *)")
 _GESVD = ("void (char *, char *, int *, int *, {t} *, int *, {t} *, {t} *, "
           "int *, {t} *, int *, {t} *, int *, int *)")
 _SIGNATURES = {
-    "sgeqrf": (cython_lapack, _GEQRF.format(t="float")),
-    "dgeqrf": (cython_lapack, _GEQRF.format(t="double")),
     "stpqrt": (cython_lapack, _TPQRT.format(t="float")),
     "dtpqrt": (cython_lapack, _TPQRT.format(t="double")),
     "sgesvd": (cython_lapack, _GESVD.format(t="float")),
@@ -120,30 +117,6 @@ class Workspace:
         if self._buf.dtype != dtype or self._buf.size < size:
             self._buf = np.empty(size, dtype=dtype)
         return self._buf
-
-
-def geqrf(a: np.ndarray, ws: Workspace) -> None:
-    """``{s,d}geqrf`` in place on Fortran-ordered ``a`` with the optimal
-    ``lwork``: R on and above the diagonal, reflectors below."""
-    routine = _prefix(a.dtype) + "geqrf"
-    fn = ROUTINES[routine]
-    lda = _leading_dimension("a", a, a.dtype)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return
-    m_, n_, lda_, info = c_int(m), c_int(n), c_int(lda), c_int(0)
-    k = min(m, n)
-    # Workspace query: the optimal size comes back in work[0].
-    query = ws.take(1, a.dtype)
-    fn(byref(m_), byref(n_), a.ctypes.data, byref(lda_), query.ctypes.data,
-       query.ctypes.data, byref(c_int(-1)), byref(info))
-    if info.value == 0:
-        lwork = max(int(query[0]), n)
-        scratch = ws.take(k + lwork, a.dtype)
-        fn(byref(m_), byref(n_), a.ctypes.data, byref(lda_), scratch.ctypes.data,
-           scratch[k:].ctypes.data, byref(c_int(lwork)), byref(info))
-    if info.value != 0:
-        raise ReproError(f"LAPACK {routine} failed with info={info.value}")
 
 
 def tpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray, ws: Workspace) -> None:

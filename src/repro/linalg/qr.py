@@ -4,13 +4,14 @@ The paper calls LAPACK's driver routines for any row- or column-major
 submatrix and reserves the structured ``tpqrt`` kernel for the tree
 steps (Sec. 4.2.1).  Here every driver is the same flat tree
 (:func:`flat_tree_lq`, Alg. 2): the matrix is consumed about
-``2048`` columns at a time, LAPACK ``geqrf`` factors the first chunk and
-``tpqrt`` folds each later one into the single live triangle, so the
-working set stays in cache whatever the layout and no full-size
-temporary is made.  ``backend="householder"`` swaps LAPACK for our own
-Householder kernels, the reference the tests validate it against; both
-produce a valid triangular factor (they may differ by row/column signs,
-which is immaterial to the SVD that consumes them).
+``2048`` columns at a time and LAPACK ``tpqrt`` folds each chunk into
+the single live triangle, which starts at zero (``tpqrt`` on a zero
+triangle is the Householder QR of the chunk), so the working set stays
+in cache whatever the layout and no full-size temporary is made.
+``backend="householder"`` swaps LAPACK for our own Householder kernels,
+the reference the tests validate it against; both produce a valid
+triangular factor (they may differ by row/column signs, which is
+immaterial to the SVD that consumes them).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
 from ..obs.tracer import trace_span
 from . import _capi
-from .flops import qr_flops
 from .tpqrt import BACKENDS, _check_backend, _fold
 
 __all__ = ["geqr", "gelq", "flat_tree_lq", "block_runs", "BACKENDS"]
@@ -37,6 +37,13 @@ _CHUNK_COLS = 2048
 # float32 rows, so that the tile's source lines are used up while they are
 # in L1); measurements in docs/algorithms.md.
 _TILE_BYTES = 1 << 15
+# _pack: row segments up to this many bytes are copied as opaque items,
+# _SEGMENT_BLOCKS blocks at a time.  Each block is one read stream, and the
+# hardware prefetcher follows 32 at a time, not the 86 of a run of 24-column
+# blocks; longer segments already copy at memcpy speed and measured 5-15 %
+# slower as items (EXPERIMENTS.md, "Packing at memory speed").
+_SEGMENT_BYTES = 256
+_SEGMENT_BLOCKS = 32
 
 
 def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
@@ -45,21 +52,6 @@ def _inject(kernel: str, M: np.ndarray) -> np.ndarray:
     if inj is not None:
         M, _ = inj.kernel_fault(kernel, M)
     return M
-
-
-def _first_triangle(work, backend, counter, mode, ws: _capi.Workspace) -> np.ndarray:
-    """Upper-trapezoidal R of the packed first chunk (destroys ``work``)."""
-    if backend == "householder":
-        from .householder import qr_r
-
-        return qr_r(work, counter=counter, mode=mode)
-    m, n = work.shape
-    _capi.geqrf(work, ws)
-    if counter is not None:
-        counter.add(qr_flops(max(m, n), min(m, n)), phase=PHASE_LQ, mode=mode)
-    # Reflectors below the diagonal stay: tpqrt never reads them and the
-    # final np.tril drops them.
-    return work[: min(m, n)].copy(order="F")
 
 
 def flat_tree_lq(
@@ -78,11 +70,10 @@ def flat_tree_lq(
     bcols)`` with any strides: ``k`` consecutive row-major column blocks
     of the ``rows``-row unfolding (a plain ``rows x c`` matrix chunk is
     the ``k = 1`` case).  Each run is packed, transposed, into one reused
-    Fortran-ordered buffer; the first is QR-factored and every later one
-    is annihilated against the live triangle with ``tpqrt``, all steps
-    sharing this call's LAPACK scratch.  Leading runs with fewer than
-    ``rows`` columns are merged first, so the input is never modified
-    and any chunking is accepted.
+    Fortran-ordered buffer and annihilated against the live triangle
+    with ``tpqrt``, all steps sharing this call's LAPACK scratch.  The
+    triangle starts at zero, so the input is never modified and any
+    chunking is accepted, runs narrower than ``rows`` included.
 
     Returns the ``rows x rows`` lower-triangular ``L`` (``rows x cols``
     lower trapezoid when the whole unfolding has ``cols < rows``).
@@ -95,24 +86,15 @@ def flat_tree_lq(
     with trace_span(kernel, phase=PHASE_LQ, mode=mode, rows=rows, backend=backend):
         buf = np.empty(0, dtype=dtype)
         ws = _capi.Workspace()
-        Rt = head = None
+        Rt = np.zeros((rows, rows), dtype=dtype, order="F")
+        cols = 0
         for run in runs:
-            if Rt is None and (head is not None or run.shape[0] * run.shape[2] < rows):
-                flat = run.transpose(1, 0, 2).reshape(rows, -1)
-                head = flat if head is None else np.concatenate([head, flat], axis=1)
-                if head.shape[1] < rows:
-                    continue
-                run, head = head[None], None
             buf, work = _pack(run, buf)
-            if Rt is None:
-                Rt = _first_triangle(work, backend, counter, mode, ws)
-            else:
-                _fold(Rt, work, 0, backend, True, counter, mode, ws)
-        if head is not None:  # the whole unfolding has fewer columns than rows
-            Rt = _first_triangle(_pack(head[None], buf)[1], backend, counter, mode, ws)
-        if Rt is None:  # no columns at all
-            return _inject(kernel, np.zeros((rows, 0), dtype=dtype))
-        return _inject(kernel, np.ascontiguousarray(np.tril(Rt.T)))
+            _fold(Rt, work, 0, backend, True, counter, mode, ws)
+            cols += work.shape[0]
+        # tpqrt never writes below the diagonal; with fewer columns than
+        # rows only the first ``cols`` rows of the triangle are the factor.
+        return _inject(kernel, np.ascontiguousarray(Rt[:cols].T))
 
 
 def block_runs(blocks: np.ndarray) -> Iterator[np.ndarray]:
@@ -137,19 +119,26 @@ def _pack(run: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One-column blocks (mode 0) make the copy a plain matrix transpose, which
     NumPy walks a destination row at a time, fetching every source cache
     line once per row; it is done a tile of columns at a time instead.  A
-    wider block's rows are contiguous segments and go in one copy.
+    wider block's rows are contiguous segments: a short one is copied as
+    one opaque ``bcols``-element item (same bits), so NumPy's copy loop
+    runs over blocks rather than over a segment's elements,
+    ``_SEGMENT_BLOCKS`` blocks at a time.  A single block, a long or
+    strided segment and a casting copy go in one plain copy.
     """
     k, rows, bcols = run.shape
     if buf.size < run.size:
         buf = np.empty(run.size, dtype=buf.dtype)
     work = buf[: run.size].reshape((k * bcols, rows), order="F")
     dst, src = work.T.reshape(rows, k, bcols), run.transpose(1, 0, 2)
-    step = _TILE_BYTES // max(rows * buf.itemsize, 1)
-    if bcols != 1 or step < 2:
-        np.copyto(dst, src)
-    else:
-        for j in range(0, k, step):
-            np.copyto(dst[:, j : j + step], src[:, j : j + step])
+    step, tile = k, _TILE_BYTES // max(rows * buf.itemsize, 1)
+    if bcols == 1 and tile >= 2:
+        step = tile
+    elif (bcols > 1 and k > 1 and bcols * run.itemsize <= _SEGMENT_BYTES
+          and run.dtype == buf.dtype and run.strides[2] == run.itemsize):
+        segment = np.dtype((np.void, bcols * run.itemsize))
+        dst, src, step = dst.view(segment), src.view(segment), _SEGMENT_BLOCKS
+    for j in range(0, k, max(step, 1)):
+        np.copyto(dst[:, j : j + step], src[:, j : j + step])
     return buf, work
 
 

@@ -5,11 +5,10 @@ contiguous row-major ``I_n x prod_before`` column blocks.  TensorLQ
 reduces it to a single ``I_n x I_n`` lower-triangular factor with a
 flat-tree TSQR, the same loop for every mode: the blocks are cut into
 runs of about 2048 unfolding columns (many one-column blocks for mode
-0, slices of the single block for the last mode), the first run is
-QR-factored and each later one is folded into the live triangle with
-``tpqrt`` (:func:`repro.linalg.qr.flat_tree_lq`), streaming through
-the tensor exactly once.  The first run has at least ``I_n`` columns
-whenever the unfolding does (Sec. 3.3, last paragraph).
+0, slices of the single block for the last mode) and each run is folded
+into the live triangle, which starts at zero, with ``tpqrt``
+(:func:`repro.linalg.qr.flat_tree_lq`), streaming through the tensor
+exactly once.
 """
 
 from __future__ import annotations

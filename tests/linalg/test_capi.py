@@ -25,13 +25,18 @@ class TestSameBitsAsF2py:
     @pytest.mark.parametrize("dtype,prefix", DTYPES)
     @pytest.mark.parametrize("m,n", [(300, 24), (24, 24), (7, 24), (24, 1), (1, 1)])
     def test_geqrf(self, rng, dtype, prefix, m, n):
+        """The flat tree's first fold: ``tpqrt`` into a zero triangle is
+        f2py ``geqrf``'s R (row signs aside, to rounding: a zero diagonal
+        picks the reflector's sign)."""
         A = np.asfortranarray(rng.standard_normal((m, n)).astype(dtype))
-        f2py = getattr(lapack, prefix + "geqrf")
-        lwork = int(f2py(A, lwork=-1)[2][0])
-        ref, _, _, info = f2py(A.copy(order="F"), lwork=lwork)
+        ref, _, _, info = getattr(lapack, prefix + "geqrf")(A.copy(order="F"))
         assert info == 0
-        _capi.geqrf(A, _capi.Workspace())
-        np.testing.assert_array_equal(A, ref)
+        R = np.zeros((n, n), dtype=dtype, order="F")
+        _capi.tpqrt(0, _inner_block(n), R, A, _capi.Workspace())
+        k = min(m, n)
+        np.testing.assert_array_equal(np.tril(R, -1), 0)
+        tol = 50 * np.finfo(dtype).eps * np.abs(ref).max()
+        np.testing.assert_allclose(np.abs(R[:k]), np.abs(np.triu(ref[:k])), atol=tol)
 
     @pytest.mark.parametrize("dtype,prefix", DTYPES)
     @pytest.mark.parametrize("keep", [True, False])
@@ -117,23 +122,22 @@ class TestArgumentChecks:
         frozen = B.copy(order="F")
         frozen.flags.writeable = False
         with pytest.raises(ReproError, match="writable"):
-            _capi.geqrf(frozen, ws)
+            _capi.tpqrt(0, 2, R, frozen, ws)
         with pytest.raises(ReproError, match="float32 or float64"):
-            _capi.geqrf(np.asfortranarray(np.ones((3, 2), dtype=np.int64)), ws)
+            _capi.gesvd(np.asfortranarray(np.ones((3, 2), dtype=np.int64)), ws)
         with pytest.raises(ReproError, match="contiguous float32"):
             _capi.dsdot(np.ones(8, dtype=np.float32)[::2])
 
     def test_signature_mismatch_names_routine_and_scipy(self):
-        other = _capi._SIGNATURES["dgeqrf"][1]
+        other = _capi._SIGNATURES["dgesvd"][1]
         with pytest.raises(ConfigurationError) as err:
             _capi._bind(cython_lapack, "dtpqrt", other)
         assert "dtpqrt" in str(err.value) and f"SciPy {scipy.__version__}" in str(err.value)
-        with pytest.raises(ConfigurationError, match="dgeqrf as None"):
-            _capi._bind(types.SimpleNamespace(__pyx_capi__={}), "dgeqrf", other)
+        with pytest.raises(ConfigurationError, match="dgesvd as None"):
+            _capi._bind(types.SimpleNamespace(__pyx_capi__={}), "dgesvd", other)
 
     def test_every_routine_is_bound_from_this_scipy(self):
-        assert sorted(_capi.ROUTINES) == [
-            "dgeqrf", "dgesvd", "dsdot", "dtpqrt", "sgeqrf", "sgesvd", "stpqrt"]
+        assert sorted(_capi.ROUTINES) == ["dgesvd", "dsdot", "dtpqrt", "sgesvd", "stpqrt"]
 
 
 def _plain_pack(run, dtype):
@@ -167,6 +171,52 @@ class TestTiledPack:
         run = rng.standard_normal((23, 5, 1))
         _, work = QR._pack(run, np.full(200, np.nan))
         np.testing.assert_array_equal(work, _plain_pack(run, np.float64))
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _elementwise_pack(run, dtype):
+    """The transposed copy one block at a time, NumPy casting element by element."""
+    k, rows, bcols = run.shape
+    out = np.empty((k * bcols, rows), dtype=dtype, order="F")
+    for j in range(k):
+        out[j * bcols : (j + 1) * bcols] = run[j].T
+    return out
+
+
+class TestSegmentPack:
+    """A multi-block run's row segments are copied as opaque items: the
+    packed bits are those of a plain transposed copy, whatever the path."""
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    @pytest.mark.parametrize("k", [1, 2, 86])
+    @pytest.mark.parametrize("bcols", [1, 2, 24, 576])
+    def test_bit_for_bit(self, rng, dtype, uint, k, bcols):
+        # Random bit patterns: NaN payloads, infinities, subnormals and -0.
+        info = np.iinfo(uint)
+        run = rng.integers(0, info.max, size=(k, 5, bcols), dtype=uint,
+                           endpoint=True).view(dtype)
+        _, work = QR._pack(run, np.empty(0, dtype=dtype))
+        assert work.flags.f_contiguous and work.shape == (k * bcols, 5)
+        np.testing.assert_array_equal(_bits(work), _bits(_elementwise_pack(run, dtype)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_sliced_and_strided_runs(self, rng, dtype):
+        X = rng.standard_normal((9, 6, 40)).astype(dtype)
+        X[0, 0, 5] = -0.0
+        for run in (X[:, :, 3:27], X[1::3, 1:, 10:12], X[:, :, ::2], X[::-1]):
+            _, work = QR._pack(run, np.full(7, np.nan, dtype=dtype))
+            np.testing.assert_array_equal(_bits(work), _bits(_elementwise_pack(run, dtype)))
+
+    def test_casting_run(self, rng):
+        run = rng.standard_normal((86, 5, 24)).astype(np.float32)
+        run[3, 2, 1] = np.nan
+        _, work = QR._pack(run, np.empty(0, dtype=np.float64))
+        assert work.dtype == np.float64
+        np.testing.assert_array_equal(_bits(work),
+                                      _bits(_elementwise_pack(run, np.float64)))
 
 
 class TestThreads:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestFlatTree:
     )
     @settings(max_examples=150, deadline=None)
     def test_any_chunking(self, rows, widths, dtype, backend, seed):
-        """Leading runs narrower than the matrix is tall are merged; the
+        """Runs narrower than the matrix is tall fold like any other; the
         result does not depend on how the columns arrive."""
         A = np.random.default_rng(seed).standard_normal((rows, sum(widths))).astype(dtype)
         keep = A.copy()
@@ -107,6 +108,61 @@ class TestFlatTree:
         Y = np.concatenate(list(blocks), axis=1)
         L = flat_tree_lq("gelq", [blocks[:3], blocks[3:4], blocks[4:]], 4, np.float64)
         np.testing.assert_allclose(L @ L.T, Y @ Y.T, atol=1e-12)
+
+    def test_fewer_columns_than_rows_is_a_trapezoid(self, rng):
+        A = rng.standard_normal((9, 5))
+        for runs in ([A[None]], [A[None, :, :2], A[None, :, 2:]]):
+            L = flat_tree_lq("gelq", iter(runs), 9, np.float64)
+            assert L.shape == (9, 5) and L.flags.c_contiguous
+            np.testing.assert_array_equal(np.triu(L, 1), 0)
+            np.testing.assert_allclose(L @ L.T, A @ A.T, atol=1e-12)
+
+    def test_zero_columns(self):
+        for runs in ([], [np.zeros((1, 4, 0))], [np.zeros((0, 4, 3))]):
+            L = flat_tree_lq("gelq", iter(runs), 4, np.float64)
+            assert L.shape == (4, 0) and L.dtype == np.float64
+
+    def test_out_of_core_runs_narrower_than_rows(self, tmp_path, rng):
+        """``max_elements=500`` streams mode 1's 30 rows 12 columns at a
+        time; the LQ agrees with the Householder reference."""
+        from repro.core import ooc_tensor_lq
+        from repro.data.outofcore import OutOfCoreTensor
+        from repro.tensor import DenseTensor
+
+        X = DenseTensor(rng.standard_normal((6, 30, 8)))
+        ooc = OutOfCoreTensor.from_dense(X, str(tmp_path / "x.bin"))
+        widths = {c.shape[1] for c in ooc.iter_unfolding_chunks(1, 500)}
+        assert max(widths) < 30
+        L = ooc_tensor_lq(ooc, 1, max_elements=500)
+        runs = (c[None] for c in ooc.iter_unfolding_chunks(1, 500))
+        ref = flat_tree_lq("gelq", runs, 30, np.float64, backend="householder")
+        np.testing.assert_allclose(L, ref, atol=1e-11)
+        Y = X.unfold(1)
+        np.testing.assert_allclose(L @ L.T, Y @ Y.T, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype,prefix", [(np.float32, "s"), (np.float64, "d")])
+    def test_every_run_is_one_tpqrt_call(self, rng, monkeypatch, dtype, prefix):
+        """No other LAPACK routine factors a run: ``geqrf`` is not even bound."""
+        from repro.linalg import _capi, tensor_lq
+        from repro.tensor import DenseTensor
+
+        assert not [name for name in _capi.ROUTINES if "geqrf" in name]
+        calls = []
+        for name, fn in list(_capi.ROUTINES.items()):
+            monkeypatch.setitem(_capi.ROUTINES, name,
+                                lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
+        A = rng.standard_normal((6, 40)).astype(dtype)
+        runs = [A[None, :, :2], A[None, :, 2:9], A[None, :, 9:]]
+        flat_tree_lq("gelq", iter(runs), 6, dtype)
+        assert calls == [prefix + "tpqrt"] * 3
+        monkeypatch.setattr(sys.modules["repro.linalg.qr"], "_CHUNK_COLS", 64)
+        X = DenseTensor(rng.standard_normal((40, 3, 2, 50)).astype(dtype))
+        for n in range(X.ndim):
+            calls.clear()
+            blocks = X.column_block_range(n, 0, X.num_column_blocks(n))
+            tensor_lq(X, n)
+            assert len(calls) > 1
+            assert calls == [prefix + "tpqrt"] * len(list(block_runs(blocks)))
 
     def test_block_runs_cover_every_column_once(self, rng):
         blocks = rng.standard_normal((5, 3, 1000))
@@ -143,6 +199,6 @@ class TestFlatTree:
         def bad(*args):  # the C routine's last argument is ``int *info``
             args[-1]._obj.value = -2
 
-        monkeypatch.setitem(_capi.ROUTINES, "dgeqrf", bad)
-        with pytest.raises(ReproError, match="dgeqrf failed with info=-2"):
+        monkeypatch.setitem(_capi.ROUTINES, "dtpqrt", bad)
+        with pytest.raises(ReproError, match="dtpqrt failed with info=-2"):
             gelq(rng.standard_normal((3, 8)))
