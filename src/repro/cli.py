@@ -11,11 +11,9 @@ Three subcommands operate on raw natural-order tensor files (the
 
 Beyond the archive commands: ``simulate``/``tune`` (model-only runs),
 ``trace`` (a traced — and optionally sanitized — parallel ST-HOSVD with
-observability artifacts), ``lint`` (the static per-function SPMD lint
-of :mod:`repro.sanitize`), ``verify`` (the whole-program SPMD verifier:
+observability artifacts), ``verify`` (the whole-program SPMD verifier:
 interprocedural comm-trace matching, ownership, and deadlock analysis,
-with per-driver comm-graph artifacts — together with ``lint`` the CI
-gate), ``chaos`` (a seeded fault matrix) and ``postmortem`` (render a
+with per-driver comm-graph artifacts — the CI gate), ``chaos`` (a seeded fault matrix) and ``postmortem`` (render a
 crash bundle).
 
 Usage::
@@ -26,7 +24,6 @@ Usage::
     python -m repro.cli reconstruct archive/ --out restored.bin
     python -m repro.cli trace --shape 32 32 32 --grid 2 2 1 \
         --tol 1e-4 --out artifacts --sanitize
-    python -m repro.cli lint --strict src/repro examples
     python -m repro.cli verify --strict --graph-dir artifacts/commgraphs
 """
 
@@ -534,26 +531,6 @@ def _cmd_postmortem(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    """Static SPMD lint over source trees (see repro.sanitize.lint)."""
-    from .sanitize import format_diagnostics, lint_paths
-    from .sanitize.lint import DEFAULT_RULES, default_lint_roots
-
-    rules = tuple(args.rules) if args.rules else DEFAULT_RULES
-    paths = args.paths or default_lint_roots()
-    findings = lint_paths(paths, rules=rules)
-    if findings:
-        print(format_diagnostics(
-            findings, header=f"repro lint: {len(findings)} finding(s)"
-        ))
-    else:
-        roots = ", ".join(paths)
-        print(f"repro lint: clean ({roots})")
-    if args.strict and findings:
-        return 1
-    return 0
-
-
 def _cmd_verify(args) -> int:
     """Whole-program SPMD verification (see repro.sanitize.verify)."""
     import json as _json
@@ -747,24 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trailing flight-recorder events shown per rank "
                          "(0 disables the per-rank tails)")
     pm.set_defaults(fn=_cmd_postmortem)
-
-    ln = sub.add_parser(
-        "lint",
-        help="static SPMD lint: rank-divergent collectives, use-after-move, "
-             "tag mismatches, raw LAPACK calls, deserializers off the wire",
-    )
-    ln.add_argument("paths", nargs="*",
-                    help="files or directories (default: the repro package "
-                         "and ./examples)")
-    ln.add_argument("--strict", action="store_true",
-                    help="exit non-zero when any finding is reported (CI gate)")
-    ln.add_argument("--rules", nargs="+", default=None,
-                    metavar="RULE",
-                    help="subset of rules to run (default: all of "
-                         "repro.sanitize.lint.DEFAULT_RULES, e.g. "
-                         "rank-divergent-collective, use-after-move, "
-                         "tag-mismatch, raw-lapack)")
-    ln.set_defaults(fn=_cmd_lint)
 
     vf = sub.add_parser(
         "verify",

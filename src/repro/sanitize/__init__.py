@@ -1,6 +1,7 @@
 """Static analysis and runtime correctness checking for SPMD programs.
 
-Two prongs, sharing the :class:`Diagnostic` vocabulary:
+Two prongs, sharing the :class:`Diagnostic` vocabulary and one rule
+book (:mod:`repro.sanitize.match`):
 
 * **Runtime sanitizer** (:class:`Sanitizer`, activated via
   ``run_spmd(program, P, sanitize=True)``) — collective-matching
@@ -9,20 +10,14 @@ Two prongs, sharing the :class:`Diagnostic` vocabulary:
   for live runs.  The failure modes that normally manifest as silent
   hangs or corrupted factor matrices become deterministic,
   rank-attributed exceptions carrying ``file:line`` call sites.
-* **AST lint** (:func:`lint_paths` / the ``repro lint`` CLI) — a static
-  per-function pass over SPMD source flagging collectives inside
-  rank-conditional branches, buffers referenced after a ``copy=False``
-  move, mismatched point-to-point tag literals, and raw
-  ``np.linalg.svd``/``eigh`` calls that bypass the instrumented
-  :mod:`repro.linalg` kernels.
 * **Whole-program verifier** (:func:`verify_paths` / the
-  ``repro verify`` CLI) — the interprocedural tier: an abstract
+  ``repro verify`` CLI) — the one static checker: an abstract
   interpreter that symbolically executes every communicator-taking
   driver once per rank and cross-matches the resulting communication
   traces, catching rank-divergent collectives hidden behind helper
   calls, moved buffers reused across function boundaries,
   constant-propagated tag mismatches, and receive cycles — MUST-style
-  deadlock detection at lint time.  It also emits a per-driver
+  deadlock detection before the program runs.  It also emits a per-driver
   comm-graph artifact (DOT + JSON).
 
 See ``docs/sanitizer.md`` for the full diagnostic catalogue and
@@ -35,7 +30,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".diagnostics": ("ERROR", "WARNING", "CallSite", "Diagnostic",
                      "Suppressions", "capture_call_site", "format_diagnostics"),
-    ".lint": ("DEFAULT_RULES", "lint_file", "lint_paths", "lint_source"),
     ".sanitizer": ("Sanitizer",),
     ".verify": ("EntryReport", "VerifyResult", "comm_graph_dot",
                 "comm_graph_json", "default_verify_roots", "match_traces",
@@ -51,10 +45,6 @@ __all__ = [
     "capture_call_site",
     "format_diagnostics",
     "Sanitizer",
-    "DEFAULT_RULES",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "EntryReport",
     "VerifyResult",
     "comm_graph_dot",

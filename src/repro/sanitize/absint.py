@@ -6,8 +6,8 @@ small concrete world (``world_size=2`` by default).  With the rank a
 known constant, ``comm.rank``-dependent branches constant-fold into
 decidable control flow, so the execution of rank 0 and rank 1 genuinely
 diverge exactly where the program's communication diverges — the
-MUST-style insight that makes cross-rank matching checkable at lint
-time.
+MUST-style insight that makes cross-rank matching checkable before the
+program runs.
 
 Each run yields a :class:`Trace` — the ordered sequence of
 :class:`~repro.sanitize.match.CommEvent` (collectives with their root
@@ -36,25 +36,29 @@ and are reported even from incomplete traces.
 
 Decisions the interpreter cannot make are resolved *uniformly*: an
 undecidable branch takes the then-branch on every rank, so abstraction
-alone can never manufacture cross-rank divergence.
+alone can never manufacture cross-rank divergence.  The one exception is
+a condition that reads the rank (``comm.rank``, ``state.world_rank``, a
+parameter named ``rank``): a collective under it, in either branch, is
+a ``collective-mismatch`` finding even when the interpreter cannot
+decide it, because ranks that decide it differently disagree.
+
+A loop of unknown trip count runs once; when that pass moved a buffer,
+the body runs a second time for findings only, so a buffer moved on one
+iteration and not rebound before the next is a ``use-after-move``.
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .callgraph import FunctionInfo, Project
 from .diagnostics import ERROR, CallSite, Diagnostic
-from .match import CommEvent
+from .match import CommEvent, rank_guarded
 
-__all__ = [
-    "Buffer",
-    "Trace",
-    "RankInterp",
-    "run_rank",
-]
+__all__ = ["Trace", "run_rank"]
 
 # Communicator methods modeled as primitives.
 _COLLECTIVE_OPS = frozenset({
@@ -71,6 +75,8 @@ _ROOT_ARG = {"bcast": 1, "reduce": 1, "gather": 1, "scatter": 1}
 _DEST_ARG = {"send": 1, "isend": 1, "sendrecv": 1}
 _TAG_ARG = {"send": 2, "isend": 2, "sendrecv": 2, "recv": 1, "irecv": 1}
 _SRC_ARG = {"recv": 0, "irecv": 0}
+# Names that read as "this process's rank".
+_RANK_NAMES = frozenset({"rank", "world_rank", "my_rank"})
 
 _MAX_UNROLL = 64
 _MAX_DEPTH = 16
@@ -81,21 +87,7 @@ _buffer_ids = itertools.count(1)
 # ----------------------------------------------------------------------
 # Abstract values
 # ----------------------------------------------------------------------
-class Unknown:
-    """Top: a value the interpreter knows nothing about."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<unknown>"
-
-
-UNKNOWN = Unknown()
+UNKNOWN = object()  # top: a value the interpreter knows nothing about
 
 
 @dataclass(frozen=True)
@@ -105,12 +97,14 @@ class Const:
 
 @dataclass
 class Buffer:
-    """An alias-tracked opaque object (array, list, result, ...)."""
+    """An alias-tracked opaque object (array, list, result, ...); its
+    attributes are buffers too, so ``state.buf`` can be moved."""
 
-    label: str = "<buffer>"
     moved_at: CallSite | None = None
     moved_op: str = ""
     bid: int = field(default_factory=lambda: next(_buffer_ids))
+    attrs: dict = field(default_factory=dict)
+    nullable: bool = False  # an attribute read: it may be None
 
 
 @dataclass
@@ -154,8 +148,7 @@ class Trace:
     notes: list = field(default_factory=list)
 
     def poison(self, reason: str) -> None:
-        if self.complete:
-            self.complete = False
+        self.complete = False
         if reason not in self.notes:
             self.notes.append(reason)
 
@@ -178,8 +171,11 @@ class _FuncExit(Exception):
     """An (abstract) raise: unwinds the current function."""
 
 
-def _fresh_buffer(label: str = "<buffer>") -> Buffer:
-    return Buffer(label=label)
+def _reads_rank(node: ast.expr) -> bool:
+    """Whether an expression names the rank (``comm.rank``, ``rank``)."""
+    return any(isinstance(sub, ast.Name) and sub.id in _RANK_NAMES
+               or isinstance(sub, ast.Attribute) and sub.attr in _RANK_NAMES
+               for sub in ast.walk(node))
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +192,7 @@ class RankInterp:
         self.findings: list[Diagnostic] = []
         self._reported: set[tuple] = set()
         self.call_stack: list[str] = []
+        self.moves = 0  # buffers moved so far
 
     # -- entry ----------------------------------------------------------
     def run(self, entry: FunctionInfo) -> Trace:
@@ -217,8 +214,8 @@ class RankInterp:
             try:
                 return Const(ast.literal_eval(node))
             except (ValueError, SyntaxError):
-                return _fresh_buffer(param)
-        return _fresh_buffer(param)
+                return Buffer()
+        return Buffer()
 
     # -- function execution ---------------------------------------------
     def _exec_function(self, info: FunctionInfo, env: dict):
@@ -226,7 +223,7 @@ class RankInterp:
                for n in ast.walk(info.node)):
             self.trace.poison(
                 f"generator {info.qualname} treated as opaque")
-            return _fresh_buffer(info.name)
+            return Buffer()
         self.call_stack.append(info.qualname)
         prev = getattr(self, "_info", None)
         self._info = info
@@ -235,8 +232,6 @@ class RankInterp:
             return Const(None)
         except _Return as ret:
             return ret.value
-        except _FuncExit:
-            raise
         finally:
             self._info = prev
             self.call_stack.pop()
@@ -313,41 +308,61 @@ class RankInterp:
             for tgt in stmt.targets:
                 if isinstance(tgt, ast.Name):
                     env.pop(tgt.id, None)
-        elif isinstance(stmt, (ast.Pass, ast.Import, ast.ImportFrom,
-                               ast.Global, ast.Nonlocal, ast.Assert,
-                               ast.ClassDef)):
-            pass
-        else:
-            # Unmodeled statement (match, ...): skip, stay sound by
-            # noting nothing — it executes uniformly on every rank.
-            pass
+        # Anything else (pass, import, class, match, ...) is skipped: it
+        # executes uniformly on every rank.
 
     def _exec_if(self, stmt, env) -> None:
         cond = self._truthy(self._eval(stmt.test, env))
-        if cond is True:
-            self._exec_block(stmt.body, env)
-        elif cond is False:
+        if cond is False:
             self._exec_block(stmt.orelse, env)
-        else:
-            # Undecidable: every rank takes the then-branch uniformly,
-            # so abstraction never fabricates divergence.
+            return
+        # True, or undecidable: every rank takes the then-branch
+        # uniformly, so abstraction never fabricates divergence.
+        before = len(self.trace.events)
+        try:
             self._exec_block(stmt.body, env)
+        finally:
+            if cond is None and _reads_rank(stmt.test):
+                self._rank_guard(stmt.test, self.trace.events[before:]
+                                 + self._dry_run(stmt.orelse, env))
+
+    def _rank_guard(self, test, events) -> None:
+        """A collective among ``events``, under the undecidable condition
+        ``test`` that reads the rank, is a finding."""
+        for ev in events:
+            if ev.kind == "collective":
+                self.findings.append(rank_guarded(ev, self._site(test)))
+                return
+
+    def _dry_run(self, body, env) -> list:
+        """Execute ``body`` for findings only: the events it would emit
+        are returned, and its trace and bindings are thrown away."""
+        trace, self.trace = self.trace, Trace(rank=self.rank)
+        try:
+            self._exec_block(body, dict(env))
+        except (_Break, _Continue, _Return, _FuncExit):
+            pass
+        finally:
+            trace, self.trace = self.trace, trace
+        return trace.events
 
     def _exec_for(self, stmt, env) -> None:
         items = self._iterable_items(stmt.iter, env)
         if items is None:
-            before = len(self.trace.events)
+            before, moves, broke = len(self.trace.events), self.moves, False
             self._bind(stmt.target, UNKNOWN, env)
             try:
                 self._exec_block(stmt.body, env)
             except _Break:
-                pass
+                broke = True
             except _Continue:
                 pass
             if len(self.trace.events) != before:
                 self.trace.poison(
                     f"loop with unknown trip count performs communication "
                     f"({self._site(stmt)})")
+            if not broke and self.moves != moves:
+                self._dry_run(stmt.body, env)  # a move the next trip reuses
             self._exec_block(stmt.orelse, env)
             return
         broke = False
@@ -369,7 +384,7 @@ class RankInterp:
             if cond is False:
                 self._exec_block(stmt.orelse, env)
                 return
-            before = len(self.trace.events)
+            before, moves = len(self.trace.events), self.moves
             try:
                 self._exec_block(stmt.body, env)
             except _Break:
@@ -382,6 +397,10 @@ class RankInterp:
                     self.trace.poison(
                         f"while-loop with undecidable condition performs "
                         f"communication ({self._site(stmt)})")
+                if _reads_rank(stmt.test):
+                    self._rank_guard(stmt.test, self.trace.events[before:])
+                if self.moves != moves:
+                    self._dry_run(stmt.body, env)
                 return
         self.trace.poison(
             f"while-loop exceeded {_MAX_UNROLL} unrolled iterations "
@@ -439,6 +458,7 @@ class RankInterp:
                 base.attrs[target.attr] = value
             elif isinstance(base, Buffer):
                 self._check_use(base, self._site(target), "written through")
+                base.attrs[target.attr] = value
         elif isinstance(target, ast.Subscript):
             base = self._eval(target.value, env)
             self._eval(target.slice, env)
@@ -506,12 +526,10 @@ class RankInterp:
         if isinstance(base, CarrierVal):
             if attr == "comm":
                 return base.comm
-            if attr not in base.attrs:
-                base.attrs[attr] = _fresh_buffer(attr)
-            return base.attrs[attr]
+            return base.attrs.setdefault(attr, Buffer())
         if isinstance(base, Buffer):
             self._check_use(base, self._site(node), f"read (.{attr})")
-            return UNKNOWN
+            return base.attrs.setdefault(attr, Buffer(nullable=True))
         return UNKNOWN
 
     def _eval_subscript(self, node, env):
@@ -538,37 +556,22 @@ class RankInterp:
             return Const(tuple(v.value for v in values))
         return values
 
-    def _eval_list(self, node, env):
-        return self._eval_tuple(node, env)
+    _eval_list = _eval_tuple
 
     def _eval_starred(self, node, env):
         return self._eval(node.value, env)
-
-    def _eval_slice(self, node, env):
-        for part in (node.lower, node.upper, node.step):
-            if part is not None:
-                self._eval(part, env)
-        return UNKNOWN
 
     def _eval_dict(self, node, env):
         for k, v in zip(node.keys, node.values):
             if k is not None:
                 self._eval(k, env)
             self._eval(v, env)
-        return _fresh_buffer("<dict>")
+        return Buffer()
 
     def _eval_set(self, node, env):
         for e in node.elts:
             self._eval(e, env)
-        return _fresh_buffer("<set>")
-
-    def _eval_joinedstr(self, node, env):
-        for v in node.values:
-            self._eval(v, env)
-        return UNKNOWN
-
-    def _eval_formattedvalue(self, node, env):
-        return self._eval(node.value, env)
+        return Buffer()
 
     def _eval_lambda(self, node, env):
         return UNKNOWN
@@ -581,24 +584,16 @@ class RankInterp:
         self._bind(node.target, value, env)
         return value
 
+    _UNOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos,
+              ast.Not: operator.not_, ast.Invert: operator.invert}
+
     def _eval_unaryop(self, node, env):
         val = self._eval(node.operand, env)
         if isinstance(val, Const):
             try:
-                if isinstance(node.op, ast.USub):
-                    return Const(-val.value)
-                if isinstance(node.op, ast.UAdd):
-                    return Const(+val.value)
-                if isinstance(node.op, ast.Not):
-                    return Const(not val.value)
-                if isinstance(node.op, ast.Invert):
-                    return Const(~val.value)
+                return Const(self._UNOPS[type(node.op)](val.value))
             except Exception:
                 return UNKNOWN
-        if isinstance(node.op, ast.Not):
-            t = self._truthy(val)
-            if t is not None:
-                return Const(not t)
         return UNKNOWN
 
     _BINOPS = {
@@ -661,13 +656,13 @@ class RankInterp:
             if isinstance(left, Const) and isinstance(right, Const):
                 same = left.value is right.value
                 return same if isinstance(op, ast.Is) else not same
-            # A buffer/communicator is definitely not None.
-            if (isinstance(right, Const) and right.value is None
-                    and isinstance(left, (Buffer, CommVal, CarrierVal))):
-                return isinstance(op, ast.IsNot)
-            if (isinstance(left, Const) and left.value is None
-                    and isinstance(right, (Buffer, CommVal, CarrierVal))):
-                return isinstance(op, ast.IsNot)
+            # A buffer/communicator is definitely not None; an attribute
+            # read off a buffer may be.
+            for a, b in ((left, right), (right, left)):
+                if (isinstance(b, Const) and b.value is None
+                        and isinstance(a, (Buffer, CommVal, CarrierVal))
+                        and not getattr(a, "nullable", False)):
+                    return isinstance(op, ast.IsNot)
             return None
         if isinstance(left, Const) and isinstance(right, Const):
             fn = self._CMPOPS.get(type(op))
@@ -706,16 +701,13 @@ class RankInterp:
         return UNKNOWN
 
     def _eval_listcomp(self, node, env):
+        # A generator expression is evaluated eagerly too: the dominant
+        # use is an immediately-consumed sum(...)/list(...); a stored
+        # lazy generator is mis-modeled, which at worst poisons
+        # completeness via its comm events.
         return self._eval_comprehension(node, node.elt, env)
 
-    def _eval_setcomp(self, node, env):
-        return self._eval_comprehension(node, node.elt, env)
-
-    def _eval_generatorexp(self, node, env):
-        # Eagerly evaluated: the dominant use is an immediately-consumed
-        # sum(...)/list(...); a stored lazy generator is mis-modeled,
-        # which at worst poisons completeness via its comm events.
-        return self._eval_comprehension(node, node.elt, env)
+    _eval_setcomp = _eval_generatorexp = _eval_listcomp
 
     def _eval_dictcomp(self, node, env):
         return self._eval_comprehension(node, node.value, env)
@@ -758,7 +750,7 @@ class RankInterp:
         rec(list(node.generators), dict(env))
         if results and all(isinstance(r, Const) for r in results):
             return Const([r.value for r in results])
-        return _fresh_buffer("<comprehension>")
+        return Buffer()
 
     # -- calls ------------------------------------------------------------
     _PURE_BUILTINS = {
@@ -793,8 +785,8 @@ class RankInterp:
                         *[a.value for a in args]))
                 except Exception:
                     return UNKNOWN
-            self._check_call_args(node, args, [], env, evaluated=True)
-            return _fresh_buffer(ast.unparse(node.func))
+            self._check_call_args(node, args)
+            return Buffer()
 
         return self._call_opaque(node, env)
 
@@ -814,11 +806,11 @@ class RankInterp:
             self.trace.poison(
                 f"communication on a split/dup subcommunicator is not "
                 f"modeled ({site})")
-            return _fresh_buffer(op)
+            return Buffer()
         if op == "?":
             self.trace.poison(
                 f"unmodeled communicator method ({site})")
-            return _fresh_buffer("comm-result")
+            return Buffer()
         if op in _BENIGN_OPS:
             return UNKNOWN
 
@@ -842,7 +834,7 @@ class RankInterp:
                 signature=(("root", root),)))
             if op == "barrier":
                 return Const(None)
-            return _fresh_buffer(f"{op}-result")
+            return Buffer()
 
         if op in _SUBCOMM_OPS:
             self.trace.events.append(CommEvent(
@@ -857,16 +849,15 @@ class RankInterp:
                 f"{op}() with undecidable {what} ({site})")
             return None
 
+        def fold_tag():  # an omitted tag is 0
+            tag = grab(_TAG_ARG, "tag")
+            return 0 if tag is None else int_or_none(tag, "tag")
+
         if op in ("send", "isend", "sendrecv"):
             payload = args[0] if args else kwargs.get("obj")
             peer_kw = "partner" if op == "sendrecv" else "dest"
             dest = int_or_none(grab(_DEST_ARG, peer_kw), peer_kw)
-            tag = grab(_TAG_ARG, "tag")
-            tag = tag.value if (isinstance(tag, Const)
-                                and isinstance(tag.value, int)) else (
-                0 if tag is None else None)
-            if tag is None:
-                self.trace.poison(f"{op}() with undecidable tag ({site})")
+            tag = fold_tag()
             moved = False
             copy = kwargs.get("copy")
             if isinstance(copy, Const) and copy.value is False:
@@ -875,6 +866,7 @@ class RankInterp:
                     if payload.moved_at is None:
                         payload.moved_at = site
                         payload.moved_op = op
+                        self.moves += 1
             self.trace.events.append(CommEvent(
                 kind="send", op=op, site=site, peer=dest, tag=tag,
                 moved=moved))
@@ -887,15 +879,9 @@ class RankInterp:
                 source = int_or_none(grab(_DEST_ARG, "partner"), "partner")
             else:
                 source = int_or_none(grab(_SRC_ARG, "source"), "source")
-            tag = grab(_TAG_ARG, "tag")
-            tag = tag.value if (isinstance(tag, Const)
-                                and isinstance(tag.value, int)) else (
-                0 if tag is None else None)
-            if tag is None:
-                self.trace.poison(f"{op}() with undecidable tag ({site})")
             self.trace.events.append(CommEvent(
-                kind="recv", op=op, site=site, peer=source, tag=tag))
-        return _fresh_buffer(f"{op}-result")
+                kind="recv", op=op, site=site, peer=source, tag=fold_tag()))
+        return Buffer()
 
     def _call_known(self, node, callee: FunctionInfo, env):
         if callee.qualname in self.call_stack:
@@ -931,16 +917,13 @@ class RankInterp:
         for name in params:
             if name not in callee_env:
                 callee_env[name] = self._default_value(callee, name)
-        try:
-            return self._exec_function(callee, callee_env)
-        except _FuncExit:
-            raise
+        return self._exec_function(callee, callee_env)
 
     def _call_opaque(self, node, env, note: str | None = None):
         args = [self._eval(a.value if isinstance(a, ast.Starred) else a, env)
                 for a in node.args]
         kwargs = [self._eval(kw.value, env) for kw in node.keywords]
-        self._check_call_args(node, args, kwargs, env, evaluated=True)
+        self._check_call_args(node, args + kwargs)
         if note:
             has_comm = any(
                 isinstance(v, (CommVal, CarrierVal))
@@ -949,16 +932,12 @@ class RankInterp:
                 self.trace.poison(
                     f"{note} with a communicator argument "
                     f"({self._site(node)})")
-        return _fresh_buffer("<call-result>")
+        return Buffer()
 
-    def _check_call_args(self, node, args, kwargs, env, evaluated) -> None:
+    def _check_call_args(self, node, values) -> None:
         site = self._site(node)
-        label = None
-        try:
-            label = ast.unparse(node.func)
-        except Exception:
-            label = "<call>"
-        for val in list(args) + list(kwargs):
+        label = ast.unparse(node.func)
+        for val in values:
             if isinstance(val, Buffer) and val.moved_at is not None:
                 self._check_use(val, site, f"passed to {label}()")
             if isinstance(val, (CommVal, CarrierVal)):

@@ -1,7 +1,7 @@
 """Whole-program call graph and rank-sensitivity taint for the verifier.
 
 The interprocedural half of :mod:`repro.sanitize.verify` needs three
-things the per-function lint never computes:
+things no single function shows:
 
 * a **project table** of every function and method parsed from the
   analysis roots, keyed by qualified name, with each function's
@@ -180,7 +180,7 @@ class Project:
         # helper calls, closing the tag-through-helper gap.
         self.module_consts: dict[str, dict[str, object]] = {}
         self.edges: list[CallEdge] = []
-        self.parse_errors: list[tuple[str, str]] = []
+        self.parse_errors: list[tuple[str, int, str]] = []
 
     # -- construction --------------------------------------------------
     def add_file(self, path: str) -> None:
@@ -189,7 +189,8 @@ class Project:
                 source = f.read()
             tree = ast.parse(source, filename=path)
         except (OSError, SyntaxError) as exc:
-            self.parse_errors.append((path, str(exc)))
+            self.parse_errors.append(
+                (path, getattr(exc, "lineno", None) or 0, str(exc)))
             return
         module = _module_name(path)
         aliases = self.imports.setdefault(module, {})

@@ -1,14 +1,14 @@
-"""Shared diagnostic vocabulary for the SPMD sanitizer and the AST lint.
+"""Shared diagnostic vocabulary for the SPMD sanitizer and the verifier.
 
 Both prongs of :mod:`repro.sanitize` — the runtime :class:`Sanitizer`
-and the :mod:`repro.sanitize.lint` AST pass — report findings as
+and the :mod:`repro.sanitize.verify` static checker — report findings as
 :class:`Diagnostic` records: a machine-checkable kind, a severity, an
 optional rank, and a ``file:line`` call site.  Tests assert on these
 fields directly instead of pattern-matching exception text, and the CLI
 renders them one per line in the classic compiler format::
 
-    examples/foo.py:42: error[rank-divergent-collective] rank-conditional
-        call to bcast() ...
+    examples/foo.py:42: error[collective-mismatch] rank 0 calls bcast()
+        (call #1) at examples/foo.py:42 but rank 1 never reaches ...
 
 Call-site capture (:func:`capture_call_site`) walks the Python stack
 outward past the runtime's own frames (``repro/mpi``, ``repro/sanitize``)
@@ -60,13 +60,13 @@ class CallSite:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One sanitizer or lint finding.
+    """One sanitizer or verifier finding.
 
     ``kind`` is a stable machine-readable identifier (e.g.
     ``collective-mismatch``, ``use-after-move``, ``deadlock``,
-    ``message-leak``, ``rank-failed``, ``rank-divergent-collective``,
-    ``tag-mismatch``, ``raw-lapack``).  ``rank`` is the world rank the
-    finding is attributed to, or ``None`` for static (lint) findings.
+    ``message-leak``, ``rank-failed``, ``tag-mismatch``).  ``rank`` is
+    the world rank the finding is attributed to, or ``None`` when no one
+    rank is to blame.
     """
 
     kind: str
@@ -118,8 +118,8 @@ _ALLOW_RE = re.compile(r"#\s*repro-lint:\s*allow\(([a-z0-9_,\- ]+)\)")
 class Suppressions:
     """Per-line ``# repro-lint:`` pragmas of one source file.
 
-    Shared by both static tiers (:mod:`repro.sanitize.lint` and
-    :mod:`repro.sanitize.verify`): ``# repro-lint: skip`` silences every
+    Read by :mod:`repro.sanitize.verify` and by the repository's own
+    rules (``tools/lint_repo.py``): ``# repro-lint: skip`` silences every
     rule on its line, ``# repro-lint: allow(<kind>[, <kind>...])`` one
     or more specific kinds.  A finding is checked against its whole
     statement extent, so a pragma anywhere on a multi-line statement —

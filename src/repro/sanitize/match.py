@@ -13,10 +13,13 @@ one collective, send or receive of one rank.
 
 ``collective-mismatch``
     Two ranks disagree at a collective slot on the op (order) or its
-    signature, or some ranks reach a collective that others never do.
+    signature, or some ranks reach a collective that others never do —
+    statically also a collective under a condition that reads the rank
+    and cannot be decided.
 ``tag-mismatch``
     A rank blocks in a receive nothing will satisfy, while the same
-    sender's messages under other tags wait for it.
+    sender's messages under other tags wait for it — statically also a
+    function whose literal send and receive tags disagree.
 ``message-leak``
     A sent message is never received.
 ``deadlock``
@@ -39,7 +42,9 @@ __all__ = [
     "judge_stuck",
     "message_leak",
     "never_reaches",
+    "literal_tag_mismatch",
     "partner_gone",
+    "rank_guarded",
     "slot",
     "tag_mismatch",
 ]
@@ -149,6 +154,16 @@ def never_reaches(where: str, arrived: Sequence[int], ev: CommEvent,
                     WARNING if died else ERROR, op=ev.op, **extra)
 
 
+def rank_guarded(ev: CommEvent, cond: CallSite, **extra) -> Diagnostic:
+    """A collective under a condition at ``cond`` that reads the rank
+    and that the static side cannot decide."""
+    what = (f"{ev.op}() at {ev.site} runs under a condition at {cond} that "
+            f"reads the rank and cannot be decided statically; ranks that "
+            f"decide it differently never reach a matching collective")
+    return _finding("collective-mismatch", what, None, ev.site, op=ev.op,
+                    **extra)
+
+
 # ----------------------------------------------------------------------
 # tag-mismatch (and its live sibling, a receive from a partner gone)
 # ----------------------------------------------------------------------
@@ -162,6 +177,17 @@ def tag_mismatch(rank: int, recv: CommEvent, sender: int,
             + (f" at {send_site}" if send_site else "")
             + f"; mismatched send/recv tags never match{note}")
     return _finding("tag-mismatch", what, rank, recv.site, **extra)
+
+
+def literal_tag_mismatch(ev: CommEvent, others: Sequence[int],
+                         **extra) -> Diagnostic:
+    """``ev``'s literal tag is none of ``others``, the literal tags its
+    function uses in the other direction."""
+    other = "receive" if ev.kind == "send" else "send"
+    what = (f"{ev.op}(tag={ev.tag}) at {ev.site} has no {other} with that "
+            f"tag in {ev.site.function}() ({other} tags: {sorted(others)}); "
+            f"mismatched send/recv tags never match")
+    return _finding("tag-mismatch", what, None, ev.site, tag=ev.tag, **extra)
 
 
 def partner_gone(rank: int, recv: CommEvent, partner: int, status: str,

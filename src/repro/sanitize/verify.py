@@ -1,24 +1,30 @@
-"""``repro verify`` — whole-program SPMD verification at lint time.
+"""``repro verify`` — whole-program SPMD verification before a run.
 
-The interprocedural tier above :mod:`repro.sanitize.lint`: where the
-lint inspects one function at a time, the verifier loads the whole
-program (:mod:`repro.sanitize.callgraph`), finds every function that
-takes or carries a communicator, and symbolically executes each one per
-abstract rank (:mod:`repro.sanitize.absint`).  The resulting per-rank
+The one static SPMD checker: the verifier loads the whole program
+(:mod:`repro.sanitize.callgraph`), finds every function that takes or
+carries a communicator, and symbolically executes each one per abstract
+rank (:mod:`repro.sanitize.absint`).  The resulting per-rank
 traces are scheduled against each other, and the rule book the runtime
 sanitizer judges live ranks with (:mod:`repro.sanitize.match`) says what
 each rendezvous and each stuck state means: ``collective-mismatch``,
 ``deadlock``, ``tag-mismatch`` and ``message-leak``, catalogued with
 their live counterparts in ``docs/sanitizer.md``.  The interpreter adds
 ``use-after-move``: a buffer moved by ``send(..., copy=False)`` and used
-afterwards, tracked through aliases, across call boundaries, and
-through returns.
+afterwards, tracked through aliases, attributes, loop iterations, call
+boundaries and returns — and ``collective-mismatch`` for a collective
+under a condition that reads the rank but cannot be decided.
+
+One check stays per function, ``tag-mismatch`` over literal tags: a
+function whose literal send tags and literal receive tags disagree hangs
+both sides whatever its peers are, and a peer is often a parameter the
+interpreter cannot fold, which leaves the trace incomplete and the
+matcher silent.
 
 Cross-rank findings are only reported from **complete** traces (see
 :mod:`repro.sanitize.absint`): when the interpreter had to guess about
 communication, it stays silent rather than guessing wrong.  Ownership
-findings are local facts and always surface.  ``# repro-lint:`` pragmas
-suppress verifier findings exactly as they do lint findings.
+findings are local facts and always surface.  A ``# repro-lint:
+allow(<kind>)`` (or ``skip``) pragma on a finding's line suppresses it.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from typing import Iterable, Sequence
 
 from .absint import Trace, run_rank
 from .callgraph import FunctionInfo, Project, load_project
-from .diagnostics import Diagnostic, Suppressions
-from .lint import _is_collective_call, _TAG_POSITIONS, default_lint_roots
-from .match import CommEvent, collective_mismatch, judge_stuck, slot
+from .diagnostics import CallSite, Diagnostic, Suppressions
+from .match import (CommEvent, collective_mismatch, judge_stuck,
+                    literal_tag_mismatch, slot)
 
 __all__ = [
     "EntryReport",
@@ -48,6 +54,22 @@ __all__ = [
 ]
 
 DEFAULT_WORLD_SIZE = 2
+
+# MPI-style collective method names, as the comm graph lists them.
+_COLLECTIVES = frozenset({
+    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
+    "scatter", "alltoall", "reduce_scatter", "split", "dup",
+})
+# Receiver-chain roots that make a ``.reduce``/``.split``-style call
+# clearly *not* a communicator operation (np.add.reduce, "a,b".split).
+_NON_COMM_ROOTS = frozenset({
+    "np", "numpy", "scipy", "math", "functools", "operator", "itertools",
+    "os", "re", "str", "string",
+})
+# Position of the ``tag`` argument of each point-to-point call.
+_TAG_POSITIONS = {"send": 2, "isend": 2, "sendrecv": 2, "recv": 1, "irecv": 1}
+_SENDERS = frozenset({"send", "isend", "sendrecv"})
+_RECEIVERS = frozenset({"recv", "irecv", "sendrecv"})
 
 
 @dataclass
@@ -185,6 +207,15 @@ def verify_project(project: Project,
         reports.append(report)
         add(report.findings)
 
+    add(Diagnostic(kind="syntax-error", message=message, file=path,
+                   line=line) for path, line, message in project.parse_errors)
+    reach = set().union(*(project.reachable_from(f.qualname)
+                          for f in selected))
+    for qual in sorted(reach):
+        info = project.functions.get(qual)
+        if info is not None and info.takes_comm():
+            add(_literal_tags(info))
+
     all_findings = _apply_pragmas(all_findings)
     all_findings.sort(key=lambda d: (d.file or "", d.line or 0, d.kind))
     return VerifyResult(project=project, reports=reports,
@@ -209,8 +240,13 @@ def _apply_pragmas(findings: list[Diagnostic]) -> list[Diagnostic]:
 
 
 def default_verify_roots(cwd: str | None = None) -> list[str]:
-    """Same convention as the lint: the repro package plus examples/."""
-    return default_lint_roots(cwd)
+    """The repro package, plus ``examples/`` under ``cwd`` (default: the
+    working directory) when it exists."""
+    roots = [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    examples = os.path.join(cwd or os.getcwd(), "examples")
+    if os.path.isdir(examples):
+        roots.append(examples)
+    return roots
 
 
 def verify_paths(paths: Iterable[str] | None = None,
@@ -223,9 +259,53 @@ def verify_paths(paths: Iterable[str] | None = None,
     return verify_project(project, world_size=world_size, entries=entries)
 
 
+def _literal_tags(info: FunctionInfo) -> list[Diagnostic]:
+    """``tag-mismatch`` within one function, from its literal tags."""
+    ops = [o for o in _comm_ops_of(info) if "tag" in o]
+    tags = {side: {o["tag"] for o in ops if o["op"] in ops_of}
+            for side, ops_of in (("send", _SENDERS), ("recv", _RECEIVERS))}
+    if not tags["send"] or not tags["recv"]:
+        return []
+    findings = []
+    for o in ops:
+        for side, other, ops_of in (("send", "recv", _SENDERS),
+                                    ("recv", "send", _RECEIVERS)):
+            if o["op"] in ops_of and o["tag"] not in tags[other]:
+                ev = CommEvent(kind=side, op=o["op"], tag=o["tag"],
+                               site=CallSite(info.file, o["line"], info.name))
+                findings.append(literal_tag_mismatch(ev, tags[other]))
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Comm-graph artifact
 # ----------------------------------------------------------------------
+def _root_name(node: ast.expr) -> str | None:
+    """Leftmost identifier of a Name/Attribute chain (``np.linalg`` -> np)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_collective_call(call: ast.Call) -> str | None:
+    """The collective's name when ``call`` is a communicator collective."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr not in _COLLECTIVES:
+        return None
+    if _root_name(func.value) in _NON_COMM_ROOTS:
+        return None
+    if func.attr == "split":
+        # ``.split`` is overwhelmingly str.split; require communicator
+        # evidence: a color/key keyword or a comm-ish receiver name.
+        receiver = func.value
+        name = (receiver.attr if isinstance(receiver, ast.Attribute) else
+                receiver.id if isinstance(receiver, ast.Name) else "")
+        if not ({"color", "key"} & {k.arg for k in call.keywords}
+                or "comm" in name.lower()):
+            return None
+    return func.attr
+
+
 def _comm_ops_of(info: FunctionInfo) -> list[dict]:
     """Syntactic communication operations of one function body."""
     ops = []
@@ -240,10 +320,12 @@ def _comm_ops_of(info: FunctionInfo) -> list[dict]:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _TAG_POSITIONS:
             entry = {"op": func.attr, "kind": "p2p", "line": node.lineno}
-            for kw in node.keywords:
-                if (kw.arg == "tag" and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, int)):
-                    entry["tag"] = kw.value.value
+            pos = _TAG_POSITIONS[func.attr]
+            tag = ([kw.value for kw in node.keywords if kw.arg == "tag"]
+                   or node.args[pos:pos + 1])
+            if (tag and isinstance(tag[0], ast.Constant)
+                    and isinstance(tag[0].value, int)):
+                entry["tag"] = tag[0].value
             ops.append(entry)
     return ops
 

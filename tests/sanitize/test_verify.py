@@ -1,10 +1,10 @@
 """Whole-program verifier tests: the adversarial fixture corpus, the
-lint-blindness contrast, repo self-verification, and the comm-graph
-artifact.
+per-function blindness contrast, repo self-verification, and the
+comm-graph artifact.
 
 Each fixture under ``tests/sanitize/programs/`` seeds exactly one
-interprocedural bug that PR 3's per-function lint demonstrably cannot
-see; the verifier must report exactly that diagnostic and nothing else.
+interprocedural bug that no check of one function at a time can see;
+the verifier must report exactly that diagnostic and nothing else.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.sanitize import lint_paths
 from repro.sanitize.callgraph import load_project
 from repro.sanitize.verify import (
+    _literal_tags,
     comm_graph_dot,
     comm_graph_json,
     verify_paths,
@@ -37,7 +37,8 @@ def verify_fixture(name: str):
 
 
 class TestFixtureCorpus:
-    """Each seeded bug is found, precisely, and the lint misses it."""
+    """Each seeded bug is found, precisely, and no per-function check
+    sees it."""
 
     def test_cross_rank_bcast(self):
         res = verify_fixture("cross_rank_bcast")
@@ -92,8 +93,12 @@ class TestFixtureCorpus:
         "recv_cycle",
     ])
     def test_per_function_lint_is_blind_to_the_seeded_bug(self, name):
-        """The corpus exists to pin interprocedural-only bugs."""
-        assert lint_paths([fixture(name)]) == []
+        """The corpus exists to pin interprocedural-only bugs: the one
+        check verify keeps per function (literal tags) is blind to it."""
+        project = load_project([fixture(name)])
+        assert project.functions
+        for info in project.functions.values():
+            assert _literal_tags(info) == [], info.qualname
 
     def test_helpers_are_not_analyzed_standalone(self):
         # ship() alone would look like a message leak; through the

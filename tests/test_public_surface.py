@@ -11,6 +11,7 @@ import dataclasses
 import importlib
 import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +382,25 @@ def test_one_spmd_rule_book():
     assert not hasattr(sanitizer, "_CollectiveEntry")
     assert absint.CommEvent is CommEvent
     assert "CommEvent" not in absint.__all__
+
+
+def test_one_static_spmd_checker():
+    """``repro verify`` is the one static SPMD checker: the per-function
+    lint (``repro.sanitize.lint``), its exports and the ``repro lint``
+    subcommand are gone, and ``tools/lint_repo.py`` (the repository's
+    own rules, then ``repro verify``) has no ``--lint-only``."""
+    import repro.sanitize
+    from repro.cli import main
+
+    for name in ("DEFAULT_RULES", "lint_source", "lint_file", "lint_paths"):
+        assert name not in repro.sanitize.__all__
+        with pytest.raises(AttributeError, match="module 'repro.sanitize' "
+                                                 f"has no attribute '{name}'"):
+            getattr(repro.sanitize, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sanitize.lint")
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "src"])
+    assert exc.value.code == 2
+    tool = Path(__file__).resolve().parents[1] / "tools" / "lint_repo.py"
+    assert "--lint-only" not in tool.read_text(encoding="utf-8")

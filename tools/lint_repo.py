@@ -1,17 +1,43 @@
 #!/usr/bin/env python3
-"""Run both static tiers — lint and whole-program verify — over the repo.
+"""The repository's own rules, then ``repro verify --strict``.
 
-Thin wrapper around ``repro lint --strict`` and ``repro verify
---strict`` that works without an installed package (it prepends
-``src/`` to ``sys.path``), so CI and pre-commit hooks can call it from
-a bare checkout:
+Works without an installed package (it prepends ``src/`` to
+``sys.path``), so CI and pre-commit hooks can call it from a bare
+checkout:
 
-    python tools/lint_repo.py                 # both tiers, src/ + examples/
-    python tools/lint_repo.py --lint-only     # the per-function tier alone
-    python tools/lint_repo.py tests/foo.py    # extra trees too
+    python tools/lint_repo.py                 # src/ + examples/
+    python tools/lint_repo.py tests/foo.py    # other trees instead
 
-The lint tier ends with one rule about this repository rather than about
-SPMD programs, ``platform-import-in-algorithm-layer``: imports run one
+Six rules are about this repository rather than about SPMD programs.
+Three run over every file of the roots:
+
+``raw-lapack``
+    A direct ``np.linalg.svd`` / ``np.linalg.eigh`` (or
+    ``scipy.linalg.*``) call outside ``repro/linalg/``, bypassing the
+    instrumented, numerically-hardened kernels the paper's accuracy
+    claims rest on.
+``raw-pickle``
+    An ``import pickle`` outside ``repro/mpi/transport/`` — the
+    authenticated wire between a master and the workers it forked is the
+    one place the library unpickles anything.  Bytes at rest (a
+    checkpoint, an archive) outlive the process that wrote them, so they
+    go through ``repro.util.durable``, whose JSON-plus-raw-arrays shards
+    cannot execute code when read.
+``direct-observer-call``
+    Under ``repro/mpi/``, a call that writes into an observer directly —
+    ``record_send``/``record_recv``/``record_dropped``/
+    ``record_retried``/``record_checksum_failure``, ``add_bytes``,
+    ``recorder.record`` — outside the observer classes themselves (a
+    class with an ``on_event``).  The message path reports through one
+    door, ``repro.obs.recorder.emit``, and every observer sees every
+    event; a hand-placed hook call is how one of them goes blind.
+
+Append ``# repro-lint: skip`` to a line to silence every rule there, or
+``# repro-lint: allow(<kind>)`` for one rule (anywhere on a multi-line
+statement) — the escape hatch for intentional exceptions such as the
+raw-LAPACK timing loops in ``repro/perf/calibrate.py``.
+
+Next, ``platform-import-in-algorithm-layer``: imports run one
 way, platform -> algorithms (DESIGN.md, "Layers and the import
 direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
 ``repro.perf``, ``repro.faults`` (other than its kernel hook and
@@ -31,14 +57,13 @@ Last, ``bench-alias-import``: ``repro.core.sthosvd_parallel`` is
 repository outside ``bench/`` may import it (a line carrying
 ``# repro-lint: allow(bench-alias-import)`` may).
 
-The verify tier subtracts the committed findings baseline
+``repro verify`` then checks the SPMD rules (docs/static-analysis.md)
+over the same roots, less the committed findings baseline
 (``tools/verify_baseline.json``, a JSON list of ``{kind, file, line}``
 records — empty while the repo self-verifies clean) so a deliberate,
 reviewed exception never blocks CI while any *new* finding still does.
 
-Exits non-zero when either tier reports a finding; see
-docs/sanitizer.md for the lint rules and docs/static-analysis.md for
-the verifier's analysis model and the ``# repro-lint:`` pragmas.
+Exits non-zero when any rule reports a finding.
 """
 
 from __future__ import annotations
@@ -55,6 +80,15 @@ from repro.cli import main  # noqa: E402
 from repro.sanitize import ERROR, Diagnostic, Suppressions, format_diagnostics  # noqa: E402
 
 BASELINE = os.path.join(REPO, "tools", "verify_baseline.json")
+
+LAPACK_RULE, PICKLE_RULE, OBSERVER_RULE = (
+    "raw-lapack", "raw-pickle", "direct-observer-call")
+CODE_RULES = (LAPACK_RULE, PICKLE_RULE, OBSERVER_RULE)
+# Observer methods the message path may not call by hand (it emits).
+OBSERVER_WRITES = frozenset({
+    "record_send", "record_recv", "record_dropped", "record_retried",
+    "record_checksum_failure", "add_bytes",
+})
 
 LAYER_RULE = "platform-import-in-algorithm-layer"
 # Paths under src/repro that hold the paper's algorithms on one core ...
@@ -140,6 +174,108 @@ def init_findings(source: str, relpath: str) -> list[Diagnostic]:
     return findings
 
 
+def _terminal_name(node: ast.expr) -> str | None:
+    """Rightmost identifier of a Name/Attribute chain (``comm.rank`` -> rank)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _raw_lapack(tree: ast.Module):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("svd", "eigh")
+                and _terminal_name(node.func.value) == "linalg"):
+            yield node, (f"raw {ast.unparse(node.func)}() call bypasses the "
+                         f"instrumented repro.linalg kernels (flop accounting, "
+                         f"precision policy, accuracy hardening); use "
+                         f"repro.linalg instead")
+
+
+def _raw_pickle(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:  # (a relative import names a sibling, not the stdlib)
+            continue
+        if any(m.split(".")[0] in ("pickle", "_pickle") for m in modules):
+            yield node, ("pickle imported outside repro.mpi.transport (the "
+                         "authenticated wire): unpickling runs code, so state "
+                         "written to disk goes through repro.util.durable")
+
+
+def _direct_observer_call(node: ast.AST):
+    if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "on_event"
+            for item in node.body):
+        return  # an observer may call its own recording methods
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        attr, receiver = node.func.attr, _terminal_name(node.func.value)
+        if attr in OBSERVER_WRITES or (attr == "record"
+                                       and receiver == "recorder"):
+            yield node, (f"{ast.unparse(node.func)}() writes into an observer "
+                         f"directly; the message path reports through "
+                         f"repro.obs.recorder.emit (or SpmdContext.emit), so "
+                         f"every observer sees the event")
+    for child in ast.iter_child_nodes(node):
+        yield from _direct_observer_call(child)
+
+
+def code_findings(source: str, relpath: str,
+                  rules=CODE_RULES) -> list[Diagnostic]:
+    """``raw-lapack``, ``raw-pickle`` and ``direct-observer-call`` over one
+    file, sorted by line; ``relpath`` is its path (``src/repro/cli.py``),
+    which exempts the one home of what a rule guards."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [Diagnostic(kind="syntax-error", message=str(exc),
+                           severity=ERROR, file=relpath, line=exc.lineno or 0)]
+    path = relpath.replace(os.sep, "/")
+    checks = {LAPACK_RULE: "repro/linalg/" not in path and _raw_lapack,
+              PICKLE_RULE: "repro/mpi/transport/" not in path and _raw_pickle,
+              OBSERVER_RULE: "repro/mpi/" in path and _direct_observer_call}
+    suppress = Suppressions(source)
+    findings = [
+        Diagnostic(kind=rule, message=message, severity=ERROR, file=relpath,
+                   line=node.lineno)
+        for rule in rules if checks[rule]
+        for node, message in checks[rule](tree)
+        if not suppress.suppressed(rule, node.lineno,
+                                   node.end_lineno or node.lineno)]
+    return sorted(findings, key=lambda d: (d.line, d.kind))
+
+
+def python_files(roots):
+    """Every ``*.py`` under ``roots`` (files or trees), in order."""
+    for root in roots:
+        if not os.path.isdir(root):
+            yield root
+            continue
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__"
+                                 and not d.startswith("."))
+            for name in sorted(f for f in filenames if f.endswith(".py")):
+                yield os.path.join(dirpath, name)
+
+
+def lint_code(roots) -> int:
+    """The three code rules over every Python file of ``roots``."""
+    findings = []
+    for path in python_files(roots):
+        with open(path, encoding="utf-8") as f:
+            findings += code_findings(f.read(), path)
+    rules = ", ".join(CODE_RULES)
+    if findings:
+        print(format_diagnostics(
+            findings, header=f"{rules}: {len(findings)} finding(s)"))
+    else:
+        print(f"{rules}: clean ({', '.join(roots)})")
+    return 1 if findings else 0
+
+
 def alias_findings(source: str, relpath: str) -> list[Diagnostic]:
     """``bench-alias-import`` over one file; ``relpath`` is its path under
     the repository (``src/repro/cli.py``, ``tests/test_x.py``)."""
@@ -165,13 +301,10 @@ def alias_findings(source: str, relpath: str) -> list[Diagnostic]:
 def lint_alias(repo: str) -> int:
     """``bench-alias-import`` over every Python file of the repository."""
     findings = []
-    for dirpath, dirnames, filenames in sorted(os.walk(repo)):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        for name in sorted(f for f in filenames if f.endswith(".py")):
-            path = os.path.join(dirpath, name)
-            relpath = os.path.relpath(path, repo).replace(os.sep, "/")
-            with open(path, encoding="utf-8") as f:
-                findings += alias_findings(f.read(), relpath)
+    for path in python_files([repo]):
+        relpath = os.path.relpath(path, repo).replace(os.sep, "/")
+        with open(path, encoding="utf-8") as f:
+            findings += alias_findings(f.read(), relpath)
     if findings:
         print(format_diagnostics(
             findings, header=f"{ALIAS_RULE}: {len(findings)} finding(s)"))
@@ -183,14 +316,12 @@ def lint_alias(repo: str) -> int:
 def lint_layers(src: str) -> int:
     """The two import rules over ``src/repro``."""
     findings = []
-    for dirpath, _, filenames in sorted(os.walk(os.path.join(src, "repro"))):
-        for name in sorted(f for f in filenames if f.endswith(".py")):
-            path = os.path.join(dirpath, name)
-            relpath = os.path.relpath(path, src).replace(os.sep, "/")
-            with open(path, encoding="utf-8") as f:
-                source = f.read()
-            findings += layer_findings(source, relpath)
-            findings += init_findings(source, relpath)
+    for path in python_files([os.path.join(src, "repro")]):
+        relpath = os.path.relpath(path, src).replace(os.sep, "/")
+        with open(path, encoding="utf-8") as f:
+            source = f.read()
+        findings += layer_findings(source, relpath)
+        findings += init_findings(source, relpath)
     rules = f"{LAYER_RULE}, {INIT_RULE}"
     if findings:
         print(format_diagnostics(
@@ -201,15 +332,13 @@ def lint_layers(src: str) -> int:
 
 
 def run(argv: list[str]) -> int:
-    lint_only = "--lint-only" in argv
-    argv = [a for a in argv if a != "--lint-only"]
     roots = argv or [
         os.path.join(REPO, "src"),
         os.path.join(REPO, "examples"),
     ]
-    rc = main(["lint", "--strict", *roots])
-    rc = rc or lint_layers(os.path.join(REPO, "src")) or lint_alias(REPO)
-    if rc == 0 and not lint_only:
+    rc = (lint_code(roots) or lint_layers(os.path.join(REPO, "src"))
+          or lint_alias(REPO))
+    if rc == 0:
         verify_args = ["verify", "--strict"]
         if os.path.exists(BASELINE):
             verify_args += ["--baseline", BASELINE]
