@@ -258,27 +258,31 @@ def _trace_program(comm, X, grid, tol, ranks, method, mode_order, verbose):
 
 
 def _chaos_program(comm, X, tol, ranks, method, ckpt_dir=None):
-    """Rank program of ``repro chaos``."""
-    from .core.ft import sthosvd_fault_tolerant
+    """Rank program of ``repro chaos``: checkpointed ``sthosvd``."""
+    from .dist import DistributedTensor, GridComms
+    from .dist.grid import ProcessorGrid
+    from .faults import DistributedCheckpoint
 
-    res = sthosvd_fault_tolerant(
-        comm, X if comm.rank == 0 else None,
-        tol=tol, ranks=ranks, method=method, ckpt_dir=ckpt_dir,
-    )
-    tucker = res.result.to_tucker()  # collective: every rank calls
+    grid = ProcessorGrid.for_size(comm.size, X.ndim)
+    dt = DistributedTensor.from_full(GridComms(comm, grid), X)
+    res = sthosvd(dt, tol=tol, ranks=ranks, method=method,
+                  checkpoint=DistributedCheckpoint("sthosvd",
+                                                   ckpt_dir=ckpt_dir))
+    tucker = res.to_tucker()  # collective: every survivor calls
     err = None
-    if res.comm.rank == 0:
+    if res.core.comm.rank == 0:
         rec = np.asarray(tucker.reconstruct().data)
         err = float(
             np.linalg.norm((rec - X).ravel()) / np.linalg.norm(X.ravel())
         )
-    return {"err": err, "survivors": res.comm.size,
-            "recoveries": res.recoveries,
+    return {"err": err, "survivors": res.core.comm.size,
+            "recoveries": sum(kind == "rank_failure"
+                              for kind, _ in res.rank_failures),
             # The replay-determinism check compares this sequence across
             # replays: same fault plan, same recovery story.
             "recovery_seq": [
                 (kind, detail.get("survivors"), detail.get("resumed_step"))
-                for kind, detail in res.events
+                for kind, detail in res.rank_failures
             ]}
 
 
@@ -416,7 +420,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    """Seeded fault matrix over the fault-tolerant parallel ST-HOSVD.
+    """Seeded fault matrix over checkpointed parallel ST-HOSVD.
 
     Calibrates crash points from a fault-free run's operation counts,
     then replays each scenario ``--replays`` times, asserting: the run
@@ -681,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos",
-        help="seeded fault matrix over the fault-tolerant parallel "
+        help="seeded fault matrix over checkpointed parallel "
              "ST-HOSVD (crashes, drops, kernel NaN), with replay "
              "determinism checks",
     )

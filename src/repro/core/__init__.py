@@ -2,7 +2,8 @@
 
 Three drivers — ``sthosvd``, ``hosvd``, ``hooi`` — each take a dense or
 distributed tensor (``sthosvd`` an out-of-core one too), and the kind
-picks the arm.  Every driver loads its own module on first use;
+picks the arm; a distributed run given a ``checkpoint`` survives rank
+failures by itself (:func:`~repro.core.modeloop.recovering`).  Every driver loads its own module on first use;
 ``import repro`` has imported :mod:`~repro.core.sthosvd` and the mode
 loop under it.
 """
@@ -25,8 +26,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".auto": ("choose_variant", "compress", "VariantChoice"),
     ".recompress": ("recompress",),
     ".": ("checkpoint",),
-    ".ft": ("FaultTolerantResult", "hooi_fault_tolerant",
-            "sthosvd_fault_tolerant"),
 })
 
 __all__ = [
@@ -56,7 +55,4 @@ __all__ = [
     "sthosvd",
     "SthosvdResult",
     "METHODS",
-    "FaultTolerantResult",
-    "sthosvd_fault_tolerant",
-    "hooi_fault_tolerant",
 ]

@@ -31,7 +31,8 @@ from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from .modeloop import (
-    hooi_sweeps, measure_norm, open_loop, truncated_loop, work_input)
+    ModeLoop, hooi_sweeps, measure_norm, open_loop, recovering,
+    truncated_loop, work_input)
 from .sthosvd import _Decomposition
 
 __all__ = ["HooiResult", "hooi"]
@@ -41,7 +42,8 @@ __all__ = ["HooiResult", "hooi"]
 class HooiResult(_Decomposition):
     """Outcome of a HOOI run: a core of the input's kind, replicated
     factors (see :class:`~repro.core.sthosvd.SthosvdResult` for
-    ``tucker``/``to_tucker()``), and the fit after every sweep."""
+    ``tucker``/``to_tucker()``, ``numeric_recoveries`` and
+    ``rank_failures``), and the fit after every sweep."""
 
     core: DenseTensor | DistributedTensor
     factors: tuple[np.ndarray, ...]
@@ -54,6 +56,7 @@ class HooiResult(_Decomposition):
     flops: FlopCounter = field(default_factory=FlopCounter)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     numeric_recoveries: list = field(default_factory=list)
+    rank_failures: list = field(default_factory=list)
 
     @property
     def final_fit(self) -> float:
@@ -76,7 +79,6 @@ def hooi(
     fit_tol: float = 1e-9,
     progress: Callable[[dict], None] | None = None,
     checkpoint=None,
-    resume: dict | None = None,
 ) -> HooiResult:
     """Rank-``ranks`` Tucker approximation via alternating optimization,
     of a dense or distributed tensor (collective over the latter's
@@ -105,15 +107,15 @@ def hooi(
         "rank", "ranks", "seconds", "elapsed"}`` (``total_steps`` assumes
         ``max_iters`` full sweeps; early convergence just stops emitting).
         The ST-HOSVD initialization reports nothing.
-    checkpoint, resume:
-        Distributed only (``KIND_OPTIONS``).  ``checkpoint`` is a
+    checkpoint:
+        Distributed only (``KIND_OPTIONS``): a
         :class:`~repro.faults.DistributedCheckpoint` saved once per
-        completed sweep: the blocks are the input tensor itself (each
-        sweep recontracts from it), the meta carries factors, fits, and
-        the input norm.  ``resume`` is the recovered meta; the
-        initialization is then skipped and the sweeps restart at the
-        recorded iteration.  See :func:`repro.core.ft.hooi_fault_tolerant`
-        for the full recovery loop.
+        completed sweep; its blocks are the input tensor itself (each
+        sweep recontracts from it), its meta the factors, fits and input
+        norm.  Inside ``run_spmd(resilience=True)`` the run survives rank
+        failures by itself, the survivors resuming at the recorded sweep
+        without repeating the initialization, exactly as
+        :func:`~repro.core.sthosvd.sthosvd` does.
     """
     if init not in ("sthosvd", "random"):
         raise ConfigurationError(f"init must be 'sthosvd' or 'random', got {init!r}")
@@ -121,17 +123,49 @@ def hooi(
         raise ConfigurationError("max_iters must be at least 1")
     tensor = work_input(
         tensor, precision, out_of_core=False, checkpoint=checkpoint,
-        resume=resume, init=None if init == "sthosvd" else init)
+        init=None if init == "sthosvd" else init)
     loop = open_loop(tensor, method=method, ranks=ranks)
     fits: list[float] = []
-    if resume is not None:
+    if checkpoint is None:
+        if isinstance(tensor, DistributedTensor) and tensor.comm.rank != 0:
+            progress = None  # rank 0 reports for the world
+        core, converged = _sweeps(loop, tensor, fits, init, max_iters,
+                                  fit_tol, progress)
+    else:
+        core, converged = recovering(
+            lambda work, meta: _sweeps(
+                loop, work, fits, init, max_iters, fit_tol,
+                progress if work.comm.rank == 0 else None, checkpoint, meta),
+            tensor, checkpoint, "forward", loop.failures)
+    return HooiResult(
+        core=core,
+        factors=tuple(loop.factors),
+        fits=fits,
+        converged=converged,
+        iterations=len(fits),
+        method=method,
+        precision=resolve_precision(tensor.dtype),
+        norm_x=loop.norm_x,
+        flops=loop.counter,
+        timer=loop.timer,
+        numeric_recoveries=loop.recoveries,
+        rank_failures=loop.failures,
+    )
+
+
+def _sweeps(loop: ModeLoop, tensor, fits: list, init, max_iters, fit_tol,
+            progress, checkpoint=None, meta=None):
+    """Initialize (or restore ``meta``, a checkpoint's state) and sweep,
+    reporting to ``progress``; ``(core, converged)``.  ``checkpoint``
+    saves on entry and after every sweep."""
+    if meta is not None:
         # Restored state replays the interrupted sweep exactly: the
         # recorded norm keeps fit values (and hence the convergence
         # decision) identical to what the unfailed run would produce.
-        loop.norm_sq = float(resume["norm_x_sq"])
-        loop.factors = [np.asarray(f) for f in resume["factors"]]
-        fits = [float(f) for f in resume["fits"]]
-        loop.recoveries = list(resume.get("numeric_recoveries", []))
+        loop.norm_sq = float(meta["norm_x_sq"])
+        loop.factors = [np.asarray(f) for f in meta["factors"]]
+        fits[:] = [float(f) for f in meta["fits"]]
+        loop.recoveries = list(meta["numeric_recoveries"])
     else:
         measure_norm(loop, tensor)
         if init == "sthosvd":
@@ -146,35 +180,18 @@ def hooi(
                 random_orthonormal(i, r, rng, dtype=tensor.dtype)
                 for i, r in zip(tensor.shape, loop.ranks)
             ]
-    if isinstance(tensor, DistributedTensor) and tensor.comm.rank != 0:
-        progress = None  # rank 0 reports for the world
     loop.progress = progress
-
-    def save_sweep(iteration: int) -> None:
-        checkpoint.save(tensor, iteration, meta={
-            "iteration": iteration,
-            "factors": list(loop.factors),
-            "fits": list(fits),
-            "norm_x_sq": loop.norm_sq,
-            "numeric_recoveries": list(loop.recoveries),
-        })
-
+    save_sweep = None
     if checkpoint is not None:
+        def save_sweep(iteration: int) -> None:
+            checkpoint.save(tensor, iteration, meta={
+                "iteration": iteration,
+                "factors": list(loop.factors),
+                "fits": list(fits),
+                "norm_x_sq": loop.norm_sq,
+                "numeric_recoveries": list(loop.recoveries),
+            })
+
         save_sweep(len(fits))
-    core, converged = hooi_sweeps(
-        loop, tensor, fits, max_iters=max_iters, fit_tol=fit_tol,
-        after_sweep=save_sweep if checkpoint is not None else None,
-    )
-    return HooiResult(
-        core=core,
-        factors=tuple(loop.factors),
-        fits=fits,
-        converged=converged,
-        iterations=len(fits),
-        method=method,
-        precision=resolve_precision(tensor.dtype),
-        norm_x=loop.norm_x,
-        flops=loop.counter,
-        timer=loop.timer,
-        numeric_recoveries=loop.recoveries,
-    )
+    return hooi_sweeps(loop, tensor, fits, max_iters=max_iters,
+                       fit_tol=fit_tol, after_sweep=save_sweep)

@@ -13,7 +13,9 @@ of tensor.  This module owns it once:
 * the **truncation**: :func:`truncate_mode`, the kind's TTM, flop-counted
   and phase-timed;
 * the three **loop shapes** built from them: :func:`truncated_loop`
-  (ST-HOSVD), :func:`factors_then_core` (HOSVD), :func:`hooi_sweeps`.
+  (ST-HOSVD), :func:`factors_then_core` (HOSVD), :func:`hooi_sweeps`;
+* the **recover-and-resume loop** of a checkpointed distributed run,
+  :func:`recovering`, which survives rank failures.
 
 Each of the three drivers (``sthosvd``, ``hosvd``, ``hooi``) takes any
 kind of tensor, checks it with :func:`work_input`, opens a
@@ -32,14 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, RankFailedError
 from ..instrument import (
     FlopCounter, PhaseTimer,
     PHASE_SVD, PHASE_EVD, PHASE_TTM, PHASE_LQ, PHASE_GRAM, PHASE_COMM,
 )
 from ..obs.tracer import current_tracer, trace_span
 from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
-from ..dist.dtensor import DistributedTensor
+from ..dist.dtensor import DistributedTensor, GridComms
+from ..dist.grid import ProcessorGrid
 from ..linalg.gram import tensor_gram
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
@@ -52,6 +55,7 @@ __all__ = [
     "open_loop",
     "measure_norm", "resolve_truncation", "pick_rank", "solve_mode",
     "truncate_mode", "truncated_loop", "factors_then_core", "hooi_sweeps",
+    "MAX_RECOVERIES", "recovering",
 ]
 
 # "qr" and "gram" are the paper's two algorithms; "gram-mixed" (float64
@@ -71,7 +75,7 @@ SUPPORTED_METHODS = (
 # The driver keywords only one kind reads, in the same order.  Given (not
 # None) with any other kind, :func:`work_input` refuses them.
 KIND_OPTIONS = (
-    (DistributedTensor, ("checkpoint", "resume")),
+    (DistributedTensor, ("checkpoint",)),
     (OutOfCoreTensor, ("max_elements", "workdir", "checkpoint_dir")),
     (DenseTensor, ("svd_options", "init")),
 )
@@ -89,9 +93,11 @@ class ModeLoop:
     square root.  ``norm_sq`` stays unset until the first mode is
     solved: a run that starts from the input is never read for its
     norm, that mode's spectrum carries it.
-    ``factors``/``sigmas``/``recoveries`` fill in as modes complete;
-    ``counter``/``timer`` are the run's flop and phase breakdown;
-    ``progress`` receives one event per completed mode.
+    ``factors``/``sigmas``/``recoveries`` fill in as modes complete,
+    ``failures`` as a checkpointed distributed run survives rank
+    failures (:func:`recovering`); ``counter``/``timer`` are the run's
+    flop and phase breakdown; ``progress`` receives one event per
+    completed mode.
     """
 
     method: str
@@ -105,6 +111,7 @@ class ModeLoop:
     factors: list = field(default_factory=list)
     sigmas: dict = field(default_factory=dict)
     recoveries: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
     counter: FlopCounter = field(default_factory=FlopCounter)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
 
@@ -438,3 +445,70 @@ def hooi_sweeps(loop: ModeLoop, tensor, fits: list, *,
         if iteration > 0 and abs(fits[-1] - fits[-2]) < fit_tol:
             return core, True
     return core, False
+
+
+# Rank failures one checkpointed distributed run survives; one more
+# re-raises the first.
+MAX_RECOVERIES = 2
+
+
+def recovering(attempt, tensor: DistributedTensor, checkpoint, order,
+               events: list):
+    """``attempt(tensor, meta)`` until it completes, surviving rank failures.
+
+    The recover-and-resume loop of ``sthosvd``/``hooi`` on a
+    ``DistributedTensor`` with a ``checkpoint``
+    (:class:`~repro.faults.DistributedCheckpoint`), collective over
+    ``tensor.comm`` inside ``run_spmd(resilience=True)``.  ``meta`` is
+    None for a run from the input; else it is the replicated state of
+    the checkpointed step to resume after, and ``tensor`` that step's
+    tensor.  With ``checkpoint.ckpt_dir`` the first attempt resumes from
+    the newest manifest committed there, if any.
+
+    On a :class:`~repro.errors.RankFailedError` the survivors revoke the
+    failed communicator (peers blocked in its collectives wake with
+    :class:`~repro.errors.CommRevokedError`, a ``RankFailedError``, and
+    land here too), shrink to a dense-ranked one, lay
+    ``ProcessorGrid.for_size(size, ndim, order)`` over it and move the
+    newest complete step's blocks to their owners on it
+    (``checkpoint.recover``).  A failure during that loops back.
+    ``events`` gets one ``("rank_failure", {...})`` per recovery, and a
+    ``("disk_resume", {...})`` for a restart.  Past ``MAX_RECOVERIES``
+    failures the first one re-raises, carrying ``recovery_history``.
+    """
+    meta, comm = None, tensor.comm
+    if checkpoint.ckpt_dir is not None:
+        with trace_span("ft.resume_disk"):
+            disk = checkpoint.resume_from_disk(tensor)
+        if disk is not None:
+            step, meta, tensor = disk
+            events.append(("disk_resume", {
+                "resumed_step": step, "ckpt_dir": checkpoint.ckpt_dir}))
+    failures, original, pending = 0, None, None
+    while True:
+        try:
+            if pending is not None:
+                with trace_span("ft.recover", attempt=failures):
+                    comm.revoke()
+                    comm = comm.shrink()
+                    grid = ProcessorGrid.for_size(comm.size, tensor.ndim,
+                                                  order)
+                    step, meta, tensor = checkpoint.recover(
+                        GridComms(comm, grid))
+                events.append(("rank_failure", {
+                    "recovery": failures, "survivors": comm.size,
+                    "resumed_step": step,
+                    "cause": f"{type(pending).__name__}: {pending}"}))
+                pending = None
+            return attempt(tensor, meta)
+        except RankFailedError as exc:
+            original = original or exc
+            failures += 1
+            if failures > MAX_RECOVERIES:
+                # The failure that started the cascade, not whatever the
+                # last doomed retry died of.
+                original.recovery_history = tuple(events)
+                if exc is original:
+                    raise
+                raise original from exc
+            pending = exc

@@ -38,7 +38,8 @@ from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from ..util.validation import resolve_mode_order
-from .modeloop import METHODS, ModeLoop, open_loop, truncated_loop, work_input
+from .modeloop import (
+    METHODS, ModeLoop, open_loop, recovering, truncated_loop, work_input)
 from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
 
@@ -117,6 +118,12 @@ class SthosvdResult(_Decomposition):
     numeric_recoveries:
         The NaN guard's escalations on a distributed tensor
         (``"mode<n>:<action>"``).
+    rank_failures:
+        A checkpointed distributed run's recoveries: one
+        ``("rank_failure", {"survivors", "resumed_step", ...})`` per
+        rank failure survived, and a ``("disk_resume", {...})`` for a
+        restart from ``ckpt_dir``.  The core lives on the communicator
+        the run finished on, ``core.comm``.
     """
 
     core: DenseTensor | DistributedTensor
@@ -129,6 +136,7 @@ class SthosvdResult(_Decomposition):
     flops: FlopCounter = field(default_factory=FlopCounter)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     numeric_recoveries: list = field(default_factory=list)
+    rank_failures: list = field(default_factory=list)
 
     def estimated_rel_error(self) -> float:
         """Error estimate from discarded singular values (free at runtime).
@@ -151,6 +159,7 @@ class SthosvdResult(_Decomposition):
             flops=loop.counter,
             timer=loop.timer,
             numeric_recoveries=loop.recoveries,
+            rank_failures=loop.failures,
         )
 
 
@@ -165,7 +174,6 @@ def sthosvd(
     progress: Callable[[dict], None] | None = None,
     svd_options: dict | None = None,
     checkpoint=None,
-    resume: dict | None = None,
     max_elements: int | None = None,
     workdir: str | None = None,
     checkpoint_dir: str | None = None,
@@ -212,17 +220,14 @@ def sthosvd(
         Dense: extra keyword arguments for ``method="randomized"``'s
         sketch (``oversample``, ``power_iters``, ``rng``); any other
         method reads none and refuses them.
-    checkpoint, resume:
-        Distributed: ``checkpoint`` is a
-        :class:`~repro.faults.DistributedCheckpoint` that saves the
-        partially truncated tensor plus the replicated resume state
-        after every completed mode (and on entry, so a crash in mode 0 —
-        or on the first mode after a recovery — is also covered).
-        ``resume`` is the ``meta`` dict recovered from such a
-        checkpoint; ``tensor`` must then be the recovered (partially
-        truncated) tensor, redistributed over the surviving ranks.
-        :func:`repro.core.ft.sthosvd_fault_tolerant` drives the full
-        crash-shrink-recover-resume loop.
+    checkpoint:
+        Distributed: a :class:`~repro.faults.DistributedCheckpoint` that
+        saves the partially truncated tensor plus the replicated resume
+        state on entry and after every completed mode.  Inside
+        ``run_spmd(resilience=True)`` the run then survives rank
+        failures by itself: the survivors shrink, re-lay the grid and
+        resume from the newest complete step (``rank_failures``); with
+        ``ckpt_dir`` a new world restarts from the newest manifest.
     max_elements, workdir, checkpoint_dir:
         Out of core: ``max_elements`` bounds the elements of one chunk;
         scratch files live in a temporary directory (made under
@@ -237,52 +242,68 @@ def sthosvd(
     """
     tensor = work_input(
         tensor, precision, svd_options=svd_options, checkpoint=checkpoint,
-        resume=resume, max_elements=max_elements, workdir=workdir,
+        max_elements=max_elements, workdir=workdir,
         checkpoint_dir=checkpoint_dir)
     order = resolve_mode_order(mode_order, tensor.ndim)
     loop = open_loop(tensor, method=method, tol=tol, ranks=ranks,
                      progress=progress, svd_options=svd_options)
     if isinstance(tensor, DistributedTensor):
-        if tensor.comm.rank != 0:
-            loop.progress = None  # rank 0 reports for the world
-        start = 0
-        if resume is not None:
-            # The original tensor's norm drives the error budget; the
-            # recovered tensor is already truncated, so never recompute
-            # it.  A checkpoint taken before the first mode completed
-            # stored None: its tensor still is the input, and the first
-            # solve supplies the norm.
-            start = int(resume["completed_steps"])
-            loop.norm_sq = resume["norm_x_sq"]
-            loop.factors = [None if f is None else np.asarray(f)
-                            for f in resume["factors"]]
-            loop.sigmas = {int(k): np.asarray(v)
-                           for k, v in resume["sigmas"].items()}
-            loop.recoveries = list(resume.get("numeric_recoveries", []))
-
-        def save_step(completed: int, current: DistributedTensor) -> None:
-            checkpoint.save(current, completed, meta={
-                "completed_steps": completed,
-                "factors": list(loop.factors),
-                "sigmas": dict(loop.sigmas),
-                "norm_x_sq": loop.norm_sq,
-                "numeric_recoveries": list(loop.recoveries),
-            })
-
-        if checkpoint is not None:
-            # Entry save doubles as the post-recovery re-replication: on
-            # a fresh epoch every surviving rank re-seeds its buddy, so a
-            # *second* failure still finds a complete step.
-            save_step(start, tensor)
-        core = truncated_loop(
-            loop, tensor, order, start=start,
-            after_mode=save_step if checkpoint is not None else None)
+        if checkpoint is None:
+            if tensor.comm.rank != 0:
+                loop.progress = None  # rank 0 reports for the world
+            core = truncated_loop(loop, tensor, order)
+        else:
+            core = recovering(
+                lambda work, meta: _checkpointed(
+                    loop, work, order, progress, checkpoint, meta),
+                tensor, checkpoint, order, loop.failures)
     elif isinstance(tensor, OutOfCoreTensor):
         core = _streamed(loop, tensor, order, max_elements, workdir,
                          checkpoint_dir)
     else:
         core = truncated_loop(loop, tensor, order)
     return SthosvdResult._from_loop(loop, core, order)
+
+
+def _checkpointed(loop: ModeLoop, work: DistributedTensor, order, progress,
+                  checkpoint, meta) -> DistributedTensor:
+    """One attempt of :func:`sthosvd` on a distributed tensor with a
+    ``checkpoint`` (see :func:`~repro.core.modeloop.recovering`); returns
+    the core.
+
+    ``meta`` is the state to resume after (None: run from the input).
+    The checkpoint saves on entry — on a fresh epoch that re-seeds every
+    survivor's buddy, so a *second* failure still finds a complete step
+    — and after every mode.
+    """
+    loop.progress = progress if work.comm.rank == 0 else None
+    start = 0
+    if meta is not None:
+        # The original tensor's norm drives the error budget; the
+        # recovered tensor is already truncated, so never recompute it.
+        # A checkpoint taken before the first mode completed stored
+        # None: its tensor still is the input, and the first solve
+        # supplies the norm.
+        start = int(meta["completed_steps"])
+        loop.norm_sq = meta["norm_x_sq"]
+        loop.factors = [None if f is None else np.asarray(f)
+                        for f in meta["factors"]]
+        loop.sigmas = {int(k): np.asarray(v)
+                       for k, v in meta["sigmas"].items()}
+        loop.recoveries = list(meta["numeric_recoveries"])
+
+    def save_step(completed: int, current: DistributedTensor) -> None:
+        checkpoint.save(current, completed, meta={
+            "completed_steps": completed,
+            "factors": list(loop.factors),
+            "sigmas": dict(loop.sigmas),
+            "norm_x_sq": loop.norm_sq,
+            "numeric_recoveries": list(loop.recoveries),
+        })
+
+    save_step(start, work)
+    return truncated_loop(loop, work, order, start=start,
+                          after_mode=save_step)
 
 
 def _streamed(loop: ModeLoop, ooc: OutOfCoreTensor, order, max_elements,

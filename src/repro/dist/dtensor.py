@@ -268,9 +268,9 @@ class DistributedTensor:
     def gather(self) -> DenseTensor:
         """Reassemble the full tensor on every rank (allgather of blocks).
 
-        Intended for tests, small cores, and checkpoint recovery — the
-        result is the complete global array, so it defeats the memory
-        scaling the distribution exists for.
+        Intended for tests and small cores — the result is the complete
+        global array, so it defeats the memory scaling the distribution
+        exists for.
         """
         payload = (self.local_slices(), np.ascontiguousarray(self._local.data))
         pieces = self.comm.allgather(payload)

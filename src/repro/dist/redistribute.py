@@ -5,6 +5,13 @@ only at the root, and the per-mode *unfolding redistribution* at the
 heart of the parallel kernels — converting the block layout into a
 column distribution of the mode-``n`` unfolding over the mode fiber,
 so each fiber rank holds full-height columns ``Y_(n)[:, c0:c1]``.
+
+Beside them, the slice bookkeeping of the block layout: the global
+bounds of a rank's block (:func:`block_bounds`), where two blocks
+meet (:func:`overlap`) and the part of one that lands in the other
+(:func:`cut`), and a rank's block pasted from
+such parts (:func:`assemble`).  Checkpoint recovery moves the blocks
+of a lost grid to their owners on a new one with them.
 """
 
 from __future__ import annotations
@@ -16,11 +23,50 @@ from ..tensor.dense import DenseTensor
 from .distribution import block_range
 from .dtensor import DistributedTensor, GridComms
 
-__all__ = ["distribute_from_root", "redistribute_unfolding_to_columns"]
+__all__ = ["distribute_from_root", "redistribute_unfolding_to_columns",
+           "block_bounds", "overlap", "cut", "assemble"]
 
 # Reserved tag band for distribution traffic, clear of user tags and of
 # the checkpoint layer's buddy exchanges (988_000).
 _DIST_TAG = 987_000
+
+
+def block_bounds(shape, grid, rank: int) -> tuple[tuple[int, int], ...]:
+    """Global ``(start, stop)`` per mode of ``rank``'s block of a
+    ``shape`` tensor laid out on ``grid``."""
+    return tuple(block_range(s, p, c)
+                 for s, p, c in zip(shape, grid.dims, grid.coords_of(rank)))
+
+
+def overlap(bounds, target):
+    """The global bounds where two blocks meet, or None when they do not."""
+    common = tuple((max(a, c), min(b, d))
+                   for (a, b), (c, d) in zip(bounds, target))
+    return None if any(a >= b for a, b in common) else common
+
+
+def cut(bounds, block: np.ndarray, target):
+    """The part of ``block``, which sits at global ``bounds``, inside the
+    global ``target`` bounds: ``(its bounds, a view)``, or None when the
+    two do not meet."""
+    common = overlap(bounds, target)
+    if common is None:
+        return None
+    return common, block[tuple(
+        slice(x - a, y - a) for (x, y), (a, _) in zip(common, bounds))]
+
+
+def assemble(comms: GridComms, shape, dtype, pieces) -> DistributedTensor:
+    """This rank's block of a ``shape`` tensor on ``comms``, pasted from
+    ``pieces``: the ``(bounds, array)`` parts :func:`cut` made for it,
+    which tile it."""
+    mine = block_bounds(shape, comms.grid, comms.comm.rank)
+    local = np.empty([b - a for a, b in mine], dtype=np.dtype(dtype),
+                     order="F")
+    for bounds, piece in pieces:
+        local[tuple(slice(x - a, y - a)
+                    for (x, y), (a, _) in zip(bounds, mine))] = piece
+    return DistributedTensor(comms, DenseTensor(local), shape)
 
 
 def distribute_from_root(
@@ -47,11 +93,8 @@ def distribute_from_root(
     if comm.rank == root:
         own = None
         for r in range(comm.size):
-            slices = tuple(
-                slice(*block_range(s, p, c))
-                for s, p, c in zip(shape, grid.dims, grid.coords_of(r))
-            )
-            block = np.ascontiguousarray(data[slices])
+            block = np.ascontiguousarray(data[tuple(
+                slice(*b) for b in block_bounds(shape, grid, r))])
             if r == root:
                 own = block
             else:

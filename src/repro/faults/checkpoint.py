@@ -10,11 +10,11 @@ buddy's store.  This is the classic in-memory buddy checkpointing scheme
 of large MPI codes, scaled down to the threads-as-ranks runtime.
 
 An entry stores the rank's local tensor block *with its global slice
-coordinates*, so recovery never needs the dead grid's arithmetic: the
-survivors gather every block of the most recent complete step to the
-root of the shrunk communicator, paste them into a full tensor by
-coordinates, and redistribute over whatever grid the survivors form
-(:func:`repro.dist.redistribute.distribute_from_root`).
+coordinates*, so recovery never needs the dead grid's arithmetic: one
+``alltoall`` sends each surviving block, cut to the overlaps, straight
+to its owners on whatever grid the survivors form
+(:func:`repro.dist.redistribute.cut`), and no rank ever holds more than
+its own block of the new layout.
 
 Entries are keyed by the *epoch* (communicator id) that wrote them, so
 blocks saved before and after a shrink never mix: a complete set is
@@ -27,7 +27,11 @@ rank writes its own block and the buddy copy it holds as tensor shards
 rank 0 commits the manifest naming every file with its length and
 CRC32 — so a *total* world crash (every rank dead, the master gone) can
 be survived by a new ``run_spmd`` invocation resuming from the
-directory.
+directory, each rank reading only the shards its block overlaps.
+
+The drivers run the recovery themselves: ``sthosvd(dt, checkpoint=ckpt)``
+and ``hooi(dt, ranks, checkpoint=ckpt)`` inside
+``run_spmd(resilience=True)`` (:func:`repro.core.modeloop.recovering`).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from ..core import checkpoint as fmt
+from ..dist.redistribute import assemble, block_bounds, cut, overlap
 from ..errors import CheckpointError, ConfigurationError
 from ..obs.recorder import record_event as _record_event
 from ..util.durable import write_shard
@@ -49,16 +54,6 @@ __all__ = ["DistributedCheckpoint"]
 # is free on their communicators; picking a large one keeps accidental
 # collision with test programs' small hand-picked tags unlikely.
 _BUDDY_TAG = 988_000
-
-
-def _paste(shape, dtype, blocks) -> np.ndarray:
-    """The full tensor from ``(slices, block)`` pairs: every block lands
-    at the global coordinates it was saved with, whatever grid wrote it."""
-    full = np.zeros(tuple(int(s) for s in shape), dtype=np.dtype(dtype),
-                    order="F")
-    for slices, block in blocks:
-        full[tuple(slice(a, b) for a, b in slices)] = block
-    return full
 
 
 class DistributedCheckpoint:
@@ -76,6 +71,10 @@ class DistributedCheckpoint:
     mirrored to that directory and committed under a per-step manifest,
     so :meth:`resume_from_disk` can restart a *fresh* world after every
     rank (and the master) died.
+
+    Hand it to ``sthosvd``/``hooi`` on a distributed tensor
+    (``checkpoint=``): the driver saves every step and, on a rank
+    failure, recovers with :meth:`recover` and resumes.
     """
 
     def __init__(self, name: str = "ckpt", keep: int = 2,
@@ -85,7 +84,7 @@ class DistributedCheckpoint:
         self.name = name
         self.keep = keep
         self.ckpt_dir = ckpt_dir
-        # The *input* tensor's shape and dtype, pinned on the root by
+        # The *input* tensor's shape and dtype, pinned by
         # :meth:`resume_from_disk`; the stored blocks themselves are
         # progressively truncated, so only this records what run the
         # checkpoint belongs to.
@@ -244,202 +243,139 @@ class DistributedCheckpoint:
         found.sort(key=lambda t: (t[0], t[1]))
         return found
 
-    def resume_from_disk(self, comm, full=None):
-        """Restart a fresh world from the newest on-disk manifest.
+    def resume_from_disk(self, tensor):
+        """The newest committed step on disk, laid out like ``tensor``.
 
-        Collective over ``comm`` (typically the brand-new world of a
-        restarted ``run_spmd`` invocation).  Returns ``(step, meta,
-        full)`` with the reassembled tensor on rank 0 (None elsewhere),
-        or None when the directory holds no committed manifest.  Arrays
-        in ``meta`` come back bitwise; the rest went through JSON
-        (tuples are lists, dict keys strings).
+        Collective over ``tensor.comm`` (typically the brand-new world
+        of a restarted ``run_spmd`` invocation), whose input ``tensor``
+        pins the fingerprint: a manifest whose dtype or global shape
+        differs from it, or whose world size differs from the
+        communicator's, raises :class:`~repro.errors.CheckpointError`
+        on every rank rather than silently resuming the wrong run; every
+        manifest this checkpoint commits from then on carries it.
 
-        ``full`` — the caller's input tensor on rank 0 — anchors the
-        refusal checks: a manifest whose dtype or global shape does not
-        match it, or whose world size does not match ``comm.size``,
-        raises :class:`~repro.errors.CheckpointError` on every rank
-        rather than silently resuming the wrong run.  It also pins the
-        fingerprint every manifest this checkpoint commits from then on
-        carries.
+        Returns ``(step, meta, tensor)`` — the step's tensor on
+        ``tensor.comms``, each rank having read only the shards that
+        overlap its block — or None when the directory holds no
+        committed manifest.  Arrays in ``meta`` come back bitwise; the
+        rest went through JSON (tuples are lists, dict keys strings).
         """
         if self.ckpt_dir is None:
             raise CheckpointError(
                 "resume_from_disk needs a DistributedCheckpoint built "
                 "with ckpt_dir=")
-        payload = None
-        full_out = None
-        if comm.rank == 0:
-            if full is not None:
-                self.fingerprint = {"shape": [int(s) for s in full.shape],
-                                    "dtype": np.dtype(full.dtype).name}
-            loaded = self._load_newest_on_root(comm.size)
-            if loaded[0] == "ok":
-                # The reassembled tensor stays on the root; peers only
-                # need the verdict, the step, and the replicated meta.
-                payload = ("ok", loaded[1], loaded[2])
-                full_out = loaded[3]
-            else:
-                payload = loaded
-        payload = comm.bcast(payload, root=0)
-        status = payload[0]
-        if status == "none":
-            return None
-        if status == "err":
-            raise CheckpointError(payload[1])
-        _status, step, meta = payload
-        _record_event(
-            "checkpoint.resume_disk", self.name, step=int(step),
-        )
-        return step, meta, full_out
-
-    def _load_newest_on_root(self, nprocs: int):
-        """Rank 0: pick, validate, and reassemble the newest manifest.
-
-        Returns a bcast-able status tuple so peers either proceed or
-        raise the same refusal — never deadlock on a one-sided error.
-        """
+        comm = tensor.comm
+        self.fingerprint = {"shape": [int(s) for s in tensor.global_shape],
+                            "dtype": np.dtype(tensor.dtype).name}
+        # No rank commits before every rank has passed this point (a
+        # save's commit waits on a gather), so all see the same list.
         committed = self.manifests()
         if not committed:
-            return ("none",)
+            return None
+        error = None
         try:
             manifest = fmt.load(committed[-1][2], {
-                "world": f"{nprocs} ranks", **self.fingerprint})
+                "world": f"{comm.size} ranks", **self.fingerprint})
             meta = fmt.read_state(self.ckpt_dir, manifest)
-            out = _paste(manifest["shape"], manifest["dtype"], [
-                (shard["slices"], fmt.read_block(self.ckpt_dir, manifest, i))
+            mine = block_bounds(manifest["shape"], tensor.grid, comm.rank)
+            pieces = [
+                cut(shard["slices"],
+                    fmt.read_block(self.ckpt_dir, manifest, i), mine)
                 for i, shard in enumerate(manifest["shards"])
-            ])
+                if overlap(shard["slices"], mine) is not None
+            ]
         except (OSError, CheckpointError, ConfigurationError) as exc:
-            return ("err", f"checkpoint {self.name!r}: {exc}")
-        return ("ok", int(manifest["step"]), meta, out)
+            error = f"checkpoint {self.name!r}: {exc}"
+        # A shard only some ranks read may be the one that is bad.
+        errors = [e for e in comm.allgather(error) if e is not None]
+        if errors:
+            raise CheckpointError(errors[0])
+        step = int(manifest["step"])
+        _record_event("checkpoint.resume_disk", self.name, step=step)
+        return step, meta, assemble(tensor.comms, manifest["shape"],
+                                    manifest["dtype"], pieces)
 
     # -- recovery -------------------------------------------------------
-    def latest_complete(self, new_comm) -> tuple[int, int, int] | None:
-        """``(epoch, step, nprocs)`` of the newest complete step (collective).
+    def recover(self, comms):
+        """The newest complete step, laid out on ``comms`` (collective).
 
-        A step is complete when the survivors jointly hold all
-        ``nprocs`` owners' entries from one epoch.  Returns None when no
-        complete step survives (e.g. a rank *and* its buddy died).
-        """
-        mine = self._held(new_comm)
-        inventory = new_comm.allgather(
-            [(e["epoch"], e["step"], e["nprocs"], e["owner"]) for e in mine]
-        )
-        owners: dict[tuple[int, int, int], set] = {}
-        for rank_inv in inventory:
-            for epoch, step, nprocs, owner in rank_inv:
-                owners.setdefault((epoch, step, nprocs), set()).add(owner)
-        complete = [
-            key for key, have in owners.items()
-            if len(have) == key[2]
-        ]
-        if not complete:
-            return None
-        # Newest step wins; between epochs that saved the same step
-        # (a re-checkpoint after a previous recovery), the newer epoch.
-        return max(complete, key=lambda k: (k[1], k[0]))
+        For the survivors of a failure, after the shrink: ``comms`` is
+        the grid they re-laid over the shrunk communicator.  A step is
+        complete when the survivors jointly hold all ``nprocs`` owners'
+        entries from one epoch; the newest wins, and between epochs that
+        saved the same step the newer.  Returns ``(step, meta, tensor)``
+        with ``tensor`` that step's tensor on ``comms``.
 
-    def recover(self, new_comm, root: int = 0):
-        """Assemble the newest complete checkpoint on the shrunk world.
-
-        Collective over ``new_comm`` (the survivors, post-shrink).
-        Returns ``(step, meta, full)``: the completed-step count, the
-        replicated driver meta, and — on ``root`` only — the full
-        tensor reassembled from the surviving blocks (None elsewhere).
+        One ``alltoall`` moves it: each entry, the owner's copy or a
+        buddy's, is sent by its lowest-ranked holder, cut to the block
+        of every rank it overlaps, so a rank receives its own block and
+        nothing more — no rank gathers the tensor.  The replicated meta
+        rides along from one holder.  The same exchange re-replicates
+        every entry left single-copy by the failure (to its owner's rank
+        when that is another rank, else to the holder's right
+        neighbour), so the *next* failure cannot take the last copy.
         Raises :class:`~repro.errors.CheckpointError` when no complete
         step survives.
         """
-        chosen = self.latest_complete(new_comm)
-        if chosen is None:
+        comm = comms.comm
+        held = self._held(comm)
+        inventory = comm.allgather(
+            [(e["epoch"], e["step"], e["nprocs"], e["owner"]) for e in held])
+        holders: dict[tuple, dict[int, list[int]]] = {}
+        for rank, entries in enumerate(inventory):
+            for epoch, step, nprocs, owner in entries:
+                holders.setdefault((epoch, step, nprocs), {}).setdefault(
+                    owner, []).append(rank)
+        complete = [key for key, owners in holders.items()
+                    if len(owners) == key[2]]
+        if not complete:
             raise CheckpointError(
                 f"checkpoint {self.name!r}: no complete step survives "
                 f"on the shrunk communicator (a rank and its buddy died?)"
             )
-        epoch, step, _nprocs = chosen
-        held = [
-            e for e in self._held(new_comm)
-            if e["epoch"] == epoch and e["step"] == step
-        ]
-        # ``meta`` (and the global shape/dtype) are replicated, but
-        # *this* rank may hold nothing of the chosen step.  Every
-        # survivor saved it (the step is complete, and a save stores
-        # the rank's own entry before its first message), yet a later
-        # save may have pruned it: with ``keep=1`` a survivor whose
-        # next save ran to its end dropped the step, while a peer whose
-        # next save failed mid-exchange kept it, and only the peer's
-        # copy completes the step.  Take the first holder's copy.
-        refs = new_comm.allgather(
-            (held[0]["meta"], held[0]["global_shape"], held[0]["dtype"])
-            if held else None
-        )
-        ref = next((r for r in refs if r is not None), None)
-        if ref is None:  # pragma: no cover - latest_complete found one
-            raise CheckpointError(
-                f"checkpoint {self.name!r}: no rank holds an entry for "
-                f"step {step} (epoch {epoch})"
-            )
-        meta, shape, dtype = ref
-        parts = new_comm.gather(
-            [(e["owner"], e["slices"], e["block"]) for e in held], root=root,
-        )
-        full = None
-        if new_comm.rank == root:
-            blocks: dict[int, tuple] = {}
-            for rank_parts in parts:
-                for owner, slices, block in rank_parts:
-                    blocks.setdefault(owner, (slices, block))
-            full = _paste(shape, dtype, blocks.values())
-        return step, meta, full
-
-    def rebalance(self, comm) -> int:
-        """Re-replicate entries left single-copy by a failure (collective).
-
-        After a shrink, entries whose second copy lived on the dead rank
-        survive only in one store — a follow-up failure of *that* holder
-        would lose the last copy.  Every rank computes the same plan
-        from an allgathered inventory of the newest complete step, and
-        each single-copy entry is copied to one more rank (the owner's
-        slot when it is empty, else the holder's current ring-right).
-        Returns the number of entries re-replicated.
-        """
-        chosen = self.latest_complete(comm)
-        if chosen is None or comm.size < 2:
-            return 0
-        epoch, step, _nprocs = chosen
-        mine = {
-            e["owner"]: e for e in self._held(comm)
-            if e["epoch"] == epoch and e["step"] == step
-        }
-        inventory = comm.allgather(sorted(mine))
-        holders: dict[int, list[int]] = {}
-        for rank, owners in enumerate(inventory):
-            for owner in owners:
-                holders.setdefault(owner, []).append(rank)
-        plan = []
-        for owner in sorted(holders):
-            who = holders[owner]
-            if len(who) >= 2:
+        epoch, step, nprocs = max(complete, key=lambda k: (k[1], k[0]))
+        who = holders[(epoch, step, nprocs)]
+        # With keep=1 a survivor whose next save ran to its end pruned
+        # this step while a peer whose save failed kept it: a rank may
+        # hold none of it, and then it only receives.
+        mine = {e["owner"]: e for e in held
+                if (e["epoch"], e["step"]) == (epoch, step)}
+        outgoing = [[None, [], []] for _ in range(comm.size)]
+        if mine:
+            ref = next(iter(mine.values()))
+            shape = ref["global_shape"]
+            if comm.rank == who[min(who)][0]:
+                for out in outgoing:
+                    out[0] = (ref["meta"], shape, ref["dtype"])
+            for owner, entry in mine.items():
+                if who[owner][0] != comm.rank:
+                    continue  # a lower-ranked holder sends it
+                for r in range(comm.size):
+                    part = cut(entry["slices"], entry["block"],
+                               block_bounds(shape, comms.grid, r))
+                    if part is not None:
+                        outgoing[r][1].append(part)
+        copies = 0
+        for owner, ranks in sorted(who.items()):
+            if len(ranks) > 1 or comm.size < 2:
                 continue
-            src = who[0]
-            if owner < comm.size and owner != src:
-                dst = owner  # restore the natural layout when possible
-            else:
-                dst = (src + 1) % comm.size
-            plan.append((src, dst, owner))
-        for src, dst, owner in plan:
+            src = ranks[0]
+            dst = (owner if owner < comm.size and owner != src
+                   else (src + 1) % comm.size)
+            copies += 1
             if comm.rank == src:
-                comm.send(mine[owner], dst, tag=_BUDDY_TAG + 1)
-            elif comm.rank == dst:
-                entry = comm.recv(src, tag=_BUDDY_TAG + 1)
-                key = (self.name, entry["epoch"], entry["step"],
-                       entry["owner"])
-                comm.context.store_put(comm.world_rank, key, entry)
-        if plan:
-            _record_event(
-                "checkpoint.rebalance", self.name, step=int(step),
-                epoch=int(epoch), copies=len(plan),
-            )
-        return len(plan)
+                outgoing[dst][2].append(mine[owner])
+        arrived = comm.alltoall(outgoing)
+        meta, shape, dtype = next(a[0] for a in arrived if a[0] is not None)
+        for _state, _parts, entries in arrived:
+            for entry in entries:
+                comm.context.store_put(comm.world_rank, (
+                    self.name, entry["epoch"], entry["step"],
+                    entry["owner"]), entry)
+        _record_event("checkpoint.recover", self.name, step=int(step),
+                      epoch=int(epoch), copies=copies)
+        return step, meta, assemble(
+            comms, shape, dtype, [p for a in arrived for p in a[1]])
 
     def _held(self, comm) -> list[dict[str, Any]]:
         """This rank's stored entries for this checkpoint name."""

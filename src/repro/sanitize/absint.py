@@ -38,9 +38,11 @@ Decisions the interpreter cannot make are resolved *uniformly*: an
 undecidable branch takes the then-branch on every rank, so abstraction
 alone can never manufacture cross-rank divergence.  The one exception is
 a condition that reads the rank (``comm.rank``, ``state.world_rank``, a
-parameter named ``rank``): a collective under it, in either branch, is
-a ``collective-mismatch`` finding even when the interpreter cannot
-decide it, because ranks that decide it differently disagree.
+parameter named ``rank``, or a name the function bound from such an
+expression, ``flag = np.any(comm.rank == 0)``): a collective under it,
+in either branch, is a ``collective-mismatch`` finding even when the
+interpreter cannot decide it, because ranks that decide it differently
+disagree.
 
 A loop of unknown trip count runs once; when that pass moved a buffer,
 the body runs a second time for findings only, so a buffer moved on one
@@ -77,6 +79,10 @@ _TAG_ARG = {"send": 2, "isend": 2, "sendrecv": 2, "recv": 1, "irecv": 1}
 _SRC_ARG = {"recv": 0, "irecv": 0}
 # Names that read as "this process's rank".
 _RANK_NAMES = frozenset({"rank", "world_rank", "my_rank"})
+
+# The env key of the names a function bound from rank-reading
+# expressions (no identifier contains "<").
+_RANK_BOUND = "<rank-bound>"
 
 _MAX_UNROLL = 64
 _MAX_DEPTH = 16
@@ -171,11 +177,27 @@ class _FuncExit(Exception):
     """An (abstract) raise: unwinds the current function."""
 
 
-def _reads_rank(node: ast.expr) -> bool:
-    """Whether an expression names the rank (``comm.rank``, ``rank``)."""
-    return any(isinstance(sub, ast.Name) and sub.id in _RANK_NAMES
+def _reads_rank(node: ast.expr, env) -> bool:
+    """Whether an expression names the rank (``comm.rank``, ``rank``), or
+    a name of ``env`` bound from one."""
+    bound = env.get(_RANK_BOUND, ())
+    return any(isinstance(sub, ast.Name)
+               and (sub.id in _RANK_NAMES or sub.id in bound)
                or isinstance(sub, ast.Attribute) and sub.attr in _RANK_NAMES
                for sub in ast.walk(node))
+
+
+def _note_binding(targets, value: ast.expr, env, *, update=False) -> None:
+    """Record in ``env`` whether ``targets`` now hold a rank-derived
+    value: bound from an expression that reads the rank, or (``update``,
+    an augmented assignment) already one."""
+    names = {sub.id for target in targets for sub in ast.walk(target)
+             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    bound = frozenset(env.get(_RANK_BOUND, ()))
+    if _reads_rank(value, env):
+        env[_RANK_BOUND] = bound | names
+    elif not update:
+        env[_RANK_BOUND] = bound - names
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +278,13 @@ class RankInterp:
             value = self._eval(stmt.value, env)
             for tgt in stmt.targets:
                 self._bind(tgt, value, env)
+            _note_binding(stmt.targets, stmt.value, env)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 self._bind(stmt.target, self._eval(stmt.value, env), env)
+                _note_binding([stmt.target], stmt.value, env)
         elif isinstance(stmt, ast.AugAssign):
+            _note_binding([stmt.target], stmt.value, env, update=True)
             # In-place update: a *use* of the current binding.
             cur = self._eval_target_load(stmt.target, env)
             self._check_use(cur, self._site(stmt), "updated in place")
@@ -319,10 +344,11 @@ class RankInterp:
         # True, or undecidable: every rank takes the then-branch
         # uniformly, so abstraction never fabricates divergence.
         before = len(self.trace.events)
+        ranked = cond is None and _reads_rank(stmt.test, env)
         try:
             self._exec_block(stmt.body, env)
         finally:
-            if cond is None and _reads_rank(stmt.test):
+            if ranked:
                 self._rank_guard(stmt.test, self.trace.events[before:]
                                  + self._dry_run(stmt.orelse, env))
 
@@ -397,7 +423,7 @@ class RankInterp:
                     self.trace.poison(
                         f"while-loop with undecidable condition performs "
                         f"communication ({self._site(stmt)})")
-                if _reads_rank(stmt.test):
+                if _reads_rank(stmt.test, env):
                     self._rank_guard(stmt.test, self.trace.events[before:])
                 if self.moves != moves:
                     self._dry_run(stmt.body, env)

@@ -334,7 +334,6 @@ ALGORITHMS = {"sthosvd": sthosvd, "hosvd": hosvd, "hooi": hooi}
 # a value to give it on every other kind whose algorithm has it.
 KIND_KEYWORDS = {
     "checkpoint": ("parallel", "a-checkpoint"),
-    "resume": ("parallel", {"completed_steps": 0}),
     "max_elements": ("out_of_core", CHUNK),
     "workdir": ("out_of_core", "no-such-dir"),
     "checkpoint_dir": ("out_of_core", "no-such-dir"),

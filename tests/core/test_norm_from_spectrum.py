@@ -17,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import hooi, hosvd, sthosvd, sthosvd_fault_tolerant
+from repro.core import hooi, hosvd, sthosvd
 from repro.data import low_rank_tensor, save_raw
 from repro.data.outofcore import OutOfCoreTensor
-from repro.dist import DistributedTensor, GridComms, ProcessorGrid
-from repro.faults import CrashRule, FaultPlan
+from repro.dist import (
+    DistributedTensor, GridComms, ProcessorGrid, distribute_from_root)
+from repro.faults import CrashRule, DistributedCheckpoint, FaultPlan
 from repro.mpi import run_spmd
 
 TOL = 1e-3
@@ -159,9 +160,12 @@ def test_recovered_run_keeps_the_contract(dtype, at_op, resumed_step):
         return res.norm_x, res.ranks
 
     def prog(comm):
-        res = sthosvd_fault_tolerant(
-            comm, X.data if comm.rank == 0 else None, tol=TOL, method="qr")
-        return res.events, res.result.norm_x, res.result.ranks
+        grid = ProcessorGrid.for_size(comm.size, X.ndim)
+        dt = distribute_from_root(GridComms(comm, grid),
+                                  X.data if comm.rank == 0 else None)
+        res = sthosvd(dt, tol=TOL, method="qr",
+                      checkpoint=DistributedCheckpoint("sthosvd"))
+        return res.rank_failures, res.norm_x, res.ranks
 
     plan = FaultPlan(seed=1, crashes=(CrashRule(rank=2, at_op=at_op),))
     out = run_spmd(prog, 4, backend="threads", faults=plan, resilience=True)

@@ -132,19 +132,22 @@ def test_recovered_backward_run_keeps_the_floor(dtype):
 
 
 def _recovered_run(n, dtype, order):
-    from repro.core import sthosvd_fault_tolerant
-    from repro.faults import CrashRule, FaultPlan
+    from repro.dist import distribute_from_root
+    from repro.faults import CrashRule, DistributedCheckpoint, FaultPlan
 
     X, sigma, _ = _problem(n, dtype)
 
     def prog(comm):
-        res = sthosvd_fault_tolerant(
-            comm, X.data if comm.rank == 0 else None,
-            ranks=SHAPE, method="qr", mode_order=order,
-        )
-        return res.comm.size, res.events, res.result.sigmas, res.result.factors
+        grid = ProcessorGrid.for_size(comm.size, X.ndim, order)
+        dt = distribute_from_root(GridComms(comm, grid),
+                                  X.data if comm.rank == 0 else None)
+        res = sthosvd(dt, ranks=SHAPE, method="qr", mode_order=order,
+                      checkpoint=DistributedCheckpoint("sthosvd"))
+        return res.core.comm.size, res.rank_failures, res.sigmas, res.factors
 
-    plan = FaultPlan(seed=1, crashes=(CrashRule(rank=2, at_op=12),))
+    # Rank 2's operations 5-10 fall inside the first mode (a crash there
+    # resumes from the entry checkpoint); the 10th is its last there.
+    plan = FaultPlan(seed=1, crashes=(CrashRule(rank=2, at_op=10),))
     out = run_spmd(prog, 4, backend="threads", faults=plan, resilience=True)
     assert out.failed_ranks == [2]
     done = [v for v in out.values if v is not None]

@@ -16,14 +16,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import modeloop, sthosvd
 from repro.core.checkpoint import SCHEMA, read_block
-from repro.core.ft import sthosvd_fault_tolerant
-from repro.dist.dtensor import GridComms
+from repro.dist.dtensor import DistributedTensor, GridComms
 from repro.dist.grid import ProcessorGrid
 from repro.dist.redistribute import distribute_from_root
 from repro.errors import CheckpointError, RankFailedError
 from repro.faults import CrashRule, DistributedCheckpoint, FaultPlan
 from repro.mpi import run_spmd
+from repro.obs import FlightRecorder
 from repro.util.durable import verify_raw
 
 SHAPE = (12, 10, 8)
@@ -31,17 +32,26 @@ RANKS = (4, 3, 2)
 FULL = np.asfortranarray(np.random.default_rng(7).standard_normal(SHAPE))
 
 
-def _prog(comm, ckpt_dir=None, full=None, max_recoveries=2):
-    res = sthosvd_fault_tolerant(
-        comm, (FULL if full is None else full) if comm.rank == 0 else None,
-        ranks=RANKS, method="qr", ckpt_dir=ckpt_dir,
-        max_recoveries=max_recoveries,
-    )
+def _distributed(comm, full=None):
+    """The input from rank 0, on the grid a recovery re-lays it on."""
+    full = FULL if full is None else full
+    comms = GridComms(comm, ProcessorGrid.for_size(comm.size, full.ndim))
+    return distribute_from_root(comms, full if comm.rank == 0 else None)
+
+
+def _sthosvd(comm, ckpt_dir=None, full=None):
+    return sthosvd(_distributed(comm, full), ranks=RANKS, method="qr",
+                   checkpoint=DistributedCheckpoint("sthosvd",
+                                                    ckpt_dir=ckpt_dir))
+
+
+def _prog(comm, ckpt_dir=None, full=None):
+    res = _sthosvd(comm, ckpt_dir, full)
     return {
-        "survivors": res.comm.size,
-        "recoveries": res.recoveries,
-        "events": res.events,
-        "factors": [np.asarray(f).copy() for f in res.result.factors],
+        "survivors": res.core.comm.size,
+        "recoveries": sum(k == "rank_failure" for k, _ in res.rank_failures),
+        "events": res.rank_failures,
+        "factors": [np.asarray(f).copy() for f in res.factors],
     }
 
 
@@ -61,15 +71,14 @@ _CRASH = FaultPlan(seed=3, crashes=(CrashRule(rank=1, at_op=25),))
 
 
 def _err_prog(comm):
-    """A fault-tolerant run's survivors and reconstruction error."""
-    res = sthosvd_fault_tolerant(comm, FULL if comm.rank == 0 else None,
-                                 ranks=RANKS, method="qr")
-    tucker = res.result.to_tucker()  # collective over the survivors
+    """A checkpointed run's survivors and reconstruction error."""
+    res = _sthosvd(comm)
+    tucker = res.to_tucker()  # collective over the survivors
     err = None
-    if res.comm.rank == 0:
+    if res.core.comm.rank == 0:
         rec = np.asarray(tucker.reconstruct().data)
         err = float(np.linalg.norm(rec - FULL) / np.linalg.norm(FULL))
-    return {"survivors": res.comm.size, "err": err}
+    return {"survivors": res.core.comm.size, "err": err}
 
 
 class TestShrinkRecovery:
@@ -95,6 +104,59 @@ class TestShrinkRecovery:
                  for k, d in _done(r)[0]["events"]] for r in runs]
         assert seqs[0] == seqs[1]
         assert seqs[0] and seqs[0][0][:2] == ("rank_failure", 3)
+
+
+class TestRecoveryMovesBlocks:
+    """Recovery sends each surviving block to its new owners: no rank
+    receives more than twice its share of the tensor (its own new block,
+    plus at most one re-replicated block of the lost grid) and the
+    replicated state, counted off the flight recorder's ``recv`` events
+    inside the ``ft.recover`` span."""
+
+    SHAPE = (32, 28, 24)
+    RANKS = (8, 6, 5)
+
+    @pytest.mark.parametrize("at_op,resumed_step", [(5, 0), (9, 1)])
+    def test_no_rank_receives_the_tensor(self, at_op, resumed_step):
+        full = np.asfortranarray(
+            np.random.default_rng(5).standard_normal(self.SHAPE))
+
+        def prog(comm):
+            grid = ProcessorGrid.for_size(comm.size, full.ndim)
+            dt = DistributedTensor.from_full(GridComms(comm, grid), full)
+            res = sthosvd(dt, ranks=self.RANKS,
+                          checkpoint=DistributedCheckpoint("sthosvd"))
+            return res.rank_failures, [
+                U.nbytes + s.nbytes for U, s in zip(res.factors,
+                                                    res.sigmas.values())]
+
+        recorder = FlightRecorder(capacity=100_000)
+        plan = FaultPlan(seed=1, crashes=(CrashRule(rank=1, at_op=at_op),))
+        res = run_spmd(prog, 4, faults=plan, resilience=True,
+                       backend="sockets", recorder=recorder)
+        (kind, detail), = _done(res)[0][0]
+        assert kind == "rank_failure" and detail["resumed_step"] == resumed_step
+        survivors = detail["survivors"]
+        # The tensor as checkpointed at the resumed step.
+        extents = self.RANKS[:resumed_step] + self.SHAPE[resumed_step:]
+        tensor_bytes = 8 * int(np.prod(extents))
+        # The replicated state (at most the run's factors and spectra)
+        # arrives at most twice: riding along, and inside a re-replicated
+        # entry; 2 KiB covers the inventory, the shrink and the new grid.
+        meta_bytes = 2 * sum(_done(res)[0][1]) + 2048
+        received = {}
+        for rank in recorder.ranks():
+            inside, total = False, 0
+            for _seq, _ts, kind, name, event in recorder.events(rank):
+                if name == "ft.recover" and kind in ("span.open",
+                                                     "span.close"):
+                    inside = kind == "span.open"
+                elif inside and kind == "recv":
+                    total += event["nbytes"]
+            received[rank] = total
+        assert max(received.values()) > tensor_bytes / survivors
+        assert max(received.values()) <= (
+            2 * tensor_bytes / survivors + meta_bytes), received
 
 
 class TestDurableCheckpoints:
@@ -165,13 +227,14 @@ def _checkpoint_mid_run(tmp_path):
 
 
 def _resume_verdicts(comm, ckpt_dir):
-    """What ``resume_from_disk`` tells each rank (no driver around it)."""
+    """What ``resume_from_disk`` tells each rank (no driver around it):
+    the step, and whether this rank's block of it is the clean run's."""
     ckpt = DistributedCheckpoint("sthosvd", ckpt_dir=ckpt_dir)
     try:
-        step, _meta, full = ckpt.resume_from_disk(comm)
+        step, _meta, dt = ckpt.resume_from_disk(_distributed(comm))
     except CheckpointError as exc:
         return "refused: " + str(exc)
-    return step, full is not None
+    return step, dt.global_shape, np.asarray(dt.local.data)
 
 
 class TestDurableShards:
@@ -227,9 +290,13 @@ class TestDurableShards:
                    for v in res.values)
 
     def test_intact_directory_resumes_without_the_driver(self, tmp_path):
-        _checkpoint_mid_run(tmp_path)
+        """Every rank gets its own block of the step, on the grid it was
+        saved from: shard ``r`` is rank ``r``'s block."""
+        man = _checkpoint_mid_run(tmp_path)
         res = run_spmd(_resume_verdicts, 4, str(tmp_path))
-        assert res.values == [(2, True), (2, False), (2, False), (2, False)]
+        assert [v[:2] for v in res.values] == [(2, (4, 3, 8))] * 4
+        for rank, (_, _, block) in enumerate(res.values):
+            assert np.array_equal(block, read_block(str(tmp_path), man, rank))
 
     def test_old_pickle_format_is_refused_naming_both_schemas(self, tmp_path):
         """The pickled shards of ``/1`` and the per-rank shard layout of
@@ -260,33 +327,32 @@ def _two_crash_prog(comm):
     """Manual shrink loop: save once, survive two sequential crashes.
 
     The regression this guards: after the first shrink, entries whose
-    buddy died are single-copy; without :meth:`DistributedCheckpoint.
-    rebalance` the second crash can take the last copy and recovery
-    fails with an incomplete checkpoint.
+    buddy died are single-copy; unless :meth:`DistributedCheckpoint.
+    recover` re-replicates them the second crash can take the last copy
+    and recovery fails with an incomplete checkpoint.
     """
-    grid = ProcessorGrid.for_size(comm.size, FULL.ndim)
-    comms = GridComms(comm, grid)
-    dt = distribute_from_root(comms, FULL if comm.rank == 0 else None, root=0)
+    def relaid(comm):
+        return GridComms(comm, ProcessorGrid.for_size(comm.size, FULL.ndim))
+
+    dt = distribute_from_root(relaid(comm), FULL if comm.rank == 0 else None,
+                              root=0)
     ckpt = DistributedCheckpoint("rb", keep=2)
     ckpt.save(dt, 0, {"tag": "seed"})
-    recoveries, moved = 0, []
+    recoveries = 0
     pending = False
     while True:
         try:
             if pending:
                 comm.revoke()
                 comm = comm.shrink()
-                ckpt.recover(comm, root=0)
-                moved.append(ckpt.rebalance(comm))
+                ckpt.recover(relaid(comm))
                 pending = False
             for _ in range(120):
                 comm.barrier()
-            step, meta, recovered = ckpt.recover(comm, root=0)
-            ok = None
-            if comm.rank == 0:
-                ok = bool(np.array_equal(recovered, FULL))
-            return {"size": comm.size, "recoveries": recoveries,
-                    "moved": moved, "ok": ok, "step": step}
+            step, meta, recovered = ckpt.recover(relaid(comm))
+            ok = bool(np.array_equal(recovered.gather().data, FULL))
+            return {"size": comm.size, "recoveries": recoveries, "ok": ok,
+                    "step": step}
         except RankFailedError:
             recoveries += 1
             if recoveries > 3:
@@ -300,23 +366,31 @@ class TestBuddyRebalance:
             CrashRule(rank=1, at_op=30),
             CrashRule(rank=2, at_op=90),
         ))
-        res = run_spmd(_two_crash_prog, 4, faults=plan, resilience=True)
+        recorder = FlightRecorder(capacity=4096)
+        res = run_spmd(_two_crash_prog, 4, faults=plan, resilience=True,
+                       recorder=recorder)
         vals = _done(res)
         assert sorted(res.failed_ranks) == [1, 2]
         assert all(v["size"] == 2 and v["recoveries"] == 2 for v in vals)
-        # The first rebalance re-replicated at least one orphaned entry
+        # The first recovery re-replicated at least one orphaned entry
         # (rank 1 was both an owner and rank 0's buddy).
-        assert all(v["moved"][0] > 0 for v in vals)
+        for rank in (0, 3):
+            moved = [e[4]["copies"] for e in recorder.events(rank)
+                     if e[2] == "checkpoint.recover"]
+            assert moved[0] > 0
         assert any(v["ok"] for v in vals)
 
 
 class TestMaxRecoveriesExhausted:
-    def test_original_error_carries_recovery_history(self):
+    def test_original_error_carries_recovery_history(self, monkeypatch):
         """Exhaustion re-raises the first failure, not the last retry's."""
+        monkeypatch.setattr(modeloop, "MAX_RECOVERIES", 1)
+        # The second crash lands in the resumed run, 9 operations before
+        # rank 2's last (it makes 53 after the first recovery).
         plan = FaultPlan(seed=3, crashes=(
-            CrashRule(rank=1, at_op=25), CrashRule(rank=2, at_op=60)))
+            CrashRule(rank=1, at_op=25), CrashRule(rank=2, at_op=44)))
         with pytest.raises(RankFailedError) as ei:
-            run_spmd(_prog, 4, None, None, 1, faults=plan, resilience=True)
+            run_spmd(_prog, 4, faults=plan, resilience=True)
         history = getattr(ei.value, "recovery_history", None)
         assert isinstance(history, tuple) and history
         assert history[0][0] == "rank_failure"

@@ -1,4 +1,4 @@
-"""Fault-tolerant ST-HOSVD/HOOI: the ISSUE's acceptance scenario.
+"""Checkpointed ST-HOSVD/HOOI on a distributed tensor survive rank failures.
 
 A seeded plan that kills one rank mid-mode and drops a percent of
 messages must still yield a completed decomposition on the shrunk
@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ft import hooi_fault_tolerant, sthosvd_fault_tolerant
+from repro.core import hooi, modeloop, sthosvd
+from repro.dist import GridComms, ProcessorGrid, distribute_from_root
 from repro.errors import ConvergenceError, RankFailedError
 from repro.faults import (
     CrashRule,
+    DistributedCheckpoint,
     FaultPlan,
     KernelFaultRule,
     MessageFaultRule,
@@ -29,22 +31,32 @@ FULL = np.asfortranarray(
 )
 
 
+def _distributed(comm, mode_order="forward"):
+    """``FULL`` from rank 0, laid out the way a recovery re-lays it."""
+    grid = ProcessorGrid.for_size(comm.size, len(SHAPE), mode_order)
+    return distribute_from_root(GridComms(comm, grid),
+                                FULL if comm.rank == 0 else None)
+
+
+def _recoveries(res):
+    return sum(kind == "rank_failure" for kind, _ in res.rank_failures)
+
+
 def _sthosvd_prog(comm):
-    res = sthosvd_fault_tolerant(
-        comm, FULL if comm.rank == 0 else None, ranks=RANKS, method="qr",
-    )
-    tucker = res.result.to_tucker()
+    res = sthosvd(_distributed(comm), ranks=RANKS, method="qr",
+                  checkpoint=DistributedCheckpoint("sthosvd"))
+    tucker = res.to_tucker()
     err = None
-    if res.comm.rank == 0:
+    if res.core.comm.rank == 0:
         rec = np.asarray(tucker.reconstruct().data)
         err = float(np.linalg.norm((rec - FULL).ravel())
                     / np.linalg.norm(FULL.ravel()))
     return {
-        "survivors": res.comm.size,
-        "recoveries": res.recoveries,
+        "survivors": res.core.comm.size,
+        "recoveries": _recoveries(res),
         "err": err,
-        "events": res.events,
-        "numeric": res.result.numeric_recoveries,
+        "events": res.rank_failures,
+        "numeric": res.numeric_recoveries,
     }
 
 
@@ -90,12 +102,12 @@ class TestSthosvdFaultTolerant:
         base_err = _first_err(run_spmd(_sthosvd_prog, 4))
         assert _first_err(res) <= 10 * base_err
 
-    def test_max_recoveries_exhausted_reraises(self):
+    def test_max_recoveries_exhausted_reraises(self, monkeypatch):
+        monkeypatch.setattr(modeloop, "MAX_RECOVERIES", 0)
+
         def prog(comm):
-            return sthosvd_fault_tolerant(
-                comm, FULL if comm.rank == 0 else None, ranks=RANKS,
-                max_recoveries=0,
-            )
+            return sthosvd(_distributed(comm), ranks=RANKS,
+                           checkpoint=DistributedCheckpoint("sthosvd"))
 
         plan = FaultPlan(seed=8, crashes=(CrashRule(rank=2, at_op=25),))
         with pytest.raises(RankFailedError):
@@ -109,11 +121,10 @@ class TestGridFollowsModeOrder:
     @staticmethod
     def _prog(mode_order):
         def prog(comm):
-            res = sthosvd_fault_tolerant(
-                comm, FULL if comm.rank == 0 else None, ranks=RANKS,
-                method="qr", mode_order=mode_order,
-            )
-            return res.comm.size, res.result.core.grid.dims
+            res = sthosvd(_distributed(comm, mode_order), ranks=RANKS,
+                          method="qr", mode_order=mode_order,
+                          checkpoint=DistributedCheckpoint("sthosvd"))
+            return res.core.comm.size, res.core.grid.dims
         return prog
 
     @pytest.mark.parametrize("mode_order,grid4,grid3", [
@@ -239,13 +250,11 @@ class TestNumericDegradation:
 class TestHooiFaultTolerant:
     def test_crash_mid_sweep_recovers(self):
         def prog(comm):
-            res = hooi_fault_tolerant(
-                comm, FULL if comm.rank == 0 else None, RANKS,
-                method="gram", max_iters=4,
-            )
-            fit = res.result.final_fit if res.comm.rank == 0 else None
-            return (res.comm.size, res.recoveries,
-                    res.result.iterations, fit)
+            res = hooi(_distributed(comm), RANKS, method="gram", max_iters=4,
+                       checkpoint=DistributedCheckpoint("hooi"))
+            fit = res.final_fit if res.core.comm.rank == 0 else None
+            return (res.core.comm.size, _recoveries(res),
+                    res.iterations, fit)
 
         base = run_spmd(prog, 4)
         base_fit = base.values[0][3]

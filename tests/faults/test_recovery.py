@@ -19,10 +19,13 @@ FULL = np.asfortranarray(
 )
 
 
+def _relaid(comm, ndim=FULL.ndim):
+    return GridComms(comm, ProcessorGrid.for_size(comm.size, ndim))
+
+
 def _distribute(comm, full=FULL):
-    grid = ProcessorGrid.for_size(comm.size, full.ndim)
-    comms = GridComms(comm, grid)
-    return distribute_from_root(comms, full if comm.rank == 0 else None, root=0)
+    return distribute_from_root(_relaid(comm, full.ndim),
+                                full if comm.rank == 0 else None, root=0)
 
 
 def _survive_and_shrink(comm):
@@ -74,8 +77,8 @@ class TestDistributedCheckpoint:
             ckpt = DistributedCheckpoint("rt")
             ckpt.save(dt, 1, meta={"mark": 17})
             new = _survive_and_shrink(comm)
-            step, meta, full = ckpt.recover(new)
-            ok = bool(np.array_equal(full, FULL)) if new.rank == 0 else None
+            step, meta, dt = ckpt.recover(_relaid(new))
+            ok = bool(np.array_equal(dt.gather().data, FULL))
             return (step, meta["mark"], ok)
 
         res = run_spmd(prog, 4, faults=plan, resilience=True)
@@ -92,7 +95,7 @@ class TestDistributedCheckpoint:
             ckpt.save(dt, 1, meta={"step": 1})
             ckpt.save(dt, 2, meta={"step": 2})
             new = _survive_and_shrink(comm)
-            step, meta, _ = ckpt.recover(new)
+            step, meta, _ = ckpt.recover(_relaid(new))
             return (step, meta["step"])
 
         res = run_spmd(prog, 4, faults=plan, resilience=True)
@@ -116,7 +119,7 @@ class TestDistributedCheckpoint:
             while new.size > 2:
                 new = _survive_and_shrink(new)
             with pytest.raises(CheckpointError, match="no complete step"):
-                ckpt.recover(new)
+                ckpt.recover(_relaid(new))
             return "checked"
 
         res = run_spmd(prog, 4, faults=plan, resilience=True)
@@ -151,7 +154,7 @@ class TestSanitizerInterplay:
             ckpt = DistributedCheckpoint("s4")
             ckpt.save(dt, 1, meta={"ok": True})
             new = _survive_and_shrink(comm)
-            step, meta, _ = ckpt.recover(new)
+            step, meta, _ = ckpt.recover(_relaid(new))
             return (new.size, step)
 
         res = run_spmd(prog, 4, faults=plan, resilience=True,

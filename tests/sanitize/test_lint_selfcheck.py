@@ -34,4 +34,4 @@ def test_cli_strict_mode_passes_on_repo(capsys):
     assert run([]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and all(": clean (" in line for line in out), out
-    assert out[-1].startswith("repro verify: clean (11 driver(s)")
+    assert out[-1].startswith("repro verify: clean (12 driver(s)")

@@ -72,6 +72,31 @@ class TestFixtureCorpus:
         assert "receive cycle" in d.message
         assert "rank 0" in d.message and "rank 1" in d.message
 
+    def test_rank_flag(self):
+        """The condition names no rank, the name it reads was bound from
+        one: an undecidable branch on it guards the bcast all the same."""
+        res = verify_fixture("rank_flag")
+        assert [d.kind for d in res.findings] == ["collective-mismatch"]
+        d = res.findings[0]
+        assert d.line == 16  # the bcast in the else-branch
+        assert "rank_flag.py:13" in d.message  # the `if flag:`
+        assert "reads the rank" in d.message
+
+    def test_rank_flag_rebound_from_a_constant_is_clean(self, tmp_path):
+        """Rebinding the name from something rank-free clears it."""
+        target = tmp_path / "rebound.py"
+        target.write_text(
+            "import numpy as np\n"
+            "def driver(comm, x):\n"
+            "    flag = np.any(comm.rank == 0)\n"
+            "    flag = np.any(x)\n"
+            "    if flag:\n"
+            "        pass\n"
+            "    else:\n"
+            "        comm.bcast(1, root=0)\n"
+            "    return flag\n", encoding="utf-8")
+        assert verify_paths([str(target)]).findings == []
+
     def test_irecv_posted_before_send_is_no_deadlock(self, tmp_path):
         """A posted receive completes at its wait: the trace is marked
         incomplete rather than blocked at the irecv."""
@@ -135,11 +160,13 @@ class TestSelfVerification:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[-1] == (
-            "repro verify: clean (11 driver(s), 4 with incomplete traces; "
+            "repro verify: clean (12 driver(s), 4 with incomplete traces; "
             f"{roots[0]}, {roots[1]})")
         res = verify_paths(roots)
+        # Nothing in the package calls ``hooi``, so it is an entry of its
+        # own, checkpointed arm and all.
         assert {r.entry.qualname for r in res.reports if not r.complete} == {
-            "parallel_compression.program", "repro.core.ft.hooi_fault_tolerant",
+            "parallel_compression.program", "repro.core.hooi.hooi",
             "repro.cli._trace_program", "repro.cli._chaos_program"}
 
 
@@ -166,6 +193,11 @@ class TestCommGraphArtifact:
                               "butterfly_tsqr_reduce"}
         assert data["edges"], "expected call edges"
         assert "traces" in data and set(data["traces"]) == {"0", "1"}
+        # The checkpointed arm (recover and resume) is the driver's own:
+        # the one loop both drivers share is in its graph.
+        callees = {(e["caller"].split(".")[-1], e["callee"].split(".")[-1])
+                   for e in data["edges"]}
+        assert (driver, "recovering") in callees
 
         dot = Path(dot_path).read_text(encoding="utf-8")
         assert dot.startswith("digraph")

@@ -56,7 +56,7 @@ def test_forbidden_names_the_platform_and_only_it():
     platform = sorted([
         "repro.mpi", "repro.mpi.transport.sockets", "repro.sanitize.verify",
         "repro.perf", "repro.faults.plan", "repro.obs.metrics",
-        "repro.dist.tsqr", "repro.core.ft",
+        "repro.dist.tsqr", "repro.core.sthosvd_parallel",
     ])
     assert forbidden(platform) == platform
     sequential = ["repro.faults.guards", "repro.core.hooi", "repro.util.rng"]
@@ -259,10 +259,9 @@ def test_the_layer_rule_flags_module_level_platform_imports_only():
     assert {d.kind for d in findings} == {LAYER_RULE}
     assert [d.line for d in findings] == [3, 4, 6, 9, 16]
     assert "repro.mpi.communicator.Communicator" in findings[0].message
-    # The same text is fine where the platform lives, and in core/'s
-    # fault-tolerant loop; every driver of core/ is held to the rule.
-    for platform in ("repro/dist/svd.py", "repro/core/ft.py",
-                     "repro/obs/tracer.py"):
+    # The same text is fine where the platform lives; every module of
+    # core/ is held to the rule.
+    for platform in ("repro/dist/svd.py", "repro/obs/tracer.py"):
         assert layer_findings(_UPWARD, platform) == []
     for driver in ("repro/core/modeloop.py", "repro/core/sthosvd.py",
                    "repro/core/hooi.py", "repro/core/sthosvd_parallel.py"):

@@ -104,10 +104,10 @@ def test_lazily_reached_classes_cross_the_worker_codec():
 def test_an_export_wins_over_the_submodule_it_shares_a_name_with():
     """``repro.core.hooi`` and ``repro.core.sthosvd`` are the drivers, also
     when something imported the modules of those names first (as
-    ``core/ft.py`` does, and ``hooi.py`` with ``sthosvd``)."""
+    ``hooi.py`` does with ``sthosvd``)."""
     kinds = fresh("""
 import json
-import repro.core.ft                     # imports .hooi and .sthosvd itself
+import repro.core.hooi                   # the module; imports .sthosvd itself
 from repro.core.hosvd import hosvd
 import repro.core
 print(json.dumps([type(getattr(repro.core, name)).__name__ for name in
@@ -223,7 +223,10 @@ def test_no_qr_backend_knob_above_linalg(knob):
             continue
         if knob in params:
             knobs.append(name)
-    assert len(walked) > 80  # 88 names: the walk reaches every driver
+    # 80 names (the three fault-tolerant ones are gone): every driver.
+    assert len(walked) >= 80
+    assert {f"repro.core.{driver}" for driver in ("sthosvd", "hosvd", "hooi")
+            } <= {name for name, _ in walked}
     assert knobs == []
     assert knob not in {f.name for f in dataclasses.fields(ModeLoop)}
 
@@ -270,21 +273,21 @@ def test_a_world_reports_through_the_recorder_alone():
 
 
 def test_a_failed_rank_is_recovered_by_shrinking_alone():
-    """No elastic replacement: the fault-tolerant drivers take no
+    """No elastic replacement: the checkpointed drivers take no
     ``recover=``, the communicator has no ``replace``, a crash rule fires
     once (no ``repeat=``), and ``repro chaos`` has no ``--recover``."""
     import numpy as np
 
     from repro.cli import main
-    from repro.core.ft import hooi_fault_tolerant, sthosvd_fault_tolerant
+    from repro.core import hooi, sthosvd
     from repro.faults import CrashRule
     from repro.mpi import Communicator
 
     X = np.ones((4, 3, 2))
     with pytest.raises(TypeError):
-        sthosvd_fault_tolerant(None, X, ranks=(2, 2, 2), recover="shrink")
+        sthosvd(X, ranks=(2, 2, 2), recover="shrink")
     with pytest.raises(TypeError):
-        hooi_fault_tolerant(None, X, (2, 2, 2), recover="shrink")
+        hooi(X, (2, 2, 2), recover="shrink")
     assert not hasattr(Communicator, "replace")
     with pytest.raises(TypeError):
         CrashRule(rank=1, at_op=25, repeat=2)
@@ -292,6 +295,39 @@ def test_a_failed_rank_is_recovered_by_shrinking_alone():
         main(["chaos", "--shape", "8", "6", "4", "--procs", "2",
               "--ranks", "3", "2", "2", "--recover", "replace"])
     assert exc.value.code == 2
+
+
+def test_fault_tolerance_is_a_mode_of_the_drivers():
+    """A checkpointed ``sthosvd``/``hooi`` on a distributed tensor recovers
+    by itself: the separate fault-tolerant drivers, their result type and
+    module are gone, the drivers take no ``resume=``, the distributed
+    kind reads ``checkpoint`` alone, and the recovery bound is a module
+    constant."""
+    import numpy as np
+
+    import repro.core
+    from repro.core import hooi, modeloop, sthosvd
+    from repro.dist import DistributedTensor
+    from repro.faults import DistributedCheckpoint
+
+    for name in ("FaultTolerantResult", "sthosvd_fault_tolerant",
+                 "hooi_fault_tolerant"):
+        assert name not in repro.core.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro.core, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.ft")
+    X = np.ones((4, 3, 2))
+    with pytest.raises(TypeError):
+        sthosvd(X, ranks=(2, 2, 2), resume={"completed_steps": 0})
+    with pytest.raises(TypeError):
+        hooi(X, (2, 2, 2), resume={"iteration": 0})
+    assert dict(modeloop.KIND_OPTIONS)[DistributedTensor] == ("checkpoint",)
+    assert modeloop.MAX_RECOVERIES == 2
+    for name in ("name", "keep", "ckpt_dir"):
+        assert name in inspect.signature(DistributedCheckpoint).parameters
+    assert "max_recoveries" not in inspect.signature(
+        DistributedCheckpoint).parameters
 
 
 def test_no_snapshot_compare_layer():

@@ -54,7 +54,7 @@ FORBIDDEN = re.compile(
     r"|faults\.(?:plan|injector|network|checkpoint)"
     r"|obs\.(?:metrics|postmortem|export|compare)"
     r"|dist\.(?:svd|gram|ttm|tsqr|redistribute)"
-    r"|core\.(?:sthosvd_parallel|ft)"
+    r"|core\.sthosvd_parallel"
     r")$"
 )
 PROGRAM = """

@@ -3,9 +3,10 @@
 Two phases over one checkpoint directory, run as separate invocations:
 
 ``crash DIR``
-    Launches a 4-rank fault-tolerant ST-HOSVD on the sockets backend
-    with ``ckpt_dir=DIR``, then SIGKILLs its *entire process group* the
-    moment the first manifest commits — master and every worker die
+    Launches a 4-rank checkpointed ST-HOSVD on the sockets backend
+    (``sthosvd(dt, checkpoint=DistributedCheckpoint(ckpt_dir=DIR))``),
+    then SIGKILLs its *entire process group* the moment the first
+    manifest commits — master and every worker die
     with no chance to flush or hand over.  Run it under ``setsid -w``
     so the kill stays inside the smoke and the exit code propagates
     (137 = killed as planned; without ``-w`` setsid may fork, detach,
@@ -35,7 +36,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.ft import sthosvd_fault_tolerant  # noqa: E402
+from repro import sthosvd  # noqa: E402
+from repro.dist import DistributedTensor, GridComms, ProcessorGrid  # noqa: E402
+from repro.faults import DistributedCheckpoint  # noqa: E402
 from repro.mpi import run_spmd  # noqa: E402
 
 SHAPE = (16, 14, 12)
@@ -45,13 +48,14 @@ FULL = np.asfortranarray(np.random.default_rng(11).standard_normal(SHAPE))
 
 def _prog_factory(ckpt_dir):
     def prog(comm):
-        res = sthosvd_fault_tolerant(
-            comm, FULL if comm.rank == 0 else None, ranks=RANKS,
-            method="qr", ckpt_dir=ckpt_dir,
-        )
+        grid = ProcessorGrid.for_size(comm.size, FULL.ndim)
+        dt = DistributedTensor.from_full(GridComms(comm, grid), FULL)
+        res = sthosvd(dt, ranks=RANKS, method="qr",
+                      checkpoint=DistributedCheckpoint("sthosvd",
+                                                       ckpt_dir=ckpt_dir))
         return (
-            [e[0] for e in res.events],
-            [np.asarray(f).copy() for f in res.result.factors],
+            [e[0] for e in res.rank_failures],
+            [np.asarray(f).copy() for f in res.factors],
         )
     return prog
 

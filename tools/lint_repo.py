@@ -43,8 +43,7 @@ direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
 ``repro.perf``, ``repro.faults`` (other than its kernel hook and
 ``guards``) or ``repro.obs`` (other than the tracer hook) from
 ``tensor/``, ``linalg/``, ``data/``, ``util/``, ``precision.py``,
-``instrument.py`` or ``core/`` (other than its fault-tolerant loop,
-``ft.py``) is an error;
+``instrument.py`` or ``core/`` is an error;
 function-level and ``TYPE_CHECKING`` imports are allowed, and so is a
 line carrying ``# repro-lint: allow(platform-import-in-algorithm-layer)``.
 With it runs ``eager-import-in-package-init``: an ``__init__`` holds names,
@@ -94,7 +93,7 @@ LAYER_RULE = "platform-import-in-algorithm-layer"
 # Paths under src/repro that hold the paper's algorithms on one core ...
 ALGORITHM_LAYER = re.compile(
     r"(?:tensor|linalg|data|util)/|(?:precision|instrument)\.py$"
-    r"|core/(?!ft\.py$)")
+    r"|core/")
 # ... and the modules they may not import when they are imported.
 PLATFORM = re.compile(
     r"repro\.(?:mpi|sanitize|perf|obs(?!\.tracer(?:\.|$))"
