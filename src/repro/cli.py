@@ -11,10 +11,8 @@ Three subcommands operate on raw natural-order tensor files (the
 
 Beyond the archive commands: ``simulate``/``tune`` (model-only runs),
 ``trace`` (a traced — and optionally sanitized — parallel ST-HOSVD with
-observability artifacts), ``verify`` (the whole-program SPMD verifier:
-interprocedural comm-trace matching, ownership, and deadlock analysis,
-with per-driver comm-graph artifacts — the CI gate), ``chaos`` (a seeded fault matrix) and ``postmortem`` (render a
-crash bundle).
+observability artifacts), ``chaos`` (a seeded fault matrix) and
+``postmortem`` (render a crash bundle).
 
 Usage::
 
@@ -24,7 +22,6 @@ Usage::
     python -m repro.cli reconstruct archive/ --out restored.bin
     python -m repro.cli trace --shape 32 32 32 --grid 2 2 1 \
         --tol 1e-4 --out artifacts --sanitize
-    python -m repro.cli verify --strict --graph-dir artifacts/commgraphs
 """
 
 from __future__ import annotations
@@ -535,47 +532,6 @@ def _cmd_postmortem(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    """Whole-program SPMD verification (see repro.sanitize.verify)."""
-    import json as _json
-
-    from .sanitize import format_diagnostics
-    from .sanitize.verify import (
-        default_verify_roots,
-        verify_paths,
-        write_comm_graph,
-    )
-
-    paths = args.paths or default_verify_roots()
-    result = verify_paths(paths, world_size=args.world_size,
-                          entries=args.entries)
-    findings = result.findings
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as f:
-            known = {(b["kind"], b["file"], b.get("line"))
-                     for b in _json.load(f)}
-        findings = [d for d in findings
-                    if (d.kind, d.file, d.line) not in known]
-    if args.graph_dir:
-        for report in result.reports:
-            write_comm_graph(result.project, report.entry, args.graph_dir,
-                             world_size=args.world_size, report=report)
-    analyzed = result.functions_analyzed
-    incomplete = sum(1 for r in result.reports if not r.complete)
-    if findings:
-        print(format_diagnostics(
-            findings,
-            header=f"repro verify: {len(findings)} finding(s) across "
-                   f"{analyzed} driver(s)"))
-    else:
-        roots = ", ".join(paths)
-        print(f"repro verify: clean ({analyzed} driver(s), "
-              f"{incomplete} with incomplete traces; {roots})")
-    if args.strict and findings:
-        return 1
-    return 0
-
-
 def _cmd_tune(args) -> int:
     from .perf import tune_grid
 
@@ -728,29 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trailing flight-recorder events shown per rank "
                          "(0 disables the per-rank tails)")
     pm.set_defaults(fn=_cmd_postmortem)
-
-    vf = sub.add_parser(
-        "verify",
-        help="whole-program SPMD verifier: interprocedural comm-trace "
-             "matching, ownership, and deadlock analysis",
-    )
-    vf.add_argument("paths", nargs="*",
-                    help="files or directories (default: the repro package "
-                         "and ./examples)")
-    vf.add_argument("--strict", action="store_true",
-                    help="exit non-zero when any finding is reported (CI gate)")
-    vf.add_argument("--world-size", type=int, default=2,
-                    help="abstract ranks to execute per driver (default 2)")
-    vf.add_argument("--entries", nargs="+", default=None, metavar="FUNC",
-                    help="only analyze these functions (name or qualname; "
-                         "default: every comm-taking call-graph root)")
-    vf.add_argument("--graph-dir", default=None,
-                    help="write per-driver comm-graph artifacts "
-                         "(<entry>.dot + <entry>.json) into this directory")
-    vf.add_argument("--baseline", default=None,
-                    help="JSON file of known findings "
-                         "([{kind,file,line}, ...]) to subtract")
-    vf.set_defaults(fn=_cmd_verify)
 
     t = sub.add_parser("tune", help="search processor grids via the model")
     t.add_argument("--shape", type=int, nargs="+", required=True)

@@ -63,9 +63,8 @@ __all__ = [
 # explicit ranks) implement the future-work extensions of its Sec. 5.
 METHODS = ("qr", "gram", "gram-mixed", "randomized")
 
-# Which solvers each tensor kind has.  Distributed comes first here and
-# in every dispatch below: the static verifier takes the first arm of a
-# branch it cannot decide, and that must be the one that communicates.
+# Which solvers each tensor kind has, in the order :func:`work_input`
+# tests the kinds (the dense arm last: it takes whatever else comes).
 SUPPORTED_METHODS = (
     (DistributedTensor, ("qr", "gram")),
     (OutOfCoreTensor, ("qr", "gram")),

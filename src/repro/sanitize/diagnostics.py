@@ -1,9 +1,9 @@
-"""Shared diagnostic vocabulary for the SPMD sanitizer and the verifier.
+"""Diagnostic vocabulary for the SPMD sanitizer and the repository rules.
 
-Both prongs of :mod:`repro.sanitize` — the runtime :class:`Sanitizer`
-and the :mod:`repro.sanitize.verify` static checker — report findings as
-:class:`Diagnostic` records: a machine-checkable kind, a severity, an
-optional rank, and a ``file:line`` call site.  Tests assert on these
+The runtime :class:`~repro.sanitize.Sanitizer` and the repository's own
+rules (``tools/lint_repo.py``) report findings as :class:`Diagnostic`
+records: a machine-checkable kind, a severity, an optional rank, and a
+``file:line`` call site.  Tests assert on these
 fields directly instead of pattern-matching exception text, and the CLI
 renders them one per line in the classic compiler format::
 
@@ -60,7 +60,7 @@ class CallSite:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One sanitizer or verifier finding.
+    """One sanitizer or repository-rule finding.
 
     ``kind`` is a stable machine-readable identifier (e.g.
     ``collective-mismatch``, ``use-after-move``, ``deadlock``,
@@ -118,10 +118,10 @@ _ALLOW_RE = re.compile(r"#\s*repro-lint:\s*allow\(([a-z0-9_,\- ]+)\)")
 class Suppressions:
     """Per-line ``# repro-lint:`` pragmas of one source file.
 
-    Read by :mod:`repro.sanitize.verify` and by the repository's own
-    rules (``tools/lint_repo.py``): ``# repro-lint: skip`` silences every
-    rule on its line, ``# repro-lint: allow(<kind>[, <kind>...])`` one
-    or more specific kinds.  A finding is checked against its whole
+    Read by the repository's own rules (``tools/lint_repo.py``):
+    ``# repro-lint: skip`` silences every rule on its line,
+    ``# repro-lint: allow(<kind>[, <kind>...])`` one or more specific
+    kinds.  A finding is checked against its whole
     statement extent, so a pragma anywhere on a multi-line statement —
     the opening line or the closing-paren line — applies to findings
     reported at any line of that statement.

@@ -1,25 +1,20 @@
 """The SPMD rule book: one decision and one message per rule.
 
-Both checkers of :mod:`repro.sanitize` judge with this module.  The live
-:class:`~repro.sanitize.Sanitizer` shows it the events of running ranks
-(a collective slot's arrivals, a wait-for cycle, a mailbox left full);
-``repro verify``'s scheduler (:func:`repro.sanitize.verify.match_traces`)
-shows it the events of symbolic ones.  A rule decides whether what it is
-shown is a finding and says what the finding is; where the events came
-from is the caller's business.
+The live :class:`~repro.sanitize.Sanitizer` shows this module the events
+of running ranks (a collective slot's arrivals, a wait-for cycle, a
+mailbox left full).  A rule decides whether what it is shown is a
+finding and says what the finding is; where the events came from is the
+caller's business.
 
-The vocabulary is MPI's, blocking calls first: a :class:`CommEvent` is
-one collective, send or receive of one rank.
+The vocabulary is MPI's: a :class:`CommEvent` is one collective or one
+blocking receive of one rank.
 
 ``collective-mismatch``
     Two ranks disagree at a collective slot on the op (order) or its
-    signature, or some ranks reach a collective that others never do —
-    statically also a collective under a condition that reads the rank
-    and cannot be decided.
+    signature, or some ranks reach a collective that others never do.
 ``tag-mismatch``
     A rank blocks in a receive nothing will satisfy, while the same
-    sender's messages under other tags wait for it — statically also a
-    function whose literal send and receive tags disagree.
+    sender's messages under other tags wait for it.
 ``message-leak``
     A sent message is never received.
 ``deadlock``
@@ -39,12 +34,9 @@ __all__ = [
     "agree",
     "collective_mismatch",
     "deadlock",
-    "judge_stuck",
     "message_leak",
     "never_reaches",
-    "literal_tag_mismatch",
     "partner_gone",
-    "rank_guarded",
     "slot",
     "tag_mismatch",
 ]
@@ -52,27 +44,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CommEvent:
-    """One communication action of one rank, live or symbolic.
+    """One communication action of one rank.
 
-    ``kind`` is ``collective``, ``send`` or ``recv`` and ``op`` the
-    communicator method.  A collective carries its ``signature``: the
-    ``(name, value)`` pairs every rank must agree on.  The live
-    communicator builds the full tuple; the static side knows only
-    ``(("root", root),)``.  A point-to-point event carries its ``peer``
-    and ``tag``, ``None`` where the static side could not fold them.
+    ``kind`` is ``collective`` or ``recv`` and ``op`` the communicator
+    method.  A collective carries its ``signature``: the ``(name,
+    value)`` pairs every rank must agree on.  A receive carries its
+    ``peer`` and ``tag``.
     """
 
     kind: str
     op: str
     site: CallSite | None = None
     signature: tuple = ()
-    peer: object = None
-    tag: object = None
-    moved: bool = False
-
-    @property
-    def root(self):
-        return dict(self.signature).get("root")
+    peer: int | None = None
+    tag: int | None = None
 
 
 def _finding(kind: str, message: str, rank, site, severity=ERROR,
@@ -98,10 +83,9 @@ def _sig_str(signature: tuple) -> str:
     return "(" + ", ".join(f"{k}={v!r}" for k, v in signature) + ")"
 
 
-def slot(seq: int, comm_id: int | None = None) -> str:
+def slot(seq: int, comm_id: int) -> str:
     """Where a collective sits: its call number, on which communicator."""
-    where = "" if comm_id is None else f"on communicator {comm_id} "
-    return f"{where}(call #{seq})"
+    return f"on communicator {comm_id} (call #{seq})"
 
 
 # ----------------------------------------------------------------------
@@ -154,40 +138,18 @@ def never_reaches(where: str, arrived: Sequence[int], ev: CommEvent,
                     WARNING if died else ERROR, op=ev.op, **extra)
 
 
-def rank_guarded(ev: CommEvent, cond: CallSite, **extra) -> Diagnostic:
-    """A collective under a condition at ``cond`` that reads the rank
-    and that the static side cannot decide."""
-    what = (f"{ev.op}() at {ev.site} runs under a condition at {cond} that "
-            f"reads the rank and cannot be decided statically; ranks that "
-            f"decide it differently never reach a matching collective")
-    return _finding("collective-mismatch", what, None, ev.site, op=ev.op,
-                    **extra)
-
-
 # ----------------------------------------------------------------------
 # tag-mismatch (and its live sibling, a receive from a partner gone)
 # ----------------------------------------------------------------------
 def tag_mismatch(rank: int, recv: CommEvent, sender: int,
-                 tags: Sequence[int], send_site=None, note: str = "",
+                 tags: Sequence[int], note: str = "",
                  **extra) -> Diagnostic:
     """``rank`` blocks in ``recv`` while ``sender`` sent only ``tags``."""
     what = (f"rank {rank} blocks in {recv.op}(source={recv.peer}, "
             f"tag={recv.tag}) at {recv.site} while rank {sender} sent "
             f"tag{'s' if len(tags) > 1 else ''} {', '.join(map(str, tags))}"
-            + (f" at {send_site}" if send_site else "")
-            + f"; mismatched send/recv tags never match{note}")
+            f"; mismatched send/recv tags never match{note}")
     return _finding("tag-mismatch", what, rank, recv.site, **extra)
-
-
-def literal_tag_mismatch(ev: CommEvent, others: Sequence[int],
-                         **extra) -> Diagnostic:
-    """``ev``'s literal tag is none of ``others``, the literal tags its
-    function uses in the other direction."""
-    other = "receive" if ev.kind == "send" else "send"
-    what = (f"{ev.op}(tag={ev.tag}) at {ev.site} has no {other} with that "
-            f"tag in {ev.site.function}() ({other} tags: {sorted(others)}); "
-            f"mismatched send/recv tags never match")
-    return _finding("tag-mismatch", what, None, ev.site, tag=ev.tag, **extra)
 
 
 def partner_gone(rank: int, recv: CommEvent, partner: int, status: str,
@@ -218,22 +180,20 @@ def partner_gone(rank: int, recv: CommEvent, partner: int, status: str,
 # message-leak
 # ----------------------------------------------------------------------
 def message_leak(sender, dest: int, source: int, tag: int, count: int,
-                 site, nbytes: int | None = None, where: str = "",
-                 died: Sequence[int] = (), **extra) -> Diagnostic:
+                 site, nbytes: int, comm_id: int,
+                 died: Sequence[int] = ()) -> Diagnostic:
     """``count`` messages from ``source`` to ``dest`` nobody received.
 
     ``sender`` is the world rank the finding is attributed to; a warning
     when ranks ``died``, whose exchanges may legitimately be half done.
     """
-    size = "" if nbytes is None else f", {nbytes} bytes"
     what = (f"{count} undelivered message(s) (source comm-rank {source}, "
-            f"tag {tag}{size}) left in rank {dest}'s mailbox{where} at "
-            f"finalize" + (f"; first sent at {site}" if site else "")
-            + _died(died))
-    sizes = {} if nbytes is None else {"nbytes": nbytes}
+            f"tag {tag}, {nbytes} bytes) left in rank {dest}'s mailbox on "
+            f"communicator {comm_id} at finalize"
+            + (f"; first sent at {site}" if site else "") + _died(died))
     return _finding("message-leak", what, sender, site,
                     WARNING if died else ERROR, dest=dest, tag=tag,
-                    count=count, **sizes, **extra)
+                    count=count, nbytes=nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -243,58 +203,15 @@ def deadlock(reason: str, blocked) -> tuple[str, list[Diagnostic]]:
     """Ranks stuck with no message that can release them.
 
     ``blocked`` holds ``(rank, event, comm_id, awaiting)`` per stuck rank:
-    the event it waits in and, when live, the communicator and the world
-    rank it awaits.  Returns the whole report and one finding per rank.
+    the receive it waits in, the communicator and the world rank it
+    awaits.  Returns the whole report and one finding per rank.
     """
     lines, diags = [], []
     for rank, ev, comm_id, awaiting in blocked:
-        if ev.kind == "collective":
-            line = f"rank {rank} waits in {ev.op}() at {ev.site}"
-        else:
-            live = ("" if comm_id is None else
-                    f" on communicator {comm_id} awaiting rank {awaiting}")
-            line = (f"rank {rank} blocks in {ev.op}(source={ev.peer}, "
-                    f"tag={ev.tag}){live} at {ev.site}")
+        line = (f"rank {rank} blocks in {ev.op}(source={ev.peer}, "
+                f"tag={ev.tag}) on communicator {comm_id} awaiting rank "
+                f"{awaiting} at {ev.site}")
         lines.append(line)
         diags.append(_finding("deadlock", line, rank, ev.site,
                               awaiting=awaiting, tag=ev.tag))
     return f"deadlock detected ({reason}): " + "; ".join(lines), diags
-
-
-def judge_stuck(current: Sequence[CommEvent | None], in_flight: dict,
-                where: str, **extra) -> list[Diagnostic]:
-    """What a schedule that can no longer advance means.
-
-    ``current[r]`` is the event rank r is stuck in, ``None`` once it
-    finished; ``in_flight`` maps ``(source, dest, tag)`` to the sent,
-    unreceived events; ``where`` is the next collective slot.
-    """
-    stuck = {r: ev for r, ev in enumerate(current) if ev is not None}
-    if not stuck:
-        return [message_leak(src, dst, src, tag, len(queue), queue[0].site,
-                             **extra)
-                for (src, dst, tag), queue in sorted(in_flight.items())
-                if queue]
-    recvs = {r: ev for r, ev in stuck.items() if ev.kind == "recv"}
-    for r, ev in recvs.items():
-        tags = sorted(t for (s, d, t), queue in in_flight.items()
-                      if s == ev.peer and d == r and queue and t != ev.tag)
-        if tags:
-            first_send = in_flight[(ev.peer, r, tags[0])][0]
-            return [tag_mismatch(r, ev, ev.peer, tags, first_send.site,
-                                 **extra)]
-    if not recvs:
-        arrived = sorted(stuck)
-        absent = [r for r, ev in enumerate(current) if ev is None]
-        return [never_reaches(where, arrived, stuck[arrived[0]], absent,
-                              **extra)]
-    if len(recvs) < len(stuck):
-        reason = "collective/p2p interlock"
-    elif len(recvs) == len(current):
-        reason = "receive cycle"
-    else:
-        reason = "unmatched receive"
-    message, _ = deadlock(reason, [(r, ev, None, None)
-                                   for r, ev in sorted(stuck.items())])
-    return [_finding("deadlock", message, None,
-                     next(iter(recvs.values())).site, **extra)]

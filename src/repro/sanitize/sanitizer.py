@@ -5,8 +5,7 @@ MUST/TSan-style prong of :mod:`repro.sanitize`: it watches every
 communicator operation of a live run and turns the classic silent SPMD
 failure modes into deterministic, rank-attributed exceptions.  What
 each finding means and says is decided by the rule book
-:mod:`repro.sanitize.match`, which ``repro verify`` judges symbolic
-ranks with; this module keeps what needs a live rank:
+:mod:`repro.sanitize.match`; this module keeps what needs a live rank:
 
 * **The collective ledger** — per ``(communicator, call #)`` slot, the
   first arrival's :class:`~repro.sanitize.match.CommEvent` and the
@@ -557,7 +556,7 @@ class Sanitizer:
                 source, tag, len(rows),
                 origin.site if origin is not None else None,
                 nbytes=sum(m["nbytes"] for m in rows),
-                where=f" on communicator {comm_id}", died=died,
+                comm_id=comm_id, died=died,
             ))
         for d in leaks:
             self._record(d)

@@ -1,8 +1,8 @@
 """Seeded bug: rank-divergent collective hidden behind a helper call.
 
-The per-function lint sees no collective inside the rank branch (only
-an innocent-looking function call) and no rank condition inside the
-helper — only whole-program analysis connects the two.
+The rank branch holds only an innocent-looking function call, and the
+helper holds no rank condition.  Rank 0 enters the broadcast; rank 1
+returns without it.
 """
 
 

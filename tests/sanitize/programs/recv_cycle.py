@@ -1,8 +1,7 @@
 """Seeded bug: a two-rank receive/receive cycle.
 
 Every rank posts its receive before its send, so nobody ever sends and
-both ranks block forever.  No single-function syntactic rule catches
-this — it takes executing both ranks and matching their traces.
+both ranks block forever.
 """
 
 

@@ -1,8 +1,7 @@
 """Seeded bug: a literal tag threaded through a helper, off by one.
 
-The sender's tag arrives as a constant-propagated module literal; the
-receiver computes ``tag + 1``.  Within any single function the tags
-are opaque parameters, so the per-function lint stays silent.
+The sender passes the module constant on; the receiver computes
+``tag + 1``, so its receive never matches while the sent message waits.
 """
 
 PING = 7

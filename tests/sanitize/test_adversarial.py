@@ -30,10 +30,10 @@ def _run(prog, p, **kw):
 class TestCollectiveMismatch:
     def test_mismatched_collective_order(self):
         def prog(comm):
-            if comm.rank == 0:  # repro-lint: skip
-                comm.bcast(np.arange(3), root=0)  # repro-lint: skip
+            if comm.rank == 0:
+                comm.bcast(np.arange(3), root=0)
             else:
-                comm.allreduce(np.ones(3))  # repro-lint: skip
+                comm.allreduce(np.ones(3))
 
         with pytest.raises(CollectiveMismatchError) as ei:
             _run(prog, 2)
@@ -108,7 +108,7 @@ class TestUseAfterMove:
             if comm.rank == 0:
                 buf = np.ones(8)
                 comm.send(buf, dest=1, tag=0, copy=False)
-                buf[0] = 2.0  # repro-lint: skip — the bug under test
+                buf[0] = 2.0  # the bug under test
             else:
                 comm.recv(source=0, tag=0)
 
@@ -143,9 +143,9 @@ class TestTagMismatch:
     def test_mismatched_tags_raise_not_hang(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.arange(2), dest=1, tag=7)  # repro-lint: skip
+                comm.send(np.arange(2), dest=1, tag=7)
             else:
-                comm.recv(source=0, tag=9)  # repro-lint: skip
+                comm.recv(source=0, tag=9)
 
         with pytest.raises(RankFailedError) as ei:
             _run(prog, 2)
@@ -162,7 +162,7 @@ class TestMessageLeak:
     def test_orphaned_message_reported_at_finalize(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.arange(16), dest=1, tag=3)  # repro-lint: skip
+                comm.send(np.arange(16), dest=1, tag=3)
             # rank 1 returns without receiving: the message leaks.
 
         with pytest.raises(MessageLeakError) as ei:
@@ -180,7 +180,7 @@ class TestMessageLeak:
         the raised error."""
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.arange(4), dest=1, tag=5)  # repro-lint: skip
+                comm.send(np.arange(4), dest=1, tag=5)
 
         with pytest.raises(MessageLeakError) as ei:
             _run(prog, 2)

@@ -42,10 +42,10 @@ def _recv_cycle(comm):
 
 
 def _mismatch(comm):
-    if comm.rank == 0:  # repro-lint: skip
-        comm.bcast(np.arange(3), root=0)  # repro-lint: skip
+    if comm.rank == 0:
+        comm.bcast(np.arange(3), root=0)
     else:
-        comm.allreduce(np.ones(3))  # repro-lint: skip
+        comm.allreduce(np.ones(3))
 
 
 def _busy_and_clean(comm):

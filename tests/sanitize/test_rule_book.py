@@ -1,10 +1,9 @@
-"""The live sanitizer and ``repro verify`` judge with one rule book.
+"""The live sanitizer names each seeded bug's rule, on every backend.
 
-Every seeded program under ``tests/sanitize/programs/`` is run live on
-``threads`` and on ``sockets`` under ``sanitize=True``, and verified
-statically; all three must name the same rule.  The one stated
-exception is ``moved_return``: a live run sees only *writes* into a
-frozen buffer, and that program only reads the buffer it moved.
+Every seeded program under ``tests/sanitize/programs/`` is run on
+``threads`` and on ``sockets`` under ``sanitize=True``; both must name
+the rule :data:`RULES` gives it, with the message text of
+:mod:`repro.sanitize.match`.
 """
 
 from __future__ import annotations
@@ -18,10 +17,15 @@ import pytest
 
 from repro.errors import CollectiveMismatchError, RankFailedError, SanitizerError
 from repro.mpi import run_spmd
-from repro.sanitize.verify import verify_paths
 
 PROGRAMS = Path(__file__).resolve().parent / "programs"
 TIMEOUT = 20.0  # backstop; every detection must beat it
+RULES = {
+    "cross_rank_bcast": "collective-mismatch",
+    "rank_flag": "collective-mismatch",
+    "recv_cycle": "deadlock",
+    "tag_through_helper": "tag-mismatch",
+}
 
 
 def _load(path: Path):
@@ -43,30 +47,26 @@ def _live_rules(driver, backend: str) -> set[str]:
     return {d.kind for d in res.sanitizer.findings}
 
 
-@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.py")),
-                         ids=lambda p: p.stem)
-def test_live_and_static_checkers_name_the_same_rule(path):
-    static = {d.kind for d in verify_paths([str(path)]).findings}
-    assert len(static) == 1, static
-    driver = _load(path).driver
-    live = {backend: _live_rules(driver, backend)
-            for backend in ("threads", "sockets")}
-    if path.stem == "moved_return":
-        assert static == {"use-after-move"}
-        assert live == {"threads": set(), "sockets": set()}
-    else:
-        assert live == {"threads": static, "sockets": static}
+def test_every_seeded_program_has_a_rule():
+    assert sorted(p.stem for p in PROGRAMS.glob("*.py")) == sorted(RULES)
+
+
+@pytest.mark.parametrize("backend", ["threads", "sockets"])
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_live_checker_names_the_rule(name, backend):
+    driver = _load(PROGRAMS / f"{name}.py").driver
+    assert _live_rules(driver, backend) == {RULES[name]}
 
 
 def _bcast_on_rank_zero(comm):
-    if comm.rank == 0:  # repro-lint: skip
-        comm.bcast({"tol": 1e-8}, root=0)  # repro-lint: skip
+    if comm.rank == 0:
+        comm.bcast({"tol": 1e-8}, root=0)
     return comm.rank
 
 
 def _allreduce_on_rank_zero(comm):
-    if comm.rank == 0:  # repro-lint: skip
-        comm.allreduce(np.ones(2))  # repro-lint: skip
+    if comm.rank == 0:
+        comm.allreduce(np.ones(2))
     return comm.rank
 
 
@@ -91,7 +91,7 @@ def test_a_rank_that_raised_keeps_its_own_error():
     def prog(comm):
         if comm.rank == 1:
             raise ValueError("boom")
-        comm.allreduce(np.ones(2))  # repro-lint: skip
+        comm.allreduce(np.ones(2))
 
     with pytest.raises(ValueError, match="boom"):
         run_spmd(prog, 2, sanitize=True, recv_timeout=TIMEOUT)

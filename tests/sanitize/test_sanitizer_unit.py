@@ -154,7 +154,7 @@ class TestFailFastBarrier:
         def prog(comm):
             if comm.rank == 0:
                 return None  # finalizes immediately, skipping the barrier
-            comm.barrier()  # repro-lint: skip — the bug under test
+            comm.barrier()  # the bug under test
 
         with pytest.raises(RankFailedError, match="already finalized"):
             run_spmd(prog, 2, recv_timeout=10.0)
@@ -163,7 +163,7 @@ class TestFailFastBarrier:
         def prog(comm):
             if comm.rank == 0:
                 raise RuntimeError("boom")
-            return comm.recv(source=0, tag=0)  # repro-lint: skip
+            return comm.recv(source=0, tag=0)
 
         # Rank 0's original error wins over rank 1's secondary failure.
         with pytest.raises(RuntimeError, match="boom"):
@@ -175,7 +175,7 @@ class TestFailFastBarrier:
         def prog(comm):
             if comm.rank == 0:
                 return None
-            comm.barrier()  # repro-lint: skip
+            comm.barrier()
 
         with pytest.raises(CollectiveMismatchError) as ei:
             run_spmd(prog, 2, sanitize=True, recv_timeout=10.0)
@@ -189,7 +189,7 @@ class TestFailFastBarrier:
         def prog(comm):
             if comm.rank == 0:
                 return None
-            comm.recv(source=0, tag=0)  # repro-lint: skip
+            comm.recv(source=0, tag=0)
 
         with pytest.raises(RankFailedError) as ei:
             run_spmd(prog, 2, sanitize=True, recv_timeout=10.0)
@@ -203,7 +203,7 @@ class TestSanitizerReport:
     def test_report_lists_findings(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.ones(2), dest=1, tag=11)  # repro-lint: skip
+                comm.send(np.ones(2), dest=1, tag=11)
 
         with pytest.raises(MessageLeakError) as ei:
             run_spmd(prog, 2, sanitize=True)
@@ -229,7 +229,7 @@ class TestInFlightAccounting:
 
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.arange(32), dest=1, tag=2)  # repro-lint: skip
+                comm.send(np.arange(32), dest=1, tag=2)
 
         with pytest.raises(MessageLeakError):
             run_spmd(prog, 2, comm_trace=trace, sanitize=True)

@@ -389,45 +389,3 @@ class TestPostmortemCommand:
         assert main(["postmortem", rec.last_postmortem_path,
                      "--events", "0"]) == 0
         assert "— last" not in capsys.readouterr().out
-
-
-class TestLintCommand:
-    """The static gate from the command line: ``repro verify`` judges the
-    SPMD rules (there is no ``repro lint``)."""
-
-    BAD = ("import numpy as np\n"
-           "def f(comm):\n"
-           "    if comm.rank == 0:\n"
-           "        comm.bcast(1, root=0)\n"
-           "    return np.linalg.svd(np.eye(2))\n")
-
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text("def f(comm):\n    return comm.allreduce(1)\n")
-        rc = main(["verify", "--strict", str(tmp_path)])
-        assert rc == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_strict_fails_on_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        rc = main(["verify", "--strict", str(bad)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "collective-mismatch" in out
-        assert "raw-lapack" not in out  # tools/lint_repo.py's rule
-        assert "bad.py:4" in out
-
-    def test_non_strict_reports_but_passes(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        rc = main(["verify", str(bad)])
-        assert rc == 0
-        assert "collective-mismatch" in capsys.readouterr().out
-
-    def test_rule_subset_flag(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD + "def g(comm):\n    comm.barrier()\n")
-        # Paths go before --entries: the greedy nargs would swallow them.
-        assert main(["verify", "--strict", str(bad), "--entries", "g"]) == 0
-        assert main(["verify", "--strict", str(bad), "--entries", "f"]) == 1

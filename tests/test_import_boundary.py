@@ -54,7 +54,7 @@ def test_import_repro_loads_no_platform_module():
 
 def test_forbidden_names_the_platform_and_only_it():
     platform = sorted([
-        "repro.mpi", "repro.mpi.transport.sockets", "repro.sanitize.verify",
+        "repro.mpi", "repro.mpi.transport.sockets", "repro.sanitize.sanitizer",
         "repro.perf", "repro.faults.plan", "repro.obs.metrics",
         "repro.dist.tsqr", "repro.core.sthosvd_parallel",
     ])

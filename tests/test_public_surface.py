@@ -393,12 +393,11 @@ def test_one_cost_model():
 
 
 def test_one_spmd_rule_book():
-    """The live sanitizer and ``repro verify`` share one event type and one
-    rule book (``repro.sanitize.match``); the sanitizer has no options
-    (no ``strict=``, no ``watchdog_interval=``), ``run_spmd(sanitize=)``
+    """The live sanitizer judges with one event type and one rule book
+    (``repro.sanitize.match``); the sanitizer has no options (no
+    ``strict=``, no ``watchdog_interval=``), ``run_spmd(sanitize=)``
     takes a bool, and a process worker's config carries no watchdog
     interval."""
-    import repro.sanitize.absint as absint
     import repro.sanitize.sanitizer as sanitizer
     from repro.errors import CommunicatorError
     from repro.mpi import run_spmd
@@ -416,27 +415,29 @@ def test_one_spmd_rule_book():
             run_spmd(lambda comm: comm.rank, 2, sanitize=value)
     assert "watchdog_interval" not in WorkerConfig.__slots__
     assert not hasattr(sanitizer, "_CollectiveEntry")
-    assert absint.CommEvent is CommEvent
-    assert "CommEvent" not in absint.__all__
+    assert sanitizer.CommEvent is CommEvent
 
 
-def test_one_static_spmd_checker():
-    """``repro verify`` is the one static SPMD checker: the per-function
-    lint (``repro.sanitize.lint``), its exports and the ``repro lint``
-    subcommand are gone, and ``tools/lint_repo.py`` (the repository's
-    own rules, then ``repro verify``) has no ``--lint-only``."""
+def test_no_static_spmd_checker():
+    """The live sanitizer is the one SPMD checker: ``repro.sanitize`` holds
+    the sanitizer, its rule book and the diagnostic vocabulary and nothing
+    else, the CLI has no static-checker subcommand, and
+    ``tools/lint_repo.py`` runs the repository's own rules only."""
+    import pkgutil
+
     import repro.sanitize
-    from repro.cli import main
+    from repro.cli import build_parser
 
-    for name in ("DEFAULT_RULES", "lint_source", "lint_file", "lint_paths"):
-        assert name not in repro.sanitize.__all__
-        with pytest.raises(AttributeError, match="module 'repro.sanitize' "
-                                                 f"has no attribute '{name}'"):
-            getattr(repro.sanitize, name)
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.sanitize.lint")
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "src"])
-    assert exc.value.code == 2
+    assert sorted(m.name for m in pkgutil.iter_modules(
+        repro.sanitize.__path__)) == ["diagnostics", "match", "sanitizer"]
+    assert sorted(repro.sanitize.__all__) == sorted([
+        "ERROR", "WARNING", "CallSite", "Diagnostic", "Suppressions",
+        "capture_call_site", "format_diagnostics", "Sanitizer"])
+    (sub,) = [a for a in build_parser()._actions
+              if a.dest == "command"]
+    assert sorted(sub.choices) == sorted([
+        "compress", "reconstruct", "info", "recompress", "simulate", "trace",
+        "chaos", "postmortem", "tune"])
     tool = Path(__file__).resolve().parents[1] / "tools" / "lint_repo.py"
-    assert "--lint-only" not in tool.read_text(encoding="utf-8")
+    text = tool.read_text(encoding="utf-8")
+    assert "--lint-only" not in text and "repro.cli" not in text

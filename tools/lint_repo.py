@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The repository's own rules, then ``repro verify --strict``.
+"""The repository's own rules.
 
 Works without an installed package (it prepends ``src/`` to
 ``sys.path``), so CI and pre-commit hooks can call it from a bare
@@ -56,11 +56,9 @@ Last, ``bench-alias-import``: ``repro.core.sthosvd_parallel`` is
 repository outside ``bench/`` may import it (a line carrying
 ``# repro-lint: allow(bench-alias-import)`` may).
 
-``repro verify`` then checks the SPMD rules (docs/static-analysis.md)
-over the same roots, less the committed findings baseline
-(``tools/verify_baseline.json``, a JSON list of ``{kind, file, line}``
-records — empty while the repo self-verifies clean) so a deliberate,
-reviewed exception never blocks CI while any *new* finding still does.
+The SPMD rules (collective matching, tags, deadlock, leaks, moves) are
+judged on live runs by ``run_spmd(..., sanitize=True)``, not here
+(docs/sanitizer.md).
 
 Exits non-zero when any rule reports a finding.
 """
@@ -75,10 +73,7 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro.cli import main  # noqa: E402
 from repro.sanitize import ERROR, Diagnostic, Suppressions, format_diagnostics  # noqa: E402
-
-BASELINE = os.path.join(REPO, "tools", "verify_baseline.json")
 
 LAPACK_RULE, PICKLE_RULE, OBSERVER_RULE = (
     "raw-lapack", "raw-pickle", "direct-observer-call")
@@ -335,14 +330,8 @@ def run(argv: list[str]) -> int:
         os.path.join(REPO, "src"),
         os.path.join(REPO, "examples"),
     ]
-    rc = (lint_code(roots) or lint_layers(os.path.join(REPO, "src"))
-          or lint_alias(REPO))
-    if rc == 0:
-        verify_args = ["verify", "--strict"]
-        if os.path.exists(BASELINE):
-            verify_args += ["--baseline", BASELINE]
-        rc = main([*verify_args, *roots])
-    return rc
+    return (lint_code(roots) or lint_layers(os.path.join(REPO, "src"))
+            or lint_alias(REPO))
 
 
 if __name__ == "__main__":
