@@ -321,7 +321,7 @@ def _run_recorded(args, program, nprocs: int, *program_args, **options):
 def _cmd_trace(args) -> int:
     """Run a traced parallel ST-HOSVD on a synthetic tensor and export
     the observability artifacts (Chrome trace, phase/imbalance/comm
-    tables, metrics, measured-vs-modeled diff)."""
+    tables, measured-vs-modeled diff)."""
     from .mpi.tracing import CommTrace
     from .mpi.transport import resolve_backend
     from .obs import (
@@ -380,11 +380,6 @@ def _cmd_trace(args) -> int:
     write("phases.txt", phase_table(tracer))
     write("imbalance.txt", imbalance_table(tracer))
     write("comm.txt", comm_trace.as_table())
-    from .obs import ingest_comm_trace, ingest_flop_counter
-
-    ingest_comm_trace(tracer.metrics, comm_trace)
-    ingest_flop_counter(tracer.metrics, result.flops)
-    write("metrics.txt", tracer.metrics.as_table())
     modeled = modeled_run(
         shape, result.ranks, grid, method=args.method,
         precision=args.precision, mode_order=args.order,
@@ -412,7 +407,7 @@ def _cmd_trace(args) -> int:
         n = len(res.sanitizer.findings)
         print(f"sanitizer:     {'clean' if n == 0 else f'{n} finding(s)'}")
     print(f"artifacts:     {args.out}/ (trace.json, phases.txt, "
-          f"imbalance.txt, comm.txt, metrics.txt, model_diff.txt)")
+          f"imbalance.txt, comm.txt, model_diff.txt)")
     return 0
 
 

@@ -5,9 +5,9 @@ Three layers (see ``docs/fault-tolerance.md``):
 * :class:`FaultPlan` / :class:`FaultInjector` — a seeded, replayable
   schedule of rank crashes, message faults, and kernel corruption,
   installed via ``run_spmd(faults=plan)``.
-* :class:`Resilience` — the tolerance knobs (retry/backoff, checksums,
-  sequence numbers) the communicator uses to survive message faults,
-  installed via ``run_spmd(resilience=...)``.
+* ``run_spmd(resilience=True)`` — the tolerance (sequence numbers,
+  checksums, a bounded retry) the communicator uses to survive message
+  faults.
 * :class:`DistributedCheckpoint` — in-memory, buddy-replicated
   checkpoints that let ``sthosvd``/``hooi`` on a distributed tensor
   resume on a shrunk communicator after a rank death.
@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".injector": ("FaultInjector",),
     ".network": ("NetworkFaultState",),
     ".plan": ("CrashRule", "FaultEvent", "FaultPlan", "KernelFaultRule",
-              "MessageFaultRule", "NetworkFaultRule", "Resilience"),
+              "MessageFaultRule", "NetworkFaultRule"),
     ".checkpoint": ("DistributedCheckpoint",),
 })
 
@@ -38,7 +38,6 @@ __all__ = [
     "KernelFaultRule",
     "NetworkFaultRule",
     "NetworkFaultState",
-    "Resilience",
     "FaultEvent",
     "FaultInjector",
     "current_injector",

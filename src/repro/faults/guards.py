@@ -19,10 +19,11 @@ Detection and the decision to escalate use only *replicated* data (every
 rank decomposes the same bitwise-replicated triangle or Gram matrix,
 which makes the factor bitwise identical everywhere), so all ranks take
 the same branch and collective matching is preserved — the guard is
-itself SPMD-safe.  Every escalation is reported through the active
-tracer (an ``ft.numeric_recovery`` span plus
-``ft.numeric_recoveries`` counters) so ``repro trace`` output shows
-what degraded and how it was repaired.
+itself SPMD-safe.  Every escalation is returned in the driver's
+``result.numeric_recoveries`` and opens an ``ft.numeric_recovery`` span
+whose ``action`` attribute names the rung (the tracer and the flight
+recorder both see it), so ``repro trace`` output shows what degraded
+and how it was repaired.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..obs.tracer import current_tracer, trace_span
+from ..obs.tracer import trace_span
 
 __all__ = ["guarded_mode_svd", "factors_finite"]
 
@@ -40,13 +41,6 @@ def factors_finite(U: np.ndarray, sigma: np.ndarray | None = None) -> bool:
     if not bool(np.isfinite(U).all()):
         return False
     return sigma is None or bool(np.isfinite(sigma).all())
-
-
-def _note_recovery(action: str) -> None:
-    t = current_tracer()
-    if t is not None:
-        t.metrics.counter("ft.numeric_recoveries").inc()
-        t.metrics.counter(f"ft.numeric_recoveries[{action}]").inc()
 
 
 def guarded_mode_svd(
@@ -98,7 +92,6 @@ def guarded_mode_svd(
     # Rung 1: a numerically safer route at the same precision.
     action = "qr->jacobi" if method == "qr" else "gram->qr"
     recoveries.append(action)
-    _note_recovery(action)
     with trace_span("ft.numeric_recovery", mode=n, action=action):
         if method == "qr":
             U, sigma, ok = attempt(qr_jacobi)
@@ -114,7 +107,6 @@ def guarded_mode_svd(
     if orig == np.float32:
         action = "float32->float64"
         recoveries.append(action)
-        _note_recovery(action)
         with trace_span("ft.numeric_recovery", mode=n, action=action):
             wide = current.astype(np.float64)
             U, sigma, ok = attempt(lambda: solve(wide))

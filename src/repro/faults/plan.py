@@ -11,11 +11,11 @@ and seed reproduce the identical fault schedule on every replay (the
 runtime's message schedules are deterministic per rank, which makes the
 draw sequence deterministic too).
 
-:class:`Resilience` is the other half of the contract: the tolerance
-knobs (retry budget, backoff, checksums) the runtime uses to survive
-what the plan injects.  Keeping them separate means a plan can be run
-*without* tolerance to demonstrate the failure mode, then *with* it to
-demonstrate the recovery — same seed, same faults.
+``run_spmd(resilience=True)`` is the other half of the contract: the
+tolerance (sequence numbers, checksums, a bounded retry) the runtime
+uses to survive what the plan injects.  Keeping them separate means a
+plan can be run *without* tolerance to demonstrate the failure mode,
+then *with* it to demonstrate the recovery — same seed, same faults.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "KernelFaultRule",
     "NetworkFaultRule",
     "FaultPlan",
-    "Resilience",
     "FaultEvent",
     "MESSAGE_FAULT_KINDS",
     "KERNEL_FAULT_KINDS",
@@ -84,11 +83,11 @@ class MessageFaultRule:
     ``senders``
         World ranks whose outgoing messages are eligible.
 
-    Kinds: ``"drop"`` (message lost; retransmitted when
-    :class:`Resilience` is active), ``"duplicate"`` (delivered
-    twice; deduplicated by sequence number under resilience),
-    ``"corrupt"`` (one byte of an ndarray payload is bit-flipped in a
-    *copy*; detected and discarded when checksums are enabled).
+    Kinds: ``"drop"`` (message lost; retransmitted under
+    resilience), ``"duplicate"`` (delivered twice; deduplicated by
+    sequence number under resilience), ``"corrupt"`` (one byte of an
+    ndarray payload is bit-flipped in a *copy*; detected by checksum
+    and retransmitted under resilience).
     """
 
     kind: str
@@ -264,33 +263,6 @@ class FaultPlan:
         by_rank = [c.rank for c in self.crashes]
         if len(by_rank) != len(set(by_rank)):
             raise ConfigurationError("at most one crash rule per rank")
-
-
-@dataclass(frozen=True)
-class Resilience:
-    """Tolerance configuration for a lossy (injected-fault) world.
-
-    ``max_retries``
-        Send attempts beyond the first before the sender gives up and
-        raises :class:`~repro.errors.CommunicatorError`.
-    ``checksums``
-        Attach a payload checksum to every message; receivers discard
-        envelopes whose payload no longer matches (bit corruption) and
-        wait for the retransmission.
-    ``poll_interval``
-        Seconds between dead-partner/revocation polls while blocked in
-        a receive or a rendezvous (split/shrink).
-    """
-
-    max_retries: int = 16
-    checksums: bool = True
-    poll_interval: float = 0.05
-
-    def validate(self) -> None:
-        if self.max_retries < 1:
-            raise ConfigurationError("max_retries must be >= 1")
-        if self.poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
 
 
 # Default event-trace capacity per run; a fuse against pathological

@@ -27,6 +27,11 @@ __all__ = ["SpmdContext", "Envelope"]
 # Functional tests run in milliseconds; a stuck match is a bug, not load.
 DEFAULT_RECV_TIMEOUT = 120.0
 
+# Seconds between dead-partner/revocation polls while blocked in a
+# receive or a rendezvous (split/shrink) of a world with faults or
+# resilience.
+POLL_INTERVAL = 0.05
+
 
 @dataclass
 class Envelope:
@@ -38,8 +43,8 @@ class Envelope:
     the receiver.  ``nbytes`` carries the sender's modeled wire size so
     receive-side tallies never re-measure the payload.
 
-    ``seq`` and ``checksum`` are populated only under a
-    :class:`~repro.faults.Resilience` configuration: ``seq`` is the
+    ``seq`` and ``checksum`` are populated only under
+    ``run_spmd(resilience=True)``: ``seq`` is the
     sender's per-(destination, tag) sequence number (receivers discard
     duplicates), ``checksum`` the payload digest receivers verify to
     detect injected bit corruption and wait for the retransmission.
@@ -285,7 +290,7 @@ class SpmdContext:
         tracer=None,
         sanitizer=None,
         faults=None,
-        resilience=None,
+        resilience=False,
         transport=None,
         recorder=None,
     ) -> None:
@@ -304,17 +309,17 @@ class SpmdContext:
         # The observers of the message path, by name: what every rank
         # thread is bound to and the communicator emits events to (see
         # repro.obs.recorder, "the rank scope and the event spine").
-        # Empty = unobserved; a disabled Tracer is not an observer.
+        # Empty = unobserved.
         self.observers = {
             name: observer
             for name, observer in (("comm_trace", comm_trace),
                                    ("tracer", tracer),
                                    ("recorder", recorder))
-            if observer is not None and getattr(observer, "enabled", True)
+            if observer is not None
         }
         self.sanitizer = sanitizer  # repro.sanitize.Sanitizer, or None
         self.faults = faults  # repro.faults.FaultInjector, or None
-        self.resilience = resilience  # repro.faults.Resilience, or None
+        self.resilience = resilience  # run_spmd(resilience=), a bool
         # The resolved configuration of this world (run_spmd fills it
         # in); every exported artifact carries it.
         self.run_config: dict | None = None
@@ -744,10 +749,8 @@ class SpmdContext:
         receives notice revocation and rank death promptly even without
         the sanitizer's watchdog.
         """
-        if self.resilience is not None:
-            return self.resilience.poll_interval
-        if self.faults is not None:
-            return 0.05
+        if self.resilience or self.faults is not None:
+            return POLL_INTERVAL
         return None
 
     # -- node-local checkpoint store -----------------------------------

@@ -31,7 +31,6 @@ from ..errors import (
     WorldAbortedError,
 )
 from ..faults.injector import FaultInjector
-from ..faults.plan import Resilience
 from .context import SpmdContext
 from .transport import make_transport
 from .transport.threads import WORLD_COMM_ID
@@ -99,7 +98,7 @@ def run_spmd(
     tracer=None,
     sanitize=False,
     faults=None,
-    resilience=None,
+    resilience=False,
     backend=None,
     recorder=None,
     **kwargs: Any,
@@ -160,9 +159,9 @@ def run_spmd(
         ``values`` stay None and their world ranks land in
         ``SpmdResult.failed_ranks``.
     resilience:
-        ``True`` (defaults) or a :class:`~repro.faults.Resilience`
-        enabling message-level tolerance: per-message sequence numbers,
-        payload checksums, and sender retry up to ``max_retries`` — the
+        ``True`` enables message-level tolerance: per-message sequence
+        numbers, payload checksums, and sender retry up to
+        ``communicator.MAX_RETRIES`` (16) retransmissions — the
         machinery that survives what ``faults=`` injects.
     recorder:
         Optional :class:`~repro.obs.FlightRecorder` — an always-on,
@@ -198,21 +197,15 @@ def run_spmd(
     injector = None
     if faults is not None:
         injector = faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-    res_cfg = None
-    if resilience:
-        if resilience is True:
-            res_cfg = Resilience()
-        elif isinstance(resilience, Resilience):
-            res_cfg = resilience
-        else:
-            raise CommunicatorError(
-                f"resilience= expects True or a Resilience, got {resilience!r}"
-            )
+    if resilience is not True and resilience is not False:
+        raise CommunicatorError(
+            f"resilience= expects True or False, got {resilience!r}"
+        )
     transport = make_transport(backend)
     context = SpmdContext(
         nprocs, recv_timeout=recv_timeout,
         comm_trace=comm_trace, tracer=tracer,
-        sanitizer=sanitizer, faults=injector, resilience=res_cfg,
+        sanitizer=sanitizer, faults=injector, resilience=resilience,
         transport=transport, recorder=recorder,
     )
     # "With which configuration?" — resolved once, carried by every
@@ -228,7 +221,7 @@ def run_spmd(
             "comm_trace": comm_trace is not None,
             "sanitize": sanitizer is not None,
             "faults": injector is not None,
-            "resilience": res_cfg is not None,
+            "resilience": resilience,
         },
         "env": {k: v for k, v in sorted(os.environ.items())
                 if k.startswith("REPRO_")},

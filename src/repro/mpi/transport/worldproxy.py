@@ -76,7 +76,7 @@ from ...errors import (
     RankFailedError,
     WorldAbortedError,
 )
-from ..context import Envelope, _Mailbox
+from ..context import POLL_INTERVAL, Envelope, _Mailbox
 from .codec import (
     decode_envelope,
     decode_exception,
@@ -395,10 +395,8 @@ class WorkerContext:
 
     @property
     def fault_poll_interval(self) -> float | None:
-        if self.resilience is not None:
-            return self.resilience.poll_interval
-        if self.faults is not None:
-            return 0.05
+        if self.resilience or self.faults is not None:
+            return POLL_INTERVAL
         return None
 
     # -- message paths ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Observability for the SPMD runtime: span tracing, metrics, exporters.
+"""Observability for the SPMD runtime: span tracing, exporters, postmortems.
 
 The pieces, bottom-up:
 
@@ -7,10 +7,6 @@ The pieces, bottom-up:
   (communicator collectives, distributed kernels, LAPACK-backed local
   kernels, the parallel drivers) carries hooks that find the active
   tracer through a thread-local.
-* :mod:`repro.obs.metrics` — counters/gauges/histograms fed by the
-  communicator (message-size histograms per collective algorithm) and
-  by the existing :class:`~repro.mpi.tracing.CommTrace` /
-  :class:`~repro.instrument.FlopCounter` tallies.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (one track per
   rank, loads in ``chrome://tracing`` / Perfetto), per-rank phase
   tables, and the load-imbalance report.
@@ -45,8 +41,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".recorder": ("FlightRecorder", "current_recorder", "record_event"),
     ".tracer": ("Span", "Tracer", "activate", "current_tracer", "deactivate",
                 "trace_span"),
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                 "ingest_comm_trace", "ingest_flop_counter"),
     ".postmortem": ("POSTMORTEM_SCHEMA", "build_postmortem",
                     "load_postmortem", "render_postmortem",
                     "write_postmortem"),
@@ -63,12 +57,6 @@ __all__ = [
     "deactivate",
     "current_tracer",
     "trace_span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ingest_comm_trace",
-    "ingest_flop_counter",
     "FlightRecorder",
     "current_recorder",
     "record_event",

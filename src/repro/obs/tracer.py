@@ -12,11 +12,11 @@ there without any signature plumbing.
 
 Design constraints, in order:
 
-1. **~zero overhead when disabled.**  Every hook goes through
+1. **~zero overhead when off.**  Every hook goes through
    :func:`trace_span`, which is a single thread-local read plus the
    return of one shared null context manager when nothing that serves
    spans is bound.  No allocation, no lock, no timestamps.
-2. **No cross-rank contention when enabled.**  Each rank thread appends
+2. **No cross-rank contention when on.**  Each rank thread appends
    finished spans to its own buffer; the tracer-wide lock is taken only
    when a buffer is registered (once per rank) and when spans are read
    back.
@@ -217,24 +217,14 @@ class _ThreadState:
 
 
 class Tracer:
-    """Thread-safe per-rank span recorder with a metrics registry.
+    """Thread-safe per-rank span recorder.
 
     One instance is shared by every rank of an SPMD world.  Rank threads
     are bound with :meth:`bind` (done by ``run_spmd``); unbound threads
     record as rank 0, which is what sequential drivers want.
-
-    ``enabled=False`` constructs a dormant tracer: it is never bound
-    as an observer, so :func:`trace_span` and :meth:`span` treat it as
-    absent and the hot paths pay only a thread-local read.
     """
 
-    def __init__(self, *, enabled: bool = True,
-                 metrics: MetricsRegistry | None = None) -> None:
-        # Loaded with the first tracer, not with the hooks kernels import.
-        from .metrics import MetricsRegistry
-
-        self.enabled = enabled
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         # The resolved configuration of the last run_spmd this tracer
         # observed (exported as chrome_trace's otherData["run_config"]).
         self.run_config: dict | None = None
@@ -267,17 +257,11 @@ class Tracer:
     # ------------------------------------------------------------------
     def span(self, name: str, *, phase: str | None = None,
              mode: int | None = None, **attrs):
-        """Context manager recording one span (a disabled tracer steps
-        aside: the span serves whatever else is bound, like
-        :func:`trace_span`)."""
-        if not self.enabled:
-            return trace_span(name, phase=phase, mode=mode, **attrs)
+        """Context manager recording one span."""
         return _OpenSpan(self, name, phase, mode, attrs)
 
     def current_span(self) -> _OpenSpan | None:
         """The innermost open span on the calling thread, if any."""
-        if not self.enabled:
-            return None
         stack = self._state().stack
         return stack[-1] if stack else None
 
@@ -289,14 +273,10 @@ class Tracer:
 
     def on_event(self, rank: int, kind: str, name, detail: dict) -> None:
         """Observer protocol: a ``send`` is tallied against the innermost
-        open span, a collective ``dispatch`` feeds the per-algorithm
-        ``comm.message_bytes[...]`` histogram."""
+        open span."""
         if kind == "send":
             nbytes = detail["nbytes"]
             self.add_bytes(nbytes, 0 if detail["moved"] else nbytes)
-        elif kind == "dispatch":
-            self.metrics.histogram(
-                f"comm.message_bytes[{name}]").observe(detail["nbytes"])
 
     # ------------------------------------------------------------------
     # Per-thread queries (used by drivers for phase attribution)
@@ -316,36 +296,31 @@ class Tracer:
     # ------------------------------------------------------------------
     # Cross-process shards (observer protocol)
     # ------------------------------------------------------------------
-    def shard(self, rank: int, since):
-        """Metrics since the cursor ``since``, plus — only when cut by
-        the thread that recorded them — its finished spans.
+    def shard(self, rank: int, since: int | None):
+        """The calling thread's spans finished since the mark ``since``.
 
         Spans live in the recording thread's buffer, so a shard cut
-        elsewhere (a worker's heartbeat thread) carries metrics alone
-        and the spans ride home with the rank's closing report.
+        elsewhere (a worker's heartbeat thread), or the priming cut
+        (``since=None``), carries none: the spans ride home with the
+        rank's closing report.  Returns ``(spans or None, mark)``.
         """
-        base, mark = since or (None, 0)
-        metrics, snap = self.metrics.shard(rank, base)
+        mark = since or 0
         state = getattr(self._tls, "state", None)
         spans = (state.buffer[mark:]
                  if since is not None and state is not None else [])
-        delta = {"metrics": metrics, "spans": spans}
-        return ({k: v for k, v in delta.items() if v},
-                (snap, mark + len(spans)))
+        return spans or None, mark + len(spans)
 
-    def absorb(self, rank: int, delta: dict) -> None:
-        """Fold a shard cut in another process into this tracer.
+    def absorb(self, rank: int, delta: list) -> None:
+        """Fold spans cut in another process into this tracer.
 
         Each span carries its own rank, so the spans land in an
         anonymous buffer; all global queries see them exactly as if
         they had been recorded locally.
         """
-        self.metrics.absorb(rank, delta.get("metrics", {}))
-        if delta.get("spans"):
-            state = _ThreadState(-1)
-            state.buffer = list(delta["spans"])
-            with self._lock:
-                self._states.append(state)
+        state = _ThreadState(-1)
+        state.buffer = list(delta)
+        with self._lock:
+            self._states.append(state)
 
     # ------------------------------------------------------------------
     # Global queries
@@ -425,7 +400,7 @@ def activate(tracer: Tracer, rank: int = 0) -> None:
     :func:`repro.mpi.run_spmd` binds every rank thread itself; call
     this to trace sequential code paths.
     """
-    rebind("tracer", tracer if tracer.enabled else None, rank)
+    rebind("tracer", tracer, rank)
 
 
 def deactivate() -> None:
@@ -434,10 +409,7 @@ def deactivate() -> None:
 
 
 def current_tracer() -> Tracer | None:
-    """The calling thread's active tracer, or None when tracing is off.
-
-    A disabled tracer is never bound, so hot paths need a single check.
-    """
+    """The calling thread's active tracer, or None when tracing is off."""
     return _SCOPE.observers.get("tracer")
 
 

@@ -22,7 +22,7 @@ from repro.dist import (
     par_ttm_truncate,
     redistribute_unfolding_to_columns,
 )
-from repro.dist.distribution import block_range
+from repro.dist import block_range
 from repro.mpi import CommTrace, run_spmd
 from repro.tensor import DenseTensor
 from repro.tensor.dense import sum_of_squares

@@ -16,8 +16,7 @@ import pytest
 from repro.core.sthosvd import sthosvd
 from repro.data.applications import hcci_surrogate
 from repro.dist import DistributedTensor, GridComms, ProcessorGrid
-from repro.mpi import run_spmd
-from repro.obs import Tracer
+from repro.mpi import CommTrace, run_spmd
 
 SHAPE = (48, 48, 33, 48)
 SOLVE_SCHEDULES = {
@@ -44,12 +43,10 @@ def _solve(comm, xw, method):
                                           ("qr", np.float32)])
 def test_a_solve_dispatches_three_schedules(tensor, backend, method, dtype):
     xw = np.asfortranarray(tensor, dtype=dtype)
-    tracer = Tracer()
-    res = run_spmd(_solve, 2, xw, method, backend=backend, tracer=tracer,
+    trace = CommTrace()
+    res = run_spmd(_solve, 2, xw, method, backend=backend, comm_trace=trace,
                    recv_timeout=60.0)
     assert res[0] == (1, 1, 1, 2)
-    histograms = {name[len("comm.message_bytes["):-1]
-                  for name in tracer.metrics.names()
-                  if name.startswith("comm.message_bytes[")}
-    assert histograms <= SOLVE_SCHEDULES, histograms
-    assert {"alltoall:pairwise", "reduce_scatter:ring"} <= histograms
+    schedules = set(trace.schedules())
+    assert schedules <= SOLVE_SCHEDULES, schedules
+    assert {"alltoall:pairwise", "reduce_scatter:ring"} <= schedules

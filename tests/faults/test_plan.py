@@ -14,7 +14,6 @@ from repro.faults import (
     FaultPlan,
     KernelFaultRule,
     MessageFaultRule,
-    Resilience,
 )
 
 
@@ -47,11 +46,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FaultPlan(kernels=(KernelFaultRule("gesvd", -1),))
 
-    def test_resilience_bounds(self):
-        with pytest.raises(ConfigurationError):
-            Resilience(max_retries=0).validate()
-        with pytest.raises(ConfigurationError):
-            Resilience(poll_interval=0.0).validate()
+    def test_resilience_is_a_bool(self):
+        """``run_spmd(resilience=)`` takes True or False, refused before
+        any rank starts; the tolerance it turns on has fixed bounds."""
+        from repro.errors import CommunicatorError
+        from repro.mpi import run_spmd
+        from repro.mpi.communicator import MAX_RETRIES
+        from repro.mpi.context import POLL_INTERVAL
+
+        assert (MAX_RETRIES, POLL_INTERVAL) == (16, 0.05)
+        for bad in (None, 1, "yes"):
+            with pytest.raises(CommunicatorError,
+                               match="resilience= expects True or False"):
+                run_spmd(lambda comm: None, 2, resilience=bad)
 
     def test_injector_rejects_non_plan(self):
         with pytest.raises(ConfigurationError):

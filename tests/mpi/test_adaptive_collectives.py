@@ -29,11 +29,10 @@ from repro.dist import (
     DistributedTensor,
     GridComms,
     ProcessorGrid,
+    block_range,
     par_ttm_truncate,
 )
-from repro.dist.distribution import block_range
 from repro.mpi import CommTrace, run_spmd
-from repro.obs import Tracer
 from repro.tensor.ttm import ttm
 from tests.mpi.test_cart_and_algorithms import scatter_allgather
 
@@ -246,7 +245,7 @@ class TestDispatchObservability:
     @pytest.mark.parametrize("backend", ["threads", "sockets"])
     def test_allreduce_crossover_is_256_kib(self, backend):
         """One float64 below 256 KiB runs recursive doubling; 256 KiB
-        runs the ring — read off the dispatch events, and the ring's
+        runs the ring — read off the schedule tally, and the ring's
         message count proves it executed."""
         n_ring = (1 << 18) // 8
 
@@ -254,18 +253,16 @@ class TestDispatchObservability:
             comm.allreduce(np.ones(n_ring - 1))
             comm.allreduce(np.ones(n_ring))
 
-        tracer, trace = Tracer(), CommTrace()
-        run_spmd(prog, 4, backend=backend, tracer=tracer, comm_trace=trace,
+        trace = CommTrace()
+        run_spmd(prog, 4, backend=backend, comm_trace=trace,
                  recv_timeout=60.0)
-        hist = {name: tracer.metrics.get(name)
-                for name in tracer.metrics.names()
-                if name.startswith("comm.message_bytes[")}
-        assert set(hist) == {"comm.message_bytes[allreduce:recursive_doubling]",
-                             "comm.message_bytes[allreduce:ring]"}
-        rd = hist["comm.message_bytes[allreduce:recursive_doubling]"]
-        ring = hist["comm.message_bytes[allreduce:ring]"]
-        assert (rd.count, rd.max) == (4, (n_ring - 1) * 8)
-        assert (ring.count, ring.max) == (4, n_ring * 8)
+        schedules = trace.schedules()
+        assert set(schedules) == {"allreduce:recursive_doubling",
+                                  "allreduce:ring"}
+        rd = schedules["allreduce:recursive_doubling"]
+        ring = schedules["allreduce:ring"]
+        assert (rd["dispatches"], rd["max_bytes"]) == (4, (n_ring - 1) * 8)
+        assert (ring["dispatches"], ring["max_bytes"]) == (4, n_ring * 8)
         # Recursive doubling: log2(4) = 2 rounds x 4 ranks; ring:
         # (P-1) reduce-scatter + (P-1) allgather rounds x 4 ranks.
         assert trace.total_messages() == 8 + 24

@@ -286,3 +286,41 @@ class TestExports:
         assert snap["ranks"] == {}
         assert snap["totals"]["sent_messages"] == 0
         assert "total" in trace.as_table()
+
+
+class TestSchedules:
+    def test_one_dispatch_per_rank_per_collective(self):
+        trace = CommTrace()
+
+        def prog(comm):
+            comm.allreduce(np.ones(16), algorithm="recursive_doubling")
+            comm.allreduce(np.ones(8), algorithm="recursive_doubling")
+
+        run_spmd(prog, 4, comm_trace=trace)
+        assert trace.schedules() == {"allreduce:recursive_doubling": {
+            "dispatches": 8, "bytes": 4 * (128 + 64), "max_bytes": 128}}
+        assert trace.to_dict("solve")["schedules"] == trace.schedules()
+
+    def test_shard_ships_counts_as_deltas_and_peaks_whole(self):
+        forked = CommTrace()
+        forked.on_event(0, "dispatch", "bcast:binomial", {"nbytes": 64})
+        _, cursor = forked.shard(0, None)
+        forked.on_event(0, "dispatch", "bcast:binomial", {"nbytes": 16})
+        forked.on_event(0, "dispatch", "bcast:binomial", {"nbytes": 512})
+        delta, _ = forked.shard(0, cursor)
+        home = CommTrace()
+        home.on_event(1, "dispatch", "bcast:binomial", {"nbytes": 1024})
+        home.absorb(0, delta)
+        assert home.schedules() == {"bcast:binomial": {
+            "dispatches": 3, "bytes": 1024 + 16 + 512, "max_bytes": 1024}}
+
+    def test_table_lists_schedules_above_the_total_row(self):
+        trace = CommTrace()
+        run_spmd(lambda comm: comm.allreduce(np.ones(8)), 4, comm_trace=trace)
+        lines = trace.as_table().splitlines()
+        (row,) = [i for i, line in enumerate(lines)
+                  if line.startswith("allreduce:recursive_doubling")]
+        assert [c.strip() for c in lines[row].split("|")[1:]] == \
+            ["4", "256", "64"]
+        assert lines[-1].startswith("total")
+        assert "schedule" not in CommTrace().as_table()

@@ -272,9 +272,14 @@ class TestTraceCommand:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "critical path" in printed
-        for name in ("trace.json", "phases.txt", "imbalance.txt",
-                     "comm.txt", "metrics.txt", "model_diff.txt"):
-            assert os.path.exists(os.path.join(out_dir, name)), name
+        assert sorted(os.listdir(out_dir)) == [
+            "comm.txt", "imbalance.txt", "model_diff.txt", "phases.txt",
+            "trace.json"]
+        with open(os.path.join(out_dir, "comm.txt")) as f:
+            comm = f.read().splitlines()
+        assert any(line.lstrip().startswith("alltoall:pairwise")
+                   for line in comm)
+        assert comm[-1].startswith("total")
 
         with open(os.path.join(out_dir, "trace.json")) as f:
             doc = json.load(f)

@@ -55,7 +55,7 @@ def test_import_repro_loads_no_platform_module():
 def test_forbidden_names_the_platform_and_only_it():
     platform = sorted([
         "repro.mpi", "repro.mpi.transport.sockets", "repro.sanitize.sanitizer",
-        "repro.perf", "repro.faults.plan", "repro.obs.metrics",
+        "repro.perf", "repro.faults.plan", "repro.obs.export",
         "repro.dist.tsqr", "repro.core.sthosvd_parallel",
     ])
     assert forbidden(platform) == platform
@@ -241,7 +241,7 @@ import repro.perf
 if TYPE_CHECKING:
     from ..mpi.communicator import Communicator
 try:
-    from ..obs.metrics import Counter  # repro-lint: allow(platform-import-in-algorithm-layer)
+    from ..obs.export import chrome_trace  # repro-lint: allow(platform-import-in-algorithm-layer)
 except ImportError:
     from ..sanitize import Sanitizer
 

@@ -44,7 +44,7 @@ EAGER = frozenset("repro" + name for name in """
     .linalg.gram .linalg.tensor_lq .linalg.svd
     .core .core.sthosvd .core.modeloop .core.truncation .core.tucker
     .obs .obs.tracer .obs.recorder .faults .faults._hook
-    .data .data.outofcore .dist .dist.dtensor .dist.grid .dist.distribution
+    .data .data.outofcore .dist .dist.dtensor .dist.grid
 """.split()) | {"repro"}
 # The platform: nothing here may be in sys.modules after `import repro`,
 # nor after the first call of a sequential driver.
@@ -52,7 +52,7 @@ FORBIDDEN = re.compile(
     r"repro\.(?:"
     r"(?:mpi|sanitize|perf)(?:\..*)?"
     r"|faults\.(?:plan|injector|network|checkpoint)"
-    r"|obs\.(?:metrics|postmortem|export|compare)"
+    r"|obs\.(?:postmortem|export|compare)"
     r"|dist\.(?:svd|gram|ttm|tsqr|redistribute)"
     r"|core\.sthosvd_parallel"
     r")$"
