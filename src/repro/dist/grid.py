@@ -14,7 +14,23 @@ from typing import Sequence
 from ..errors import DistributionError
 from ..util.validation import resolve_mode_order
 
-__all__ = ["ProcessorGrid"]
+__all__ = ["ProcessorGrid", "block_range"]
+
+
+def block_range(length: int, nprocs: int, proc: int) -> tuple[int, int]:
+    """Half-open index range ``[start, stop)`` owned by ``proc``.
+
+    ``length`` elements are distributed over ``nprocs`` processes in
+    contiguous blocks whose sizes differ by at most one; the first
+    ``length % nprocs`` processes receive the larger blocks (MPI's
+    conventional uneven block distribution).  The one partition rule:
+    :class:`DistributedTensor` lays tensors out with it and the ring
+    collectives of :mod:`repro.mpi` cut their payloads with it, so
+    layouts and collective blocks align.
+    """
+    base, extra = divmod(length, nprocs)
+    start = proc * base + min(proc, extra)
+    return start, start + base + (1 if proc < extra else 0)
 
 
 class ProcessorGrid:

@@ -335,7 +335,7 @@ class Sanitizer:
         """Each rank's open span names: active tracer, else flight recorder."""
         ctx = self._context
         tracer = getattr(ctx, "tracer", None) if ctx is not None else None
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if tracer is not None:
             try:
                 return tracer.open_spans()
             except Exception:  # pragma: no cover - diagnostics must not raise

@@ -101,6 +101,21 @@ class TestDeadlock:
             _run(prog, 3)
         assert {d.rank for d in ei.value.diagnostics} == {0, 1, 2}
 
+    def test_report_names_each_ranks_open_span_from_the_tracer(self):
+        from repro.obs import Tracer, trace_span
+
+        def prog(comm):
+            peer = 1 - comm.rank
+            with trace_span("outer"), trace_span(f"wait{comm.rank}"):
+                comm.recv(source=peer, tag=0)
+
+        with pytest.raises(DeadlockError) as ei:
+            _run(prog, 2, tracer=Tracer())
+        msg = str(ei.value)
+        assert "open span stacks at detection:" in msg
+        assert "rank 0: outer > wait0" in msg
+        assert "rank 1: outer > wait1" in msg
+
 
 class TestUseAfterMove:
     def test_sender_mutation_after_zero_copy_send(self):
