@@ -37,6 +37,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".dist": ("ProcessorGrid", "GridComms", "DistributedTensor"),
     ".obs": ("FlightRecorder", "Tracer"),
     ".mpi": ("run_spmd",),
+    # The tensor kinds' packages, which `import repro` does not load:
+    # ``repro.data.OutOfCoreTensor`` after a bare `import repro`.
+    ".": ("data", "dist"),
 })
 
 __version__ = "1.0.0"

@@ -21,19 +21,21 @@ disagrees about when to stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..dist.dtensor import DistributedTensor
 from ..errors import ConfigurationError
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from .modeloop import (
-    ModeLoop, hooi_sweeps, measure_norm, open_loop, recovering,
+    ModeLoop, hooi_sweeps, kind_of, measure_norm, open_loop, recovering,
     truncated_loop, work_input)
 from .sthosvd import _Decomposition
+
+if TYPE_CHECKING:
+    from ..dist.dtensor import DistributedTensor
 
 __all__ = ["HooiResult", "hooi"]
 
@@ -127,7 +129,7 @@ def hooi(
     loop = open_loop(tensor, method=method, ranks=ranks)
     fits: list[float] = []
     if checkpoint is None:
-        if isinstance(tensor, DistributedTensor) and tensor.comm.rank != 0:
+        if kind_of(tensor) == "DistributedTensor" and tensor.comm.rank != 0:
             progress = None  # rank 0 reports for the world
         core, converged = _sweeps(loop, tensor, fits, init, max_iters,
                                   fit_tol, progress)

@@ -13,14 +13,16 @@ some users require.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..dist.dtensor import DistributedTensor
 from ..tensor.dense import DenseTensor
 from .modeloop import factors_then_core, open_loop, work_input
 from .sthosvd import SthosvdResult
+
+if TYPE_CHECKING:
+    from ..dist.dtensor import DistributedTensor
 
 __all__ = ["hosvd"]
 

@@ -28,9 +28,10 @@ branch in :func:`solve_mode`; every driver then has it.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -39,10 +40,7 @@ from ..instrument import (
     FlopCounter, PhaseTimer,
     PHASE_SVD, PHASE_EVD, PHASE_TTM, PHASE_LQ, PHASE_GRAM, PHASE_COMM,
 )
-from ..obs.tracer import current_tracer, trace_span
-from ..data.outofcore import OutOfCoreTensor, DEFAULT_CHUNK_ELEMENTS
-from ..dist.dtensor import DistributedTensor, GridComms
-from ..dist.grid import ProcessorGrid
+from ..obs._hook import current_tracer, trace_span
 from ..linalg.gram import tensor_gram
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
@@ -50,9 +48,12 @@ from ..tensor.dense import DenseTensor
 from ..tensor.ttm import ttm, ttm_flops
 from .truncation import choose_rank, error_budget_per_mode, tail_energy
 
+if TYPE_CHECKING:
+    from ..dist.dtensor import DistributedTensor
+
 __all__ = [
-    "METHODS", "SUPPORTED_METHODS", "KIND_OPTIONS", "ModeLoop", "work_input",
-    "open_loop",
+    "METHODS", "SUPPORTED_METHODS", "KIND_OPTIONS", "kind_of", "ModeLoop",
+    "work_input", "open_loop",
     "measure_norm", "resolve_truncation", "pick_rank", "solve_mode",
     "truncate_mode", "truncated_loop", "factors_then_core", "hooi_sweeps",
     "MAX_RECOVERIES", "recovering",
@@ -63,21 +64,44 @@ __all__ = [
 # explicit ranks) implement the future-work extensions of its Sec. 5.
 METHODS = ("qr", "gram", "gram-mixed", "randomized")
 
-# Which solvers each tensor kind has, in the order :func:`work_input`
-# tests the kinds (the dense arm last: it takes whatever else comes).
-SUPPORTED_METHODS = (
-    (DistributedTensor, ("qr", "gram")),
-    (OutOfCoreTensor, ("qr", "gram")),
-    (DenseTensor, METHODS),
+# The kinds a driver tells apart beside the dense one, in the order
+# :func:`kind_of` tests them, each by the module that defines it.
+_KINDS = (
+    ("DistributedTensor", "repro.dist.dtensor"),
+    ("OutOfCoreTensor", "repro.data.outofcore"),
 )
 
-# The driver keywords only one kind reads, in the same order.  Given (not
-# None) with any other kind, :func:`work_input` refuses them.
-KIND_OPTIONS = (
-    (DistributedTensor, ("checkpoint",)),
-    (OutOfCoreTensor, ("max_elements", "workdir", "checkpoint_dir")),
-    (DenseTensor, ("svd_options", "init")),
-)
+
+def kind_of(tensor) -> str:
+    """``"DistributedTensor"``, ``"OutOfCoreTensor"`` or ``"DenseTensor"``:
+    the arm ``tensor`` takes (the dense one takes whatever else comes).
+
+    A kind is looked up where its module has been imported, never by
+    importing it: an instance of a class whose module was never loaded
+    cannot exist, so `import repro` and a dense solve load neither
+    layout.
+    """
+    for kind, module in _KINDS:
+        home = sys.modules.get(module)
+        if home is not None and isinstance(tensor, getattr(home, kind)):
+            return kind
+    return "DenseTensor"
+
+
+# Which solvers each tensor kind has.
+SUPPORTED_METHODS = {
+    "DistributedTensor": ("qr", "gram"),
+    "OutOfCoreTensor": ("qr", "gram"),
+    "DenseTensor": METHODS,
+}
+
+# The driver keywords only one kind reads.  Given (not None) with any
+# other kind, :func:`work_input` refuses them.
+KIND_OPTIONS = {
+    "DistributedTensor": ("checkpoint",),
+    "OutOfCoreTensor": ("max_elements", "workdir", "checkpoint_dir"),
+    "DenseTensor": ("svd_options", "init"),
+}
 
 
 @dataclass
@@ -104,7 +128,7 @@ class ModeLoop:
     tol: float | None = None
     norm_sq: float | None = None
     svd_options: dict | None = None
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS
+    max_elements: int | None = None  # the streamed arm sets it
     workdir: str | None = None
     progress: Callable[[dict], None] | None = None
     factors: list = field(default_factory=list)
@@ -129,29 +153,25 @@ def work_input(tensor, precision=None, *, out_of_core: bool = True,
     when not given; one that ``KIND_OPTIONS`` leaves to another kind is a
     ``ConfigurationError``, never silently ignored.
     """
-    if isinstance(tensor, DistributedTensor):
-        work = tensor
-    elif isinstance(tensor, OutOfCoreTensor):
-        if not out_of_core:
-            raise ConfigurationError(
-                "only sthosvd streams an OutOfCoreTensor: there is no "
-                "out-of-core HOSVD or HOOI")
-        work = tensor
-    else:
+    kind = kind_of(tensor)
+    if kind == "DenseTensor":
         work = tensor if isinstance(tensor, DenseTensor) else DenseTensor(tensor)
-    kind, allowed = next(
-        (k, names) for k, names in KIND_OPTIONS if isinstance(work, k))
+    elif kind == "OutOfCoreTensor" and not out_of_core:
+        raise ConfigurationError(
+            "only sthosvd streams an OutOfCoreTensor: there is no "
+            "out-of-core HOSVD or HOOI")
+    else:
+        work = tensor
     for name, value in options.items():
-        if value is not None and name not in allowed:
-            owner = next(k for k, names in KIND_OPTIONS if name in names)
+        if value is not None and name not in KIND_OPTIONS[kind]:
+            owner = next(k for k, names in KIND_OPTIONS.items() if name in names)
             raise ConfigurationError(
-                f"{name}= is read only on {owner.__name__} input; this "
-                f"input is {kind.__name__}")
+                f"{name}= is read only on {owner} input; this input is {kind}")
     return work if precision is None else work.astype(precision)
 
 
 def _shape(work) -> tuple[int, ...]:
-    if isinstance(work, DistributedTensor):
+    if kind_of(work) == "DistributedTensor":
         return work.global_shape
     return work.shape
 
@@ -187,11 +207,11 @@ def open_loop(work, *, method: str, tol=None, ranks=None,
     whose ``work`` is already truncated, sets ``loop.norm_sq`` to the
     number the interrupted run budgeted from.
     """
-    kind, allowed = next(
-        (k, m) for k, m in SUPPORTED_METHODS if isinstance(work, k))
+    kind = kind_of(work)
+    allowed = SUPPORTED_METHODS[kind]
     if method not in allowed:
         raise ConfigurationError(
-            f"{kind.__name__} drivers support methods {allowed}, got {method!r}"
+            f"{kind} drivers support methods {allowed}, got {method!r}"
         )
     if method == "randomized" and ranks is None:
         raise ConfigurationError(
@@ -266,7 +286,8 @@ def solve_mode(
     guard took are appended to ``loop.recoveries`` under ``label``.
     """
     method, counter, timer = loop.method, loop.counter, loop.timer
-    if isinstance(work, DistributedTensor):
+    kind = kind_of(work)
+    if kind == "DistributedTensor":
         from ..faults.guards import guarded_mode_svd
 
         phase = PHASE_LQ if method == "qr" else PHASE_GRAM
@@ -287,7 +308,7 @@ def solve_mode(
         with timer.phase(PHASE_SVD, n):
             return tensor_randomized_svd(
                 work, n, loop.ranks[n], counter=counter, **opts)
-    streamed = isinstance(work, OutOfCoreTensor)
+    streamed = kind == "OutOfCoreTensor"
     if method == "qr":
         with timer.phase(PHASE_LQ, n):
             if streamed:
@@ -322,7 +343,8 @@ def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
     comm time moves to the Comm row.
     """
     counter, timer = loop.counter, loop.timer
-    if isinstance(work, DistributedTensor):
+    kind = kind_of(work)
+    if kind == "DistributedTensor":
         from ..dist.ttm import par_ttm_truncate
 
         mark = _comm_mark()
@@ -332,7 +354,7 @@ def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
         return out
     with timer.phase(PHASE_TTM, n):
         counter.add(ttm_flops(work.shape, n, U.shape[1]), phase=PHASE_TTM, mode=n)
-        if isinstance(work, OutOfCoreTensor):
+        if kind == "OutOfCoreTensor":
             return work.ttm_truncate_to_file(
                 U, n, os.path.join(loop.workdir, f"mode{n}.bin"),
                 max_elements=loop.max_elements,
@@ -475,6 +497,9 @@ def recovering(attempt, tensor: DistributedTensor, checkpoint, order,
     ``("disk_resume", {...})`` for a restart.  Past ``MAX_RECOVERIES``
     failures the first one re-raises, carrying ``recovery_history``.
     """
+    from ..dist.dtensor import GridComms
+    from ..dist.grid import ProcessorGrid
+
     meta, comm = None, tensor.comm
     if checkpoint.ckpt_dir is not None:
         with trace_span("ft.resume_disk"):

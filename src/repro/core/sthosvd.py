@@ -27,21 +27,24 @@ The tensor's kind picks the arm, as in :mod:`~repro.core.modeloop`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..data.outofcore import OutOfCoreTensor
-from ..dist.dtensor import DistributedTensor
 from ..errors import ConfigurationError
 from ..instrument import FlopCounter, PhaseTimer
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from ..util.validation import resolve_mode_order
 from .modeloop import (
-    METHODS, ModeLoop, open_loop, recovering, truncated_loop, work_input)
+    METHODS, ModeLoop, kind_of, open_loop, recovering, truncated_loop,
+    work_input)
 from .truncation import truncation_rel_error
 from .tucker import TuckerTensor
+
+if TYPE_CHECKING:
+    from ..data.outofcore import OutOfCoreTensor
+    from ..dist.dtensor import DistributedTensor
 
 __all__ = ["SthosvdResult", "sthosvd", "METHODS"]
 
@@ -62,7 +65,7 @@ class _Decomposition:
     def tucker(self) -> TuckerTensor:
         """The decomposition, when its core is in memory.  A distributed
         core is gathered by the collective :meth:`to_tucker` alone."""
-        if isinstance(self.core, DistributedTensor):
+        if kind_of(self.core) == "DistributedTensor":
             raise ConfigurationError(
                 "the core is distributed: assemble it with the collective "
                 "to_tucker() on every rank")
@@ -71,7 +74,7 @@ class _Decomposition:
     def to_tucker(self) -> TuckerTensor:
         """The decomposition on every rank (collective when the core is
         distributed: it gathers the core)."""
-        if isinstance(self.core, DistributedTensor):
+        if kind_of(self.core) == "DistributedTensor":
             return TuckerTensor(core=self.core.gather(), factors=self.factors)
         return self.tucker
 
@@ -247,7 +250,8 @@ def sthosvd(
     order = resolve_mode_order(mode_order, tensor.ndim)
     loop = open_loop(tensor, method=method, tol=tol, ranks=ranks,
                      progress=progress, svd_options=svd_options)
-    if isinstance(tensor, DistributedTensor):
+    kind = kind_of(tensor)
+    if kind == "DistributedTensor":
         if checkpoint is None:
             if tensor.comm.rank != 0:
                 loop.progress = None  # rank 0 reports for the world
@@ -257,7 +261,7 @@ def sthosvd(
                 lambda work, meta: _checkpointed(
                     loop, work, order, progress, checkpoint, meta),
                 tensor, checkpoint, order, loop.failures)
-    elif isinstance(tensor, OutOfCoreTensor):
+    elif kind == "OutOfCoreTensor":
         core = _streamed(loop, tensor, order, max_elements, workdir,
                          checkpoint_dir)
     else:
@@ -316,11 +320,12 @@ def _streamed(loop: ModeLoop, ooc: OutOfCoreTensor, order, max_elements,
     import os
     import tempfile
 
+    from ..data.outofcore import DEFAULT_CHUNK_ELEMENTS
     from .checkpoint import (
         _fingerprint, clear_checkpoint, load_checkpoint, save_checkpoint)
 
-    if max_elements is not None:
-        loop.max_elements = max_elements
+    loop.max_elements = (DEFAULT_CHUNK_ELEMENTS if max_elements is None
+                         else max_elements)
     current, start, fingerprint = ooc, 0, None
     if checkpoint_dir is not None:
         fingerprint = _fingerprint(ooc.shape, ooc.dtype, loop.tol, loop.ranks,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from .._lazy import lazy_exports
 
-# `import repro` has imported the layout (dtensor, grid): all a
-# sequential run needs to tell a distributed tensor from a dense one.
+# Nothing here is imported by `import repro`: the drivers tell a
+# distributed tensor from a dense one without loading this package
+# (repro.core.modeloop.kind_of).
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".dtensor": ("DistributedTensor", "GridComms"),
     ".grid": ("ProcessorGrid", "block_range"),

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..instrument import FlopCounter, PHASE_GRAM
 from ..linalg.gram import gram_matrix, tensor_gram
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from .dtensor import DistributedTensor
 from .redistribute import redistribute_unfolding_to_columns
 

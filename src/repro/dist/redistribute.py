@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..tensor.dense import DenseTensor
 from .grid import block_range
 from .dtensor import DistributedTensor, GridComms

@@ -20,7 +20,7 @@ from ..instrument import FlopCounter, PHASE_EVD, PHASE_LQ, PHASE_SVD
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
 from ..linalg.qr import gelq
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from .dtensor import DistributedTensor
 from .gram import par_tensor_gram
 from .redistribute import redistribute_unfolding_to_columns

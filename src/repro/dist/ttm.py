@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DistributionError
 from ..instrument import FlopCounter, PHASE_TTM
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..tensor.dense import DenseTensor
 from ..tensor.ttm import ttm, ttm_flops
 from .grid import block_range

@@ -44,7 +44,7 @@ import numpy as np
 from ..core import checkpoint as fmt
 from ..dist.redistribute import assemble, block_bounds, cut, overlap
 from ..errors import CheckpointError, ConfigurationError
-from ..obs.recorder import record_event as _record_event
+from ..obs._hook import record_event as _record_event
 from ..util.durable import write_shard
 
 __all__ = ["DistributedCheckpoint"]

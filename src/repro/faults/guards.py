@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 
 __all__ = ["guarded_mode_svd", "factors_finite"]
 

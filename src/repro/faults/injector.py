@@ -14,7 +14,7 @@ on every replay with the same plan.  ``trace`` records every fired
 fault; comparing traces across replays is the replay test.
 
 Kernel hooks use the same thread-local activation pattern as
-:mod:`repro.obs.tracer`: the launcher binds the injector to each rank
+:mod:`repro.obs._hook`: the launcher binds the injector to each rank
 thread, ``current_injector()`` reads one thread-local attribute, and
 the linalg kernels call it only to discover "no injector" at the cost
 of a single attribute read.  The binding lives in
@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigurationError, RankKilledError
-from ..obs.recorder import record_event as _recorder_event
+from ..obs._hook import record_event as _recorder_event
 from ._hook import activate, current_fault_rank, current_injector, deactivate
 from .plan import (
     DEFAULT_TRACE_LIMIT,

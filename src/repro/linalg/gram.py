@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from ..instrument import FlopCounter, PHASE_GRAM
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..tensor.dense import DenseTensor
 from .flops import gram_flops
 from .qr import _pack, block_runs

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_LQ
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from . import _capi
 from .tpqrt import BACKENDS, _check_backend, _fold
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..faults._hook import current_injector
 from ..instrument import FlopCounter, PHASE_SVD, PHASE_EVD
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..tensor.dense import DenseTensor
 from . import _capi
 from .flops import eigh_flops, svd_flops

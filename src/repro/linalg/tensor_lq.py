@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..instrument import FlopCounter, PHASE_LQ
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..tensor.dense import DenseTensor
 from .qr import block_runs, flat_tree_lq
 

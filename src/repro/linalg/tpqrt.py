@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
 from ..instrument import FlopCounter, PHASE_LQ
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from . import _capi
 from .flops import tpqrt_flops
 

@@ -47,11 +47,11 @@ order: the abort check, the revocation gate, fault injection and the
 retry protocol, and the sanitizer (which returns the envelope's
 ``origin`` and blocks on collective matching).  *Observers* only read
 — ``CommTrace``, ``Tracer``, ``FlightRecorder``, whichever
-``run_spmd`` was given — and see the path through one door: exactly one :func:`~repro.obs.recorder.emit`
+``run_spmd`` was given — and see the path through one door: exactly one :func:`~repro.obs._hook.emit`
 per send, receive, injected drop, retransmission, checksum discard and
 collective dispatch, behind one ``if observers:`` test.  Every public
 operation also opens a ``comm.*`` span under the paper's ``PHASE_COMM``
-category (:func:`~repro.obs.tracer.trace_span`: one thread-local read
+category (:func:`~repro.obs._hook.trace_span`: one thread-local read
 when nothing is bound), tagged with the dispatched algorithm.
 """
 
@@ -66,8 +66,7 @@ import numpy as np
 from ..dist.grid import block_range
 from ..errors import CommRevokedError, CommunicatorError, RankFailedError
 from ..instrument import PHASE_COMM
-from ..obs.recorder import emit
-from ..obs.tracer import trace_span
+from ..obs._hook import emit, trace_span
 from .context import Envelope, SpmdContext
 from .tuning import CollectiveTuning
 

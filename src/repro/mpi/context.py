@@ -308,7 +308,7 @@ class SpmdContext:
         self.recorder = recorder  # repro.obs.FlightRecorder, or None
         # The observers of the message path, by name: what every rank
         # thread is bound to and the communicator emits events to (see
-        # repro.obs.recorder, "the rank scope and the event spine").
+        # the rank scope in repro.obs._hook).
         # Empty = unobserved.
         self.observers = {
             name: observer

@@ -19,7 +19,7 @@ from ...faults.injector import (
     deactivate as faults_deactivate,
 )
 from ...errors import RankKilledError
-from ...obs.recorder import bind as bind_observers, unbind as unbind_observers
+from ...obs._hook import bind as bind_observers, unbind as unbind_observers
 from ..communicator import Communicator
 from .base import Transport
 

@@ -533,8 +533,8 @@ def delta_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
     """Each observer's shard since ``cursors[name]``; advances them.
 
     Safe to call from the heartbeat thread: an observer leaves out of a
-    shard what only the rank's own thread can cut (see
-    :mod:`repro.obs.recorder`, "the rank scope and the event spine").
+    shard what only the rank's own thread can cut (see the observer
+    protocol in :mod:`repro.obs._hook`).
     When someone will read it (a sanitizer or a recorder is attached),
     a bounded summary of the rank's pending inbox rides along, so the
     master still knows roughly what a rank that dies without a report

@@ -27,10 +27,12 @@ Quickstart::
     run_spmd(program, 4, tracer=tracer)
     write_chrome_trace(tracer, "trace.json")
 
-Every name here loads its module on first use; the hooks every layer
-calls — the tracer, and under it the recorder's rank scope — are imported
-by the kernels themselves (``from ..obs.tracer import trace_span``), so a
-kernel that asks "is anyone tracing?" does not load what would answer.
+Every name here loads its module on first use.  The hooks every layer
+calls — :func:`trace_span`, :func:`current_tracer` and the rank scope
+with its one event door — live in :mod:`repro.obs._hook`, which the
+kernels import themselves (``from ..obs._hook import trace_span``), so a
+kernel that asks "is anyone tracing?" loads neither the tracer nor the
+recorder that would answer.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from __future__ import annotations
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".recorder": ("FlightRecorder", "current_recorder", "record_event"),
-    ".tracer": ("Span", "Tracer", "activate", "current_tracer", "deactivate",
-                "trace_span"),
+    "._hook": ("current_tracer", "record_event", "trace_span"),
+    ".recorder": ("FlightRecorder", "current_recorder"),
+    ".tracer": ("Span", "Tracer", "activate", "deactivate"),
     ".postmortem": ("POSTMORTEM_SCHEMA", "build_postmortem",
                     "load_postmortem", "render_postmortem",
                     "write_postmortem"),

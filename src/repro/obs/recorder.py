@@ -12,10 +12,10 @@ heartbeat, so the caller's recorder holds a running world's events on
 every backend.
 
 Enable by passing ``run_spmd(..., recorder=FlightRecorder())``.  The
-recorder is one *observer* of the per-rank event stream (see "the rank
-scope and the event spine" at the bottom of this module, which also
-holds the scope every rank thread is bound to and :func:`emit`, the one
-door events come through); it keeps every event it is handed.
+recorder is one *observer* of the per-rank event stream (see
+:mod:`repro.obs._hook`, which holds the scope every rank thread is bound
+to and :func:`emit`, the one door events come through; the names are
+importable from here too); it keeps every event it is handed.
 
 Design notes
 ------------
@@ -42,6 +42,10 @@ import time
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._hook import (  # noqa: F401 - re-exported; the scope lives there
+    _SCOPE, KIND_SPAN_CLOSE, KIND_SPAN_OPEN, bind, emit, rebind, record_event,
+    unbind)
+
 __all__ = [
     "FlightRecorder",
     "activate",
@@ -53,16 +57,6 @@ __all__ = [
     "record_event",
     "unbind",
 ]
-
-# The two kinds the recorder interprets (its span stacks).  The rest of
-# the stream it only keeps: the communicator emits ``send``, ``recv``,
-# ``drop``, ``retry``, ``checksum`` and ``dispatch`` (one per message
-# sent, received, lost to an injected drop, retransmitted, discarded
-# for a bad checksum; one per collective algorithm choice), the fault
-# injector ``fault``, the checkpoint layer ``checkpoint``, the context
-# ``recovery``.
-KIND_SPAN_OPEN = "span.open"
-KIND_SPAN_CLOSE = "span.close"
 
 Event = Tuple[int, float, str, Optional[str], Dict[str, Any]]
 
@@ -304,79 +298,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return str(value)
-
-
-# -- the rank scope and the event spine ---------------------------------
-#
-# An *observer* is anything that only reads the message path: it is
-# handed every event of the ranks it is bound to and never changes what
-# happens to a message.  Four methods make one (CommTrace, Tracer and
-# FlightRecorder are the three this library ships):
-#
-#   bind(rank)                          per-thread setup, on the rank's thread
-#   on_event(rank, kind, name, detail)  one event of the stream
-#   shard(rank, since) -> (delta, cursor)   what happened since ``cursor``
-#   absorb(rank, delta)                 fold another process's shard in
-#
-# ``shard`` is how a worker process ships its share home: ``since`` is
-# the cursor the previous call returned (``None`` primes it — a forked
-# worker inherits the caller's tallies and ships only what it adds), a
-# falsy ``delta`` means nothing to ship, and a part that only the
-# recording thread can cut (spans) simply stays out of a shard cut by
-# another thread.
-
-
-class _RankScope(threading.local):
-    """The calling thread's rank and the observers bound to it."""
-
-    rank = None
-    observers: Dict[str, Any] = {}  # name -> observer; empty = unobserved
-
-
-_SCOPE = _RankScope()
-
-
-def bind(rank: int, observers: Dict[str, Any]) -> None:
-    """Bind the calling thread to ``rank`` and its ``{name: observer}``.
-
-    Done once per rank thread by the launcher; :func:`activate` (here
-    and in :mod:`repro.obs.tracer`) binds one observer to a sequential
-    thread on the same scope.
-    """
-    for observer in observers.values():
-        observer.bind(rank)
-    _SCOPE.rank = rank
-    _SCOPE.observers = observers
-
-
-def unbind() -> None:
-    """Leave the calling thread unobserved again."""
-    _SCOPE.rank = None
-    _SCOPE.observers = {}
-
-
-def rebind(name: str, observer=None, rank: Optional[int] = None) -> None:
-    """Bind (or with ``None`` drop) one observer, keeping the others."""
-    observers = {k: v for k, v in _SCOPE.observers.items() if k != name}
-    if rank is None:
-        rank = _SCOPE.rank
-    if observer is not None:
-        observer.bind(rank)
-        observers[name] = observer
-    _SCOPE.rank = rank
-    _SCOPE.observers = observers
-
-
-def emit(kind: str, name: Optional[str] = None, **detail: Any) -> None:
-    """Hand one event of the calling rank to every observer bound to it."""
-    scope = _SCOPE
-    for observer in scope.observers.values():
-        observer.on_event(scope.rank, kind, name, detail)
-
-
-#: The public name of :func:`emit` for code outside the message path
-#: (fault injection, checkpoint saves).
-record_event = emit
 
 
 def activate(recorder: FlightRecorder, rank: int) -> None:

@@ -5,10 +5,12 @@ wall-clock time tagged with the rank that executed them, an optional
 phase (the breakdown categories of :mod:`repro.instrument`), an optional
 tensor mode, and free-form attributes.  One tracer serves a whole SPMD
 world: :func:`repro.mpi.run_spmd` binds it to every rank thread (the
-rank scope of :mod:`repro.obs.recorder`, shared with the other
+rank scope of :mod:`repro.obs._hook`, shared with the other
 observers), and the instrumentation hooks threaded through the
 communicator, the distributed kernels, and the drivers all find it
-there without any signature plumbing.
+there without any signature plumbing.  The hook, :func:`trace_span`,
+lives in :mod:`repro.obs._hook` (and is importable from here): a kernel
+that polls it does not load this module.
 
 Design constraints, in order:
 
@@ -45,7 +47,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .recorder import _SCOPE, KIND_SPAN_CLOSE, KIND_SPAN_OPEN, rebind
+from ._hook import (  # noqa: F401 - re-exported; the hooks live there
+    _SCOPE, KIND_SPAN_CLOSE, KIND_SPAN_OPEN, NULL_SPAN, current_tracer, rebind,
+    trace_span)
 
 __all__ = [
     "Span",
@@ -82,21 +86,6 @@ class Span:
     self_nested: bool = False
     enclosing_phase: str | None = None
     attrs: dict = field(default_factory=dict)
-
-
-class _NullSpan:
-    """Shared no-op context manager returned while tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-NULL_SPAN = _NullSpan()
 
 
 class _OpenSpan:
@@ -392,7 +381,7 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Active-tracer plumbing (the rank scope of repro.obs.recorder)
+# Active-tracer plumbing (the rank scope of repro.obs._hook)
 # ----------------------------------------------------------------------
 def activate(tracer: Tracer, rank: int = 0) -> None:
     """Make ``tracer`` the calling thread's active tracer, bound to ``rank``.
@@ -406,28 +395,3 @@ def activate(tracer: Tracer, rank: int = 0) -> None:
 def deactivate() -> None:
     """Clear the calling thread's active tracer."""
     rebind("tracer")
-
-
-def current_tracer() -> Tracer | None:
-    """The calling thread's active tracer, or None when tracing is off."""
-    return _SCOPE.observers.get("tracer")
-
-
-def trace_span(name: str, *, phase: str | None = None,
-               mode: int | None = None, **attrs):
-    """Span context manager on whatever is bound; shared no-op otherwise.
-
-    The unobserved path costs one thread-local read and returns the
-    module-level :data:`NULL_SPAN` singleton — this is the hook all
-    instrumented kernels use, so "tracing off" stays free.  The span
-    serves the active tracer, the active flight recorder (kernel
-    entry/exit and collective algorithm choices reach the rings with
-    or without a tracer), or both.
-    """
-    observers = _SCOPE.observers
-    if not observers:
-        return NULL_SPAN
-    tracer = observers.get("tracer")
-    if tracer is None and "recorder" not in observers:
-        return NULL_SPAN
-    return _OpenSpan(tracer, name, phase, mode, attrs)

@@ -9,11 +9,12 @@ not change the traffic either: each rank sends and receives as many
 messages as in the same run without it.  The drivers run on the default
 SPMD backend (``REPRO_SPMD_BACKEND``; threads unless CI says sockets).
 
-Three seeded mutations of the distributed path, each made on a copy of
+Five seeded mutations of the distributed path, each made on a copy of
 the module's source, must then be named by their rule well inside a
 20 s backstop: a rank that skips a butterfly round, a butterfly tag off
-by one on one rank, and a rank that scatters the input from the wrong
-root.
+by one on one rank, a rank that scatters the input from the wrong root,
+a scatter that sends one rank's block under a tag it does not receive,
+and a TTM reduce-scatter whose pieces differ in shape on one rank.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 
 import repro.dist.redistribute as redistribute
 import repro.dist.tsqr as tsqr
+import repro.dist.ttm as ttm
 from repro.core import hooi, sthosvd
 from repro.data import low_rank_tensor
 from repro.dist import GridComms, ProcessorGrid
@@ -97,6 +99,22 @@ MUTATIONS = {
         "    comm = comms.comm\n",
         "    comm = comms.comm\n"
         "    root += comm.rank == 1\n",
+        "collective-mismatch"),
+    # Rank 1 waits for its block under the scatter's tag, which the root
+    # sent it under the next one; the root waits for rank 1 further on.
+    "scatter-tag-swap": (
+        redistribute, "distribute_from_root",
+        "comm.send(block, r, tag=_DIST_TAG, copy=False)",
+        "comm.send(block, r, tag=_DIST_TAG + (r == 1), copy=False)",
+        "deadlock"),
+    # One rank's last piece is a column short: the reduction's payloads
+    # no longer agree.
+    "ragged-ttm-reduce-scatter": (
+        ttm, "par_ttm_truncate",
+        "            block = dt.comms.fiber(n).reduce_scatter(",
+        "            if dt.comms.comm.rank == 1:\n"
+        "                pieces[-1] = pieces[-1][..., :-1]\n"
+        "            block = dt.comms.fiber(n).reduce_scatter(",
         "collective-mismatch"),
 }
 

@@ -39,16 +39,18 @@ def test_import_repro_loads_no_platform_module():
     by name."""
     loaded = fresh(f"import json, sys, repro; print(json.dumps({_LOADED}))")
     assert loaded == sorted(EAGER)
-    assert len(EAGER) <= 36
-    # It is the closure of Alg. 1-2 with the two hooks its kernels poll
-    # and the layouts `modeloop` tells apart, not the sequential stack.
+    assert len(EAGER) <= 28
+    # It is the closure of Alg. 1-2 with the two hooks its kernels poll,
+    # not the sequential stack, the observers behind the hooks or the
+    # tensor kinds `modeloop` tells apart without importing them.
     for module in ("repro.core.sthosvd", "repro.linalg.tensor_lq",
-                   "repro.obs.tracer", "repro.faults._hook",
-                   "repro.data.outofcore", "repro.dist.dtensor"):
+                   "repro.obs._hook", "repro.faults._hook"):
         assert module in EAGER
     for module in ("core.hooi", "core.hosvd", "core.auto", "core.checkpoint",
                    "core.outofcore", "util.durable", "data.applications",
-                   "linalg.jacobi", "linalg.householder", "faults.guards"):
+                   "linalg.jacobi", "linalg.householder", "faults.guards",
+                   "obs.tracer", "obs.recorder", "data", "data.outofcore",
+                   "dist", "dist.dtensor", "dist.grid"):
         assert f"repro.{module}" not in EAGER
 
 
@@ -59,9 +61,10 @@ def test_forbidden_names_the_platform_and_only_it():
         "repro.dist.tsqr", "repro.core.sthosvd_parallel",
     ])
     assert forbidden(platform) == platform
-    sequential = ["repro.faults.guards", "repro.core.hooi", "repro.util.rng"]
-    eager = ["repro", "repro.faults", "repro.obs.tracer", "repro.obs.recorder",
-             "repro.dist", "repro.dist.grid"]
+    sequential = ["repro.faults.guards", "repro.core.hooi", "repro.util.rng",
+                  "repro.obs.tracer", "repro.obs.recorder", "repro.dist",
+                  "repro.dist.grid"]
+    eager = ["repro", "repro.faults", "repro.obs", "repro.obs._hook"]
     assert forbidden(sequential + eager + ["numpy"]) == []
     assert not_eager(platform + sequential + eager + ["numpy"]) == sorted(
         platform + sequential)
@@ -112,6 +115,79 @@ print(json.dumps(loaded))
         assert first == before
     assert second == first
     assert forbidden(second) == []
+
+
+_OBSERVERS_AND_KINDS = ("repro.dist", "repro.data", "repro.obs.tracer",
+                        "repro.obs.recorder")
+
+
+def test_dense_solves_load_no_other_kind_and_every_kind_still_finds_its_arm(
+        tmp_path):
+    """Every dense solver, in both precisions, runs without loading a
+    tensor kind it does not receive or an observer nobody bound; the
+    kinds built afterwards in the same interpreter still take their arms,
+    and a keyword of another kind is still refused by name."""
+    out = fresh(f"""
+import json, os, sys
+import numpy as np
+import repro
+from repro.errors import ConfigurationError
+
+x = repro.DenseTensor(np.random.default_rng(0).standard_normal((8, 9, 10)))
+for precision in ("double", "single"):
+    for method in ("qr", "gram", "gram-mixed"):
+        repro.sthosvd(x, tol=1e-3, method=method, precision=precision)
+    repro.sthosvd(x, ranks=(3, 3, 3), method="randomized", precision=precision)
+repro.hosvd(x, ranks=(3, 3, 3))
+repro.hooi(x, ranks=(3, 3, 3), max_iters=2)
+dense = {_LOADED}
+
+def refusal(call):
+    try:
+        call()
+    except ConfigurationError as exc:
+        return str(exc)
+
+tmp = {str(tmp_path)!r}
+x.data.tofile(os.path.join(tmp, "x.bin"))
+ooc = repro.data.OutOfCoreTensor(os.path.join(tmp, "x.bin"), x.shape)
+streamed = repro.sthosvd(ooc, ranks=(3, 3, 3), workdir=tmp)
+
+def program(comm):
+    comms = repro.GridComms(comm, repro.ProcessorGrid.for_size(comm.size, 3))
+    dt = repro.DistributedTensor.from_full(comms, x.data)
+    res = repro.sthosvd(dt, ranks=(3, 3, 3))
+    return (type(res.core).__name__, "repro.dist.ttm" in sys.modules,
+            refusal(lambda: res.tucker),
+            refusal(lambda: repro.sthosvd(dt, ranks=(3, 3, 3), workdir=tmp)))
+
+print(json.dumps({{
+    "dense": dense,
+    "ooc": [streamed.ranks, type(streamed.core).__name__,
+            "repro.core.outofcore" in sys.modules],
+    "parallel": repro.run_spmd(program, 1, backend="threads").values[0],
+    "refused": [
+        refusal(lambda: repro.sthosvd(x, tol=1e-3, checkpoint=object())),
+        refusal(lambda: repro.sthosvd(ooc, tol=1e-3, svd_options={{}})),
+        refusal(lambda: repro.hosvd(ooc, ranks=(3, 3, 3))),
+    ],
+}}))
+""")
+    assert [m for m in out["dense"] if m.startswith(_OBSERVERS_AND_KINDS)] == []
+    assert out["ooc"] == [[3, 3, 3], "DenseTensor", True]
+    assert out["parallel"] == [
+        "DistributedTensor", True,
+        "the core is distributed: assemble it with the collective "
+        "to_tucker() on every rank",
+        "workdir= is read only on OutOfCoreTensor input; this input is "
+        "DistributedTensor"]
+    assert out["refused"] == [
+        "checkpoint= is read only on DistributedTensor input; this input is "
+        "DenseTensor",
+        "svd_options= is read only on DenseTensor input; this input is "
+        "OutOfCoreTensor",
+        "only sthosvd streams an OutOfCoreTensor: there is no out-of-core "
+        "HOSVD or HOOI"]
 
 
 def test_a_parallel_solve_loads_the_platform_and_matches_the_sequential_ranks():
@@ -232,7 +308,7 @@ from typing import TYPE_CHECKING
 
 from ..mpi.communicator import Communicator
 from ..obs import trace_span
-from ..obs.tracer import trace_span
+from ..obs._hook import trace_span
 from ..faults import FaultPlan
 from ..faults._hook import current_injector
 from ..faults.guards import guarded_mode_svd
@@ -259,6 +335,11 @@ def test_the_layer_rule_flags_module_level_platform_imports_only():
     assert {d.kind for d in findings} == {LAYER_RULE}
     assert [d.line for d in findings] == [3, 4, 6, 9, 16]
     assert "repro.mpi.communicator.Communicator" in findings[0].message
+    # Behind the kernel hook, the tracer and the recorder are the
+    # platform's.
+    for observer in ("tracer import Tracer", "recorder import FlightRecorder"):
+        assert len(layer_findings(f"from ..obs.{observer}\n",
+                                  "repro/linalg/kernel.py")) == 1
     # The same text is fine where the platform lives; every module of
     # core/ is held to the rule.
     for platform in ("repro/dist/svd.py", "repro/obs/tracer.py"):

@@ -322,7 +322,7 @@ def test_fault_tolerance_is_a_mode_of_the_drivers():
         sthosvd(X, ranks=(2, 2, 2), resume={"completed_steps": 0})
     with pytest.raises(TypeError):
         hooi(X, (2, 2, 2), resume={"iteration": 0})
-    assert dict(modeloop.KIND_OPTIONS)[DistributedTensor] == ("checkpoint",)
+    assert modeloop.KIND_OPTIONS[DistributedTensor.__name__] == ("checkpoint",)
     assert modeloop.MAX_RECOVERIES == 2
     for name in ("name", "keep", "ckpt_dir"):
         assert name in inspect.signature(DistributedCheckpoint).parameters

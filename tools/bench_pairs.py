@@ -3,6 +3,7 @@
 
     python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2]
                                 [--pairs N] [--seconds S] [--seed SEED]
+                                [--uncompiled]
 
 PARENT and CHANGE are two checkouts (``git clone`` the parent commit
 somewhere; CHANGE may be this working tree).  Per workload it runs N
@@ -15,10 +16,15 @@ interquartile distance (the rule of the choosing-metrics guide, Sec. 8).
 Pair ``i`` uses one seed on both sides, so ``compression_ratio`` can be
 compared seed by seed.
 
-Both trees are byte-compiled first: this sandbox sets
-``PYTHONDONTWRITEBYTECODE``, so a fresh clone or an edited tree has no
-``.pyc`` files and every worker process would recompile ``repro`` —
-10–70 ms of ``setup_s`` that belongs to neither side.
+Both trees are byte-compiled first, unless ``--uncompiled``.  Where
+``PYTHONDONTWRITEBYTECODE`` is set, a fresh clone or an edited tree has
+no ``.pyc`` files, and every worker process compiles each module it
+imports from source; that time belongs to the side whose modules are
+compiled, and it is part of ``setup_s`` on such a host.  ``--uncompiled``
+measures that condition: it skips the byte-compilation and runs both
+sides with ``PYTHONDONTWRITEBYTECODE=1`` under an empty
+``PYTHONPYCACHEPREFIX`` (as ``tools/world_parts.py --uncompiled`` does),
+so no ``.pyc`` file is read or written.
 
 Run nothing else meanwhile: the hosts have two cores and P = 2 workloads.
 """
@@ -28,18 +34,21 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             env: dict | None = None) -> dict:
     """One ``bench/run.py`` invocation -> {metric: value} (+ failed/attempted)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: bench/run.py exited {proc.returncode}\n"
@@ -88,23 +97,31 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=2021, help="seed of pair 0")
+    parser.add_argument("--uncompiled", action="store_true",
+                        help="import from source: empty PYTHONPYCACHEPREFIX")
     args = parser.parse_args(argv)
 
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or float(contract["run_seconds"])
-    for checkout in (args.parent, args.change):
-        for sub in ("src", "bench"):
-            if not compileall.compile_dir(str(checkout / sub), quiet=1):
-                raise SystemExit(f"{checkout / sub} does not compile")
-    for workload in args.workload:
-        parent, change = [], []
-        for i in range(args.pairs):
-            sides = [(args.parent, parent), (args.change, change)]
-            for checkout, rows in sides if i % 2 == 0 else sides[::-1]:
-                rows.append(run_once(checkout, workload, args.seed + i, seconds))
-                print(f"# {workload} pair {i} {checkout}: "
-                      f"solve_s {rows[-1]['solve_s']:.6g}", flush=True)
-        report(workload, contract["end_to_end"], parent, change)
+    if not args.uncompiled:
+        for checkout in (args.parent, args.change):
+            for sub in ("src", "bench"):
+                if not compileall.compile_dir(str(checkout / sub), quiet=1):
+                    raise SystemExit(f"{checkout / sub} does not compile")
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        env = (dict(os.environ, PYTHONPYCACHEPREFIX=prefix,
+                    PYTHONDONTWRITEBYTECODE="1") if args.uncompiled else None)
+        for workload in args.workload:
+            parent, change = [], []
+            for i in range(args.pairs):
+                sides = [(args.parent, parent), (args.change, change)]
+                for checkout, rows in sides if i % 2 == 0 else sides[::-1]:
+                    rows.append(run_once(checkout, workload, args.seed + i,
+                                         seconds, env))
+                    print(f"# {workload} pair {i} {checkout}: "
+                          f"setup_s {rows[-1]['setup_s']:.6g} "
+                          f"solve_s {rows[-1]['solve_s']:.6g}", flush=True)
+            report(workload, contract["end_to_end"], parent, change)
     return 0
 
 

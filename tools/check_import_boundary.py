@@ -20,6 +20,10 @@ neither read for ``.pyc`` files nor written to):
   is, nor on what the platform packages cost; the median of ``RUNS``
   processes per arm, the arms interleaved process by process.
 
+Each arm also prints the ``TOP`` ``repro`` modules with the largest
+self time (median over its runs), read off the same ``-X importtime``
+lines, so that a regression names the module it lives in.
+
 ``tests/test_import_boundary.py`` asserts the same module list from
 ``sys.modules``.  Exits 1 on either failure.
 """
@@ -37,14 +41,15 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # What `import repro` executes: the module-to-module imports of
 # `tensor.dense` and `core.sthosvd`, and the packages on the way to them.
+# The kernels poll two hooks, `obs._hook` and `faults._hook`; neither the
+# tracer, the recorder nor a tensor kind other than the dense one loads.
 EAGER = frozenset("repro" + name for name in """
     ._lazy .errors .precision .instrument .util .util.validation
     .tensor .tensor.dense .tensor.layout .tensor.ttm
     .linalg .linalg._capi .linalg.flops .linalg.qr .linalg.tpqrt
     .linalg.gram .linalg.tensor_lq .linalg.svd
     .core .core.sthosvd .core.modeloop .core.truncation .core.tucker
-    .obs .obs.tracer .obs.recorder .faults .faults._hook
-    .data .data.outofcore .dist .dist.dtensor .dist.grid
+    .obs .obs._hook .faults .faults._hook
 """.split()) | {"repro"}
 # The platform: nothing here may be in sys.modules after `import repro`,
 # nor after the first call of a sequential driver.
@@ -69,6 +74,7 @@ print(reference, time.perf_counter() - start)
 """
 MAX_SHARE = 0.08
 RUNS = 7
+TOP = 5
 
 
 def forbidden(modules) -> list[str]:
@@ -83,10 +89,10 @@ def not_eager(modules) -> list[str]:
                   if m.split(".")[0] == "repro" and m not in EAGER)
 
 
-def measure(*flags: str) -> tuple[set[str], float, float]:
-    """One fresh interpreter: ``(modules `import repro` imported, seconds
-    of ``import numpy, scipy.linalg``, seconds of `import repro` after
-    it)``."""
+def measure(*flags: str) -> tuple[dict[str, float], float, float]:
+    """One fresh interpreter: ``({module `import repro` imported: its self
+    seconds}, seconds of ``import numpy, scipy.linalg``, seconds of
+    `import repro` after it)``."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
     env["PYTHONPATH"] = os.path.join(REPO, "src")
@@ -94,9 +100,20 @@ def measure(*flags: str) -> tuple[set[str], float, float]:
         [sys.executable, *flags, "-X", "importtime", "-c", PROGRAM],
         env=env, capture_output=True, text=True, check=True)
     after_reference = done.stderr.split("\n--\n")[1]
-    modules = set(re.findall(r"\| +(repro\S*)$", after_reference, re.M))
+    modules = {name: int(us) * 1e-6 for us, name in re.findall(
+        r"^import time: +(\d+) \| +\d+ \| +(repro\S*)$", after_reference,
+        re.M)}
     reference, sequential = map(float, done.stdout.split())
     return modules, reference, sequential
+
+
+def largest(runs) -> list[tuple[str, float]]:
+    """The ``TOP`` modules by median self seconds over ``runs``."""
+    names = set().union(*(modules for modules, _, _ in runs))
+    selfs = {name: statistics.median(modules.get(name, 0.0)
+                                     for modules, _, _ in runs)
+             for name in names}
+    return sorted(selfs.items(), key=lambda kv: -kv[1])[:TOP]
 
 
 def main() -> int:
@@ -119,6 +136,9 @@ def main() -> int:
                   f"{sequential * 1e3:.1f} ms; import numpy, scipy.linalg "
                   f"{reference * 1e3:.1f} ms; share {share:.3f} "
                   f"(bound {MAX_SHARE:.3f})")
+            print("  largest self times: " + ", ".join(
+                f"{name} {seconds * 1e3:.1f} ms"
+                for name, seconds in largest(done)))
             bad = not_eager(modules)
             if bad:
                 print("import repro loaded more than Alg. 1-2 run: "

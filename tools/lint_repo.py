@@ -29,7 +29,7 @@ Three run over every file of the roots:
     ``record_retried``/``record_checksum_failure``, ``add_bytes``,
     ``recorder.record`` — outside the observer classes themselves (a
     class with an ``on_event``).  The message path reports through one
-    door, ``repro.obs.recorder.emit``, and every observer sees every
+    door, ``repro.obs._hook.emit``, and every observer sees every
     event; a hand-placed hook call is how one of them goes blind.
 
 Append ``# repro-lint: skip`` to a line to silence every rule there, or
@@ -41,7 +41,7 @@ Next, ``platform-import-in-algorithm-layer``: imports run one
 way, platform -> algorithms (DESIGN.md, "Layers and the import
 direction").  A module-level import of ``repro.mpi``, ``repro.sanitize``,
 ``repro.perf``, ``repro.faults`` (other than its kernel hook and
-``guards``) or ``repro.obs`` (other than the tracer hook) from
+``guards``) or ``repro.obs`` (other than its kernel hook, ``_hook``) from
 ``tensor/``, ``linalg/``, ``data/``, ``util/``, ``precision.py``,
 ``instrument.py`` or ``core/`` is an error;
 function-level and ``TYPE_CHECKING`` imports are allowed, and so is a
@@ -91,7 +91,7 @@ ALGORITHM_LAYER = re.compile(
     r"|core/")
 # ... and the modules they may not import when they are imported.
 PLATFORM = re.compile(
-    r"repro\.(?:mpi|sanitize|perf|obs(?!\.tracer(?:\.|$))"
+    r"repro\.(?:mpi|sanitize|perf|obs(?!\._hook(?:\.|$))"
     r"|faults(?!\.(?:_hook|guards)(?:\.|$)))(?:\.|$)")
 
 INIT_RULE = "eager-import-in-package-init"
@@ -211,7 +211,7 @@ def _direct_observer_call(node: ast.AST):
                                        and receiver == "recorder"):
             yield node, (f"{ast.unparse(node.func)}() writes into an observer "
                          f"directly; the message path reports through "
-                         f"repro.obs.recorder.emit (or SpmdContext.emit), so "
+                         f"repro.obs._hook.emit (or SpmdContext.emit), so "
                          f"every observer sees the event")
     for child in ast.iter_child_nodes(node):
         yield from _direct_observer_call(child)
