@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.core import sthosvd
 from repro.data import low_rank_tensor
+from repro.obs import Tracer, activate, deactivate
 from repro.perf import ANDES, CASCADE_LAKE, breakdown_table, simulate_sthosvd
 
 # (label, grid, ordering) — back-loaded to front-loaded, as in Fig. 2a.
@@ -84,7 +85,12 @@ def test_functional_breakdown_first_mode_dominates():
     dominating, matching the modeled shape."""
     X = low_rank_tensor((36, 36, 36, 36), (5, 5, 5, 5), rng=2, noise=1e-9)
 
-    res = sthosvd(X, ranks=(5,) * 4, method="qr")
-    t = res.timer
-    first_lq = t.by_phase_mode[("lq", 0)]
-    assert first_lq > 0.3 * t.total
+    tracer = Tracer()
+    activate(tracer)
+    try:
+        sthosvd(X, ranks=(5,) * 4, method="qr")
+    finally:
+        deactivate()
+    first_lq = sum(s.duration for s in tracer.spans
+                   if s.phase == "lq" and s.mode == 0 and not s.self_nested)
+    assert first_lq > 0.3 * sum(tracer.by_phase().values())

@@ -28,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".precision": ("Precision", "SINGLE", "DOUBLE", "resolve_precision"),
     ".errors": ("ReproError", "ShapeError", "DistributionError",
                 "CommunicatorError", "ConvergenceError", "ConfigurationError"),
-    ".instrument": ("FlopCounter", "PhaseTimer"),
+    ".instrument": ("FlopCounter",),
     ".tensor": ("unfold", "fold", "ttm", "multi_ttm"),
     ".linalg": ("gram_svd", "qr_svd", "tensor_gram_svd", "tensor_qr_svd",
                 "tensor_lq", "geqr", "gelq"),
@@ -56,7 +56,6 @@ __all__ = [
     "ConvergenceError",
     "ConfigurationError",
     "FlopCounter",
-    "PhaseTimer",
     "DenseTensor",
     "unfold",
     "fold",

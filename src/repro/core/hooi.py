@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer
+from ..instrument import FlopCounter
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from .modeloop import (
@@ -56,7 +56,6 @@ class HooiResult(_Decomposition):
     precision: Precision
     norm_x: float
     flops: FlopCounter = field(default_factory=FlopCounter)
-    timer: PhaseTimer = field(default_factory=PhaseTimer)
     numeric_recoveries: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
 
@@ -149,7 +148,6 @@ def hooi(
         precision=resolve_precision(tensor.dtype),
         norm_x=loop.norm_x,
         flops=loop.counter,
-        timer=loop.timer,
         numeric_recoveries=loop.recoveries,
         rank_failures=loop.failures,
     )

@@ -11,7 +11,7 @@ of tensor.  This module owns it once:
   unfolding of a ``DenseTensor``, ``OutOfCoreTensor`` or
   ``DistributedTensor``; ``SUPPORTED_METHODS`` says which has which;
 * the **truncation**: :func:`truncate_mode`, the kind's TTM, flop-counted
-  and phase-timed;
+  and traced as the ``ttm`` phase;
 * the three **loop shapes** built from them: :func:`truncated_loop`
   (ST-HOSVD), :func:`factors_then_core` (HOSVD), :func:`hooi_sweeps`;
 * the **recover-and-resume loop** of a checkpointed distributed run,
@@ -36,11 +36,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, RankFailedError
-from ..instrument import (
-    FlopCounter, PhaseTimer,
-    PHASE_SVD, PHASE_EVD, PHASE_TTM, PHASE_LQ, PHASE_GRAM, PHASE_COMM,
-)
-from ..obs._hook import current_tracer, trace_span
+from ..instrument import FlopCounter, PHASE_SVD, PHASE_TTM
+from ..obs._hook import trace_span
 from ..linalg.gram import tensor_gram
 from ..linalg.svd import left_svd_of_triangle, svd_from_gram
 from ..linalg.tensor_lq import tensor_lq
@@ -118,9 +115,9 @@ class ModeLoop:
     norm, that mode's spectrum carries it.
     ``factors``/``sigmas``/``recoveries`` fill in as modes complete,
     ``failures`` as a checkpointed distributed run survives rank
-    failures (:func:`recovering`); ``counter``/``timer`` are the run's
-    flop and phase breakdown; ``progress`` receives one event per
-    completed mode.
+    failures (:func:`recovering`); ``counter`` is the run's flop
+    breakdown (its time breakdown is the spans a ``Tracer`` records);
+    ``progress`` receives one event per completed mode.
     """
 
     method: str
@@ -136,7 +133,6 @@ class ModeLoop:
     recoveries: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     counter: FlopCounter = field(default_factory=FlopCounter)
-    timer: PhaseTimer = field(default_factory=PhaseTimer)
 
     @property
     def norm_x(self) -> float:
@@ -256,46 +252,26 @@ def pick_rank(loop: ModeLoop, sigma: np.ndarray, n: int) -> int:
     return len(sigma)
 
 
-def _comm_mark():
-    """Position in this thread's span buffer, or None without a tracer."""
-    tracer = current_tracer()
-    return None if tracer is None else tracer.local_mark()
-
-
-def _attribute_comm(timer: PhaseTimer, mark, phase: str, n: int) -> None:
-    """Move the comm time measured since ``mark`` into the Comm row.
-
-    The span tracer knows exactly how long this thread spent inside
-    communicator operations; that time comes out of the kernel's bucket.
-    """
-    if mark is not None:
-        seconds = current_tracer().local_phase_seconds(PHASE_COMM, since=mark)
-        timer.attribute_comm(seconds, phase, n)
-
-
 def solve_mode(
     loop: ModeLoop, work, n: int, label: str = ""
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and values of ``work``'s mode-``n`` unfolding.
 
     The reduction (LQ or Gram) and the small decomposition (SVD or EVD)
-    are timed as separate phases — the paper's breakdown — except on a
-    distributed tensor, where one LQ/Gram block covers the guarded
-    solve (:func:`~repro.faults.guards.guarded_mode_svd`, collective)
-    and its measured comm time moves to the Comm row.  Escalations the
+    each run inside a span of their phase and mode — the paper's
+    breakdown, which an active ``Tracer`` records; on a distributed
+    tensor those spans come from the guarded solve
+    (:func:`~repro.faults.guards.guarded_mode_svd`, collective), with
+    its communication in ``comm`` spans inside them.  Escalations the
     guard took are appended to ``loop.recoveries`` under ``label``.
     """
-    method, counter, timer = loop.method, loop.counter, loop.timer
+    method, counter = loop.method, loop.counter
     kind = kind_of(work)
     if kind == "DistributedTensor":
         from ..faults.guards import guarded_mode_svd
 
-        phase = PHASE_LQ if method == "qr" else PHASE_GRAM
-        mark = _comm_mark()
-        with timer.phase(phase, n):
-            U, sigma, recovered = guarded_mode_svd(
-                work, n, method=method, counter=counter)
-        _attribute_comm(timer, mark, phase, n)
+        U, sigma, recovered = guarded_mode_svd(
+            work, n, method=method, counter=counter)
         loop.recoveries.extend(f"{label}mode{n}:{action}" for action in recovered)
         return U, sigma
     if method == "randomized":
@@ -305,54 +281,47 @@ def solve_mode(
         opts.setdefault("rng", n)
         if loop.norm_sq is None:  # a sketch's spectrum is cut short
             measure_norm(loop, work)
-        with timer.phase(PHASE_SVD, n):
+        with trace_span("randomized", phase=PHASE_SVD, mode=n):
             return tensor_randomized_svd(
                 work, n, loop.ranks[n], counter=counter, **opts)
     streamed = kind == "OutOfCoreTensor"
     if method == "qr":
-        with timer.phase(PHASE_LQ, n):
-            if streamed:
-                # At call time: `import repro` does not load the streamed kernels.
-                from . import outofcore
-
-                L = outofcore.ooc_tensor_lq(
-                    work, n, max_elements=loop.max_elements, counter=counter)
-            else:
-                L = tensor_lq(work, n, counter=counter)
-        with timer.phase(PHASE_SVD, n):
-            return left_svd_of_triangle(L, counter=counter, mode=n)
-    with timer.phase(PHASE_GRAM, n):
         if streamed:
+            # At call time: `import repro` does not load the streamed kernels.
             from . import outofcore
 
-            G = outofcore.ooc_tensor_gram(
+            L = outofcore.ooc_tensor_lq(
                 work, n, max_elements=loop.max_elements, counter=counter)
         else:
-            accumulate = "double" if method == "gram-mixed" else None
-            G = tensor_gram(work, n, counter=counter, accumulate=accumulate)
-    with timer.phase(PHASE_EVD, n):
-        return svd_from_gram(G, counter=counter, mode=n)
+            L = tensor_lq(work, n, counter=counter)
+        return left_svd_of_triangle(L, counter=counter, mode=n)
+    if streamed:
+        from . import outofcore
+
+        G = outofcore.ooc_tensor_gram(
+            work, n, max_elements=loop.max_elements, counter=counter)
+    else:
+        accumulate = "double" if method == "gram-mixed" else None
+        G = tensor_gram(work, n, counter=counter, accumulate=accumulate)
+    return svd_from_gram(G, counter=counter, mode=n)
 
 
 def truncate_mode(loop: ModeLoop, work, U: np.ndarray, n: int):
-    """``work x_n U^T``: mode ``n`` shrinks to ``U.shape[1]``.
+    """``work x_n U^T``: mode ``n`` shrinks to ``U.shape[1]``, in a
+    ``ttm`` span of mode ``n``.
 
     Dense tensors use :func:`~repro.tensor.ttm.ttm`; out-of-core ones
     stream to ``<loop.workdir>/mode<n>.bin``; distributed ones use the
-    collective :func:`~repro.dist.ttm.par_ttm_truncate`, whose measured
-    comm time moves to the Comm row.
+    collective :func:`~repro.dist.ttm.par_ttm_truncate`, which opens the
+    span itself.
     """
-    counter, timer = loop.counter, loop.timer
+    counter = loop.counter
     kind = kind_of(work)
     if kind == "DistributedTensor":
         from ..dist.ttm import par_ttm_truncate
 
-        mark = _comm_mark()
-        with timer.phase(PHASE_TTM, n):
-            out = par_ttm_truncate(work, U, n, counter=counter)
-        _attribute_comm(timer, mark, PHASE_TTM, n)
-        return out
-    with timer.phase(PHASE_TTM, n):
+        return par_ttm_truncate(work, U, n, counter=counter)
+    with trace_span("ttm", phase=PHASE_TTM, mode=n):
         counter.add(ttm_flops(work.shape, n, U.shape[1]), phase=PHASE_TTM, mode=n)
         if kind == "OutOfCoreTensor":
             return work.ttm_truncate_to_file(

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..instrument import FlopCounter, PhaseTimer
+from ..instrument import FlopCounter
 from ..precision import Precision, resolve_precision
 from ..tensor.dense import DenseTensor
 from ..util.validation import resolve_mode_order
@@ -115,9 +115,11 @@ class SthosvdResult(_Decomposition):
         "Where ||X|| comes from"); ``method="randomized"`` measures it
         explicitly.
     flops:
-        Operation counts by phase (LQ/Gram, SVD/EVD, TTM).
-    timer:
-        Wall-clock phase breakdown of this process.
+        Operation counts by phase (LQ/Gram, SVD/EVD, TTM).  The
+        wall-clock breakdown over the same phases is a
+        :class:`~repro.obs.Tracer`'s: every phase of every mode runs
+        inside a span tagged with it (``activate(Tracer())`` around a
+        sequential call, ``run_spmd(..., tracer=)`` for a parallel one).
     numeric_recoveries:
         The NaN guard's escalations on a distributed tensor
         (``"mode<n>:<action>"``).
@@ -137,7 +139,6 @@ class SthosvdResult(_Decomposition):
     precision: Precision
     norm_x: float
     flops: FlopCounter = field(default_factory=FlopCounter)
-    timer: PhaseTimer = field(default_factory=PhaseTimer)
     numeric_recoveries: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
 
@@ -160,7 +161,6 @@ class SthosvdResult(_Decomposition):
             precision=resolve_precision(core.dtype),
             norm_x=loop.norm_x,
             flops=loop.counter,
-            timer=loop.timer,
             numeric_recoveries=loop.recoveries,
             rank_failures=loop.failures,
         )

@@ -1,26 +1,23 @@
-"""Lightweight instrumentation: flop counters and phase timers.
+"""Flop counters and the phase vocabulary of the paper's breakdowns.
 
 Every kernel in :mod:`repro.linalg` accepts an optional
 :class:`FlopCounter`; the parallel drivers thread one through per rank.
-The counters feed two consumers:
+The counters feed the performance model (:mod:`repro.perf`), which
+converts flops to modeled time via per-precision flop rates.
 
-* the performance model (:mod:`repro.perf`), which converts flops to
-  modeled time via per-precision flop rates, and
-* the benchmark harness, which reports the per-phase breakdowns
-  (LQ/Gram vs SVD/EVD vs TTM) shown in the paper's stacked-bar figures.
-
-Phases follow the paper's breakdown categories; per-mode attribution is
-kept so reports can mirror "computations of each mode ordered 0..N-1".
+Phases follow the paper's breakdown categories (LQ/Gram vs SVD/EVD vs
+TTM, plus Comm); per-mode attribution is kept so reports can mirror
+"computations of each mode ordered 0..N-1".  Time is not counted here:
+the same phases tag the spans of a :class:`~repro.obs.Tracer`, whose
+``by_phase`` is the measured breakdown.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["FlopCounter", "PhaseTimer", "PHASE_LQ", "PHASE_GRAM", "PHASE_SVD", "PHASE_EVD", "PHASE_TTM", "PHASE_COMM"]
+__all__ = ["FlopCounter", "PHASE_LQ", "PHASE_GRAM", "PHASE_SVD", "PHASE_EVD", "PHASE_TTM", "PHASE_COMM"]
 
 PHASE_LQ = "lq"
 PHASE_GRAM = "gram"
@@ -53,74 +50,3 @@ class FlopCounter:
     def phase_total(self, phase: str) -> int:
         """Flops recorded under one phase."""
         return self.by_phase.get(phase, 0)
-
-    def merge(self, other: "FlopCounter") -> None:
-        """Fold another counter's tallies into this one."""
-        self.total += other.total
-        for k, v in other.by_phase.items():
-            self.by_phase[k] += v
-        for k, v in other.by_phase_mode.items():
-            self.by_phase_mode[k] += v
-
-    def snapshot(self) -> dict:
-        """Plain-dict summary (for reports / assertions)."""
-        return {
-            "total": self.total,
-            "by_phase": dict(self.by_phase),
-        }
-
-
-@dataclass
-class PhaseTimer:
-    """Wall-clock timer with the same phase/mode bucketing as FlopCounter."""
-
-    by_phase: dict = field(default_factory=lambda: defaultdict(float))
-    by_phase_mode: dict = field(default_factory=lambda: defaultdict(float))
-
-    @contextmanager
-    def phase(self, name: str, mode: int | None = None):
-        """Context manager accumulating elapsed seconds into a bucket."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.by_phase[name] += elapsed
-            self.by_phase_mode[(name, mode)] += elapsed
-
-    @property
-    def total(self) -> float:
-        return sum(self.by_phase.values())
-
-    def attribute_comm(
-        self, seconds: float, from_phase: str, mode: int | None = None
-    ) -> None:
-        """Move ``seconds`` out of ``from_phase`` into the Comm bucket.
-
-        The drivers time whole per-mode blocks (LQ, Gram, TTM) with
-        :meth:`phase`; the span tracer separately measures how much of
-        each block was spent inside communicator operations.  Moving
-        (not adding) that time keeps the breakdown rows disjoint and
-        :attr:`total` unchanged.  No-op for non-positive ``seconds``;
-        clamps to the donor bucket so rows never go negative.
-        """
-        if seconds <= 0.0:
-            return
-        seconds = min(
-            seconds,
-            self.by_phase.get(from_phase, 0.0),
-            self.by_phase_mode.get((from_phase, mode), 0.0),
-        )
-        if seconds <= 0.0:
-            return
-        self.by_phase[from_phase] -= seconds
-        self.by_phase[PHASE_COMM] += seconds
-        self.by_phase_mode[(from_phase, mode)] -= seconds
-        self.by_phase_mode[(PHASE_COMM, mode)] += seconds
-
-    def merge_max(self, other: "PhaseTimer") -> None:
-        """Keep the per-phase maximum (the paper reports the slowest rank)."""
-        for k, v in other.by_phase.items():
-            self.by_phase[k] = max(self.by_phase.get(k, 0.0), v)
-        for k, v in other.by_phase_mode.items():
-            self.by_phase_mode[k] = max(self.by_phase_mode.get(k, 0.0), v)

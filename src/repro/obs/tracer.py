@@ -268,21 +268,6 @@ class Tracer:
             self.add_bytes(nbytes, 0 if detail["moved"] else nbytes)
 
     # ------------------------------------------------------------------
-    # Per-thread queries (used by drivers for phase attribution)
-    # ------------------------------------------------------------------
-    def local_mark(self) -> int:
-        """Position in the calling thread's buffer (pair with since=)."""
-        return len(self._state().buffer)
-
-    def local_phase_seconds(self, phase: str, since: int = 0) -> float:
-        """Calling-thread seconds in ``phase`` since a mark (no nesting
-        double-count: self-nested spans are excluded)."""
-        return sum(
-            s.duration for s in self._state().buffer[since:]
-            if s.phase == phase and not s.self_nested
-        )
-
-    # ------------------------------------------------------------------
     # Cross-process shards (observer protocol)
     # ------------------------------------------------------------------
     def shard(self, rank: int, since: int | None):

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import sthosvd
-from repro.data import low_rank_tensor, tensor_with_mode_spectra, geometric_spectrum
+from repro.core import hooi, sthosvd
+from repro.data import (
+    geometric_spectrum, low_rank_tensor, save_raw, tensor_with_mode_spectra)
+from repro.data.outofcore import OutOfCoreTensor
 from repro.errors import ConfigurationError
+from repro.obs import Tracer, activate, deactivate
 from repro.tensor import DenseTensor
+
+
+def _on_disk(X, tmp_path):
+    path = str(tmp_path / "x.bin")
+    save_raw(X, path)
+    return OutOfCoreTensor(path, X.shape)
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +131,36 @@ class TestInstrumentation:
         ratio = fq.phase_total("lq") / fg.phase_total("gram")
         assert 1.5 < ratio < 2.6
 
-    def test_timer_populated(self, lowrank):
-        res = sthosvd(lowrank, tol=1e-6)
-        assert res.timer.total > 0
+    @pytest.mark.parametrize("run, phases", [
+        (lambda X, tmp: sthosvd(X, tol=1e-6, method="qr"), ("lq", "svd")),
+        (lambda X, tmp: sthosvd(X, tol=1e-6, method="gram"), ("gram", "evd")),
+        (lambda X, tmp: sthosvd(X, tol=1e-6, method="gram-mixed",
+                                precision="single"), ("gram", "evd")),
+        (lambda X, tmp: sthosvd(X, ranks=(3, 4, 2, 3), method="randomized"),
+         ("svd",)),
+        (lambda X, tmp: sthosvd(_on_disk(X, tmp), tol=1e-6, method="qr"),
+         ("lq", "svd")),
+        (lambda X, tmp: sthosvd(_on_disk(X, tmp), tol=1e-6, method="gram"),
+         ("gram", "evd")),
+        (lambda X, tmp: hooi(X, (3, 4, 2, 3), max_iters=2), ("lq", "svd")),
+    ], ids=["qr", "gram", "gram-mixed", "randomized", "ooc-qr", "ooc-gram",
+            "hooi"])
+    def test_every_phase_of_every_mode_is_traced(self, lowrank, tmp_path,
+                                                 run, phases):
+        """The time breakdown is the Tracer's: whatever the tensor kind or
+        method, each mode leaves a top-level span of every phase it ran,
+        its reduction, its small decomposition and its truncation."""
+        tracer = Tracer()
+        activate(tracer)
+        try:
+            run(lowrank, tmp_path)
+        finally:
+            deactivate()
+        seen = {(s.phase, s.mode) for s in tracer.spans
+                if s.phase is not None and not s.self_nested}
+        for n in range(lowrank.ndim):
+            for phase in (*phases, "ttm"):
+                assert (phase, n) in seen, f"no {phase} span for mode {n}"
 
 
 class TestPrecisionBehaviour:

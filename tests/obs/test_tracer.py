@@ -86,19 +86,6 @@ class TestSpanRecording:
         assert s.attrs["bytes_copied"] == 100
         assert s.attrs["bytes_moved"] == 50
 
-    def test_local_mark_and_phase_seconds(self):
-        t = Tracer()
-        with t.span("a", phase=PHASE_COMM):
-            time.sleep(0.001)
-        mark = t.local_mark()
-        with t.span("b", phase=PHASE_COMM):
-            time.sleep(0.001)
-        since = t.local_phase_seconds(PHASE_COMM, since=mark)
-        assert since == pytest.approx(
-            [s for s in t.spans if s.name == "b"][0].duration
-        )
-        assert t.local_phase_seconds(PHASE_COMM) > since
-
 
 class TestActiveTracerPlumbing:
     def test_activate_deactivate(self):

@@ -223,8 +223,9 @@ def test_no_qr_backend_knob_above_linalg(knob):
             continue
         if knob in params:
             knobs.append(name)
-    # 80 names (the three fault-tolerant ones are gone): every driver.
-    assert len(walked) >= 80
+    # 79 names (the three fault-tolerant ones and the phase timer are
+    # gone): every driver.
+    assert len(walked) >= 79
     assert {f"repro.core.{driver}" for driver in ("sthosvd", "hosvd", "hooi")
             } <= {name for name, _ in walked}
     assert knobs == []
@@ -396,12 +397,18 @@ def test_one_cost_model():
 
 def test_one_tally_per_fact():
     """Each fact is counted once: message volume and collective
-    schedules by ``CommTrace``, spans by a ``Tracer`` that takes no
-    arguments; there is no metrics registry, and the runtime cuts
+    schedules by ``CommTrace``, time by the spans of a ``Tracer`` that
+    takes no arguments (no phase timer, no ``timer`` on a loop or a
+    result); there is no metrics registry, and the runtime cuts
     collective payloads with ``repro.dist``'s one block-partition rule."""
+    import repro
     import repro.dist
+    import repro.instrument
     import repro.mpi.communicator
     import repro.obs
+    from repro.core.hooi import HooiResult
+    from repro.core.modeloop import ModeLoop
+    from repro.core.sthosvd import SthosvdResult
     from repro.dist.grid import block_range
     from repro.obs import Tracer
 
@@ -414,6 +421,13 @@ def test_one_tally_per_fact():
             importlib.import_module(module)
     assert repro.dist.block_range is block_range
     assert repro.mpi.communicator.block_range is block_range
+    for module in (repro, repro.instrument):
+        assert [name for name in (*module.__all__, *dir(module))
+                if "Timer" in name] == []
+    for record in (ModeLoop, SthosvdResult, HooiResult):
+        assert "timer" not in {f.name for f in dataclasses.fields(record)}
+    # No per-thread query for a driver to move time between tallies.
+    assert [name for name in dir(Tracer) if name.startswith("local_")] == []
 
 
 def test_one_spmd_rule_book():

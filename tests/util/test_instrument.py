@@ -1,12 +1,10 @@
-"""FlopCounter / PhaseTimer instrumentation tests."""
+"""FlopCounter instrumentation tests."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.instrument import FlopCounter, PhaseTimer
+from repro.instrument import FlopCounter
 
 
 class TestFlopCounter:
@@ -29,48 +27,3 @@ class TestFlopCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             FlopCounter().add(-1)
-
-    def test_merge(self):
-        a, b = FlopCounter(), FlopCounter()
-        a.add(10, phase="lq", mode=0)
-        b.add(5, phase="lq", mode=0)
-        b.add(3, phase="ttm", mode=2)
-        a.merge(b)
-        assert a.total == 18
-        assert a.by_phase_mode[("lq", 0)] == 15
-        assert a.phase_total("ttm") == 3
-
-    def test_snapshot(self):
-        c = FlopCounter()
-        c.add(4, phase="gram")
-        snap = c.snapshot()
-        assert snap == {"total": 4, "by_phase": {"gram": 4}}
-
-
-class TestPhaseTimer:
-    def test_accumulates_elapsed(self):
-        t = PhaseTimer()
-        with t.phase("lq", 0):
-            time.sleep(0.01)
-        with t.phase("lq", 1):
-            time.sleep(0.01)
-        assert t.by_phase["lq"] >= 0.02
-        assert t.by_phase_mode[("lq", 0)] >= 0.01
-        assert t.total == pytest.approx(sum(t.by_phase.values()))
-
-    def test_exception_still_recorded(self):
-        t = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with t.phase("svd"):
-                time.sleep(0.005)
-                raise RuntimeError
-        assert t.by_phase["svd"] >= 0.005
-
-    def test_merge_max_keeps_slowest(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.by_phase["lq"] = 1.0
-        b.by_phase["lq"] = 2.0
-        b.by_phase["ttm"] = 0.5
-        a.merge_max(b)
-        assert a.by_phase["lq"] == 2.0
-        assert a.by_phase["ttm"] == 0.5
