@@ -2,11 +2,11 @@
 
 A dead rank takes its node's filesystem with it in the failure model we
 simulate, so the parallel drivers recover from memory: each rank keeps its
-checkpoint entry in its own node-local store (the context's per-rank
-slot, which nobody else reads) and replicates a copy to its **buddy**,
-the next rank around the ring, via a real message.  Any single failure
-then leaves every entry reachable: the dead rank's block survives in its
-buddy's store.  This is the classic in-memory buddy checkpointing scheme
+checkpoint entry in its own node-local store (``context.node_store``, a
+dict in the rank's own memory, which nobody else reads) and replicates a
+copy to its **buddy**, the next rank around the ring, via a real message.
+Any single failure then leaves every entry reachable: the dead rank's
+block survives in its buddy's store.  This is the classic in-memory buddy checkpointing scheme
 of large MPI codes, scaled down to the threads-as-ranks runtime.
 
 An entry stores the rank's local tensor block *with its global slice
@@ -61,8 +61,9 @@ class DistributedCheckpoint:
 
     One instance is shared SPMD-style: every rank constructs it with the
     same ``name``/``keep`` and calls :meth:`save` collectively.  State
-    lives in the :class:`~repro.mpi.context.SpmdContext` node store, so
-    the instance itself is stateless and cheap.
+    lives in each rank's node store (``comm.context.node_store``, in the
+    rank's own memory on every backend), so the instance itself is
+    stateless and cheap.
 
     ``keep`` bounds retained steps per rank: after saving step ``s``,
     entries at steps ``<= s - keep`` are pruned from the local slot.
@@ -100,8 +101,7 @@ class DistributedCheckpoint:
         survivor's own entry.
         """
         comm = dt.comm
-        ctx = comm.context
-        me_world = comm.world_rank
+        store = comm.context.node_store(comm.world_rank)
         entry = {
             "name": self.name,
             "epoch": comm.comm_id,
@@ -116,20 +116,15 @@ class DistributedCheckpoint:
             "block": np.array(dt.local.data, copy=True, order="F"),
             "meta": meta,
         }
-        key = (self.name, entry["epoch"], entry["step"], entry["owner"])
-        ctx.store_put(me_world, key, entry)
+        self._put(store, entry)
         buddy_entry = None
         if comm.size > 1:
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
             comm.send(entry, right, tag=_BUDDY_TAG)
             buddy_entry = comm.recv(left, tag=_BUDDY_TAG)
-            buddy_key = (
-                self.name, buddy_entry["epoch"], buddy_entry["step"],
-                buddy_entry["owner"],
-            )
-            ctx.store_put(me_world, buddy_key, buddy_entry)
-        self._prune(ctx, me_world, step)
+            self._put(store, buddy_entry)
+        self._prune(store, step)
         if self.ckpt_dir is not None:
             self._save_to_disk(comm, entry, buddy_entry)
         _record_event(
@@ -137,11 +132,15 @@ class DistributedCheckpoint:
             nbytes=int(entry["block"].nbytes),
         )
 
-    def _prune(self, ctx, holder: int, current_step: int) -> None:
+    def _put(self, store: dict, entry: dict) -> None:
+        store[(self.name, entry["epoch"], entry["step"],
+               entry["owner"])] = entry
+
+    def _prune(self, store: dict, current_step: int) -> None:
         horizon = current_step - self.keep
-        for key, _entry in ctx.store_items(holder):
-            if key[0] == self.name and key[2] <= horizon:
-                ctx.store_delete(holder, key)
+        for key in [k for k in store
+                    if k[0] == self.name and k[2] <= horizon]:
+            del store[key]
 
     # -- durable tier ---------------------------------------------------
     def _path(self, epoch: int, step: int, part: str) -> str:
@@ -367,11 +366,10 @@ class DistributedCheckpoint:
                 outgoing[dst][2].append(mine[owner])
         arrived = comm.alltoall(outgoing)
         meta, shape, dtype = next(a[0] for a in arrived if a[0] is not None)
+        store = comm.context.node_store(comm.world_rank)
         for _state, _parts, entries in arrived:
             for entry in entries:
-                comm.context.store_put(comm.world_rank, (
-                    self.name, entry["epoch"], entry["step"],
-                    entry["owner"]), entry)
+                self._put(store, entry)
         _record_event("checkpoint.recover", self.name, step=int(step),
                       epoch=int(epoch), copies=copies)
         return step, meta, assemble(
@@ -379,8 +377,8 @@ class DistributedCheckpoint:
 
     def _held(self, comm) -> list[dict[str, Any]]:
         """This rank's stored entries for this checkpoint name."""
-        ctx = comm.context
         return [
-            entry for key, entry in ctx.store_items(comm.world_rank)
+            entry for key, entry in
+            comm.context.node_store(comm.world_rank).items()
             if key[0] == self.name
         ]

@@ -308,10 +308,14 @@ class Communicator:
         if tag < 0:
             raise CommunicatorError("user tags must be non-negative")
         with self._comm_span("send", dest=dest):
+            # A frame the link lost is not raised here: the rank's
+            # lifecycle report names it, and the master fails the rank.
             self._send_internal(obj, dest, tag, copy=copy)
 
     def _send_internal(self, obj: Any, dest: int, tag: int, *,
-                       copy: bool = True, asynchronous: bool = False):
+                       copy: bool = True):
+        """The error that lost the frame, or None (always None on the
+        retry path)."""
         ctx = self._context
         # Fault-tolerance hooks, ordered cheapest-first: the clean path
         # (no faults, no resilience, nothing revoked) costs two extra
@@ -328,8 +332,7 @@ class Communicator:
             # tracking degenerates to "staged once the loop returns".
             self._send_resilient(obj, dest, tag, copy=copy)
             return None
-        return self._deliver(obj, dest, tag, copy=copy,
-                             asynchronous=asynchronous)
+        return self._deliver(obj, dest, tag, copy=copy)
 
     def _send_resilient(self, obj: Any, dest: int, tag: int, *, copy: bool) -> None:
         """Send through the (possibly lossy) injected link.
@@ -408,7 +411,6 @@ class Communicator:
     def _deliver(
         self, obj: Any, dest: int, tag: int, *, copy: bool = True,
         seq: int | None = None, checksum: int | None = None,
-        asynchronous: bool = False,
     ):
         self._context.check_alive()
         nbytes = _payload_nbytes(obj)
@@ -436,14 +438,10 @@ class Communicator:
         # The transport seam: the threads backend appends to the shared
         # in-process mailbox, the process backends write the payload on
         # the link to the destination worker, which owns the mailbox.
-        if asynchronous:
-            return self._context.deliver_async(
-                self._comm_id, self._members[dest], self._rank, tag, env
-            )
-        self._context.deliver(
+        # A frame the link lost comes back as its error.
+        return self._context.deliver(
             self._comm_id, self._members[dest], self._rank, tag, env
         )
-        return None
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive matched on (source, tag) within this communicator."""
@@ -601,12 +599,17 @@ class Communicator:
         if tag < 0:
             raise CommunicatorError("user tags must be non-negative")
         with self._comm_span("isend", dest=dest):
-            token = self._send_internal(
-                obj, dest, tag, copy=copy, asynchronous=True
-            )
-        if token is None:
+            error = self._send_internal(obj, dest, tag, copy=copy)
+        if error is None:
             return Request.completed(kind="send")
-        return Request.from_token(token, kind="send")
+
+        def complete(blocking: bool):
+            raise CommunicatorError(
+                f"isend staging failed: the payload never reached "
+                f"its destination ({error})"
+            ) from error
+
+        return Request("send", complete_fn=complete)
 
     def irecv(self, source: int, tag: int = 0):
         """Nonblocking receive; complete with ``.wait()`` or poll ``.test()``."""

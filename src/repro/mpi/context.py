@@ -361,13 +361,9 @@ class SpmdContext:
         # can never arrive — so consume-vs-raise is never a wall-clock
         # race against a still-progressing peer.
         self._recovering: set[int] = set()
-        # Per-rank "node memory" for in-memory distributed checkpoints:
-        # holder world rank -> {key: entry}.  A holder only ever reads
-        # its *own* slot (buddy copies travel as real messages), so rank
-        # death makes the dead rank's slot unreachable — exactly the
-        # failure model of node-local RAM checkpoints.
-        self._node_store: dict[int, dict] = defaultdict(dict)
-        self._node_store_lock = threading.Lock()
+        # Per-rank "node memory" for in-memory distributed checkpoints,
+        # one slot per world rank (see node_store).
+        self._node_stores: list[dict] = [{} for _ in range(world_size)]
         # Lifecycle of each world rank: "running" -> "finalized"|"failed".
         # Blocked receives consult this (via their poll hook) so waiting
         # on a rank that can never send again raises RankFailedError
@@ -426,16 +422,10 @@ class SpmdContext:
 
     # -- delivery (routed through the transport) -----------------------
     def deliver(self, comm_id: int, dest_world: int, source: int,
-                tag: int, envelope: Envelope) -> None:
-        """Hand one envelope to the transport (blocking handoff)."""
-        self.transport.deliver(
-            self, comm_id, dest_world, source, tag, envelope
-        )
-
-    def deliver_async(self, comm_id: int, dest_world: int, source: int,
-                      tag: int, envelope: Envelope):
-        """Nonblocking handoff; a completion token, or None when done."""
-        return self.transport.deliver_async(
+                tag: int, envelope: Envelope):
+        """Hand one envelope to the transport; the error that lost it,
+        or None."""
+        return self.transport.deliver(
             self, comm_id, dest_world, source, tag, envelope
         )
 
@@ -754,17 +744,14 @@ class SpmdContext:
         return None
 
     # -- node-local checkpoint store -----------------------------------
-    def store_put(self, holder: int, key, value) -> None:
-        """Stash ``value`` in ``holder``'s node-local slot."""
-        with self._node_store_lock:
-            self._node_store[holder][key] = value
+    def node_store(self, holder: int) -> dict:
+        """``holder``'s node-local slot: ``{key: entry}``.
 
-    def store_items(self, holder: int) -> list[tuple]:
-        """Snapshot of ``holder``'s (key, value) pairs."""
-        with self._node_store_lock:
-            return list(self._node_store.get(holder, {}).items())
-
-    def store_delete(self, holder: int, key) -> None:
-        """Drop one entry from ``holder``'s slot (no-op when absent)."""
-        with self._node_store_lock:
-            self._node_store.get(holder, {}).pop(key, None)
+        Memory model.  No lock: every slot is created in ``__init__``,
+        before any rank thread starts, and only its holder's thread
+        reads or writes it (buddy copies travel as real messages), so
+        no two threads ever touch one dict.  Rank death makes the dead
+        rank's slot unreachable — exactly the failure model of
+        node-local RAM checkpoints.
+        """
+        return self._node_stores[holder]

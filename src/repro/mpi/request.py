@@ -4,19 +4,19 @@
 sender's hands.  On the threads backend staging is a direct mailbox
 append; on the process backends it is a write on the link to the
 destination, done inline — either way send requests come back already
-complete, except one whose write failed, which carries the failure
-(:meth:`Request.from_token`).  ``irecv`` returns a request whose
-:meth:`Request.wait` performs the blocking matched receive;
-:meth:`Request.test` polls without blocking.  ``waitall`` completes a
-batch in order.
+complete, except one whose write failed, whose :meth:`Request.test`
+and :meth:`Request.wait` raise the failure.  ``irecv`` returns a
+request whose :meth:`Request.wait` performs the blocking matched
+receive; :meth:`Request.test` polls without blocking.  ``waitall``
+completes a batch in order.
 
 Repeatedly polling an incomplete request must not busy-spin: each
 unsuccessful :meth:`Request.test` sleeps for a bounded, exponentially
 growing interval (1 µs doubling to a 1 ms cap), so a ``while not
 req.test()[0]`` loop costs microseconds of latency instead of a core.
 
-These mirror the mpi4py idioms the algorithms' reference
-implementations use for overlapping the TSQR exchanges.
+These mirror the mpi4py idioms for user programs; the drivers use
+blocking calls only.
 """
 
 from __future__ import annotations
@@ -91,34 +91,8 @@ class Request:
 
     @staticmethod
     def completed(value: Any = None, kind: str = "send") -> "Request":
-        """An already-complete request (threads-backend buffered sends)."""
+        """An already-complete request (a staged send)."""
         return Request(kind, complete_fn=None, value=value)
-
-    @staticmethod
-    def from_token(token, kind: str = "send") -> "Request":
-        """A request tracking a transport handoff token.
-
-        ``token`` is ``threading.Event``-like: ``is_set()`` reports
-        whether the handoff resolved, ``wait()`` blocks for it.  A
-        token carrying an ``error`` attribute (:class:`~repro.mpi.transport.
-        worldproxy.SendToken`) resolved by *failing* to stage: the
-        request re-raises instead of reporting a successful send.
-        """
-
-        def complete(blocking: bool):
-            if blocking:
-                token.wait()
-            elif not token.is_set():
-                return False, None
-            err = getattr(token, "error", None)
-            if err is not None:
-                raise CommunicatorError(
-                    f"isend staging failed: the payload never reached "
-                    f"its destination ({err})"
-                ) from err
-            return True, None
-
-        return Request(kind, complete_fn=complete)
 
 
 def waitall(requests: Sequence[Request]) -> list:

@@ -13,7 +13,7 @@ two seams:
   worker processes that own their mailboxes and exchange payloads over
   direct worker-to-worker framed TCP links (ndarray data is never
   pickled); the master keeps the control plane only (lifecycle,
-  rendezvous tables, node store, sanitizer, liveness).  Hardened with
+  rendezvous tables, sanitizer, liveness).  Hardened with
   retry/heartbeat/liveness against real network failure.
 * :class:`~repro.mpi.transport.procs.ProcessTransport` — the same
   world on one host: forked workers joined by ``AF_UNIX`` links.
@@ -50,12 +50,11 @@ class Transport:
     """How ranks of one SPMD world execute and exchange envelopes.
 
     Subclasses implement the two seams the runtime routes through —
-    delivery (:meth:`deliver` / :meth:`deliver_async`) and lifecycle
-    (:meth:`execute`) — plus the :attr:`shared_world` capability flag
-    that tells the launcher whether caller-provided observability
-    objects (tracer, comm trace, fault injector) are mutated in place
-    by the ranks or must be merged back from per-rank shards at
-    finalize.
+    delivery (:meth:`deliver`) and lifecycle (:meth:`execute`) — plus
+    the :attr:`shared_world` capability flag that tells the launcher
+    whether caller-provided observability objects (tracer, comm trace,
+    fault injector) are mutated in place by the ranks or must be merged
+    back from per-rank shards at finalize.
     """
 
     #: Short backend name ("threads", "procs") used in CLI flags,
@@ -69,27 +68,18 @@ class Transport:
 
     # -- delivery seam --------------------------------------------------
     def deliver(self, context, comm_id: int, dest_world: int,
-                source: int, tag: int, envelope) -> None:
-        """Blocking-semantics handoff of one envelope (returns when staged).
+                source: int, tag: int, envelope):
+        """Hand one envelope off; returns the error that lost it, or None.
 
-        ``source`` is the sender's rank *within* the communicator,
-        ``dest_world`` the receiver's world rank — the mailbox key the
-        whole runtime addresses messages by.
+        Returns once the envelope is staged out of the sender's hands
+        (buffered-send semantics).  ``source`` is the sender's rank
+        *within* the communicator, ``dest_world`` the receiver's world
+        rank — the mailbox key the whole runtime addresses messages by.
+        A lost envelope is not raised here: ``send`` goes on (the
+        lifecycle report names the loss), ``isend`` hands the error to
+        its request.
         """
         raise NotImplementedError
-
-    def deliver_async(self, context, comm_id: int, dest_world: int,
-                      source: int, tag: int, envelope):
-        """Nonblocking handoff; returns a completion token or ``None``.
-
-        ``None`` means the handoff already completed (the threads
-        backend: a mailbox append is instantaneous).  Otherwise the
-        token is a ``threading.Event``-like object — set once the
-        payload has been staged out of the sender's hands — which
-        :meth:`Communicator.isend` wraps into its request.
-        """
-        self.deliver(context, comm_id, dest_world, source, tag, envelope)
-        return None
 
     # -- lifecycle seam -------------------------------------------------
     def execute(

@@ -78,7 +78,8 @@ class ThreadTransport(Transport):
 
     def deliver(self, context, comm_id: int, dest_world: int,
                 source: int, tag: int, envelope) -> None:
-        """Append the envelope to the destination's in-process mailbox."""
+        """Append the envelope to the destination's in-process mailbox
+        (which cannot lose it)."""
         context.mailbox(comm_id, dest_world).put(source, tag, envelope)
 
     def execute(

@@ -5,19 +5,20 @@ is a worker process that owns its *mailboxes* and exchanges payloads
 with its peers over direct worker-to-worker links (the data plane,
 :mod:`~repro.mpi.transport.sockets`); the master keeps the **control
 plane** only — rank lifecycle and result slots, the split / shrink
-rendezvous, revocation and abort fan-out, the node-local store, the
-sanitizer's collective matching and wait-for graph, liveness and
-postmortem assembly.  No payload crosses the master.
+rendezvous, revocation and abort fan-out, the sanitizer's collective
+matching and wait-for graph, liveness and postmortem assembly.  No
+payload crosses the master: not a message, and not a checkpoint block
+(the node-local store is a dict in the worker's own memory).
 
 This module holds everything above the wire:
 
 * the worker side — :class:`WorkerContext` (the rank-local
-  ``SpmdContext`` stand-in: real mailboxes, a copy of the world table,
-  RPCs for what is world state), :class:`WorkerSanitizer`, the shard
-  loop over the observers (:func:`delta_shards` /
-  :func:`collect_shards`), :class:`Heartbeat` (the worker's one
-  periodic frame: liveness, and the recorder's stream), and
-  :func:`run_worker`, the worker main loop;
+  ``SpmdContext`` stand-in: real mailboxes, its node-local store, a
+  copy of the world table, RPCs for what is world state),
+  :class:`WorkerSanitizer`, the shard loop over the observers
+  (:func:`delta_shards` / :func:`collect_shards`), :class:`Heartbeat`
+  (the worker's one periodic frame: liveness, and the recorder's
+  stream), and :func:`run_worker`, the worker main loop;
 * the master side — :class:`WorldServerMixin`, the RPC dispatch table,
   the world-table push, the lifecycle bookkeeping and the shard merge
   paths.
@@ -89,7 +90,6 @@ from .threads import WORLD_COMM_ID, run_rank_program
 
 __all__ = [
     "DRAIN_TIMEOUT",
-    "SendToken",
     "WorkerConfig",
     "WorkerSanitizer",
     "WorkerContext",
@@ -107,21 +107,6 @@ DRAIN_TIMEOUT = 30.0
 # Pending-inbox rows a heartbeat carries at most (the closing report of
 # a rank is complete).
 _HEARTBEAT_INBOX_ROWS = 256
-
-
-class SendToken(threading.Event):
-    """``isend`` completion token of a send that did not reach the wire.
-
-    Sends are written inline on the rank's thread, so a send that
-    succeeded needs no token.  One that failed hands back a token that
-    is already set and carries the staging failure in ``error``; the
-    waiter (:meth:`~repro.mpi.request.Request.from_token`) re-raises it
-    instead of reporting a successful stage.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.error: BaseException | None = None
 
 
 class WorkerConfig:
@@ -239,11 +224,11 @@ class WorkerContext:
     """Rank-local stand-in for :class:`SpmdContext` inside a worker.
 
     Holds what belongs to the rank — its mailboxes, fed by the inbound
-    peer links — and a copy of the world table the master keeps current
-    (see the module docstring).  What is world state (rendezvous, the
-    node-local store, abort and revoke requests) is an RPC to the
-    master; per-rank observability writes go to local copies shipped
-    home as deltas at finalize.
+    peer links, and its node-local checkpoint store — and a copy of the
+    world table the master keeps current (see the module docstring).
+    What is world state (rendezvous, abort and revoke requests) is an
+    RPC to the master; per-rank observability writes go to local copies
+    shipped home as deltas at finalize.
     """
 
     def __init__(self, cfg: WorkerConfig, rank: int, channel, wire) -> None:
@@ -273,6 +258,7 @@ class WorkerContext:
         self._wire = wire
         self._boxes: dict[int, _Mailbox] = {}
         self._box_lock = threading.Lock()
+        self._node_store: dict = {}
         # The world table, replaced whole by each push; the condition
         # wakes senders waiting for an address or a verdict on a peer.
         self._table = {
@@ -459,23 +445,18 @@ class WorkerContext:
                 self._table_cond.wait(remaining)
 
     def deliver(self, comm_id: int, dest_world: int, source: int, tag: int,
-                envelope: Envelope) -> None:
-        # Buffered-send semantics: a frame the wire lost is reported at
-        # the next send to that peer and with the lifecycle report.
-        self.deliver_async(comm_id, dest_world, source, tag, envelope)
-
-    def deliver_async(self, comm_id: int, dest_world: int, source: int,
-                      tag: int, envelope: Envelope) -> SendToken | None:
+                envelope: Envelope):
+        """Put a self-send in the local mailbox, or ship the envelope to
+        its peer; returns the error that lost it, or None."""
         if dest_world == self.rank:
             self.mailbox(comm_id).put(source, tag, envelope)
             return None
-        error = self._wire.send_put(dest_world, comm_id, source, tag, envelope)
-        if error is None:
-            return None
-        token = SendToken()
-        token.error = error
-        token.set()
-        return token
+        return self._wire.send_put(dest_world, comm_id, source, tag, envelope)
+
+    def node_store(self, holder: int) -> dict:
+        """This rank's node-local checkpoint slot, in its own memory
+        (``holder`` is always this rank)."""
+        return self._node_store
 
     # -- world-authoritative operations (RPC) ----------------------------
     def split_rendezvous(self, parent_comm_id, seqno, size, rank, value,
@@ -491,15 +472,6 @@ class WorkerContext:
             "shrink", parent_comm_id, seqno, rank, world_rank, list(members)
         )
         return new_id, list(ordered_old)
-
-    def running_world_ranks(self) -> set:
-        return set(self._channel.call("running_world_ranks"))
-
-    def failed_ranks(self) -> list:
-        return list(self._channel.call("failed_ranks"))
-
-    def allocate_comm_id(self) -> int:
-        return self._channel.call("allocate_comm_id")
 
     def abort(self, reason: str) -> None:
         self.abort_reason = reason
@@ -517,15 +489,6 @@ class WorkerContext:
             self.revoke_reason = why
         # The revoking worker has observed its own revocation.
         self.revoked_seen = self.revoked_below
-
-    def store_put(self, holder: int, key, value) -> None:
-        self._channel.call("store_put", holder, key, value)
-
-    def store_items(self, holder: int) -> list:
-        return list(self._channel.call("store_items", holder))
-
-    def store_delete(self, holder: int, key) -> None:
-        self._channel.call("store_delete", holder, key)
 
 
 def delta_shards(cfg: WorkerConfig, ctx: WorkerContext, rank: int,
@@ -882,12 +845,6 @@ class WorldServerMixin:
         if method == "end_wait":
             context.sanitizer.end_wait(args[0])
             return None
-        if method == "running_world_ranks":
-            return sorted(context.running_world_ranks())
-        if method == "failed_ranks":
-            return context.failed_ranks()
-        if method == "allocate_comm_id":
-            return context.allocate_comm_id()
         if method == "abort":
             context.abort(args[0])
             return None
@@ -897,15 +854,6 @@ class WorldServerMixin:
                 self._sent[world_rank] = sent
             context.revoke_current(reason, world_rank)
             return (context.revoked_below, context.revoke_reason)
-        if method == "store_put":
-            holder, key, value = args
-            context.store_put(holder, key, value)
-            return None
-        if method == "store_items":
-            return context.store_items(args[0])
-        if method == "store_delete":
-            context.store_delete(args[0], args[1])
-            return None
         if method in ("finalize", "rank_killed", "rank_error"):
             payload, shards, report = args
             self._finish_rank(context, link, method, payload, shards, report)

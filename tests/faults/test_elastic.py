@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import modeloop, sthosvd
+from repro.core import hooi, modeloop, sthosvd
 from repro.core.checkpoint import SCHEMA, read_block
 from repro.dist.dtensor import DistributedTensor, GridComms
 from repro.dist.grid import ProcessorGrid
@@ -25,6 +25,7 @@ from repro.errors import CheckpointError, RankFailedError
 from repro.faults import CrashRule, DistributedCheckpoint, FaultPlan
 from repro.mpi import run_spmd
 from repro.obs import FlightRecorder
+from repro.util.arraycodec import split_arrays
 from repro.util.durable import verify_raw
 
 SHAPE = (12, 10, 8)
@@ -157,6 +158,51 @@ class TestRecoveryMovesBlocks:
         assert max(received.values()) > tensor_bytes / survivors
         assert max(received.values()) <= (
             2 * tensor_bytes / survivors + meta_bytes), received
+
+
+class TestCheckpointStaysInItsRank:
+    """On the process backends a rank's node-local store is its worker's
+    own memory: a checkpointed solve sends no ndarray byte to the master
+    or back, summed over every request and reply on the rank's ctl
+    channel."""
+
+    SHAPE = (16, 14, 12)
+
+    @pytest.mark.parametrize("driver", ["sthosvd", "hooi"])
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_no_checkpoint_block_crosses_the_master(self, backend, driver):
+        full = np.asfortranarray(
+            np.random.default_rng(11).standard_normal(self.SHAPE))
+
+        def array_bytes(obj):
+            return sum(a.nbytes for a in split_arrays(obj)[1])
+
+        def prog(comm):
+            dt = _distributed(comm, full)
+            channel = comm.context._channel
+            call = channel.call
+            crossed = 0
+
+            def counted(method, *args):
+                nonlocal crossed
+                reply = call(method, *args)
+                crossed += array_bytes(args) + array_bytes(reply)
+                return reply
+
+            channel.call = counted
+            try:
+                ckpt = DistributedCheckpoint(driver)
+                if driver == "sthosvd":
+                    sthosvd(dt, ranks=RANKS, method="qr", checkpoint=ckpt)
+                else:
+                    hooi(dt, RANKS, method="qr", max_iters=3,
+                         checkpoint=ckpt)
+            finally:
+                channel.call = call
+            return crossed
+
+        res = run_spmd(prog, 4, resilience=True, backend=backend)
+        assert res.values == [0, 0, 0, 0]
 
 
 class TestDurableCheckpoints:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ class TestDistributedCheckpoint:
             for step in (1, 2, 3):
                 ckpt.save(dt, step, meta={"step": step})
             held = {
-                key[2] for key, _ in comm.context.store_items(comm.world_rank)
+                key[2] for key in comm.context.node_store(comm.world_rank)
                 if key[0] == "pr"
             }
             return held
@@ -140,6 +142,42 @@ class TestDistributedCheckpoint:
         res = run_spmd(prog, 4)
         # keep=1: after saving step 3, steps <= 2 are pruned.
         assert all(v == {3} for v in res.values)
+
+    def test_lock_free_slots_under_concurrent_saves(self):
+        """The threads backend's node store has no lock: each rank's
+        slot is touched by its own thread alone.  Eight ranks saving 200
+        steps at once each end with exactly their own and their buddy's
+        entries for the last ``keep`` steps, each holding its owner's
+        block."""
+        steps, keep, nprocs = 200, 2, 8
+
+        def prog(comm):
+            dt = _distribute(comm)
+            ckpt = DistributedCheckpoint("stress", keep=keep)
+            for step in range(1, steps + 1):
+                ckpt.save(dt, step, meta={"step": step})
+            store = comm.context.node_store(comm.world_rank)
+            return {key: (entry["slices"], entry["block"])
+                    for key, entry in store.items()}, dt.local_slices()
+
+        # Switch threads every microsecond, so the saves interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = run_spmd(prog, nprocs, backend="threads", recv_timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        slices = [tuple((s.start, s.stop) for s in v[1]) for v in res.values]
+        for rank, (held, _) in enumerate(res.values):
+            owners = (rank, (rank - 1) % nprocs)
+            assert sorted(held) == sorted(
+                ("stress", 0, step, owner)
+                for step in range(steps - keep + 1, steps + 1)
+                for owner in owners)
+            for (_, _, _, owner), (where, block) in held.items():
+                assert where == slices[owner]
+                np.testing.assert_array_equal(
+                    block, FULL[tuple(slice(a, b) for a, b in where)])
 
 
 class TestSanitizerInterplay:

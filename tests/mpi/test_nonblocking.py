@@ -86,31 +86,39 @@ class TestIsendIrecv:
         with pytest.raises(CommunicatorError):
             run_spmd(prog, 2)
 
-    def test_from_token_reraises_staging_failure(self):
-        """A send token resolved by a pump failure must surface the
-        error from wait()/test(), never report a successful stage."""
-        from repro.mpi.request import Request
-        from repro.mpi.transport.worldproxy import SendToken
+    def test_isend_on_a_dead_link_raises_from_test_and_wait(self):
+        """An isend whose frame the link lost must raise the loss from
+        test() and wait(), never report a successful stage; the rank
+        still fails with its send path as the named cause."""
+        import time
 
-        token = SendToken()
-        token.error = OSError("wire fell over")
-        token.set()
-        req = Request.from_token(token)
-        with pytest.raises(CommunicatorError, match="wire fell over"):
-            req.test()
-        with pytest.raises(CommunicatorError, match="never reached"):
-            req.wait()
+        from repro.errors import RankFailedError
+        from repro.mpi.transport import SocketTransport
+        from repro.mpi.transport.net import RetryPolicy
 
-    def test_from_token_clean_completion_unchanged(self):
-        from repro.mpi.request import Request
-        from repro.mpi.transport.worldproxy import SendToken
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(np.zeros(1), 1, tag=6)  # raises the peer link
+                # Kill the link and point reconnects at a port nothing
+                # listens on, so the isend below can never ship.
+                ctx = comm.context
+                ctx._wire._out[1].fs.close()
+                ctx._table["book"][1] = ("127.0.0.1", 1)
+                req = comm.isend(np.ones(4), 1, tag=7)
+                with pytest.raises(CommunicatorError, match="never reached"):
+                    req.test()
+                with pytest.raises(CommunicatorError, match="never reached"):
+                    req.wait()
+                return "finished"
+            comm.recv(0, tag=6)
+            return comm.recv(0, tag=7)
 
-        token = SendToken()
-        req = Request.from_token(token)
-        assert req.test() == (False, None)
-        token.set()
-        assert req.test() == (True, None)
-        assert req.wait() is None
+        transport = SocketTransport(connect_policy=RetryPolicy(
+            max_retries=1, base_delay=0.01, backoff_cap=0.02, jitter=0.0))
+        t0 = time.monotonic()
+        with pytest.raises(RankFailedError, match="send path failed"):
+            run_spmd(prog, 2, recv_timeout=60, backend=transport)
+        assert time.monotonic() - t0 < 15.0
 
 
 class TestReduceScatter:
