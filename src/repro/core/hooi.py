@@ -113,10 +113,11 @@ def hooi(
         :class:`~repro.faults.DistributedCheckpoint` saved once per
         completed sweep; its blocks are the input tensor itself (each
         sweep recontracts from it), its meta the factors, fits and input
-        norm.  Inside ``run_spmd(resilience=True)`` the run survives rank
-        failures by itself, the survivors resuming at the recorded sweep
-        without repeating the initialization, exactly as
-        :func:`~repro.core.sthosvd.sthosvd` does.
+        norm.  The run survives rank failures by itself (without
+        ``run_spmd(resilience=)``, which is for message faults), the
+        survivors resuming at the recorded sweep without repeating the
+        initialization, exactly as :func:`~repro.core.sthosvd.sthosvd`
+        does.
     """
     if init not in ("sthosvd", "random"):
         raise ConfigurationError(f"init must be 'sthosvd' or 'random', got {init!r}")

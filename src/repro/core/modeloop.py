@@ -449,10 +449,11 @@ def recovering(attempt, tensor: DistributedTensor, checkpoint, order,
     The recover-and-resume loop of ``sthosvd``/``hooi`` on a
     ``DistributedTensor`` with a ``checkpoint``
     (:class:`~repro.faults.DistributedCheckpoint`), collective over
-    ``tensor.comm`` inside ``run_spmd(resilience=True)``.  ``meta`` is
-    None for a run from the input; else it is the replicated state of
-    the checkpointed step to resume after, and ``tensor`` that step's
-    tensor.  With ``checkpoint.ckpt_dir`` the first attempt resumes from
+    ``tensor.comm`` in any ``run_spmd`` world (``resilience=`` is for
+    message faults; a rank failure needs only the checkpoint).  ``meta``
+    is None for a run from the input; else it is the replicated state
+    of the checkpointed step to resume after, and ``tensor`` that
+    step's tensor.  With ``checkpoint.ckpt_dir`` the first attempt resumes from
     the newest manifest committed there, if any.
 
     On a :class:`~repro.errors.RankFailedError` the survivors revoke the

@@ -226,11 +226,12 @@ def sthosvd(
     checkpoint:
         Distributed: a :class:`~repro.faults.DistributedCheckpoint` that
         saves the partially truncated tensor plus the replicated resume
-        state on entry and after every completed mode.  Inside
-        ``run_spmd(resilience=True)`` the run then survives rank
-        failures by itself: the survivors shrink, re-lay the grid and
-        resume from the newest complete step (``rank_failures``); with
-        ``ckpt_dir`` a new world restarts from the newest manifest.
+        state on entry and after every completed mode.  The run then
+        survives rank failures by itself (``run_spmd(resilience=)`` is
+        for message faults, and not needed): the survivors shrink,
+        re-lay the grid and resume from the newest complete step
+        (``rank_failures``); with ``ckpt_dir`` a new world restarts from
+        the newest manifest.
     max_elements, workdir, checkpoint_dir:
         Out of core: ``max_elements`` bounds the elements of one chunk;
         scratch files live in a temporary directory (made under

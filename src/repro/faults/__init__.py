@@ -7,10 +7,11 @@ Three layers (see ``docs/fault-tolerance.md``):
   installed via ``run_spmd(faults=plan)``.
 * ``run_spmd(resilience=True)`` — the tolerance (sequence numbers,
   checksums, a bounded retry) the communicator uses to survive message
-  faults.
+  faults; rank failures do not need it.
 * :class:`DistributedCheckpoint` — in-memory, buddy-replicated
   checkpoints that let ``sthosvd``/``hooi`` on a distributed tensor
-  resume on a shrunk communicator after a rank death.
+  resume on a shrunk communicator after a rank death, with or without
+  ``resilience=``.
 
 The ``repro.linalg`` kernels poll :func:`current_injector` (one
 thread-local read) from ``faults/_hook.py`` directly: with no plan

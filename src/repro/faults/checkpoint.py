@@ -30,8 +30,9 @@ be survived by a new ``run_spmd`` invocation resuming from the
 directory, each rank reading only the shards its block overlaps.
 
 The drivers run the recovery themselves: ``sthosvd(dt, checkpoint=ckpt)``
-and ``hooi(dt, ranks, checkpoint=ckpt)`` inside
-``run_spmd(resilience=True)`` (:func:`repro.core.modeloop.recovering`).
+and ``hooi(dt, ranks, checkpoint=ckpt)`` inside any ``run_spmd`` world
+(:func:`repro.core.modeloop.recovering`); ``resilience=True`` is for
+message faults and not needed to survive a rank failure.
 """
 
 from __future__ import annotations

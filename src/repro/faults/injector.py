@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, RankKilledError
 from ..obs._hook import record_event as _recorder_event
+from ..util.arraycodec import map_arrays
 from ._hook import activate, current_fault_rank, current_injector, deactivate
 from .plan import (
     DEFAULT_TRACE_LIMIT,
@@ -145,19 +146,13 @@ class FaultInjector:
         """
         arrays: list[np.ndarray] = []
 
-        def collect(obj: Any) -> Any:
-            if isinstance(obj, np.ndarray):
-                c = obj.copy()
-                arrays.append(c)
-                return c
-            if isinstance(obj, list):
-                return [collect(x) for x in obj]
-            if isinstance(obj, tuple):
-                return tuple(collect(x) for x in obj)
-            return obj
+        def collect(a: np.ndarray) -> np.ndarray:
+            arrays.append(a.copy())
+            return arrays[-1]
 
-        copied = collect(payload)
-        targets = [a for a in arrays if a.nbytes > 0]
+        copied = map_arrays(payload, collect)
+        # An object array's bytes are references: nothing to flip.
+        targets = [a for a in arrays if a.nbytes > 0 and not a.dtype.hasobject]
         if not targets:
             return None
         rng = self._state(rank).rng

@@ -67,6 +67,7 @@ from ..dist.grid import block_range
 from ..errors import CommRevokedError, CommunicatorError, RankFailedError
 from ..instrument import PHASE_COMM
 from ..obs._hook import emit, trace_span
+from ..util.arraycodec import map_arrays, split_arrays
 from .context import Envelope, SpmdContext
 from .tuning import CollectiveTuning
 
@@ -112,15 +113,20 @@ def _payload_nbytes(obj: Any) -> int:
     return 64  # nominal envelope for small pickled objects
 
 
+_copy = np.ndarray.copy
+
+
 def _copy_payload(obj: Any) -> Any:
     """Snapshot a payload so sender-side mutation cannot race the receiver."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
-    if isinstance(obj, list):
-        return [_copy_payload(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(_copy_payload(x) for x in obj)
-    return obj
+    return map_arrays(obj, _copy)
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable:
+        a.flags.writeable = False
+    return a
 
 
 def _freeze_payload(obj: Any) -> Any:
@@ -131,11 +137,9 @@ def _freeze_payload(obj: Any) -> Any:
     ``ValueError`` instead of silently corrupting the receiver.
     """
     if isinstance(obj, np.ndarray):
-        if obj.flags.writeable:
-            obj.flags.writeable = False
-    elif isinstance(obj, (list, tuple)):
-        for x in obj:
-            _freeze_payload(x)
+        _freeze(obj)
+    else:
+        map_arrays(obj, _freeze)
     return obj
 
 
@@ -144,23 +148,29 @@ def _is_readonly_array(obj: Any) -> bool:
     return isinstance(obj, np.ndarray) and not obj.flags.writeable
 
 
-def _payload_checksum(obj: Any, acc: int = 0) -> int:
-    """CRC32 digest of a payload's array bytes (resilience checksums).
+def _array_crc(a: np.ndarray, acc: int) -> int:
+    acc = zlib.crc32(np.ascontiguousarray(a).tobytes(), acc)
+    return zlib.crc32(repr(a.shape).encode(), acc)
 
-    Covers exactly the structures fault injection can corrupt (ndarrays,
-    possibly nested in lists/tuples) plus raw byte payloads; everything
-    else contributes its repr so mismatched scalars are caught too.
+
+def _payload_checksum(obj: Any) -> int:
+    """CRC32 digest of a payload (resilience checksums).
+
+    Every ndarray's bytes and shape — the arrays fault injection can
+    corrupt, found by the one payload walk — then the repr of the rest
+    (the skeleton, object arrays included: their bytes are pointers,
+    which differ between processes), so mismatched scalars are caught
+    too; raw byte payloads are digested whole.
     """
-    if isinstance(obj, np.ndarray):
-        acc = zlib.crc32(np.ascontiguousarray(obj).tobytes(), acc)
-        return zlib.crc32(repr(obj.shape).encode(), acc)
-    if isinstance(obj, (list, tuple)):
-        for x in obj:
-            acc = _payload_checksum(x, acc)
-        return acc
+    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
+        return _array_crc(obj, 0)
     if isinstance(obj, (bytes, bytearray)):
-        return zlib.crc32(bytes(obj), acc)
-    return zlib.crc32(repr(obj).encode(), acc)
+        return zlib.crc32(bytes(obj))
+    skeleton, arrays = split_arrays(obj)
+    acc = 0
+    for a in arrays:
+        acc = _array_crc(a, acc)
+    return zlib.crc32(repr(skeleton).encode(), acc)
 
 
 def _default_op(a: Any, b: Any) -> Any:
@@ -314,8 +324,7 @@ class Communicator:
 
     def _send_internal(self, obj: Any, dest: int, tag: int, *,
                        copy: bool = True):
-        """The error that lost the frame, or None (always None on the
-        retry path)."""
+        """The error that lost the frame, or None."""
         ctx = self._context
         # Fault-tolerance hooks, ordered cheapest-first: the clean path
         # (no faults, no resilience, nothing revoked) costs two extra
@@ -328,13 +337,10 @@ class Communicator:
         if self._comm_id < ctx.revocation_seen(self.world_rank):
             ctx.check_revoked(self._comm_id)
         if ctx.faults is not None or ctx.resilience:
-            # The retry protocol may deliver several times; completion
-            # tracking degenerates to "staged once the loop returns".
-            self._send_resilient(obj, dest, tag, copy=copy)
-            return None
+            return self._send_resilient(obj, dest, tag, copy=copy)
         return self._deliver(obj, dest, tag, copy=copy)
 
-    def _send_resilient(self, obj: Any, dest: int, tag: int, *, copy: bool) -> None:
+    def _send_resilient(self, obj: Any, dest: int, tag: int, *, copy: bool):
         """Send through the (possibly lossy) injected link.
 
         The mailbox layer itself never loses messages, so the lossy link
@@ -344,7 +350,8 @@ class Communicator:
         needs collapses into a synchronous retry loop of at most
         :data:`MAX_RETRIES` retransmissions.  Retransmissions reuse the same
         sequence number, which is how receivers discard duplicates and
-        corrupted precursors.
+        corrupted precursors.  Returns the error that lost the last
+        delivery, or None (an injected drop is silent).
         """
         ctx = self._context
         faults = ctx.faults
@@ -368,34 +375,31 @@ class Communicator:
                     me_world, self._members[dest], tag, nbytes
                 )
             if rule is None:
-                self._deliver(obj, dest, tag, copy=copy, seq=seq,
-                              checksum=checksum)
-                return
+                return self._deliver(obj, dest, tag, copy=copy, seq=seq,
+                                     checksum=checksum)
             if rule.kind == "duplicate":
                 # Deliver the duplicate first from a snapshot so the
                 # final delivery keeps the caller's copy/move semantics.
                 self._deliver(obj, dest, tag, copy=True, seq=seq,
                               checksum=checksum)
-                self._deliver(obj, dest, tag, copy=copy, seq=seq,
-                              checksum=checksum)
-                return
+                return self._deliver(obj, dest, tag, copy=copy, seq=seq,
+                                     checksum=checksum)
             if rule.kind == "corrupt":
                 bad = faults.corrupted_copy(me_world, obj)
                 if bad is None:
                     # Nothing corruptible in the payload; degrade to a
                     # clean delivery.
-                    self._deliver(obj, dest, tag, copy=copy, seq=seq,
-                                  checksum=checksum)
-                    return
-                self._deliver(bad, dest, tag, copy=False, seq=seq,
-                              checksum=checksum)
+                    return self._deliver(obj, dest, tag, copy=copy, seq=seq,
+                                         checksum=checksum)
+                error = self._deliver(bad, dest, tag, copy=False, seq=seq,
+                                      checksum=checksum)
                 if not resilient:
-                    return  # silent corruption: no checksums, no retry
+                    return error  # silent corruption: no checksums, no retry
             else:  # "drop"
                 if observers:
                     emit("drop", peer=self._members[dest], tag=tag)
                 if not resilient:
-                    return  # lost for good: no resilience configured
+                    return None  # lost for good: no resilience configured
             # The simulated ack timed out (drop) or the receiver will
             # discard the corrupted envelope — retransmit.
             attempts += 1
@@ -546,19 +550,15 @@ class Communicator:
             if san is not None:
                 san.on_stall(me)
 
-        interval = (
-            san.watchdog_interval if san is not None
-            else ctx.fault_poll_interval
-        )
-        if san is not None:
-            san.begin_wait(me, src_world, source, tag, self._comm_id, box)
+        if san is None:
+            return box.get(source, tag, ctx.recv_timeout, poll=poll)
+        # The stall watchdog measures time: the one timed wait.
+        san.begin_wait(me, src_world, source, tag, self._comm_id, box)
         try:
-            return box.get(
-                source, tag, ctx.recv_timeout, poll=poll, interval=interval
-            )
+            return box.get(source, tag, ctx.recv_timeout, poll=poll,
+                           interval=san.watchdog_interval)
         finally:
-            if san is not None:
-                san.end_wait(me)
+            san.end_wait(me)
 
     def sendrecv(self, obj: Any, partner: int, tag: int = 0, *, copy: bool = True) -> Any:
         """Exchange payloads with ``partner`` (MPI_Sendrecv, symmetric).

@@ -1,9 +1,11 @@
 """Shared state of a simulated SPMD world.
 
 A :class:`SpmdContext` owns the mailboxes through which the ranks of a
-world exchange messages, the coordination structures backing collective
-setup operations (communicator split), and an abort flag so one rank's
-exception unblocks everyone instead of deadlocking the world.
+world exchange messages, the rendezvous backing collective setup
+operations (split and shrink), and an abort flag so one rank's
+exception unblocks everyone instead of deadlocking the world.  Every
+blocking wait here is woken by the change it waits for
+(:class:`_CountedWait`).
 
 Messages are addressed by ``(comm_id, destination world rank)`` and
 matched on ``(source comm rank, tag)``, giving each (sub)communicator an
@@ -26,11 +28,6 @@ __all__ = ["SpmdContext", "Envelope"]
 # Default seconds a blocking receive waits before declaring deadlock.
 # Functional tests run in milliseconds; a stuck match is a bug, not load.
 DEFAULT_RECV_TIMEOUT = 120.0
-
-# Seconds between dead-partner/revocation polls while blocked in a
-# receive or a rendezvous (split/shrink) of a world with faults or
-# resilience.
-POLL_INTERVAL = 0.05
 
 
 @dataclass
@@ -60,14 +57,84 @@ class Envelope:
     checksum: int | None = None
 
 
-class _Mailbox:
+class _CountedWait:
+    """A condition whose wakes are counted: the one wait rule of the runtime.
+
+    A blocked rank sleeps until the change it waits for, or its
+    deadline — never on a timer.  :meth:`wait_for` runs ``ready()``
+    under the lock and returns its first non-``None`` value; between
+    tries it runs ``poll()`` *outside* the lock (a poll may take other
+    locks and may raise: it is how a wait that can never be satisfied —
+    a dead partner, a revoked epoch, an aborted world — ends early).
+
+    Memory model.  Two kinds of change end a wait.  A queued message
+    or a contribution changes only under this lock, followed by
+    ``notify_all``, and ``ready()`` runs under the lock before every
+    sleep, so none of it is missed.  The world state — what ``poll()``
+    reads, and a shrink's ``ready()`` reads of rank status — lives
+    elsewhere and changes under other locks; each such change is
+    followed by :meth:`wake_all` on every waiter, which counts the wake
+    under this lock.  The loop sleeps only when the
+    count has not moved since the last poll *started*, so a change that
+    lands while ``poll()`` runs is never slept through — the loop polls
+    again at once.  The state a poll reads and the wake that follows
+    every change to it:
+
+    * rank status — ``mark_failed`` / ``mark_finalized`` →
+      ``wake_all_mailboxes`` → ``wake_rendezvous``;
+    * the revocation threshold and the recovering set —
+      ``revoke_current`` (the same two wakes; a shrink's freeze clears
+      the set under its own table's lock);
+    * the abort flag — ``abort``;
+    * on a worker, the world table the master pushes — ``apply_oob``;
+    * on a worker, a departed partner's drain count — ``accept_put``,
+      the link's EOF, and the ``DRAIN_TIMEOUT`` alarm.
+
+    The only timer is ``interval``, which the sanitizer's stall
+    watchdog passes because a stall is measured in time.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._wakes = 0  # wake_all calls so far
+
+    def wake_all(self) -> None:
+        """Make every waiter run its poll again (counted)."""
+        with self._cond:
+            self._wakes += 1
+            self._cond.notify_all()
+
+    def wait_for(self, ready: Callable[[], Any], poll: Callable[[], None],
+                 timeout: float, timed_out: Callable[[], str],
+                 interval: float | None = None) -> Any:
+        """Block until ``ready()`` returns a value; raise
+        :class:`~repro.errors.CommunicatorError` with ``timed_out()``
+        after ``timeout`` seconds.  ``poll()`` runs before the first
+        sleep and after every wake."""
+        deadline = time.monotonic() + timeout
+        seen = None  # the wake count the last poll started after
+        while True:
+            with self._cond:
+                result = ready()
+                if result is not None:
+                    return result
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise CommunicatorError(timed_out())
+                if seen == self._wakes:
+                    self._cond.wait(remaining if interval is None
+                                    else min(interval, remaining))
+                seen = self._wakes
+            poll()
+
+
+class _Mailbox(_CountedWait):
     """Per-(comm, destination-rank) mailbox with blocking matched receive."""
 
     def __init__(self, abort_event: threading.Event) -> None:
-        self._cond = threading.Condition()
+        super().__init__()
         self._queues: dict[tuple[int, int], deque[Envelope]] = defaultdict(deque)
         self._abort = abort_event
-        self._wakes = 0  # wake_all calls so far
 
     def put(self, source: int, tag: int, envelope: Envelope) -> None:
         with self._cond:
@@ -79,47 +146,32 @@ class _Mailbox:
         source: int,
         tag: int,
         timeout: float,
-        poll: Callable[[], None] | None = None,
+        poll: Callable[[], None],
         interval: float | None = None,
     ) -> Envelope:
-        """Blocking matched receive.
+        """Blocking matched receive (see :class:`_CountedWait`).
 
-        ``poll``, when given, is invoked *outside* the mailbox lock
-        before the first wait and each time the wait wakes without a
-        match (message on another key, world state change, or every
-        ``interval`` seconds).  It may raise to abort the receive — the
-        hook through which the sanitizer's deadlock watchdog and the
-        rank-failure detector interrupt a wait that can never be
-        satisfied.  ``poll`` must not be called while holding any
-        mailbox lock (it may inspect other mailboxes), which is why the
-        loop releases the condition first — and why a :meth:`wake_all`
-        that lands while ``poll`` runs is counted, so the loop polls
-        again at once instead of sleeping through it.
+        ``poll`` is the hook through which the rank-failure detector
+        and the sanitizer's deadlock watchdog interrupt a receive that
+        can never be satisfied; it must not be called while holding any
+        mailbox lock (it may inspect other mailboxes).
         """
         key = (source, tag)
-        deadline = time.monotonic() + timeout
-        step = timeout if interval is None else min(interval, timeout)
-        seen = None  # the wake count the last poll started after
-        while True:
-            with self._cond:
-                q = self._queues.get(key)
-                if q:
-                    return q.popleft()
-                if self._abort.is_set():
-                    raise WorldAbortedError(
-                        "SPMD world aborted while receiving"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        f"receive timed out after {timeout}s waiting for "
-                        f"(source={source}, tag={tag}) — likely deadlock"
-                    )
-                if seen == self._wakes:
-                    self._cond.wait(timeout=min(step, remaining))
-                seen = self._wakes
-            if poll is not None:
-                poll()
+
+        def ready() -> Envelope | None:
+            q = self._queues.get(key)
+            if q:
+                return q.popleft()
+            if self._abort.is_set():
+                raise WorldAbortedError("SPMD world aborted while receiving")
+            return None
+
+        return self.wait_for(
+            ready, poll, timeout,
+            lambda: (f"receive timed out after {timeout}s waiting for "
+                     f"(source={source}, tag={tag}) — likely deadlock"),
+            interval,
+        )
 
     def has(self, source: int, tag: int) -> bool:
         """True when a matched message is queued (no dequeue)."""
@@ -147,135 +199,62 @@ class _Mailbox:
                 return q.popleft()
             return None
 
-    def wake_all(self) -> None:
-        with self._cond:
-            self._wakes += 1
-            self._cond.notify_all()
 
+class _Rendezvous(_CountedWait):
+    """One collective setup (a split or a shrink) of one communicator.
 
-class _SplitBarrier:
-    """Rendezvous used by collective setup ops (split/dup).
-
-    Every member of the parent communicator contributes a value; the
-    last arrival computes the result via ``combine`` and publishes it.
-    A fresh instance serves each collective call, keyed by the parent's
-    per-communicator operation sequence number.
+    Every participant adds a value; ``complete(contributions)`` runs
+    under the table's lock each time a waiter looks, and its first
+    non-``None`` return is the result every participant gets — so what
+    it allocates (communicator ids) is allocated once.  A split
+    completes when all of its members have contributed; a shrink when
+    the contributors cover every member still running, so a member that
+    dies mid-shrink simply falls out of it.  Wakes are counted, as in
+    :class:`_Mailbox` (the memory model is :class:`_CountedWait`'s).
     """
 
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._cond = threading.Condition()
+    def __init__(self) -> None:
+        super().__init__()
         self._contributions: dict[int, Any] = {}
         self._result: Any = None
-        self._done = False
 
     def contribute(
         self,
         rank: int,
         value: Any,
-        combine,
+        complete: Callable[[dict], Any],
+        poll: Callable[[set], None],
         timeout: float,
-        poll: Callable[[set], None] | None = None,
-        interval: float | None = None,
-    ):
-        """Contribute and block until every member has (honors ``timeout``).
+        timed_out: Callable[[dict], str],
+    ) -> Any:
+        """Add ``value`` and block for the result.
 
-        ``poll``, when given, runs (outside the lock) with the set of
-        ranks that have contributed so far each time the wait wakes
-        without a result — every ``interval`` seconds, or whenever the
-        context wakes rendezvous tables on an abort/rank-death/revoke.
-        It may raise to abort the wait, which is how a split blocked on
-        a member that has already died fails fast with
-        :class:`~repro.errors.RankFailedError` instead of sitting out
-        the full timeout.
+        ``poll(contributed)`` runs outside the lock with the ranks that
+        have contributed so far, and may raise to end the wait (a split
+        blocked on a member that died fails fast with
+        :class:`~repro.errors.RankFailedError`).  ``timed_out`` names
+        what the wait was still missing.
         """
-        deadline = time.monotonic() + timeout
-        step = timeout if interval is None else min(interval, timeout)
         with self._cond:
             if rank in self._contributions:
-                raise CommunicatorError(f"rank {rank} contributed twice to a split")
+                raise CommunicatorError(
+                    f"rank {rank} contributed twice to one rendezvous")
             self._contributions[rank] = value
-            if len(self._contributions) == self._size:
-                self._result = combine(self._contributions)
-                self._done = True
-                self._cond.notify_all()
-                return self._result
-        while True:
-            with self._cond:
-                if self._done:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        "collective setup timed out — likely deadlock"
-                    )
-                self._cond.wait(timeout=min(step, remaining))
-                contributed = set(self._contributions)
-            if poll is not None:
-                poll(contributed)
 
-    def wake(self) -> None:
-        """Wake blocked contributors so they re-run their poll hooks."""
-        with self._cond:
-            self._cond.notify_all()
-
-
-class _ShrinkTable:
-    """Rendezvous for :meth:`Communicator.shrink` (ULFM shrink analogue).
-
-    Unlike :class:`_SplitBarrier`, the membership is *discovered*, not
-    fixed: the table freezes its result once every member of the parent
-    communicator that is still running has contributed.  Ranks that die
-    mid-shrink simply fall out of the survivor set on the next poll, so
-    the rendezvous tolerates exactly the failures it exists to recover
-    from.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._contributions: dict[int, int] = {}  # old rank -> world rank
-        self._result: tuple[int, list[int]] | None = None
-
-    def contribute(
-        self,
-        rank: int,
-        world_rank: int,
-        running_old_ranks: Callable[[], set],
-        allocate_comm_id: Callable[[], int],
-        timeout: float,
-        interval: float,
-    ) -> tuple[int, list[int]]:
-        """Register a survivor; returns ``(new_comm_id, ordered old ranks)``.
-
-        ``running_old_ranks`` is re-evaluated on every wake (it may also
-        raise, e.g. on world abort); the freeze happens when the set of
-        contributors covers every still-running member, and the *new*
-        communicator id is allocated inside the freeze — after any
-        survivor's revocation, so the fresh epoch is never poisoned by
-        the revocation threshold.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            survivors = running_old_ranks()
-            with self._cond:
-                self._contributions.setdefault(rank, world_rank)
-                if self._result is None and survivors <= set(self._contributions):
-                    ordered = sorted(r for r in self._contributions if r in survivors)
-                    self._result = (allocate_comm_id(), ordered)
-                    self._cond.notify_all()
+        def ready() -> Any:
+            if self._result is None:
+                self._result = complete(self._contributions)
                 if self._result is not None:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        f"shrink timed out after {timeout}s waiting for "
-                        f"survivors {sorted(survivors - set(self._contributions))}"
-                    )
-                self._cond.wait(timeout=min(interval, remaining))
+                    self._cond.notify_all()
+            return self._result
 
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        def poll_contributed() -> None:
+            with self._cond:
+                contributed = set(self._contributions)
+            poll(contributed)
+
+        return self.wait_for(ready, poll_contributed, timeout,
+                             lambda: timed_out(self._contributions))
 
 
 class SpmdContext:
@@ -337,10 +316,10 @@ class SpmdContext:
         # World ranks of every communicator carved so far, by id (the
         # sanitizer names the members that never reached a collective).
         self.comm_members: dict[int, list[int]] = {0: list(range(world_size))}
-        self._split_tables: dict[tuple[int, int], _SplitBarrier] = {}
-        self._split_lock = threading.Lock()
-        self._shrink_tables: dict[tuple[int, int], _ShrinkTable] = {}
-        self._shrink_lock = threading.Lock()
+        # Split and shrink rendezvous, by ("split"|"shrink", parent
+        # comm id, the parent's sequence number of that kind).
+        self._rendezvous: dict[tuple[str, int, int], _Rendezvous] = {}
+        self._rendezvous_lock = threading.Lock()
         # Epoch revocation (ULFM MPI_Comm_revoke analogue): operations on
         # any communicator with id below this threshold raise
         # CommRevokedError.  Monotone non-decreasing; 0 disables.
@@ -437,14 +416,10 @@ class SpmdContext:
 
     def wake_rendezvous(self) -> None:
         """Wake ranks blocked in split/shrink rendezvous (re-poll)."""
-        with self._split_lock:
-            split_tables = list(self._split_tables.values())
-        for table in split_tables:
-            table.wake()
-        with self._shrink_lock:
-            shrink_tables = list(self._shrink_tables.values())
-        for table in shrink_tables:
-            table.wake()
+        with self._rendezvous_lock:
+            tables = list(self._rendezvous.values())
+        for table in tables:
+            table.wake_all()
 
     # -- rank lifecycle ------------------------------------------------
     def rank_status(self, world_rank: int) -> str:
@@ -515,11 +490,7 @@ class SpmdContext:
         """Mark the world dead and wake every blocked receiver."""
         self.abort_reason = reason
         self.abort_event.set()
-        with self._mailbox_lock:
-            boxes = list(self._mailboxes.values())
-        for box in boxes:
-            box.wake_all()
-        self.wake_rendezvous()
+        self.wake_all_mailboxes()
         for hook in self._abort_hooks:
             hook(reason)
 
@@ -537,34 +508,12 @@ class SpmdContext:
             self._last_comm_id = next(self._comm_id_counter)
             return self._last_comm_id
 
-    def split_barrier(self, parent_comm_id: int, seqno: int, size: int) -> _SplitBarrier:
-        """Rendezvous table for the ``seqno``-th collective setup op."""
-        key = (parent_comm_id, seqno)
-        with self._split_lock:
-            table = self._split_tables.get(key)
+    def _rendezvous_at(self, key: tuple[str, int, int]) -> _Rendezvous:
+        with self._rendezvous_lock:
+            table = self._rendezvous.get(key)
             if table is None:
-                table = _SplitBarrier(size)
-                self._split_tables[key] = table
+                table = self._rendezvous[key] = _Rendezvous()
             return table
-
-    def shrink_table(self, parent_comm_id: int, seqno: int) -> _ShrinkTable:
-        """Rendezvous table for the ``seqno``-th shrink of one communicator."""
-        key = (parent_comm_id, seqno)
-        with self._shrink_lock:
-            table = self._shrink_tables.get(key)
-            if table is None:
-                table = _ShrinkTable()
-                self._shrink_tables[key] = table
-            return table
-
-    def _rendezvous_interval(self) -> float:
-        """Poll cadence for rendezvous waits (dead-member detection)."""
-        interval = (
-            self.sanitizer.watchdog_interval if self.sanitizer is not None
-            else self.fault_poll_interval
-        )
-        # Dead-member detection even without faults or a sanitizer.
-        return 0.25 if interval is None else interval
 
     def split_rendezvous(
         self,
@@ -583,15 +532,15 @@ class SpmdContext:
         grid carves every mode fiber at once).  Runs entirely on the side
         that owns the world state (the caller for the threads backend,
         the master for the process backend): grouping, ordering, *and the
-        new communicator-id allocation* happen once, inside the last
-        contributor's combine, so ids are handed out exactly once per
-        color group regardless of which process asked — increasing in
-        pair order, then color order.  Returns one ``{color:
-        (new_comm_id, world_members, old_ranks)}`` map per pair.
+        new communicator-id allocation* happen once, when the last
+        member's contribution completes the rendezvous, so ids are handed
+        out exactly once per color group regardless of which process
+        asked — increasing in pair order, then color order.  Returns one
+        ``{color: (new_comm_id, world_members, old_ranks)}`` map per pair.
         """
-        table = self.split_barrier(parent_comm_id, seqno, size)
-
-        def combine(contributions: dict[int, tuple]) -> list[dict]:
+        def complete(contributions: dict[int, tuple]) -> list[dict] | None:
+            if len(contributions) < size:
+                return None
             out = []
             for i in range(len(value)):
                 groups: dict[int, list] = {}
@@ -632,10 +581,15 @@ class SpmdContext:
                         f"but member rank {world} already {status}"
                     )
 
-        return table.contribute(
-            rank, value, combine, self.recv_timeout,
-            poll=poll, interval=self._rendezvous_interval(),
-        )
+        def timed_out(contributions: dict) -> str:
+            missing = [members[old] for old in range(size)
+                       if old not in contributions]
+            return (f"split timed out after {self.recv_timeout}s waiting "
+                    f"for ranks {missing} — likely deadlock")
+
+        table = self._rendezvous_at(("split", parent_comm_id, seqno))
+        return table.contribute(rank, value, complete, poll,
+                                self.recv_timeout, timed_out)
 
     def shrink_rendezvous(
         self,
@@ -653,28 +607,35 @@ class SpmdContext:
         authoritative computation.  Returns ``(new_comm_id, ordered old
         ranks)``.
         """
-        table = self.shrink_table(parent_comm_id, seqno)
-
-        def running_old_ranks() -> set:
-            self.check_alive()
+        def survivors() -> set[int]:
             running = self.running_world_ranks()
-            return {i for i, w in enumerate(members) if w in running}
+            return {old for old, w in enumerate(members) if w in running}
 
-        def allocate() -> int:
+        def complete(contributions: dict) -> tuple[int, list[int]] | None:
+            alive = survivors()
+            if not alive <= contributions.keys():
+                return None
             # Freeze point: every survivor has arrived, the recovery is
             # committed — nobody is "recovering" any more, so the next
-            # failure round starts with a clean visibility slate.
+            # failure round starts with a clean visibility slate.  The
+            # new id is allocated after every survivor's revocation, so
+            # the fresh epoch is never poisoned by its threshold.
             self._recovering.clear()
             self._state_changed()
-            return self.allocate_comm_id()
+            new_id = self.allocate_comm_id()
+            ordered = sorted(alive)
+            self.comm_members[new_id] = [members[old] for old in ordered]
+            return new_id, ordered
 
-        interval = self.fault_poll_interval or 0.25
-        new_id, ordered = table.contribute(
-            rank, world_rank, running_old_ranks,
-            allocate, self.recv_timeout, interval,
-        )
-        self.comm_members[new_id] = [members[old] for old in ordered]
-        return new_id, ordered
+        def timed_out(contributions: dict) -> str:
+            missing = sorted(survivors() - contributions.keys())
+            return (f"shrink timed out after {self.recv_timeout}s waiting "
+                    f"for survivors {missing}")
+
+        table = self._rendezvous_at(("shrink", parent_comm_id, seqno))
+        return table.contribute(rank, world_rank, complete,
+                                lambda contributed: self.check_alive(),
+                                self.recv_timeout, timed_out)
 
     # -- epoch revocation ----------------------------------------------
     def revoke_current(self, reason: str, world_rank: int | None = None) -> None:
@@ -686,8 +647,9 @@ class SpmdContext:
         immediately.  Communicator ids allocated *after* the revocation
         (the post-shrink epoch) are unaffected.  Idempotent and safe to
         call concurrently from several survivors: the threshold only
-        ever grows, and :class:`_ShrinkTable` allocates the new epoch's
-        id strictly after every survivor has revoked and contributed.
+        ever grows, and a shrink's :class:`_Rendezvous` allocates the new
+        epoch's id strictly after every survivor has revoked and
+        contributed.
         """
         with self._comm_id_lock:
             threshold = self._last_comm_id + 1
@@ -729,19 +691,6 @@ class SpmdContext:
     def recovering_ranks(self) -> list[int]:
         """World ranks currently between revoke() and a rendezvous freeze."""
         return sorted(self._recovering)
-
-    # -- fault-tolerance plumbing --------------------------------------
-    @property
-    def fault_poll_interval(self) -> float | None:
-        """Seconds between dead-partner polls while blocked (or None).
-
-        Populated when faults or resilience are active so blocked
-        receives notice revocation and rank death promptly even without
-        the sanitizer's watchdog.
-        """
-        if self.resilience or self.faults is not None:
-            return POLL_INTERVAL
-        return None
 
     # -- node-local checkpoint store -----------------------------------
     def node_store(self, holder: int) -> dict:

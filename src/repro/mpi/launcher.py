@@ -162,7 +162,10 @@ def run_spmd(
         ``True`` enables message-level tolerance: per-message sequence
         numbers, payload checksums, and sender retry up to
         ``communicator.MAX_RETRIES`` (16) retransmissions — the
-        machinery that survives what ``faults=`` injects.
+        machinery that survives the *message* faults ``faults=``
+        injects.  It is not what makes a rank failure survivable: a
+        blocked rank learns of a death from the failure notice either
+        way, and a checkpointed driver recovers without it.
     recorder:
         Optional :class:`~repro.obs.FlightRecorder` — an always-on,
         bounded per-rank ring buffer of structured runtime events

@@ -77,7 +77,7 @@ from ...errors import (
     RankFailedError,
     WorldAbortedError,
 )
-from ..context import POLL_INTERVAL, Envelope, _Mailbox
+from ..context import Envelope, _Mailbox
 from .codec import (
     decode_envelope,
     decode_exception,
@@ -378,12 +378,6 @@ class WorkerContext:
     def note_revocation_seen(self, world_rank: int) -> None:
         if self.revoked_below > self.revoked_seen:
             self.revoked_seen = self.revoked_below
-
-    @property
-    def fault_poll_interval(self) -> float | None:
-        if self.resilience or self.faults is not None:
-            return POLL_INTERVAL
-        return None
 
     # -- message paths ---------------------------------------------------
     def mailbox(self, comm_id: int, world_rank: int | None = None) -> _Mailbox:

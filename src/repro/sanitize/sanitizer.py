@@ -49,6 +49,7 @@ from ..errors import (
     MessageLeakError,
     UseAfterMoveError,
 )
+from ..util.arraycodec import map_arrays
 from .diagnostics import (
     ERROR,
     CallSite,
@@ -448,16 +449,15 @@ class Sanitizer:
         ))
 
     def _register_arrays(self, payload: Any, proto: _MoveRecord) -> None:
-        if isinstance(payload, np.ndarray):
-            if payload.flags.writeable:
-                return
-            rec = replace(proto, ref=weakref.ref(payload))
-            with self._lock:
-                self._moves[id(payload)] = rec
-                self._last_move[proto.rank] = rec
-        elif isinstance(payload, (list, tuple)):
-            for x in payload:
-                self._register_arrays(x, proto)
+        def register(a: np.ndarray) -> np.ndarray:
+            if not a.flags.writeable:
+                rec = replace(proto, ref=weakref.ref(a))
+                with self._lock:
+                    self._moves[id(a)] = rec
+                    self._last_move[proto.rank] = rec
+            return a
+
+        map_arrays(payload, register)
 
     def _lookup_move(self, arr: np.ndarray) -> _MoveRecord | None:
         """The move record for ``arr`` (or the base it is a view of)."""

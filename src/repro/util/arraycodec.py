@@ -1,7 +1,10 @@
 """Array codec: lift ndarrays out of nested payloads, move them as raw bytes.
 
-:func:`split_arrays` replaces every ndarray in nested tuples/lists/dicts
-with a positional :class:`ArrayRef`, leaving an array-free *skeleton*;
+:func:`map_arrays` is the one walk over a payload's nested
+tuples/lists/dicts (the runtime snapshots, freezes, checksums and
+corrupts payloads with it too); :func:`split_arrays` replaces every
+ndarray in it with a positional :class:`ArrayRef`, leaving an
+array-free *skeleton*;
 :func:`prepare_arrays` turns the lifted arrays into flat byte views plus
 ``(dtype, shape, order, writeable)`` descriptors;
 :func:`materialize_array` and :func:`join_arrays` undo both.  Shared by
@@ -17,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ArrayRef",
+    "map_arrays",
     "split_arrays",
     "join_arrays",
     "prepare_arrays",
@@ -36,6 +40,9 @@ class ArrayRef:
     def __reduce__(self):
         return (ArrayRef, (self.index,))
 
+    def __repr__(self) -> str:  # stable: payload checksums read it
+        return f"ArrayRef({self.index})"
+
 
 def _ring_worthy(a: np.ndarray) -> bool:
     # Object and structured dtypes cannot be moved as raw bytes; they
@@ -43,48 +50,57 @@ def _ring_worthy(a: np.ndarray) -> bool:
     return not a.dtype.hasobject and a.dtype.fields is None
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+def map_arrays(obj: Any, fn, kind: type = np.ndarray) -> Any:
+    """``obj`` rebuilt with ``fn(x)`` in place of every ``kind`` in it.
+
+    Recurses through tuples (named ones keep their type), lists, and
+    dicts, the containers message payloads are built from; anything
+    else (a list or dict subclass included) is a leaf and passes
+    through untouched.  Leaves are visited depth first, in order.
+    Items are mapped inside the comprehension, not by one call each:
+    a payload walk runs on every message.
+    """
+    if isinstance(obj, kind):
+        return fn(obj)
+    t = type(obj)
+    if t is dict:
+        return dict(zip(obj, map_arrays(list(obj.values()), fn, kind)))
+    if not (t is list or t is tuple
+            or (isinstance(obj, tuple) and hasattr(t, "_make"))):
+        return obj
+    items = [fn(x) if isinstance(x, kind)
+             else map_arrays(x, fn, kind) if isinstance(x, _CONTAINERS)
+             else x
+             for x in obj]
+    if t is list:
+        return items
+    return tuple(items) if t is tuple else t._make(items)
+
+
 def split_arrays(obj: Any) -> tuple[Any, list[np.ndarray]]:
     """Replace every ndarray in ``obj`` with an :class:`ArrayRef`.
 
-    Recurses through tuples, lists, and dicts (the containers message
-    payloads are built from); anything else passes through untouched
-    and will be pickled with the skeleton.  Returns ``(skeleton,
-    arrays)`` with arrays in reference order.
+    Walks ``obj`` as :func:`map_arrays` does; anything else passes
+    through untouched and will be pickled with the skeleton.  Returns
+    ``(skeleton, arrays)`` with arrays in reference order.
     """
     arrays: list[np.ndarray] = []
 
-    def enc(x):
-        if isinstance(x, np.ndarray) and _ring_worthy(x):
-            arrays.append(x)
-            return ArrayRef(len(arrays) - 1)
-        t = type(x)
-        if t is tuple:
-            return tuple(enc(i) for i in x)
-        if t is list:
-            return [enc(i) for i in x]
-        if t is dict:
-            return {k: enc(v) for k, v in x.items()}
-        return x
+    def lift(a: np.ndarray):
+        if not _ring_worthy(a):
+            return a
+        arrays.append(a)
+        return ArrayRef(len(arrays) - 1)
 
-    return enc(obj), arrays
+    return map_arrays(obj, lift), arrays
 
 
 def join_arrays(skeleton: Any, arrays: list) -> Any:
     """Inverse of :func:`split_arrays`: resolve every :class:`ArrayRef`."""
-
-    def dec(x):
-        if isinstance(x, ArrayRef):
-            return arrays[x.index]
-        t = type(x)
-        if t is tuple:
-            return tuple(dec(i) for i in x)
-        if t is list:
-            return [dec(i) for i in x]
-        if t is dict:
-            return {k: dec(v) for k, v in x.items()}
-        return x
-
-    return dec(skeleton)
+    return map_arrays(skeleton, lambda ref: arrays[ref.index], ArrayRef)
 
 
 def prepare_arrays(arrays: list[np.ndarray]) -> tuple[list, list[tuple]]:

@@ -268,3 +268,45 @@ class TestHooiFaultTolerant:
         assert all(v[0] == 3 and v[1] == 1 for v in done)
         fit = next(v[3] for v in done if v[3] is not None)
         assert fit == pytest.approx(base_fit, rel=1e-9)
+
+
+class TestRecoveryWithoutResilience:
+    """A rank failure is survived by ``checkpoint=`` alone: ``resilience=``
+    tolerates message faults and is not passed here, so every wait of
+    the recovery (the revoke, the shrink, the re-grid's split) is woken
+    by the failure notice itself."""
+
+    @staticmethod
+    def _sthosvd(comm):
+        res = sthosvd(_distributed(comm), ranks=RANKS, method="qr",
+                      checkpoint=DistributedCheckpoint("sthosvd"))
+        return res.core.comm.size, _recoveries(res), res.sigmas
+
+    @staticmethod
+    def _hooi(comm):
+        res = hooi(_distributed(comm), RANKS, method="gram", max_iters=4,
+                   checkpoint=DistributedCheckpoint("hooi"))
+        return res.core.comm.size, _recoveries(res), res.final_fit
+
+    @pytest.mark.parametrize("backend", ["threads", "sockets"])
+    @pytest.mark.parametrize("driver,at_op", [("sthosvd", 12), ("hooi", 40)])
+    def test_crash_recovers_onto_three_ranks(self, driver, at_op, backend):
+        plan = FaultPlan(seed=0, crashes=(CrashRule(rank=2, at_op=at_op),))
+        out = run_spmd(getattr(self, "_" + driver), 4, backend=backend,
+                       faults=plan)
+        assert out.failed_ranks == [2]
+        assert [v and v[:2] for v in out.values] == [(3, 1), (3, 1), None,
+                                                     (3, 1)]
+        eps = np.finfo(np.float64).eps
+        got = out.values[0][2]
+        if driver == "sthosvd":
+            # Thm. 1: QR-SVD's singular values sit O(eps ||A||) from the
+            # uninterrupted run's.
+            ref = sthosvd(FULL, ranks=RANKS, method="qr").sigmas
+            assert sorted(got) == sorted(ref)
+            for mode, r in ref.items():
+                assert np.abs(got[mode] - r).max() <= 50 * eps * r[0]
+        else:
+            # Thm. 2: Gram-SVD resolves O(sqrt(eps) ||A||), and so the fit.
+            ref = hooi(FULL, RANKS, method="gram", max_iters=4).final_fit
+            assert abs(got - ref) <= 50 * np.sqrt(eps)

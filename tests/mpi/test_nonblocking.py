@@ -86,10 +86,12 @@ class TestIsendIrecv:
         with pytest.raises(CommunicatorError):
             run_spmd(prog, 2)
 
-    def test_isend_on_a_dead_link_raises_from_test_and_wait(self):
+    @pytest.mark.parametrize("resilience", [False, True])
+    def test_isend_on_a_dead_link_raises_from_test_and_wait(self, resilience):
         """An isend whose frame the link lost must raise the loss from
-        test() and wait(), never report a successful stage; the rank
-        still fails with its send path as the named cause."""
+        test() and wait(), never report a successful stage — the retry
+        path of ``resilience=True`` included; the rank still fails with
+        its send path as the named cause."""
         import time
 
         from repro.errors import RankFailedError
@@ -117,7 +119,8 @@ class TestIsendIrecv:
             max_retries=1, base_delay=0.01, backoff_cap=0.02, jitter=0.0))
         t0 = time.monotonic()
         with pytest.raises(RankFailedError, match="send path failed"):
-            run_spmd(prog, 2, recv_timeout=60, backend=transport)
+            run_spmd(prog, 2, recv_timeout=60, backend=transport,
+                     resilience=resilience)
         assert time.monotonic() - t0 < 15.0
 
 

@@ -11,6 +11,7 @@ same values bit for bit, same errors, same counters.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -119,6 +120,58 @@ def test_isend_completion_means_staged(backend):
 
     res = run_spmd(prog, 2, backend=backend)
     assert res[1] == int(np.arange(16).sum())
+
+
+_Named = namedtuple("_Named", "a")
+
+
+def test_send_snapshots_or_freezes_arrays_nested_in_a_dict(backend):
+    """``send`` snapshots every array of a payload (``copy=True``) or
+    freezes every one (``copy=False``), in a dict or a namedtuple as in
+    a list: a write after the send never reaches the receiver, a moved
+    buffer is read-only on the sender, and the container keeps its
+    type."""
+
+    def prog(comm):
+        wraps = (lambda a: [a], lambda a: {"a": a}, _Named)
+        if comm.rank == 0:
+            writeable = []
+            for wrap in wraps:
+                a = np.zeros(4)
+                comm.send(wrap(a), 1, tag=0)
+                a[:] = 7.0
+                comm.send(None, 1, tag=1)  # "written"
+                b = np.zeros(4)
+                comm.send(wrap(b), 1, tag=2, copy=False)
+                writeable.append(bool(b.flags.writeable))
+            return writeable
+        seen = []
+        for key in (0, "a", 0):
+            payload = comm.recv(0, tag=0)
+            comm.recv(0, tag=1)
+            seen.append((type(payload).__name__, float(payload[key][0])))
+            comm.recv(0, tag=2)
+        return seen
+
+    assert run_spmd(prog, 2, backend=backend).values == [
+        [False, False, False],
+        [("list", 0.0), ("dict", 0.0), ("_Named", 0.0)],
+    ]
+
+
+def test_resilience_accepts_an_object_array_payload(backend):
+    """The resilience checksum reads an object array's contents, not its
+    pointers, so a process backend's receiver does not discard it as
+    corrupt."""
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.send(np.array([1, "x"], dtype=object), 1)
+            return None
+        return comm.recv(0).tolist()
+
+    assert run_spmd(prog, 2, backend=backend, resilience=True,
+                    recv_timeout=10).values == [None, [1, "x"]]
 
 
 def test_request_test_backoff_does_not_busy_spin(backend):
